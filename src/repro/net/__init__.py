@@ -31,7 +31,7 @@ from .fields import Field, read_field, write_field
 from .recorder import AccessEvent, AccessRecorder, RECORD_VERBS
 from .lpm import LpmTable
 from .crypto import Aes128, aes_ctr_transform, compute_icv
-from .ah import insert_ah, remove_ah, verify_ah
+from .ah import insert_ah, refresh_icv, remove_ah, verify_ah
 from .encap import (
     VXLAN_HEADER_LEN,
     VXLAN_OUTER_LEN,
@@ -78,6 +78,7 @@ __all__ = [
     "aes_ctr_transform",
     "compute_icv",
     "insert_ah",
+    "refresh_icv",
     "remove_ah",
     "verify_ah",
     "ETHERTYPE_VLAN",

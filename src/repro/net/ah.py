@@ -15,7 +15,7 @@ from .fields import Field
 from .headers import PROTO_AH, AhView
 from .packet import Packet
 
-__all__ = ["insert_ah", "remove_ah", "verify_ah"]
+__all__ = ["insert_ah", "refresh_icv", "remove_ah", "verify_ah"]
 
 
 def insert_ah(pkt: Packet, spi: int, seq: int, icv_key: bytes) -> None:
@@ -46,10 +46,21 @@ def insert_ah(pkt: Packet, spi: int, seq: int, icv_key: bytes) -> None:
     ah.payload_len = AhView.HEADER_LEN // 4 - 2
     ah.spi = spi
     ah.seq = seq
-    ah.icv = compute_icv(icv_key, _icv_scope(pkt, ip_end))
+    refresh_icv(pkt, icv_key)
 
     ip.update_checksum()
     pkt.wire_len += AhView.HEADER_LEN
+
+
+def refresh_icv(pkt: Packet, icv_key: bytes) -> None:
+    """Restamp the AH's ICV over the packet's current bytes.
+
+    Whoever rewrites what the ICV covers behind an existing AH (a second
+    VPN hop re-encrypting the payload) must call this, or the peer's
+    :func:`verify_ah` fails.
+    """
+    ah = pkt.ah
+    ah.icv = compute_icv(icv_key, _icv_scope(pkt, ah.offset))
 
 
 def remove_ah(pkt: Packet, icv_key: bytes = b"", verify: bool = False) -> None:

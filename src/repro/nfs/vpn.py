@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..net.ah import insert_ah, remove_ah, verify_ah
+from ..net.ah import insert_ah, refresh_icv, remove_ah, verify_ah
 from ..net.crypto import aes_ctr_transform
 from ..net.packet import Packet
 from .base import NetworkFunction, ProcessingContext, register_nf_class
@@ -48,20 +48,18 @@ class VpnEncryptor(NetworkFunction):
 
     def process(self, pkt: Packet, ctx: ProcessingContext) -> None:
         self.seq += 1
-        if pkt.has_ah:
-            # Already encapsulated (e.g. a second VPN hop in a synthetic
-            # chain): re-encrypt the payload under a fresh keystream and
-            # refresh the existing AH instead of stacking headers.
-            payload = pkt.payload
-            if payload:
-                pkt.set_payload(aes_ctr_transform(self.key, self.seq, payload))
-            ah = pkt.ah
-            ah.seq = self.seq
-            return
         payload = pkt.payload
         if payload:
             pkt.set_payload(aes_ctr_transform(self.key, self.seq, payload))
-        insert_ah(pkt, spi=self.spi, seq=self.seq, icv_key=self.key)
+        if pkt.has_ah:
+            # Already encapsulated (e.g. a second VPN hop in a synthetic
+            # chain): the payload is re-encrypted under a fresh keystream
+            # and the existing AH refreshed (sequence and ICV) instead of
+            # stacking headers.
+            pkt.ah.seq = self.seq
+            refresh_icv(pkt, self.key)
+        else:
+            insert_ah(pkt, spi=self.spi, seq=self.seq, icv_key=self.key)
 
     # ------------------------------------------------------ state handover
     def export_shared_state(self) -> dict:
@@ -87,6 +85,8 @@ class VpnDecryptor(NetworkFunction):
         verify: bool = True,
     ):
         super().__init__(name)
+        if len(key) != 16:
+            raise ValueError("VPN key must be 16 bytes (AES-128)")
         self.key = key
         self.verify = verify
         self.auth_failures = 0

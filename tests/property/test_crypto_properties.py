@@ -1,4 +1,8 @@
-"""Property-based tests for AES, CTR mode, AH, and the checksum."""
+"""Property-based tests for AES, CTR mode, AH, and the checksum.
+
+The T-table core in ``repro.net.crypto`` is checked against the byte-wise
+FIPS-197 transcription in ``tests/support/aes_textbook.py``.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,16 +16,34 @@ from repro.net import (
     remove_ah,
     verify_ah,
 )
+from tests.support.aes_textbook import TextbookAes128, textbook_ctr_transform
 
 keys = st.binary(min_size=16, max_size=16)
 blocks = st.binary(min_size=16, max_size=16)
+nonces = st.one_of(st.sampled_from([0, (1 << 64) - 1]), st.integers(0, (1 << 64) - 1))
+# Block edges, the largest DC-mix payload, and anything in between.
+payloads = st.one_of(
+    st.sampled_from([0, 1, 15, 16, 17, 1396]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)),
+    st.binary(max_size=300),
+)
 
 
 @settings(max_examples=25)
 @given(key=keys, block=blocks)
-def test_aes_decrypt_inverts_encrypt(key, block):
-    aes = Aes128(key)
-    assert aes.decrypt_block(aes.encrypt_block(block)) == block
+def test_encrypt_block_matches_textbook_and_inverts(key, block):
+    oracle = TextbookAes128(key)
+    ciphertext = Aes128(key).encrypt_block(block)
+    assert ciphertext == oracle.encrypt_block(block)
+    assert oracle.decrypt_block(ciphertext) == block
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=keys, nonce=nonces, data=payloads,
+       wrap=st.sampled_from([bytes, bytearray, memoryview]))
+def test_ctr_matches_textbook_oracle(key, nonce, data, wrap):
+    assert aes_ctr_transform(key, nonce, wrap(data)) == \
+        textbook_ctr_transform(key, nonce, data)
 
 
 @settings(max_examples=25)

@@ -8,12 +8,15 @@ from repro.net import (
     aes_ctr_transform,
     build_packet,
     compute_icv,
+    crypto,
     insert_ah,
     internet_checksum,
     pseudo_header_checksum,
     remove_ah,
     verify_ah,
 )
+from tests.support.aes_textbook import SBOX as TEXTBOOK_SBOX
+from tests.support.aes_textbook import TextbookAes128, textbook_ctr_transform
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -46,12 +49,20 @@ def test_pseudo_header_checksum_validates_addresses():
 
 
 # -------------------------------------------------------------------- AES
-def test_aes128_fips197_vector():
+def test_aes128_fips197_appendix_c1_vector():
     plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
     expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-    aes = Aes128(KEY)
-    assert aes.encrypt_block(plaintext) == expected
-    assert aes.decrypt_block(expected) == plaintext
+    assert Aes128(KEY).encrypt_block(plaintext) == expected
+    oracle = TextbookAes128(KEY)
+    assert oracle.encrypt_block(plaintext) == expected
+    assert oracle.decrypt_block(expected) == plaintext
+
+
+def test_aes128_fips197_appendix_b_vector():
+    key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+    block = bytes.fromhex("3243f6a8885a308d313198a2e0370734")
+    expected = bytes.fromhex("3925841d02dc09fbdc118597196a0b32")
+    assert Aes128(key).encrypt_block(block) == expected
 
 
 def test_aes128_sp800_38a_ecb_vector():
@@ -62,13 +73,57 @@ def test_aes128_sp800_38a_ecb_vector():
     assert Aes128(key).encrypt_block(block) == expected
 
 
+# NIST SP 800-38A F.5.1 CTR-AES128.Encrypt: input block -> output block.
+SP800_38A_CTR_BLOCKS = [
+    ("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff", "ec8cdf7398607cb0f2d21675ea9ea1e4"),
+    ("f0f1f2f3f4f5f6f7f8f9fafbfcfdff00", "362b7c3c6773516318a077d7fc5073ae"),
+    ("f0f1f2f3f4f5f6f7f8f9fafbfcfdff01", "6a2cc3787889374fbeb4c81b17ba6c44"),
+    ("f0f1f2f3f4f5f6f7f8f9fafbfcfdff02", "e89c399ff0f198c6d40a31db156cabfe"),
+]
+
+
+@pytest.mark.parametrize("counter,keystream", SP800_38A_CTR_BLOCKS)
+def test_aes128_sp800_38a_ctr_counter_blocks(counter, keystream):
+    key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+    assert Aes128(key).encrypt_block(bytes.fromhex(counter)).hex() == keystream
+
+
+def test_sbox_matches_its_algebraic_definition():
+    # The oracle derives its S-box from the GF(2^8) inverse and the
+    # affine map; the table the T-tables are built from must agree.
+    assert crypto._SBOX == TEXTBOOK_SBOX
+
+
 def test_aes_key_and_block_sizes_enforced():
     with pytest.raises(ValueError):
         Aes128(b"short")
     with pytest.raises(ValueError):
         Aes128(KEY).encrypt_block(b"short")
     with pytest.raises(ValueError):
-        Aes128(KEY).decrypt_block(b"short")
+        aes_ctr_transform(b"short", 1, b"data")
+
+
+def test_ctr_matches_textbook_oracle_at_block_edges():
+    for nonce in (0, 7, (1 << 64) - 1):
+        for length in (0, 1, 15, 16, 17, 1396):
+            data = bytes((i * 7 + length) & 0xFF for i in range(length))
+            assert aes_ctr_transform(KEY, nonce, data) == \
+                textbook_ctr_transform(KEY, nonce, data)
+
+
+def test_key_schedule_memo_is_bounded_and_stays_correct():
+    bound = crypto.KEY_SCHEDULE_CACHE_SIZE
+    keys = [bytes([i]) * 16 for i in range(bound + 1)]
+    data = b"memo" * 9
+    first = [aes_ctr_transform(key, 3, data) for key in keys]
+    info = crypto._expand_key.cache_info()
+    assert info.maxsize == bound and info.currsize <= bound
+    # keys[0] was evicted by the bound+1st key: re-expansion is correct,
+    # and so is every hit on the way.
+    assert [aes_ctr_transform(key, 3, data) for key in keys] == first
+    assert first[0] == textbook_ctr_transform(keys[0], 3, data)
+    assert first[-1] == textbook_ctr_transform(keys[-1], 3, data)
+    assert crypto._expand_key.cache_info().currsize <= bound
 
 
 def test_ctr_is_involutive_and_keystream_differs_by_nonce():
@@ -88,6 +143,8 @@ def test_ctr_handles_non_block_multiple():
 def test_ctr_nonce_range():
     with pytest.raises(ValueError):
         aes_ctr_transform(KEY, 1 << 64, b"data")
+    with pytest.raises(ValueError):
+        aes_ctr_transform(KEY, -1, b"data")
 
 
 def test_icv_is_keyed_and_truncated():

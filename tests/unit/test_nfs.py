@@ -218,6 +218,21 @@ def test_vpn_second_hop_reencrypts_without_stacking_headers():
     assert pkt.ah.seq == 2
 
 
+def test_vpn_second_hop_restamps_the_icv():
+    # The second hop rewrites the payload the ICV covers; a stale ICV
+    # made a verifying decryptor drop every such packet.
+    enc, dec = VpnEncryptor(), VpnDecryptor(verify=True)
+    pkt = build_packet(size=200, payload=b"twice encrypted")
+    enc.handle(pkt)
+    once = pkt.payload
+    enc.handle(pkt)
+    assert verify_ah(pkt, enc.key)
+    result = dec.handle(pkt)
+    assert not result.dropped and dec.auth_failures == 0
+    # The decryptor peels the outer (seq 2) keystream only.
+    assert not pkt.has_ah and pkt.payload == once
+
+
 def test_vpn_decryptor_rejects_plain_packet():
     assert VpnDecryptor().handle(build_packet(size=128)).dropped
 
@@ -231,9 +246,10 @@ def test_vpn_decryptor_detects_tampering():
     assert dec.auth_failures == 1
 
 
-def test_vpn_key_length_checked():
-    with pytest.raises(ValueError):
-        VpnEncryptor(key=b"short")
+@pytest.mark.parametrize("vpn_class", [VpnEncryptor, VpnDecryptor])
+def test_vpn_key_length_checked(vpn_class):
+    with pytest.raises(ValueError, match="VPN key must be 16 bytes"):
+        vpn_class(key=b"short")
 
 
 # ---------------------------------------------------------------- IDS/IPS
