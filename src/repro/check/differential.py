@@ -264,6 +264,10 @@ def _run_des(
     server.keep_packets = True
     server.deploy(deployed)
     packets = case.build_packets()
+    # The emitted version 1 is the injected object: key outputs by it, not
+    # by the output's IP ident (a codec inside a tunnel leaves the
+    # decapsulated frame non-IPv4 on every plane alike).
+    idents = {pkt.uid: spec.ident for pkt, spec in zip(packets, case.packets)}
 
     def _feed():
         for pkt in packets:
@@ -277,7 +281,7 @@ def _run_des(
     outputs: Dict[int, Optional[bytes]] = {spec.ident: None for spec in case.packets}
     words: Dict[int, int] = {}
     for pkt in server.emitted_packets:
-        ident = pkt.ipv4.identification
+        ident = idents[pkt.uid]
         outputs[ident] = bytes(pkt.buf)
         meta = pkt.meta
         if meta is None:

@@ -412,17 +412,22 @@ class NFPCompiler:
 
     @staticmethod
     def _merge_ops(stages: Sequence[Stage]) -> List[MergeOp]:
-        """Derive MOs from copy-version writes, resolved by priority."""
-        # field -> list of (priority, version) writers.
-        writers: Dict[Field, List[Tuple[int, int]]] = {}
+        """Derive MOs from copy-version writes.
+
+        A stage-k copy is cut from version 1 after every earlier stage
+        ran on it, so a field's last-stage writer wins; priority only
+        breaks ties inside one stage.
+        """
+        # field -> list of (stage index, priority, version) writers.
+        writers: Dict[Field, List[Tuple[int, int, int]]] = {}
         adds: List[Tuple[int, Field, int]] = []
         removes: List[Tuple[int, Field, int]] = []
-        for stage in stages:
+        for stage_index, stage in enumerate(stages):
             for entry in stage:
                 profile = entry.node.profile
                 for field in profile.writes:
                     writers.setdefault(field, []).append(
-                        (entry.node.priority, entry.version)
+                        (stage_index, entry.node.priority, entry.version)
                     )
                 for field in profile.adds:
                     adds.append((entry.node.priority, field, entry.version))
@@ -431,7 +436,7 @@ class NFPCompiler:
 
         ops: List[MergeOp] = []
         for field in sorted(writers, key=str):
-            priority, version = max(writers[field])
+            _, _, version = max(writers[field])
             if version != ORIGINAL_VERSION:
                 ops.append(MergeOp(MergeOpKind.MODIFY, field, version))
         for _, field, version in sorted(adds):

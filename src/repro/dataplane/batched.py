@@ -7,9 +7,9 @@ object model per packet, this plane processes packet *batches* with
 * **batch-wise classification** -- one CT/FT walk per new flow per
   batch: a batch-local memo sits in front of the shared LRU
   :class:`~repro.dataplane.flowsplit.FlowCache`, so repeated flows in a
-  burst cost one dict probe, and the full classify (5-tuple parse, CT
-  lookup, RSS assignment, closure bind) runs only on a cold flow
-  (``ct_walks`` counts those walks);
+  burst cost their ``flow_key`` plus one dict probe, and the full
+  classify (CT lookup, RSS assignment, closure bind) runs only on a
+  cold flow (``ct_walks`` counts those walks);
 * **struct-of-arrays metadata** -- the 64-bit MID|PID|version words live
   in a flat :class:`~repro.net.metadata.MetaArray` indexed by batch
   slot; a :class:`~repro.net.packet.PacketMeta` object is materialised
@@ -35,7 +35,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from ..core.graph import ORIGINAL_VERSION, ServiceGraph
 from ..core.tables import ClassificationTable, build_tables
-from ..net.headers import PROTO_TCP, PROTO_UDP
 from ..net.metadata import MetaArray, pack_word
 from ..net.packet import Packet, PacketMeta
 from .chaining import ChainingManager
@@ -108,26 +107,6 @@ class BatchedDataplane:
         self.ct_walks = 0
 
     # -------------------------------------------------------- classification
-    def _fast_key(self, pkt: Packet):
-        """Flow key without header views, for the common frame shape.
-
-        Untagged Ethernet + IPv4 (IHL 5, not fragmented) + TCP/UDP:
-        thirteen raw bytes (protocol, src, dst, ports) identify the flow
-        one-to-one with the parsed 5-tuple -- same bytes, same flow.
-        Anything else falls back to :func:`flow_key` (a parsed tuple or
-        ``None``; tuple and bytes keys cannot collide in one dict).
-        """
-        buf = pkt.buf
-        if (
-            len(buf) >= 38
-            and buf[12] == 0x08 and buf[13] == 0x00
-            and buf[14] == 0x45
-            and buf[21] == 0 and buf[20] & 0x3F == 0
-            and buf[23] in (PROTO_TCP, PROTO_UDP)
-        ):
-            return bytes(buf[23:24]) + bytes(buf[26:38])
-        return flow_key(pkt)
-
     def _classify_flow(self, pkt: Packet, key) -> Optional[FlowDecision]:
         """The cold-flow path: one full CT/FT walk plus closure bind."""
         self.ct_walks += 1
@@ -138,8 +117,7 @@ class BatchedDataplane:
         entry = self.chaining.classify(five)
         if entry is None:
             return None
-        rss_key = five if isinstance(key, bytes) else key
-        assignment = assign_instances(rss_key, self._scaled)
+        assignment = assign_instances(key, self._scaled)
         compiled = self.chaining.compiled_for(entry.mid)
         runner = compiled.bind(self.nfs, self.scale, assignment, self.counters)
         return FlowDecision(entry, self.chaining.graph_for(entry.mid),
@@ -178,13 +156,12 @@ class BatchedDataplane:
         count_pins = (
             self._scaled and telemetry is not None and telemetry.enabled
         )
-        fast_key = self._fast_key
         decide = self._decide
         template = self._word_template
         next_pid = self._next_pid
         no_match = 0
         for pkt in packets:
-            key = fast_key(pkt)
+            key = flow_key(pkt)
             if key is None and count_pins:
                 telemetry.inc("rss.pinned_flows")
             try:

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.graph import ServiceGraph
 from ..core.tables import CTEntry
-from ..net.headers import PROTO_TCP, PROTO_UDP
+from ..net.headers import PROTO_TCP, PROTO_UDP, Ipv4View
 from ..net.packet import Packet
 
 __all__ = [
@@ -74,14 +74,14 @@ def flow_key(pkt: Packet) -> Optional[tuple]:
     if pkt.nil:
         return None
     try:
-        ip = pkt.ipv4
-        if ip.is_fragment:
-            return None
-        if pkt.l4_protocol not in (PROTO_TCP, PROTO_UDP):
-            return None
-        return pkt.five_tuple()
+        key = pkt.five_tuple()
     except ValueError:
         return None
+    # five_tuple() found a whole IPv4 header at the L3 offset.
+    if (key[2] not in (PROTO_TCP, PROTO_UDP)
+            or Ipv4View(pkt.buf, pkt.l3_offset).is_fragment):
+        return None
+    return key
 
 
 def assign_instances(
@@ -113,16 +113,14 @@ def assign_instances(
         return _NO_ASSIGNMENT
     if key is None and telemetry is not None and telemetry.enabled:
         telemetry.inc("rss.pinned_flows")
+    digest = None if key is None else rss_hash(key)
     assignment: Dict[str, int] = {}
     for name, count in scaled.items():
         live = healthy.get(name) if healthy else None
         if live is not None and 0 < len(live) < count:
-            if key is None:
-                assignment[name] = live[0]
-            else:
-                assignment[name] = live[rss_hash(key) % len(live)]
+            assignment[name] = live[0 if digest is None else digest % len(live)]
         else:
-            assignment[name] = rss_instance(key, count)
+            assignment[name] = 0 if digest is None else digest % count
     return assignment
 
 

@@ -80,12 +80,17 @@ def apply_merge_ops(
             # A field the writer's copy cannot even parse (e.g. ports on
             # an ICMP packet reaching a NAT that passes non-TCP/UDP
             # through) cannot have been written; skip, mirroring the
-            # sequential no-op.
+            # sequential no-op.  A base that cannot take it is an error.
             try:
-                value = _f.read_field(source, op.field)
+                span = _f.field_span(source, op.field)
+                if span is None:
+                    value = _f.read_field(source, op.field)
             except ValueError:
                 continue
-            _f.write_field(base, op.field, value)
+            if span is None:
+                _f.write_field(base, op.field, value)
+            else:
+                base.buf[_f.field_span(base, op.field)] = source.buf[span]
             if op.field in _IP_FIELDS:
                 checksum_dirty = True
         elif op.kind is MergeOpKind.ADD:

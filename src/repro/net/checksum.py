@@ -10,18 +10,19 @@ def internet_checksum(data: bytes) -> int:
 
     Odd-length input is virtually padded with a trailing zero byte, as the
     RFC specifies.
+
+    Since 2**16 = 1 (mod 0xFFFF), the end-around-carry sum of the 16-bit
+    big-endian words is the whole buffer read as one integer, reduced
+    modulo 0xFFFF -- except that carries fold a non-zero multiple of
+    0xFFFF to 0xFFFF ("negative zero"), never to 0.
     """
-    total = 0
-    length = len(data)
-    # Sum 16-bit big-endian words.
-    for i in range(0, length - 1, 2):
-        total += (data[i] << 8) | data[i + 1]
-    if length % 2:
-        total += data[-1] << 8
-    # Fold carries.
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    total = int.from_bytes(data, "big")
+    if len(data) % 2:
+        total <<= 8
+    folded = total % 0xFFFF
+    if folded == 0 and total:
+        folded = 0xFFFF
+    return 0xFFFF - folded
 
 
 def pseudo_header_checksum(

@@ -9,7 +9,10 @@ view ever copies packet data; mutating a view mutates the packet.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Union
+
+from .checksum import internet_checksum
 
 __all__ = [
     "ETH_HEADER_LEN",
@@ -41,6 +44,7 @@ PROTO_AH = 51  # IPsec Authentication Header
 Buffer = Union[bytearray, memoryview]
 
 
+@lru_cache(maxsize=256)  # NFs write a handful of configured addresses per packet
 def ip_to_int(address: str) -> int:
     """Dotted-quad string -> host integer.  Raises on malformed input."""
     parts = address.split(".")
@@ -59,7 +63,7 @@ def int_to_ip(value: int) -> str:
     """Host integer -> dotted-quad string."""
     if not 0 <= value <= 0xFFFFFFFF:
         raise ValueError(f"IPv4 address out of range: {value!r}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return "%d.%d.%d.%d" % (value >> 24, (value >> 16) & 0xFF, (value >> 8) & 0xFF, value & 0xFF)
 
 
 def mac_to_bytes(mac: str) -> bytes:
@@ -276,17 +280,13 @@ class Ipv4View(_View):
 
     def update_checksum(self) -> None:
         """Recompute the header checksum over IHL*4 bytes."""
-        from .checksum import internet_checksum
-
-        self.checksum = 0
-        hdr = bytes(self.buf[self.offset : self.offset + self.header_len])
-        self.checksum = internet_checksum(hdr)
+        buf, off = self.buf, self.offset
+        buf[off + 10] = buf[off + 11] = 0
+        self.checksum = internet_checksum(buf[off : off + self.header_len])
 
     def verify_checksum(self) -> bool:
-        from .checksum import internet_checksum
-
-        hdr = bytes(self.buf[self.offset : self.offset + self.header_len])
-        return internet_checksum(hdr) == 0
+        off = self.offset
+        return internet_checksum(self.buf[off : off + self.header_len]) == 0
 
 
 class TcpView(_View):

@@ -50,6 +50,11 @@ HEADER_COPY_BYTES = 64
 
 _serial = itertools.count(1)
 
+#: Fixed header bytes the transport views need in the buffer.
+_L4_HEADER_LEN = {PROTO_TCP: TcpView.HEADER_LEN, PROTO_UDP: UdpView.HEADER_LEN}
+#: What ``five_tuple()`` reads, in the order a recorder hears of it.
+_FIVE_TUPLE_FIELDS = (Field.SIP, Field.DIP, Field.SPORT, Field.DPORT)
+
 
 class PacketMeta:
     """The 64-bit NFP metadata word (Fig. 5).
@@ -170,16 +175,62 @@ class Packet:
     @property
     def has_vlan(self) -> bool:
         """Whether an 802.1Q tag sits between the MACs and the L3 header."""
-        buf = self.buf
-        return (
-            len(buf) >= ETH_HEADER_LEN + VLAN_TAG_LEN
-            and ((buf[12] << 8) | buf[13]) == ETHERTYPE_VLAN
-        )
+        return self.l3_offset != ETH_HEADER_LEN
 
     @property
     def l3_offset(self) -> int:
         """Offset of the L3 header: 14, or 18 when 802.1Q-tagged."""
-        return ETH_HEADER_LEN + VLAN_TAG_LEN if self.has_vlan else ETH_HEADER_LEN
+        buf = self.buf
+        tagged = ETH_HEADER_LEN + VLAN_TAG_LEN
+        if len(buf) >= tagged and ((buf[12] << 8) | buf[13]) == ETHERTYPE_VLAN:
+            return tagged
+        return ETH_HEADER_LEN
+
+    # The header stack is resolved here and nowhere else: one stateless
+    # walk over the raw bytes, redone on every call.  Nothing is cached:
+    # views, NFs and splice helpers write structural bytes straight into
+    # ``buf``, so a remembered layout could go stale unnoticed.  Every
+    # index is bounds-checked; a frame that does not parse raises
+    # ``ValueError``, the one exception callers catch.
+    def _ipv4_offset(self) -> int:
+        """Offset of the IPv4 header, all 20 fixed bytes of it in ``buf``."""
+        buf = self.buf
+        size = len(buf)
+        off = ETH_HEADER_LEN
+        if size >= off + VLAN_TAG_LEN and ((buf[12] << 8) | buf[13]) == ETHERTYPE_VLAN:
+            off += VLAN_TAG_LEN
+        # The effective ethertype sits just before the L3 header: at 12
+        # when untagged, at 16 (the inner ethertype) when 802.1Q-tagged.
+        if size < off or ((buf[off - 2] << 8) | buf[off - 1]) != ETHERTYPE_IPV4:
+            raise ValueError("packet is not IPv4")
+        if off + Ipv4View.HEADER_LEN > size:
+            raise ValueError(f"IPv4 header cut short at offset {off}")
+        return off
+
+    def _resolve(self) -> tuple:
+        """``(l3_offset, l4_protocol, l4_offset)``, looking through an AH."""
+        l3 = self._ipv4_offset()
+        buf = self.buf
+        l4 = l3 + (buf[l3] & 0x0F) * 4
+        proto = buf[l3 + 9]
+        if proto == PROTO_AH:
+            if l4 + AhView.HEADER_LEN > len(buf):
+                raise ValueError(f"AH cut short at offset {l4}")
+            proto = buf[l4]
+            l4 += AhView.HEADER_LEN
+        return l3, proto, l4
+
+    def _header_span(self) -> tuple:
+        """``(l3_offset, payload_offset)``: the header stack above Ethernet."""
+        l3, proto, end = self._resolve()
+        if proto == PROTO_TCP:
+            buf = self.buf
+            if end + TcpView.HEADER_LEN > len(buf):
+                raise ValueError(f"TCP header cut short at offset {end}")
+            end += (buf[end + 12] >> 4) * 4
+        elif proto == PROTO_UDP:
+            end += UdpView.HEADER_LEN
+        return l3, end
 
     @property
     def eth(self) -> EthernetView:
@@ -190,73 +241,51 @@ class Packet:
 
     @property
     def ipv4(self) -> Ipv4View:
-        off = self.l3_offset
-        buf = self.buf
-        # The effective ethertype sits just before the L3 header: at 12
-        # when untagged, at 16 (the inner ethertype) when 802.1Q-tagged.
-        if len(buf) < off or ((buf[off - 2] << 8) | buf[off - 1]) != ETHERTYPE_IPV4:
-            raise ValueError("packet is not IPv4")
+        off = self._ipv4_offset()
         rec = self.recorder
         if rec is None:
-            return Ipv4View(buf, off)
-        return RecordingIpv4View(buf, off)._bind(rec, self.uid)
+            return Ipv4View(self.buf, off)
+        return RecordingIpv4View(self.buf, off)._bind(rec, self.uid)
 
     @property
     def has_ah(self) -> bool:
         try:
-            return self.ipv4.protocol == PROTO_AH
+            return self.buf[self._ipv4_offset() + 9] == PROTO_AH
         except ValueError:
             return False
 
     @property
     def ah(self) -> AhView:
-        ip = self.ipv4
-        if ip.protocol != PROTO_AH:
+        l3 = self._ipv4_offset()
+        if self.buf[l3 + 9] != PROTO_AH:
             raise ValueError("packet has no Authentication Header")
-        return AhView(self.buf, self.l3_offset + ip.header_len)
-
-    def _l4_offset(self) -> int:
-        ip = self.ipv4
-        offset = self.l3_offset + ip.header_len
-        if ip.protocol == PROTO_AH:
-            offset += AhView.HEADER_LEN
-        return offset
+        return AhView(self.buf, l3 + (self.buf[l3] & 0x0F) * 4)
 
     @property
     def l4_protocol(self) -> int:
         """The transport protocol, looking through an AH if present."""
-        ip = self.ipv4
-        if ip.protocol == PROTO_AH:
-            return self.ah.next_header
-        return ip.protocol
+        return self._resolve()[1]
+
+    def _l4_view(self, proto: int, name: str, plain, recording):
+        _, found, l4 = self._resolve()
+        if found != proto:
+            raise ValueError(f"packet is not {name}")
+        rec = self.recorder
+        if rec is None:
+            return plain(self.buf, l4)
+        return recording(self.buf, l4)._bind(rec, self.uid)
 
     @property
     def tcp(self) -> TcpView:
-        if self.l4_protocol != PROTO_TCP:
-            raise ValueError("packet is not TCP")
-        rec = self.recorder
-        if rec is None:
-            return TcpView(self.buf, self._l4_offset())
-        return RecordingTcpView(self.buf, self._l4_offset())._bind(rec, self.uid)
+        return self._l4_view(PROTO_TCP, "TCP", TcpView, RecordingTcpView)
 
     @property
     def udp(self) -> UdpView:
-        if self.l4_protocol != PROTO_UDP:
-            raise ValueError("packet is not UDP")
-        rec = self.recorder
-        if rec is None:
-            return UdpView(self.buf, self._l4_offset())
-        return RecordingUdpView(self.buf, self._l4_offset())._bind(rec, self.uid)
+        return self._l4_view(PROTO_UDP, "UDP", UdpView, RecordingUdpView)
 
     @property
     def payload_offset(self) -> int:
-        offset = self._l4_offset()
-        proto = self.l4_protocol
-        if proto == PROTO_TCP:
-            offset += TcpView(self.buf, offset).header_len
-        elif proto == PROTO_UDP:
-            offset += UdpView.HEADER_LEN
-        return offset
+        return self._header_span()[1]
 
     @property
     def payload(self) -> bytes:
@@ -281,15 +310,25 @@ class Packet:
 
     def five_tuple(self) -> tuple:
         """(src_ip, dst_ip, proto, sport, dport) -- the classifier key."""
-        ip = self.ipv4
-        proto = self.l4_protocol
-        if proto == PROTO_TCP:
-            l4 = self.tcp
-            return (ip.src_ip, ip.dst_ip, proto, l4.src_port, l4.dst_port)
-        if proto == PROTO_UDP:
-            l4 = self.udp
-            return (ip.src_ip, ip.dst_ip, proto, l4.src_port, l4.dst_port)
-        return (ip.src_ip, ip.dst_ip, proto, 0, 0)
+        l3, proto, l4 = self._resolve()
+        buf = self.buf
+        sport = dport = 0
+        reads = 2  # the addresses; the ports too when there are any
+        if proto in _L4_HEADER_LEN:
+            if l4 + _L4_HEADER_LEN[proto] > len(buf):
+                raise ValueError(f"L4 header cut short at offset {l4}")
+            sport = (buf[l4] << 8) | buf[l4 + 1]
+            dport = (buf[l4 + 2] << 8) | buf[l4 + 3]
+            reads = 4
+        rec = self.recorder
+        if rec is not None:
+            for field in _FIVE_TUPLE_FIELDS[:reads]:
+                rec.record("read", field, self.uid)
+        return (
+            "%d.%d.%d.%d" % (buf[l3 + 12], buf[l3 + 13], buf[l3 + 14], buf[l3 + 15]),
+            "%d.%d.%d.%d" % (buf[l3 + 16], buf[l3 + 17], buf[l3 + 18], buf[l3 + 19]),
+            proto, sport, dport,
+        )
 
     # ------------------------------------------------------------ copies
     def full_copy(self, version: int) -> "Packet":
@@ -317,24 +356,32 @@ class Packet:
         inserted), the copy grows to cover it -- parallel NFs must
         always receive valid headers.
         """
+        buf = self.buf
+        size = len(buf)
         try:
-            nbytes = max(nbytes, self.payload_offset)
+            l3, end = self._header_span()
+            if end > nbytes:
+                nbytes = end
         except ValueError:
-            pass  # not IPv4/TCP/UDP: keep the requested size
-        nbytes = min(nbytes, len(self.buf))
+            # Not IPv4, or AH/TCP cut short: keep the requested size (an
+            # IPv4 header that is there still gets its length).
+            try:
+                l3 = self._ipv4_offset()
+            except ValueError:
+                l3 = size
+        if nbytes > size:
+            nbytes = size
         copy = Packet(
-            bytearray(self.buf[:nbytes]),
+            buf[:nbytes],
             meta=self.meta.clone(version) if self.meta else None,
             wire_len=self.wire_len,
             is_header_copy=True,
         )
         copy.ingress_us = self.ingress_us
-        l3 = self.l3_offset
-        if nbytes >= l3 + Ipv4View.HEADER_LEN and (
-            ((self.buf[l3 - 2] << 8) | self.buf[l3 - 1]) == ETHERTYPE_IPV4
-        ):
-            ip = Ipv4View(copy.buf, l3)
-            ip.total_length = nbytes - l3
+        if nbytes >= l3 + Ipv4View.HEADER_LEN:
+            # Byte stores, not ``struct``: > 16 bits must stay a ValueError.
+            copy.buf[l3 + 2] = (nbytes - l3) >> 8
+            copy.buf[l3 + 3] = (nbytes - l3) & 0xFF
         rec = self.recorder
         if rec is not None:
             copy.recorder = rec

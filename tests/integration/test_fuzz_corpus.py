@@ -44,16 +44,20 @@ def test_corpus_seeds_have_unique_ids():
     assert len(ids) == len(set(ids))
 
 
+#: The shrunk repros: small, so the scaled axis over all of them is cheap.
+REGRESSIONS = [p for p in CORPUS if os.path.basename(p).startswith("regression-")]
+
+
 @pytest.mark.parametrize(
-    "path", CORPUS[:4],
-    ids=[os.path.splitext(os.path.basename(p))[0] for p in CORPUS[:4]],
+    "path", REGRESSIONS,
+    ids=[os.path.splitext(os.path.basename(p))[0] for p in REGRESSIONS],
 )
 def test_corpus_seed_stays_green_scaled(path):
     """The §7 axis: the same seeds, every NF x2, RSS split, flow cache.
 
     The sequential oracle becomes a bank of per-instance chains (see
-    ``run_case``); a subset keeps tier-1 wall time in budget -- CI's
-    fuzz-smoke covers the axis at depth.
+    ``run_case``); a subset (the ``regression-*`` seeds) keeps tier-1
+    wall time in budget -- CI's fuzz-smoke covers the axis at depth.
     """
     case = FuzzCase.load(path)
     outcome = run_case(case, include_des=True, instances=2)

@@ -1,11 +1,13 @@
 """Property-based tests on compiler invariants and the correctness
 principle over randomly generated chains."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.check.generator import CaseGenerator
 from repro.core import NFSpec, Orchestrator, Policy, identify_parallelism
 from repro.core.action_table import default_action_table
+from repro.core.graph import ORIGINAL_VERSION, MergeOpKind
 from repro.dataplane import FunctionalDataplane, SequentialReference
 from repro.nfs import create_nf
 from repro.traffic import FlowGenerator, PacketSizeDistribution
@@ -86,3 +88,34 @@ def test_result_correctness_principle_random_chains(kinds, seed):
         assert (out_a is None) == (out_b is None)
         if out_a is not None:
             assert bytes(out_a.buf) == bytes(out_b.buf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 40), index=st.integers(0, 400))
+@example(seed=3, index=151)   # proxy (stage 0) vs compression[v3] (stage 1)
+@example(seed=12, index=160)  # proxy (stage 0) vs loadbalancer[v3] (stage 1)
+def test_merge_takes_each_field_from_its_last_stage_writer(seed, index):
+    """A stage-k copy is cut from version 1 after every earlier stage ran,
+    so the merged value of a field written in several stages is the last
+    stage's; priority only ranks writers inside one stage.  Policies come
+    from the fuzzer's generator: partial orders and Priority rules, where
+    a node's priority and its stage can disagree."""
+    case = CaseGenerator(seed=seed).generate(index)
+    graph = Orchestrator(action_table=case.action_table()).compile(
+        case.policy()).graph
+    last_writers = {}  # field -> (stage index, [(priority, version)])
+    for stage_index, stage in enumerate(graph.stages):
+        for entry in stage:
+            for field in entry.node.profile.writes:
+                if last_writers.get(field, (-1,))[0] != stage_index:
+                    last_writers[field] = (stage_index, [])
+                last_writers[field][1].append(
+                    (entry.node.priority, entry.version))
+    sources = {op.field: op.src_version for op in graph.merge_ops
+               if op.kind is MergeOpKind.MODIFY}
+    assert set(sources) <= set(last_writers)
+    for field, (_, writers) in last_writers.items():
+        _, winner = max(writers)
+        # Version 1 needs no modify: its write is already in the base.
+        assert sources.get(field, ORIGINAL_VERSION) == winner, (
+            field, graph.describe())

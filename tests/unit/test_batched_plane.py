@@ -4,7 +4,7 @@ Output parity against the functional plane is the differential fuzzer's
 job (``--batched``); what belongs here are the plane's own mechanics:
 batch chunking, flow-classification amortization via the batch memo and
 the LRU cache, SoA metadata stamping, PID allocation order, keyless
-traffic pinning, and the fast-key/parsed-key agreement.
+traffic pinning, and the flow-key/parsed-key agreement.
 """
 
 import pytest
@@ -94,25 +94,26 @@ def test_keyless_traffic_shares_one_pinned_decision():
     assert [pkt is None for pkt in outputs] == [pkt is None for pkt in want]
 
 
-def test_fast_key_agrees_with_parsed_flow_key():
+def test_flow_key_agrees_with_parsed_five_tuple():
+    # The plane keys its batch memo and LRU cache on flow_key(pkt), which
+    # must identify the flow exactly as the parsed 5-tuple does.
     plane = BatchedDataplane(forced_sequential(["firewall"]))
-    seen = {}
-    for pkt in _packets(count=48, flows=12):
-        fast = plane._fast_key(pkt)
-        parsed = flow_key(pkt)
-        assert parsed is not None
-        # The 13 raw bytes must identify the flow exactly as the parsed
-        # 5-tuple does: same fast key <=> same parsed key.
-        if fast in seen:
-            assert seen[fast] == parsed
-        else:
-            seen[fast] = parsed
-    assert len(seen) == len(set(seen.values())) == 12
+    packets = _packets(count=48, flows=12)
+    seen = set()
+    for pkt in packets:
+        key = flow_key(pkt)
+        assert key is not None and key == pkt.five_tuple()
+        seen.add(key)
+    assert len(seen) == 12
+    plane.process_many(packets)
+    assert set(plane.flow_cache.keys()) == seen
 
 
-def test_fast_key_falls_back_for_non_ip_frames():
+def test_flow_key_is_none_for_non_ip_frames():
     plane = BatchedDataplane(forced_sequential(["firewall"]))
-    assert plane._fast_key(_arp_frame()) is None  # == flow_key(arp)
+    assert flow_key(_arp_frame()) is None
+    plane.process_many([_arp_frame()])
+    assert plane.flow_cache.bypasses == 1 and len(plane.flow_cache) == 0
 
 
 def test_scaled_plane_matches_functional_on_copy_graph():
