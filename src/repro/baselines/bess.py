@@ -93,27 +93,27 @@ class BessServer:
         return len(self.cores)
 
     def inject(self, pkt: Packet) -> None:
-        if pkt.ingress_us == 0.0:
+        if pkt.ingress_us < 0.0:
             pkt.ingress_us = self.env.now
         # NIC RSS: hash the 5-tuple to a core.
         target = self.cores[
             zlib.crc32(repr(pkt.five_tuple()).encode()) % len(self.cores)
         ]
+        self.env.call_later(self.params.nic_io_us, self._put, target.rx, pkt)
 
-        def rx():
-            yield self.env.timeout(self.params.nic_io_us)
-            if not target.rx.try_put(pkt):
-                self.lost += 1
-
-        self.env.process(rx())
+    def _put(self, ring: Ring, pkt: Packet) -> None:
+        if not ring.try_put(pkt):
+            self.lost += 1
 
     def emit(self, pkt: Packet) -> None:
-        def tx():
-            yield self.env.timeout(self.params.nic_io_us)
-            yield self.nic_tx.transmit(pkt.wire_len)
-            self.latency.record(self.env.now - pkt.ingress_us)
-            self.rate.record_delivery(self.env.now)
-            if self.keep_packets:
-                self.emitted_packets.append(pkt)
+        self.env.call_later(self.params.nic_io_us, self._tx_wire, pkt)
 
-        self.env.process(tx())
+    def _tx_wire(self, pkt: Packet) -> None:
+        self.nic_tx.transmit(pkt.wire_len).callbacks.append(
+            lambda _event: self._tx_done(pkt))
+
+    def _tx_done(self, pkt: Packet) -> None:
+        self.latency.record(self.env.now - pkt.ingress_us)
+        self.rate.record_delivery(self.env.now)
+        if self.keep_packets:
+            self.emitted_packets.append(pkt)

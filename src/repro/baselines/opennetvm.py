@@ -95,23 +95,18 @@ class OpenNetVMServer:
 
     # ------------------------------------------------------------ dataplane
     def inject(self, pkt: Packet) -> None:
-        if pkt.ingress_us == 0.0:
+        if pkt.ingress_us < 0.0:
             pkt.ingress_us = self.env.now
-
-        def rx():
-            yield self.env.timeout(self.params.nic_io_us)
-            if not self.manager_ring.try_put((pkt, 0, True)):
-                self.lost += 1
-
-        self.env.process(rx())
+        self.env.call_later(self.params.nic_io_us, self._put,
+                            self.manager_ring, (pkt, 0, True))
 
     def to_manager(self, pkt: Packet, next_index: int) -> None:
-        def back():
-            yield self.env.timeout(self.params.batch_wait_us)
-            if not self.manager_ring.try_put((pkt, next_index, False)):
-                self.lost += 1
+        self.env.call_later(self.params.batch_wait_us, self._put,
+                            self.manager_ring, (pkt, next_index, False))
 
-        self.env.process(back())
+    def _put(self, ring: Ring, item) -> None:
+        if not ring.try_put(item):
+            self.lost += 1
 
     def _manager_loop(self):
         params = self.params
@@ -128,20 +123,18 @@ class OpenNetVMServer:
                 self._deliver(self.nfs[next_index].rx, pkt)
 
     def _deliver(self, ring: Ring, pkt: Packet) -> None:
-        def hop():
-            yield self.env.timeout(self.params.onvm_switch_hop_us)
-            if not ring.try_put(pkt):
-                self.lost += 1
-
-        self.env.process(hop())
+        self.env.call_later(self.params.onvm_switch_hop_us, self._put,
+                            ring, pkt)
 
     def _emit(self, pkt: Packet) -> None:
-        def tx():
-            yield self.env.timeout(self.params.nic_io_us)
-            yield self.nic_tx.transmit(pkt.wire_len)
-            self.latency.record(self.env.now - pkt.ingress_us)
-            self.rate.record_delivery(self.env.now)
-            if self.keep_packets:
-                self.emitted_packets.append(pkt)
+        self.env.call_later(self.params.nic_io_us, self._tx_wire, pkt)
 
-        self.env.process(tx())
+    def _tx_wire(self, pkt: Packet) -> None:
+        self.nic_tx.transmit(pkt.wire_len).callbacks.append(
+            lambda _event: self._tx_done(pkt))
+
+    def _tx_done(self, pkt: Packet) -> None:
+        self.latency.record(self.env.now - pkt.ingress_us)
+        self.rate.record_delivery(self.env.now)
+        if self.keep_packets:
+            self.emitted_packets.append(pkt)

@@ -25,7 +25,7 @@ Execution semantics (mirrors §5):
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..net.fields import Field
 from .actions import ActionProfile
@@ -78,7 +78,7 @@ class StageEntry:
 
 
 class Stage:
-    """A parallel block of stage entries."""
+    """A parallel block of stage entries; not mutated once built."""
 
     def __init__(self, entries: Sequence[StageEntry]):
         if not entries:
@@ -87,12 +87,16 @@ class Stage:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate NF in stage: {names}")
         self.entries = list(entries)
+        self._by_version: Dict[int, List[StageEntry]] = {}
+        for entry in self.entries:
+            self._by_version.setdefault(entry.version, []).append(entry)
 
     def versions(self) -> Set[int]:
-        return {e.version for e in self.entries}
+        return set(self._by_version)
 
     def entries_on(self, version: int) -> List[StageEntry]:
-        return [e for e in self.entries if e.version == version]
+        """The stage's entries on ``version`` (a shared list: read only)."""
+        return self._by_version.get(version, [])
 
     def __iter__(self) -> Iterator[StageEntry]:
         return iter(self.entries)
@@ -165,7 +169,14 @@ class MergeOp:
 
 
 class ServiceGraph:
-    """The compiled service graph plus everything the dataplane needs."""
+    """The compiled service graph plus everything the dataplane needs.
+
+    A graph and its stages are not mutated after construction (nothing
+    under ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` does),
+    so the facts derived from the stage lists -- versions, last stage
+    per version, ``num_versions``, ``is_sequential``, ``total_count`` --
+    are computed once here and the dataplanes read them per packet.
+    """
 
     def __init__(
         self,
@@ -180,7 +191,18 @@ class ServiceGraph:
         self.stages = list(stages)
         self.copies = list(copies)
         self.merge_ops = list(merge_ops)
+        self._last_stage: Dict[int, int] = {}
+        for index, stage in enumerate(self.stages):
+            for version in stage.versions():
+                self._last_stage[version] = index
         self._validate()
+        #: The parallelism *copy degree* d of §6.3.1.
+        self.num_versions = len(self._last_stage)
+        #: True when every stage holds exactly one NF and only v1 exists.
+        self.is_sequential = self.num_versions == 1 and all(
+            len(stage) == 1 for stage in self.stages)
+        #: The CT's 'Total Count': notifications the merger must collect.
+        self.total_count = len(self.merger_notifications())
 
     def _validate(self) -> None:
         seen: Set[str] = set()
@@ -204,15 +226,7 @@ class ServiceGraph:
         return [node.name for node in self.nodes()]
 
     def versions(self) -> Set[int]:
-        versions: Set[int] = set()
-        for stage in self.stages:
-            versions |= stage.versions()
-        return versions or {ORIGINAL_VERSION}
-
-    @property
-    def num_versions(self) -> int:
-        """The parallelism *copy degree* d of §6.3.1."""
-        return len(self.versions())
+        return set(self._last_stage)
 
     @property
     def equivalent_length(self) -> int:
@@ -220,22 +234,14 @@ class ServiceGraph:
         return len(self.stages)
 
     @property
-    def is_sequential(self) -> bool:
-        """True when every stage holds exactly one NF and only v1 exists."""
-        return all(len(stage) == 1 for stage in self.stages) and self.num_versions == 1
-
-    @property
     def has_parallelism(self) -> bool:
         return not self.is_sequential
 
     def last_stage_of_version(self, version: int) -> int:
-        last = -1
-        for index, stage in enumerate(self.stages):
-            if stage.entries_on(version):
-                last = index
-        if last < 0:
-            raise ValueError(f"version {version} never used")
-        return last
+        try:
+            return self._last_stage[version]
+        except KeyError:
+            raise ValueError(f"version {version} never used") from None
 
     def first_stage_of_version(self, version: int) -> int:
         for index, stage in enumerate(self.stages):
@@ -250,11 +256,6 @@ class ServiceGraph:
             last = self.last_stage_of_version(version)
             notifications.extend(self.stages[last].entries_on(version))
         return notifications
-
-    @property
-    def total_count(self) -> int:
-        """The CT's 'Total Count': notifications the merger must collect."""
-        return len(self.merger_notifications())
 
     @property
     def needs_merger(self) -> bool:

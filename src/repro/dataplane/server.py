@@ -33,11 +33,12 @@ Execution rules:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
-from ..core.graph import ORIGINAL_VERSION, ServiceGraph, StageEntry
+from ..core.graph import ORIGINAL_VERSION, CopySpec, ServiceGraph, StageEntry
 from ..core.orchestrator import DeployedGraph
-from ..core.tables import build_tables
+from ..core.tables import TableSet, build_tables
 from ..faults import FaultInjector, FaultKind, HealthBoard, HealthState, base_name
 from ..faults.recovery import linearize
 from ..net.packet import HEADER_COPY_BYTES, Packet, PacketMeta
@@ -120,6 +121,7 @@ class _NFRuntimeSim:
         hub = server.telemetry
         enabled = hub.enabled  # fixed for the server's lifetime
         injector = server.injector
+        label = f"nf:{self.nf.name}"
         while True:
             first = yield self.rx.get()
             batch = [first] + self.rx.get_batch(params.batch_size - 1)
@@ -156,7 +158,7 @@ class _NFRuntimeSim:
                     )
                 service *= slow
                 yield self.core.execute(service)
-                pkt.stamp(f"nf:{self.nf.name}", server.env.now)
+                pkt.stamp(label, server.env.now)
                 if enabled:
                     hub.observe(f"nf.{self.nf.name}.service_us", service)
                     hub.span(SpanKind.NF_END, server.env.now, pkt.meta,
@@ -288,7 +290,6 @@ class _MergerSim:
         return None
 
     def _finish(self, entry: Dict, graph: ServiceGraph) -> None:
-        params = self.server.params
         hub = self.server.telemetry
         if entry["nil"]:
             self.discarded += 1
@@ -299,13 +300,7 @@ class _MergerSim:
         merged = apply_merge_ops(entry["versions"], graph.merge_ops,
                                  telemetry=hub)
         merged.stamp("merged", self.server.env.now)
-        # Rendezvous latency: AT bookkeeping plus the copy-collection
-        # penalty (§6.3.2), charged as pipeline latency, not core time.
-        delay = params.merge_latency_us + (
-            (graph.num_versions - 1) * params.copy_merge_latency_us
-        ) + graph.total_count * params.merge_per_notification_us + len(
-            graph.merge_ops
-        ) * params.merge_per_mo_us
+        delay = self.server._installed[graph].merge_delay_us
         if hub.enabled:
             hub.inc("merger.merged")
             # wait_us: AT entry opening -> last notification (rendezvous
@@ -399,6 +394,17 @@ def _drop_witness(entry: Dict) -> Optional[Packet]:
     return witness
 
 
+class _Installed(NamedTuple):
+    """What installing a graph fixes; the per-packet paths only read it."""
+
+    stage0_copies: Tuple[CopySpec, ...]
+    #: Stage-0 entries in version order, declaration order within one.
+    stage0_fanout: Tuple[StageEntry, ...]
+    #: Rendezvous latency: AT bookkeeping plus the copy-collection
+    #: penalty (§6.3.2), charged as pipeline latency, not core time.
+    merge_delay_us: float
+
+
 class NFPServer:
     """A full simulated NFP box processing deployed service graphs."""
 
@@ -425,6 +431,7 @@ class NFPServer:
         #: NFs; the disabled NULL_HUB by default (one branch per call site).
         self.telemetry = telemetry if telemetry is not None else NULL_HUB
         self.chaining = ChainingManager()
+        self._installed: Dict[ServiceGraph, _Installed] = {}
         #: The classifier's LRU flow cache (``flow_cache_size`` > 0
         #: enables it).  Off by default: the Table 4 calibration anchors
         #: are stated for the uncached classifier path.
@@ -530,7 +537,7 @@ class NFPServer:
         """
         if scale is None:
             scale = deployed.scale
-        self.chaining.install(deployed.tables)
+        self._install(deployed.tables)
         graph = deployed.graph
         for stage_index, stage in enumerate(graph.stages):
             for entry in stage:
@@ -550,6 +557,22 @@ class NFPServer:
                 if count > 1:
                     self._scaled_counts[name] = count
 
+    def _install(self, tables: TableSet) -> None:
+        """Install tables; fix what the per-packet paths would re-derive."""
+        graph, params = tables.graph, self.params
+        stage0 = graph.stages[0]
+        self._installed[graph] = _Installed(
+            tuple(c for c in graph.copies if c.stage_index == 0),
+            tuple(entry for version in sorted(stage0.versions())
+                  for entry in stage0.entries_on(version)),
+            params.merge_latency_us + (
+                (graph.num_versions - 1) * params.copy_merge_latency_us
+            ) + graph.total_count * params.merge_per_notification_us + len(
+                graph.merge_ops
+            ) * params.merge_per_mo_us,
+        )
+        self.chaining.install(tables)
+
     def _spawn_runtime(
         self, label: str, entry: StageEntry, stage_index: int
     ) -> _NFRuntimeSim:
@@ -565,7 +588,7 @@ class NFPServer:
     def inject(self, pkt: Packet) -> None:
         """Receive a packet on the NIC; reaches the classifier after the
         driver cost."""
-        if pkt.ingress_us == 0.0:
+        if pkt.ingress_us < 0.0:
             pkt.ingress_us = self.env.now
         self.injected += 1
         try:
@@ -576,12 +599,8 @@ class NFPServer:
         if self.record_timeline and pkt.timeline is None:
             pkt.timeline = []
         pkt.stamp("nic-rx", pkt.ingress_us)
-
-        def rx():
-            yield self.env.timeout(self.params.nic_io_us)
-            self.ingress.try_put(pkt)  # overflow -> _ingress_overflow
-
-        self.env.process(rx())
+        # Overflow -> _ingress_overflow.
+        self.env.call_later(self.params.nic_io_us, self.ingress.try_put, pkt)
 
     def _ingress_overflow(self, pkt: Packet) -> None:
         self.lost += 1
@@ -708,23 +727,20 @@ class NFPServer:
                      name="classifier", args={"ingress_us": pkt.ingress_us})
 
         extra = 0.0
-        stage0 = graph.stages[0]
-        # Stage-0 copies.
-        for copy in graph.copies:
-            if copy.stage_index == 0:
-                new_pkt, cost = self._make_copy(pkt, copy)
-                state.versions[copy.version] = new_pkt
-                extra += cost
+        installed = self._installed[graph]
+        for copy in installed.stage0_copies:
+            new_pkt, cost = self._make_copy(pkt, copy)
+            state.versions[copy.version] = new_pkt
+            extra += cost
         # Distribute each version to its stage-0 NFs.
-        for version in sorted(stage0.versions()):
-            for entry in stage0.entries_on(version):
-                pkt_v = state.versions[version]
-                ring = self._ring_for(entry.node.name, state)
-                if fanout is None:
-                    self._post(ring, pkt_v)
-                else:
-                    fanout.setdefault(ring, []).append(pkt_v)
-                extra += self.params.ring_hop_us
+        for entry in installed.stage0_fanout:
+            pkt_v = state.versions[entry.version]
+            ring = self._ring_for(entry.node.name, state)
+            if fanout is None:
+                self._post(ring, pkt_v)
+            else:
+                fanout.setdefault(ring, []).append(pkt_v)
+            extra += self.params.ring_hop_us
         return extra
 
     def _ring_for(self, name: str, state: FlightState) -> Ring:
@@ -849,48 +865,18 @@ class NFPServer:
 
     # ------------------------------------------------------------- egress
     def _post(self, ring: Ring, pkt: Packet, delay: Optional[float] = None) -> None:
-        """Deliver a reference after the pipeline's batch latency.
+        """Deliver one reference: a one-packet :meth:`_post_burst`."""
+        self._post_burst(ring, (pkt,), delay)
 
-        A full target ring is retried ``ring_retry_limit`` times with
-        ``ring_retry_backoff_us`` between attempts (0 retries by
-        default: fail-fast ``rte_ring`` semantics); the final failure
-        lands in the ring's ``on_drop`` hook, which accounts the loss
-        and completes the merger's AT entry.  When a fault injector is
-        attached, deliveries to a dead or hung instance are diverted to
-        :meth:`fault_abort` instead of piling up in a ring nobody
-        drains.
-        """
-        wait = self.params.batch_wait_us if delay is None else delay
-        hub = self.telemetry
-        if hub.enabled:
-            hub.inc("ring.hops")
-            hub.span(SpanKind.ENQUEUE, self.env.now, pkt.meta, name=ring.name)
-
-        def delayed():
-            yield self.env.timeout(wait)
-            owner = getattr(ring, "owner", None)
-            if (owner is not None and self.injector is not None
-                    and self.injector.is_down(owner.nf.name)):
-                self.fault_abort(owner, pkt)
-                return
-            retries = self.params.ring_retry_limit
-            while ring.is_full and retries > 0:
-                retries -= 1
-                if hub.enabled:
-                    hub.inc("ring.retry")
-                yield self.env.timeout(self.params.ring_retry_backoff_us)
-            ring.try_put(pkt)  # overflow -> the ring's on_drop hook
-
-        self.env.process(delayed())
-
-    def _post_burst(self, ring: Ring, pkts: List[Packet],
+    def _post_burst(self, ring: Ring, pkts: Sequence[Packet],
                     delay: Optional[float] = None) -> None:
-        """Deliver a whole burst of references with one delayed event.
+        """Deliver references after the pipeline's batch latency.
 
-        The slot-based counterpart of :meth:`_post`: same batch-latency
-        residency, same fault diversion and retry/drop policy, but the
-        simulator schedules a single transfer event per target ring per
-        burst instead of one per packet.
+        One scheduled call per target ring moves the whole burst
+        (``burst_transfers``) or the single reference of :meth:`_post`.
+        When a fault injector is attached, deliveries to a dead or hung
+        instance are diverted to :meth:`fault_abort` instead of piling
+        up in a ring nobody drains.
         """
         wait = self.params.batch_wait_us if delay is None else delay
         hub = self.telemetry
@@ -899,24 +885,35 @@ class NFPServer:
             for pkt in pkts:
                 hub.span(SpanKind.ENQUEUE, self.env.now, pkt.meta,
                          name=ring.name)
+        self.env.call_later(wait, self._deliver, ring, pkts)
 
-        def delayed():
-            yield self.env.timeout(wait)
-            owner = getattr(ring, "owner", None)
-            if (owner is not None and self.injector is not None
-                    and self.injector.is_down(owner.nf.name)):
-                for pkt in pkts:
-                    self.fault_abort(owner, pkt)
-                return
-            retries = self.params.ring_retry_limit
-            while ring.is_full and retries > 0:
-                retries -= 1
-                if hub.enabled:
-                    hub.inc("ring.retry")
-                yield self.env.timeout(self.params.ring_retry_backoff_us)
-            ring.try_put_burst(pkts)  # rejects -> the ring's on_drop hook
+    def _deliver(self, ring: Ring, pkts: Sequence[Packet]) -> None:
+        """Land a posted burst: divert it if the target is down, else put."""
+        owner = getattr(ring, "owner", None)
+        if (owner is not None and self.injector is not None
+                and self.injector.is_down(owner.nf.name)):
+            for pkt in pkts:
+                self.fault_abort(owner, pkt)
+            return
+        self._put(ring, pkts, self.params.ring_retry_limit)
 
-        self.env.process(delayed())
+    def _put(self, ring: Ring, pkts: Sequence[Packet], retries: int) -> None:
+        """Enqueue, or re-arm while the ring is full and retries remain.
+
+        A full target ring is retried ``ring_retry_limit`` times with
+        ``ring_retry_backoff_us`` between attempts (0 retries by
+        default: fail-fast ``rte_ring`` semantics); the final failure
+        lands in the ring's ``on_drop`` hook, which accounts the loss
+        and completes the merger's AT entry.
+        """
+        if retries > 0 and ring.is_full:
+            hub = self.telemetry
+            if hub.enabled:
+                hub.inc("ring.retry")
+            self.env.call_later(self.params.ring_retry_backoff_us,
+                                self._put, ring, pkts, retries - 1)
+            return
+        ring.try_put_burst(pkts)  # rejects -> the ring's on_drop hook
 
     # ----------------------------------------------- overflow & fault paths
     def _nf_ring_overflow(self, runtime: _NFRuntimeSim, pkt: Packet) -> None:
@@ -973,29 +970,37 @@ class NFPServer:
                 self.telemetry.inc("tx.stale")
                 return
         self.emitted += 1
+        # Three separately scheduled legs (merge latency, driver, wire):
+        # the wire is claimed at the model time the driver leg ends, and
+        # no float sum is re-associated.
+        if extra_delay > 0:
+            self.env.call_later(extra_delay, self._tx_driver, pkt)
+        else:
+            self._tx_driver(pkt)
 
-        def tx():
-            if extra_delay > 0:
-                yield self.env.timeout(extra_delay)
-            yield self.env.timeout(self.params.nic_io_us)
-            yield self.nic_tx.transmit(pkt.wire_len)
-            pkt.stamp("nic-tx", self.env.now)
-            hub = self.telemetry
-            if hub.enabled:
-                hub.inc("tx.packets")
-                hub.span(SpanKind.OUTPUT, self.env.now, pkt.meta, name="nic-tx")
-            if self.on_emit is not None:
-                self.on_emit(pkt)
-                return
-            latency_us = self.env.now - pkt.ingress_us
-            if hub.enabled:
-                hub.observe("latency_us", latency_us)
-            self.latency.record(latency_us)
-            self.rate.record_delivery(self.env.now)
-            if self.keep_packets:
-                self.emitted_packets.append(pkt)
+    def _tx_driver(self, pkt: Packet) -> None:
+        self.env.call_later(self.params.nic_io_us, self._tx_wire, pkt)
 
-        self.env.process(tx())
+    def _tx_wire(self, pkt: Packet) -> None:
+        self.nic_tx.transmit(pkt.wire_len).callbacks.append(
+            lambda _event: self._tx_done(pkt))
+
+    def _tx_done(self, pkt: Packet) -> None:
+        pkt.stamp("nic-tx", self.env.now)
+        hub = self.telemetry
+        if hub.enabled:
+            hub.inc("tx.packets")
+            hub.span(SpanKind.OUTPUT, self.env.now, pkt.meta, name="nic-tx")
+        if self.on_emit is not None:
+            self.on_emit(pkt)
+            return
+        latency_us = self.env.now - pkt.ingress_us
+        if hub.enabled:
+            hub.observe("latency_us", latency_us)
+        self.latency.record(latency_us)
+        self.rate.record_delivery(self.env.now)
+        if self.keep_packets:
+            self.emitted_packets.append(pkt)
 
     def record_drop(self, pkt: Optional[Packet]) -> None:
         """An NF dropped the packet (nil reached the end of its graph)."""
@@ -1103,7 +1108,7 @@ class NFPServer:
         seq = linearize(graph)
         new_mid = max(self.chaining.mids()) + 1
         old_entry = self.chaining.ct_entry_for(mid)
-        self.chaining.install(build_tables(seq, new_mid, match=old_entry.match))
+        self._install(build_tables(seq, new_mid, match=old_entry.match))
         for stage_index, stage in enumerate(seq.stages):
             for entry in stage:
                 group = self.runtimes.get(entry.node.name)

@@ -77,15 +77,13 @@ class _Link:
         self.frames += 1
         self.bytes += pkt.wire_len
         wire_us = (pkt.wire_len + 20) * 8 / (self.gbps * 1000.0)
+        self.env.call_later(
+            self.params.nic_io_us + wire_us + self.propagation_us,
+            self._arrive, pkt)
 
-        def cross():
-            yield self.env.timeout(
-                self.params.nic_io_us + wire_us + self.propagation_us
-            )
-            decapsulate(pkt)
-            self.downstream.inject(pkt)
-
-        self.env.process(cross())
+    def _arrive(self, pkt: Packet) -> None:
+        decapsulate(pkt)
+        self.downstream.inject(pkt)
 
 
 class TimedMultiServer:

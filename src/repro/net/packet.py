@@ -154,7 +154,9 @@ class Packet:
         self.nil = False
         self.uid = next(_serial)
         #: Simulation timestamp of NIC arrival, for latency accounting.
-        self.ingress_us = 0.0
+        #: Negative until a traffic source or NIC stamps it: 0.0 is a
+        #: legal model time and cannot also mean "unset".
+        self.ingress_us = -1.0
         #: Names of NFs that processed this packet, for tests/debugging.
         self.trace: list = []
         #: Optional (label, timestamp) checkpoints recorded by the DES

@@ -5,6 +5,9 @@ testbed (DPDK, CPU cores, NIC queues).  It is a deliberately small,
 dependency-free cousin of SimPy: simulation *processes* are Python
 generators that ``yield`` events; the :class:`Environment` advances a
 virtual clock and resumes processes when the events they wait on fire.
+A one-shot delay with nothing to wait on afterwards -- a ring hop, a NIC
+receive or transmit leg -- is not a process: :meth:`Environment.call_later`
+schedules one plain call on one :class:`Timeout`.
 
 Time is a ``float`` in *microseconds* throughout the repository, matching
 the unit the paper reports latencies in.
@@ -25,7 +28,6 @@ Example
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -289,7 +291,8 @@ class Environment:
             )
         self._now = float(initial_time)
         self.scheduler = scheduler
-        self._eid = itertools.count()
+        #: Events scheduled so far; the latest one's tie-break id.
+        self._eid = 0
         self.queue_high_watermark = 0
         if scheduler == "calendar":
             from .calendar import CalendarQueue
@@ -318,11 +321,9 @@ class Environment:
 
     @property
     def events_processed(self) -> int:
-        """Events popped so far, derived from the id counter so the hot
-        loop carries no bookkeeping: every draw of ``_eid`` is one push,
-        and whatever is still queued has not been processed yet."""
-        scheduled = self._eid.__reduce__()[1][0]
-        return scheduled - len(self._queue)
+        """Events popped so far: every one scheduled that is no longer
+        queued, so the pop loop carries no bookkeeping of its own."""
+        return self._eid - len(self._queue)
 
     # -- factory helpers ----------------------------------------------------
     def event(self) -> Event:
@@ -336,6 +337,20 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Register a generator as a new simulation process."""
         return Process(self, generator)
+
+    def call_later(self, delay: float, func: Callable[..., Any],
+                   *args: Any) -> Timeout:
+        """Call ``func(*args)`` once, ``delay`` microseconds from now.
+
+        One :class:`Timeout`, one queue entry, one callback -- no
+        generator, no bootstrap or completion event.  Use it for a
+        one-shot delay nobody joins on; use :meth:`process` for anything
+        that loops, waits on other events or can be interrupted.  An
+        exception ``func`` raises surfaces from :meth:`step`.
+        """
+        timeout = Timeout(self, delay)
+        timeout.callbacks.append(lambda _event: func(*args))
+        return timeout
 
     def all_of(self, events: Iterable[Event]) -> Event:
         """An event that fires once every given event has succeeded."""
@@ -389,14 +404,16 @@ class Environment:
         if event._scheduled:
             return
         event._scheduled = True
-        heapq.heappush(self._queue, (self._now + delay, next(self._eid), event))
+        self._eid += 1
+        heapq.heappush(self._queue, (self._now + delay, self._eid, event))
 
     def _schedule_tracked(self, event: Event, delay: float = 0.0) -> None:
         """`_schedule` plus queue-depth watermark (``track_stats=True``)."""
         if event._scheduled:
             return
         event._scheduled = True
-        heapq.heappush(self._queue, (self._now + delay, next(self._eid), event))
+        self._eid += 1
+        heapq.heappush(self._queue, (self._now + delay, self._eid, event))
         if len(self._queue) > self.queue_high_watermark:
             self.queue_high_watermark = len(self._queue)
 
@@ -405,13 +422,15 @@ class Environment:
         if event._scheduled:
             return
         event._scheduled = True
-        self._queue.push(self._now + delay, next(self._eid), event)
+        self._eid += 1
+        self._queue.push(self._now + delay, self._eid, event)
 
     def _schedule_calendar_tracked(self, event: Event, delay: float = 0.0) -> None:
         if event._scheduled:
             return
         event._scheduled = True
-        self._queue.push(self._now + delay, next(self._eid), event)
+        self._eid += 1
+        self._queue.push(self._now + delay, self._eid, event)
         if len(self._queue) > self.queue_high_watermark:
             self.queue_high_watermark = len(self._queue)
 

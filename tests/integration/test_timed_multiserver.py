@@ -9,6 +9,7 @@ from repro.multiserver import TimedMultiServer, slice_subgraph
 from repro.multiserver.latency import link_cost_us
 from repro.core.partition import partition_graph
 from repro.sim import DEFAULT_PARAMS, Environment
+from repro.sim.stats import LatencyStats
 from repro.traffic import FlowGenerator, TrafficSource
 
 CHAIN = ["gateway", "monitor", "nat", "firewall", "loadbalancer", "vpn"]
@@ -96,3 +97,21 @@ def test_timed_multiserver_core_accounting():
     assert sum(per_server) == multi.cores_used
     for server, server_slice in zip(multi.servers, multi.slices):
         assert server.cores_used == server_slice.nf_cores + 2
+
+
+@pytest.mark.parametrize("inject_at_us", [0.0, 1.0])
+def test_latency_spans_every_server_whatever_the_injection_time(inject_at_us):
+    # 0.0 is a legal model time (the whole first burst of every
+    # TrafficSource): a downstream server must not take ingress_us == 0.0
+    # for "unset" and re-stamp the packet at its own NIC.
+    graph = Orchestrator().compile(Policy.from_chain(
+        ["firewall", "monitor", "loadbalancer", "nat"])).graph
+    env = Environment()
+    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph, cores_per_server=4)
+    assert multi.num_servers == 2
+    multi.tail.latency = LatencyStats(allow_partial_warmup=True)
+    env.call_later(inject_at_us, multi.inject,
+                   FlowGenerator(num_flows=1, seed=1).next_packet())
+    env.run()
+    assert multi.delivered == 1
+    assert multi.tail.latency.mean == pytest.approx(69.0, abs=0.01)

@@ -1,23 +1,19 @@
-"""Aho-Corasick multi-pattern matcher, the IDS/NIDS signature engine.
+"""Byte-at-a-time Aho-Corasick: the differential oracle for
+``repro.nfs.aho_corasick``.
 
-The paper's IDS is "a simple NF similar to the core signature matching
-component of the Snort intrusion detection system with 100 signature
-inspection rules" (§6.1).  Snort's fast pattern matcher is Aho-Corasick;
-we build the classic automaton: trie + BFS failure links.  Like Snort's
-fast-pattern stage, the scan keeps most payload bytes away from it: a
-byte that occurs in no pattern sends the automaton back to the root, so
-no match can span one, and only runs of pattern-alphabet bytes at least
-as long as the shortest pattern -- found by one C-level ``re`` scan --
-are walked byte by byte, each from the root.
+The classic automaton -- trie + BFS failure links -- walked over every
+byte of the input, exactly as ``src/`` did before its scan learnt to
+skip bytes no pattern contains.  Kept verbatim so the Hypothesis suite
+can require the same ``(pattern_index, end_offset)`` sequence, in the
+same order, from both.
 """
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-__all__ = ["AhoCorasick"]
+__all__ = ["TextbookAhoCorasick"]
 
 
 class _State:
@@ -29,10 +25,10 @@ class _State:
         self.outputs: List[int] = []  # pattern indices ending here
 
 
-class AhoCorasick:
+class TextbookAhoCorasick:
     """Immutable multi-pattern byte matcher.
 
-    >>> ac = AhoCorasick([b"he", b"she", b"his", b"hers"])
+    >>> ac = TextbookAhoCorasick([b"he", b"she", b"his", b"hers"])
     >>> sorted(pat for pat, _ in ac.findall(b"ushers"))
     [b'he', b'hers', b'she']
     """
@@ -44,14 +40,6 @@ class AhoCorasick:
         self._root = _State()
         self._build_trie()
         self._build_failure_links()
-        alphabet = b"".join(b"\\x%02x" % b for b in set().union(*self.patterns))
-        #: Runs worth walking (never matches when there is no pattern).
-        #: Spelt class + class{n-1,} so ``re`` sees a leading character
-        #: set and skips foreign bytes in its prefix loop.
-        self._runs = re.compile(
-            b"[%s][%s]{%d,}" % (alphabet, alphabet,
-                                min(map(len, self.patterns)) - 1)
-            if alphabet else b"(?!)")
 
     def _build_trie(self) -> None:
         for index, pattern in enumerate(self.patterns):
@@ -80,15 +68,13 @@ class AhoCorasick:
 
     def finditer(self, data: bytes) -> Iterator[Tuple[int, int]]:
         """Yield (pattern_index, end_offset) for every match in ``data``."""
-        root = self._root
-        for run in self._runs.finditer(data):
-            node = root
-            for end, byte in enumerate(run.group(), run.start() + 1):
-                while node is not root and byte not in node.next:
-                    node = node.fail
-                node = node.next.get(byte, root)
-                for pattern_index in node.outputs:
-                    yield pattern_index, end
+        node = self._root
+        for offset, byte in enumerate(data):
+            while node is not self._root and byte not in node.next:
+                node = node.fail
+            node = node.next.get(byte, self._root)
+            for pattern_index in node.outputs:
+                yield pattern_index, offset + 1
 
     def findall(self, data: bytes) -> List[Tuple[bytes, int]]:
         """All matches as (pattern, end_offset) pairs."""

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.baselines import BessServer, OpenNetVMServer
+from repro.core import Orchestrator, Policy
+from repro.dataplane import NFPServer
 from repro.net import build_packet
 from repro.sim import DEFAULT_PARAMS, Environment
 from repro.traffic import (
@@ -25,6 +27,32 @@ def drive(env, server, count=40, gap=1.0, size=64):
 
     env.process(gen())
     env.run()
+
+
+# ------------------------------------------------------- ingress stamping
+def _nfp(env):
+    server = NFPServer(env, DEFAULT_PARAMS)
+    server.deploy(Orchestrator().deploy(Policy.from_chain(["monitor"])))
+    return server
+
+
+@pytest.mark.parametrize("make", [
+    _nfp,
+    lambda env: OpenNetVMServer(env, DEFAULT_PARAMS, ["monitor"]),
+    lambda env: BessServer(env, DEFAULT_PARAMS, ["monitor"]),
+], ids=["nfp", "opennetvm", "bess"])
+def test_inject_stamps_unset_ingress_only_and_zero_is_a_time(make):
+    env = Environment(initial_time=5.0)
+    server = make(env)
+    fresh = build_packet()
+    at_zero = build_packet()
+    at_zero.ingress_us = 0.0  # stamped by a source at model time 0
+    assert fresh.ingress_us < 0.0
+    assert fresh.full_copy(2).ingress_us == fresh.ingress_us
+    server.inject(fresh)
+    server.inject(at_zero)
+    assert fresh.ingress_us == 5.0
+    assert at_zero.ingress_us == 0.0
 
 
 # -------------------------------------------------------------- OpenNetVM

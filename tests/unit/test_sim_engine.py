@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import warnings
+
 import pytest
 
 from repro.sim import Environment, Interrupt, SimulationError
@@ -356,3 +358,85 @@ def test_peek_reports_next_event_time():
     assert env.peek() == 7.0
     env.run()
     assert env.peek() == float("inf")
+
+
+# ------------------------------------------------------- scheduled calls
+def test_call_later_is_one_event_calling_once_with_its_arguments():
+    env = Environment()
+    calls = []
+    env.call_later(3.0, lambda *args: calls.append((env.now, args)), "a", 2)
+    assert env.peek() == 3.0 and calls == []
+    env.run()
+    assert calls == [(3.0, ("a", 2))]
+    # No bootstrap, no completion: the Timeout is the only event.
+    assert env.events_processed == 1
+
+
+def test_call_later_keeps_scheduling_order_among_ties():
+    env = Environment()
+    order = []
+    for tag in "abc":
+        env.call_later(1.0, order.append, tag)
+    env.timeout(1.0).callbacks.append(lambda _event: order.append("d"))
+    env.run()
+    assert order == ["a", "b", "c", "d"]
+
+
+def test_call_later_can_rearm_itself():
+    env = Environment()
+    seen = []
+
+    def retry(left):
+        seen.append(env.now)
+        if left:
+            env.call_later(2.0, retry, left - 1)
+
+    env.call_later(1.0, retry, 2)
+    env.run()
+    assert seen == [1.0, 3.0, 5.0]
+
+
+def test_call_later_rejects_a_negative_delay():
+    with pytest.raises(SimulationError):
+        Environment().call_later(-1.0, print)
+
+
+def test_exception_in_a_scheduled_call_surfaces_from_step():
+    env = Environment()
+
+    def boom():
+        raise KeyError("scheduled")
+
+    env.call_later(1.0, boom)
+    with pytest.raises(KeyError, match="scheduled"):
+        env.step()
+    assert env.now == 1.0
+
+
+@pytest.mark.parametrize("scheduler", Environment.SCHEDULERS)
+def test_events_processed_is_scheduled_minus_queued_without_warnings(scheduler):
+    # Python 3.12 deprecates (3.14 removes) reading an itertools.count
+    # through __reduce__, which this property used to do on every
+    # measure_nfp / collect_telemetry: any warning here is an error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        env = Environment(scheduler=scheduler)
+        assert env.events_processed == 0
+        during = []
+
+        def proc():
+            for _ in range(3):
+                yield env.timeout(1.0)
+                during.append(env.events_processed)
+
+        env.process(proc())          # bootstrap: 1 scheduled, 1 queued
+        env.call_later(10.0, during.append, "late")
+        assert env.events_processed == 0 and len(env._queue) == 2
+        env.run(until=5.0)
+        # Each reading follows the bootstrap and the timeouts popped so
+        # far; the process's completion event is popped after the third.
+        assert during == [2, 3, 4]
+        assert env.events_processed == 5 and len(env._queue) == 1
+        env.run()
+        assert during[-1] == "late"
+        assert env.events_processed == 6 and len(env._queue) == 0
