@@ -30,27 +30,24 @@ class _RtcCore:
         self.nfs = nfs
         self.core = Core(server.env, name=f"rtc{index}")
         self.rx = Ring(server.env, server.params.ring_capacity, name=f"rtc{index}.rx")
-        server.env.process(self._run())
+        self.rx.wait(self._wake)
 
-    def _run(self):
+    def _wake(self, first: Packet) -> None:
+        """Run a burst to completion in one call, each packet leaving at
+        its own instant on the core's clock."""
         params = self.server.params
-        while True:
-            first = yield self.rx.get()
-            batch = [first] + self.rx.get_batch(params.batch_size - 1)
-            for pkt in batch:
-                service = params.rtc_base_us + sum(
-                    params.rtc_per_nf_us + nf.extra_cycles / 3000.0 for nf in self.nfs
-                )
-                yield self.core.execute(service)
-                dropped = False
-                for nf in self.nfs:
-                    if nf.handle(pkt).dropped:
-                        dropped = True
-                        break
-                if dropped:
-                    self.server.nil_dropped += 1
-                else:
-                    self.server.emit(pkt)
+        batch = [first] + self.rx.get_batch(params.batch_size - 1)
+        service = params.rtc_base_us + sum(
+            params.rtc_per_nf_us + nf.extra_cycles / 3000.0 for nf in self.nfs
+        )
+        now = self.server.env.now
+        for pkt in batch:
+            now = self.core.reserve(now, service)
+            if any(nf.handle(pkt).dropped for nf in self.nfs):
+                self.server.nil_dropped += 1
+            else:
+                self.server.emit(pkt, now)
+        self.rx.wait(self._wake, now)
 
 
 class BessServer:
@@ -105,12 +102,11 @@ class BessServer:
         if not ring.try_put(pkt):
             self.lost += 1
 
-    def emit(self, pkt: Packet) -> None:
-        self.env.call_later(self.params.nic_io_us, self._tx_wire, pkt)
+    def emit(self, pkt: Packet, now: float) -> None:
+        self.env.call_at(now + self.params.nic_io_us, self._tx_wire, pkt)
 
     def _tx_wire(self, pkt: Packet) -> None:
-        self.nic_tx.transmit(pkt.wire_len).callbacks.append(
-            lambda _event: self._tx_done(pkt))
+        self.env.call_at(self.nic_tx.transmit(pkt.wire_len), self._tx_done, pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
         self.latency.record(self.env.now - pkt.ingress_us)

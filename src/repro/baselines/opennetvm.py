@@ -30,24 +30,28 @@ class _OnvmNF:
         self.index = index
         self.core = Core(server.env, name=f"onvm-nf{index}")
         self.rx = Ring(server.env, server.params.ring_capacity, name=f"{nf.name}.rx")
-        server.env.process(self._run())
+        self.rx.wait(self._wake)
 
-    def _run(self):
+    def _wake(self, first: Packet) -> None:
+        """Serve a burst on the core's own clock; forward it at its end."""
         params = self.server.params
-        while True:
-            first = yield self.rx.get()
-            batch = [first] + self.rx.get_batch(params.batch_size - 1)
-            for pkt in batch:
-                service = params.nf_runtime_us + params.nf_service(
-                    self.nf.KIND, self.nf.extra_cycles
-                )
-                yield self.core.execute(service)
-            for pkt in batch:
-                ctx = self.nf.handle(pkt)
-                if ctx.dropped:
-                    self.server.nil_dropped += 1
-                    continue
-                self.server.to_manager(pkt, self.index + 1)
+        batch = [first] + self.rx.get_batch(params.batch_size - 1)
+        service = params.nf_runtime_us + params.nf_service(
+            self.nf.KIND, self.nf.extra_cycles
+        )
+        now = self.server.env.now
+        for _ in batch:
+            now = self.core.reserve(now, service)
+        self.server.env.call_at(now, self._forward, batch)
+
+    def _forward(self, batch: List[Packet]) -> None:
+        for pkt in batch:
+            ctx = self.nf.handle(pkt)
+            if ctx.dropped:
+                self.server.nil_dropped += 1
+                continue
+            self.server.to_manager(pkt, self.index + 1)
+        self.rx.wait(self._wake)
 
 
 class OpenNetVMServer:
@@ -85,7 +89,7 @@ class OpenNetVMServer:
         self.nil_dropped = 0
         self.emitted_packets: List[Packet] = []
         self.keep_packets = False
-        env.process(self._manager_loop())
+        self.manager_ring.wait(self._manager_wake)
 
     @property
     def cores_used(self) -> int:
@@ -108,19 +112,22 @@ class OpenNetVMServer:
         if not ring.try_put(item):
             self.lost += 1
 
-    def _manager_loop(self):
+    def _manager_wake(self, first) -> None:
         params = self.params
-        while True:
-            first = yield self.manager_ring.get()
-            batch = [first] + self.manager_ring.get_batch(params.batch_size - 1)
-            for pkt, next_index, fresh in batch:
-                cost = params.onvm_manager_us if fresh else params.onvm_hop_op_us
-                yield self.manager_core.execute(cost)
-            for pkt, next_index, fresh in batch:
-                if next_index >= len(self.nfs):
-                    self._emit(pkt)
-                    continue
-                self._deliver(self.nfs[next_index].rx, pkt)
+        batch = [first] + self.manager_ring.get_batch(params.batch_size - 1)
+        now = self.env.now
+        for _pkt, _next_index, fresh in batch:
+            now = self.manager_core.reserve(
+                now, params.onvm_manager_us if fresh else params.onvm_hop_op_us)
+        self.env.call_at(now, self._switch, batch)
+
+    def _switch(self, batch) -> None:
+        for pkt, next_index, _fresh in batch:
+            if next_index >= len(self.nfs):
+                self._emit(pkt)
+                continue
+            self._deliver(self.nfs[next_index].rx, pkt)
+        self.manager_ring.wait(self._manager_wake)
 
     def _deliver(self, ring: Ring, pkt: Packet) -> None:
         self.env.call_later(self.params.onvm_switch_hop_us, self._put,
@@ -130,8 +137,7 @@ class OpenNetVMServer:
         self.env.call_later(self.params.nic_io_us, self._tx_wire, pkt)
 
     def _tx_wire(self, pkt: Packet) -> None:
-        self.nic_tx.transmit(pkt.wire_len).callbacks.append(
-            lambda _event: self._tx_done(pkt))
+        self.env.call_at(self.nic_tx.transmit(pkt.wire_len), self._tx_done, pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
         self.latency.record(self.env.now - pkt.ingress_us)

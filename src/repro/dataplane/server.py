@@ -44,7 +44,7 @@ from ..faults.recovery import linearize
 from ..net.packet import HEADER_COPY_BYTES, Packet, PacketMeta
 from ..nfs.base import NetworkFunction, create_nf
 from ..sim import Core, Environment, Nic, PacketPool, RateMeter, Ring, SimParams
-from ..sim.engine import Event, Interrupt
+from ..sim.engine import Event
 from ..sim.stats import LatencyStats
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..telemetry.tracer import SpanKind
@@ -67,7 +67,8 @@ class FlightState:
     packets of one flow, land on the same instance of each scaled NF.
     """
 
-    __slots__ = ("versions", "dropped", "barriers", "assignment", "opened_us")
+    __slots__ = ("versions", "dropped", "barriers", "assignment", "opened_us",
+                 "pool_bytes", "copy_bytes")
 
     def __init__(self, pkt: Packet, assignment: Optional[Mapping[str, int]] = None,
                  opened_us: float = 0.0):
@@ -79,10 +80,23 @@ class FlightState:
         )
         #: Classification time; ages the entry for the flight sweeper.
         self.opened_us = opened_us
+        #: What the packet holds of the pool: its own slot (as sized at
+        #: ingress) and one per copy made -- freed with this entry.
+        self.pool_bytes = len(pkt.buf)
+        self.copy_bytes: Tuple[int, ...] = ()
 
 
 class _NFRuntimeSim:
-    """One NF pinned to one core with its receive ring (§5.2)."""
+    """One NF pinned to one core with its receive ring (§5.2).
+
+    Batch-synchronous, like a DPDK poll loop: drain a burst, serve every
+    packet, then forward the whole burst.  This preserves traffic
+    burstiness through the chain, which is what makes per-stage queueing
+    (and hence the parallelism win) behave like the real system.  It is
+    a state machine over two scheduled calls per burst: the ring's
+    wake-up (:meth:`_wake`, which serves the burst arithmetically on the
+    core's own clock) and the burst's commit at the instant service ends.
+    """
 
     def __init__(self, server: "NFPServer", nf: NetworkFunction, stage_index: int,
                  entry: StageEntry, core: Core,
@@ -99,83 +113,87 @@ class _NFRuntimeSim:
         self.rx.owner = self
         #: True once a live scale-down retired this instance.
         self.retired = False
-        #: The poll-loop process; kept so a scale-down can interrupt it.
-        self.proc = server.env.process(self._run())
+        self._label = f"nf:{nf.name}"
+        self.rx.wait(self._wake)
 
-    def _run(self):
-        try:
-            yield from self._poll_loop()
-        except Interrupt:
-            # Live scale-down: the membership barrier already drained
-            # all traffic, so the ring is empty; retire quietly.
-            self.retired = True
+    def _wake(self, first: Packet) -> None:
+        batch = [first] + self.rx.get_batch(self.server.params.batch_size - 1)
+        self._serve(batch, 0, self.server.env.now)
 
-    def _poll_loop(self):
-        # Batch-synchronous, like a DPDK poll loop: drain a burst,
-        # process every packet, then forward the whole burst.  This
-        # preserves traffic burstiness through the chain, which is what
-        # makes per-stage queueing (and hence the parallelism win)
-        # behave like the real system.
+    def _serve(self, batch: List[Packet], index: int, now: float) -> None:
+        """Serve ``batch[index:]`` from ``now``; commit when service ends.
+
+        Without a fault injector the whole burst is served in this one
+        call, each packet's instants read off :meth:`Core.reserve`.  An
+        injector's ``on_packet`` fires failover transitions that must
+        see the real clock, so with one attached each packet is its own
+        scheduled call through this same body.
+        """
         server = self.server
         params = server.params
         hub = server.telemetry
         enabled = hub.enabled  # fixed for the server's lifetime
         injector = server.injector
-        label = f"nf:{self.nf.name}"
-        while True:
-            first = yield self.rx.get()
-            batch = [first] + self.rx.get_batch(params.batch_size - 1)
-            for index, pkt in enumerate(batch):
-                slow = 1.0
-                if injector is not None:
-                    health = injector.on_packet(self.nf.name, server.env.now)
-                    if health is HealthState.DEAD:
-                        # Crash: the whole burst dies with the instance
-                        # -- earlier packets in it were serviced but
-                        # their results are only committed after the
-                        # burst (batch-synchronous loop), so a crash
-                        # loses them too.  Abort everything, drain the
-                        # ring, die.
-                        for stranded in batch:
-                            server.fault_abort(self, stranded)
-                        self._drain_dead()
-                        return
-                    if health is HealthState.HUNG:
-                        # Wedge forever holding the rest of the burst;
-                        # the flight sweeper reclaims those packets and
-                        # failover redirects the flows.
-                        yield server.env.event()
-                    if health is HealthState.SLOW:
-                        slow = injector.slow_factor(self.nf.name)
-                if enabled:
-                    hub.span(SpanKind.NF_START, server.env.now, pkt.meta,
-                             name=self.nf.name)
-                if pkt.nil:
-                    service = params.nf_runtime_us
-                else:
-                    service = params.nf_runtime_us + params.nf_service(
-                        self.nf.KIND, self.nf.extra_cycles
-                    )
-                service *= slow
-                yield self.core.execute(service)
-                pkt.stamp(label, server.env.now)
-                if enabled:
-                    hub.observe(f"nf.{self.nf.name}.service_us", service)
-                    hub.span(SpanKind.NF_END, server.env.now, pkt.meta,
-                             name=self.nf.name, duration_us=service)
-            for pkt in batch:
-                extra = self.server.nf_complete(self, pkt)
-                if extra > 0:
-                    yield self.core.execute(extra)
+        nf = self.nf
+        name = nf.name
+        full = params.nf_runtime_us + params.nf_service(nf.KIND, nf.extra_cycles)
+        reserve = self.core.reserve
+        for index in range(index, len(batch)):
+            pkt = batch[index]
+            slow = 1.0
+            if injector is not None:
+                health = injector.on_packet(name, now)
+                if health is HealthState.DEAD:
+                    # Crash: the whole burst dies with the instance --
+                    # earlier packets in it were serviced but their
+                    # results are only committed after the burst, so a
+                    # crash loses them too.  Abort everything, drain the
+                    # ring, die (nothing re-arms).
+                    for stranded in batch:
+                        server.fault_abort(self, stranded, now)
+                    self._drain_dead(now)
+                    return
+                if health is HealthState.HUNG:
+                    # Wedge forever holding the rest of the burst: never
+                    # re-arm.  The flight sweeper reclaims those packets
+                    # and failover redirects the flows.
+                    return
+                if health is HealthState.SLOW:
+                    slow = injector.slow_factor(name)
+            if enabled:
+                hub.span(SpanKind.NF_START, now, pkt.meta, name=name)
+            service = (params.nf_runtime_us if pkt.nil else full) * slow
+            now = reserve(now, service)
+            pkt.stamp(self._label, now)
+            if enabled:
+                hub.observe(f"nf.{name}.service_us", service)
+                hub.span(SpanKind.NF_END, now, pkt.meta, name=name,
+                         duration_us=service)
+            if injector is not None and index + 1 < len(batch):
+                server.env.call_at(now, self._serve, batch, index + 1, now)
+                return
+        server.env.call_at(now, self._commit, batch, now)
 
-    def _drain_dead(self) -> None:
+    def _commit(self, batch: List[Packet], now: float) -> None:
+        """Forward the served burst; ``now`` walks the per-packet instants."""
+        complete = self.server.nf_complete
+        reserve = self.core.reserve
+        for pkt in batch:
+            extra = complete(self, pkt, now)
+            if extra > 0:
+                now = reserve(now, extra)
+        # Free at ``now``, which the forwarding charges put ahead of the
+        # clock: the ring wakes us no earlier.
+        self.rx.wait(self._wake, now)
+
+    def _drain_dead(self, now: float) -> None:
         """Abort everything buffered in a crashed instance's ring."""
         while True:
             stranded = self.rx.get_batch(self.server.params.batch_size)
             if not stranded:
                 return
             for pkt in stranded:
-                self.server.fault_abort(self, pkt)
+                self.server.fault_abort(self, pkt, now)
 
 
 class _RuntimeGroup:
@@ -241,22 +259,30 @@ class _MergerSim:
         #: Entries reclaimed by the AT timeout sweeper.
         self.timed_out = 0
         self._sweeping = False
-        server.env.process(self._run())
+        self._sweep_interval = max(server.params.at_timeout_us / 4.0, 1.0)
+        self.rx.wait(self._wake)
 
-    def _run(self):
-        params = self.server.params
-        while True:
-            first = yield self.rx.get()
-            batch = [first] + self.rx.get_batch(params.batch_size - 1)
-            for pkt in batch:
-                yield self.core.execute(params.merger_per_copy_us)
-                done = self._accumulate(pkt)
-                if done is not None:
-                    entry, graph = done
-                    yield self.core.execute(params.merger_base_us)
-                    self._finish(entry, graph)
+    def _wake(self, first: Packet) -> None:
+        """Drain a burst and merge it in this one call.
 
-    def _accumulate(self, pkt: Packet):
+        Every notification's instant is read off the core, so AT state
+        leads the clock by at most the burst's own core charges; the
+        ring wakes the merger again no earlier than the burst's end.
+        """
+        server = self.server
+        params = server.params
+        reserve = self.core.reserve
+        now = server.env.now
+        batch = [first] + self.rx.get_batch(params.batch_size - 1)
+        for pkt in batch:
+            now = reserve(now, params.merger_per_copy_us)
+            done = self._accumulate(pkt, now)
+            if done is not None:
+                now = reserve(now, params.merger_base_us)
+                self._finish(done[0], done[1], now)
+        self.rx.wait(self._wake, now)
+
+    def _accumulate(self, pkt: Packet, now: float):
         meta = pkt.meta
         hub = self.server.telemetry
         key = (meta.mid, meta.pid)
@@ -270,13 +296,13 @@ class _MergerSim:
                     hub.inc("merger.stale_notification")
                 return None
             entry = {"count": 0, "versions": {}, "nil": False,
-                     "opened_us": self.server.env.now}
+                     "opened_us": now}
             self.at[key] = entry
             self.at_high_watermark = max(self.at_high_watermark, len(self.at))
-            self._maybe_sweep()
+            self._maybe_sweep(now)
             if hub.enabled:
                 hub.inc("merger.at_insert")
-                hub.span(SpanKind.MERGE_WAIT, self.server.env.now, meta,
+                hub.span(SpanKind.MERGE_WAIT, now, meta,
                          name=f"merger{self.index}")
         elif hub.enabled:
             hub.inc("merger.at_hit")
@@ -289,49 +315,53 @@ class _MergerSim:
             return entry, graph
         return None
 
-    def _finish(self, entry: Dict, graph: ServiceGraph) -> None:
+    def _finish(self, entry: Dict, graph: ServiceGraph, now: float) -> None:
         hub = self.server.telemetry
         if entry["nil"]:
             self.discarded += 1
             if hub.enabled:
                 hub.inc("merger.discarded")
-            self.server.record_drop(_drop_witness(entry))
+            self.server.record_drop(_drop_witness(entry), now)
             return
         merged = apply_merge_ops(entry["versions"], graph.merge_ops,
                                  telemetry=hub)
-        merged.stamp("merged", self.server.env.now)
+        merged.stamp("merged", now)
         delay = self.server._installed[graph].merge_delay_us
         if hub.enabled:
             hub.inc("merger.merged")
             # wait_us: AT entry opening -> last notification (rendezvous
             # wait); duration_us: the apply/bookkeeping latency itself.
             # Both ride on the event so stage rollups need no pairing.
-            hub.span(SpanKind.MERGE_APPLY, self.server.env.now, merged.meta,
+            hub.span(SpanKind.MERGE_APPLY, now, merged.meta,
                      name=f"merger{self.index}", duration_us=delay,
-                     args={"wait_us": self.server.env.now - entry["opened_us"]})
+                     args={"wait_us": now - entry["opened_us"]})
         self.merged += 1
-        self.server.emit(merged, extra_delay=delay)
+        self.server.emit(merged, now, extra_delay=delay)
 
     # -------------------------------------------------- AT entry timeouts
-    def _maybe_sweep(self) -> None:
-        """Arm the lazy timeout sweeper (idle whenever the AT is empty)."""
+    def _maybe_sweep(self, now: float) -> None:
+        """Arm the lazy timeout sweeper (idle whenever the AT is empty).
+
+        Its ticks are anchored at ``now``, the instant the entry opened,
+        not at the clock the burst was woken on.
+        """
         if self._sweeping or self.server.params.at_timeout_us <= 0:
             return
         self._sweeping = True
-        self.server.env.process(self._sweep())
+        self.server.env.call_at(now + self._sweep_interval, self._sweep)
 
-    def _sweep(self):
+    def _sweep(self) -> None:
         server = self.server
         timeout = server.params.at_timeout_us
-        interval = max(timeout / 4.0, 1.0)
-        while self.at:
-            yield server.env.timeout(interval)
-            now = server.env.now
-            expired = [key for key, entry in self.at.items()
-                       if now - entry["opened_us"] >= timeout]
-            for key in expired:
-                self._expire(key, self.at.pop(key))
-        self._sweeping = False
+        now = server.env.now
+        expired = [key for key, entry in self.at.items()
+                   if now - entry["opened_us"] >= timeout]
+        for key in expired:
+            self._expire(key, self.at.pop(key))
+        if self.at:
+            server.env.call_later(self._sweep_interval, self._sweep)
+        else:
+            self._sweeping = False
 
     def _expire(self, key: Tuple[int, int], entry: Dict) -> None:
         """Reclaim a stranded entry: merge what arrived, or account it.
@@ -375,9 +405,10 @@ class _MergerSim:
                                server.env.now - entry["opened_us"],
                                "degraded": True})
                 self.merged += 1
-                server.emit(merged, extra_delay=server.params.merge_latency_us)
+                server.emit(merged, server.env.now,
+                            extra_delay=server.params.merge_latency_us)
                 return
-        server.account_drop(_drop_witness(entry), "at_timeout")
+        server.account_drop(_drop_witness(entry), "at_timeout", server.env.now)
 
 
 def _drop_witness(entry: Dict) -> Optional[Packet]:
@@ -446,7 +477,10 @@ class NFPServer:
         self.classifier_core = self._new_core("classifier")
         self.ingress = Ring(env, params.ring_capacity, name="classifier.rx")
         self.ingress.on_drop = self._ingress_overflow
-        env.process(self._classifier_loop())
+        #: Packets the classifier holds between lookup and fan-out: in
+        #: neither the ingress ring nor ``_flight``, yet in the pipeline.
+        self._classifying = 0
+        self.ingress.wait(self._classifier_wake)
 
         self.num_mergers = num_mergers
         self.mergers: List[_MergerSim] = [
@@ -492,6 +526,7 @@ class NFPServer:
         #: original MID -> degraded sequential MID.
         self.degraded_mids: Dict[int, int] = {}
         self._flight_sweeping = False
+        self._flight_sweep_interval = max(params.at_timeout_us / 2.0, 1.0)
 
         # Live membership (autoscaling) state.
         #: Classifier hold gate: a pending event while a membership
@@ -591,11 +626,7 @@ class NFPServer:
         if pkt.ingress_us < 0.0:
             pkt.ingress_us = self.env.now
         self.injected += 1
-        try:
-            self.pool.alloc(len(pkt.buf))
-        except Exception:
-            pass  # pool accounting never drops in simulation
-
+        self.pool.alloc(len(pkt.buf))
         if self.record_timeline and pkt.timeline is None:
             pkt.timeline = []
         pkt.stamp("nic-rx", pkt.ingress_us)
@@ -603,83 +634,95 @@ class NFPServer:
         self.env.call_later(self.params.nic_io_us, self.ingress.try_put, pkt)
 
     def _ingress_overflow(self, pkt: Packet) -> None:
+        self.pool.free(len(pkt.buf))
         self.lost += 1
         self.telemetry.inc("drops.ingress_full")
         self.telemetry.inc("ring.overflow_drop")
         self._count_drop("ingress_full")
 
-    def _classifier_loop(self):
+    def _classifier_wake(self, first: Packet) -> None:
+        """The ingress ring produced a packet: classify a burst.
+
+        Two scheduled calls per burst, like an NF runtime: this one
+        (lookup, every instant read off the classifier core) and
+        :meth:`_fan_out` at the instant the lookups end.
+        """
+        if self._hold is not None:
+            # Membership change in progress: park (holding this packet
+            # unclassified) until the drain barrier lifts, so no packet
+            # observes half-moved NF state.  Later arrivals buffer in
+            # the ingress ring; its overflow path stays attributed
+            # (ingress_full).
+            self._hold.callbacks.append(
+                lambda _event: self._classifier_wake(first))
+            return
         params = self.params
         cache = self.flow_cache
         hub = self.telemetry
-        while True:
-            first = yield self.ingress.get()
-            if self._hold is not None:
-                # Membership change in progress: park (holding this
-                # packet unclassified) until the drain barrier lifts, so
-                # no packet observes half-moved NF state.  Later
-                # arrivals buffer in the ingress ring; its overflow path
-                # stays attributed (ingress_full).
-                yield self._hold
-            batch = [first] + self.ingress.get_batch(params.batch_size - 1)
-            work = []
-            for pkt in batch:
-                key = self._flow_key(pkt)
-                if key is not None and self.flow_directory is not None:
-                    self.flow_directory.add(key)
-                decision = None
-                if cache is not None:
-                    if key is None:
-                        cache.bypasses += 1
-                        if hub.enabled:
-                            hub.inc("classifier.cache_bypass")
-                    else:
-                        decision = cache.get(key)
-                if decision is not None:
-                    # Hit: the memoized CT match + fan-out decision is
-                    # reused; only the hash + metadata stamp cost remains.
+        reserve = self.classifier_core.reserve
+        now = self.env.now
+        batch = [first] + self.ingress.get_batch(params.batch_size - 1)
+        self._classifying = len(batch)
+        work = []
+        for pkt in batch:
+            key = self._flow_key(pkt)
+            if key is not None and self.flow_directory is not None:
+                self.flow_directory.add(key)
+            decision = None
+            if cache is not None:
+                if key is None:
+                    cache.bypasses += 1
                     if hub.enabled:
-                        hub.inc("classifier.cache_hit")
-                    yield self.core_execute_classifier(
-                        params.classifier_cache_hit_us)
-                    work.append((pkt, decision))
-                    continue
-                entry = self.chaining.classify(pkt.five_tuple())
-                if entry is None:
-                    self.lost += 1
-                    self._count_drop("no_match")
-                    hub.inc("drops.no_match")
-                    continue
-                graph = self.chaining.graph_for(entry.mid)
-                service = (
-                    params.classifier_tag_us
-                    if graph.has_parallelism
-                    else params.classifier_fwd_us
-                )
-                yield self.core_execute_classifier(service)
-                decision = FlowDecision(
-                    entry, graph, self._assignment_for(key))
-                if cache is not None and key is not None:
-                    if hub.enabled:
-                        hub.inc("classifier.cache_miss")
-                    if cache.put(key, decision) and hub.enabled:
-                        hub.inc("classifier.cache_evict")
+                        hub.inc("classifier.cache_bypass")
+                else:
+                    decision = cache.get(key)
+            if decision is not None:
+                # Hit: the memoized CT match + fan-out decision is
+                # reused; only the hash + metadata stamp cost remains.
+                if hub.enabled:
+                    hub.inc("classifier.cache_hit")
+                now = reserve(now, params.classifier_cache_hit_us)
                 work.append((pkt, decision))
-            fanout = {} if params.burst_transfers else None
-            for pkt, decision in work:
-                pkt.stamp("classified", self.env.now)
-                extra = self._classify_one(pkt, decision, fanout)
-                if extra > 0:
-                    yield self.core_execute_classifier(extra)
-            if fanout:
-                # Slot-based transfers: one delayed event per target
-                # ring moves the whole burst (same per-packet residency
-                # and drop policy as packet-at-a-time _post).
-                for ring, pkts in fanout.items():
-                    self._post_burst(ring, pkts)
+                continue
+            entry = self.chaining.classify(pkt.five_tuple())
+            if entry is None:
+                self.pool.free(len(pkt.buf))
+                self.lost += 1
+                self._count_drop("no_match")
+                hub.inc("drops.no_match")
+                continue
+            graph = self.chaining.graph_for(entry.mid)
+            now = reserve(now, params.classifier_tag_us
+                          if graph.has_parallelism
+                          else params.classifier_fwd_us)
+            decision = FlowDecision(
+                entry, graph, self._assignment_for(key))
+            if cache is not None and key is not None:
+                if hub.enabled:
+                    hub.inc("classifier.cache_miss")
+                if cache.put(key, decision) and hub.enabled:
+                    hub.inc("classifier.cache_evict")
+            work.append((pkt, decision))
+        self.env.call_at(now, self._fan_out, work, now)
 
-    def core_execute_classifier(self, duration: float):
-        return self.classifier_core.execute(duration)
+    def _fan_out(self, work: List[Tuple[Packet, FlowDecision]],
+                 now: float) -> None:
+        """Tag and distribute the looked-up burst; ``now`` walks it."""
+        reserve = self.classifier_core.reserve
+        fanout = {} if self.params.burst_transfers else None
+        for pkt, decision in work:
+            pkt.stamp("classified", now)
+            extra = self._classify_one(pkt, decision, now, fanout)
+            if extra > 0:
+                now = reserve(now, extra)
+        if fanout:
+            # Slot-based transfers: one delayed call per target ring
+            # moves the whole burst (same per-packet residency and drop
+            # policy as packet-at-a-time _post).
+            for ring, pkts in fanout.items():
+                self._post_burst(ring, pkts, now)
+        self._classifying = 0
+        self.ingress.wait(self._classifier_wake, now)
 
     def _flow_key(self, pkt: Packet) -> Optional[tuple]:
         """The packet's RSS/flow-cache key; None when it has none.
@@ -704,7 +747,8 @@ class NFPServer:
                                 telemetry=self.telemetry)
 
     def _classify_one(
-        self, pkt: Packet, decision: FlowDecision, fanout: Optional[dict] = None
+        self, pkt: Packet, decision: FlowDecision, now: float,
+        fanout: Optional[dict] = None
     ) -> float:
         """Tag metadata, run CT actions; returns extra core time spent.
 
@@ -716,28 +760,26 @@ class NFPServer:
         pid = self._next_pid = (self._next_pid + 1) % (1 << 40)
         pkt.meta = PacketMeta(mid=ct_entry.mid, pid=pid, version=ORIGINAL_VERSION)
         state = FlightState(pkt, assignment=decision.assignment,
-                            opened_us=self.env.now)
+                            opened_us=now)
         self._flight[(ct_entry.mid, pid)] = state
-        self._maybe_sweep_flight()
+        self._maybe_sweep_flight(now)
 
         hub = self.telemetry
         if hub.enabled:
             hub.inc("classifier.packets")
-            hub.span(SpanKind.CLASSIFY, self.env.now, pkt.meta,
+            hub.span(SpanKind.CLASSIFY, now, pkt.meta,
                      name="classifier", args={"ingress_us": pkt.ingress_us})
 
         extra = 0.0
         installed = self._installed[graph]
         for copy in installed.stage0_copies:
-            new_pkt, cost = self._make_copy(pkt, copy)
-            state.versions[copy.version] = new_pkt
-            extra += cost
+            extra += self._make_copy(state, pkt, copy, now)
         # Distribute each version to its stage-0 NFs.
         for entry in installed.stage0_fanout:
             pkt_v = state.versions[entry.version]
             ring = self._ring_for(entry.node.name, state)
             if fanout is None:
-                self._post(ring, pkt_v)
+                self._post(ring, pkt_v, now)
             else:
                 fanout.setdefault(ring, []).append(pkt_v)
             extra += self.params.ring_hop_us
@@ -751,35 +793,49 @@ class NFPServer:
         return group.ring(state.assignment.get(name, 0))
 
     # ----------------------------------------------------- copy machinery
-    def _make_copy(self, base: Packet, copy_spec) -> Tuple[Packet, float]:
+    def _make_copy(self, state: FlightState, base: Packet, copy_spec,
+                   now: float) -> float:
+        """Add ``copy_spec``'s version of ``base`` to the packet's flight
+        state; returns the core time the copy cost."""
         if base.nil:
-            return base.make_nil(), 0.0
+            state.versions[copy_spec.version] = base.make_nil()
+            return 0.0
         if copy_spec.header_only:
             new_pkt = base.header_copy(copy_spec.version, HEADER_COPY_BYTES)
         else:
             new_pkt = base.full_copy(copy_spec.version)
-        try:
-            self.pool.alloc(len(new_pkt.buf), is_copy=True)
-        except Exception:
-            pass
-        cost = self.params.copy_cost_us(len(new_pkt.buf))
+        state.versions[copy_spec.version] = new_pkt
+        nbytes = len(new_pkt.buf)
+        self.pool.alloc(nbytes, is_copy=True)
+        state.copy_bytes += (nbytes,)
+        cost = self.params.copy_cost_us(nbytes)
         hub = self.telemetry
         if hub.enabled:
             # OP#2 header-only vs OP#1 full copies (§4.2).
             kind = "header" if copy_spec.header_only else "full"
             hub.inc(f"copy.{kind}")
-            hub.span(SpanKind.COPY, self.env.now, new_pkt.meta, name=kind,
-                     duration_us=cost, args={"bytes": len(new_pkt.buf)})
-        return new_pkt, cost
+            hub.span(SpanKind.COPY, now, new_pkt.meta, name=kind,
+                     duration_us=cost, args={"bytes": nbytes})
+        return cost
+
+    def _release(self, state: FlightState) -> None:
+        """Return a finished packet's slots (its own + its copies')."""
+        pool = self.pool
+        pool.free(state.pool_bytes)
+        for nbytes in state.copy_bytes:
+            pool.free(nbytes, is_copy=True)
 
     # ------------------------------------------------------ completion hook
-    def nf_complete(self, runtime: _NFRuntimeSim, pkt: Packet,
+    def nf_complete(self, runtime: _NFRuntimeSim, pkt: Packet, now: float,
                     faulted: bool = False) -> float:
-        """Bookkeeping after an NF finishes one packet.
+        """Bookkeeping after an NF finishes one packet, at instant ``now``.
 
         Runs the NF's functional logic result through the barrier state
         machine and executes FT actions.  Returns extra core time the
-        runtime must charge (ring hops + copies it performed).
+        runtime must charge (ring hops + copies it performed).  ``now``
+        is the packet's own instant in its burst's commit phase, at or
+        ahead of the clock: spans, stamps and deliveries are placed at
+        it, not at ``env.now``.
 
         ``faulted`` marks a packet the NF never actually served (crash
         abort, ring overflow): its version is recorded as dropped and
@@ -815,12 +871,12 @@ class NFPServer:
             # directly for a strictly sequential graph).
             out_pkt = self._version_packet(state, version)
             if graph.needs_merger:
-                self._notify_merger(out_pkt)
+                self._notify_merger(out_pkt, now)
                 extra += self.params.ring_hop_us
             elif out_pkt.nil:
-                self.record_drop(out_pkt)
+                self.record_drop(out_pkt, now)
             else:
-                self.emit(out_pkt)
+                self.emit(out_pkt, now)
             return extra
 
         # Mid-graph: version barrier.
@@ -839,16 +895,14 @@ class NFPServer:
         if version == ORIGINAL_VERSION:
             for copy in graph.copies:
                 if copy.stage_index == stage_index + 1:
-                    new_pkt, cost = self._make_copy(fwd_pkt, copy)
-                    state.versions[copy.version] = new_pkt
-                    extra += cost
+                    extra += self._make_copy(state, fwd_pkt, copy, now)
+                    new_pkt = state.versions[copy.version]
                     for entry in next_stage.entries_on(copy.version):
-                        self._post(
-                            self._ring_for(entry.node.name, state), new_pkt
-                        )
+                        self._post(self._ring_for(entry.node.name, state),
+                                   new_pkt, now)
                         extra += self.params.ring_hop_us
         for entry in next_stage.entries_on(version):
-            self._post(self._ring_for(entry.node.name, state), fwd_pkt)
+            self._post(self._ring_for(entry.node.name, state), fwd_pkt, now)
             extra += self.params.ring_hop_us
         return extra
 
@@ -859,18 +913,20 @@ class NFPServer:
             state.versions[version] = pkt
         return pkt
 
-    def _notify_merger(self, pkt: Packet) -> None:
+    def _notify_merger(self, pkt: Packet, now: float) -> None:
         merger = self.mergers[pkt.meta.pid % self.num_mergers]
-        self._post(merger.rx, pkt, delay=self.params.merger_hop_latency_us)
+        self._post(merger.rx, pkt, now, self.params.merger_hop_latency_us)
 
     # ------------------------------------------------------------- egress
-    def _post(self, ring: Ring, pkt: Packet, delay: Optional[float] = None) -> None:
+    def _post(self, ring: Ring, pkt: Packet, now: float,
+              delay: Optional[float] = None) -> None:
         """Deliver one reference: a one-packet :meth:`_post_burst`."""
-        self._post_burst(ring, (pkt,), delay)
+        self._post_burst(ring, (pkt,), now, delay)
 
-    def _post_burst(self, ring: Ring, pkts: Sequence[Packet],
+    def _post_burst(self, ring: Ring, pkts: Sequence[Packet], now: float,
                     delay: Optional[float] = None) -> None:
-        """Deliver references after the pipeline's batch latency.
+        """Deliver references sent at ``now`` after the pipeline's batch
+        latency.
 
         One scheduled call per target ring moves the whole burst
         (``burst_transfers``) or the single reference of :meth:`_post`.
@@ -883,9 +939,8 @@ class NFPServer:
         if hub.enabled:
             hub.inc("ring.hops", len(pkts))
             for pkt in pkts:
-                hub.span(SpanKind.ENQUEUE, self.env.now, pkt.meta,
-                         name=ring.name)
-        self.env.call_later(wait, self._deliver, ring, pkts)
+                hub.span(SpanKind.ENQUEUE, now, pkt.meta, name=ring.name)
+        self.env.call_at(now + wait, self._deliver, ring, pkts)
 
     def _deliver(self, ring: Ring, pkts: Sequence[Packet]) -> None:
         """Land a posted burst: divert it if the target is down, else put."""
@@ -893,7 +948,7 @@ class NFPServer:
         if (owner is not None and self.injector is not None
                 and self.injector.is_down(owner.nf.name)):
             for pkt in pkts:
-                self.fault_abort(owner, pkt)
+                self.fault_abort(owner, pkt, self.env.now)
             return
         self._put(ring, pkts, self.params.ring_retry_limit)
 
@@ -930,7 +985,7 @@ class NFPServer:
         if hub.enabled:
             hub.inc("drops.ring_full")
             hub.inc("ring.overflow_drop")
-        self.fault_abort(runtime, pkt)
+        self.fault_abort(runtime, pkt, self.env.now)
 
     def _merger_overflow(self, pkt: Packet) -> None:
         """A merger rx ring rejected a notification.
@@ -946,7 +1001,8 @@ class NFPServer:
             hub.inc("drops.ring_full")
             hub.inc("ring.overflow_drop")
 
-    def fault_abort(self, runtime: _NFRuntimeSim, pkt: Packet) -> None:
+    def fault_abort(self, runtime: _NFRuntimeSim, pkt: Packet,
+                    now: float) -> None:
         """Abort a packet an instance will never serve (crash/overflow).
 
         Reuses :meth:`nf_complete` with ``faulted=True``: the version is
@@ -958,32 +1014,28 @@ class NFPServer:
         if meta is None or (meta.mid, meta.pid) not in self._flight:
             return
         self.telemetry.inc("faults.aborted_packets")
-        self.nf_complete(runtime, pkt, faulted=True)
+        self.nf_complete(runtime, pkt, now, faulted=True)
 
-    def emit(self, pkt: Packet, extra_delay: float = 0.0) -> None:
-        """Send a finished packet out of the NIC and record metrics."""
+    def emit(self, pkt: Packet, now: float, extra_delay: float = 0.0) -> None:
+        """Send a packet finished at ``now`` out of the NIC; record metrics."""
         if pkt.meta is not None:
             popped = self._flight.pop((pkt.meta.mid, pkt.meta.pid), None)
-            if popped is None and self.injector is not None:
+            if popped is not None:
+                self._release(popped)
+            elif self.injector is not None:
                 # Already accounted by a timeout/failover path; a second
                 # emission would double-count the packet.
                 self.telemetry.inc("tx.stale")
                 return
         self.emitted += 1
-        # Three separately scheduled legs (merge latency, driver, wire):
-        # the wire is claimed at the model time the driver leg ends, and
-        # no float sum is re-associated.
-        if extra_delay > 0:
-            self.env.call_later(extra_delay, self._tx_driver, pkt)
-        else:
-            self._tx_driver(pkt)
-
-    def _tx_driver(self, pkt: Packet) -> None:
-        self.env.call_later(self.params.nic_io_us, self._tx_wire, pkt)
+        # The merge-latency and driver legs are one scheduled call, their
+        # sum associated as the two separate legs added it; the wire is
+        # claimed at the model time the driver leg ends.
+        self.env.call_at((now + extra_delay) + self.params.nic_io_us,
+                         self._tx_wire, pkt)
 
     def _tx_wire(self, pkt: Packet) -> None:
-        self.nic_tx.transmit(pkt.wire_len).callbacks.append(
-            lambda _event: self._tx_done(pkt))
+        self.env.call_at(self.nic_tx.transmit(pkt.wire_len), self._tx_done, pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
         pkt.stamp("nic-tx", self.env.now)
@@ -1002,16 +1054,17 @@ class NFPServer:
         if self.keep_packets:
             self.emitted_packets.append(pkt)
 
-    def record_drop(self, pkt: Optional[Packet]) -> None:
+    def record_drop(self, pkt: Optional[Packet], now: float) -> None:
         """An NF dropped the packet (nil reached the end of its graph)."""
-        if self.account_drop(pkt, "nil"):
+        if self.account_drop(pkt, "nil", now):
             self.nil_dropped += 1
 
     def _count_drop(self, reason: str) -> None:
         self.drops[reason] = self.drops.get(reason, 0) + 1
 
-    def account_drop(self, pkt: Optional[Packet], reason: str) -> bool:
-        """Reason-tag a dropped packet exactly once.
+    def account_drop(self, pkt: Optional[Packet], reason: str,
+                     now: float) -> bool:
+        """Reason-tag a packet dropped at ``now`` exactly once.
 
         Pops the packet's flight state; when the state is already gone
         (the packet was emitted or accounted by another path) nothing is
@@ -1021,15 +1074,17 @@ class NFPServer:
         """
         hub = self.telemetry
         if pkt is not None and pkt.meta is not None:
-            if self._flight.pop((pkt.meta.mid, pkt.meta.pid), None) is None:
+            popped = self._flight.pop((pkt.meta.mid, pkt.meta.pid), None)
+            if popped is None:
                 if hub.enabled:
                     hub.inc("drops.stale")
                 return False
+            self._release(popped)
         self._count_drop(reason)
         if hub.enabled:
             hub.inc(f"drops.{reason}")
             if pkt is not None:
-                hub.span(SpanKind.DROP, self.env.now, pkt.meta, name=reason)
+                hub.span(SpanKind.DROP, now, pkt.meta, name=reason)
         return True
 
     def conservation_report(self) -> Dict[str, object]:
@@ -1172,14 +1227,14 @@ class NFPServer:
 
         1. hold the classifier (arrivals buffer in the ingress ring,
            overflow stays attributed);
-        2. drain barrier: wait until no packet is in flight, so nothing
-           can observe half-moved state;
+        2. drain barrier: wait until no packet is in flight or in the
+           classifier's hands, so nothing can observe half-moved state;
         3. grow (spawn runtimes, seed shared state such as the VPN AH
            sequence floor) or mark the surplus instances for retirement;
         4. re-split: update the RSS domain and the health board, then
            move per-flow NF state (NAT bindings) for every flow whose
            owner changed, and invalidate stale flow-cache pins;
-        5. retire surplus runtimes (interrupting their poll loops) and
+        5. retire surplus runtimes (their rings lose their consumer) and
            release the hold.
 
         Flows that moved may observe reordering across the barrier;
@@ -1212,10 +1267,14 @@ class NFPServer:
         self._hold = self.env.event()
         barrier_start = self.env.now
         step = max(self.params.batch_wait_us, 1.0)
-        while self._flight and self.env.now - barrier_start < max_barrier_us:
+        # The hold only stops the *next* burst: the one the classifier is
+        # looking up right now is in neither the ingress ring nor
+        # ``_flight`` yet, and must drain too.
+        while ((self._flight or self._classifying)
+               and self.env.now - barrier_start < max_barrier_us):
             yield self.env.timeout(step)
         event["barrier_us"] = self.env.now - barrier_start
-        if self._flight:
+        if self._flight or self._classifying:
             # Stuck in-flight packets (hung instance): abort the change
             # rather than retire instances still holding work.
             event["aborted"] = True
@@ -1303,15 +1362,13 @@ class NFPServer:
             self.flow_cache.invalidate()
 
         # 5. Retire surplus runtimes: the barrier drained all traffic,
-        # so their rings are empty; interrupt the poll loops, purge any
-        # parked getter, free the instances.
+        # so their rings are empty and each is parked on its ring;
+        # unpark it and nothing re-arms.
         if retired:
             del group.instances[new_count:]
             for runtime in retired:
                 runtime.retired = True
-                if runtime.proc.is_alive:
-                    runtime.proc.interrupt("scale-down")
-                runtime.rx._getters.clear()
+                runtime.rx.cancel_wait()
 
         self.scale_events.append(event)
         hub.inc("autoscale.rescale")
@@ -1324,8 +1381,9 @@ class NFPServer:
             hold.succeed()
 
     # ----------------------------------------------------- flight sweeping
-    def _maybe_sweep_flight(self) -> None:
-        """Arm the lazy flight sweeper (fault runs only).
+    def _maybe_sweep_flight(self, now: float) -> None:
+        """Arm the lazy flight sweeper (fault runs only), ticking from
+        ``now``, the instant the entry opened.
 
         The last-resort conservation backstop: reclaims per-packet state
         older than twice the AT timeout -- packets wedged in a hung
@@ -1337,24 +1395,25 @@ class NFPServer:
                 or self.params.at_timeout_us <= 0):
             return
         self._flight_sweeping = True
-        self.env.process(self._sweep_flight())
+        self.env.call_at(now + self._flight_sweep_interval,
+                         self._sweep_flight)
 
-    def _sweep_flight(self):
+    def _sweep_flight(self) -> None:
         timeout = 2.0 * self.params.at_timeout_us
-        interval = max(self.params.at_timeout_us / 2.0, 1.0)
         hub = self.telemetry
-        while self._flight:
-            yield self.env.timeout(interval)
-            now = self.env.now
-            expired = [key for key, state in self._flight.items()
-                       if now - state.opened_us >= timeout]
-            for key in expired:
-                if self._flight.pop(key, None) is None:
-                    continue
-                self._count_drop("flight_timeout")
-                if hub.enabled:
-                    hub.inc("drops.flight_timeout")
-        self._flight_sweeping = False
+        now = self.env.now
+        expired = [key for key, state in self._flight.items()
+                   if now - state.opened_us >= timeout]
+        for key in expired:
+            self._release(self._flight.pop(key))
+            self._count_drop("flight_timeout")
+            if hub.enabled:
+                hub.inc("drops.flight_timeout")
+        if self._flight:
+            self.env.call_later(self._flight_sweep_interval,
+                                self._sweep_flight)
+        else:
+            self._flight_sweeping = False
 
     # ---------------------------------------------------------- telemetry
     def collect_telemetry(self) -> None:
@@ -1400,8 +1459,8 @@ class NFPServer:
         :class:`~repro.telemetry.timeseries.Sampler` reads *during* the
         run: instantaneous ring depth and occupancy, accumulating-table
         depth, in-flight packets, and per-core utilisation *within the
-        current window* (a stateful delta over ``Core.busy_time``, not
-        the run-cumulative ratio).
+        current window* (a stateful delta over ``Core.busy_time_at``,
+        not the run-cumulative ratio).
         """
         probes: Dict[str, Callable[[], float]] = {}
         rings = [self.ingress] + [m.rx for m in self.mergers]
@@ -1449,13 +1508,14 @@ class NFPServer:
 
     def _window_utilisation_probe(self, core: Core) -> Callable[[], float]:
         """Busy fraction of the interval since the probe last fired."""
-        state = {"busy": core.busy_time, "now": self.env.now}
+        state = {"busy": core.busy_time_at(self.env.now), "now": self.env.now}
 
         def probe() -> float:
             now = self.env.now
+            busy_now = core.busy_time_at(now)
             elapsed = now - state["now"]
-            busy = core.busy_time - state["busy"]
-            state["busy"] = core.busy_time
+            busy = busy_now - state["busy"]
+            state["busy"] = busy_now
             state["now"] = now
             if elapsed <= 0.0:
                 return 0.0

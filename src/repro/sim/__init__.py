@@ -12,7 +12,7 @@ Public surface:
 """
 
 from .calendar import CalendarQueue
-from .engine import Environment, Event, Interrupt, Process, SimulationError, Timeout
+from .engine import Environment, Event, Process, SimulationError, Timeout
 from .ring import Ring, RingFullError
 from .cpu import Core
 from .memory import PacketPool, PoolExhaustedError
@@ -26,7 +26,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "SimulationError",
     "Ring",
     "RingFullError",

@@ -14,8 +14,9 @@ therefore starts at the last popped time's day; an entry whose day lies
 beyond one full bucket rotation (a far-future timeout) is found by the
 full-sweep fallback instead of being missed.
 
-Entries are the engine's ``(time, eid, event)`` tuples; ordering ties on
-``(time, eid)`` exactly like the heap, so the pop sequence is identical
+Entries are the engine's ``(time, eid, ...)`` tuples, of which only the
+first two fields are read; ordering ties on ``(time, eid)`` exactly like
+the heap (``eid`` is unique), so the pop sequence is identical
 -- the Hypothesis property suite drives both schedulers through the same
 programs and asserts equality event by event.
 
@@ -34,7 +35,7 @@ _MAX_BUCKETS = 32768
 
 
 class CalendarQueue:
-    """Bucket-calendar priority queue over ``(time, eid, event)`` tuples."""
+    """Bucket-calendar priority queue over ``(time, eid, ...)`` tuples."""
 
     __slots__ = ("_buckets", "_nb", "_width", "_size", "_last", "_cache")
 
@@ -55,16 +56,16 @@ class CalendarQueue:
         self._cache: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------- mutation
-    def push(self, time: float, eid: int, event: object) -> None:
-        bucket = int(time / self._width) % self._nb
-        self._buckets[bucket].append((time, eid, event))
+    def push(self, entry: tuple) -> None:
+        bucket = int(entry[0] / self._width) % self._nb
+        self._buckets[bucket].append(entry)
         self._size += 1
         self._cache = None
         if self._size > 2 * self._nb and self._nb < _MAX_BUCKETS:
             self._resize()
 
     def pop_min(self) -> tuple:
-        """Remove and return the least ``(time, eid, event)`` entry."""
+        """Remove and return the entry with the least ``(time, eid)``."""
         where = self._find_min()
         bucket_index, entry_index = where
         bucket = self._buckets[bucket_index]

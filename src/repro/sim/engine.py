@@ -5,9 +5,10 @@ testbed (DPDK, CPU cores, NIC queues).  It is a deliberately small,
 dependency-free cousin of SimPy: simulation *processes* are Python
 generators that ``yield`` events; the :class:`Environment` advances a
 virtual clock and resumes processes when the events they wait on fire.
-A one-shot delay with nothing to wait on afterwards -- a ring hop, a NIC
-receive or transmit leg -- is not a process: :meth:`Environment.call_later`
-schedules one plain call on one :class:`Timeout`.
+A delay with nothing to wait on afterwards -- a ring hop, a NIC leg, the
+end of a burst whose instants were computed arithmetically -- is not a
+process: :meth:`Environment.call_later` / :meth:`Environment.call_at`
+push one plain call straight onto the queue, with no :class:`Event`.
 
 Time is a ``float`` in *microseconds* throughout the repository, matching
 the unit the paper reports latencies in.
@@ -28,6 +29,7 @@ Example
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
@@ -35,25 +37,12 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "SimulationError",
 ]
 
 
 class SimulationError(RuntimeError):
     """Raised for illegal uses of the simulation API."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -122,6 +111,16 @@ class Event:
         self.env._schedule(self)
         return self
 
+    def _fire(self) -> None:
+        """Run the callbacks; what this event's queue entry calls."""
+        self._processed = True
+        callbacks, self.callbacks = self.callbacks, []
+        for callback in callbacks:
+            callback(self)
+        if not self._ok and not callbacks:
+            # An unhandled failure with nobody listening: surface it.
+            raise self._value
+
 
 class Timeout(Event):
     """An event that fires automatically after a fixed delay."""
@@ -154,84 +153,14 @@ class Process(Event):
             raise SimulationError("process() expects a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = None
-        self._interrupts: List[Interrupt] = []
-        self._interrupt_pending = False
-        # Bootstrap: resume the generator at the current time.  The init
-        # event is deliberately not tracked as the wait target: an
-        # interrupt carrier scheduled before the first resume carries a
-        # later event id, so the bootstrap always runs first and the
-        # Interrupt is never thrown into an unstarted generator.
+        # Bootstrap: resume the generator at the current time.
         init = Event(env)
         init._ok = True
         init.callbacks.append(self._resume)
         env._schedule(init)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the underlying generator has not finished."""
-        return self._ok is None
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is a no-op error, matching SimPy.
-        Concurrent interrupts are safe: causes queue on the process and a
-        single carrier event drains them in arrival order, so a second
-        interrupt racing the first can never re-enter the generator on a
-        stale dispatch state.
-        """
-        if not self.is_alive:
-            raise SimulationError("cannot interrupt a finished process")
-        self._interrupts.append(Interrupt(cause))
-        if self._interrupt_pending:
-            # A carrier is already queued; it drains every pending cause.
-            return
-        self._interrupt_pending = True
-        # Detach from whatever we were waiting on.
-        if self._target is not None and self._resume in self._target.callbacks:
-            self._target.callbacks.remove(self._resume)
-            self._target = None
-        carrier = Event(self.env)
-        carrier._ok = True
-        carrier.callbacks.append(self._deliver_interrupts)
-        self.env._schedule(carrier)
-
-    def _deliver_interrupts(self, _carrier: Event) -> None:
-        """Throw every queued :class:`Interrupt` into the generator.
-
-        Runs as the carrier event's callback.  Causes queued while this
-        drain is in flight (e.g. by an interrupt handler interrupting
-        itself) are delivered in the same pass; interrupts that raced the
-        process finishing are discarded, never thrown into a closed
-        generator.
-        """
-        self._interrupt_pending = False
-        while self._interrupts:
-            if not self.is_alive:
-                # The process finished between scheduling and delivery
-                # (or a prior cause in this batch killed it): drop the
-                # rest rather than throwing into a closed generator.
-                self._interrupts.clear()
-                return
-            cause = self._interrupts.pop(0)
-            # Detach again at delivery time: the process may have been
-            # resumed (and re-armed on a new target) by an earlier event
-            # at this same timestamp.
-            if (self._target is not None
-                    and self._resume in self._target.callbacks):
-                self._target.callbacks.remove(self._resume)
-            failure = Event(self.env)
-            failure._ok = False
-            failure._value = cause
-            failure._defused = True  # type: ignore[attr-defined]
-            failure._processed = True
-            failure._scheduled = True
-            self._resume(failure)
-
     # -- generator driving ------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self._target = None
         try:
             if event._ok:
                 next_event = self._generator.send(event._value)
@@ -252,22 +181,22 @@ class Process(Event):
                 f"process yielded a non-event: {next_event!r}"
             )
         if next_event.processed:
-            # Its callbacks already ran: resume at the current time.  The
-            # fresh resume event is tracked as the wait target so a racing
-            # interrupt can detach it instead of double-dispatching.
+            # Its callbacks already ran: resume at the current time.
             resume = Event(self.env)
             resume._ok = next_event._ok
             resume._value = next_event._value
             resume.callbacks.append(self._resume)
-            self._target = resume
             self.env._schedule(resume)
         else:
-            self._target = next_event
             next_event.callbacks.append(self._resume)
 
 
 class Environment:
     """The simulation clock and event queue.
+
+    A queue entry is ``(when, eid, func, args)``; popping it sets the
+    clock to ``when`` and calls ``func(*args)``.  An :class:`Event` is
+    queued as its own ``_fire``; a scheduled call is queued as itself.
 
     ``scheduler`` selects the event-queue implementation: ``"heap"``
     (the default binary heap) or ``"calendar"`` (the
@@ -291,28 +220,23 @@ class Environment:
             )
         self._now = float(initial_time)
         self.scheduler = scheduler
-        #: Events scheduled so far; the latest one's tie-break id.
+        #: Entries queued so far; the latest one's tie-break id.
         self._eid = 0
         self.queue_high_watermark = 0
+        # The scheduler is two callables over one queue object, so the
+        # scheduling and popping code below exists once.
         if scheduler == "calendar":
             from .calendar import CalendarQueue
 
             self._queue: List = CalendarQueue(start=self._now)
-            # Shadow the heap methods on this instance only; the default
-            # heap path stays branch-free.
-            self._schedule = (  # type: ignore[method-assign]
-                self._schedule_calendar_tracked
-                if track_stats
-                else self._schedule_calendar
-            )
-            self.step = self._step_calendar  # type: ignore[method-assign]
+            self._push: Callable[[tuple], None] = self._queue.push
+            self._pop: Callable[[], tuple] = self._queue.pop_min
         else:
             self._queue = []
-            if track_stats:
-                # Shadow the class method with the tracking variant on
-                # this instance only, so the default event loop pays
-                # nothing.
-                self._schedule = self._schedule_tracked  # type: ignore[method-assign]
+            self._push = partial(heapq.heappush, self._queue)
+            self._pop = partial(heapq.heappop, self._queue)
+        if track_stats:
+            self._push = partial(self._push_tracked, self._push)
 
     @property
     def now(self) -> float:
@@ -321,7 +245,7 @@ class Environment:
 
     @property
     def events_processed(self) -> int:
-        """Events popped so far: every one scheduled that is no longer
+        """Entries popped so far: every one queued that is no longer
         queued, so the pop loop carries no bookkeeping of its own."""
         return self._eid - len(self._queue)
 
@@ -339,18 +263,36 @@ class Environment:
         return Process(self, generator)
 
     def call_later(self, delay: float, func: Callable[..., Any],
-                   *args: Any) -> Timeout:
+                   *args: Any) -> None:
         """Call ``func(*args)`` once, ``delay`` microseconds from now.
 
-        One :class:`Timeout`, one queue entry, one callback -- no
-        generator, no bootstrap or completion event.  Use it for a
-        one-shot delay nobody joins on; use :meth:`process` for anything
-        that loops, waits on other events or can be interrupted.  An
-        exception ``func`` raises surfaces from :meth:`step`.
+        One queue entry and nothing else -- no :class:`Event`, no
+        generator -- so there is nothing to return, join or cancel.  Use
+        it (or :meth:`call_at`) for a delay nobody waits on and for the
+        steps of a state machine; use :meth:`process` for anything that
+        waits on other events.  An exception ``func`` raises surfaces
+        from :meth:`step`.
         """
-        timeout = Timeout(self, delay)
-        timeout.callbacks.append(lambda _event: func(*args))
-        return timeout
+        if delay < 0:
+            raise SimulationError(f"negative call_later delay: {delay!r}")
+        self._eid += 1
+        self._push((self._now + delay, self._eid, func, args))
+
+    def call_at(self, when: float, func: Callable[..., Any],
+                *args: Any) -> None:
+        """Call ``func(*args)`` once, at the absolute time ``when``.
+
+        For a caller that computed an instant arithmetically (the end of
+        a burst on a :class:`~repro.sim.cpu.Core`): ``now + (when - now)``
+        need not be ``when`` in floating point, so the instant is taken
+        as given.  Ties with anything else due at ``when`` resolve in
+        scheduling order, as for :meth:`call_later`.
+        """
+        if when < self._now:
+            raise SimulationError(
+                f"call_at({when!r}) lies in the past (now={self._now!r})")
+        self._eid += 1
+        self._push((when, self._eid, func, args))
 
     def all_of(self, events: Iterable[Event]) -> Event:
         """An event that fires once every given event has succeeded."""
@@ -405,72 +347,32 @@ class Environment:
             return
         event._scheduled = True
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, self._eid, event))
+        self._push((self._now + delay, self._eid, event._fire, ()))
 
-    def _schedule_tracked(self, event: Event, delay: float = 0.0) -> None:
-        """`_schedule` plus queue-depth watermark (``track_stats=True``)."""
-        if event._scheduled:
-            return
-        event._scheduled = True
-        self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, self._eid, event))
-        if len(self._queue) > self.queue_high_watermark:
-            self.queue_high_watermark = len(self._queue)
-
-    def _schedule_calendar(self, event: Event, delay: float = 0.0) -> None:
-        """`_schedule` against the calendar queue (``scheduler="calendar"``)."""
-        if event._scheduled:
-            return
-        event._scheduled = True
-        self._eid += 1
-        self._queue.push(self._now + delay, self._eid, event)
-
-    def _schedule_calendar_tracked(self, event: Event, delay: float = 0.0) -> None:
-        if event._scheduled:
-            return
-        event._scheduled = True
-        self._eid += 1
-        self._queue.push(self._now + delay, self._eid, event)
+    def _push_tracked(self, push: Callable[[tuple], None],
+                      entry: tuple) -> None:
+        """``push`` plus the queue-depth watermark (``track_stats=True``)."""
+        push(entry)
         if len(self._queue) > self.queue_high_watermark:
             self.queue_high_watermark = len(self._queue)
 
     def step(self) -> None:
-        """Process the single next event in the queue."""
+        """Pop the single next queue entry and call it."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _, event = heapq.heappop(self._queue)
-        self._now = when
-        event._processed = True
-        callbacks, event.callbacks = event.callbacks, []
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not callbacks and not getattr(event, "_defused", False):
-            # An unhandled failure with nobody listening: surface it.
-            raise event._value
-
-    def _step_calendar(self) -> None:
-        """`step` popping from the calendar queue."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _, event = self._queue.pop_min()
-        self._now = when
-        event._processed = True
-        callbacks, event.callbacks = event.callbacks, []
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not callbacks and not getattr(event, "_defused", False):
-            raise event._value
+        self._now, _, func, args = self._pop()
+        func(*args)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock passes ``until``."""
         if until is not None and until < self._now:
             raise SimulationError("run(until) lies in the past")
-        while self._queue:
-            when = self._queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return
-            self.step()
+        queue, pop = self._queue, self._pop
+        while queue:
+            if until is not None and queue[0][0] > until:
+                break
+            self._now, _, func, args = pop()  # step(), inlined
+            func(*args)
         if until is not None:
             self._now = until
 

@@ -9,7 +9,8 @@ rate and charges the fixed DPDK driver cost per packet.
 
 from __future__ import annotations
 
-from .engine import Environment, Event
+from .cpu import Core
+from .engine import Environment
 from .params import SimParams
 
 __all__ = ["Nic"]
@@ -22,7 +23,8 @@ class Nic:
         self.env = env
         self.params = params
         self.name = name
-        self._wire_free_at = 0.0
+        #: The wire is one more serial server: frames queue on it.
+        self._wire = Core(env, name=f"{name}.wire")
         self.tx_packets = 0
 
     def wire_time_us(self, packet_size: int) -> float:
@@ -33,13 +35,11 @@ class Nic:
         # Gbit/s == bits per nanosecond; convert to microseconds.
         return bits / (self.params.nic_gbps * 1000.0)
 
-    def transmit(self, packet_size: int) -> Event:
-        """Occupy the wire for one frame; fires when fully serialised."""
-        start = max(self.env.now, self._wire_free_at)
-        finish = start + self.wire_time_us(packet_size)
-        self._wire_free_at = finish
+    def transmit(self, packet_size: int) -> float:
+        """Occupy the wire for one frame, queued behind the frames before
+        it; returns the instant it is fully serialised (for ``call_at``)."""
         self.tx_packets += 1
-        return self.env.timeout(finish - self.env.now)
+        return self._wire.reserve(self.env.now, self.wire_time_us(packet_size))
 
     def line_rate_mpps(self, packet_size: int) -> float:
         return 1.0 / self.wire_time_us(packet_size)

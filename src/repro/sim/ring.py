@@ -8,11 +8,12 @@ the DES.  Capacity is enforced: ``try_put`` fails when the ring is full,
 which is how the simulation models packet loss under overload (and hence
 how the "maximum throughput without packet loss" measurements work).
 
-Two flavours of consumption are offered:
+A ring has one consumer, a state machine rather than a process:
 
-* ``get()`` -- an event-based blocking get, used by NF runtime processes.
-* ``get_batch(n)`` -- drain up to ``n`` items immediately, used to model
-  DPDK-style batched polling.
+* ``wait(callback)`` -- call ``callback(item)`` with the next item, one
+  zero-delay scheduled call after it is available;
+* ``get_batch(n)`` -- drain up to ``n`` more items immediately, which is
+  how the callback completes its DPDK-style burst.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
-from .engine import Environment, Event
+from .engine import Environment
 
 __all__ = ["Ring", "RingFullError"]
 
@@ -50,7 +51,10 @@ class Ring:
         self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        #: The parked consumer's callback, and the instant its previous
+        #: burst ends: it takes nothing directly before that.
+        self._consumer: Optional[Callable[[Any], None]] = None
+        self._free_at = 0.0
         # Statistics -- consumed by the evaluation harness.
         self.enqueued = 0
         self.dropped = 0
@@ -92,50 +96,56 @@ class Ring:
         if not self.try_put(item):
             raise RingFullError(self.name or "ring")
 
-    def put_burst(self, items: List[Any]) -> int:
-        """Enqueue items until the ring fills; return how many made it.
-
-        ``rte_ring_enqueue_burst`` semantics: the leftover tail is the
-        caller's problem -- nothing is dropped or counted here.
-        """
-        accepted = 0
-        for item in items:
-            if self.is_full:
-                break
-            self._deliver(item)
-            accepted += 1
-        return accepted
-
     def try_put_burst(self, items: List[Any]) -> int:
         """Enqueue what fits; count (and report) a drop per rejected item."""
-        accepted = self.put_burst(items)
-        for item in items[accepted:]:
-            self.dropped += 1
-            if self.on_drop is not None:
-                self.on_drop(item)
+        accepted = 0
+        for item in items:
+            accepted += self.try_put(item)
         return accepted
 
     def _deliver(self, item: Any) -> None:
-        # Hand the item straight to a waiting consumer when one exists;
+        # Hand the item straight to a parked consumer that is free;
         # otherwise buffer it.
         self.enqueued += 1
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            return
+        consumer = self._consumer
+        if consumer is not None:
+            self._consumer = None
+            env = self.env
+            if env.now >= self._free_at:
+                env.call_later(0.0, consumer, item)
+                return
+            # Still inside its previous burst: the item queues, and the
+            # consumer comes for it -- and whatever follows -- when free.
+            env.call_at(self._free_at, self.wait, consumer)
         self._items.append(item)
         if len(self._items) > self.high_watermark:
             self.high_watermark = len(self._items)
 
     # -- consumer side ------------------------------------------------------
-    def get(self) -> Event:
-        """Return an event that fires with the next available item."""
-        event = self.env.event()
+    def wait(self, callback: Callable[[Any], None],
+             not_before: float = 0.0) -> None:
+        """Park the ring's one consumer: ``callback(item)`` gets the next item.
+
+        The item leaves the ring when it is available -- now, if one is
+        buffered -- and ``callback`` runs one zero-delay scheduled call
+        later, so deliveries due at the same instant still land in the
+        burst the callback drains with :meth:`get_batch`.  ``not_before``
+        is the instant the consumer's previous burst ends when that lies
+        ahead of the clock: until then items only queue, and one that
+        arrives exactly then joins the queue behind them.
+        """
         if self._items:
-            event.succeed(self._items.popleft())
+            if not_before > self.env.now:
+                self.env.call_at(not_before, self.wait, callback)
+            else:
+                self.env.call_later(0.0, callback, self._items.popleft())
         else:
-            self._getters.append(event)
-        return event
+            self._consumer = callback
+            self._free_at = not_before
+
+    def cancel_wait(self) -> None:
+        """Forget the parked consumer (its instance was retired)."""
+        self._consumer = None
 
     def get_batch(self, max_items: int) -> List[Any]:
         """Immediately dequeue up to ``max_items`` items (may be empty).

@@ -16,7 +16,10 @@ Four angles on the same machinery:
   load, every flow's packets leave in injection order (the drain
   barrier means no packet observes half-moved state);
 * clean scale-down -- retired runtimes stop polling, their rings hold
-  no stranded packets, and the ledger still balances.
+  no stranded packets, and the ledger still balances;
+* the drain barrier sees the burst the classifier is holding between
+  lookup and fan-out, so a rescale requested mid-lookup still moves no
+  flow's state under a packet.
 """
 
 import pytest
@@ -27,6 +30,7 @@ from repro.dataplane.flowsplit import flow_key, rss_instance
 from repro.dataplane.functional import SequentialBank
 from repro.dataplane.server import NFPServer
 from repro.eval.harness import as_graph, deployed_from_graph, measure_autoscale
+from repro.net import build_packet
 from repro.nfs.base import create_nf
 from repro.sim import DEFAULT_PARAMS, Environment
 from repro.telemetry import TelemetryHub
@@ -245,13 +249,26 @@ def test_scale_down_retires_runtimes_cleanly():
         yield server.request_rescale("vpn", 1)
 
     env.process(controller())
+    group = server.runtimes["vpn"]
+    doomed = group.instances[1:]
     env.run()
 
-    group = server.runtimes["vpn"]
-    assert group.count == 1
-    assert group.instances[0].proc.is_alive
-    # The survivor keeps draining; the retired runtimes' rings must hold
-    # nothing (a stranded packet there would break conservation).
+    assert group.count == 1 and len(doomed) == 2
+    survivor = group.instances[0]
+    # Retired runtimes are off their rings for good: no consumer parked,
+    # nothing stranded (that would break conservation) ...
+    for runtime in doomed:
+        assert runtime.retired and runtime not in group.instances
+        assert runtime.rx._consumer is None and len(runtime.rx) == 0
+    received = [runtime.rx.enqueued for runtime in doomed]
+    served, emitted = survivor.nf.rx_packets, server.emitted
+    # ... and the survivor serves whatever comes next, all of it.
+    for _ in range(40):
+        server.inject(flows.next_packet())
+    env.run()
+    assert survivor.nf.rx_packets == served + 40
+    assert server.emitted == emitted + 40
+    assert [runtime.rx.enqueued for runtime in doomed] == received
     ledger = server.conservation_report()
     assert ledger["unaccounted"] == 0
     assert ledger["injected"] == (ledger["emitted"]
@@ -278,3 +295,62 @@ def test_autoscaler_respects_bounds_and_cooldown():
     for earlier, later in zip(stamps, stamps[1:]):
         assert later - earlier >= policy.cooldown_us
     assert result.conservation["unaccounted"] == 0
+
+
+#: 32 flows told apart after translation by their destination port.
+_RACE_FLOWS = 32
+
+
+@pytest.mark.parametrize("request_us,mid_lookup", [
+    (500.0, False),     # between the bursts, pipeline idle
+    (1004.5, True),     # second burst drained, its lookups under way
+    (1005.0, True),
+    (1006.5, False),    # second burst fanned out: in flight
+    (1020.0, False),
+])
+def test_rescale_barrier_sees_the_burst_the_classifier_holds(
+        request_us, mid_lookup):
+    """The hold stops the classifier's *next* burst; the one between
+    lookup and fan-out is in neither the ingress ring nor ``_flight``.
+    A barrier blind to it re-splits NAT under those packets, and a flow
+    leaves with two translations (Khalid & Akella's handover guarantee:
+    no packet may observe half-moved state)."""
+    env = Environment()
+    server = NFPServer(env, DEFAULT_PARAMS)
+    server.deploy(deployed_from_graph(as_graph(["nat"])), scale={"nat": 1})
+    server.enable_flow_directory()
+    server.keep_packets = True
+
+    def burst():
+        for flow in range(_RACE_FLOWS):
+            server.inject(build_packet(src_ip=f"10.1.0.{flow + 1}",
+                                       src_port=4000 + flow,
+                                       dst_port=9000 + flow, size=64))
+
+    def traffic():
+        burst()
+        yield env.timeout(1000.0)
+        burst()
+
+    def controller():
+        yield env.timeout(request_us)
+        yield server.request_rescale("nat", 2)
+
+    env.process(traffic())
+    env.process(controller())
+    env.run()
+
+    (event,) = server.scale_events
+    assert event["to"] == 2 and not event["aborted"]
+    if mid_lookup:
+        assert event["barrier_us"] > 0.0
+    translations = {}
+    for pkt in server.emitted_packets:
+        translations.setdefault(pkt.tcp.dst_port, set()).add(
+            (pkt.ipv4.src_ip, pkt.tcp.src_port))
+    assert len(server.emitted_packets) == 2 * _RACE_FLOWS
+    assert sorted(translations) == [9000 + f for f in range(_RACE_FLOWS)]
+    split = {port: seen for port, seen in translations.items()
+             if len(seen) != 1}
+    assert not split, f"flows translated twice: {split}"
+    assert server.conservation_report()["unaccounted"] == 0

@@ -6,17 +6,24 @@ among same-time events or to the delivery/retry machinery must leave all
 of them exactly where they were, so each scenario below compares with
 ``==`` -- no tolerance -- against literals recorded at the commit before
 the DES moved from one-shot generator processes to scheduled calls
-(PR 19's parent).  ``events_per_pkt`` is the one field that change was
-*meant* to move; it is pinned at the count after it, so the next change
-to the event path is a diff here, not a surprise.
+(PR 19's parent); they held through that change and through the one that
+turned the classifier, runtimes and mergers into state machines (PR 21).
+``events_per_pkt`` is the one field such changes are *meant* to move; it
+is pinned at the count after the latest, so the next change to the event
+path is a diff here, not a surprise.  The flash-crowd scenario also pins
+digests of the tracer's span *set*, the registry's counter totals and
+every sampler gauge series but ``core.*.window_util`` -- generated at
+PR 21's parent, ``==`` after it.
 
 Regenerate (only when a model change is intended, and say so in
-CHANGES.md)::
+CHANGES.md; to show a change moved nothing, run this *at its parent*
+with this file copied over the parent's -- docs/TESTING.md)::
 
     PYTHONPATH=src python -m tests.integration.test_model_clock_golden
 """
 
 import dataclasses
+import hashlib
 import pprint
 
 import pytest
@@ -55,6 +62,10 @@ def _fig13(chain, **kwargs):
                 drops=result.nil_dropped)
 
 
+def _digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
 def _flash_crowd():
     packets = 2000
     base, peak = 0.8, 2.6
@@ -69,13 +80,31 @@ def _flash_crowd():
         up_rule="ring.occupancy > 0.025 for 1 windows",
         down_rule="ring.occupancy < 0.0125 for 6 windows",
         cooldown_us=3.0 * window_us, max_barrier_us=horizon_us)
+    hub = TelemetryHub(tracer=Tracer())
     result = measure_autoscale(
         ["nat", "vpn"], policy, shape,
         params=dataclasses.replace(DEFAULT_PARAMS, ring_capacity=4096),
         packets=packets, seed=7, num_flows=256, popularity="zipf",
-        window_us=window_us, telemetry=TelemetryHub(tracer=Tracer()))
+        window_us=window_us, telemetry=hub)
     m = result.measurement
-    return dict(p50=m.latency_p50_us, p99=m.latency_p99_us,
+    # The span *set*: a collapsed burst records its spans in a different
+    # order than a stepped one, with the same timestamps.
+    spans = sorted(
+        (e.ts_us, e.kind.value, e.name, e.mid, e.pid, e.version,
+         e.duration_us, tuple(sorted((e.args or {}).items())))
+        for e in hub.tracer.events)
+    counters = sorted((name, counter.value)
+                      for name, counter in hub.registry.counters.items())
+    # core.*.window_util is the one series allowed to move (it became
+    # exact when a burst started reserving its core in one call).
+    gauges = [
+        (w.index, w.start_us, w.end_us, sorted(
+            (name, value) for name, value in w.gauges.items()
+            if not (name.startswith("core.")
+                    and name.endswith(".window_util"))))
+        for w in result.sampler.series.windows]
+    return dict(span_set=_digest(spans), counter_totals=_digest(counters),
+                gauge_series=_digest(gauges), p50=m.latency_p50_us, p99=m.latency_p99_us,
                 mean=m.latency_mean_us,
                 events_per_pkt=m.events_processed / packets,
                 delivered=m.delivered, lost=m.lost,
@@ -153,7 +182,7 @@ SCENARIOS = {
 
 GOLDEN = {'bess_west_east': {'delivered': 800,
                     'drops': 0,
-                    'events_per_pkt': 4.09875,
+                    'events_per_pkt': 3.09625,
                     'lost': 0,
                     'mean': 29.961318807485995,
                     'p50': 26.959600000000194,
@@ -161,7 +190,7 @@ GOLDEN = {'bess_west_east': {'delivered': 800,
  'crash_hang_retry2': {'aborted': 105,
                        'delivered': 463,
                        'drops': {'ingress_full': 32, 'nil': 105},
-                       'events_per_pkt': 22.456666666666667,
+                       'events_per_pkt': 14.063333333333333,
                        'lost': 96,
                        'mean': 382.1987533886241,
                        'p50': 92.47225202978854,
@@ -171,53 +200,56 @@ GOLDEN = {'bess_west_east': {'delivered': 800,
                        'unaccounted': 0},
  'fig13_north_south': {'delivered': 800,
                        'drops': 0,
-                       'events_per_pkt': 22.60375,
+                       'events_per_pkt': 9.22,
                        'lost': 0,
                        'mean': 122.832002932992,
                        'p50': 117.55252466196146,
                        'p99': 182.85461554280627},
  'fig13_north_south_x2_cached': {'delivered': 800,
                                  'drops': 0,
-                                 'events_per_pkt': 22.97875,
+                                 'events_per_pkt': 9.91125,
                                  'lost': 0,
                                  'mean': 99.47829753280085,
                                  'p50': 94.77395686384304,
                                  'p99': 149.2837338337387},
  'fig13_west_east': {'delivered': 800,
                      'drops': 0,
-                     'events_per_pkt': 24.23875,
+                     'events_per_pkt': 11.9,
                      'lost': 0,
                      'mean': 106.44840783179872,
                      'p50': 101.65192553854362,
                      'p99': 171.02702014230073},
  'fig13_west_east_x2_cached': {'delivered': 800,
                                'drops': 0,
-                               'events_per_pkt': 24.9025,
+                               'events_per_pkt': 13.69625,
                                'lost': 0,
                                'mean': 77.38876553527193,
                                'p50': 73.448414523969,
                                'p99': 130.66965583082802},
  'flash_crowd_nat_vpn': {'core_saving': 0.21726190476190477,
+                         'counter_totals': 'd64ac45170b0600c',
                          'delivered': 2000,
                          'drops': {},
-                         'events_per_pkt': 10.2665,
+                         'events_per_pkt': 5.4645,
+                         'gauge_series': '43573480ee6636ea',
                          'lost': 0,
                          'mean': 201.16273144688688,
                          'p50': 187.25949757556953,
                          'p99': 355.91254812714254,
                          'scale_downs': 2,
                          'scale_ups': 4,
+                         'span_set': '2c754d1d060548fe',
                          'unaccounted': 0},
  'opennetvm_west_east': {'delivered': 800,
                          'drops': 0,
-                         'events_per_pkt': 16.2575,
+                         'events_per_pkt': 9.47125,
                          'lost': 0,
                          'mean': 127.69422422580068,
                          'p50': 123.80732360042971,
                          'p99': 190.3842022700622},
  'two_server_six_nf': {'delivered': 600,
                        'drops': 0,
-                       'events_per_pkt': 41.335,
+                       'events_per_pkt': 25.821666666666665,
                        'lost': 0,
                        'mean': 125.71080044583721,
                        'p50': 123.20153500101642,

@@ -3,8 +3,8 @@ the heap.
 
 The whole point of ``Environment(scheduler="calendar")`` is that it is a
 pure data-structure swap: every schedule -- including same-timestamp
-ties, interrupt-driven cancellations, and periodic processes that retire
-themselves -- must dispatch in exactly the order the binary heap would
+ties between events and scheduled calls (``call_later`` / ``call_at``),
+and periodic processes that retire themselves -- must dispatch in exactly the order the binary heap would
 pick.  These properties run the same randomly generated schedule program
 on both schedulers and demand identical logs, final clocks, and event
 counts; a standalone property also checks the raw
@@ -15,7 +15,7 @@ its bucket-resize regime.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CalendarQueue, Environment, Interrupt
+from repro.sim import CalendarQueue, Environment
 
 #: Delays drawn from a small pool on purpose: collisions (exact ties)
 #: are the interesting case, and tiny pools make them constant.
@@ -26,10 +26,11 @@ spawn_ops = st.tuples(st.just("spawn"),
 periodic_ops = st.tuples(st.just("periodic"), delays,
                          st.integers(min_value=1, max_value=4))
 sleep_ops = st.tuples(st.just("sleep"), delays)
-cancel_ops = st.tuples(st.just("cancel"), st.integers(min_value=0,
-                                                      max_value=7))
+#: A scheduled call, relative (``call_later``) or absolute (``call_at``),
+#: optionally re-arming itself once -- the shape of a state machine step.
+call_ops = st.tuples(st.just("call"), st.booleans(), delays, delays)
 programs = st.lists(st.one_of(spawn_ops, periodic_ops, sleep_ops,
-                              cancel_ops),
+                              call_ops),
                     min_size=1, max_size=12)
 
 
@@ -40,22 +41,21 @@ def _run_program(scheduler, program):
     procs = []
 
     def worker(wid, waits):
-        try:
-            for delay in waits:
-                yield env.timeout(delay)
-                log.append(("tick", wid, env.now))
-        except Interrupt as intr:
-            log.append(("interrupted", wid, env.now, intr.cause))
+        for delay in waits:
+            yield env.timeout(delay)
+            log.append(("tick", wid, env.now))
 
     def periodic(wid, period, times):
         # Self-retiring: runs a fixed number of periods, then returns.
-        try:
-            for _ in range(times):
-                yield env.timeout(period)
-                log.append(("periodic", wid, env.now))
-            log.append(("retired", wid, env.now))
-        except Interrupt as intr:
-            log.append(("interrupted", wid, env.now, intr.cause))
+        for _ in range(times):
+            yield env.timeout(period)
+            log.append(("periodic", wid, env.now))
+        log.append(("retired", wid, env.now))
+
+    def called(cid, rearm):
+        log.append(("called", cid, env.now))
+        if rearm is not None:
+            env.call_later(rearm, called, cid, None)
 
     def driver():
         for op in program:
@@ -68,9 +68,12 @@ def _run_program(scheduler, program):
             elif kind == "sleep":
                 yield env.timeout(op[1])
                 log.append(("driver", env.now))
-            elif kind == "cancel":
-                if op[1] < len(procs) and procs[op[1]].is_alive:
-                    procs[op[1]].interrupt(op[1])
+            elif kind == "call":
+                _, absolute, delay, rearm = op
+                if absolute:
+                    env.call_at(env.now + delay, called, len(log), rearm)
+                else:
+                    env.call_later(delay, called, len(log), rearm)
         yield env.timeout(0.0)
         log.append(("driver-done", env.now))
 
@@ -101,7 +104,7 @@ def test_calendar_queue_pops_in_lexicographic_order(times):
     queue = CalendarQueue()
     expected = sorted((t, eid) for eid, t in enumerate(times))
     for eid, t in enumerate(times):
-        queue.push(t, eid, f"ev{eid}")
+        queue.push((t, eid, f"ev{eid}"))
     assert len(queue) == len(times)
     popped = []
     while queue:
@@ -130,7 +133,7 @@ def test_calendar_queue_interleaved_push_pop(rounds):
     eid = 0
     for pushes, pops in rounds:
         for offset in pushes:
-            queue.push(last + offset, eid, None)
+            queue.push((last + offset, eid, None))
             oracle.append((last + offset, eid))
             eid += 1
         oracle.sort()
@@ -144,8 +147,8 @@ def test_calendar_queue_interleaved_push_pop(rounds):
 
 def test_calendar_queue_peek_only_exposes_the_minimum():
     queue = CalendarQueue()
-    queue.push(2.0, 0, "a")
-    queue.push(1.0, 1, "b")
+    queue.push((2.0, 0, "a"))
+    queue.push((1.0, 1, "b"))
     assert queue[0][:2] == (1.0, 1)
     try:
         queue[1]

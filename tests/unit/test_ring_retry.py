@@ -28,29 +28,29 @@ def _params(**overrides):
 
 def _post(server, ring, pkt, burst):
     if burst:
-        server._post_burst(ring, [pkt])
+        server._post_burst(ring, [pkt], server.env.now)
     else:
-        server._post(ring, pkt)
+        server._post(ring, pkt, server.env.now)
 
 
 def _held_ring(env, free_at_us=None):
     """A one-slot ring held full by a blocker until ``free_at_us``.
 
     Returns the ring and the list its landings are logged to as
-    ``(time, item)`` -- a getter parked the moment the slot frees is
+    ``(time, item)`` -- a consumer parked the moment the slot frees is
     handed the next reference at the model time it is put.
     """
     ring = Ring(env, capacity=1, name="held")
     ring.put("blocker")
     landed = []
 
-    def note(event):
-        landed.append((env.now, event.value))
+    def note(item):
+        landed.append((env.now, item))
 
     def free():
         yield env.timeout(free_at_us)
         assert ring.get_batch(1) == ["blocker"]
-        ring.get().callbacks.append(note)
+        ring.wait(note)
 
     if free_at_us is not None:
         env.process(free())

@@ -42,15 +42,11 @@ def test_ring_blocking_get_wakes_consumer():
     ring = Ring(env, capacity=4)
     got = []
 
-    def consumer():
-        item = yield ring.get()
-        got.append((env.now, item))
-
     def producer():
         yield env.timeout(3.0)
         ring.put("pkt")
 
-    env.process(consumer())
+    ring.wait(lambda item: got.append((env.now, item)))
     env.process(producer())
     env.run()
     assert got == [(3.0, "pkt")]
@@ -83,35 +79,41 @@ def test_ring_peek_nondestructive():
 def test_core_serialises_work():
     env = Environment()
     core = Core(env)
-    finish_times = []
-
-    def job(duration):
-        yield core.execute(duration)
-        finish_times.append(env.now)
-
-    env.process(job(2.0))
-    env.process(job(3.0))
-    env.run()
-    assert finish_times == [2.0, 5.0]
+    # Two jobs asked for at t=0: the second queues behind the first.
+    assert [core.reserve(0.0, 2.0), core.reserve(0.0, 3.0)] == [2.0, 5.0]
+    # One asked for after the backlog drained starts when asked.
+    assert core.reserve(6.0, 1.0) == 7.0
+    assert core.busy_until == 7.0 and core.busy_time == 6.0
 
 
 def test_core_utilisation():
     env = Environment()
     core = Core(env)
-
-    def job():
-        yield core.execute(4.0)
-        yield env.timeout(6.0)
-
-    env.process(job())
-    env.run()
+    assert core.reserve(env.now, 4.0) == 4.0
+    env.run(until=10.0)
     assert core.utilisation() == pytest.approx(0.4)
+
+
+def test_core_utilisation_does_not_count_work_ahead_of_the_clock():
+    # A burst is reserved in one call, so busy_time is credited ahead of
+    # the clock: a reading mid-burst counts only what has elapsed.
+    env = Environment()
+    core = Core(env)
+    env.run(until=10.0)
+    core.reserve(env.now, 22.0)           # busy over [10, 32]
+    assert core.busy_time == 22.0
+    assert core.busy_time_at(12.5) == 2.5
+    assert core.busy_time_at(32.0) == core.busy_time_at(40.0) == 22.0
+    env.run(until=20.0)
+    assert core.utilisation() == pytest.approx(0.5)
+    env.run(until=44.0)
+    assert core.utilisation() == pytest.approx(0.5)
 
 
 def test_core_rejects_negative_duration():
     core = Core(Environment())
     with pytest.raises(ValueError):
-        core.execute(-1.0)
+        core.reserve(0.0, -1.0)
 
 
 # -------------------------------------------------------------------- NIC
@@ -122,15 +124,8 @@ def test_nic_line_rate_64b_is_14_88_mpps():
 def test_nic_wire_time_serialises_frames():
     env = Environment()
     nic = Nic(env, SimParams())
-    done = []
-
-    def send(size):
-        yield nic.transmit(size)
-        done.append(env.now)
-
-    env.process(send(64))
-    env.process(send(64))
-    env.run()
+    # Two frames offered at t=0: the second queues behind the first.
+    done = [nic.transmit(64), nic.transmit(64)]
     per_frame = (64 + 20) * 8 / 10000.0
     assert done[0] == pytest.approx(per_frame)
     assert done[1] == pytest.approx(2 * per_frame)
@@ -259,3 +254,23 @@ def test_vm_params_cost_more_than_containers():
     assert VM_PARAMS.merger_base_us > defaults.merger_base_us
     # Same NF service times -- only the virtualisation substrate differs.
     assert VM_PARAMS.nf_service_us == defaults.nf_service_us
+
+
+def test_window_utilisation_of_a_burst_straddling_a_window_edge():
+    # A 22 us VPN burst reserved in one call straddles two 12.5 us window
+    # edges.  Read off ``busy_time`` alone the probe would say 1.0 (all
+    # 22 us credited in the first window, clamped) then 0.0, 0.0.
+    from repro.dataplane import NFPServer
+
+    env = Environment()
+    server = NFPServer(env, SimParams())
+    core = server.classifier_core
+    probe = server.probes()[f"core.{core.name}.window_util"]
+    env.run(until=10.0)
+    core.reserve(env.now, 22.0)                      # busy over [10, 32]
+    readings = []
+    for edge in (12.5, 25.0, 37.5, 50.0):
+        env.run(until=edge)
+        readings.append(probe())
+    assert readings == pytest.approx([0.2, 1.0, 0.56, 0.0])
+    assert sum(readings) * 12.5 == pytest.approx(core.busy_time)

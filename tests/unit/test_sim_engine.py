@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, SimulationError
 
 
 def test_clock_starts_at_zero():
@@ -202,140 +202,6 @@ def test_any_of_fires_on_first():
     assert log == [(2.0, "fast")]
 
 
-def test_interrupt_running_process():
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((env.now, interrupt.cause))
-
-    def attacker(target):
-        yield env.timeout(2.0)
-        target.interrupt("stop now")
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run()
-    assert log == [(2.0, "stop now")]
-
-
-def test_interrupt_finished_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1.0)
-
-    proc = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
-def test_double_interrupt_same_instant_delivers_both_causes():
-    """Two interrupts before any delivery must arrive as two Interrupts.
-
-    The old implementation scheduled one failure event per call and
-    re-armed ``_target`` in between, so the second call corrupted the
-    first delivery; causes queue on the process now and a single
-    carrier drains them in order.
-    """
-    env = Environment()
-    log = []
-
-    def victim():
-        while True:
-            try:
-                yield env.timeout(100.0)
-                return
-            except Interrupt as interrupt:
-                log.append((env.now, interrupt.cause))
-
-    def attacker(target):
-        yield env.timeout(2.0)
-        target.interrupt("first")
-        target.interrupt("second")
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run(until=300.0)
-    assert log == [(2.0, "first"), (2.0, "second")]
-    assert not target.is_alive
-
-
-def test_interrupt_batch_discarded_when_first_finishes_process():
-    """A queued interrupt racing process completion is dropped, not
-    thrown into a dead generator (which would surface as an unhandled
-    simulation failure)."""
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append(interrupt.cause)
-        # returning here finishes the process with "second" still queued
-
-    def attacker(target):
-        yield env.timeout(2.0)
-        target.interrupt("first")
-        target.interrupt("second")
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run()
-    assert log == ["first"]
-
-
-def test_interrupt_before_bootstrap_still_starts_generator():
-    """Interrupting a just-spawned process must not detach its init
-    event: the generator bootstraps first, then catches the Interrupt
-    inside its own try block."""
-    env = Environment()
-    log = []
-
-    def victim():
-        try:
-            yield env.timeout(5.0)
-            log.append("done")
-        except Interrupt as interrupt:
-            log.append(("interrupted", interrupt.cause))
-
-    target = env.process(victim())
-    target.interrupt("early")
-    env.run()
-    assert log == [("interrupted", "early")]
-
-
-def test_interrupt_after_rearm_hits_the_new_wait():
-    """Delivery-time detach: a process that catches one interrupt and
-    re-arms on a fresh event is interruptible again at a later time."""
-    env = Environment()
-    log = []
-
-    def victim():
-        while True:
-            try:
-                yield env.timeout(100.0)
-                return
-            except Interrupt as interrupt:
-                log.append((env.now, interrupt.cause))
-
-    def attacker(target):
-        yield env.timeout(1.0)
-        target.interrupt("one")
-        yield env.timeout(3.0)
-        target.interrupt("two")
-
-    target = env.process(victim())
-    env.process(attacker(target))
-    env.run(until=500.0)
-    assert log == [(1.0, "one"), (4.0, "two")]
-
-
 def test_yield_non_event_rejected():
     env = Environment()
 
@@ -368,7 +234,7 @@ def test_call_later_is_one_event_calling_once_with_its_arguments():
     assert env.peek() == 3.0 and calls == []
     env.run()
     assert calls == [(3.0, ("a", 2))]
-    # No bootstrap, no completion: the Timeout is the only event.
+    # No bootstrap, no completion, no Event: one queue entry is all.
     assert env.events_processed == 1
 
 
@@ -411,6 +277,73 @@ def test_exception_in_a_scheduled_call_surfaces_from_step():
     with pytest.raises(KeyError, match="scheduled"):
         env.step()
     assert env.now == 1.0
+
+
+def test_call_later_returns_nothing_to_join_or_cancel():
+    assert Environment().call_later(1.0, print) is None
+
+
+@pytest.mark.parametrize("scheduler", Environment.SCHEDULERS)
+def test_call_at_is_one_queue_entry_at_the_instant_given(scheduler):
+    env = Environment(scheduler=scheduler)
+    env.run(until=0.211)
+    # 0.211 + (0.467 - 0.211) != 0.467 in floating point: the instant is
+    # taken as given, not re-derived from a delay.
+    assert 0.211 + (0.467 - 0.211) != 0.467
+    seen = []
+    assert env.call_at(
+        0.467, lambda *args: seen.append((env.now, args)), "x") is None
+    assert len(env._queue) == 1 and env.peek() == 0.467
+    env.run()
+    assert seen == [(0.467, ("x",))]
+    assert env.events_processed == 1
+
+
+def test_call_at_rejects_a_time_in_the_past():
+    env = Environment()
+    env.run(until=5.0)
+    with pytest.raises(SimulationError):
+        env.call_at(4.999, print)
+    env.call_at(5.0, print)  # "now" is not the past
+
+
+@pytest.mark.parametrize("scheduler", Environment.SCHEDULERS)
+def test_call_at_ties_resolve_in_scheduling_order(scheduler):
+    env = Environment(scheduler=scheduler)
+    order = []
+    env.call_at(2.0, order.append, "at-1")
+    env.call_later(2.0, order.append, "later-2")
+    env.timeout(2.0).callbacks.append(lambda _event: order.append("timeout-3"))
+    env.call_at(2.0, order.append, "at-4")
+    env.call_at(1.0, order.append, "earlier")
+    env.run()
+    assert order == ["earlier", "at-1", "later-2", "timeout-3", "at-4"]
+
+
+@pytest.mark.parametrize("scheduler", Environment.SCHEDULERS)
+def test_exception_in_a_call_at_surfaces_from_step(scheduler):
+    env = Environment(scheduler=scheduler)
+
+    def boom():
+        raise KeyError("absolute")
+
+    env.call_at(1.5, boom)
+    with pytest.raises(KeyError, match="absolute"):
+        env.step()
+    assert env.now == 1.5
+
+
+@pytest.mark.parametrize("scheduler", Environment.SCHEDULERS)
+def test_scheduled_calls_count_as_events_and_queue_depth(scheduler):
+    env = Environment(scheduler=scheduler, track_stats=True)
+    for k in range(5):
+        env.call_at(1.0 + k, int)
+    env.call_later(0.5, int)
+    assert env.queue_high_watermark == 6 and env.events_processed == 0
+    env.run(until=2.0)
+    assert env.events_processed == 3
+    env.run()
+    assert env.events_processed == 6 and env.queue_high_watermark == 6
 
 
 @pytest.mark.parametrize("scheduler", Environment.SCHEDULERS)
