@@ -23,12 +23,6 @@ truth for what ``python -m repro bench`` runs:
   the windowed telemetry sampler and watch rules armed: a crash/failover
   episode on the north-south chain, and the AT-timeout episode (hung
   monitor stranding AT entries) on the copy-bearing west-east chain;
-* ``batched_scale_ids_x4`` / ``batched_fig13_ns`` -- the batched hot
-  path raced against the scalar functional plane on identical streams;
-  output divergences publish as ``lost`` and gate at absolute zero;
-* ``des_fastpath_fig13_ns`` -- the DES event-core fast path (calendar
-  scheduler + burst ring transfers): same delivery/drop accounting as
-  the per-packet model, far fewer simulator events;
 * ``flash_crowd_autoscale`` -- a flash crowd over a Zipf flow mix on an
   elastic nat->vpn chain: the PR-10 autoscaler rescales the VPN
   bottleneck live and the extras carry core-seconds vs static peak;
@@ -52,7 +46,6 @@ from ..core.policy import Policy
 from ..eval.experiments import NORTH_SOUTH_CHAIN, WEST_EAST_CHAIN
 from ..eval.forced import forced_parallel, forced_sequential
 from ..eval.harness import measure_nfp
-from ..sim import DEFAULT_PARAMS
 from ..sim.stats import summarize
 from ..telemetry import (
     Sampler,
@@ -129,8 +122,6 @@ def _measured(
     faults: Optional[str] = None,
     watch: Optional[List[str]] = None,
     window_us: float = 1000.0,
-    sim_params=None,
-    scheduler: Optional[str] = None,
 ) -> Callable[[int, int], SpecOutcome]:
     """Build a runner around :func:`measure_nfp` with span collection.
 
@@ -144,17 +135,6 @@ def _measured(
     watch rules; peak-window stats and alert fire/clear counts then ride
     along as volatile extras (schema v2).  The sampler observes the same
     hub the scenario already fills, so an unarmed run costs nothing.
-
-    ``sim_params`` overrides the calibrated :class:`~repro.sim.SimParams`
-    (e.g. ``burst_transfers=True``); ``scheduler`` selects the DES
-    pending-event structure (``"calendar"``).  The calendar scheduler is
-    order-identical to the heap, so it changes no metric at all; burst
-    transfers keep delivery/drop/throughput accounting identical but
-    coalesce each burst's ring posts, which shifts absolute latency by a
-    small deterministic amount (see
-    :attr:`~repro.sim.SimParams.burst_transfers`) -- such scenarios gate
-    against a baseline recorded in the same mode.  The event-count win
-    rides along as the volatile ``events_processed`` extra.
     """
 
     def run(packets: int, seed: int) -> SpecOutcome:
@@ -172,10 +152,6 @@ def _measured(
             kwargs["flow_cache"] = True
         if faults:
             kwargs["faults"] = faults
-        if sim_params is not None:
-            kwargs["params"] = sim_params
-        if scheduler is not None:
-            kwargs["scheduler"] = scheduler
         sampler = watcher = None
         if watch is not None:
             sampler = Sampler(hub, window_us=window_us)
@@ -190,13 +166,6 @@ def _measured(
             params["flow_cache"] = True
         extras = _counter_extras(hub)
         volatile: List[str] = []
-        if scheduler is not None:
-            params["scheduler"] = scheduler
-            extras["events_processed"] = result.events_processed
-            volatile.append("events_processed")
-        if sim_params is not None and getattr(
-                sim_params, "burst_transfers", False):
-            params["burst_transfers"] = True
         if faults:
             params["faults"] = faults
             registry = hub.registry
@@ -234,112 +203,6 @@ def _measured(
             extra_metrics=extras,
             volatile=volatile,
             params=params,
-        )
-
-    return run
-
-
-def _batched_compare(
-    target_factory: Callable,
-    instances=None,
-    label: str = "",
-    num_flows: int = 64,
-    batch_size: int = 32,
-) -> Callable[[int, int], SpecOutcome]:
-    """Build a runner that races the batched plane against the scalar one.
-
-    Both planes consume byte-identical packet streams (same generator
-    seed); the batched plane's outputs are compared byte-for-byte
-    against the scalar plane's, and the divergence count is published as
-    the ``lost`` metric -- which the compare gate holds to an absolute
-    tolerance of zero, so any semantic drift fails CI, not just slows
-    it.  Wall-clock rates (and the speedup ratio) are volatile: they
-    measure this host, not the model.  The rollup attributes the two
-    measured walls to the classify/ft stages so schema validation has a
-    real per-stage attribution to check.
-    """
-
-    def run(packets: int, seed: int) -> SpecOutcome:
-        from ..dataplane.batched import BatchedDataplane
-        from ..dataplane.functional import FunctionalDataplane
-        from ..traffic.generator import FIXED_64B, FlowGenerator
-
-        scale = instances if instances is not None and instances > 1 else None
-        stream = FlowGenerator(num_flows=num_flows, sizes=FIXED_64B,
-                               seed=seed)
-        scalar_pkts = stream.packets(packets)
-        stream = FlowGenerator(num_flows=num_flows, sizes=FIXED_64B,
-                               seed=seed)
-        batched_pkts = stream.packets(packets)
-
-        scalar = FunctionalDataplane(target_factory(), scale=scale)
-        started = perf_counter()
-        scalar_out = scalar.process_many(scalar_pkts)
-        scalar_s = max(perf_counter() - started, 1e-9)
-
-        plane = BatchedDataplane(target_factory(), scale=scale,
-                                 batch_size=batch_size)
-        started = perf_counter()
-        batched_out = plane.process_many(batched_pkts)
-        batched_s = max(perf_counter() - started, 1e-9)
-
-        divergences = 0
-        for got, want in zip(batched_out, scalar_out):
-            if (got is None) != (want is None):
-                divergences += 1
-            elif got is not None and bytes(got.buf) != bytes(want.buf):
-                divergences += 1
-
-        scalar_mpps = packets / scalar_s / 1e6
-        batched_mpps = packets / batched_s / 1e6
-        emitted = sum(1 for pkt in batched_out if pkt is not None)
-        rollup = StageRollup()
-        rollup.add("classify", batched_s * 1e6 * plane.ct_walks
-                   / max(plane.processed, 1))
-        rollup.add("ft", batched_s * 1e6
-                   * (1.0 - plane.ct_walks / max(plane.processed, 1)))
-        # Wall-clock processing cost as the latency fields (volatile):
-        # mean/p50 is the per-packet cost, p99 the per-batch cost -- a
-        # packet's completion waits for its whole batch.
-        per_pkt_us = batched_s * 1e6 / max(plane.processed, 1)
-        measurement = {
-            "system": "NFP-batched",
-            "label": label or "batched vs scalar",
-            "latency_mean_us": per_pkt_us,
-            "latency_p50_us": per_pkt_us,
-            "latency_p99_us": per_pkt_us * batch_size,
-            "throughput_mpps": batched_mpps,
-            "bottleneck": "host",
-            "offered_mpps": scalar_mpps,
-            "delivered": emitted,
-            "lost": divergences,
-            "nil_dropped": plane.dropped,
-            "resource_overhead": 0.0,
-            "cores_used": 0,
-        }
-        extras = {
-            "copies_full": plane.counters.copies_full,
-            "copies_header": plane.counters.copies_header,
-            "scalar_mpps": round(scalar_mpps, 6),
-            "batched_mpps": round(batched_mpps, 6),
-            "speedup_vs_scalar": round(batched_mpps / max(scalar_mpps, 1e-12),
-                                       6),
-            "divergences": divergences,
-            "closure_compiles": plane.chaining.closures_compiled,
-            "ct_walks": plane.ct_walks,
-        }
-        return SpecOutcome(
-            measurement=measurement,
-            rollup=rollup,
-            extra_metrics=extras,
-            volatile=["throughput_mpps", "offered_mpps", "scalar_mpps",
-                      "batched_mpps", "speedup_vs_scalar",
-                      "latency_mean_us", "latency_p50_us",
-                      "latency_p99_us"],
-            params={"packets": packets, "seed": seed,
-                    "batch_size": batch_size,
-                    "instances": instances if instances else 1,
-                    "num_flows": num_flows},
         )
 
     return run
@@ -698,40 +561,6 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
                 label=f"ids x{count}",
             ),
         ))
-    specs.append(BenchmarkSpec(
-        name="batched_scale_ids_x4",
-        description="batched hot path vs scalar: single IDS chain, 4 "
-                    "RSS-split instances, byte-identical streams; "
-                    "divergences gate as `lost` (abs 0), wall-clock "
-                    "speedup rides along volatile",
-        quick=True,
-        runner=_batched_compare(lambda: forced_sequential(["ids"]),
-                                instances=4, label="batched ids x4"),
-    ))
-    specs.append(BenchmarkSpec(
-        name="batched_fig13_ns",
-        description="batched hot path vs scalar: compiled north-south "
-                    "chain (general closure path, merge ops exercised); "
-                    "divergences gate as `lost` (abs 0)",
-        quick=True,
-        runner=_batched_compare(_compiled_chain(NORTH_SOUTH_CHAIN),
-                                label="batched north-south"),
-    ))
-    specs.append(BenchmarkSpec(
-        name="des_fastpath_fig13_ns",
-        description="north-south chain on the DES fast path: calendar-"
-                    "queue scheduler + burst ring transfers; delivery "
-                    "and drop accounting match the per-packet model "
-                    "exactly, latency carries the deterministic burst-"
-                    "coalescing shift, and the run takes far fewer "
-                    "simulator events",
-        quick=True,
-        runner=_measured(
-            _compiled_chain(NORTH_SOUTH_CHAIN), sizes=DATACENTER_MIX,
-            label="north-south des-fastpath",
-            sim_params=DEFAULT_PARAMS.with_overrides(burst_transfers=True),
-            scheduler="calendar"),
-    ))
     specs.append(BenchmarkSpec(
         name="fig13_ns_x2_cache_off",
         description="north-south chain, 2 instances/NF, flow cache off",

@@ -250,13 +250,8 @@ def _run_des(
     telemetry: TelemetryHub = NULL_HUB,
     instances: int = 1,
     flow_cache: bool = False,
-) -> Tuple[Dict[int, Optional[bytes]], int, Optional[str], Dict[int, int]]:
-    """Run the timed dataplane.
-
-    Returns ``(outputs, lost, meta_error, words)`` where ``words`` maps
-    each emitted ident to its packed 64-bit metadata word (for the
-    batched plane's word-level comparison).
-    """
+) -> Tuple[Dict[int, Optional[bytes]], int, Optional[str]]:
+    """Run the timed dataplane; returns ``(outputs, lost, meta_error)``."""
     deployed = orch.deploy(policy, scale=instances if instances > 1 else None)
     env = Environment(track_stats=telemetry.enabled)
     server = NFPServer(env, DEFAULT_PARAMS, telemetry=telemetry,
@@ -279,7 +274,6 @@ def _run_des(
 
     meta_error: Optional[str] = None
     outputs: Dict[int, Optional[bytes]] = {spec.ident: None for spec in case.packets}
-    words: Dict[int, int] = {}
     for pkt in server.emitted_packets:
         ident = idents[pkt.uid]
         outputs[ident] = bytes(pkt.buf)
@@ -291,9 +285,7 @@ def _run_des(
                 f"ident={ident} emitted with version={meta.version} "
                 f"mid={meta.mid} (want version={ORIGINAL_VERSION} "
                 f"mid={deployed.mid})")
-        else:
-            words[ident] = meta.pack()
-    return outputs, server.lost, meta_error, words
+    return outputs, server.lost, meta_error
 
 
 def run_case(
@@ -303,7 +295,6 @@ def run_case(
     instances: int = 1,
     flow_cache: Optional[bool] = None,
     audit_profiles: bool = False,
-    batched: bool = False,
 ) -> CaseOutcome:
     """Run one differential case end to end.
 
@@ -324,16 +315,6 @@ def run_case(
     ``profile-violation`` with the JSON findings in ``detail``.  Do not
     combine with fault injection: injected crashes surface as NF drops
     the declarations never promised.
-
-    ``batched`` arms the fourth execution plane: the same packet stream
-    runs through :class:`~repro.dataplane.batched.BatchedDataplane`
-    (batch classification, SoA metadata words, precompiled closures) and
-    must be byte-identical to the functional plane
-    (``batched-byte-mismatch`` / ``batched-drop-mismatch``) with a
-    well-formed metadata word per emitted packet.  With the DES plane
-    included, the PID|version bits of each emitted word must also equal
-    the DES word for that ident (``batched-meta-mismatch``) -- the MIDs
-    legitimately differ, since each plane deploys in its own namespace.
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
@@ -444,44 +425,8 @@ def run_case(
             ok=False, kind=kind, detail=detail,
             mismatched_idents=mismatched, **base))
 
-    batched_words: Dict[int, int] = {}
-    if batched:
-        from ..dataplane.batched import BatchedDataplane
-
-        plane = BatchedDataplane(
-            graph, scale=instances if instances > 1 else None)
-        outputs = plane.process_many([spec.build() for spec in case.packets])
-        bat_out: Dict[int, Optional[bytes]] = {}
-        bat_meta_error: Optional[str] = None
-        for spec, out in zip(case.packets, outputs):
-            bat_out[spec.ident] = None if out is None else bytes(out.buf)
-            if out is None:
-                continue
-            meta = out.meta
-            if meta is None:
-                bat_meta_error = bat_meta_error or (
-                    f"ident={spec.ident} emitted without metadata")
-            elif meta.version != ORIGINAL_VERSION or meta.mid != plane.mid:
-                bat_meta_error = bat_meta_error or (
-                    f"ident={spec.ident} emitted with version={meta.version} "
-                    f"mid={meta.mid} (want version={ORIGINAL_VERSION} "
-                    f"mid={plane.mid})")
-            else:
-                batched_words[spec.ident] = meta.pack()
-        if bat_meta_error:
-            return finish(CaseOutcome(
-                ok=False, kind="batched-meta-mismatch",
-                detail=bat_meta_error, **base))
-        divergence = _first_divergence(case, bat_out, func_out, "batched-")
-        if divergence is not None:
-            kind, detail, mismatched = divergence
-            return finish(CaseOutcome(
-                ok=False, kind=kind,
-                detail=detail + " (batched vs functional)",
-                mismatched_idents=mismatched, **base))
-
     if include_des:
-        des_out, lost, meta_error, des_words = _run_des(
+        des_out, lost, meta_error = _run_des(
             case, orch, policy, telemetry=telemetry,
             instances=instances, flow_cache=flow_cache)
         if lost:
@@ -499,26 +444,6 @@ def run_case(
                 ok=False, kind=kind,
                 detail=detail + " (DES vs functional)",
                 mismatched_idents=mismatched, **base))
-        if batched:
-            # Word-level agreement: the PID|version bits of every packet
-            # emitted by both planes must match bit for bit (PIDs count
-            # classified packets in arrival order on both planes).
-            from ..net.packet import PacketMeta
-
-            mask = (1 << (PacketMeta.PID_BITS + PacketMeta.VERSION_BITS)) - 1
-            for spec in case.packets:
-                got = batched_words.get(spec.ident)
-                want = des_words.get(spec.ident)
-                if got is None or want is None:
-                    continue  # drop agreement was proven byte-wise above
-                if (got & mask) != (want & mask):
-                    return finish(CaseOutcome(
-                        ok=False, kind="batched-meta-mismatch",
-                        detail=(
-                            f"ident={spec.ident} metadata word differs in "
-                            f"pid/version bits: batched={got & mask:#x} "
-                            f"des={want & mask:#x}"),
-                        mismatched_idents=[spec.ident], **base))
 
     return finish(CaseOutcome(ok=True, kind="ok", **base))
 

@@ -77,7 +77,6 @@ def run_fuzz(
     instances: int = 1,
     faults: Sequence[str] = (),
     audit_profiles: bool = False,
-    batched: bool = False,
 ) -> FuzzReport:
     """Run a seeded fuzzing session under a case/time budget.
 
@@ -101,15 +100,7 @@ def run_fuzz(
     ``profile-violation``).  Ignored in fault mode -- injected crashes
     drop packets through the NF scope and would be misattributed as
     undeclared drops.
-
-    ``batched`` runs the batched plane as a fourth output set per case,
-    checked byte-for-byte against the functional plane and word-for-word
-    against the DES metadata (see
-    :func:`repro.check.differential.run_case`).  Not valid in fault
-    mode: the batched plane models healthy semantics only.
     """
-    if batched and faults:
-        raise ValueError("batched parity cannot run in fault mode")
     tweaks = [ProfileTweak.parse(spec) for spec in inject]
     generator = CaseGenerator(
         seed=seed, max_nfs=max_nfs, packets_per_case=packets_per_case,
@@ -132,8 +123,7 @@ def run_fuzz(
         else:
             outcome = run_case(case, include_des=include_des,
                                telemetry=telemetry, instances=instances,
-                               audit_profiles=audit_profiles,
-                               batched=batched)
+                               audit_profiles=audit_profiles)
         telemetry.inc("fuzz.cases")
         report.cases += 1
         report.packets += outcome.packets
@@ -146,14 +136,13 @@ def run_fuzz(
         if shrink and not faults:
             failure.shrunk = shrink_case(
                 case, include_des=include_des, telemetry=telemetry,
-                instances=instances, audit_profiles=audit_profiles,
-                batched=batched)
+                instances=instances, audit_profiles=audit_profiles)
             if log:
                 log(f"case {index}: {failure.shrunk.summary()}")
             if out_dir:
                 failure.json_path, failure.test_path = write_repro(
                     failure.shrunk, out_dir, include_des=include_des,
-                    instances=instances, batched=batched)
+                    instances=instances)
                 if log:
                     log(f"case {index}: repro written to {failure.json_path} "
                         f"and {failure.test_path}")
@@ -194,15 +183,13 @@ def replay_corpus(
     telemetry: TelemetryHub = NULL_HUB,
     instances: int = 1,
     audit_profiles: bool = False,
-    batched: bool = False,
 ) -> List[Tuple[str, CaseOutcome]]:
     """Re-run every ``*.json`` seed in ``corpus_dir`` (sorted, stable)."""
     results: List[Tuple[str, CaseOutcome]] = []
     for path in sorted(glob.glob(os.path.join(corpus_dir, "*.json"))):
         case = FuzzCase.load(path)
         outcome = run_case(case, include_des=include_des, telemetry=telemetry,
-                           instances=instances, audit_profiles=audit_profiles,
-                           batched=batched)
+                           instances=instances, audit_profiles=audit_profiles)
         telemetry.inc("fuzz.cases")
         results.append((path, outcome))
     return results

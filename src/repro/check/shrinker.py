@@ -60,21 +60,17 @@ def shrink_case(
     telemetry: TelemetryHub = NULL_HUB,
     instances: int = 1,
     audit_profiles: bool = False,
-    batched: bool = False,
 ) -> ShrinkResult:
     """Minimize ``case`` while it keeps failing with the same kind."""
     baseline = run_case(case, include_des=include_des, instances=instances,
-                        audit_profiles=audit_profiles, batched=batched)
+                        audit_profiles=audit_profiles)
     if baseline.ok:
         raise ValueError("shrink_case needs a failing case")
     kind = baseline.kind
     # The DES plane triples the cost of every probe; only keep it when
-    # the failure is DES-specific -- or when the batched word comparison
-    # (which needs the DES words) is the failure being chased.
-    probe_batched = batched and kind.startswith("batched-")
+    # the failure is DES-specific.
     probe_des = include_des and (
-        kind.startswith("des-") or kind == "meta-mismatch"
-        or kind == "batched-meta-mismatch")
+        kind.startswith("des-") or kind == "meta-mismatch")
     # Profile violations surface before the dataplane comparison, so the
     # probes only need the audit armed when that is the kind we chase.
     probe_audit = audit_profiles and kind == "profile-violation"
@@ -89,8 +85,7 @@ def shrink_case(
         try:
             outcome = run_case(candidate, include_des=probe_des,
                                instances=instances,
-                               audit_profiles=probe_audit,
-                               batched=probe_batched)
+                               audit_profiles=probe_audit)
         except Exception:
             return False
         if not outcome.ok and outcome.kind == kind:
@@ -107,12 +102,12 @@ def shrink_case(
         state["best"], case_id=f"{case.case_id}-min") \
         if state["best"] is not case else case
     final = run_case(final_case, include_des=include_des, instances=instances,
-                     audit_profiles=audit_profiles, batched=batched)
+                     audit_profiles=audit_profiles)
     if final.ok or final.kind != kind:  # paranoid re-check with full planes
         final_case = replace(case, case_id=f"{case.case_id}-min")
         final = run_case(final_case, include_des=include_des,
                          instances=instances,
-                         audit_profiles=audit_profiles, batched=batched)
+                         audit_profiles=audit_profiles)
     return ShrinkResult(
         case=final_case,
         outcome=final,
@@ -221,8 +216,7 @@ CASE_JSON = r"""
 
 def test_repro_{digest}():
     outcome = run_case(FuzzCase.from_json(CASE_JSON), include_des={include_des},
-                       instances={instances}, audit_profiles={audit_profiles},
-                       batched={batched})
+                       instances={instances}, audit_profiles={audit_profiles})
     assert outcome.ok, f"{{outcome.kind}}: {{outcome.detail}}"
 '''
 
@@ -232,7 +226,6 @@ def write_repro(
     out_dir: str,
     include_des: bool = True,
     instances: int = 1,
-    batched: bool = False,
 ) -> Tuple[str, str]:
     """Write the JSON seed + pytest repro; returns both paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -252,6 +245,5 @@ def write_repro(
             include_des=include_des,
             instances=instances,
             audit_profiles=result.outcome.kind == "profile-violation",
-            batched=batched,
         ))
     return json_path, test_path

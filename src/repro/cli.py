@@ -509,8 +509,7 @@ def cmd_fuzz(args) -> int:
     if args.replay:
         results = replay_corpus(args.replay, include_des=include_des,
                                 telemetry=hub, instances=args.instances,
-                                audit_profiles=args.audit_profiles,
-                                batched=args.batched)
+                                audit_profiles=args.audit_profiles)
         failures = 0
         for path, outcome in results:
             status = "ok" if outcome.ok else f"FAIL {outcome.kind}"
@@ -529,11 +528,6 @@ def cmd_fuzz(args) -> int:
             "--audit-profiles cannot be combined with --faults: injected "
             "crashes drop packets inside the NF scope and would be "
             "misattributed as undeclared drops")
-    if faults and args.batched:
-        raise SystemExit(
-            "--batched cannot be combined with --faults: the batched plane "
-            "models healthy semantics only, so fault-mode conservation has "
-            "no batched counterpart to compare against")
     report = run_fuzz(
         cases=args.cases,
         seed=args.seed,
@@ -550,7 +544,6 @@ def cmd_fuzz(args) -> int:
         instances=args.instances,
         faults=faults,
         audit_profiles=args.audit_profiles,
-        batched=args.batched,
     )
 
     counters = hub.registry
@@ -568,8 +561,6 @@ def cmd_fuzz(args) -> int:
     if report.ok:
         if faults:
             print("result      : conservation held for every fault case")
-        elif args.batched:
-            print("result      : all cases agree across the four planes")
         else:
             print("result      : all cases agree across the three planes")
         return 0
@@ -1063,11 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "access on the sequential plane and fail the "
                              "case on undeclared reads/writes/adds/removes/"
                              "drops (incompatible with --faults)")
-    p_fuzz.add_argument("--batched", action="store_true",
-                        help="run the batched dataplane as a fourth plane: "
-                             "byte-identical packets vs the functional plane "
-                             "plus word-identical metadata vs the DES plane "
-                             "(incompatible with --faults)")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_audit = sub.add_parser(

@@ -43,7 +43,7 @@ from .graph import (
     Stage,
     StageEntry,
 )
-from .closures import CompiledGraph, CopyCounters
+from .closures import CompiledGraph
 from .compiler import CompilationResult, CompileError, NFPCompiler, compile_policy
 from .tables import (
     MERGER_TARGET,
@@ -115,7 +115,6 @@ __all__ = [
     "CompileError",
     "compile_policy",
     "CompiledGraph",
-    "CopyCounters",
     "build_tables",
     "TableSet",
     "ClassificationTable",

@@ -1,44 +1,26 @@
-"""Install-time compilation of service graphs into action closures.
+"""Install-time flattening of service graphs into per-stage programs.
 
 The functional plane re-walks the graph object model for every packet:
-stage list, copy-spec scan, per-entry label resolution, dict churn.  For
-the batched plane (:mod:`repro.dataplane.batched`) that walk is done
-*once per install*: :class:`CompiledGraph` flattens the FT/MO table walk
-into per-stage program tuples, and :meth:`CompiledGraph.bind` closes the
-program over a concrete set of NF instances so the per-packet inner loop
-is a single call on a prebound Python closure.
+stage list, copy-spec scan, per-entry label resolution.
+:class:`CompiledGraph` does that walk *once per install* and keeps the
+result as plain tuples -- per-stage ``(copies, entries)``, the merge ops
+and, for a strictly sequential graph, the flat NF chain.
 
-The closure reproduces ``FunctionalDataplane.process`` semantics exactly
--- same copy order, same pre-stage buffer observation, same deferred nil
-propagation, same merge -- which the differential fuzzer's ``--batched``
-axis verifies byte-for-byte.  Strictly sequential graphs (the common
-case after forced-sequential policies) additionally take a fast path
-that skips the version dict entirely; for a single-version graph an NF
-drop makes every later stage a nil-skip and the merge return ``None``,
-so an early return is observationally identical.
+No execution plane under ``src/`` runs a compiled program yet.  The
+flattening and :class:`~repro.dataplane.chaining.ChainingManager`'s
+compile-once-per-install are kept because the performance lab
+(``benchmarks/lab/layers.py``, which this repo's PRs may not edit)
+imports and times the constructor as ``core.closure_compile_ms``, and
+because it is where the one graph-execution kernel (ROADMAP) starts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import List, Tuple
 
-from ..net.packet import HEADER_COPY_BYTES, Packet
-from .graph import ORIGINAL_VERSION, ServiceGraph
+from .graph import ServiceGraph
 
-__all__ = ["CompiledGraph", "CopyCounters", "BoundClosure"]
-
-#: A bound per-flow runner: one packet in, merged packet or ``None`` out.
-BoundClosure = Callable[[Packet], Optional[Packet]]
-
-
-class CopyCounters:
-    """Mutable copy counters shared between a plane and its closures."""
-
-    __slots__ = ("copies_header", "copies_full")
-
-    def __init__(self):
-        self.copies_header = 0
-        self.copies_full = 0
+__all__ = ["CompiledGraph"]
 
 
 class CompiledGraph:
@@ -68,101 +50,12 @@ class CompiledGraph:
             program.append((copies, entries))
         #: Per-stage ``(copies, entries)`` tuples, declaration order.
         self.program: Tuple[tuple, ...] = tuple(program)
-        #: NF names in chain order (sequential fast path only).
+        #: NF names in chain order (sequential graphs only).
         self.chain: Tuple[str, ...] = (
             tuple(name for _, entries in self.program for name, _ in entries)
             if self.sequential
             else ()
         )
-
-    def labels(
-        self, scale: Mapping[str, int], assignment: Mapping[str, int]
-    ) -> Tuple[str, ...]:
-        """Instance labels this flow resolves to, in graph order."""
-        out = []
-        for _, entries in self.program:
-            for name, _ in entries:
-                if scale.get(name, 1) == 1:
-                    out.append(name)
-                else:
-                    out.append(f"{name}#{assignment.get(name, 0)}")
-        return tuple(out)
-
-    def bind(
-        self,
-        nfs: Mapping[str, object],
-        scale: Mapping[str, int],
-        assignment: Mapping[str, int],
-        counters: Optional[CopyCounters] = None,
-    ) -> BoundClosure:
-        """Close the program over concrete NF instances for one flow.
-
-        ``nfs`` maps instance labels to NF objects (``handle`` method);
-        ``scale``/``assignment`` resolve each graph node to its label
-        exactly as the scalar planes do.  The returned closure is the
-        whole per-packet hot path: no graph walk, no label resolution,
-        no telemetry branches.
-        """
-        counters = counters if counters is not None else CopyCounters()
-
-        def resolve(name: str):
-            if scale.get(name, 1) == 1:
-                return nfs[name].handle
-            return nfs[f"{name}#{assignment.get(name, 0)}"].handle
-
-        if self.sequential:
-            handles = tuple(resolve(name) for name in self.chain)
-
-            def run_sequential(pkt: Packet) -> Optional[Packet]:
-                for handle in handles:
-                    if handle(pkt).dropped:
-                        return None
-                return pkt
-
-            return run_sequential
-
-        bound = tuple(
-            (
-                copies,
-                tuple((resolve(name), version) for name, version in entries),
-            )
-            for copies, entries in self.program
-        )
-        merge_ops = self.merge_ops
-        from ..dataplane.merging import apply_merge_ops
-
-        def run_parallel(pkt: Packet) -> Optional[Packet]:
-            versions: Dict[int, Packet] = {ORIGINAL_VERSION: pkt}
-            for copies, entries in bound:
-                if copies:
-                    base = versions[ORIGINAL_VERSION]
-                    for version, header_only in copies:
-                        if base.nil:
-                            versions[version] = base.make_nil()
-                        elif header_only:
-                            versions[version] = base.header_copy(
-                                version, HEADER_COPY_BYTES
-                            )
-                            counters.copies_header += 1
-                        else:
-                            versions[version] = base.full_copy(version)
-                            counters.copies_full += 1
-                newly_dropped = None
-                for handle, version in entries:
-                    buffer = versions[version]
-                    if buffer.nil:
-                        continue
-                    if handle(buffer).dropped:
-                        if newly_dropped is None:
-                            newly_dropped = [version]
-                        else:
-                            newly_dropped.append(version)
-                if newly_dropped:
-                    for version in newly_dropped:
-                        versions[version] = versions[version].make_nil()
-            return apply_merge_ops(versions, merge_ops)
-
-        return run_parallel
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "sequential" if self.sequential else "parallel"

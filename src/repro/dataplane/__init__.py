@@ -4,15 +4,10 @@ Two executors share the same NF objects and merge code:
 
 * :class:`FunctionalDataplane` -- untimed reference semantics, used for
   the §6.4 result-correctness verification;
-* :class:`BatchedDataplane` -- the batched/vectorized hot path: same
-  semantics as the functional plane (proven by the differential
-  ``--batched`` axis), amortised classification and precompiled action
-  closures;
 * :class:`NFPServer` -- the timed DES dataplane with pinned cores,
   rings, and calibrated service times.
 """
 
-from .batched import DEFAULT_BATCH_SIZE, BatchedDataplane
 from .chaining import ChainingManager
 from .flowsplit import (
     FlowCache,
@@ -30,11 +25,8 @@ from .functional import (
 )
 from .merging import MergeError, apply_merge_ops
 from .server import FlightState, NFPServer
-from .xor_merger import XorMergeError, XorMerger
 
 __all__ = [
-    "BatchedDataplane",
-    "DEFAULT_BATCH_SIZE",
     "ChainingManager",
     "FlowCache",
     "FlowDecision",
@@ -50,6 +42,4 @@ __all__ = [
     "MergeError",
     "NFPServer",
     "FlightState",
-    "XorMerger",
-    "XorMergeError",
 ]

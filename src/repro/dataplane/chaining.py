@@ -24,9 +24,9 @@ class ChainingManager:
         self.classification = ClassificationTable()
         self._graphs: Dict[int, ServiceGraph] = {}
         self._forwarding: Dict[int, Dict[str, List[FTAction]]] = {}
-        #: Install-time compiled action closures, one per MID: the FT/MO
-        #: walk flattened so the batched hot path never touches the graph
-        #: object model per packet.
+        #: Install-time compiled programs, one per MID: the FT/MO walk
+        #: flattened so no per-packet path has to touch the graph object
+        #: model (see :mod:`repro.core.closures` for why it is kept).
         self._compiled: Dict[int, CompiledGraph] = {}
         #: How many graph compilations ran (tests pin this to the number
         #: of installs, proving compilation stays off the packet path).

@@ -126,17 +126,11 @@ def assign_instances(
 
 @dataclass
 class FlowDecision:
-    """The memoized classifier verdict for one flow.
-
-    ``runner`` is the batched plane's bound action closure (the compiled
-    graph closed over this flow's NF instances); the scalar DES server
-    leaves it ``None``.
-    """
+    """The memoized classifier verdict for one flow."""
 
     ct_entry: CTEntry
     graph: ServiceGraph
     assignment: Dict[str, int]
-    runner: Optional[Callable] = None
 
 
 class FlowCache:

@@ -34,7 +34,7 @@ Execution rules:
 from __future__ import annotations
 
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+                    Set, Tuple)
 
 from ..core.graph import ORIGINAL_VERSION, CopySpec, ServiceGraph, StageEntry
 from ..core.orchestrator import DeployedGraph
@@ -709,18 +709,11 @@ class NFPServer:
                  now: float) -> None:
         """Tag and distribute the looked-up burst; ``now`` walks it."""
         reserve = self.classifier_core.reserve
-        fanout = {} if self.params.burst_transfers else None
         for pkt, decision in work:
             pkt.stamp("classified", now)
-            extra = self._classify_one(pkt, decision, now, fanout)
+            extra = self._classify_one(pkt, decision, now)
             if extra > 0:
                 now = reserve(now, extra)
-        if fanout:
-            # Slot-based transfers: one delayed call per target ring
-            # moves the whole burst (same per-packet residency and drop
-            # policy as packet-at-a-time _post).
-            for ring, pkts in fanout.items():
-                self._post_burst(ring, pkts, now)
         self._classifying = 0
         self.ingress.wait(self._classifier_wake, now)
 
@@ -746,16 +739,9 @@ class NFPServer:
                                 healthy=self.health.view(),
                                 telemetry=self.telemetry)
 
-    def _classify_one(
-        self, pkt: Packet, decision: FlowDecision, now: float,
-        fanout: Optional[dict] = None
-    ) -> float:
-        """Tag metadata, run CT actions; returns extra core time spent.
-
-        ``fanout`` (burst-transfer mode) collects ring -> packet lists
-        for the caller to move with one :meth:`_post_burst` per ring
-        instead of posting each reference individually.
-        """
+    def _classify_one(self, pkt: Packet, decision: FlowDecision,
+                      now: float) -> float:
+        """Tag metadata, run CT actions; returns extra core time spent."""
         ct_entry, graph = decision.ct_entry, decision.graph
         pid = self._next_pid = (self._next_pid + 1) % (1 << 40)
         pkt.meta = PacketMeta(mid=ct_entry.mid, pid=pid, version=ORIGINAL_VERSION)
@@ -777,11 +763,7 @@ class NFPServer:
         # Distribute each version to its stage-0 NFs.
         for entry in installed.stage0_fanout:
             pkt_v = state.versions[entry.version]
-            ring = self._ring_for(entry.node.name, state)
-            if fanout is None:
-                self._post(ring, pkt_v, now)
-            else:
-                fanout.setdefault(ring, []).append(pkt_v)
+            self._post(self._ring_for(entry.node.name, state), pkt_v, now)
             extra += self.params.ring_hop_us
         return extra
 
@@ -920,39 +902,30 @@ class NFPServer:
     # ------------------------------------------------------------- egress
     def _post(self, ring: Ring, pkt: Packet, now: float,
               delay: Optional[float] = None) -> None:
-        """Deliver one reference: a one-packet :meth:`_post_burst`."""
-        self._post_burst(ring, (pkt,), now, delay)
+        """Deliver the reference sent at ``now`` after the pipeline's
+        batch latency (or ``delay``).
 
-    def _post_burst(self, ring: Ring, pkts: Sequence[Packet], now: float,
-                    delay: Optional[float] = None) -> None:
-        """Deliver references sent at ``now`` after the pipeline's batch
-        latency.
-
-        One scheduled call per target ring moves the whole burst
-        (``burst_transfers``) or the single reference of :meth:`_post`.
-        When a fault injector is attached, deliveries to a dead or hung
-        instance are diverted to :meth:`fault_abort` instead of piling
+        When a fault injector is attached, a delivery to a dead or hung
+        instance is diverted to :meth:`fault_abort` instead of piling
         up in a ring nobody drains.
         """
         wait = self.params.batch_wait_us if delay is None else delay
         hub = self.telemetry
         if hub.enabled:
-            hub.inc("ring.hops", len(pkts))
-            for pkt in pkts:
-                hub.span(SpanKind.ENQUEUE, now, pkt.meta, name=ring.name)
-        self.env.call_at(now + wait, self._deliver, ring, pkts)
+            hub.inc("ring.hops")
+            hub.span(SpanKind.ENQUEUE, now, pkt.meta, name=ring.name)
+        self.env.call_at(now + wait, self._deliver, ring, pkt)
 
-    def _deliver(self, ring: Ring, pkts: Sequence[Packet]) -> None:
-        """Land a posted burst: divert it if the target is down, else put."""
+    def _deliver(self, ring: Ring, pkt: Packet) -> None:
+        """Land a posted reference: divert it if the target is down, else put."""
         owner = getattr(ring, "owner", None)
         if (owner is not None and self.injector is not None
                 and self.injector.is_down(owner.nf.name)):
-            for pkt in pkts:
-                self.fault_abort(owner, pkt, self.env.now)
+            self.fault_abort(owner, pkt, self.env.now)
             return
-        self._put(ring, pkts, self.params.ring_retry_limit)
+        self._put(ring, pkt, self.params.ring_retry_limit)
 
-    def _put(self, ring: Ring, pkts: Sequence[Packet], retries: int) -> None:
+    def _put(self, ring: Ring, pkt: Packet, retries: int) -> None:
         """Enqueue, or re-arm while the ring is full and retries remain.
 
         A full target ring is retried ``ring_retry_limit`` times with
@@ -966,9 +939,9 @@ class NFPServer:
             if hub.enabled:
                 hub.inc("ring.retry")
             self.env.call_later(self.params.ring_retry_backoff_us,
-                                self._put, ring, pkts, retries - 1)
+                                self._put, ring, pkt, retries - 1)
             return
-        ring.try_put_burst(pkts)  # rejects -> the ring's on_drop hook
+        ring.try_put(pkt)  # a reject -> the ring's on_drop hook
 
     # ----------------------------------------------- overflow & fault paths
     def _nf_ring_overflow(self, runtime: _NFRuntimeSim, pkt: Packet) -> None:

@@ -15,7 +15,7 @@ at the highest sustainable rate, where queueing dominates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.compiler import CompilationResult
 from ..core.graph import ServiceGraph
@@ -61,9 +61,9 @@ class MeasurementResult:
     nil_dropped: int
     resource_overhead: float
     cores_used: int
-    #: Simulator events dispatched during the run (0 for harnesses that
-    #: do not report it); lets event-core optimisations (calendar
-    #: scheduler, burst ring transfers) report their DES-side savings.
+    #: Simulator queue entries dispatched during the run (0 for
+    #: harnesses that do not report it): the DES's own work per packet,
+    #: which the golden model-clock test pins per scenario.
     events_processed: int = 0
 
     @property
@@ -98,19 +98,79 @@ def _drain(env: Environment) -> None:
     env.run()
 
 
-def _latency_fields(server) -> dict:
-    """Summary-stat fields shared by every measure_* entry point.
+def _result(
+    system: str,
+    label: str,
+    server,
+    throughput_mpps: float,
+    bottleneck: str,
+    offered_mpps: float,
+    totals=None,
+    resource_overhead: float = 0.0,
+    events_processed: int = 0,
+) -> MeasurementResult:
+    """Assemble what every ``measure_*`` entry point returns.
 
-    One call into :meth:`repro.sim.stats.LatencyStats.summary` -- the
-    single percentile/summary implementation -- instead of each harness
-    re-deriving mean/median/p99 on its own.
+    ``server`` is where latency and deliveries were recorded (one call
+    into :meth:`repro.sim.stats.LatencyStats.summary`, the single
+    percentile implementation); ``totals`` -- the same object unless
+    given -- carries ``lost`` / ``nil_dropped`` / ``cores_used``, which
+    a multi-server plane sums over its servers.
     """
+    totals = server if totals is None else totals
     summary = server.latency.summary()
-    return {
-        "latency_mean_us": summary.mean,
-        "latency_p50_us": summary.p50,
-        "latency_p99_us": summary.p99,
-    }
+    return MeasurementResult(
+        system=system,
+        label=label,
+        latency_mean_us=summary.mean,
+        latency_p50_us=summary.p50,
+        latency_p99_us=summary.p99,
+        throughput_mpps=throughput_mpps,
+        bottleneck=bottleneck,
+        offered_mpps=offered_mpps,
+        delivered=server.rate.delivered,
+        lost=totals.lost,
+        nil_dropped=totals.nil_dropped,
+        resource_overhead=resource_overhead,
+        cores_used=totals.cores_used,
+        events_processed=events_processed,
+    )
+
+
+def _scale_map(
+    graph: ServiceGraph, instances: Union[int, Mapping[str, int], None]
+) -> Optional[Dict[str, int]]:
+    """``instances`` (uniform count or name -> count) as a per-NF map."""
+    if instances is None:
+        return None
+    if isinstance(instances, int):
+        return {name: instances for name in graph.nf_names()}
+    return {name: int(instances.get(name, 1)) for name in graph.nf_names()}
+
+
+def _nfp_rig(
+    deployed: DeployedGraph,
+    params: SimParams,
+    scale: Optional[Dict[str, int]],
+    num_mergers: int,
+    extra_cycles: int,
+    telemetry: Optional[TelemetryHub],
+    flow_cache_size: int,
+    injector=None,
+) -> Tuple[Environment, NFPServer]:
+    """A fresh environment with ``deployed`` installed on one NFP server."""
+    env = Environment(track_stats=telemetry is not None and telemetry.enabled)
+
+    def factory(kind: str, name: str):
+        nf = create_nf(kind, name=name)
+        nf.extra_cycles = extra_cycles
+        return nf
+
+    server = NFPServer(env, params, num_mergers=num_mergers, nf_factory=factory,
+                       telemetry=telemetry, flow_cache_size=flow_cache_size,
+                       injector=injector)
+    server.deploy(deployed, scale=scale)
+    return env, server
 
 
 def measure_nfp(
@@ -130,7 +190,6 @@ def measure_nfp(
     flow_cache_size: int = 4096,
     faults: Union[str, Sequence[str], None] = None,
     sampler=None,
-    scheduler: str = "heap",
 ) -> MeasurementResult:
     """Measure an NFP service graph end to end.
 
@@ -158,21 +217,9 @@ def measure_nfp(
     depth, windowed utilisation, throughput and latency histograms are
     captured per window instead of only at end-of-run.  A final partial
     window is flushed before returning.
-
-    ``scheduler`` selects the simulator's pending-event structure
-    (``"heap"`` or ``"calendar"``; see
-    :class:`repro.sim.engine.Environment`).  Event order is identical
-    either way -- the property suite proves it -- so measured numbers do
-    not depend on the choice.
     """
     graph = as_graph(target)
-    scale: Optional[Dict[str, int]] = None
-    if instances is not None:
-        if isinstance(instances, int):
-            scale = {name: instances for name in graph.nf_names()}
-        else:
-            scale = {name: int(instances.get(name, 1))
-                     for name in graph.nf_names()}
+    scale = _scale_map(graph, instances)
     size = int(sizes.mean())
     capacity = nfp_capacity(
         graph, params, num_mergers=num_mergers, packet_size=size,
@@ -180,14 +227,6 @@ def measure_nfp(
     )
     fraction = params.latency_load_fraction if load_fraction is None else load_fraction
     rate = max(1e-6, capacity.mpps * fraction)
-
-    env = Environment(track_stats=telemetry is not None and telemetry.enabled,
-                      scheduler=scheduler)
-
-    def factory(kind: str, name: str):
-        nf = create_nf(kind, name=name)
-        nf.extra_cycles = extra_cycles
-        return nf
 
     injector = None
     if faults:
@@ -198,32 +237,22 @@ def measure_nfp(
             telemetry=telemetry if telemetry is not None else NULL_HUB,
         )
 
-    server = NFPServer(env, params, num_mergers=num_mergers, nf_factory=factory,
-                       telemetry=telemetry,
-                       flow_cache_size=flow_cache_size if flow_cache else 0,
-                       injector=injector)
-    server.deploy(deployed_from_graph(graph), scale=scale)
+    env, server = _nfp_rig(
+        deployed_from_graph(graph), params, scale, num_mergers, extra_cycles,
+        telemetry, flow_cache_size if flow_cache else 0, injector=injector)
     if sampler is not None:
         server.arm_sampler(sampler)
     flows = FlowGenerator(num_flows=num_flows, sizes=sizes, seed=seed)
-    source = TrafficSource(env, server.inject, rate, packets, flows=flows, seed=seed)
+    TrafficSource(env, server.inject, rate, packets, flows=flows, seed=seed)
     _drain(env)
     if sampler is not None:
         sampler.flush(env.now)
     server.collect_telemetry()
 
-    return MeasurementResult(
-        system="NFP",
-        label=label or graph.describe(),
-        **_latency_fields(server),
-        throughput_mpps=capacity.mpps,
-        bottleneck=capacity.bottleneck,
-        offered_mpps=rate,
-        delivered=server.rate.delivered,
-        lost=server.lost,
-        nil_dropped=server.nil_dropped,
+    return _result(
+        "NFP", label or graph.describe(), server,
+        capacity.mpps, capacity.bottleneck, rate,
         resource_overhead=server.pool.copy_overhead_fraction(),
-        cores_used=server.cores_used,
         events_processed=env.events_processed,
     )
 
@@ -274,7 +303,6 @@ def measure_autoscale(
     flow_cache: bool = True,
     flow_cache_size: int = 4096,
     window_us: float = 100.0,
-    scheduler: str = "heap",
     orchestrator: Optional[Orchestrator] = None,
 ) -> AutoscaleResult:
     """Run a time-varying load against an elastically scaled NFP server.
@@ -299,36 +327,21 @@ def measure_autoscale(
     from ..telemetry.timeseries import Sampler
 
     graph = as_graph(target)
-    scale: Dict[str, int] = {name: 1 for name in graph.nf_names()}
-    if instances is not None:
-        if isinstance(instances, int):
-            scale = {name: instances for name in graph.nf_names()}
-        else:
-            scale.update({name: int(count)
-                          for name, count in instances.items()})
+    scale = (_scale_map(graph, instances)
+             or {name: 1 for name in graph.nf_names()})
     if policy.name not in scale:
         raise ValueError(f"policy names {policy.name!r}, not an NF of the graph")
     scale[policy.name] = policy.min_instances
 
     hub = telemetry if telemetry is not None else TelemetryHub()
-    env = Environment(track_stats=hub.enabled, scheduler=scheduler)
-
-    def factory(kind: str, name: str):
-        nf = create_nf(kind, name=name)
-        nf.extra_cycles = extra_cycles
-        return nf
-
-    server = NFPServer(env, params, num_mergers=num_mergers, nf_factory=factory,
-                       telemetry=hub,
-                       flow_cache_size=flow_cache_size if flow_cache else 0)
-    mid: Optional[int] = None
+    deployed, mid = deployed_from_graph(graph), None
     if orchestrator is not None:
         deployed = orchestrator.deploy(
             Policy.from_chain(list(graph.nf_names())), scale=scale)
         mid = deployed.mid
-        server.deploy(deployed, scale=scale)
-    else:
-        server.deploy(deployed_from_graph(graph), scale=scale)
+    env, server = _nfp_rig(
+        deployed, params, scale, num_mergers, extra_cycles, hub,
+        flow_cache_size if flow_cache else 0)
 
     sampler = Sampler(hub, window_us=window_us)
     server.arm_sampler(sampler)
@@ -370,18 +383,11 @@ def measure_autoscale(
         extra_cycles=extra_cycles, scale=peak_scale, flow_cache=flow_cache,
     )
 
-    measurement = MeasurementResult(
-        system="NFP-auto",
-        label=label or f"{graph.describe()} autoscale[{policy.name}]",
-        **_latency_fields(server),
-        throughput_mpps=capacity.mpps,
-        bottleneck=capacity.bottleneck,
-        offered_mpps=shape.peak_mpps(duration_us),
-        delivered=server.rate.delivered,
-        lost=server.lost,
-        nil_dropped=server.nil_dropped,
+    measurement = _result(
+        "NFP-auto", label or f"{graph.describe()} autoscale[{policy.name}]",
+        server, capacity.mpps, capacity.bottleneck,
+        shape.peak_mpps(duration_us),
         resource_overhead=server.pool.copy_overhead_fraction(),
-        cores_used=server.cores_used,
         events_processed=env.events_processed,
     )
     return AutoscaleResult(
@@ -464,18 +470,10 @@ def measure_placed(
                 rate * mean_bits / (link.gbps * 1000.0),
             )
 
-    return MeasurementResult(
-        system="NFP-placed",
-        label=label or f"{request.name}@{'->'.join(placement.path)}",
-        **_latency_fields(plane.tail),
-        throughput_mpps=placement.capacity_mpps,
-        bottleneck=placement.bottleneck,
-        offered_mpps=rate,
-        delivered=plane.delivered,
-        lost=plane.lost,
-        nil_dropped=plane.nil_dropped,
-        resource_overhead=0.0,
-        cores_used=plane.cores_used,
+    return _result(
+        "NFP-placed", label or f"{request.name}@{'->'.join(placement.path)}",
+        plane.tail, placement.capacity_mpps, placement.bottleneck, rate,
+        totals=plane,
     )
 
 
@@ -502,19 +500,8 @@ def measure_onvm(
     TrafficSource(env, server.inject, rate, packets, flows=flows, seed=seed)
     _drain(env)
 
-    return MeasurementResult(
-        system="OpenNetVM",
-        label=label or "->".join(chain),
-        **_latency_fields(server),
-        throughput_mpps=capacity.mpps,
-        bottleneck=capacity.bottleneck,
-        offered_mpps=rate,
-        delivered=server.rate.delivered,
-        lost=server.lost,
-        nil_dropped=server.nil_dropped,
-        resource_overhead=0.0,
-        cores_used=server.cores_used,
-    )
+    return _result("OpenNetVM", label or "->".join(chain), server,
+                   capacity.mpps, capacity.bottleneck, rate)
 
 
 def measure_bess(
@@ -544,16 +531,5 @@ def measure_bess(
     TrafficSource(env, server.inject, rate, packets, flows=flows, seed=seed)
     _drain(env)
 
-    return MeasurementResult(
-        system="BESS",
-        label=label or "->".join(chain),
-        **_latency_fields(server),
-        throughput_mpps=capacity.mpps,
-        bottleneck=capacity.bottleneck,
-        offered_mpps=rate,
-        delivered=server.rate.delivered,
-        lost=server.lost,
-        nil_dropped=server.nil_dropped,
-        resource_overhead=0.0,
-        cores_used=server.cores_used,
-    )
+    return _result("BESS", label or "->".join(chain), server,
+                   capacity.mpps, capacity.bottleneck, rate)

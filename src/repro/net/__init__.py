@@ -25,7 +25,6 @@ from .headers import (
     ip_to_int,
     mac_to_bytes,
 )
-from .metadata import MetaArray, pack_word, unpack_word
 from .packet import HEADER_COPY_BYTES, Packet, PacketMeta, build_packet
 from .fields import Field, read_field, write_field
 from .recorder import AccessEvent, AccessRecorder, RECORD_VERBS
@@ -67,9 +66,6 @@ __all__ = [
     "PacketMeta",
     "build_packet",
     "HEADER_COPY_BYTES",
-    "MetaArray",
-    "pack_word",
-    "unpack_word",
     "Field",
     "read_field",
     "write_field",

@@ -11,7 +11,6 @@ Public surface:
 - :mod:`~repro.sim.stats` -- latency / rate collectors.
 """
 
-from .calendar import CalendarQueue
 from .engine import Environment, Event, Process, SimulationError, Timeout
 from .ring import Ring, RingFullError
 from .cpu import Core
@@ -21,7 +20,6 @@ from .params import DEFAULT_PARAMS, VM_PARAMS, SimParams, nic_line_rate_mpps
 from .stats import LatencyStats, LatencySummary, RateMeter, percentile, summarize
 
 __all__ = [
-    "CalendarQueue",
     "Environment",
     "Event",
     "Timeout",

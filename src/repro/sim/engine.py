@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 __all__ = [
     "Environment",
@@ -198,15 +198,8 @@ class Environment:
     clock to ``when`` and calls ``func(*args)``.  An :class:`Event` is
     queued as its own ``_fire``; a scheduled call is queued as itself.
 
-    ``scheduler`` selects the event-queue implementation: ``"heap"``
-    (the default binary heap) or ``"calendar"`` (the
-    :class:`~repro.sim.calendar.CalendarQueue`, O(1) amortised when
-    event times are dense).  Both yield the exact same event order --
-    ties resolve by scheduling id either way -- which the property
-    suite verifies over arbitrary schedules.
+    The queue is a binary heap; ties resolve by scheduling id.
     """
-
-    SCHEDULERS = ("heap", "calendar")
 
     def __init__(
         self,
@@ -214,29 +207,22 @@ class Environment:
         track_stats: bool = False,
         scheduler: str = "heap",
     ):
-        if scheduler not in self.SCHEDULERS:
+        # ``scheduler`` is kept, accepting its one remaining value, for
+        # the performance lab, which this repo's PRs may not edit:
+        # ``benchmarks/lab/workloads.py`` passes ``scheduler="heap"`` on
+        # every ``*_des`` build and ``benchmarks/lab/child.py`` probes
+        # ``"calendar"`` expecting :class:`SimulationError` once it is gone.
+        if scheduler != "heap":
             raise SimulationError(
-                f"unknown scheduler {scheduler!r}; pick from {self.SCHEDULERS}"
-            )
+                f"unknown scheduler {scheduler!r}; the event queue is a heap")
         self._now = float(initial_time)
-        self.scheduler = scheduler
         #: Entries queued so far; the latest one's tie-break id.
         self._eid = 0
         self.queue_high_watermark = 0
-        # The scheduler is two callables over one queue object, so the
-        # scheduling and popping code below exists once.
-        if scheduler == "calendar":
-            from .calendar import CalendarQueue
-
-            self._queue: List = CalendarQueue(start=self._now)
-            self._push: Callable[[tuple], None] = self._queue.push
-            self._pop: Callable[[], tuple] = self._queue.pop_min
-        else:
-            self._queue = []
-            self._push = partial(heapq.heappush, self._queue)
-            self._pop = partial(heapq.heappop, self._queue)
-        if track_stats:
-            self._push = partial(self._push_tracked, self._push)
+        self._queue: List[tuple] = []
+        self._push: Callable[[tuple], None] = (
+            self._push_tracked if track_stats
+            else partial(heapq.heappush, self._queue))
 
     @property
     def now(self) -> float:
@@ -294,53 +280,6 @@ class Environment:
         self._eid += 1
         self._push((when, self._eid, func, args))
 
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires once every given event has succeeded."""
-        events = list(events)
-        done = self.event()
-        remaining = [len(events)]
-        if not events:
-            done._ok = True
-            done._value = []
-            self._schedule(done)
-            return done
-
-        def on_fire(ev: Event) -> None:
-            if not ev._ok:
-                if not done.triggered:
-                    done.fail(ev._value)
-                return
-            remaining[0] -= 1
-            if remaining[0] == 0 and not done.triggered:
-                done.succeed([e._value for e in events])
-
-        for ev in events:
-            if ev.processed:
-                on_fire(ev)
-            else:
-                ev.callbacks.append(on_fire)
-        return done
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires as soon as any given event succeeds."""
-        events = list(events)
-        done = self.event()
-
-        def on_fire(ev: Event) -> None:
-            if done.triggered:
-                return
-            if ev._ok:
-                done.succeed(ev._value)
-            else:
-                done.fail(ev._value)
-
-        for ev in events:
-            if ev.processed:
-                on_fire(ev)
-                break
-            ev.callbacks.append(on_fire)
-        return done
-
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if event._scheduled:
@@ -349,10 +288,9 @@ class Environment:
         self._eid += 1
         self._push((self._now + delay, self._eid, event._fire, ()))
 
-    def _push_tracked(self, push: Callable[[tuple], None],
-                      entry: tuple) -> None:
-        """``push`` plus the queue-depth watermark (``track_stats=True``)."""
-        push(entry)
+    def _push_tracked(self, entry: tuple) -> None:
+        """Push plus the queue-depth watermark (``track_stats=True``)."""
+        heapq.heappush(self._queue, entry)
         if len(self._queue) > self.queue_high_watermark:
             self.queue_high_watermark = len(self._queue)
 
@@ -360,18 +298,18 @@ class Environment:
         """Pop the single next queue entry and call it."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        self._now, _, func, args = self._pop()
+        self._now, _, func, args = heapq.heappop(self._queue)
         func(*args)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock passes ``until``."""
         if until is not None and until < self._now:
             raise SimulationError("run(until) lies in the past")
-        queue, pop = self._queue, self._pop
+        queue, pop = self._queue, heapq.heappop
         while queue:
             if until is not None and queue[0][0] > until:
                 break
-            self._now, _, func, args = pop()  # step(), inlined
+            self._now, _, func, args = pop(queue)  # step(), inlined
             func(*args)
         if until is not None:
             self._now = until

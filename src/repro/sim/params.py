@@ -132,16 +132,6 @@ class SimParams:
     #: the paper's measurements (their per-NF latency contribution is
     #: tens of microseconds even for trivial NFs).
     batch_wait_us: float = 14.0
-    #: Opt-in slot-based ring transfers: the classifier fans a whole
-    #: burst out with one delayed transfer event per target ring instead
-    #: of one event per packet.  Delivery, drop policy, and throughput
-    #: accounting are unchanged, but the burst's transfers all start
-    #: when the last packet in it finishes classification, so packets
-    #: early in a burst see extra latency bounded by the burst's
-    #: classifier occupancy (a deterministic shift of a few us at the
-    #: calibrated service times).  The win is simulator event count --
-    #: roughly one fewer event per packet per fan-out on busy bursts.
-    burst_transfers: bool = False
 
     # ---------------------------------------------------------------- rings
     ring_capacity: int = 1024

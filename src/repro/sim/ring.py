@@ -96,13 +96,6 @@ class Ring:
         if not self.try_put(item):
             raise RingFullError(self.name or "ring")
 
-    def try_put_burst(self, items: List[Any]) -> int:
-        """Enqueue what fits; count (and report) a drop per rejected item."""
-        accepted = 0
-        for item in items:
-            accepted += self.try_put(item)
-        return accepted
-
     def _deliver(self, item: Any) -> None:
         # Hand the item straight to a parked consumer that is free;
         # otherwise buffer it.

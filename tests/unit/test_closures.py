@@ -1,24 +1,14 @@
-"""Unit tests for install-time action-closure compilation.
+"""Unit tests for install-time graph flattening.
 
-:class:`repro.core.closures.CompiledGraph` is the batched plane's inner
-loop: the FT/MO walk flattened per (graph, stage) at install time, bound
-to concrete NF instances per flow.  These tests pin the program layout,
-the sequential fast path, parallel-closure equivalence against the
-functional plane, copy counters, and the ChainingManager's install-time
-compilation cache.
+:class:`repro.core.closures.CompiledGraph` is the FT/MO walk flattened
+per (graph, stage) at install time.  These tests pin the program layout
+and the ChainingManager's compile-once-per-install cache.
 """
 
-import pytest
-
-from repro.core import CompiledGraph, CopyCounters, Orchestrator, Policy
+from repro.core import CompiledGraph, Orchestrator, Policy
 from repro.core.tables import build_tables
-from repro.dataplane import ChainingManager, FunctionalDataplane, instantiate_nfs
+from repro.dataplane import ChainingManager
 from repro.eval.forced import forced_parallel, forced_sequential
-from repro.traffic import FlowGenerator
-
-
-def _packets(count=24, seed=7):
-    return FlowGenerator(num_flows=6, seed=seed).packets(count)
 
 
 def test_sequential_graph_compiles_to_flat_chain():
@@ -44,64 +34,6 @@ def test_parallel_graph_program_mirrors_copy_declarations():
         pair for copies, _ in compiled.program for pair in copies)
     assert programmed == declared
     assert compiled.merge_ops == tuple(graph.merge_ops)
-
-
-@pytest.mark.parametrize("factory", [
-    lambda: forced_sequential(["firewall", "monitor"]),
-    lambda: forced_parallel(["firewall", "monitor"], with_copy=False),
-    lambda: forced_parallel(["firewall", "firewall"], with_copy=True),
-])
-def test_bound_closure_matches_functional_plane(factory):
-    reference = FunctionalDataplane(factory())
-    graph = factory()
-    compiled = CompiledGraph(graph)
-    nfs = instantiate_nfs(graph)
-    scale = {name: 1 for name in graph.nf_names()}
-    runner = compiled.bind(nfs, scale, {})
-    for ref_pkt, pkt in zip(_packets(), _packets()):
-        want = reference.process(ref_pkt)
-        got = runner(pkt)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert bytes(got.buf) == bytes(want.buf)
-
-
-def test_copy_counters_increment_through_the_closure():
-    graph = forced_parallel(["firewall", "firewall"], with_copy=True)
-    compiled = CompiledGraph(graph)
-    counters = CopyCounters()
-    runner = compiled.bind(instantiate_nfs(graph),
-                           {name: 1 for name in graph.nf_names()},
-                           {}, counters)
-    for pkt in _packets(8):
-        runner(pkt)
-    assert counters.copies_header + counters.copies_full == \
-        8 * len(graph.copies)
-
-
-def test_labels_resolve_scaled_instances():
-    graph = forced_sequential(["ids"])
-    compiled = CompiledGraph(graph)
-    name = graph.nf_names()[0]
-    assert compiled.labels({name: 1}, {}) == (name,)
-    assert compiled.labels({name: 4}, {name: 2}) == (f"{name}#2",)
-    assert compiled.labels({name: 4}, {}) == (f"{name}#0",)
-
-
-def test_scaled_bind_calls_the_assigned_instance():
-    graph = forced_sequential(["ids"])
-    compiled = CompiledGraph(graph)
-    name = graph.nf_names()[0]
-    scale = {name: 2}
-    nfs = instantiate_nfs(graph, scale=scale)
-    runner = compiled.bind(nfs, scale, {name: 1})
-    before = nfs[f"{name}#1"].rx_packets
-    for pkt in _packets(5):
-        runner(pkt)
-    assert nfs[f"{name}#1"].rx_packets == before + 5
-    assert nfs[f"{name}#0"].rx_packets == 0
 
 
 def test_chaining_manager_compiles_once_per_install():

@@ -13,7 +13,7 @@ from repro.core import (
 )
 from repro.core.actions import Action, ActionProfile, Verb
 from repro.core.compiler import MAX_VERSIONS
-from repro.net import Field
+from repro.net import Field, PacketMeta
 
 
 def compiled(chain, **kwargs):
@@ -208,6 +208,12 @@ def _same_field_writers(n):
             ActionProfile(kind, [Action(Verb.WRITE, Field.TTL)]))
         kinds.append(kind)
     return orch, Policy.from_chain(kinds)
+
+
+def test_version_ceiling_is_the_metadata_field_maximum():
+    # The compiler's ceiling and the 4-bit version field's largest value
+    # are the same number: 15 concurrent versions fit, 16 cannot be tagged.
+    assert MAX_VERSIONS == (1 << PacketMeta.VERSION_BITS) - 1
 
 
 def test_fifteen_versions_fill_the_metadata_field_exactly():

@@ -12,40 +12,6 @@ from repro.sim import Environment, SimulationError
 
 
 # ------------------------------------------------------------------ engine
-def test_all_of_propagates_failure():
-    env = Environment()
-    caught = []
-    bad = env.event()
-
-    def waiter():
-        try:
-            yield env.all_of([env.timeout(1), bad])
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    def failer():
-        yield env.timeout(0.5)
-        bad.fail(RuntimeError("nested"))
-
-    env.process(waiter())
-    env.process(failer())
-    env.run()
-    assert caught == ["nested"]
-
-
-def test_all_of_empty_fires_immediately():
-    env = Environment()
-    fired = []
-
-    def waiter():
-        values = yield env.all_of([])
-        fired.append((env.now, values))
-
-    env.process(waiter())
-    env.run()
-    assert fired == [(0.0, [])]
-
-
 def test_event_fail_requires_exception():
     env = Environment()
     with pytest.raises(TypeError):

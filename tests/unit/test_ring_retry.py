@@ -1,4 +1,4 @@
-"""The ring-full retry path of ``NFPServer._post`` / ``_post_burst``.
+"""The ring-full retry path of ``NFPServer._post``.
 
 A delivery waits ``batch_wait_us``, is diverted to ``fault_abort`` when
 the target instance is down, re-arms up to ``ring_retry_limit`` times at
@@ -21,16 +21,9 @@ BACKOFF_US = 3.0
 POST_AT_US = 10.0
 
 
-def _params(**overrides):
+def _params():
     return SimParams(ring_retry_limit=2, ring_retry_backoff_us=BACKOFF_US,
-                     at_timeout_us=2_000.0, **overrides)
-
-
-def _post(server, ring, pkt, burst):
-    if burst:
-        server._post_burst(ring, [pkt], server.env.now)
-    else:
-        server._post(ring, pkt, server.env.now)
+                     at_timeout_us=2_000.0)
 
 
 def _held_ring(env, free_at_us=None):
@@ -57,17 +50,16 @@ def _held_ring(env, free_at_us=None):
     return ring, landed
 
 
-def _post_later(env, server, ring, pkt, burst):
+def _post_later(env, server, ring, pkt):
     def poster():
         yield env.timeout(POST_AT_US)
-        _post(server, ring, pkt, burst)
+        server._post(ring, pkt, env.now)
 
     env.process(poster())
 
 
-@pytest.mark.parametrize("burst", [False, True], ids=["post", "post_burst"])
 @pytest.mark.parametrize("retries", [0, 1, 2])
-def test_reference_lands_after_k_backoffs(retries, burst):
+def test_reference_lands_after_k_backoffs(retries):
     env = Environment()
     hub = TelemetryHub()
     params = _params()
@@ -77,7 +69,7 @@ def test_reference_lands_after_k_backoffs(retries, burst):
     ring, landed = _held_ring(
         env, free_at_us=first_try + (retries - 0.5) * BACKOFF_US)
     pkt = build_packet(size=64)
-    _post_later(env, server, ring, pkt, burst)
+    _post_later(env, server, ring, pkt)
     env.run()
 
     assert landed == [(first_try + retries * BACKOFF_US, pkt)]
@@ -86,8 +78,7 @@ def test_reference_lands_after_k_backoffs(retries, burst):
     assert ring.dropped == 0
 
 
-@pytest.mark.parametrize("burst", [False, True], ids=["post", "post_burst"])
-def test_past_the_retry_limit_the_reference_reaches_on_drop(burst):
+def test_past_the_retry_limit_the_reference_reaches_on_drop():
     env = Environment()
     hub = TelemetryHub()
     params = _params()
@@ -96,7 +87,7 @@ def test_past_the_retry_limit_the_reference_reaches_on_drop(burst):
     rejected = []
     ring.on_drop = lambda item: rejected.append((env.now, item))
     pkt = build_packet(size=64)
-    _post_later(env, server, ring, pkt, burst)
+    _post_later(env, server, ring, pkt)
     env.run()
 
     gave_up = POST_AT_US + params.batch_wait_us + 2 * BACKOFF_US
@@ -126,12 +117,10 @@ def _assert_accounted_as_nil(server):
     assert server.mergers[0].timed_out == 0
 
 
-@pytest.mark.parametrize("burst", [False, True], ids=["post", "post_burst"])
-def test_overflow_after_retries_is_accounted_through_the_merger(burst):
+def test_overflow_after_retries_is_accounted_through_the_merger():
     # Stage 0 of the west-east graph is (ids | monitor | loadbalancer[v2]):
-    # the classifier posts to the monitor's ring (one post per packet, or
-    # one _post_burst per ring under burst_transfers).
-    env, hub, server = _west_east_server(_params(burst_transfers=burst))
+    # the classifier posts to the monitor's ring, one post per packet.
+    env, hub, server = _west_east_server(_params())
     ring = server.runtimes["monitor"].instances[0].rx
     ring.capacity = 0  # held full for the whole run
     server.inject(build_packet(size=128))
@@ -144,9 +133,8 @@ def test_overflow_after_retries_is_accounted_through_the_merger(burst):
     _assert_accounted_as_nil(server)
 
 
-@pytest.mark.parametrize("burst", [False, True], ids=["post", "post_burst"])
-def test_delivery_to_a_down_instance_is_diverted_not_retried(burst):
-    params = _params(burst_transfers=burst)
+def test_delivery_to_a_down_instance_is_diverted_not_retried():
+    params = _params()
     env, hub, server = _west_east_server(params, faults="crash:monitor:pkt=1")
     casualty = server.runtimes["monitor"].instances[0]
     casualty.rx.capacity = 0  # full: an undiverted delivery would retry

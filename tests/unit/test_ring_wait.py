@@ -49,12 +49,13 @@ def test_wait_on_an_empty_ring_parks_until_a_delivery_hands_over():
     assert ring._consumer is None  # one wait, one item
 
 
-def test_try_put_burst_into_a_waiting_consumer_fills_its_burst():
+def test_puts_into_a_waiting_consumer_fill_its_burst():
     env = Environment()
     ring = Ring(env, capacity=8)
     log = []
     ring.wait(_consumer(env, ring, log))
-    assert ring.try_put_burst(["a", "b", "c"]) == 3
+    for item in "abc":
+        ring.put(item)
     # The first went to the consumer, the rest wait for its get_batch.
     assert len(ring) == 2
     env.run()
