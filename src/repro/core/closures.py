@@ -1,62 +1,62 @@
 """Install-time flattening of service graphs into per-stage programs.
 
-The functional plane re-walks the graph object model for every packet:
-stage list, copy-spec scan, per-entry label resolution.
-:class:`CompiledGraph` does that walk *once per install* and keeps the
-result as plain tuples -- per-stage ``(copies, entries)``, the merge ops
-and, for a strictly sequential graph, the flat NF chain.
-
-No execution plane under ``src/`` runs a compiled program yet.  The
-flattening and :class:`~repro.dataplane.chaining.ChainingManager`'s
-compile-once-per-install are kept because the performance lab
-(``benchmarks/lab/layers.py``, which this repo's PRs may not edit)
-imports and times the constructor as ``core.closure_compile_ms``, and
-because it is where the one graph-execution kernel (ROADMAP) starts.
+NFP's per-packet semantics are fixed once a graph is compiled: which
+copies are due at each stage's entry, which NFs run in the stage and on
+which version.  :class:`CompiledGraph` states that *once per install* as
+plain tuples, so no per-packet path scans ``graph.copies`` or formats an
+instance label.  The functional plane and each multi-server stage
+execute (a slice of) the program, bound to their scale map, through the
+one interpreter (:class:`repro.dataplane.functional.StageKernel`); the
+DES server makes the same per-stage copies in its classifier and at its
+version-1 barrier (:class:`~repro.dataplane.chaining.ChainingManager`
+keeps one program per MID, unbound: instance membership stays with the
+runtime groups).  The merge half of the install-time work is
+:class:`repro.dataplane.merging.MergePlan`; the performance lab times
+the one-argument constructor as ``core.closure_compile_ms``.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Mapping, Optional, Tuple
 
-from .graph import ServiceGraph
+from .graph import CopySpec, ServiceGraph
 
-__all__ = ["CompiledGraph"]
+__all__ = ["CompiledGraph", "instance_labels"]
+
+
+def instance_labels(name: str, count: int) -> Tuple[str, ...]:
+    """Labels of an NF's instances: the bare name, or ``name#k`` when
+    replicated -- the one spelling every plane and telemetry use."""
+    if count == 1:
+        return (name,)
+    return tuple(f"{name}#{k}" for k in range(count))
 
 
 class CompiledGraph:
     """One service graph flattened into per-stage program tuples.
 
-    Built once at table-install time (:class:`ChainingManager` keeps one
-    per MID); holds no NF instances itself, so one compiled graph serves
-    every flow and every instance assignment of the deployment.
+    ``scale`` (NF name -> instance count, default 1 each) binds every
+    entry to its instance labels -- labels, never NF objects, so a plane
+    may replace an instance (a fault restart) between two packets.
+    Immutable: a membership change means a new ``CompiledGraph``.
     """
 
-    __slots__ = ("graph", "sequential", "merge_ops", "program", "chain")
+    __slots__ = ("graph", "program")
 
-    def __init__(self, graph: ServiceGraph):
+    def __init__(self, graph: ServiceGraph,
+                 scale: Optional[Mapping[str, int]] = None):
         self.graph = graph
-        self.sequential = graph.is_sequential
-        self.merge_ops = tuple(graph.merge_ops)
-        program: List[tuple] = []
-        for stage_index, stage in enumerate(graph.stages):
-            copies = tuple(
-                (spec.version, spec.header_only)
-                for spec in graph.copies
-                if spec.stage_index == stage_index
-            )
-            entries = tuple(
-                (entry.node.name, entry.version) for entry in stage
-            )
-            program.append((copies, entries))
-        #: Per-stage ``(copies, entries)`` tuples, declaration order.
-        self.program: Tuple[tuple, ...] = tuple(program)
-        #: NF names in chain order (sequential graphs only).
-        self.chain: Tuple[str, ...] = (
-            tuple(name for _, entries in self.program for name, _ in entries)
-            if self.sequential
-            else ()
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "sequential" if self.sequential else "parallel"
-        return f"CompiledGraph({self.graph.name!r}, {kind}, {len(self.program)} stages)"
+        copies: List[List[CopySpec]] = [[] for _ in graph.stages]
+        for spec in graph.copies:
+            copies[spec.stage_index].append(spec)
+        counts = scale or {}
+        #: Per stage ``(copies, entries)``: the copy specs due at its entry
+        #: and, per NF, ``(version, count, labels, entry)``, both in
+        #: declaration order.
+        self.program: Tuple[tuple, ...] = tuple(
+            (tuple(due), tuple(
+                (entry.version, len(labels), labels, entry)
+                for entry in stage
+                for labels in [instance_labels(
+                    entry.node.name, counts.get(entry.node.name, 1))]))
+            for due, stage in zip(copies, graph.stages))

@@ -28,6 +28,7 @@ import enum
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..net.fields import Field
+from ..net.packet import HEADER_COPY_BYTES, Packet
 from .actions import ActionProfile
 
 __all__ = [
@@ -121,6 +122,14 @@ class CopySpec:
         self.stage_index = stage_index
         self.version = version
         self.header_only = header_only
+
+    def make(self, base: Packet) -> Packet:
+        """This version, taken from ``base``; a nil base stays nil."""
+        if base.nil:
+            return base.make_nil()
+        if self.header_only:
+            return base.header_copy(self.version, HEADER_COPY_BYTES)
+        return base.full_copy(self.version)
 
     def __repr__(self) -> str:
         mode = "hdr" if self.header_only else "full"

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Union
 
 from ..sim.params import SimParams
+from .closures import instance_labels
 from .graph import ServiceGraph
 
 __all__ = ["ScalePlan", "ScaledGraph", "plan_scale_out", "scale_graph"]
@@ -181,10 +182,7 @@ class ScaledGraph:
 
     def labels(self, name: str) -> List[str]:
         """Instance labels for one NF: ``[name]`` or ``[name#0, ...]``."""
-        count = self.counts[name]
-        if count == 1:
-            return [name]
-        return [f"{name}#{k}" for k in range(count)]
+        return list(instance_labels(name, self.counts[name]))
 
     def rescaled(self, name: str, count: int) -> "ScaledGraph":
         """A copy of this artifact with one NF's instance count changed.

@@ -22,11 +22,10 @@ class ChainingManager:
 
     def __init__(self):
         self.classification = ClassificationTable()
-        self._graphs: Dict[int, ServiceGraph] = {}
         self._forwarding: Dict[int, Dict[str, List[FTAction]]] = {}
-        #: Install-time compiled programs, one per MID: the FT/MO walk
-        #: flattened so no per-packet path has to touch the graph object
-        #: model (see :mod:`repro.core.closures` for why it is kept).
+        #: Install-time compiled programs, one per MID: the per-stage
+        #: copies the server's classifier and version-1 barrier make,
+        #: stated once so no per-packet path scans ``graph.copies``.
         self._compiled: Dict[int, CompiledGraph] = {}
         #: How many graph compilations ran (tests pin this to the number
         #: of installs, proving compilation stays off the packet path).
@@ -43,7 +42,6 @@ class ChainingManager:
     def install(self, tables: TableSet) -> None:
         """Install a deployed graph's tables (classifier + runtimes)."""
         self.classification.install(tables.ct_entry)
-        self._graphs[tables.mid] = tables.graph
         self._forwarding[tables.mid] = tables.forwarding
         self._compiled[tables.mid] = CompiledGraph(tables.graph)
         self.closures_compiled += 1
@@ -52,7 +50,7 @@ class ChainingManager:
 
     def graph_for(self, mid: int) -> ServiceGraph:
         try:
-            return self._graphs[mid]
+            return self._compiled[mid].graph
         except KeyError:
             raise KeyError(f"no graph installed for MID {mid}") from None
 
@@ -78,4 +76,4 @@ class ChainingManager:
         return self.classification.lookup(key)
 
     def mids(self) -> List[int]:
-        return sorted(self._graphs)
+        return sorted(self._compiled)

@@ -32,13 +32,15 @@ from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.graph import ServiceGraph
 from ..core.tables import CTEntry
-from ..net.headers import PROTO_TCP, PROTO_UDP, Ipv4View
+from ..net.headers import PROTO_TCP, PROTO_UDP
 from ..net.packet import Packet
 
 __all__ = [
     "rss_hash",
     "rss_instance",
     "flow_key",
+    "flow_digest",
+    "pick_instance",
     "assign_instances",
     "FlowDecision",
     "FlowCache",
@@ -77,11 +79,38 @@ def flow_key(pkt: Packet) -> Optional[tuple]:
         key = pkt.five_tuple()
     except ValueError:
         return None
-    # five_tuple() found a whole IPv4 header at the L3 offset.
+    # In the whole IPv4 header five_tuple() found: MF or an offset set.
+    buf, l3 = pkt.buf, pkt.l3_offset
     if (key[2] not in (PROTO_TCP, PROTO_UDP)
-            or Ipv4View(pkt.buf, pkt.l3_offset).is_fragment):
+            or buf[l3 + 6] & 0x3F or buf[l3 + 7]):
         return None
     return key
+
+
+def flow_digest(key: Optional[tuple], telemetry=None) -> int:
+    """The RSS hash of a flow key; 0 for a keyless packet (ICMP,
+    fragments, non-IP), which pins to instance 0 of every scaled NF and
+    is counted under ``rss.pinned_flows`` when ``telemetry`` is enabled,
+    so the known skew ceiling is reported instead of skewing silently."""
+    if key is not None:
+        return rss_hash(key)
+    if telemetry is not None and telemetry.enabled:
+        telemetry.inc("rss.pinned_flows")
+    return 0
+
+
+def pick_instance(digest: int, count: int,
+                  live: Optional[Sequence[int]] = None) -> int:
+    """The instance a flow ``digest`` lands on among ``count`` -- the one
+    statement of the split, failover included.
+
+    A group with casualties rehashes over ``live``, its healthy subset;
+    any other keeps the exact historical ``digest % count``, so a
+    casualty in one group never reshuffles another group's flows.
+    """
+    if live is not None and 0 < len(live) < count:
+        return live[digest % len(live)]
+    return digest % count
 
 
 def assign_instances(
@@ -92,36 +121,19 @@ def assign_instances(
 ) -> Dict[str, int]:
     """Per-NF instance assignment for one flow.
 
-    ``counts`` maps NF names to instance counts; only replicated NFs
-    (count > 1) get an entry -- everything else implicitly reads 0.
-
-    ``healthy`` (failover) optionally restricts named NFs to a subset
-    of live instance indices: flows of an NF listed there rehash over
-    its healthy list instead of ``range(count)``.  NFs *not* listed --
-    the fully healthy ones -- keep the exact historical ``hash % count``
-    mapping, so a casualty in one group never reshuffles another
-    group's flows.
-
-    ``telemetry`` (a :class:`~repro.telemetry.hooks.TelemetryHub`)
-    makes the known RSS skew ceiling observable: keyless packets (ICMP,
-    fragments, non-IP) pin to instance 0 of every scaled NF, and each
-    such assignment bumps ``rss.pinned_flows`` so scaled runs report how
-    much traffic bypassed the hash instead of skewing silently.
+    ``counts`` maps the *replicated* NFs to their instance counts: every
+    count must be > 1 (both callers keep such a map, so it is not
+    re-filtered per flow); NFs not named implicitly read 0.  ``healthy``
+    (failover) names the live instance indices of groups with
+    casualties.  The functional plane's per-packet walk applies the
+    same :func:`flow_digest` / :func:`pick_instance` directly.
     """
-    scaled = {name: c for name, c in counts.items() if c > 1}
-    if not scaled:
+    if not counts:
         return _NO_ASSIGNMENT
-    if key is None and telemetry is not None and telemetry.enabled:
-        telemetry.inc("rss.pinned_flows")
-    digest = None if key is None else rss_hash(key)
-    assignment: Dict[str, int] = {}
-    for name, count in scaled.items():
-        live = healthy.get(name) if healthy else None
-        if live is not None and 0 < len(live) < count:
-            assignment[name] = live[0 if digest is None else digest % len(live)]
-        else:
-            assignment[name] = 0 if digest is None else digest % count
-    return assignment
+    digest = flow_digest(key, telemetry)
+    live = healthy or {}
+    return {name: pick_instance(digest, count, live.get(name))
+            for name, count in counts.items()}
 
 
 @dataclass

@@ -26,14 +26,17 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from ..core.graph import ORIGINAL_VERSION, ServiceGraph
+from ..core.closures import CompiledGraph, instance_labels
+from ..core.graph import MergeOp, ORIGINAL_VERSION, ServiceGraph
+from ..core.scaling import scale_graph
 from ..faults import FaultInjector, HealthBoard
-from ..net.packet import HEADER_COPY_BYTES, Packet
-from ..nfs.base import NetworkFunction
-from .flowsplit import assign_instances, flow_key, rss_instance
-from .merging import apply_merge_ops
+from ..net.packet import Packet
+from ..nfs.base import NetworkFunction, create_nf
+from .flowsplit import flow_digest, flow_key, pick_instance, rss_instance
+from .merging import MergePlan, apply_merge_ops
 
 __all__ = [
+    "StageKernel",
     "FunctionalDataplane",
     "SequentialReference",
     "SequentialBank",
@@ -41,23 +44,9 @@ __all__ = [
 ]
 
 
-def _normalize_scale(
-    graph: ServiceGraph, scale: Union[int, Mapping[str, int], None]
-) -> Dict[str, int]:
-    names = graph.nf_names()
-    if scale is None:
-        return {name: 1 for name in names}
-    if isinstance(scale, int):
-        if scale < 1:
-            raise ValueError("uniform scale must be >= 1")
-        return {name: scale for name in names}
-    counts = {}
-    for name in names:
-        count = int(scale.get(name, 1))
-        if count < 1:
-            raise ValueError(f"scale for {name!r} must be >= 1")
-        counts[name] = count
-    return counts
+def _counts(graph: ServiceGraph, scale) -> Dict[str, int]:
+    """NF name -> instance count; ``scale`` as ``scale_graph`` takes it."""
+    return scale_graph(graph, 1 if scale is None else scale).counts
 
 
 def instantiate_nfs(
@@ -72,22 +61,96 @@ def instantiate_nfs(
     DES server and telemetry use).  Extra kwargs are forwarded to every
     constructor.
     """
-    from ..nfs.base import create_nf
-
-    counts = _normalize_scale(graph, scale)
+    counts = _counts(graph, scale)
     instances: Dict[str, NetworkFunction] = {}
     for node in graph.nodes():
-        count = counts[node.name]
-        if count == 1:
-            instances[node.name] = create_nf(node.kind, name=node.name, **kwargs)
-        else:
-            for k in range(count):
-                label = f"{node.name}#{k}"
-                instances[label] = create_nf(node.kind, name=label, **kwargs)
+        for label in instance_labels(node.name, counts[node.name]):
+            instances[label] = create_nf(node.kind, name=label, **kwargs)
     return instances
 
 
-class FunctionalDataplane:
+class StageKernel:
+    """The one stage walk: NFP's per-packet semantics, written once.
+
+    Executes (a slice of) a bound :class:`~repro.core.closures.CompiledGraph`
+    program: copies due at a stage's entry come from the current version
+    1, every NF of the stage sees the pre-stage buffers, a drop takes
+    effect only after the stage (parallel semantics), and the collected
+    versions are merged at the end.  A replicated entry runs on
+    ``labels[digest % count]`` of the packet's flow -- the split the DES
+    classifier gets from ``assign_instances``.  :class:`FunctionalDataplane`
+    runs the whole program, :class:`repro.multiserver.ServerStage` a slice.
+    """
+
+    #: Hooks consulted on the single path; ``None`` on a plane without:
+    #: a fault injector gating every NF application, a telemetry hub, a
+    #: :class:`~repro.telemetry.timeseries.Sampler`.
+    injector: Optional[FaultInjector] = None
+    telemetry = sampler = None
+
+    def _bind(self, stages: Sequence[tuple], merge_ops: Iterable[MergeOp],
+              nfs: Dict[str, NetworkFunction]) -> None:
+        missing = [label for _, entries in stages for _, _, labels, _ in entries
+                   for label in labels if label not in nfs]
+        if missing:
+            raise ValueError(f"no NF instances for graph nodes: {missing}")
+        self._stages = tuple(stages)
+        #: Whether any entry is replicated (else no packet is hashed).
+        self._scaled = any(count > 1 for _, entries in self._stages
+                           for _, count, _, _ in entries)
+        self._plan = MergePlan(merge_ops)
+        #: Instance label -> NF object, looked up per packet.
+        self.nfs = nfs
+        self.processed = self.emitted = self.dropped = 0
+
+    def process(self, pkt: Packet) -> Optional[Packet]:
+        """Run one packet through the program; ``None`` means dropped."""
+        self.processed += 1
+        if self.sampler is not None:
+            self.sampler.maybe_tick(time.monotonic() * 1e6)
+        injector = self.injector
+        digest, live = 0, None
+        if self._scaled:
+            digest = flow_digest(flow_key(pkt), self.telemetry)
+            if injector is not None:
+                live = self.health.view()
+        nfs = self.nfs
+        versions: Dict[int, Packet] = {ORIGINAL_VERSION: pkt}
+
+        for copies, entries in self._stages:
+            for copy in copies:
+                versions[copy.version] = copy.make(versions[ORIGINAL_VERSION])
+            newly_dropped = []
+            for version, count, labels, entry in entries:
+                buffer = versions[version]
+                if buffer.nil:
+                    continue
+                if count == 1:
+                    index = 0
+                elif live is None:
+                    index = digest % count
+                else:
+                    index = pick_instance(digest, count,
+                                          live.get(entry.node.name))
+                label = labels[index]
+                if (injector is not None
+                        and self._instance_down(entry, label, index)):
+                    newly_dropped.append(version)
+                elif nfs[label].handle(buffer).dropped:
+                    newly_dropped.append(version)
+            for version in newly_dropped:
+                versions[version] = versions[version].make_nil()
+
+        # The module global, looked up per call: the lab patches it.
+        merged = apply_merge_ops(versions, self._plan)
+        if merged is None:
+            self.dropped += 1
+        else:
+            self.emitted += 1
+        return merged
+
+
+class FunctionalDataplane(StageKernel):
     """Synchronous executor with NFP's exact packet semantics."""
 
     def __init__(
@@ -99,34 +162,19 @@ class FunctionalDataplane:
         telemetry=None,
     ):
         self.graph = graph
-        #: Optional :class:`~repro.telemetry.hooks.TelemetryHub`; the
-        #: untimed plane only counts control-plane facts (RSS pinning),
-        #: never per-packet service time -- it has no clock.
+        #: The untimed plane has no clock: it only counts control-plane
+        #: facts (RSS pinning), and :meth:`process` drives an attached
+        #: sampler's wall-clock ``maybe_tick`` fallback.
         self.telemetry = telemetry
-        #: Optional :class:`~repro.telemetry.timeseries.Sampler`; the
-        #: functional plane has no virtual clock to schedule it on, so
-        #: :meth:`process` drives its wall-clock ``maybe_tick`` fallback.
-        self.sampler = None
-        self.scale = _normalize_scale(graph, scale)
-        self._scaled = {n: c for n, c in self.scale.items() if c > 1}
-        self.nfs = nf_instances or instantiate_nfs(graph, scale=self.scale)
-        missing = [
-            label
-            for name in graph.nf_names()
-            for label in self._labels(name)
-            if label not in self.nfs
-        ]
-        if missing:
-            raise ValueError(f"no NF instances for graph nodes: {missing}")
-        self.processed = 0
-        self.emitted = 0
-        self.dropped = 0
-        #: Optional fault injector: instance health is consulted before
-        #: each NF application.  Down instances drop the version (nil)
-        #: instead of serving it; with replicas left, later flows rehash
-        #: onto healthy instances; with none left, the instance restarts
-        #: fresh (its per-flow state is lost -- the semantics failover
-        #: degrades to, and what fuzzing measures the blast radius of).
+        self.scale = _counts(graph, scale)
+        self._bind(CompiledGraph(graph, self.scale).program, graph.merge_ops,
+                   nf_instances or instantiate_nfs(graph, scale=self.scale))
+        #: Instance health is consulted before each NF application.
+        #: Down instances drop the version (nil) instead of serving it;
+        #: with replicas left, later flows rehash onto healthy
+        #: instances; with none left, the instance restarts fresh (its
+        #: per-flow state is lost -- the semantics failover degrades to,
+        #: and what fuzzing measures the blast radius of).
         self.injector = injector
         self.health = HealthBoard()
         for name, count in self.scale.items():
@@ -134,17 +182,6 @@ class FunctionalDataplane:
         #: reason -> packet count for faulted drops (conservation report).
         self.drop_reasons: Dict[str, int] = {}
         self.restarts = 0
-
-    def _labels(self, name: str) -> List[str]:
-        count = self.scale[name]
-        if count == 1:
-            return [name]
-        return [f"{name}#{k}" for k in range(count)]
-
-    def _nf(self, name: str, assignment: Mapping[str, int]) -> NetworkFunction:
-        if self.scale[name] == 1:
-            return self.nfs[name]
-        return self.nfs[f"{name}#{assignment.get(name, 0)}"]
 
     def _instance_down(self, entry, label: str, index: int) -> bool:
         """Health gate before one NF application (fault runs only).
@@ -159,75 +196,16 @@ class FunctionalDataplane:
         state = injector.on_packet(label, float(self.processed))
         if not state.down:
             return False
+        self.drop_reasons["instance_down"] = (
+            self.drop_reasons.get("instance_down", 0) + 1)
         name = entry.node.name
         remaining = self.health.mark_down(name, index)
         if not remaining:
-            from ..nfs.base import create_nf
-
             self.nfs[label] = create_nf(entry.node.kind, name=label)
             self.restarts += 1
             injector.revive(label)
             self.health.mark_up(name, index)
         return True
-
-    def process(self, pkt: Packet) -> Optional[Packet]:
-        """Run one packet through the graph; ``None`` means dropped."""
-        self.processed += 1
-        if self.sampler is not None:
-            self.sampler.maybe_tick(time.monotonic() * 1e6)
-        assignment = (
-            assign_instances(
-                flow_key(pkt), self._scaled,
-                healthy=self.health.view() if self.injector else None,
-                telemetry=self.telemetry)
-            if self._scaled else {}
-        )
-        versions: Dict[int, Packet] = {ORIGINAL_VERSION: pkt}
-
-        for stage_index, stage in enumerate(self.graph.stages):
-            # Copies scheduled at this stage's entry (from current v1).
-            for copy in self.graph.copies:
-                if copy.stage_index != stage_index:
-                    continue
-                base = versions[ORIGINAL_VERSION]
-                if base.nil:
-                    versions[copy.version] = base.make_nil()
-                elif copy.header_only:
-                    versions[copy.version] = base.header_copy(
-                        copy.version, HEADER_COPY_BYTES
-                    )
-                else:
-                    versions[copy.version] = base.full_copy(copy.version)
-
-            # All NFs of the stage observe the pre-stage buffers; drops
-            # take effect only after the stage (parallel semantics).
-            newly_dropped: List[int] = []
-            for entry in stage:
-                buffer = versions[entry.version]
-                if buffer.nil:
-                    continue
-                name = entry.node.name
-                index = (0 if self.scale[name] == 1
-                         else assignment.get(name, 0))
-                label = name if self.scale[name] == 1 else f"{name}#{index}"
-                if (self.injector is not None
-                        and self._instance_down(entry, label, index)):
-                    self.drop_reasons["instance_down"] = (
-                        self.drop_reasons.get("instance_down", 0) + 1)
-                    newly_dropped.append(entry.version)
-                    continue
-                ctx = self.nfs[label].handle(buffer)
-                if ctx.dropped:
-                    newly_dropped.append(entry.version)
-            for version in newly_dropped:
-                versions[version] = versions[version].make_nil()
-
-        merged = apply_merge_ops(versions, self.graph.merge_ops)
-        if merged is None:
-            self.dropped += 1
-        else:
-            self.emitted += 1
-        return merged
 
     def process_many(self, packets: Iterable[Packet]) -> List[Optional[Packet]]:
         return [self.process(pkt) for pkt in packets]

@@ -25,7 +25,7 @@ behaviour exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Union
 
 from ..net import fields as _f
 from ..net.encap import VXLAN_OUTER_LEN, is_vxlan
@@ -40,69 +40,156 @@ from ..net.headers import (
 from ..net.packet import Packet
 from ..core.graph import MergeOp, MergeOpKind, ORIGINAL_VERSION
 
-__all__ = ["apply_merge_ops", "MergeError"]
+__all__ = ["apply_merge_ops", "MergePlan", "MergeError"]
+
+#: What ``FIELD_BYTES`` holds for a field with no fixed byte range.
+_NO_RANGE = (None, 0, 0)
 
 
 class MergeError(RuntimeError):
     """A merge operation could not be applied to the collected versions."""
 
 
-#: Modifying any of these fields invalidates the IPv4 header checksum.
-_IP_FIELDS = {_f.Field.SIP, _f.Field.DIP, _f.Field.TTL, _f.Field.DSCP}
+#: ``FIELD_BYTES`` anchor -> offset of that header in ``pkt.buf``, through
+#: the bounds-checked resolvers: the whole fixed header is inside the
+#: buffer (so a step's byte range exists on both sides of the copy), else
+#: ``ValueError`` -- on exactly the packets ``read_field`` refuses.
+_ANCHOR_OFFSET = {
+    "ipv4": Packet._ipv4_offset,
+    "eth": lambda pkt: pkt.eth.offset,
+    "l4": lambda pkt: _f._l4(pkt).offset,
+}
+
+
+class MergePlan:
+    """A graph's (or a slice's) merge operations, compiled once.
+
+    A ``modify`` of a byte-aligned field (``FIELD_BYTES``) becomes the
+    step ``(src_version, resolve, src_slot, base_slot, lo, hi, None)``:
+    copy bytes ``lo..hi`` past the header ``resolve`` finds, the slots
+    memoising that offset once per version per packet.  Adjacent copies
+    from one version under one anchor whose ranges touch coalesce: an
+    anchor resolves or raises alike for every field under it, so the
+    declared ops are skipped, refused or applied together (ARCHITECTURE
+    §5).  Everything else keeps list order -- a later op still wins an
+    overlap -- and DSCP, payload, add and remove stay whole:
+    ``(src_version, None, 0, 0, 0, 0, op)``.
+    """
+
+    __slots__ = ("steps", "counts", "unresolved")
+
+    def __init__(self, ops: Iterable[MergeOp]):
+        counts: Dict[str, int] = {}
+        #: (version, anchor) -> memo slot; slot 0, the base's IPv4 header,
+        #: is the checksum update's too.
+        slots = {(ORIGINAL_VERSION, "ipv4"): 0}
+        steps: list = []
+        anchored = None  # the anchor of ``steps[-1]``, when it is a copy
+        for op in ops:
+            name = f"merge.ops.{op.kind.value}"
+            counts[name] = counts.get(name, 0) + 1
+            src = op.src_version
+            anchor, lo, length = (
+                _f.FIELD_BYTES.get(op.field, _NO_RANGE)
+                if op.kind is MergeOpKind.MODIFY else _NO_RANGE)
+            hi = lo + length
+            last = steps[-1] if anchor is not None and anchor == anchored else None
+            if anchor is None:
+                steps.append([src, None, 0, 0, 0, 0, op])
+            elif last and last[0] == src and (lo == last[5] or hi == last[4]):
+                last[4:6] = min(lo, last[4]), max(hi, last[5])
+            else:
+                steps.append([src, _ANCHOR_OFFSET[anchor],
+                              slots.setdefault((src, anchor), len(slots)),
+                              slots.setdefault((ORIGINAL_VERSION, anchor),
+                                               len(slots)), lo, hi, None])
+            anchored = anchor
+        self.steps = tuple(map(tuple, steps))
+        #: ``merge.ops.<kind>`` -> declared operations of that kind.
+        self.counts = tuple(counts.items())
+        #: The memo with nothing resolved (copied per packet).
+        self.unresolved = [None] * len(slots)
 
 
 def apply_merge_ops(
-    versions: Dict[int, Packet], ops: Iterable[MergeOp], telemetry=None
+    versions: Dict[int, Packet],
+    ops: Union[MergePlan, Iterable[MergeOp]],
+    telemetry=None,
 ) -> Optional[Packet]:
     """Merge packet ``versions`` into the final output packet.
 
     ``versions`` maps version number -> the processed packet copy; it
     must contain version 1.  Returns the merged packet (version 1's
     buffer, modified in place), or ``None`` when any version is nil.
+    ``ops`` is the :class:`MergePlan` compiled at install, or plain
+    operations (compiled here, for one-off callers).
 
     ``telemetry`` is an optional :class:`repro.telemetry.TelemetryHub`;
-    when enabled, applied operations are counted per kind under
+    when enabled, the declared operations are counted per kind under
     ``merge.ops.*``.
     """
     if ORIGINAL_VERSION not in versions:
         raise MergeError("version 1 missing from merge set")
-    if any(pkt.nil for pkt in versions.values()):
-        return None
+    for pkt in versions.values():
+        if pkt.nil:
+            return None
 
-    count_ops = telemetry is not None and telemetry.enabled
+    plan = ops if ops.__class__ is MergePlan else MergePlan(ops)
+    if telemetry is not None and telemetry.enabled:
+        for name, count in plan.counts:
+            telemetry.inc(name, count)
     base = versions[ORIGINAL_VERSION]
+    # Resolved header offsets by slot, forgotten whenever a whole
+    # operation may have moved the base's headers.
+    offsets = plan.unresolved[:]
     checksum_dirty = False
-    for op in ops:
-        if count_ops:
-            telemetry.inc(f"merge.ops.{op.kind.value}")
-        if op.kind is MergeOpKind.MODIFY:
-            source = _require(versions, op.src_version)
+    for src, resolve, src_slot, base_slot, lo, hi, op in plan.steps:
+        if resolve is None:
+            checksum_dirty |= _apply_whole(base, versions, op)
+            offsets = plan.unresolved[:]
+            continue
+        source = _require(versions, src)
+        at = offsets[src_slot]
+        if at is None:
             # A field the writer's copy cannot even parse (e.g. ports on
             # an ICMP packet reaching a NAT that passes non-TCP/UDP
             # through) cannot have been written; skip, mirroring the
             # sequential no-op.  A base that cannot take it is an error.
             try:
-                span = _f.field_span(source, op.field)
-                if span is None:
-                    value = _f.read_field(source, op.field)
+                at = offsets[src_slot] = resolve(source)
             except ValueError:
                 continue
-            if span is None:
-                _f.write_field(base, op.field, value)
-            else:
-                base.buf[_f.field_span(base, op.field)] = source.buf[span]
-            if op.field in _IP_FIELDS:
-                checksum_dirty = True
-        elif op.kind is MergeOpKind.ADD:
-            source = _require(versions, op.src_version)
-            _splice_header(base, source, op.field)
-        elif op.kind is MergeOpKind.REMOVE:
-            _strip_header(base, op.field)
-        else:  # pragma: no cover - enum is closed
-            raise MergeError(f"unknown merge op kind: {op.kind}")
+        to = offsets[base_slot]
+        if to is None:
+            to = offsets[base_slot] = resolve(base)
+        base.buf[to + lo : to + hi] = source.buf[at + lo : at + hi]
+        if base_slot == 0:
+            checksum_dirty = True
     if checksum_dirty:
-        base.ipv4.update_checksum()
+        to = offsets[0]
+        Ipv4View(base.buf, base._ipv4_offset() if to is None else to
+                 ).update_checksum()
     return base
+
+
+def _apply_whole(base: Packet, versions: Dict[int, Packet], op: MergeOp) -> bool:
+    """One operation with no byte range; True when it dirtied the checksum."""
+    if op.kind is MergeOpKind.MODIFY:
+        source = _require(versions, op.src_version)
+        try:
+            value = _f.read_field(source, op.field)
+        except ValueError:  # the writer's copy cannot parse it: skip
+            return False
+        _f.write_field(base, op.field, value)
+        return op.field is _f.Field.DSCP
+    unit = (_SPLICE if op.kind is MergeOpKind.ADD else _STRIP).get(op.field)
+    if unit is None:
+        raise MergeError(f"cannot {op.kind.value} header unit {op.field}")
+    if op.kind is MergeOpKind.ADD:
+        unit(base, _require(versions, op.src_version))
+    else:
+        unit(base)
+    return False
 
 
 def _require(versions: Dict[int, Packet], version: Optional[int]) -> Packet:
@@ -110,30 +197,6 @@ def _require(versions: Dict[int, Packet], version: Optional[int]) -> Packet:
         return versions[version]
     except KeyError:
         raise MergeError(f"merge needs version {version}, not collected") from None
-
-
-def _splice_header(base: Packet, source: Packet, field) -> None:
-    """Copy a header unit from ``source`` into ``base``."""
-    if field is _f.Field.AH_HEADER:
-        _splice_ah(base, source)
-    elif field is _f.Field.VLAN_HEADER:
-        _splice_vlan(base, source)
-    elif field is _f.Field.VXLAN_HEADER:
-        _splice_vxlan(base, source)
-    else:
-        raise MergeError(f"cannot splice header unit {field}")
-
-
-def _strip_header(base: Packet, field) -> None:
-    """Remove a header unit from ``base``."""
-    if field is _f.Field.AH_HEADER:
-        _strip_ah(base)
-    elif field is _f.Field.VLAN_HEADER:
-        _strip_vlan(base)
-    elif field is _f.Field.VXLAN_HEADER:
-        _strip_vxlan(base)
-    else:
-        raise MergeError(f"cannot strip header unit {field}")
 
 
 # ----------------------------------------------------------------- AH unit
@@ -231,3 +294,10 @@ def _strip_vxlan(base: Packet) -> None:
         return
     del base.buf[0:VXLAN_OUTER_LEN]
     base.wire_len -= VXLAN_OUTER_LEN
+
+
+#: Header unit -> how to copy it from a source into the base / remove it.
+_SPLICE = {_f.Field.AH_HEADER: _splice_ah, _f.Field.VLAN_HEADER: _splice_vlan,
+           _f.Field.VXLAN_HEADER: _splice_vxlan}
+_STRIP = {_f.Field.AH_HEADER: _strip_ah, _f.Field.VLAN_HEADER: _strip_vlan,
+          _f.Field.VXLAN_HEADER: _strip_vxlan}

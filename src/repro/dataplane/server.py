@@ -36,12 +36,13 @@ from __future__ import annotations
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Set, Tuple)
 
+from ..core.closures import instance_labels
 from ..core.graph import ORIGINAL_VERSION, CopySpec, ServiceGraph, StageEntry
 from ..core.orchestrator import DeployedGraph
 from ..core.tables import TableSet, build_tables
 from ..faults import FaultInjector, FaultKind, HealthBoard, HealthState, base_name
 from ..faults.recovery import linearize
-from ..net.packet import HEADER_COPY_BYTES, Packet, PacketMeta
+from ..net.packet import Packet, PacketMeta
 from ..nfs.base import NetworkFunction, create_nf
 from ..sim import Core, Environment, Nic, PacketPool, RateMeter, Ring, SimParams
 from ..sim.engine import Event
@@ -50,7 +51,7 @@ from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..telemetry.tracer import SpanKind
 from .chaining import ChainingManager
 from .flowsplit import FlowCache, FlowDecision, assign_instances, flow_key
-from .merging import apply_merge_ops
+from .merging import MergePlan, apply_merge_ops
 
 __all__ = ["NFPServer", "FlightState"]
 
@@ -323,10 +324,11 @@ class _MergerSim:
                 hub.inc("merger.discarded")
             self.server.record_drop(_drop_witness(entry), now)
             return
-        merged = apply_merge_ops(entry["versions"], graph.merge_ops,
+        installed = self.server._installed[graph]
+        merged = apply_merge_ops(entry["versions"], installed.merge_plan,
                                  telemetry=hub)
         merged.stamp("merged", now)
-        delay = self.server._installed[graph].merge_delay_us
+        delay = installed.merge_delay_us
         if hub.enabled:
             hub.inc("merger.merged")
             # wait_us: AT entry opening -> last notification (rendezvous
@@ -391,7 +393,8 @@ class _MergerSim:
                     for op in graph.merge_ops)
         )
         if usable:
-            merged = apply_merge_ops(versions, graph.merge_ops, telemetry=hub)
+            merged = apply_merge_ops(
+                versions, server._installed[graph].merge_plan, telemetry=hub)
             if merged is not None:
                 hub.inc("merger.at_timeout_emit")
                 merged.stamp("merged-degraded", server.env.now)
@@ -428,9 +431,11 @@ def _drop_witness(entry: Dict) -> Optional[Packet]:
 class _Installed(NamedTuple):
     """What installing a graph fixes; the per-packet paths only read it."""
 
-    stage0_copies: Tuple[CopySpec, ...]
+    #: Per-stage copies, as the chaining manager's program states them.
+    stage_copies: Tuple[Tuple[CopySpec, ...], ...]
     #: Stage-0 entries in version order, declaration order within one.
     stage0_fanout: Tuple[StageEntry, ...]
+    merge_plan: MergePlan
     #: Rendezvous latency: AT bookkeeping plus the copy-collection
     #: penalty (§6.3.2), charged as pipeline latency, not core time.
     merge_delay_us: float
@@ -584,8 +589,7 @@ class NFPServer:
                     raise ValueError(f"scale for {name!r} must be >= 1")
                 group = _RuntimeGroup(name)
                 group.placements[deployed.mid] = (stage_index, entry)
-                for replica in range(count):
-                    label = name if count == 1 else f"{name}#{replica}"
+                for label in instance_labels(name, count):
                     group.add(self._spawn_runtime(label, entry, stage_index))
                 self.runtimes[name] = group
                 self.health.register(name, count)
@@ -595,18 +599,20 @@ class NFPServer:
     def _install(self, tables: TableSet) -> None:
         """Install tables; fix what the per-packet paths would re-derive."""
         graph, params = tables.graph, self.params
+        self.chaining.install(tables)
         stage0 = graph.stages[0]
         self._installed[graph] = _Installed(
-            tuple(c for c in graph.copies if c.stage_index == 0),
+            tuple(copies for copies, _ in
+                  self.chaining.compiled_for(tables.mid).program),
             tuple(entry for version in sorted(stage0.versions())
                   for entry in stage0.entries_on(version)),
+            MergePlan(graph.merge_ops),
             params.merge_latency_us + (
                 (graph.num_versions - 1) * params.copy_merge_latency_us
             ) + graph.total_count * params.merge_per_notification_us + len(
                 graph.merge_ops
             ) * params.merge_per_mo_us,
         )
-        self.chaining.install(tables)
 
     def _spawn_runtime(
         self, label: str, entry: StageEntry, stage_index: int
@@ -695,8 +701,9 @@ class NFPServer:
             now = reserve(now, params.classifier_tag_us
                           if graph.has_parallelism
                           else params.classifier_fwd_us)
-            decision = FlowDecision(
-                entry, graph, self._assignment_for(key))
+            decision = FlowDecision(entry, graph, assign_instances(
+                key, self._scaled_counts, healthy=self.health.view(),
+                telemetry=hub))
             if cache is not None and key is not None:
                 if hub.enabled:
                     hub.inc("classifier.cache_miss")
@@ -729,16 +736,6 @@ class NFPServer:
             return None
         return flow_key(pkt)
 
-    def _assignment_for(self, key: Optional[tuple]) -> Dict[str, int]:
-        """RSS instance assignment across all scaled runtime groups.
-
-        Failover-aware: groups with casualties rehash over their healthy
-        instances; fully healthy groups keep the historical mapping.
-        """
-        return assign_instances(key, self._scaled_counts,
-                                healthy=self.health.view(),
-                                telemetry=self.telemetry)
-
     def _classify_one(self, pkt: Packet, decision: FlowDecision,
                       now: float) -> float:
         """Tag metadata, run CT actions; returns extra core time spent."""
@@ -758,7 +755,7 @@ class NFPServer:
 
         extra = 0.0
         installed = self._installed[graph]
-        for copy in installed.stage0_copies:
+        for copy in installed.stage_copies[0]:
             extra += self._make_copy(state, pkt, copy, now)
         # Distribute each version to its stage-0 NFs.
         for entry in installed.stage0_fanout:
@@ -779,14 +776,9 @@ class NFPServer:
                    now: float) -> float:
         """Add ``copy_spec``'s version of ``base`` to the packet's flight
         state; returns the core time the copy cost."""
-        if base.nil:
-            state.versions[copy_spec.version] = base.make_nil()
+        new_pkt = state.versions[copy_spec.version] = copy_spec.make(base)
+        if new_pkt.nil:
             return 0.0
-        if copy_spec.header_only:
-            new_pkt = base.header_copy(copy_spec.version, HEADER_COPY_BYTES)
-        else:
-            new_pkt = base.full_copy(copy_spec.version)
-        state.versions[copy_spec.version] = new_pkt
         nbytes = len(new_pkt.buf)
         self.pool.alloc(nbytes, is_copy=True)
         state.copy_bytes += (nbytes,)
@@ -875,14 +867,13 @@ class NFPServer:
         next_stage = graph.stages[stage_index + 1]
         fwd_pkt = self._version_packet(state, version)
         if version == ORIGINAL_VERSION:
-            for copy in graph.copies:
-                if copy.stage_index == stage_index + 1:
-                    extra += self._make_copy(state, fwd_pkt, copy, now)
-                    new_pkt = state.versions[copy.version]
-                    for entry in next_stage.entries_on(copy.version):
-                        self._post(self._ring_for(entry.node.name, state),
-                                   new_pkt, now)
-                        extra += self.params.ring_hop_us
+            for copy in self._installed[graph].stage_copies[stage_index + 1]:
+                extra += self._make_copy(state, fwd_pkt, copy, now)
+                new_pkt = state.versions[copy.version]
+                for entry in next_stage.entries_on(copy.version):
+                    self._post(self._ring_for(entry.node.name, state),
+                               new_pkt, now)
+                    extra += self.params.ring_hop_us
         for entry in next_stage.entries_on(version):
             self._post(self._ring_for(entry.node.name, state), fwd_pkt, now)
             extra += self.params.ring_hop_us

@@ -26,12 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..core.closures import CompiledGraph
 from ..core.graph import MergeOp, ORIGINAL_VERSION, ServiceGraph
 from ..core.partition import ServerSlice, partition_graph
-from ..dataplane.merging import apply_merge_ops
+from ..dataplane.functional import StageKernel
 from ..net.headers import ETH_HEADER_LEN
-from ..net.packet import HEADER_COPY_BYTES, Packet, PacketMeta
-from ..nfs.base import NetworkFunction
+from ..net.packet import Packet, PacketMeta
+from ..nfs.base import NetworkFunction, create_nf
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..telemetry.tracer import SpanKind
 from .nsh import NshTag, decapsulate, encapsulate
@@ -55,8 +56,13 @@ def slice_merge_ops(graph: ServiceGraph, server_slice: ServerSlice) -> List[Merg
     return [op for op in graph.merge_ops if op.src_version in local_versions]
 
 
-class ServerStage:
-    """One server running a slice of a partitioned graph."""
+class ServerStage(StageKernel):
+    """One server running a slice of a partitioned graph.
+
+    :meth:`~repro.dataplane.functional.StageKernel.process` over the
+    slice's stages of the graph's program, merging the slice's own
+    operations: returns the merged v1, or ``None`` on drop.
+    """
 
     def __init__(
         self,
@@ -67,59 +73,14 @@ class ServerStage:
         self.graph = graph
         self.slice = server_slice
         self.merge_ops = slice_merge_ops(graph, server_slice)
-        names = server_slice.nf_names()
         if nf_instances is None:
-            from ..nfs.base import create_nf
-
-            nf_instances = {}
-            for stage in server_slice.stages:
-                for entry in stage:
-                    nf_instances[entry.node.name] = create_nf(
-                        entry.node.kind, name=entry.node.name
-                    )
-        missing = [n for n in names if n not in nf_instances]
-        if missing:
-            raise ValueError(f"missing NF instances: {missing}")
-        self.nfs = nf_instances
-        self.processed = 0
-        self.dropped = 0
-
-    def process(self, pkt: Packet) -> Optional[Packet]:
-        """Run the slice; returns the merged v1 or ``None`` on drop."""
-        self.processed += 1
-        versions: Dict[int, Packet] = {ORIGINAL_VERSION: pkt}
-        global_offset = self.graph.stages.index(self.slice.stages[0])
-
-        for local_index, stage in enumerate(self.slice.stages):
-            stage_index = global_offset + local_index
-            for copy in self.graph.copies:
-                if copy.stage_index != stage_index:
-                    continue
-                base = versions[ORIGINAL_VERSION]
-                if base.nil:
-                    versions[copy.version] = base.make_nil()
-                elif copy.header_only:
-                    versions[copy.version] = base.header_copy(
-                        copy.version, HEADER_COPY_BYTES
-                    )
-                else:
-                    versions[copy.version] = base.full_copy(copy.version)
-
-            newly_dropped = []
-            for entry in stage:
-                buffer = versions[entry.version]
-                if buffer.nil:
-                    continue
-                ctx = self.nfs[entry.node.name].handle(buffer)
-                if ctx.dropped:
-                    newly_dropped.append(entry.version)
-            for version in newly_dropped:
-                versions[version] = versions[version].make_nil()
-
-        merged = apply_merge_ops(versions, self.merge_ops)
-        if merged is None:
-            self.dropped += 1
-        return merged
+            nf_instances = {
+                entry.node.name: create_nf(entry.node.kind, name=entry.node.name)
+                for stage in server_slice.stages for entry in stage}
+        first = graph.stages.index(server_slice.stages[0])
+        self._bind(
+            CompiledGraph(graph).program[first:first + len(server_slice.stages)],
+            self.merge_ops, nf_instances)
 
 
 @dataclass

@@ -14,14 +14,14 @@ is too -- IPv4/TCP/UDP plus the AH header the VPN NF adds.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from .headers import PROTO_TCP, PROTO_UDP
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .packet import Packet
 
-__all__ = ["Field", "read_field", "write_field", "field_span", "FIELD_ACCESSORS", "FIELD_BYTES"]
+__all__ = ["Field", "read_field", "write_field", "FIELD_ACCESSORS", "FIELD_BYTES"]
 
 
 class Field(enum.Enum):
@@ -197,7 +197,9 @@ def write_field(pkt: Packet, field: Field, value) -> None:
 
 
 #: Field -> (anchor, offset, length) for the fields that are whole bytes
-#: at a fixed place in a header -- not DSCP (six bits) or PAYLOAD.
+#: at a fixed place in a header -- not DSCP (six bits) or PAYLOAD.  The
+#: merge plan (:class:`repro.dataplane.merging.MergePlan`) compiles a
+#: ``modify`` of one into a byte-range copy under its anchor.
 FIELD_BYTES: Dict[Field, tuple] = {
     Field.SIP: ("ipv4", 12, 4),
     Field.DIP: ("ipv4", 16, 4),
@@ -207,22 +209,3 @@ FIELD_BYTES: Dict[Field, tuple] = {
     Field.DMAC: ("eth", 0, 6),
     Field.SMAC: ("eth", 6, 6),
 }
-
-
-def field_span(pkt: Packet, field: Field) -> Optional[slice]:
-    """Where a byte-aligned ``field`` lives in ``pkt.buf``.
-
-    ``None`` for a field with no fixed byte range; ``ValueError`` on
-    exactly the packets :func:`read_field` refuses.  Assigning one
-    packet's span to another's is ``write_field(read_field())`` without
-    the detour through a Python value.
-    """
-    entry = FIELD_BYTES.get(field)
-    if entry is None:
-        return None
-    anchor, offset, length = entry
-    if anchor == "ipv4":
-        start = pkt._ipv4_offset() + offset
-    else:
-        start = (pkt.eth if anchor == "eth" else _l4(pkt)).offset + offset
-    return slice(start, start + length)

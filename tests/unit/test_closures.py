@@ -1,39 +1,73 @@
-"""Unit tests for install-time graph flattening.
+"""Unit tests for the install-time stage program.
 
-:class:`repro.core.closures.CompiledGraph` is the FT/MO walk flattened
-per (graph, stage) at install time.  These tests pin the program layout
-and the ChainingManager's compile-once-per-install cache.
+:class:`repro.core.closures.CompiledGraph` states, once per install,
+what the per-packet paths used to re-derive from the graph object model:
+the copies due at each stage's entry and each entry's instance labels.
+These tests pin what the program guarantees to whoever executes it
+(``StageKernel``, the DES server) and the ChainingManager's
+compile-once-per-install cache.
 """
 
 from repro.core import CompiledGraph, Orchestrator, Policy
 from repro.core.tables import build_tables
-from repro.dataplane import ChainingManager
+from repro.dataplane import ChainingManager, FunctionalDataplane, NFPServer
+from repro.dataplane.functional import instantiate_nfs
 from repro.eval.forced import forced_parallel, forced_sequential
+from repro.faults import FaultInjector, FaultPlan
+from repro.net.packet import build_packet
+from repro.nfs.base import create_nf
+from repro.sim import DEFAULT_PARAMS, Environment
+from repro.traffic.generator import FlowGenerator, TrafficSource
+
+
+def west_east():
+    return Orchestrator().compile(
+        Policy.from_chain(["ids", "monitor", "loadbalancer"])).graph
 
 
 def test_sequential_graph_compiles_to_flat_chain():
     graph = forced_sequential(["firewall", "monitor", "loadbalancer"])
     compiled = CompiledGraph(graph)
-    assert compiled.sequential
-    assert compiled.chain == tuple(graph.nf_names())
     assert len(compiled.program) == len(graph.stages)
+    chain = []
     for copies, entries in compiled.program:
         assert copies == ()
-        assert all(version == 1 for _, version in entries)
+        ((version, count, labels, entry),) = entries
+        assert version == 1
+        # Unbound: every NF is its own single instance.
+        assert (count, labels) == (1, (entry.node.name,))
+        chain.append(entry.node.name)
+    assert chain == graph.nf_names()
 
 
 def test_parallel_graph_program_mirrors_copy_declarations():
     graph = forced_parallel(["firewall", "firewall", "firewall"],
                             with_copy=True)
     compiled = CompiledGraph(graph)
-    assert not compiled.sequential
-    assert compiled.chain == ()
-    declared = sorted((spec.version, spec.header_only)
-                      for spec in graph.copies)
-    programmed = sorted(
-        pair for copies, _ in compiled.program for pair in copies)
-    assert programmed == declared
-    assert compiled.merge_ops == tuple(graph.merge_ops)
+    assert graph.copies
+    # Partitioned by stage, declaration order kept, nothing lost or added.
+    for index, (copies, _) in enumerate(compiled.program):
+        assert list(copies) == [
+            spec for spec in graph.copies if spec.stage_index == index]
+    assert sum(len(copies) for copies, _ in compiled.program) == len(graph.copies)
+    # Entries are the stages' own, in declaration order.
+    for (_, entries), stage in zip(compiled.program, graph.stages):
+        assert [entry for _, _, _, entry in entries] == list(stage)
+        assert [version for version, _, _, _ in entries] == [
+            entry.version for entry in stage]
+
+
+def test_bound_label_tuples_are_the_keys_instantiate_nfs_makes():
+    graph = west_east()
+    for scale in ({}, {"ids": 4}, {name: 3 for name in graph.nf_names()}):
+        compiled = CompiledGraph(graph, scale)
+        labels = [label for _, entries in compiled.program
+                  for _, _, instance_labels, _ in entries
+                  for label in instance_labels]
+        assert labels == list(instantiate_nfs(graph, scale=scale))
+    plane = FunctionalDataplane(graph, scale=4)
+    assert [label for _, entries in plane._stages for _, _, labels, _ in entries
+            for label in labels] == list(plane.nfs)
 
 
 def test_chaining_manager_compiles_once_per_install():
@@ -52,3 +86,66 @@ def test_chaining_manager_compiles_once_per_install():
     manager.install(build_tables(other, mid=2))
     assert manager.closures_compiled == 2
     assert manager.compiled_for(2) is not compiled
+
+
+def test_reinstall_after_rescale_rebinds_and_keeps_no_stale_labels():
+    """Membership is never frozen into a program that outlives it.
+
+    The DES keeps instance membership in its runtime groups (labels
+    there carry generation suffixes), so the program the server installs
+    is unbound; a re-install after a live rescale compiles afresh, and
+    the copies the server reads are the new program's.
+    """
+    env = Environment()
+    server = NFPServer(env, DEFAULT_PARAMS, flow_cache_size=64)
+    deployed = Orchestrator().deploy(Policy.from_chain(["nat", "vpn"]))
+    server.deploy(deployed)
+    TrafficSource(env, server.inject, 0.5, 64, seed=3,
+                  flows=FlowGenerator(num_flows=8, seed=3))
+    env.run()
+    server.request_rescale("vpn", 3)
+    env.run()
+    assert server.runtimes["vpn"].count == 3
+    assert server.chaining.closures_compiled == 1
+    before = server.chaining.compiled_for(deployed.mid)
+    server._install(deployed.tables)
+    after = server.chaining.compiled_for(deployed.mid)
+    assert server.chaining.closures_compiled == 2
+    assert after is not before
+    assert all(labels == (entry.node.name,) for _, entries in after.program
+               for _, _, labels, entry in entries)
+    installed = server._installed[deployed.graph]
+    assert installed.stage_copies == tuple(
+        copies for copies, _ in after.program)
+    # The functional plane's scale is fixed for its life: a different
+    # membership is a different plane, bound to its own labels.
+    graph = west_east()
+    two = FunctionalDataplane(graph, scale=2)
+    three = FunctionalDataplane(graph, scale=3)
+    assert set(two.nfs) < set(three.nfs)
+    assert "ids#2" not in {label for _, entries in two._stages
+                           for _, _, labels, _ in entries for label in labels}
+
+
+def test_replaced_instance_is_seen_by_the_next_packet():
+    graph = west_east()
+    plane = FunctionalDataplane(graph)
+    plane.process(build_packet(size=64))
+    assert plane.nfs["monitor"].rx_packets == 1
+    # What ``_instance_down``'s restart does: a fresh object under the
+    # same label.  The program holds labels, so nothing is rebound.
+    fresh = plane.nfs["monitor"] = create_nf("monitor", name="monitor")
+    plane.process(build_packet(size=64))
+    assert fresh.rx_packets == 1
+
+    # And through the fault gate itself: the last healthy instance
+    # crashes, restarts in place, and serves the following packet.
+    injector = FaultInjector(FaultPlan.parse("crash:monitor:pkt=2"))
+    gated = FunctionalDataplane(graph, injector=injector)
+    original = gated.nfs["monitor"]
+    assert gated.process(build_packet(size=64)) is not None
+    assert gated.process(build_packet(size=64)) is None
+    assert gated.restarts == 1 and gated.drop_reasons == {"instance_down": 1}
+    assert gated.nfs["monitor"] is not original
+    assert gated.process(build_packet(size=64)) is not None
+    assert gated.nfs["monitor"].rx_packets == 1

@@ -168,11 +168,12 @@ def _tuple_key(i):
 
 
 def test_assign_instances_healthy_none_matches_historical_hash():
-    counts = {"fw": 4, "nat": 1}
+    counts = {"fw": 4}  # pre-filtered: replicated NFs only (the precondition)
     for i in range(32):
         key = _tuple_key(i)
         assignment = assign_instances(key, counts, healthy=None)
         assert assignment == {"fw": rss_instance(key, 4)}
+        assert assignment.get("nat", 0) == 0  # unreplicated NFs read 0
 
 
 def test_assign_instances_degraded_group_rehashes_over_live():

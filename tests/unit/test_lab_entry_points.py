@@ -1,0 +1,96 @@
+"""The performance lab's hooks still see every plane's merge and copy.
+
+``benchmarks/lab/spans.py`` measures from outside: it replaces
+``apply_merge_ops`` and ``assign_instances`` by *module attribute* and
+``Packet.header_copy`` / ``full_copy`` / ``five_tuple``,
+``NetworkFunction.handle`` and ``FunctionalDataplane.process_many``
+through the class.  A plane that captured one of those at install, or
+reached the merge through a private name, would still be byte-correct
+while the lab read ``dataplane.merge_us_per_pkt`` as 0.0.  This test
+installs the lab's own wrappers and counts spans on all three planes.
+"""
+
+import contextlib
+
+import pytest
+
+from repro.core import Orchestrator, Policy
+from repro.dataplane import FunctionalDataplane, NFPServer
+from repro.multiserver import MultiServerDataplane
+from repro.sim import DEFAULT_PARAMS, Environment
+from repro.traffic.generator import FlowGenerator
+
+spans = pytest.importorskip(
+    "benchmarks.lab.spans", reason="run from the repo root (python -m pytest)")
+
+WEST_EAST = ["ids", "monitor", "loadbalancer"]
+PACKETS = 10
+
+
+@contextlib.contextmanager
+def lab_wrappers():
+    """The lab's wrappers, installed as the lab installs them: *after*
+    set-up, so a reference captured at construction escapes them."""
+    rec = spans.SpanRecorder()
+    spans.install_wrappers(rec, [0])
+    try:
+        yield rec
+    finally:
+        rec.uninstall()
+
+
+def _stream(seed=3):
+    return FlowGenerator(num_flows=6, seed=seed).packets(PACKETS)
+
+
+def _calls(rec):
+    return {name: calls for name, (calls, _, _) in rec.by_name().items()}
+
+
+def test_functional_plane_merges_and_copies_under_the_lab_wrappers():
+    graph = Orchestrator().compile(Policy.from_chain(WEST_EAST)).graph
+    plane = FunctionalDataplane(graph, scale=4)
+    with lab_wrappers() as recorder:
+        outputs = plane.process_many(_stream())
+    calls = _calls(recorder)
+    assert plane.emitted == len([o for o in outputs if o is not None]) == PACKETS
+    assert calls["dataplane.walk"] == 1
+    assert calls["dataplane.merge"] == PACKETS
+    assert calls["net.copy.header"] == PACKETS
+    assert "net.copy.full" not in calls
+    # The flow key is hashed once per packet; each NF runs once.
+    assert calls["net.fields.five_tuple"] >= PACKETS
+    for kind in WEST_EAST:
+        assert calls[f"nfs.{kind}"] == PACKETS
+
+
+def test_two_slice_multiserver_merges_once_per_slice():
+    # West-east is one stage and cannot span two servers; a NAT in front
+    # makes it two, with the header copy and the merge on the second.
+    graph = Orchestrator().compile(
+        Policy.from_chain(["nat"] + WEST_EAST)).graph
+    multi = MultiServerDataplane(graph, cores_per_server=5)
+    assert multi.num_servers == 2
+    with lab_wrappers() as recorder:
+        for pkt in _stream():
+            assert multi.process(pkt) is not None
+    calls = _calls(recorder)
+    assert calls["dataplane.merge"] == PACKETS * multi.num_servers
+    assert calls["net.copy.header"] == PACKETS
+    assert [server.emitted for server in multi.servers] == [PACKETS, PACKETS]
+
+
+def test_nfp_server_merges_and_copies_under_the_lab_wrappers():
+    env = Environment()
+    server = NFPServer(env, DEFAULT_PARAMS)
+    server.deploy(Orchestrator().deploy(Policy.from_chain(WEST_EAST), scale=4))
+    with lab_wrappers() as recorder:
+        for pkt in _stream():
+            server.inject(pkt)
+        env.run()
+    calls = _calls(recorder)
+    assert server.emitted == PACKETS
+    assert calls["dataplane.inject"] == PACKETS
+    assert calls["dataplane.merge"] == PACKETS
+    assert calls["dataplane.assign"] == PACKETS
+    assert calls["net.copy.header"] == PACKETS

@@ -10,7 +10,7 @@ malformed merge sets.
 import pytest
 
 from repro.core.graph import MergeOp, MergeOpKind
-from repro.dataplane.merging import MergeError, apply_merge_ops
+from repro.dataplane.merging import MergeError, MergePlan, apply_merge_ops
 from repro.net import Field, build_packet, insert_ah
 from repro.net.packet import PacketMeta
 from repro.telemetry.hooks import TelemetryHub
@@ -163,3 +163,63 @@ def test_merge_ops_are_counted_per_kind():
     assert hub.registry.counter_value("merge.ops.modify") == 1
     assert hub.registry.counter_value("merge.ops.add") == 1
     assert hub.registry.counter_value("merge.ops.remove") == 1
+
+
+# ------------------------------------------------------------ the merge plan
+def _byte_ranges(plan):
+    """(src_version, lo, hi) of the plan's byte-range copies, in order."""
+    return [(src, lo, hi) for src, resolve, _, _, lo, hi, _ in plan.steps
+            if resolve is not None]
+
+
+def test_adjacent_fields_from_one_version_compile_to_one_range():
+    # The west-east graph's two declared ops: IPv4 bytes 12..20 of v2.
+    plan = MergePlan([MergeOp(MergeOpKind.MODIFY, Field.DIP, 2),
+                      MergeOp(MergeOpKind.MODIFY, Field.SIP, 2)])
+    assert _byte_ranges(plan) == [(2, 12, 20)]
+    assert plan.counts == (("merge.ops.modify", 2),)
+
+
+def test_fields_from_different_versions_stay_two_ranges_in_order():
+    plan = MergePlan([MergeOp(MergeOpKind.MODIFY, Field.SIP, 2),
+                      MergeOp(MergeOpKind.MODIFY, Field.DIP, 3)])
+    assert _byte_ranges(plan) == [(2, 12, 16), (3, 16, 20)]
+
+
+def test_only_touching_ranges_under_one_anchor_coalesce():
+    def ranges(*fields):
+        return _byte_ranges(MergePlan(
+            MergeOp(MergeOpKind.MODIFY, field, 2) for field in fields))
+
+    assert ranges(Field.DMAC, Field.SMAC) == [(2, 0, 12)]
+    assert ranges(Field.DPORT, Field.SPORT) == [(2, 0, 4)]
+    # TTL (byte 8) does not touch SIP (12..16); SIP twice overlaps itself.
+    assert ranges(Field.TTL, Field.SIP) == [(2, 8, 9), (2, 12, 16)]
+    assert ranges(Field.SIP, Field.SIP) == [(2, 12, 16), (2, 12, 16)]
+    # Same bytes apart in the header, different anchors: never one range.
+    assert ranges(Field.SPORT, Field.DMAC) == [(2, 0, 2), (2, 0, 6)]
+    # A whole operation between two ranges keeps them apart.
+    assert ranges(Field.SIP, Field.DSCP, Field.DIP) == [(2, 12, 16), (2, 16, 20)]
+
+
+def test_a_coalesced_plan_counts_every_declared_op_in_one_call_per_kind():
+    calls = []
+
+    class CountingHub(TelemetryHub):
+        def inc(self, name, n=1):
+            calls.append((name, n))
+            super().inc(name, n)
+
+    hub = CountingHub()
+    base = _base()
+    v2 = base.full_copy(2)
+    v2.ipv4.src_ip, v2.ipv4.dst_ip = "172.16.0.1", "172.16.0.2"
+    merged = apply_merge_ops(
+        {1: base, 2: v2},
+        MergePlan([MergeOp(MergeOpKind.MODIFY, Field.DIP, 2),
+                   MergeOp(MergeOpKind.MODIFY, Field.SIP, 2)]),
+        telemetry=hub)
+    assert (merged.ipv4.src_ip, merged.ipv4.dst_ip) == ("172.16.0.1", "172.16.0.2")
+    assert merged.ipv4.verify_checksum()
+    assert calls == [("merge.ops.modify", 2)]
+    assert hub.registry.counter_value("merge.ops.modify") == 2
