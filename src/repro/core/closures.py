@@ -7,19 +7,22 @@ plain tuples, so no per-packet path scans ``graph.copies`` or formats an
 instance label.  The functional plane and each multi-server stage
 execute (a slice of) the program, bound to their scale map, through the
 one interpreter (:class:`repro.dataplane.functional.StageKernel`); the
-DES server makes the same per-stage copies in its classifier and at its
-version-1 barrier (:class:`~repro.dataplane.chaining.ChainingManager`
-keeps one program per MID, unbound: instance membership stays with the
-runtime groups).  The merge half of the install-time work is
+DES server, whose packets advance one NF completion at a time, reads
+the *step table* beside the program -- per ``(stage, version)``: is it
+the version's last stage, how many completions its barrier waits for,
+which copies and rings come next -- so a completion is one lookup
+(:class:`~repro.dataplane.chaining.ChainingManager` keeps one record per
+MID, unbound: instance membership stays with the runtime groups).  The
+merge half of the install-time work is
 :class:`repro.dataplane.merging.MergePlan`; the performance lab times
 the one-argument constructor as ``core.closure_compile_ms``.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .graph import CopySpec, ServiceGraph
+from .graph import ORIGINAL_VERSION, CopySpec, ServiceGraph
 
 __all__ = ["CompiledGraph", "instance_labels"]
 
@@ -38,10 +41,14 @@ class CompiledGraph:
     ``scale`` (NF name -> instance count, default 1 each) binds every
     entry to its instance labels -- labels, never NF objects, so a plane
     may replace an instance (a fault restart) between two packets.
-    Immutable: a membership change means a new ``CompiledGraph``.
+    Immutable: a membership change means a new ``CompiledGraph`` --
+    but for ``merge_plan`` and ``merge_delay_us``, the installer's to
+    fill: the chaining manager compiles the plan, the DES server
+    attaches the delay its ``SimParams`` give a merge.
     """
 
-    __slots__ = ("graph", "program")
+    __slots__ = ("graph", "program", "steps", "by_nf", "stage0",
+                 "total_count", "needs_merger", "merge_plan", "merge_delay_us")
 
     def __init__(self, graph: ServiceGraph,
                  scale: Optional[Mapping[str, int]] = None):
@@ -60,3 +67,39 @@ class CompiledGraph:
                 for labels in [instance_labels(
                     entry.node.name, counts.get(entry.node.name, 1))]))
             for due, stage in zip(copies, graph.stages))
+        #: Per ``(stage, version)``, ``(last, fan_in, copies, targets)``:
+        #: does the version end here; how many completions its barrier
+        #: waits for; the copies due at the next stage's entry, each with
+        #: the NF names it fans out to (cut from version 1 only); the
+        #: next stage's NF names on this version.
+        self.steps: Dict[Tuple[int, int], tuple] = {}
+        #: NF name -> ``((stage, version), step)``: where a completion is.
+        self.by_nf: Dict[str, Tuple[Tuple[int, int], tuple]] = {}
+        for index, stage in enumerate(graph.stages):
+            for version in stage.versions():
+                last = index == graph.last_stage_of_version(version)
+                due, targets = (), ()
+                if not last:
+                    following = graph.stages[index + 1]
+                    targets = _names(following, version)
+                    if version == ORIGINAL_VERSION:
+                        due = tuple((spec, _names(following, spec.version))
+                                    for spec in copies[index + 1])
+                entries = stage.entries_on(version)
+                key = (index, version)
+                step = self.steps[key] = (last, len(entries), due, targets)
+                for entry in entries:
+                    self.by_nf[entry.node.name] = (key, step)
+        #: The classifier's fan-out: ``(version, NF name)`` per stage-0
+        #: entry, in version order, declaration order within one.
+        self.stage0: Tuple[Tuple[int, str], ...] = tuple(
+            (version, name) for version in sorted(graph.stages[0].versions())
+            for name in _names(graph.stages[0], version))
+        self.total_count = graph.total_count
+        self.needs_merger = graph.needs_merger
+        self.merge_plan = None
+        self.merge_delay_us: Optional[float] = None
+
+
+def _names(stage, version: int) -> Tuple[str, ...]:
+    return tuple(entry.node.name for entry in stage.entries_on(version))

@@ -3,7 +3,12 @@
 The orchestrator pushes a :class:`~repro.core.tables.TableSet` per
 deployed graph; the chaining manager splits it -- the CT entry goes to
 the classifier, each NF runtime receives its FT slice, and the mergers
-look up total counts and MOs by MID.
+look up total counts and MOs by MID.  What the server's per-packet paths
+need of a graph is compiled here, once per install, into one record per
+MID (:class:`~repro.core.closures.CompiledGraph`: stage program, step
+table, stage-0 fan-out, merge plan): the classifier, every NF completion
+and the mergers read that record, never the graph, so a table set
+installed through :meth:`ChainingManager.install` alone is complete.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from typing import Callable, Dict, List, Optional
 from ..core.closures import CompiledGraph
 from ..core.graph import ServiceGraph
 from ..core.tables import ClassificationTable, CTEntry, FTAction, TableSet
+from .merging import MergePlan
 
 __all__ = ["ChainingManager"]
 
@@ -23,30 +29,31 @@ class ChainingManager:
     def __init__(self):
         self.classification = ClassificationTable()
         self._forwarding: Dict[int, Dict[str, List[FTAction]]] = {}
-        #: Install-time compiled programs, one per MID: the per-stage
-        #: copies the server's classifier and version-1 barrier make,
-        #: stated once so no per-packet path scans ``graph.copies``.
+        #: Install-time compiled records, one per MID: everything the
+        #: server's classifier, NF completions and mergers read of a
+        #: graph, stated once so no per-packet path derives it.
         self._compiled: Dict[int, CompiledGraph] = {}
         #: How many graph compilations ran (tests pin this to the number
         #: of installs, proving compilation stays off the packet path).
         self.closures_compiled = 0
-        #: Called after every table (re)install; the classifier's flow
-        #: cache registers here so no stale per-flow decision survives a
-        #: graph recompile.
-        self._install_listeners: List[Callable[[], None]] = []
+        #: Called with the new record after every table (re)install: the
+        #: server attaches what depends on its ``SimParams``; the flow
+        #: cache drops its decisions so none survives a graph recompile.
+        self._install_listeners: List[Callable[[CompiledGraph], None]] = []
 
-    def on_install(self, listener: Callable[[], None]) -> None:
-        """Register a callback fired after each table (re)install."""
+    def on_install(self, listener: Callable[[CompiledGraph], None]) -> None:
+        """Register ``listener(record)``, fired after each (re)install."""
         self._install_listeners.append(listener)
 
     def install(self, tables: TableSet) -> None:
         """Install a deployed graph's tables (classifier + runtimes)."""
         self.classification.install(tables.ct_entry)
         self._forwarding[tables.mid] = tables.forwarding
-        self._compiled[tables.mid] = CompiledGraph(tables.graph)
+        compiled = self._compiled[tables.mid] = CompiledGraph(tables.graph)
+        compiled.merge_plan = MergePlan(tables.graph.merge_ops)
         self.closures_compiled += 1
         for listener in self._install_listeners:
-            listener()
+            listener(compiled)
 
     def graph_for(self, mid: int) -> ServiceGraph:
         try:

@@ -33,13 +33,12 @@ Execution rules:
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Set, Tuple)
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from ..core.closures import instance_labels
-from ..core.graph import ORIGINAL_VERSION, CopySpec, ServiceGraph, StageEntry
+from ..core.closures import CompiledGraph, instance_labels
+from ..core.graph import ORIGINAL_VERSION
 from ..core.orchestrator import DeployedGraph
-from ..core.tables import TableSet, build_tables
+from ..core.tables import build_tables
 from ..faults import FaultInjector, FaultKind, HealthBoard, HealthState, base_name
 from ..faults.recovery import linearize
 from ..net.packet import Packet, PacketMeta
@@ -51,7 +50,7 @@ from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..telemetry.tracer import SpanKind
 from .chaining import ChainingManager
 from .flowsplit import FlowCache, FlowDecision, assign_instances, flow_key
-from .merging import MergePlan, apply_merge_ops
+from .merging import apply_merge_ops
 
 __all__ = ["NFPServer", "FlightState"]
 
@@ -66,13 +65,20 @@ class FlightState:
     instance index), computed once at classification time and read by
     every dispatch site -- so all copies/versions of one packet, and all
     packets of one flow, land on the same instance of each scaled NF.
+    ``compiled`` is the install-time record the packet was classified
+    under and finishes under; ``steps`` (NF name -> program step) and
+    ``merged`` (final NFs notify a merger) are what completions read of it.
     """
 
     __slots__ = ("versions", "dropped", "barriers", "assignment", "opened_us",
-                 "pool_bytes", "copy_bytes")
+                 "pool_bytes", "copy_bytes", "compiled", "steps", "merged")
 
-    def __init__(self, pkt: Packet, assignment: Optional[Mapping[str, int]] = None,
+    def __init__(self, pkt: Packet, compiled: CompiledGraph,
+                 assignment: Optional[Mapping[str, int]] = None,
                  opened_us: float = 0.0):
+        self.compiled = compiled
+        self.steps = compiled.by_nf
+        self.merged = compiled.needs_merger
         self.versions: Dict[int, Packet] = {ORIGINAL_VERSION: pkt}
         self.dropped: Set[int] = set()
         self.barriers: Dict[Tuple[int, int], int] = {}
@@ -99,18 +105,16 @@ class _NFRuntimeSim:
     core's own clock) and the burst's commit at the instant service ends.
     """
 
-    def __init__(self, server: "NFPServer", nf: NetworkFunction, stage_index: int,
-                 entry: StageEntry, core: Core,
-                 group: Optional["_RuntimeGroup"] = None):
+    def __init__(self, server: "NFPServer", nf: NetworkFunction, name: str,
+                 core: Core):
         self.server = server
         self.nf = nf
-        self.stage_index = stage_index
-        self.entry = entry
+        #: The NF's name in the graph (``nf.name`` is the instance label).
+        self.name = name
         self.core = core
-        self.group = group
         self.rx = Ring(server.env, server.params.ring_capacity, name=f"{nf.name}.rx")
-        #: Back-reference for delivery-time health checks and overflow
-        #: accounting (see ``NFPServer._post`` / ``Ring.on_drop``).
+        #: Back-reference for the landing-time health check and overflow
+        #: accounting (see ``NFPServer._land`` / ``Ring.on_drop``).
         self.rx.owner = self
         #: True once a live scale-down retired this instance.
         self.retired = False
@@ -206,22 +210,16 @@ class _RuntimeGroup:
     instance and packet order within a flow is preserved.
     """
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, kind: str):
         self.name = name
+        #: NF kind, for the instances a restart or scale-up spawns.
+        self.kind = kind
         self.instances: List[_NFRuntimeSim] = []
-        #: MID -> (stage index, stage entry) for every graph this group
-        #: serves.  One deployment per NF normally; graceful degradation
-        #: adds the NF's placement in the degraded sequential graph.
-        self.placements: Dict[int, Tuple[int, StageEntry]] = {}
         #: Replacement runtimes spawned after crashes (label suffix).
         self.restarts = 0
         #: Label-generation counter for autoscale re-adds: a retired
         #: index re-grown later must not reuse its old label.
         self.generations = 0
-
-    def add(self, runtime: "_NFRuntimeSim") -> None:
-        runtime.group = self
-        self.instances.append(runtime)
 
     def index_of(self, label: str) -> Optional[int]:
         for i, runtime in enumerate(self.instances):
@@ -232,12 +230,6 @@ class _RuntimeGroup:
     @property
     def count(self) -> int:
         return len(self.instances)
-
-    def ring(self, index: int) -> Ring:
-        """The rx ring of one instance (index 0 for unscaled groups)."""
-        if len(self.instances) == 1:
-            return self.instances[0].rx
-        return self.instances[index % len(self.instances)].rx
 
     @property
     def rx_packets(self) -> int:
@@ -280,7 +272,7 @@ class _MergerSim:
             done = self._accumulate(pkt, now)
             if done is not None:
                 now = reserve(now, params.merger_base_us)
-                self._finish(done[0], done[1], now)
+                self._finish(done, now)
         self.rx.wait(self._wake, now)
 
     def _accumulate(self, pkt: Packet, now: float):
@@ -289,7 +281,8 @@ class _MergerSim:
         key = (meta.mid, meta.pid)
         entry = self.at.get(key)
         if entry is None:
-            if key not in self.server._flight:
+            state = self.server._flight.get(key)
+            if state is None:
                 # The packet was already accounted (AT timeout, ring
                 # overflow, flight sweep); a late notification must not
                 # reopen an entry that can never complete.
@@ -297,7 +290,7 @@ class _MergerSim:
                     hub.inc("merger.stale_notification")
                 return None
             entry = {"count": 0, "versions": {}, "nil": False,
-                     "opened_us": now}
+                     "opened_us": now, "compiled": state.compiled}
             self.at[key] = entry
             self.at_high_watermark = max(self.at_high_watermark, len(self.at))
             self._maybe_sweep(now)
@@ -310,13 +303,12 @@ class _MergerSim:
         entry["count"] += 1
         entry["versions"][meta.version] = pkt
         entry["nil"] = entry["nil"] or pkt.nil
-        graph = self.server.chaining.graph_for(meta.mid)
-        if entry["count"] >= graph.total_count:
+        if entry["count"] >= entry["compiled"].total_count:
             del self.at[key]
-            return entry, graph
+            return entry
         return None
 
-    def _finish(self, entry: Dict, graph: ServiceGraph, now: float) -> None:
+    def _finish(self, entry: Dict, now: float) -> None:
         hub = self.server.telemetry
         if entry["nil"]:
             self.discarded += 1
@@ -324,11 +316,11 @@ class _MergerSim:
                 hub.inc("merger.discarded")
             self.server.record_drop(_drop_witness(entry), now)
             return
-        installed = self.server._installed[graph]
-        merged = apply_merge_ops(entry["versions"], installed.merge_plan,
+        compiled = entry["compiled"]
+        merged = apply_merge_ops(entry["versions"], compiled.merge_plan,
                                  telemetry=hub)
         merged.stamp("merged", now)
-        delay = installed.merge_delay_us
+        delay = compiled.merge_delay_us
         if hub.enabled:
             hub.inc("merger.merged")
             # wait_us: AT entry opening -> last notification (rendezvous
@@ -380,21 +372,16 @@ class _MergerSim:
         self.timed_out += 1
         hub.inc("merger.at_timeout")
         versions = entry["versions"]
-        graph: Optional[ServiceGraph]
-        try:
-            graph = server.chaining.graph_for(key[0])
-        except KeyError:
-            graph = None
+        compiled = entry["compiled"]
         usable = (
-            graph is not None
-            and not entry["nil"]
+            not entry["nil"]
             and ORIGINAL_VERSION in versions
             and all(op.src_version is None or op.src_version in versions
-                    for op in graph.merge_ops)
+                    for op in compiled.graph.merge_ops)
         )
         if usable:
-            merged = apply_merge_ops(
-                versions, server._installed[graph].merge_plan, telemetry=hub)
+            merged = apply_merge_ops(versions, compiled.merge_plan,
+                                     telemetry=hub)
             if merged is not None:
                 hub.inc("merger.at_timeout_emit")
                 merged.stamp("merged-degraded", server.env.now)
@@ -428,19 +415,6 @@ def _drop_witness(entry: Dict) -> Optional[Packet]:
     return witness
 
 
-class _Installed(NamedTuple):
-    """What installing a graph fixes; the per-packet paths only read it."""
-
-    #: Per-stage copies, as the chaining manager's program states them.
-    stage_copies: Tuple[Tuple[CopySpec, ...], ...]
-    #: Stage-0 entries in version order, declaration order within one.
-    stage0_fanout: Tuple[StageEntry, ...]
-    merge_plan: MergePlan
-    #: Rendezvous latency: AT bookkeeping plus the copy-collection
-    #: penalty (§6.3.2), charged as pipeline latency, not core time.
-    merge_delay_us: float
-
-
 class NFPServer:
     """A full simulated NFP box processing deployed service graphs."""
 
@@ -467,14 +441,14 @@ class NFPServer:
         #: NFs; the disabled NULL_HUB by default (one branch per call site).
         self.telemetry = telemetry if telemetry is not None else NULL_HUB
         self.chaining = ChainingManager()
-        self._installed: Dict[ServiceGraph, _Installed] = {}
+        self.chaining.on_install(self._attach_merge_delay)
         #: The classifier's LRU flow cache (``flow_cache_size`` > 0
         #: enables it).  Off by default: the Table 4 calibration anchors
         #: are stated for the uncached classifier path.
         self.flow_cache: Optional[FlowCache] = None
         if flow_cache_size > 0:
             self.flow_cache = FlowCache(flow_cache_size)
-            self.chaining.on_install(self.flow_cache.invalidate)
+            self.chaining.on_install(lambda _record: self.flow_cache.invalidate())
         self.pool = PacketPool(capacity=1 << 16)
         self.nic_tx = Nic(env, params, name="tx")
 
@@ -577,51 +551,38 @@ class NFPServer:
         """
         if scale is None:
             scale = deployed.scale
-        self._install(deployed.tables)
-        graph = deployed.graph
-        for stage_index, stage in enumerate(graph.stages):
-            for entry in stage:
-                name = entry.node.name
-                if name in self.runtimes:
-                    raise ValueError(f"NF instance {name!r} already running")
-                count = scale.get(name, 1)
-                if count < 1:
-                    raise ValueError(f"scale for {name!r} must be >= 1")
-                group = _RuntimeGroup(name)
-                group.placements[deployed.mid] = (stage_index, entry)
-                for label in instance_labels(name, count):
-                    group.add(self._spawn_runtime(label, entry, stage_index))
-                self.runtimes[name] = group
-                self.health.register(name, count)
-                if count > 1:
-                    self._scaled_counts[name] = count
+        self.chaining.install(deployed.tables)
+        for node in deployed.graph.nodes():
+            name = node.name
+            if name in self.runtimes:
+                raise ValueError(f"NF instance {name!r} already running")
+            count = scale.get(name, 1)
+            if count < 1:
+                raise ValueError(f"scale for {name!r} must be >= 1")
+            group = self.runtimes[name] = _RuntimeGroup(name, node.kind)
+            for label in instance_labels(name, count):
+                group.instances.append(self._spawn_runtime(group, label))
+            self.health.register(name, count)
+            if count > 1:
+                self._scaled_counts[name] = count
 
-    def _install(self, tables: TableSet) -> None:
-        """Install tables; fix what the per-packet paths would re-derive."""
-        graph, params = tables.graph, self.params
-        self.chaining.install(tables)
-        stage0 = graph.stages[0]
-        self._installed[graph] = _Installed(
-            tuple(copies for copies, _ in
-                  self.chaining.compiled_for(tables.mid).program),
-            tuple(entry for version in sorted(stage0.versions())
-                  for entry in stage0.entries_on(version)),
-            MergePlan(graph.merge_ops),
-            params.merge_latency_us + (
-                (graph.num_versions - 1) * params.copy_merge_latency_us
-            ) + graph.total_count * params.merge_per_notification_us + len(
-                graph.merge_ops
-            ) * params.merge_per_mo_us,
-        )
+    def _attach_merge_delay(self, compiled: CompiledGraph) -> None:
+        """Install listener: rendezvous latency (AT bookkeeping plus the
+        copy-collection penalty, §6.3.2), the record's one ``SimParams``
+        fact; charged as pipeline latency, not core time."""
+        graph, params = compiled.graph, self.params
+        compiled.merge_delay_us = params.merge_latency_us + (
+            (graph.num_versions - 1) * params.copy_merge_latency_us
+        ) + graph.total_count * params.merge_per_notification_us + len(
+            graph.merge_ops
+        ) * params.merge_per_mo_us
 
-    def _spawn_runtime(
-        self, label: str, entry: StageEntry, stage_index: int
-    ) -> _NFRuntimeSim:
+    def _spawn_runtime(self, group: _RuntimeGroup, label: str) -> _NFRuntimeSim:
         """One NF instance on a fresh core, overflow hook attached."""
-        nf = self._nf_factory(entry.node.kind, label)
+        nf = self._nf_factory(group.kind, label)
         nf.telemetry = self.telemetry
         self.nfs[label] = nf
-        runtime = _NFRuntimeSim(self, nf, stage_index, entry, self._new_core(label))
+        runtime = _NFRuntimeSim(self, nf, group.name, self._new_core(label))
         runtime.rx.on_drop = lambda pkt, rt=runtime: self._nf_ring_overflow(rt, pkt)
         return runtime
 
@@ -697,12 +658,16 @@ class NFPServer:
                 self._count_drop("no_match")
                 hub.inc("drops.no_match")
                 continue
-            graph = self.chaining.graph_for(entry.mid)
+            compiled = self.chaining.compiled_for(entry.mid)
+            # Tagging is for the merger; a sequential graph only forwards.
             now = reserve(now, params.classifier_tag_us
-                          if graph.has_parallelism
+                          if compiled.needs_merger
                           else params.classifier_fwd_us)
-            decision = FlowDecision(entry, graph, assign_instances(
-                key, self._scaled_counts, healthy=self.health.view(),
+            # The health view is a dict over every runtime group: built
+            # only when something is replicated and will read it.
+            scaled = self._scaled_counts
+            decision = FlowDecision(entry, compiled.graph, assign_instances(
+                key, scaled, healthy=self.health.view() if scaled else None,
                 telemetry=hub))
             if cache is not None and key is not None:
                 if hub.enabled:
@@ -739,12 +704,12 @@ class NFPServer:
     def _classify_one(self, pkt: Packet, decision: FlowDecision,
                       now: float) -> float:
         """Tag metadata, run CT actions; returns extra core time spent."""
-        ct_entry, graph = decision.ct_entry, decision.graph
+        mid = decision.ct_entry.mid
+        compiled = self.chaining.compiled_for(mid)
         pid = self._next_pid = (self._next_pid + 1) % (1 << 40)
-        pkt.meta = PacketMeta(mid=ct_entry.mid, pid=pid, version=ORIGINAL_VERSION)
-        state = FlightState(pkt, assignment=decision.assignment,
-                            opened_us=now)
-        self._flight[(ct_entry.mid, pid)] = state
+        pkt.meta = PacketMeta(mid=mid, pid=pid, version=ORIGINAL_VERSION)
+        state = FlightState(pkt, compiled, decision.assignment, now)
+        self._flight[(mid, pid)] = state
         self._maybe_sweep_flight(now)
 
         hub = self.telemetry
@@ -754,22 +719,22 @@ class NFPServer:
                      name="classifier", args={"ingress_us": pkt.ingress_us})
 
         extra = 0.0
-        installed = self._installed[graph]
-        for copy in installed.stage_copies[0]:
+        for copy in compiled.program[0][0]:
             extra += self._make_copy(state, pkt, copy, now)
         # Distribute each version to its stage-0 NFs.
-        for entry in installed.stage0_fanout:
-            pkt_v = state.versions[entry.version]
-            self._post(self._ring_for(entry.node.name, state), pkt_v, now)
-            extra += self.params.ring_hop_us
+        hop = self.params.ring_hop_us
+        versions = state.versions
+        for version, name in compiled.stage0:
+            self._post(self._ring_for(name, state), versions[version], now)
+            extra += hop
         return extra
 
     def _ring_for(self, name: str, state: FlightState) -> Ring:
         """The rx ring this packet's flow is pinned to for NF ``name``."""
-        group = self.runtimes[name]
-        if group.count == 1:
-            return group.instances[0].rx
-        return group.ring(state.assignment.get(name, 0))
+        instances = self.runtimes[name].instances
+        if len(instances) == 1:
+            return instances[0].rx
+        return instances[state.assignment.get(name, 0) % len(instances)].rx
 
     # ----------------------------------------------------- copy machinery
     def _make_copy(self, state: FlightState, base: Packet, copy_spec,
@@ -821,15 +786,8 @@ class NFPServer:
         state = self._flight.get((meta.mid, meta.pid))
         if state is None:
             return 0.0
-        graph = self.chaining.graph_for(meta.mid)
-        placement = None
-        if runtime.group is not None:
-            placement = runtime.group.placements.get(meta.mid)
-        if placement is None:
-            stage_index, entry = runtime.stage_index, runtime.entry
-        else:
-            stage_index, entry = placement
-        version = entry.version
+        key, (last, fan_in, copies, targets) = state.steps[runtime.name]
+        version = key[1]
 
         if faulted:
             state.dropped.add(version)
@@ -839,44 +797,40 @@ class NFPServer:
                 state.dropped.add(version)
 
         extra = 0.0
-        last_stage = graph.last_stage_of_version(version)
-        if stage_index == last_stage:
-            # Final stage for this version: notify the merger (or output
-            # directly for a strictly sequential graph).
+        hop = self.params.ring_hop_us
+        if last:
+            # Final stage for this version: notify the merger the PID
+            # hash picks (or output directly for a sequential graph).
             out_pkt = self._version_packet(state, version)
-            if graph.needs_merger:
-                self._notify_merger(out_pkt, now)
-                extra += self.params.ring_hop_us
+            if state.merged:
+                self._post(self.mergers[meta.pid % self.num_mergers].rx,
+                           out_pkt, now, self.params.merger_hop_latency_us)
+                extra += hop
             elif out_pkt.nil:
                 self.record_drop(out_pkt, now)
             else:
                 self.emit(out_pkt, now)
             return extra
 
-        # Mid-graph: version barrier.
-        key = (stage_index, version)
-        remaining = state.barriers.get(key)
-        if remaining is None:
-            remaining = len(graph.stages[stage_index].entries_on(version))
-        remaining -= 1
-        state.barriers[key] = remaining
-        if remaining > 0:
-            return 0.0
+        # Mid-graph: version barrier, counted only when it has one.
+        if fan_in > 1:
+            barriers = state.barriers
+            remaining = barriers[key] = barriers.get(key, fan_in) - 1
+            if remaining > 0:
+                return 0.0
 
-        # Barrier complete: this runtime forwards to the next stage.
-        next_stage = graph.stages[stage_index + 1]
+        # Barrier complete: this runtime makes the copies due at the
+        # next stage's entry and forwards to that stage.
         fwd_pkt = self._version_packet(state, version)
-        if version == ORIGINAL_VERSION:
-            for copy in self._installed[graph].stage_copies[stage_index + 1]:
-                extra += self._make_copy(state, fwd_pkt, copy, now)
-                new_pkt = state.versions[copy.version]
-                for entry in next_stage.entries_on(copy.version):
-                    self._post(self._ring_for(entry.node.name, state),
-                               new_pkt, now)
-                    extra += self.params.ring_hop_us
-        for entry in next_stage.entries_on(version):
-            self._post(self._ring_for(entry.node.name, state), fwd_pkt, now)
-            extra += self.params.ring_hop_us
+        for copy, names in copies:
+            extra += self._make_copy(state, fwd_pkt, copy, now)
+            new_pkt = state.versions[copy.version]
+            for name in names:
+                self._post(self._ring_for(name, state), new_pkt, now)
+                extra += hop
+        for name in targets:
+            self._post(self._ring_for(name, state), fwd_pkt, now)
+            extra += hop
         return extra
 
     def _version_packet(self, state: FlightState, version: int) -> Packet:
@@ -886,51 +840,45 @@ class NFPServer:
             state.versions[version] = pkt
         return pkt
 
-    def _notify_merger(self, pkt: Packet, now: float) -> None:
-        merger = self.mergers[pkt.meta.pid % self.num_mergers]
-        self._post(merger.rx, pkt, now, self.params.merger_hop_latency_us)
-
     # ------------------------------------------------------------- egress
     def _post(self, ring: Ring, pkt: Packet, now: float,
               delay: Optional[float] = None) -> None:
-        """Deliver the reference sent at ``now`` after the pipeline's
-        batch latency (or ``delay``).
-
-        When a fault injector is attached, a delivery to a dead or hung
-        instance is diverted to :meth:`fault_abort` instead of piling
-        up in a ring nobody drains.
-        """
+        """Send the reference at ``now``; it lands (:meth:`_land`) after
+        the pipeline's batch latency (or ``delay``)."""
         wait = self.params.batch_wait_us if delay is None else delay
         hub = self.telemetry
         if hub.enabled:
             hub.inc("ring.hops")
             hub.span(SpanKind.ENQUEUE, now, pkt.meta, name=ring.name)
-        self.env.call_at(now + wait, self._deliver, ring, pkt)
+        self.env.call_at(now + wait, self._land, ring, pkt)
 
-    def _deliver(self, ring: Ring, pkt: Packet) -> None:
-        """Land a posted reference: divert it if the target is down, else put."""
-        owner = getattr(ring, "owner", None)
-        if (owner is not None and self.injector is not None
-                and self.injector.is_down(owner.nf.name)):
-            self.fault_abort(owner, pkt, self.env.now)
-            return
-        self._put(ring, pkt, self.params.ring_retry_limit)
+    def _land(self, ring: Ring, pkt: Packet,
+              retries: Optional[int] = None) -> None:
+        """Land a posted reference: divert, retry while full, or put.
 
-    def _put(self, ring: Ring, pkt: Packet, retries: int) -> None:
-        """Enqueue, or re-arm while the ring is full and retries remain.
-
-        A full target ring is retried ``ring_retry_limit`` times with
-        ``ring_retry_backoff_us`` between attempts (0 retries by
-        default: fail-fast ``rte_ring`` semantics); the final failure
-        lands in the ring's ``on_drop`` hook, which accounts the loss
-        and completes the merger's AT entry.
+        On arrival (``retries`` is None) with a fault injector attached,
+        a reference to a dead or hung instance is diverted to
+        :meth:`fault_abort` instead of piling up in a ring nobody drains.
+        A full ring is retried ``ring_retry_limit`` times,
+        ``ring_retry_backoff_us`` apart (default 0: fail-fast ``rte_ring``
+        semantics), the divert not asked again; the final failure lands
+        in the ring's ``on_drop`` hook, which accounts the loss and
+        completes the merger's AT entry.
         """
+        if retries is None:
+            injector = self.injector
+            if injector is not None:
+                owner = ring.owner
+                if owner is not None and injector.is_down(owner.nf.name):
+                    self.fault_abort(owner, pkt, self.env.now)
+                    return
+            retries = self.params.ring_retry_limit
         if retries > 0 and ring.is_full:
             hub = self.telemetry
             if hub.enabled:
                 hub.inc("ring.retry")
             self.env.call_later(self.params.ring_retry_backoff_us,
-                                self._put, ring, pkt, retries - 1)
+                                self._land, ring, pkt, retries - 1)
             return
         ring.try_put(pkt)  # a reject -> the ring's on_drop hook
 
@@ -1127,12 +1075,7 @@ class NFPServer:
         seq = linearize(graph)
         new_mid = max(self.chaining.mids()) + 1
         old_entry = self.chaining.ct_entry_for(mid)
-        self._install(build_tables(seq, new_mid, match=old_entry.match))
-        for stage_index, stage in enumerate(seq.stages):
-            for entry in stage:
-                group = self.runtimes.get(entry.node.name)
-                if group is not None:
-                    group.placements[new_mid] = (stage_index, entry)
+        self.chaining.install(build_tables(seq, new_mid, match=old_entry.match))
         hub = self.telemetry
         if hub.enabled:
             hub.inc("failover.degraded_graphs")
@@ -1152,12 +1095,7 @@ class NFPServer:
         # still observe its own health by name, and a revived same-name
         # entry would hand it a HEALTHY verdict mid-crash.
         label = f"{old.nf.name.split('~')[0]}~r{group.restarts}"
-        stage_index, entry = group.placements[min(group.placements)]
-        runtime = self._spawn_runtime(label, entry, stage_index)
-        runtime.stage_index = stage_index
-        runtime.entry = entry
-        group.instances[index] = runtime
-        runtime.group = group
+        runtime = group.instances[index] = self._spawn_runtime(group, label)
         self.health.mark_up(name, index)
         self.telemetry.inc("failover.restarts")
         return runtime
@@ -1252,7 +1190,6 @@ class NFPServer:
         old_view = self.health.view()
         retired: List[_NFRuntimeSim] = []
         if new_count > old_count:
-            stage_index, entry = group.placements[min(group.placements)]
             shared = [
                 inst.nf.export_shared_state() for inst in group.instances
             ]
@@ -1261,8 +1198,8 @@ class NFPServer:
                 if label in self.nfs:
                     group.generations += 1
                     label = f"{name}#{k}~g{group.generations}"
-                runtime = self._spawn_runtime(label, entry, stage_index)
-                group.add(runtime)
+                runtime = self._spawn_runtime(group, label)
+                group.instances.append(runtime)
                 # Cross-flow state floor: a fresh instance must not
                 # restart sequences/counters its peers already used.
                 for snap in shared:

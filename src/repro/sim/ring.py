@@ -65,6 +65,9 @@ class Ring:
         #: notification -- instead of the item silently vanishing into
         #: the local ``dropped`` counter.
         self.on_drop: Optional[Callable[[Any], None]] = None
+        #: Whoever drains this ring, for a producer that needs to ask (the
+        #: NFP server checks its NF runtime's health as a reference lands).
+        self.owner: Any = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -82,23 +85,17 @@ class Ring:
 
     # -- producer side ------------------------------------------------------
     def try_put(self, item: Any) -> bool:
-        """Enqueue ``item``; return ``False`` (and count a drop) if full."""
-        if self.is_full:
+        """Enqueue ``item``; return ``False`` (and count a drop) if full.
+
+        An accepted item goes straight to a parked consumer that is
+        free; otherwise it is buffered.
+        """
+        items = self._items
+        if len(items) >= self.capacity:
             self.dropped += 1
             if self.on_drop is not None:
                 self.on_drop(item)
             return False
-        self._deliver(item)
-        return True
-
-    def put(self, item: Any) -> None:
-        """Enqueue ``item`` or raise :class:`RingFullError`."""
-        if not self.try_put(item):
-            raise RingFullError(self.name or "ring")
-
-    def _deliver(self, item: Any) -> None:
-        # Hand the item straight to a parked consumer that is free;
-        # otherwise buffer it.
         self.enqueued += 1
         consumer = self._consumer
         if consumer is not None:
@@ -106,13 +103,19 @@ class Ring:
             env = self.env
             if env.now >= self._free_at:
                 env.call_later(0.0, consumer, item)
-                return
+                return True
             # Still inside its previous burst: the item queues, and the
             # consumer comes for it -- and whatever follows -- when free.
             env.call_at(self._free_at, self.wait, consumer)
-        self._items.append(item)
-        if len(self._items) > self.high_watermark:
-            self.high_watermark = len(self._items)
+        items.append(item)
+        if len(items) > self.high_watermark:
+            self.high_watermark = len(items)
+        return True
+
+    def put(self, item: Any) -> None:
+        """Enqueue ``item`` or raise :class:`RingFullError`."""
+        if not self.try_put(item):
+            raise RingFullError(self.name or "ring")
 
     # -- consumer side ------------------------------------------------------
     def wait(self, callback: Callable[[Any], None],

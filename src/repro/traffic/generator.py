@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from struct import pack_into
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .shapes import LoadShape
 
+from ..net.checksum import internet_checksum
+from ..net.headers import ETH_HEADER_LEN, Ipv4View, TcpView
 from ..net.packet import Packet, build_packet
 from ..sim.engine import Environment
 
@@ -35,6 +39,12 @@ __all__ = [
 
 #: Minimum frame we generate: headers only (Eth+IP+TCP = 54) padded to 64.
 MIN_FRAME = 64
+
+#: The Eth+IPv4+TCP headers every generated frame starts with, and where
+#: the three per-packet IPv4 words sit in them.
+_HEADERS_LEN = ETH_HEADER_LEN + Ipv4View.HEADER_LEN + TcpView.HEADER_LEN
+_TOTAL_LENGTH_AT = ETH_HEADER_LEN + 2  # identification is the next word
+_CHECKSUM_AT = ETH_HEADER_LEN + 10
 
 
 class PacketSizeDistribution:
@@ -97,6 +107,18 @@ class FlowGenerator:
     draws flows from a Zipf(``zipf_s``) law -- a few elephant flows
     carry most packets while a heavy tail of mice appears rarely, the
     shape real traffic mixes take.
+
+    A flow is a *frame template*: everything :func:`build_packet` writes
+    into the 54 header bytes is constant per flow except three IPv4
+    words (total length, identification, checksum), so each flow keeps
+    those 54 bytes and the header's checksum base with the three words
+    zeroed, and a packet is one slice store, one ``pack_into`` and a
+    checksum folded from the base.  Templates are built on a flow's
+    first pick, so the memo holds at most ``num_flows`` entries -- the
+    bound ``_flows`` already has.  :func:`build_packet` authors every
+    template: the frame layout has one owner, and the property suite
+    holds each generated frame to the one it would have built
+    (``tests/support/flowgen_reference.py``).
     """
 
     def __init__(
@@ -120,6 +142,8 @@ class FlowGenerator:
         self._payload_fn = payload_fn
         self._sequence = 0
         self._flows: List[Tuple[str, str, int, int]] = []
+        #: Flow index -> (54 header bytes, checksum base), on first pick.
+        self._templates: Dict[int, Tuple[bytes, int]] = {}
         for i in range(num_flows):
             host = i & 0xFFFFFF
             self._flows.append(
@@ -139,30 +163,52 @@ class FlowGenerator:
                 cum.append(acc)
             self._cum_weights = cum
 
-    def _pick_flow(self) -> Tuple[str, str, int, int]:
-        if self._cum_weights is None:
-            return self._flows[self._sequence % len(self._flows)]
-        roll = self._rng.random() * self._cum_weights[-1]
-        index = bisect.bisect_left(self._cum_weights, roll)
-        return self._flows[min(index, len(self._flows) - 1)]
+    def _template(self, index: int) -> Tuple[bytes, int]:
+        """Flow ``index``'s header bytes and checksum base, built once."""
+        src_ip, dst_ip, src_port, dst_port = self._flows[index]
+        frame = build_packet(src_ip=src_ip, dst_ip=dst_ip, src_port=src_port,
+                             dst_port=dst_port, size=_HEADERS_LEN,
+                             identification=0)
+        ip = frame.ipv4
+        ip.total_length = ip.checksum = 0  # the per-packet words, zeroed
+        # The words' one's-complement sum, as ``internet_checksum`` folds it.
+        base = 0xFFFF - internet_checksum(
+            frame.buf[ETH_HEADER_LEN:ETH_HEADER_LEN + Ipv4View.HEADER_LEN])
+        template = self._templates[index] = (bytes(frame.buf), base)
+        return template
 
     def next_packet(self) -> Packet:
-        flow = self._pick_flow()
-        self._sequence += 1
+        cum = self._cum_weights
+        if cum is None:
+            index = self._sequence % len(self._flows)
+        else:
+            index = min(bisect.bisect_left(cum, self._rng.random() * cum[-1]),
+                        len(self._flows) - 1)
+        sequence = self._sequence = self._sequence + 1
         size = self.sizes.sample(self._rng)
-        payload = self._payload_fn(self._sequence) if self._payload_fn else b""
-        return build_packet(
-            src_ip=flow[0],
-            dst_ip=flow[1],
-            src_port=flow[2],
-            dst_port=flow[3],
-            size=size,
-            payload=payload,
-            # The IPv4 identification field is 16 bits; long runs wrap
-            # naturally (dataplane matching never keys on the ident --
-            # only repro.check cases do, and those build their own).
-            identification=self._sequence & 0xFFFF,
-        )
+        payload = self._payload_fn(sequence) if self._payload_fn else b""
+        if size < _HEADERS_LEN:
+            raise ValueError(
+                f"requested size {size} smaller than headers ({_HEADERS_LEN} B)")
+        if len(payload) > size - _HEADERS_LEN:
+            raise ValueError("payload does not fit in requested size")
+        header, base = self._templates.get(index) or self._template(index)
+        buf = bytearray(size)
+        buf[:_HEADERS_LEN] = header
+        if payload:
+            buf[_HEADERS_LEN:_HEADERS_LEN + len(payload)] = payload
+        # The IPv4 identification is 16 bits and long runs wrap: only
+        # repro.check cases key on it, and those build their own packets.
+        total_length = size - ETH_HEADER_LEN
+        identification = sequence & 0xFFFF
+        pack_into("!HH", buf, _TOTAL_LENGTH_AT, total_length, identification)
+        # ``internet_checksum``'s fold: the words never sum to zero (the
+        # length is one), so a multiple of 0xFFFF is "negative zero".
+        checksum = 0xFFFF - (
+            (base + total_length + identification) % 0xFFFF or 0xFFFF)
+        buf[_CHECKSUM_AT] = checksum >> 8
+        buf[_CHECKSUM_AT + 1] = checksum & 0xFF
+        return Packet(buf)
 
     def packets(self, count: int) -> List[Packet]:
         return [self.next_packet() for _ in range(count)]

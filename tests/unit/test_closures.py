@@ -2,12 +2,14 @@
 
 :class:`repro.core.closures.CompiledGraph` states, once per install,
 what the per-packet paths used to re-derive from the graph object model:
-the copies due at each stage's entry and each entry's instance labels.
-These tests pin what the program guarantees to whoever executes it
-(``StageKernel``, the DES server) and the ChainingManager's
+the copies due at each stage's entry and each entry's instance labels,
+and -- for the DES server, which advances one NF completion at a time --
+the step table.  These tests pin what the program guarantees to whoever
+executes it (``StageKernel``, the DES server) and the ChainingManager's
 compile-once-per-install cache.
 """
 
+from repro.check.generator import CaseGenerator
 from repro.core import CompiledGraph, Orchestrator, Policy
 from repro.core.tables import build_tables
 from repro.dataplane import ChainingManager, FunctionalDataplane, NFPServer
@@ -108,15 +110,16 @@ def test_reinstall_after_rescale_rebinds_and_keeps_no_stale_labels():
     assert server.runtimes["vpn"].count == 3
     assert server.chaining.closures_compiled == 1
     before = server.chaining.compiled_for(deployed.mid)
-    server._install(deployed.tables)
+    server.chaining.install(deployed.tables)
     after = server.chaining.compiled_for(deployed.mid)
     assert server.chaining.closures_compiled == 2
     assert after is not before
     assert all(labels == (entry.node.name,) for _, entries in after.program
                for _, _, labels, entry in entries)
-    installed = server._installed[deployed.graph]
-    assert installed.stage_copies == tuple(
-        copies for copies, _ in after.program)
+    # The record is complete whoever installed it: plan from the
+    # manager, merge delay from the server's install listener.
+    assert after.merge_plan is not None
+    assert after.merge_delay_us == before.merge_delay_us > 0
     # The functional plane's scale is fixed for its life: a different
     # membership is a different plane, bound to its own labels.
     graph = west_east()
@@ -125,6 +128,50 @@ def test_reinstall_after_rescale_rebinds_and_keeps_no_stale_labels():
     assert set(two.nfs) < set(three.nfs)
     assert "ids#2" not in {label for _, entries in two._stages
                            for _, _, labels, _ in entries for label in labels}
+
+
+def test_step_table_states_what_the_graph_would_answer():
+    """Over the fuzzer's policies: every fact a DES completion reads of
+    the record is the one the graph object model would have derived."""
+    generator = CaseGenerator(seed=31, packets_per_case=1)
+    parallel = with_copies = 0
+    for index in range(200):
+        case = generator.generate(index)
+        graph = Orchestrator(action_table=case.action_table()).compile(
+            case.policy()).graph
+        compiled = CompiledGraph(graph)
+        assert set(compiled.steps) == {
+            (stage, version) for stage, entries in enumerate(graph.stages)
+            for version in entries.versions()}
+        for (stage, version), step in compiled.steps.items():
+            last, fan_in, copies, targets = step
+            entries = graph.stages[stage].entries_on(version)
+            assert last == (stage == graph.last_stage_of_version(version))
+            assert fan_in == len(entries)
+            for entry in entries:
+                assert compiled.by_nf[entry.node.name] == ((stage, version), step)
+            if last:
+                assert copies == () and targets == ()
+                continue
+            following = graph.stages[stage + 1]
+            assert targets == tuple(
+                e.node.name for e in following.entries_on(version))
+            due = compiled.program[stage + 1][0] if version == 1 else ()
+            assert tuple(spec for spec, _ in copies) == due
+            for spec, names in copies:
+                assert names == tuple(
+                    e.node.name for e in following.entries_on(spec.version))
+            with_copies += bool(copies)
+        assert set(compiled.by_nf) == set(graph.nf_names())
+        stage0 = graph.stages[0]
+        assert compiled.stage0 == tuple(
+            (version, entry.node.name) for version in sorted(stage0.versions())
+            for entry in stage0.entries_on(version))
+        assert compiled.total_count == graph.total_count
+        assert compiled.needs_merger == graph.needs_merger == graph.has_parallelism
+        parallel += graph.has_parallelism
+    # The generator exercises what the table is for.
+    assert parallel > 50 and with_copies > 5
 
 
 def test_replaced_instance_is_seen_by_the_next_packet():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Orchestrator, Policy
+from repro.core import CompiledGraph, Orchestrator, Policy
 from repro.dataplane import ChainingManager, NFPServer
 from repro.dataplane.server import FlightState
 from repro.eval import deployed_from_graph, forced_parallel, forced_sequential
@@ -195,7 +195,12 @@ def test_flight_state_cleanup():
 
 def test_flight_state_structure():
     pkt = build_packet(size=64)
-    state = FlightState(pkt)
+    graph = Orchestrator().compile(Policy.from_chain(["firewall", "monitor"])).graph
+    compiled = CompiledGraph(graph)
+    state = FlightState(pkt, compiled)
     assert state.versions == {1: pkt}
     assert state.dropped == set()
     assert state.barriers == {}
+    # What every completion reads of the record the packet started under.
+    assert state.compiled is compiled and state.steps is compiled.by_nf
+    assert state.merged is compiled.needs_merger is True

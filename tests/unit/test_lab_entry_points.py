@@ -3,11 +3,14 @@
 ``benchmarks/lab/spans.py`` measures from outside: it replaces
 ``apply_merge_ops`` and ``assign_instances`` by *module attribute* and
 ``Packet.header_copy`` / ``full_copy`` / ``five_tuple``,
-``NetworkFunction.handle`` and ``FunctionalDataplane.process_many``
-through the class.  A plane that captured one of those at install, or
-reached the merge through a private name, would still be byte-correct
-while the lab read ``dataplane.merge_us_per_pkt`` as 0.0.  This test
-installs the lab's own wrappers and counts spans on all three planes.
+``NetworkFunction.handle``, ``FunctionalDataplane.process_many``,
+``FlowGenerator.next_packet``, ``NFPServer.inject`` and
+``ChainingManager.classify`` through the class.  A plane that captured
+one of those at install, or reached the merge through a private name,
+would still be byte-correct while the lab read
+``dataplane.merge_us_per_pkt`` (or ``traffic.gen_us_per_pkt``) as 0.0.
+This test installs the lab's own wrappers and counts spans on all three
+planes, and on a source-driven DES run.
 """
 
 import contextlib
@@ -18,7 +21,7 @@ from repro.core import Orchestrator, Policy
 from repro.dataplane import FunctionalDataplane, NFPServer
 from repro.multiserver import MultiServerDataplane
 from repro.sim import DEFAULT_PARAMS, Environment
-from repro.traffic.generator import FlowGenerator
+from repro.traffic.generator import FlowGenerator, TrafficSource
 
 spans = pytest.importorskip(
     "benchmarks.lab.spans", reason="run from the repo root (python -m pytest)")
@@ -94,3 +97,28 @@ def test_nfp_server_merges_and_copies_under_the_lab_wrappers():
     assert calls["dataplane.merge"] == PACKETS
     assert calls["dataplane.assign"] == PACKETS
     assert calls["net.copy.header"] == PACKETS
+
+
+@pytest.mark.parametrize("flow_cache_size", [0, 8])
+def test_source_driven_server_run_is_seen_from_source_to_merge(flow_cache_size):
+    # The lab's DES workloads: a TrafficSource pulls next_packet and
+    # pushes inject, both looked up when the wrappers are already in.
+    flows = 4
+    env = Environment()
+    server = NFPServer(env, DEFAULT_PARAMS, flow_cache_size=flow_cache_size)
+    server.deploy(Orchestrator().deploy(Policy.from_chain(WEST_EAST)))
+    with lab_wrappers() as recorder:
+        source = TrafficSource(env, server.inject, 0.5, PACKETS, seed=3,
+                               flows=FlowGenerator(num_flows=flows, seed=3))
+        env.run()
+    calls = _calls(recorder)
+    assert source.offered == server.emitted == PACKETS
+    assert calls["traffic.next_packet"] == PACKETS
+    assert calls["dataplane.inject"] == PACKETS
+    assert calls["dataplane.merge"] == PACKETS
+    assert calls["net.copy.header"] == PACKETS
+    # The CT is walked once per uncached packet: every packet without a
+    # flow cache, once per flow with one.
+    uncached = flows if flow_cache_size else PACKETS
+    assert calls["dataplane.classify"] == uncached
+    assert calls["dataplane.assign"] == uncached

@@ -1,10 +1,11 @@
-"""The ring-full retry path of ``NFPServer._post``.
+"""The landing rule of a posted reference (``NFPServer._post`` -> ``_land``).
 
 A delivery waits ``batch_wait_us``, is diverted to ``fault_abort`` when
-the target instance is down, re-arms up to ``ring_retry_limit`` times at
-``ring_retry_backoff_us`` while the ring is full, then ``try_put``s --
-and a final rejection goes through the ring's ``on_drop`` hook so the
-packet is accounted, not stranded.
+the target instance is down as it lands, re-arms up to
+``ring_retry_limit`` times at ``ring_retry_backoff_us`` while the ring
+is full (the divert is not asked again), then ``try_put``s -- and a
+final rejection goes through the ring's ``on_drop`` hook so the packet
+is accounted, not stranded.
 """
 
 import pytest
@@ -155,4 +156,41 @@ def test_delivery_to_a_down_instance_is_diverted_not_retried():
     assert hub.registry.counter_value("ring.retry") == 0
     assert casualty.rx.dropped == 0 and casualty.rx.enqueued == 0
     assert server.lost == 0
+    _assert_accounted_as_nil(server)
+
+
+def test_instance_that_goes_down_between_landing_and_retry_is_not_diverted():
+    # The divert is asked once, as the reference lands.  An instance that
+    # was up then and crashes while the reference is backing off on its
+    # full ring is *not* diverted on the retry: the retries run out and
+    # the reference takes the overflow path (on_drop), which aborts it.
+    params = _params()
+    env, hub, server = _west_east_server(params, faults="crash:monitor:pkt=1")
+    casualty = server.runtimes["monitor"].instances[0]
+    casualty.rx.capacity = 0  # full from the first landing to the last retry
+    rejected = []
+    overflow = casualty.rx.on_drop
+    casualty.rx.on_drop = lambda pkt: (rejected.append(env.now), overflow(pkt))
+    server.inject(build_packet(size=128))
+
+    def crash():
+        # Half a backoff after the first landing (nic_io_us, a
+        # sub-microsecond tag, then batch_wait_us): the first retry is
+        # already armed, neither retry has run.
+        yield env.timeout(params.nic_io_us + params.batch_wait_us
+                          + BACKOFF_US / 2.0)
+        assert hub.registry.counter_value("ring.retry") == 1
+        assert len(server._flight) == 1
+        server.injector.on_packet("monitor", env.now)
+        assert server.injector.is_down("monitor")
+
+    env.process(crash())
+    env.run()
+
+    assert hub.registry.counter_value("ring.retry") == 2
+    assert len(rejected) == 1
+    assert casualty.rx.dropped == 1 and casualty.rx.enqueued == 0
+    assert server.lost == 1
+    assert hub.registry.counter_value("drops.ring_full") == 1
+    assert hub.registry.counter_value("faults.aborted_packets") == 1
     _assert_accounted_as_nil(server)
