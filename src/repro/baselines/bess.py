@@ -94,7 +94,7 @@ class BessServer:
             pkt.ingress_us = self.env.now
         # NIC RSS: hash the 5-tuple to a core.
         target = self.cores[
-            zlib.crc32(repr(pkt.five_tuple()).encode()) % len(self.cores)
+            zlib.crc32(pkt.flow_bytes()) % len(self.cores)
         ]
         self.env.call_later(self.params.nic_io_us, self._put, target.rx, pkt)
 

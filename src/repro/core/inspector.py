@@ -22,7 +22,8 @@ Pattern in NF source                             Derived action
 ``remove_ah(pkt, ...)``                          Remove(AH_HEADER)
 ``insert_vlan`` / ``remove_vlan``                Add/Remove(VLAN_HEADER)
 ``vxlan_encap`` / ``vxlan_decap``                Add/Remove(VXLAN_HEADER)
-``pkt.five_tuple()``                             Read(SIP,DIP,SPORT,DPORT)
+``pkt.five_tuple()`` / ``flow_bytes()`` & co.    Read(SIP,DIP,SPORT,DPORT)
+``rec.record("write", Field.DIP, ...)``          Write(DIP) -- and "read"
 ===============================================  =======================
 
 Augmented assignments (``pkt.ipv4.ttl -= 1``) count as read+write.
@@ -71,6 +72,9 @@ _STRUCTURAL_CALLS = {
 }
 
 _FIVE_TUPLE_FIELDS = (Field.SIP, Field.DIP, Field.SPORT, Field.DPORT)
+#: The ``Packet`` methods that read the five-tuple (``Packet._flow``).
+_FLOW_KEY_CALLS = frozenset({"five_tuple", "five_tuple_ints", "flow_bytes",
+                             "datagram_bytes", "rss_bytes"})
 
 
 class _ActionCollector(ast.NodeVisitor):
@@ -113,10 +117,29 @@ class _ActionCollector(ast.NodeVisitor):
         elif name in _STRUCTURAL_CALLS:
             verb, field = _STRUCTURAL_CALLS[name]
             self.actions.add(Action(verb, field))
-        elif name == "five_tuple":
+        elif name in _FLOW_KEY_CALLS:
             for field in _FIVE_TUPLE_FIELDS:
                 self.actions.add(Action(Verb.READ, field))
+        elif name == "record":
+            action = self._recorded_action(node)
+            if action is not None:
+                self.actions.add(action)
         self.generic_visit(node)
+
+    @staticmethod
+    def _recorded_action(node: ast.Call) -> Optional[Action]:
+        """``rec.record("write", Field.DIP, ...)``: an NF that stores raw
+        bytes tells the recorder which field it wrote; so does its code."""
+        if len(node.args) < 2:
+            return None
+        verb, field = node.args[:2]
+        if (isinstance(verb, ast.Constant) and verb.value in ("read", "write")
+                and isinstance(field, ast.Attribute)
+                and isinstance(field.value, ast.Name)
+                and field.value.id == "Field"
+                and field.attr in Field.__members__):
+            return Action(Verb(verb.value), Field[field.attr])
+        return None
 
     @staticmethod
     def _callee_name(node: ast.Call) -> str:

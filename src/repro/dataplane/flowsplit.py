@@ -14,9 +14,13 @@ Two layers:
   unfragmented IPv4 TCP/UDP packets have a meaningful 5-tuple; anything
   else (ICMP, fragments, non-IP) deterministically lands on instance 0,
   which keeps such traffic ordered without pretending it has flow
-  affinity.
+  affinity.  The hash is crc32 over ``repr(five_tuple).encode()``;
+  :func:`packet_digest` reads those bytes straight from the frame
+  (``Packet.rss_bytes``) for the per-packet walk, while the tuple
+  stays the key of the control plane (flow cache, flow directory,
+  handover, :func:`assign_instances`).
 * :class:`FlowCache` -- an LRU memo of the classifier's per-flow work
-  (CT match, graph, instance assignment).  The first packet of a flow
+  (CT match, instance assignment).  The first packet of a flow
   pays the full CT lookup + tagging cost; subsequent packets hit the
   cache and pay ``classifier_cache_hit_us``.  The cache is invalidated
   wholesale whenever tables are (re)installed, so a recompiled graph can
@@ -30,7 +34,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..core.graph import ServiceGraph
 from ..core.tables import CTEntry
 from ..net.headers import PROTO_TCP, PROTO_UDP
 from ..net.packet import Packet
@@ -40,6 +43,7 @@ __all__ = [
     "rss_instance",
     "flow_key",
     "flow_digest",
+    "packet_digest",
     "pick_instance",
     "assign_instances",
     "FlowDecision",
@@ -99,6 +103,15 @@ def flow_digest(key: Optional[tuple], telemetry=None) -> int:
     return 0
 
 
+def packet_digest(pkt: Packet, telemetry=None) -> int:
+    """``flow_digest(flow_key(pkt), telemetry)`` with no tuple built: crc32
+    of ``pkt.rss_bytes()``, or 0 for a packet without a flow."""
+    key = pkt.rss_bytes()
+    if key is not None:
+        return zlib.crc32(key)
+    return flow_digest(None, telemetry)
+
+
 def pick_instance(digest: int, count: int,
                   live: Optional[Sequence[int]] = None) -> int:
     """The instance a flow ``digest`` lands on among ``count`` -- the one
@@ -141,7 +154,6 @@ class FlowDecision:
     """The memoized classifier verdict for one flow."""
 
     ct_entry: CTEntry
-    graph: ServiceGraph
     assignment: Dict[str, int]
 
 

@@ -32,7 +32,7 @@ from ..core.scaling import scale_graph
 from ..faults import FaultInjector, HealthBoard
 from ..net.packet import Packet
 from ..nfs.base import NetworkFunction, create_nf
-from .flowsplit import flow_digest, flow_key, pick_instance, rss_instance
+from .flowsplit import flow_key, packet_digest, pick_instance, rss_instance
 from .merging import MergePlan, apply_merge_ops
 
 __all__ = [
@@ -77,8 +77,9 @@ class StageKernel:
     1, every NF of the stage sees the pre-stage buffers, a drop takes
     effect only after the stage (parallel semantics), and the collected
     versions are merged at the end.  A replicated entry runs on
-    ``labels[digest % count]`` of the packet's flow -- the split the DES
-    classifier gets from ``assign_instances``.  :class:`FunctionalDataplane`
+    ``labels[digest % count]`` of the packet's :func:`packet_digest` --
+    the split the DES classifier gets from ``assign_instances``, read
+    from the frame's bytes instead of a tuple.  :class:`FunctionalDataplane`
     runs the whole program, :class:`repro.multiserver.ServerStage` a slice.
     """
 
@@ -111,7 +112,7 @@ class StageKernel:
         injector = self.injector
         digest, live = 0, None
         if self._scaled:
-            digest = flow_digest(flow_key(pkt), self.telemetry)
+            digest = packet_digest(pkt, self.telemetry)
             if injector is not None:
                 live = self.health.view()
         nfs = self.nfs

@@ -666,7 +666,7 @@ class NFPServer:
             # The health view is a dict over every runtime group: built
             # only when something is replicated and will read it.
             scaled = self._scaled_counts
-            decision = FlowDecision(entry, compiled.graph, assign_instances(
+            decision = FlowDecision(entry, assign_instances(
                 key, scaled, healthy=self.health.view() if scaled else None,
                 telemetry=hub))
             if cache is not None and key is not None:

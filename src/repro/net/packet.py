@@ -17,6 +17,7 @@ bytes, "ensuring that parallel NFs receive valid packets".
 
 from __future__ import annotations
 
+import ast
 import itertools
 from typing import Optional
 
@@ -42,7 +43,8 @@ from .recorder import (
     RecordingUdpView,
 )
 
-__all__ = ["Packet", "PacketMeta", "build_packet", "HEADER_COPY_BYTES"]
+__all__ = ["Packet", "PacketMeta", "build_packet", "flow_tuple",
+           "HEADER_COPY_BYTES"]
 
 #: Bytes copied by header-only copying.  The paper fixes this at 64 B for
 #: TCP traffic on Ethernet (Eth 14 + IPv4 20 + TCP 20 + slack).
@@ -54,6 +56,13 @@ _serial = itertools.count(1)
 _L4_HEADER_LEN = {PROTO_TCP: TcpView.HEADER_LEN, PROTO_UDP: UdpView.HEADER_LEN}
 #: What ``five_tuple()`` reads, in the order a recorder hears of it.
 _FIVE_TUPLE_FIELDS = (Field.SIP, Field.DIP, Field.SPORT, Field.DPORT)
+#: ``repr`` of a five-tuple, as ``flow_bytes()`` fills it from the buffer.
+_FLOW_REPR = b"('%d.%d.%d.%d', '%d.%d.%d.%d', %d, %d, %d)"
+
+
+def flow_tuple(key: bytes) -> tuple:
+    """The five-tuple whose ``Packet.flow_bytes()`` is ``key``."""
+    return ast.literal_eval(key.decode())
 
 
 class PacketMeta:
@@ -310,13 +319,21 @@ class Packet:
             raise ValueError("set_payload must preserve length")
         self.buf[start:] = data
 
-    def five_tuple(self) -> tuple:
-        """(src_ip, dst_ip, proto, sport, dport) -- the classifier key."""
+    def _flow(self, datagram: bool = False) -> tuple:
+        """``(buf, l3, proto, sport, dport)``: the walk under every flow key.
+
+        TCP and UDP ports are read (and their header bounds-checked);
+        any other protocol has ports 0.  With ``datagram`` a fragment
+        has ports 0 too and its L4 bytes are not read: only the first
+        fragment carries the ports.  A recorder hears the addresses,
+        then the ports when they were read.
+        """
         l3, proto, l4 = self._resolve()
         buf = self.buf
         sport = dport = 0
         reads = 2  # the addresses; the ports too when there are any
-        if proto in _L4_HEADER_LEN:
+        if proto in _L4_HEADER_LEN and not (
+                datagram and (buf[l3 + 6] & 0x3F or buf[l3 + 7])):
             if l4 + _L4_HEADER_LEN[proto] > len(buf):
                 raise ValueError(f"L4 header cut short at offset {l4}")
             sport = (buf[l4] << 8) | buf[l4 + 1]
@@ -326,11 +343,50 @@ class Packet:
         if rec is not None:
             for field in _FIVE_TUPLE_FIELDS[:reads]:
                 rec.record("read", field, self.uid)
+        return buf, l3, proto, sport, dport
+
+    def five_tuple(self) -> tuple:
+        """(src_ip, dst_ip, proto, sport, dport) -- the classifier key."""
+        buf, l3, proto, sport, dport = self._flow()
         return (
             "%d.%d.%d.%d" % (buf[l3 + 12], buf[l3 + 13], buf[l3 + 14], buf[l3 + 15]),
             "%d.%d.%d.%d" % (buf[l3 + 16], buf[l3 + 17], buf[l3 + 18], buf[l3 + 19]),
             proto, sport, dport,
         )
+
+    def five_tuple_ints(self) -> tuple:
+        """:meth:`five_tuple` with the addresses as integers."""
+        buf, l3, proto, sport, dport = self._flow()
+        return (int.from_bytes(buf[l3 + 12 : l3 + 16], "big"),
+                int.from_bytes(buf[l3 + 16 : l3 + 20], "big"),
+                proto, sport, dport)
+
+    def flow_bytes(self) -> bytes:
+        """``repr(self.five_tuple()).encode()``, formatted from ``buf``:
+        the bytes the monitor keys on, with no strings or tuple between."""
+        buf, l3, proto, sport, dport = self._flow()
+        return _FLOW_REPR % (*buf[l3 + 12 : l3 + 20], proto, sport, dport)
+
+    def datagram_bytes(self) -> bytes:
+        """:meth:`flow_bytes` of the datagram this frame belongs to: a
+        fragment is keyed ``(sip, dip, proto, 0, 0)``, so every fragment
+        of one datagram gets the same bytes.  The load balancer's key."""
+        buf, l3, proto, sport, dport = self._flow(True)
+        return _FLOW_REPR % (*buf[l3 + 12 : l3 + 20], proto, sport, dport)
+
+    def rss_bytes(self) -> Optional[bytes]:
+        """:meth:`flow_bytes` of an unfragmented TCP/UDP frame, the bytes
+        the RSS split hashes; ``None`` for any other frame (ICMP, a
+        fragment, nil, non-IPv4, a header cut short), which has no flow."""
+        if self.nil:
+            return None
+        try:
+            buf, l3, proto, sport, dport = self._flow()
+        except ValueError:
+            return None
+        if proto not in _L4_HEADER_LEN or buf[l3 + 6] & 0x3F or buf[l3 + 7]:
+            return None
+        return _FLOW_REPR % (*buf[l3 + 12 : l3 + 20], proto, sport, dport)
 
     # ------------------------------------------------------------ copies
     def full_copy(self, version: int) -> "Packet":

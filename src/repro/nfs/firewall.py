@@ -97,7 +97,7 @@ class Firewall(NetworkFunction):
         self.denied = 0
 
     def process(self, pkt: Packet, ctx: ProcessingContext) -> None:
-        sip, dip, _, sport, dport = self._keys(pkt)
+        sip, dip, _, sport, dport = pkt.five_tuple_ints()
         for rule in self.acl:
             if rule.matches(sip, dip, sport, dport):
                 if rule.permit:
@@ -106,9 +106,3 @@ class Firewall(NetworkFunction):
                 ctx.drop("acl deny")
                 return
         self.permitted += 1
-
-    @staticmethod
-    def _keys(pkt: Packet) -> Tuple[int, int, int, int, int]:
-        ip = pkt.ipv4
-        src, dst, proto, sport, dport = pkt.five_tuple()
-        return ip.src_ip_int, ip.dst_ip_int, proto, sport, dport

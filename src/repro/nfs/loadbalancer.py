@@ -5,13 +5,22 @@ hashed the 5-tuple of the packet to balance the load."  Acting as a
 full-proxy VIP (the F5/A10 style of Table 2), it rewrites the
 destination IP to the chosen backend and the source IP to its virtual
 IP -- hence the Write(SIP)/Write(DIP) profile.
+
+The hash input is ``Packet.datagram_bytes()`` -- ``repr`` of the
+5-tuple, read straight from the frame.  Every fragment of a datagram
+hashes on ``(sip, dip, proto, 0, 0)``: only the first one carries the
+ports, so reading "ports" from the others would scatter one datagram
+across backends.
 """
 
 from __future__ import annotations
 
+import struct
 import zlib
 from typing import Dict, List, Optional
 
+from ..net.fields import Field
+from ..net.headers import ip_to_int
 from ..net.packet import Packet
 from .base import NetworkFunction, ProcessingContext, register_nf_class
 
@@ -40,21 +49,27 @@ class LoadBalancer(NetworkFunction):
             raise ValueError("load balancer needs at least one backend")
         self.vip = vip
         self.per_backend: Dict[str, int] = {b: 0 for b in self.backends}
+        #: Per backend, the SIP+DIP bytes the rewrite stores: VIP, backend.
+        self._addresses = [struct.pack("!II", ip_to_int(vip), ip_to_int(b))
+                           for b in self.backends]
 
-    @staticmethod
-    def _ecmp_hash(five_tuple) -> int:
-        """Deterministic 5-tuple hash (CRC32, like hardware ECMP)."""
-        return zlib.crc32(repr(five_tuple).encode())
+    def _pick(self, pkt: Packet) -> int:
+        """Backend index: CRC32 (like hardware ECMP) of the flow bytes."""
+        return zlib.crc32(pkt.datagram_bytes()) % len(self.backends)
 
     def pick_backend(self, pkt: Packet) -> str:
-        return self.backends[self._ecmp_hash(pkt.five_tuple()) % len(self.backends)]
+        return self.backends[self._pick(pkt)]
 
     def process(self, pkt: Packet, ctx: ProcessingContext) -> None:
-        backend = self.pick_backend(pkt)
-        self.per_backend[backend] += 1
+        index = self._pick(pkt)
+        self.per_backend[self.backends[index]] += 1
+        rec = pkt.recorder
+        if rec is not None:
+            rec.record("write", Field.DIP, pkt.uid)
+            rec.record("write", Field.SIP, pkt.uid)
         ip = pkt.ipv4
-        ip.dst_ip = backend
-        ip.src_ip = self.vip
+        start = ip.offset + 12
+        ip.buf[start : start + 8] = self._addresses[index]
         ip.update_checksum()
 
     def imbalance(self) -> float:

@@ -3,13 +3,17 @@
 "It maintains per-flow counters, which can be obtained by the operator.
 The counter table uses the hash value of the 5-tuple as the key."
 Read-only -- the canonical parallelizable NF of Fig. 1.
+
+The table is keyed by ``Packet.flow_bytes()`` -- the 5-tuple's ``repr``
+read straight from the frame -- and the dict hashes that key, so two
+flows whose hashes collide keep separate counters.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..net.packet import Packet
+from ..net.packet import Packet, flow_tuple
 from .base import NetworkFunction, ProcessingContext, register_nf_class
 
 __all__ = ["Monitor", "FlowStats"]
@@ -36,17 +40,14 @@ class Monitor(NetworkFunction):
 
     def __init__(self, name: Optional[str] = None):
         super().__init__(name)
-        self._flows: Dict[int, FlowStats] = {}
-        self._keys: Dict[int, Tuple] = {}
+        self._flows: Dict[bytes, FlowStats] = {}
 
     def process(self, pkt: Packet, ctx: ProcessingContext) -> None:
-        key = pkt.five_tuple()
-        bucket = hash(key)
-        stats = self._flows.get(bucket)
+        key = pkt.flow_bytes()
+        stats = self._flows.get(key)
         if stats is None:
             stats = FlowStats()
-            self._flows[bucket] = stats
-            self._keys[bucket] = key
+            self._flows[key] = stats
         stats.packets += 1
         stats.bytes += pkt.wire_len
 
@@ -55,7 +56,7 @@ class Monitor(NetworkFunction):
         return len(self._flows)
 
     def stats_for(self, five_tuple: Tuple) -> Optional[FlowStats]:
-        return self._flows.get(hash(five_tuple))
+        return self._flows.get(repr(five_tuple).encode())
 
     def totals(self) -> Tuple[int, int]:
         """(total packets, total bytes) across all flows."""
@@ -68,4 +69,4 @@ class Monitor(NetworkFunction):
         ranked = sorted(
             self._flows.items(), key=lambda kv: kv[1].packets, reverse=True
         )
-        return [(self._keys[bucket], stats) for bucket, stats in ranked[:n]]
+        return [(flow_tuple(key), stats) for key, stats in ranked[:n]]

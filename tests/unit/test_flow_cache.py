@@ -45,7 +45,7 @@ def _serve(packets, flow_cache_size=16, hub=None, chain=("monitor",)):
 # --------------------------------------------------------------- LRU core
 def test_lru_eviction_at_capacity():
     cache = FlowCache(capacity=2)
-    decision = FlowDecision(ct_entry=None, graph=None, assignment={})
+    decision = FlowDecision(ct_entry=None, assignment={})
     assert cache.put(("a",), decision) is False
     assert cache.put(("b",), decision) is False
     assert cache.get(("a",)) is decision  # 'a' becomes most-recent
@@ -59,7 +59,7 @@ def test_lru_eviction_at_capacity():
 
 def test_reinserting_existing_key_never_evicts():
     cache = FlowCache(capacity=2)
-    decision = FlowDecision(ct_entry=None, graph=None, assignment={})
+    decision = FlowDecision(ct_entry=None, assignment={})
     cache.put(("a",), decision)
     cache.put(("b",), decision)
     assert cache.put(("a",), decision) is False

@@ -20,6 +20,7 @@ import pytest
 from repro.core import Orchestrator, Policy
 from repro.dataplane import FunctionalDataplane, NFPServer
 from repro.multiserver import MultiServerDataplane
+from repro.net.packet import Packet
 from repro.sim import DEFAULT_PARAMS, Environment
 from repro.traffic.generator import FlowGenerator, TrafficSource
 
@@ -54,6 +55,8 @@ def test_functional_plane_merges_and_copies_under_the_lab_wrappers():
     graph = Orchestrator().compile(Policy.from_chain(WEST_EAST)).graph
     plane = FunctionalDataplane(graph, scale=4)
     with lab_wrappers() as recorder:
+        recorder.patch_method(Packet, "_flow", "net.fields.flow",
+                              spans._packet_uid)
         outputs = plane.process_many(_stream())
     calls = _calls(recorder)
     assert plane.emitted == len([o for o in outputs if o is not None]) == PACKETS
@@ -61,8 +64,15 @@ def test_functional_plane_merges_and_copies_under_the_lab_wrappers():
     assert calls["dataplane.merge"] == PACKETS
     assert calls["net.copy.header"] == PACKETS
     assert "net.copy.full" not in calls
-    # The flow key is hashed once per packet; each NF runs once.
-    assert calls["net.fields.five_tuple"] >= PACKETS
+    # The lab wraps only ``Packet.five_tuple`` as ``net.fields``, and no
+    # one on this path calls it any more: the split, the monitor and the
+    # load balancer key on ``rss_bytes`` / ``flow_bytes`` /
+    # ``datagram_bytes``, whose time the lab books as walk and ``nfs.*``
+    # self time.  The test wraps the walk under all three, ``_flow``, the
+    # way the lab would, to hold that each reaches it through the class:
+    # once per packet.
+    assert "net.fields.five_tuple" not in calls
+    assert calls["net.fields.flow"] == 3 * PACKETS
     for kind in WEST_EAST:
         assert calls[f"nfs.{kind}"] == PACKETS
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import PROTO_UDP, build_packet, verify_ah
+from repro.net import PROTO_TCP, PROTO_UDP, Packet, build_packet, verify_ah
 from repro.nfs import (
     AclRule,
     AhoCorasick,
@@ -119,6 +119,15 @@ def test_firewall_deny_rule_matches():
     assert not fw.handle(build_packet(src_ip="192.168.2.50", size=64)).dropped
 
 
+@pytest.mark.parametrize("proto", [PROTO_TCP, PROTO_UDP])
+def test_firewall_refuses_a_cut_short_transport_header(proto):
+    # Four bytes after the IP header: the ports, but not the header.
+    whole = build_packet(protocol=proto, size=80)
+    ctx = Firewall().handle(Packet(bytearray(whole.buf[:38])))
+    assert ctx.dropped
+    assert ctx.drop_reason == "nf-error: L4 header cut short at offset 34"
+
+
 def test_firewall_first_match_wins():
     allow = AclRule(src_prefix=("192.168.1.0", 24), permit=True)
     deny = AclRule(src_prefix=("192.168.0.0", 16), permit=False)
@@ -188,6 +197,49 @@ def test_loadbalancer_spreads_flows():
     for i in range(400):
         lb.handle(build_packet(src_port=1000 + i, size=64))
     assert lb.imbalance() < 1.6
+
+
+def test_loadbalancer_sends_every_fragment_of_a_datagram_to_one_backend():
+    # Only fragment 0 carries the UDP ports; fragments 1..7 carry payload
+    # bytes at the L4 offset, distinct per fragment.
+    fragments = []
+    for index in range(8):
+        pkt = build_packet(src_ip="10.1.2.3", dst_ip="10.9.8.7", src_port=5353,
+                           dst_port=53, protocol=PROTO_UDP, size=120)
+        ip = pkt.ipv4
+        ip.more_fragments = index < 7
+        ip.fragment_offset = index * 10
+        if index:
+            pkt.buf[34:38] = bytes([index, 17 * index, 255 - index, 3 * index])
+        ip.update_checksum()
+        fragments.append(pkt)
+    assert len({pkt.five_tuple()[3:] for pkt in fragments}) == 8
+    lb = LoadBalancer()
+    assert len({lb.pick_backend(pkt) for pkt in fragments}) == 1
+    for pkt in fragments:
+        lb.handle(pkt)
+    assert len({pkt.ipv4.dst_ip for pkt in fragments}) == 1
+    assert sorted(lb.per_backend.values())[-1] == 8
+
+
+def test_loadbalancer_sends_a_short_last_fragment_with_its_datagram():
+    # A trailing fragment with fewer bytes after the IP header than a
+    # UDP header: there are no "ports" to read, and none are needed.
+    lb = LoadBalancer()
+    first = build_packet(src_ip="10.1.2.3", dst_ip="10.9.8.7", src_port=5353,
+                         dst_port=53, protocol=PROTO_UDP, size=120)
+    first.ipv4.more_fragments = True
+    first.ipv4.update_checksum()
+    for tail in range(8):
+        last = Packet(bytearray(first.buf[:34 + tail]))
+        ip = last.ipv4
+        ip.more_fragments = False
+        ip.fragment_offset = 40
+        ip.total_length = 20 + tail
+        ip.update_checksum()
+        assert lb.pick_backend(last) == lb.pick_backend(first)
+        assert not lb.handle(last).dropped
+        assert last.ipv4.dst_ip == lb.pick_backend(first)
 
 
 def test_loadbalancer_requires_backends():
