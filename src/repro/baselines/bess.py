@@ -15,8 +15,7 @@ from typing import List, Sequence
 
 from ..net.packet import Packet
 from ..nfs.base import NetworkFunction, create_nf
-from ..sim import Core, Environment, Nic, Ring, SimParams
-from ..sim.stats import LatencyStats, RateMeter
+from ..sim import Core, Environment, NicEgress, Ring, SimParams
 
 __all__ = ["BessServer"]
 
@@ -36,7 +35,7 @@ class _RtcCore:
         """Run a burst to completion in one call, each packet leaving at
         its own instant on the core's clock."""
         params = self.server.params
-        batch = [first] + self.rx.get_batch(params.batch_size - 1)
+        batch = self.rx.burst(first, params.batch_size)
         service = params.rtc_base_us + sum(
             params.rtc_per_nf_us + nf.extra_cycles / 3000.0 for nf in self.nfs
         )
@@ -50,7 +49,7 @@ class _RtcCore:
         self.rx.wait(self._wake, now)
 
 
-class BessServer:
+class BessServer(NicEgress):
     """RTC chains duplicated over ``num_cores`` with NIC RSS hashing."""
 
     def __init__(
@@ -65,9 +64,7 @@ class BessServer:
             raise ValueError("chain must name at least one NF")
         if num_cores <= 0:
             raise ValueError("need at least one core")
-        self.env = env
-        self.params = params
-        self.nic_tx = Nic(env, params, name="tx")
+        super().__init__(env, params)
         self.cores: List[_RtcCore] = []
         for index in range(num_cores):
             nfs = [
@@ -77,13 +74,6 @@ class BessServer:
             for nf in nfs:
                 nf.extra_cycles = max(nf.extra_cycles, extra_cycles)
             self.cores.append(_RtcCore(self, index, nfs))
-
-        self.latency = LatencyStats()
-        self.rate = RateMeter()
-        self.lost = 0
-        self.nil_dropped = 0
-        self.emitted_packets: List[Packet] = []
-        self.keep_packets = False
 
     @property
     def cores_used(self) -> int:
@@ -98,18 +88,5 @@ class BessServer:
         ]
         self.env.call_later(self.params.nic_io_us, self._put, target.rx, pkt)
 
-    def _put(self, ring: Ring, pkt: Packet) -> None:
-        if not ring.try_put(pkt):
-            self.lost += 1
-
     def emit(self, pkt: Packet, now: float) -> None:
         self.env.call_at(now + self.params.nic_io_us, self._tx_wire, pkt)
-
-    def _tx_wire(self, pkt: Packet) -> None:
-        self.env.call_at(self.nic_tx.transmit(pkt.wire_len), self._tx_done, pkt)
-
-    def _tx_done(self, pkt: Packet) -> None:
-        self.latency.record(self.env.now - pkt.ingress_us)
-        self.rate.record_delivery(self.env.now)
-        if self.keep_packets:
-            self.emitted_packets.append(pkt)

@@ -15,8 +15,7 @@ from typing import List, Optional, Sequence
 
 from ..net.packet import Packet
 from ..nfs.base import NetworkFunction, create_nf
-from ..sim import Core, Environment, Nic, Ring, SimParams
-from ..sim.stats import LatencyStats, RateMeter
+from ..sim import Core, Environment, NicEgress, Ring, SimParams
 
 __all__ = ["OpenNetVMServer"]
 
@@ -35,7 +34,7 @@ class _OnvmNF:
     def _wake(self, first: Packet) -> None:
         """Serve a burst on the core's own clock; forward it at its end."""
         params = self.server.params
-        batch = [first] + self.rx.get_batch(params.batch_size - 1)
+        batch = self.rx.burst(first, params.batch_size)
         service = params.nf_runtime_us + params.nf_service(
             self.nf.KIND, self.nf.extra_cycles
         )
@@ -54,7 +53,7 @@ class _OnvmNF:
         self.rx.wait(self._wake)
 
 
-class OpenNetVMServer:
+class OpenNetVMServer(NicEgress):
     """A sequential service chain under the OpenNetVM architecture."""
 
     def __init__(
@@ -67,11 +66,9 @@ class OpenNetVMServer:
     ):
         if not chain:
             raise ValueError("chain must name at least one NF")
-        self.env = env
-        self.params = params
+        super().__init__(env, params)
         self.manager_core = Core(env, name="onvm-manager")
         self.manager_ring = Ring(env, params.ring_capacity, name="manager.rx")
-        self.nic_tx = Nic(env, params, name="tx")
 
         if nf_instances is None:
             nfs = [create_nf(kind, name=f"{kind}{i}") for i, kind in enumerate(chain)]
@@ -82,13 +79,6 @@ class OpenNetVMServer:
         for nf in nfs:
             nf.extra_cycles = max(nf.extra_cycles, extra_cycles)
         self.nfs = [_OnvmNF(self, nf, i) for i, nf in enumerate(nfs)]
-
-        self.latency = LatencyStats()
-        self.rate = RateMeter()
-        self.lost = 0
-        self.nil_dropped = 0
-        self.emitted_packets: List[Packet] = []
-        self.keep_packets = False
         self.manager_ring.wait(self._manager_wake)
 
     @property
@@ -108,13 +98,9 @@ class OpenNetVMServer:
         self.env.call_later(self.params.batch_wait_us, self._put,
                             self.manager_ring, (pkt, next_index, False))
 
-    def _put(self, ring: Ring, item) -> None:
-        if not ring.try_put(item):
-            self.lost += 1
-
     def _manager_wake(self, first) -> None:
         params = self.params
-        batch = [first] + self.manager_ring.get_batch(params.batch_size - 1)
+        batch = self.manager_ring.burst(first, params.batch_size)
         now = self.env.now
         for _pkt, _next_index, fresh in batch:
             now = self.manager_core.reserve(
@@ -135,12 +121,3 @@ class OpenNetVMServer:
 
     def _emit(self, pkt: Packet) -> None:
         self.env.call_later(self.params.nic_io_us, self._tx_wire, pkt)
-
-    def _tx_wire(self, pkt: Packet) -> None:
-        self.env.call_at(self.nic_tx.transmit(pkt.wire_len), self._tx_done, pkt)
-
-    def _tx_done(self, pkt: Packet) -> None:
-        self.latency.record(self.env.now - pkt.ingress_us)
-        self.rate.record_delivery(self.env.now)
-        if self.keep_packets:
-            self.emitted_packets.append(pkt)

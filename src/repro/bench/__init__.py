@@ -1,19 +1,20 @@
-"""repro.bench: the machine-readable benchmark trajectory.
+"""repro.bench: every model-clock number, pinned in one file.
 
-The observability layer for performance: a registry of named, seeded
-scenarios (:mod:`repro.bench.spec`) run by :func:`run_bench` into
-schema-versioned ``BENCH_<n>.json`` reports (:mod:`repro.bench.schema`)
-that a tolerance-banded comparator (:mod:`repro.bench.compare`) can
-gate CI on.  Every report also records harness self-observability --
-wall-time, peak RSS, and per-stage time attribution rolled up from
-:mod:`repro.telemetry` tracer spans.
+A registry of named scenarios (:mod:`repro.bench.spec`), each with its
+own packet budget and seed, is run by :func:`run_bench` into one
+schema-versioned report (:mod:`repro.bench.schema`) of model-clock
+readings plus a per-stage time attribution rolled up from
+:mod:`repro.telemetry` tracer spans.  The DES is deterministic, so the
+report is byte-reproducible: ``benchmarks/results/baseline.json`` pins
+it, and :func:`compare_reports` (:mod:`repro.bench.compare`) diffs two
+reports with ``==``.  ``tests/integration/test_model_clock_golden.py``
+runs every scenario against that file.
 
-Entry points: ``python -m repro bench [--quick|--full]`` to measure,
-``python -m repro bench --compare old.json new.json`` to gate.
+Entry points: ``python -m repro bench --out new.json`` to measure,
+``python -m repro bench --compare old.json new.json`` to diff.
 """
 
 from .schema import (
-    GATED_METRICS,
     SCHEMA,
     BenchReport,
     ScenarioResult,
@@ -21,24 +22,11 @@ from .schema import (
     validate_bench,
 )
 from .spec import REGISTRY, BenchmarkSpec, SpecOutcome, specs_for
-from .runner import (
-    DEFAULT_PACKETS,
-    git_describe,
-    next_bench_path,
-    run_bench,
-    run_spec,
-    summary_table,
-)
-from .compare import (
-    DEFAULT_TOLERANCES,
-    ComparisonReport,
-    MetricDelta,
-    compare_reports,
-)
+from .runner import run_bench, run_spec, summary_table
+from .compare import ABSENT, ComparisonReport, Difference, compare_reports
 
 __all__ = [
     "SCHEMA",
-    "GATED_METRICS",
     "BenchReport",
     "ScenarioResult",
     "measurement_to_dict",
@@ -47,14 +35,11 @@ __all__ = [
     "SpecOutcome",
     "REGISTRY",
     "specs_for",
-    "DEFAULT_PACKETS",
     "run_bench",
     "run_spec",
     "summary_table",
-    "next_bench_path",
-    "git_describe",
-    "DEFAULT_TOLERANCES",
+    "ABSENT",
     "ComparisonReport",
-    "MetricDelta",
+    "Difference",
     "compare_reports",
 ]

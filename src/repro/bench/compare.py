@@ -1,184 +1,105 @@
-"""Compare two bench reports and gate on per-metric tolerance bands.
+"""Diff two bench reports value by value, with ``==``.
 
-``python -m repro bench --compare old.json new.json`` prints an ASCII
-delta table and exits non-zero when any gated metric moved in its bad
-direction beyond tolerance.  The gated metrics and their directions
-live in :data:`repro.bench.schema.GATED_METRICS`; bands are relative
-for latency/throughput (the DES is deterministic, so identical code
-yields zero delta -- the band absorbs model-parameter tweaks that are
-explicitly accepted by refreshing the baseline) and absolute for
-resource overhead and loss counts.
-
-Scenarios present in only one report are listed as added/removed, never
-failed on -- growing the registry must not break the gate.
+``python -m repro bench --compare old.json new.json`` prints every
+(scenario, value) that differs -- a value or a whole scenario present
+on one side only included -- and exits 1 on any difference.  The model
+clock is deterministic, so there is no tolerance: the same code gives
+the same bits, and a change that moves a number is a reviewed re-pin of
+``benchmarks/results/baseline.json``, with this diff as its record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
 from ..eval.report import render_table
-from .schema import GATED_METRICS, BenchReport
+from .schema import BenchReport
 
-__all__ = [
-    "DEFAULT_TOLERANCES",
-    "MetricDelta",
-    "ComparisonReport",
-    "compare_reports",
-]
+__all__ = ["ABSENT", "Difference", "ComparisonReport", "compare_reports"]
 
-#: metric -> ("rel" | "abs", band width).
-DEFAULT_TOLERANCES: Dict[str, Tuple[str, float]] = {
-    "latency_p50_us": ("rel", 0.10),
-    "latency_p99_us": ("rel", 0.10),
-    "latency_mean_us": ("rel", 0.10),
-    "throughput_mpps": ("rel", 0.10),
-    "resource_overhead": ("abs", 0.02),
-    "lost": ("abs", 0.0),
-}
+
+class _Absent:
+    def __repr__(self) -> str:
+        return "-"
+
+
+#: Stands for a value (or a whole scenario row) one side does not have.
+ABSENT = _Absent()
+
+#: The key a whole missing scenario row is reported under.
+ROW = "(row)"
 
 
 @dataclass
-class MetricDelta:
-    """One (scenario, metric) comparison row."""
+class Difference:
+    """One (scenario, value) that is not the same on both sides."""
 
     scenario: str
-    metric: str
-    old: float
-    new: float
-    status: str  # "ok" | "regression" | "improved" | "volatile"
-
-    @property
-    def delta(self) -> float:
-        return self.new - self.old
-
-    @property
-    def delta_pct(self) -> float:
-        if self.old == 0:
-            return 0.0 if self.new == 0 else float("inf")
-        return (self.new - self.old) / abs(self.old) * 100.0
+    key: str
+    old: object
+    new: object
 
 
 @dataclass
 class ComparisonReport:
-    """Everything the compare CLI prints and gates on."""
+    """Everything the compare CLI prints and exits on."""
 
-    rows: List[MetricDelta] = field(default_factory=list)
-    added: List[str] = field(default_factory=list)
-    removed: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> List[MetricDelta]:
-        return [row for row in self.rows if row.status == "regression"]
-
-    @property
-    def improvements(self) -> List[MetricDelta]:
-        return [row for row in self.rows if row.status == "improved"]
+    differences: List[Difference] = field(default_factory=list)
+    #: Values found on both sides and compared with ``==``.
+    compared: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.differences
 
     @property
     def exit_code(self) -> int:
         return 0 if self.ok else 1
 
-    def render(self, verbose: bool = False) -> str:
-        """ASCII delta table; non-ok rows always shown, ok rows on demand."""
-        shown = [
-            row for row in self.rows
-            if verbose or row.status in ("regression", "improved")
-        ]
+    def render(self) -> str:
+        """The differing rows as a table (full ``repr`` digits), then a
+        one-line count."""
         lines: List[str] = []
-        if shown:
-            table_rows = []
-            for row in shown:
-                pct = row.delta_pct
-                pct_text = "inf" if pct == float("inf") else f"{pct:+.1f}%"
-                table_rows.append([
-                    row.scenario, row.metric, row.old, row.new,
-                    pct_text, row.status,
-                ])
+        if self.differences:
             lines.append(render_table(
-                ["scenario", "metric", "old", "new", "delta", "status"],
-                table_rows,
+                ["scenario", "value", "old", "new"],
+                [[d.scenario, d.key, repr(d.old), repr(d.new)]
+                 for d in self.differences],
             ))
-        else:
-            lines.append("all gated metrics within tolerance")
-        for name in self.added:
-            lines.append(f"note: scenario {name!r} only in the new report")
-        for name in self.removed:
-            lines.append(f"note: scenario {name!r} only in the old report")
-        lines.extend(f"note: {note}" for note in self.notes)
-        summary = (
-            f"{len(self.regressions)} regression(s), "
-            f"{len(self.improvements)} improvement(s), "
-            f"{sum(1 for r in self.rows if r.status == 'ok')} within band"
-        )
-        lines.append(summary)
+        lines.append(f"{len(self.differences)} difference(s); "
+                     f"{self.compared} value(s) compared with ==")
         return "\n".join(lines)
 
 
-def _classify(
-    metric: str, old: float, new: float, tolerances: Dict[str, Tuple[str, float]]
-) -> str:
-    kind, band = tolerances[metric]
-    if kind == "rel":
-        limit = band * abs(old)
-    elif kind == "abs":
-        limit = band
-    else:
-        raise ValueError(f"unknown tolerance kind {kind!r} for {metric}")
-    delta = new - old
-    if abs(delta) <= limit:
-        return "ok"
-    bad_direction = GATED_METRICS[metric]
-    worse = delta > 0 if bad_direction == "up" else delta < 0
-    return "regression" if worse else "improved"
-
-
-def compare_reports(
-    old: BenchReport,
-    new: BenchReport,
-    tolerances: Dict[str, Tuple[str, float]] = None,
-) -> ComparisonReport:
-    """Diff two reports metric by metric; see module docstring."""
+def compare_reports(old: BenchReport, new: BenchReport) -> ComparisonReport:
+    """Every difference between ``old`` and ``new``, in scenario order."""
     if old.schema != new.schema:
         raise ValueError(
             f"schema mismatch: old={old.schema!r} new={new.schema!r} "
             "(regenerate the older report before comparing)"
         )
-    tolerances = dict(DEFAULT_TOLERANCES if tolerances is None else tolerances)
     report = ComparisonReport()
-    old_names = set(old.names())
-    new_names = set(new.names())
-    report.added = sorted(new_names - old_names)
-    report.removed = sorted(old_names - new_names)
-    if old.meta.get("packets") != new.meta.get("packets"):
-        report.notes.append(
-            f"packet budgets differ (old={old.meta.get('packets')} "
-            f"new={new.meta.get('packets')}); deltas may reflect the budget"
-        )
-    for name in [n for n in old.names() if n in new_names]:
-        old_scenario = old.scenario(name)
-        new_scenario = new.scenario(name)
-        skip = set(old_scenario.volatile) | set(new_scenario.volatile)
-        for metric in tolerances:
-            if metric not in GATED_METRICS:
-                raise KeyError(f"cannot gate unknown metric {metric!r}")
-            old_value = old_scenario.metrics.get(metric)
-            new_value = new_scenario.metrics.get(metric)
-            if old_value is None or new_value is None:
-                continue
-            if metric in skip:
-                status = "volatile"
-            else:
-                status = _classify(metric, float(old_value),
-                                   float(new_value), tolerances)
-            report.rows.append(MetricDelta(
-                scenario=name, metric=metric,
-                old=float(old_value), new=float(new_value), status=status,
-            ))
+    old_rows = {row.name: row for row in old.scenarios}
+    new_rows = {row.name: row for row in new.scenarios}
+    names =list(old_rows) + [name for name in new_rows if name not in old_rows]
+    for name in names:
+        if name not in new_rows or name not in old_rows:
+            report.differences.append(Difference(
+                name, ROW,
+                len(old_rows[name].values()) if name in old_rows else ABSENT,
+                len(new_rows[name].values()) if name in new_rows else ABSENT))
+            continue
+        old_values = old_rows[name].values()
+        new_values = new_rows[name].values()
+        keys = list(old_values) + [k for k in new_values if k not in old_values]
+        for key in keys:
+            old_value = old_values.get(key, ABSENT)
+            new_value = new_values.get(key, ABSENT)
+            if old_value is not ABSENT and new_value is not ABSENT:
+                report.compared += 1
+                if old_value == new_value:
+                    continue
+            report.differences.append(
+                Difference(name, key, old_value, new_value))
     return report

@@ -1,156 +1,63 @@
-"""Run the registered scenarios and assemble a ``BenchReport``.
-
-Besides the simulated metrics every scenario reports, the runner
-observes the reproduction harness *itself*: wall-time and peak RSS per
-scenario (``resource.getrusage``), total session wall-time, and the
-commit the numbers were produced from -- so the ``BENCH_<n>.json``
-trajectory can answer both "did the simulated system regress?" and
-"did the Python that simulates it get slower?".
-"""
+"""Run the registered scenarios and assemble a ``BenchReport``."""
 
 from __future__ import annotations
 
-import os
-import platform
-import re
-import subprocess
-import sys
-import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..eval.report import render_table
 from ..telemetry.rollup import STAGE_NAMES
-from .schema import SCHEMA, BenchReport, ScenarioResult
+from .schema import BenchReport, ScenarioResult
 from .spec import BenchmarkSpec, specs_for
 
-__all__ = [
-    "DEFAULT_PACKETS",
-    "git_describe",
-    "next_bench_path",
-    "run_spec",
-    "run_bench",
-    "summary_table",
-]
-
-#: Per-scenario packet budgets by mode.
-DEFAULT_PACKETS = {"quick": 800, "full": 3000}
+__all__ = ["run_spec", "run_bench", "summary_table"]
 
 
-def git_describe(cwd: Optional[str] = None) -> Tuple[str, bool]:
-    """(commit hash, dirty flag); ("unknown", False) outside a checkout."""
-    try:
-        commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, cwd=cwd, timeout=10,
-        ).stdout.strip()
-        if not commit:
-            return "unknown", False
-        status = subprocess.run(
-            ["git", "status", "--porcelain"],
-            capture_output=True, text=True, cwd=cwd, timeout=10,
-        ).stdout.strip()
-        return commit, bool(status)
-    except (OSError, subprocess.SubprocessError):
-        return "unknown", False
-
-
-def _peak_rss_kb() -> int:
-    """Process peak RSS in KiB (0 where ``resource`` is unavailable)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX
-        return 0
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports KiB, macOS bytes; normalise to KiB.
-    if sys.platform == "darwin":  # pragma: no cover - linux CI
-        rss //= 1024
-    return int(rss)
-
-
-def next_bench_path(root: str = ".") -> str:
-    """The next free ``BENCH_<n>.json`` path under ``root``."""
-    taken = []
-    for name in os.listdir(root or "."):
-        match = re.fullmatch(r"BENCH_(\d+)\.json", name)
-        if match:
-            taken.append(int(match.group(1)))
-    index = max(taken, default=-1) + 1
-    return os.path.join(root, f"BENCH_{index}.json")
-
-
-def run_spec(spec: BenchmarkSpec, packets: int, seed: int) -> ScenarioResult:
-    """Run one scenario with wall-time and RSS self-observation."""
-    started = time.perf_counter()
-    outcome = spec.runner(packets, seed)
-    wall_s = time.perf_counter() - started
+def run_spec(spec: BenchmarkSpec) -> ScenarioResult:
+    """Run one scenario at its own packet budget and seed."""
+    outcome = spec.runner(spec.packets, spec.seed)
     return ScenarioResult.from_parts(
         name=spec.name,
         measurement=outcome.measurement,
         rollup=outcome.rollup,
-        params=outcome.params or {"packets": packets, "seed": seed},
-        wall_time_s=wall_s,
-        peak_rss_kb=_peak_rss_kb(),
+        params=outcome.params,
         extra_metrics=outcome.extra_metrics,
-        volatile=outcome.volatile,
     )
 
 
 def run_bench(
-    mode: str = "quick",
-    packets: Optional[int] = None,
-    seed: int = 1,
     names: Optional[List[str]] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> BenchReport:
-    """Run the selected scenarios and return the assembled report."""
-    specs = specs_for(mode, names=names)
-    budget = DEFAULT_PACKETS[mode] if packets is None else packets
-    commit, dirty = git_describe()
-    started = time.perf_counter()
+    """Run the named scenarios (default: all) into one report."""
     scenarios: List[ScenarioResult] = []
-    for spec in specs:
+    for spec in specs_for(names):
         if log is not None:
             log(f"running {spec.name} ({spec.description})")
-        scenarios.append(run_spec(spec, budget, seed))
-    report = BenchReport(
-        meta={
-            "schema": SCHEMA,
-            "mode": mode,
-            "packets": budget,
-            "seed": seed,
-            "commit": commit,
-            "dirty": dirty,
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "created_unix": int(time.time()),
-            "wall_time_s": round(time.perf_counter() - started, 3),
-            "peak_rss_kb": _peak_rss_kb(),
-            "scenarios": len(scenarios),
-        },
-        scenarios=scenarios,
-    )
-    return report
+        scenarios.append(run_spec(spec))
+    return BenchReport(scenarios=scenarios)
 
 
 def summary_table(report: BenchReport) -> str:
     """Per-scenario ASCII summary for the CLI."""
     rows = []
     for result in report.scenarios:
-        shares = result.stage_shares
-        dominant = max(
-            STAGE_NAMES, key=lambda name: shares.get(name, 0.0)
-        ) if shares else "-"
+        stages = result.stage_us
+        total = sum(stages.values())
+        if total > 0:
+            dominant = max(STAGE_NAMES, key=lambda name: stages.get(name, 0.0))
+            share = f"{dominant} ({stages[dominant] / total * 100:.0f}%)"
+        else:
+            share = "-"
         rows.append([
             result.name,
             result.metrics.get("latency_p50_us", 0.0),
             result.metrics.get("latency_p99_us", 0.0),
             result.metrics.get("throughput_mpps", 0.0),
             result.metrics.get("resource_overhead", 0.0) * 100,
-            f"{dominant} ({shares.get(dominant, 0.0) * 100:.0f}%)",
-            f"{result.wall_time_s:.2f}",
+            share,
         ])
     return render_table(
         ["scenario", "p50 us", "p99 us", "Mpps", "overhead %",
-         "dominant stage", "wall s"],
+         "dominant stage"],
         rows,
     )

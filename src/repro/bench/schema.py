@@ -1,24 +1,19 @@
 """The bench result model: schema-versioned, JSON-serialised, validated.
 
-One :class:`BenchReport` is one benchmark session: run metadata (mode,
-budgets, commit, interpreter) plus one :class:`ScenarioResult` per
-registered scenario.  Reports serialise to the ``BENCH_<n>.json``
-artifacts at the repo root -- the machine-readable perf trajectory the
-comparator (:mod:`repro.bench.compare`) and CI gate on.
+One :class:`BenchReport` is one run of the scenario registry: one
+:class:`ScenarioResult` per scenario, holding model-clock readings only
+-- nothing about the host that ran it -- so the same code writes the
+same bytes.  ``benchmarks/results/baseline.json`` is such a report: the
+one place every model-clock number is pinned.
 
 The same serializer backs ``python -m repro measure --json``
 (:func:`measurement_to_dict`), so scripts never scrape ASCII tables.
 
 Schema evolution: bump :data:`SCHEMA` when a field changes meaning or
-disappears; adding optional fields is backward compatible.  The
-comparator refuses to diff reports with different schema identifiers.
-
-v2 (this schema): fault scenarios with a windowed sampler armed carry
-peak-window stats (``peak_window_tx``, ``peak_ring_occupancy``,
-``peak_at_depth``, ``windows``) and watch-rule alert counts
-(``alerts_fired`` / ``alerts_cleared``) in their metrics.  All of them
-are listed volatile: the comparator reports them but never gates on
-them, since window timing under faults follows the fault timing.
+disappears.  v3 (this schema) dropped the run metadata, the per-scenario
+host wall-time and RSS, the derived stage shares and the ``volatile``
+lists: a report is ``{"schema", "scenarios"}`` and every value in it is
+compared with ``==``.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from ..telemetry.rollup import STAGE_NAMES, StageRollup
 
 __all__ = [
     "SCHEMA",
-    "GATED_METRICS",
     "measurement_to_dict",
     "ScenarioResult",
     "BenchReport",
@@ -40,28 +34,15 @@ __all__ = [
 ]
 
 #: Current schema identifier, stored in every report.
-SCHEMA = "repro.bench/2"
+SCHEMA = "repro.bench/3"
 
-#: Metric keys the comparator gates on, with the direction that counts
-#: as a regression ("up" = an increase is bad, "down" = a decrease is).
-GATED_METRICS = {
-    "latency_p50_us": "up",
-    "latency_p99_us": "up",
-    "latency_mean_us": "up",
-    "throughput_mpps": "down",
-    "resource_overhead": "up",
-    "lost": "up",
-}
+#: Metric keys every scenario must carry.
+REQUIRED_METRICS = ("latency_mean_us", "latency_p50_us", "latency_p99_us",
+                    "delivered", "lost")
 
-#: Metric keys every scenario must carry (superset of the gated ones).
-REQUIRED_METRICS = tuple(GATED_METRICS) + (
-    "offered_mpps",
-    "delivered",
-    "nil_dropped",
-    "cores_used",
-    "copies_full",
-    "copies_header",
-)
+#: The record keys whose values are ``{name: value}`` maps, compared entry
+#: by entry under ``<key>.<name>``.
+_NESTED = ("params", "stage_us", "stage_events")
 
 
 def measurement_to_dict(result: MeasurementResult) -> Dict:
@@ -91,21 +72,14 @@ def measurement_to_dict(result: MeasurementResult) -> Dict:
 
 @dataclass
 class ScenarioResult:
-    """One scenario's measured metrics plus harness self-observability."""
+    """One scenario's model-clock readings and per-stage attribution."""
 
     name: str
     system: str
     label: str
     params: Dict = field(default_factory=dict)
     metrics: Dict = field(default_factory=dict)
-    #: Metric keys that depend on wall-clock (host speed) rather than
-    #: simulated time; the comparator reports but never gates them.
-    volatile: List[str] = field(default_factory=list)
-    #: Harness self-observability: where the *Python* spent its time.
-    wall_time_s: float = 0.0
-    peak_rss_kb: int = 0
     stage_us: Dict[str, float] = field(default_factory=dict)
-    stage_shares: Dict[str, float] = field(default_factory=dict)
     stage_events: Dict[str, int] = field(default_factory=dict)
 
     @classmethod
@@ -115,10 +89,7 @@ class ScenarioResult:
         measurement: Dict,
         rollup: StageRollup,
         params: Dict,
-        wall_time_s: float,
-        peak_rss_kb: int,
         extra_metrics: Dict = None,
-        volatile: List[str] = None,
     ) -> "ScenarioResult":
         metrics = {
             key: value
@@ -133,13 +104,20 @@ class ScenarioResult:
             label=measurement.get("label", name),
             params=dict(params),
             metrics=metrics,
-            volatile=list(volatile or []),
-            wall_time_s=wall_time_s,
-            peak_rss_kb=peak_rss_kb,
             stage_us=dict(rollup.times_us),
-            stage_shares=rollup.shares(),
             stage_events=dict(rollup.events),
         )
+
+    def values(self) -> Dict[str, object]:
+        """Every pinned value under one flat key: metrics by name,
+        ``params`` / ``stage_us`` / ``stage_events`` entries as
+        ``<map>.<entry>``, and ``system`` / ``label``."""
+        flat: Dict[str, object] = {"system": self.system, "label": self.label}
+        flat.update(self.metrics)
+        for key in _NESTED:
+            flat.update((f"{key}.{entry}", value)
+                        for entry, value in getattr(self, key).items())
+        return flat
 
     def to_dict(self) -> Dict:
         return {
@@ -148,39 +126,27 @@ class ScenarioResult:
             "label": self.label,
             "params": self.params,
             "metrics": self.metrics,
-            "volatile": self.volatile,
-            "self": {
-                "wall_time_s": self.wall_time_s,
-                "peak_rss_kb": self.peak_rss_kb,
-                "stage_us": self.stage_us,
-                "stage_shares": self.stage_shares,
-                "stage_events": self.stage_events,
-            },
+            "stage_us": self.stage_us,
+            "stage_events": self.stage_events,
         }
 
     @classmethod
     def from_dict(cls, record: Dict) -> "ScenarioResult":
-        harness = record.get("self", {})
         return cls(
             name=record["name"],
             system=record.get("system", "NFP"),
             label=record.get("label", record["name"]),
             params=dict(record.get("params", {})),
             metrics=dict(record.get("metrics", {})),
-            volatile=list(record.get("volatile", [])),
-            wall_time_s=float(harness.get("wall_time_s", 0.0)),
-            peak_rss_kb=int(harness.get("peak_rss_kb", 0)),
-            stage_us=dict(harness.get("stage_us", {})),
-            stage_shares=dict(harness.get("stage_shares", {})),
-            stage_events=dict(harness.get("stage_events", {})),
+            stage_us=dict(record.get("stage_us", {})),
+            stage_events=dict(record.get("stage_events", {})),
         )
 
 
 @dataclass
 class BenchReport:
-    """A full benchmark session, ready for ``BENCH_<n>.json``."""
+    """A full run of the registry, as written to ``baseline.json``."""
 
-    meta: Dict = field(default_factory=dict)
     scenarios: List[ScenarioResult] = field(default_factory=list)
     schema: str = SCHEMA
 
@@ -196,7 +162,6 @@ class BenchReport:
     def to_dict(self) -> Dict:
         return {
             "schema": self.schema,
-            "meta": self.meta,
             "scenarios": [result.to_dict() for result in self.scenarios],
         }
 
@@ -204,7 +169,6 @@ class BenchReport:
     def from_dict(cls, document: Dict) -> "BenchReport":
         return cls(
             schema=document.get("schema", ""),
-            meta=dict(document.get("meta", {})),
             scenarios=[
                 ScenarioResult.from_dict(record)
                 for record in document.get("scenarios", [])
@@ -260,13 +224,6 @@ def validate_bench(document: Dict) -> List[str]:
         problems.append(
             f"schema is {document.get('schema')!r}, expected {SCHEMA!r}"
         )
-    meta = document.get("meta")
-    if not isinstance(meta, dict):
-        problems.append("meta missing or not an object")
-    else:
-        for key in ("mode", "packets", "seed"):
-            if key not in meta:
-                problems.append(f"meta.{key} missing")
     scenarios = document.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
         problems.append("scenarios missing or empty")
@@ -293,19 +250,14 @@ def validate_bench(document: Dict) -> List[str]:
                 problems.append(f"{where}.metrics.{key} missing")
             elif not isinstance(metrics[key], (int, float)):
                 problems.append(f"{where}.metrics.{key} is not a number")
-        harness = record.get("self")
-        if not isinstance(harness, dict):
-            problems.append(f"{where}.self missing")
-            continue
-        stage_us = harness.get("stage_us")
-        if not isinstance(stage_us, dict):
-            problems.append(f"{where}.self.stage_us missing")
-        else:
-            unknown = set(stage_us) - set(STAGE_NAMES)
-            if unknown:
-                problems.append(
-                    f"{where}.self.stage_us has unknown stages {sorted(unknown)}"
-                )
-            if sum(stage_us.get(stage, 0.0) for stage in STAGE_NAMES) <= 0.0:
-                problems.append(f"{where}.self.stage_us attributes no time")
+        stage_us = record.get("stage_us", {})
+        unknown = set(stage_us) - set(STAGE_NAMES)
+        if unknown:
+            problems.append(
+                f"{where}.stage_us has unknown stages {sorted(unknown)}"
+            )
+        elif (sum(record.get("stage_events", {}).values())
+              and not sum(stage_us.values())):
+            problems.append(f"{where}.stage_us attributes no time to the "
+                            "spans it counts")
     return problems

@@ -1,10 +1,14 @@
-"""The benchmark scenario registry: named, seeded, budgeted workloads.
+"""The benchmark scenario registry: every model-clock number, by name.
 
-Every scenario wraps an existing ``repro.eval`` entry point with fixed
-seeds and a packet budget, collects telemetry spans while it runs, and
-reports the measurement plus a per-stage time attribution
-(:mod:`repro.telemetry.rollup`).  The registry is the single source of
-truth for what ``python -m repro bench`` runs:
+Every scenario wraps an existing ``repro.eval`` entry point (or drives a
+timed server directly) with its own packet budget and seed, and reports
+model-clock readings only: latency percentiles, deliveries and losses,
+telemetry counters, ``events_per_pkt`` (the DES's own work per packet)
+and a per-stage time attribution rolled up from tracer spans
+(:mod:`repro.telemetry.rollup`).  The DES is deterministic, so every
+reading is bit-reproducible: ``benchmarks/results/baseline.json`` pins
+them all and the gate compares with ``==``.  The registry is the single
+source of truth for what ``python -m repro bench`` runs:
 
 * ``seq_chain_N`` / ``par_chain_N`` -- firewall chains of length 2-6,
   sequential vs NFP-parallel (Fig. 9/11 forced setups, 300 busy cycles);
@@ -24,21 +28,25 @@ truth for what ``python -m repro bench`` runs:
   episode on the north-south chain, and the AT-timeout episode (hung
   monitor stranding AT entries) on the copy-bearing west-east chain;
 * ``flash_crowd_autoscale`` -- a flash crowd over a Zipf flow mix on an
-  elastic nat->vpn chain: the PR-10 autoscaler rescales the VPN
-  bottleneck live and the extras carry core-seconds vs static peak;
+  elastic nat->vpn chain: the autoscaler rescales the VPN bottleneck
+  live and the extras carry core-seconds vs static peak;
+* ``placement_fig13`` -- the Fig. 13 chains placed on a 4-server line;
 * ``fuzz_corpus_replay`` -- the committed differential-fuzz corpus
-  replayed through all three planes, as a throughput workload.
-
-Scenarios tagged ``quick`` form the CI smoke set; ``--full`` runs
-everything at a larger packet budget.
+  replayed through all three planes;
+* the event-path goldens, seed 7: ``fig13_*_seed7`` and
+  ``fig13_*_x2_cached``, ``flash_crowd_nat_vpn`` (with digests of its
+  span set, counter totals and sampler gauge series),
+  ``two_server_six_nf``, ``opennetvm_west_east`` / ``bess_west_east``
+  and ``crash_hang_retry2`` (crash + hang with ring retries).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import glob
+import hashlib
 import os
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
 from ..core.orchestrator import Orchestrator
@@ -46,6 +54,7 @@ from ..core.policy import Policy
 from ..eval.experiments import NORTH_SOUTH_CHAIN, WEST_EAST_CHAIN
 from ..eval.forced import forced_parallel, forced_sequential
 from ..eval.harness import measure_nfp
+from ..sim import DEFAULT_PARAMS, Environment, SimParams
 from ..sim.stats import summarize
 from ..telemetry import (
     Sampler,
@@ -56,6 +65,7 @@ from ..telemetry import (
     Watcher,
     stage_rollup,
 )
+from ..traffic import FlowGenerator, TrafficSource
 from ..traffic.generator import DATACENTER_MIX, PacketSizeDistribution
 from .schema import measurement_to_dict
 
@@ -74,26 +84,29 @@ CHAIN_BUSY_CYCLES = 300
 #: (64 B header copy) actually differ -- at 64 B they are the same copy.
 FIXED_512B = PacketSizeDistribution([(512, 1.0)], name="512B")
 
+#: The six-NF chain that does not fit one 5-core server.
+SIX_NF_CHAIN = ("gateway", "monitor", "nat", "firewall", "loadbalancer", "vpn")
+
 
 @dataclass
 class SpecOutcome:
     """What one scenario runner hands back to the bench runner."""
 
     measurement: Dict
-    rollup: StageRollup
+    rollup: StageRollup = field(default_factory=StageRollup)
     extra_metrics: Dict = field(default_factory=dict)
-    volatile: List[str] = field(default_factory=list)
     params: Dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """A named scenario: description, quick-set membership, runner."""
+    """A named scenario: description, runner, its own budget and seed."""
 
     name: str
     description: str
-    quick: bool
     runner: Callable[[int, int], SpecOutcome]
+    packets: int = 800
+    seed: int = 1
 
 
 def _counter_extras(hub: TelemetryHub) -> Dict:
@@ -112,6 +125,12 @@ def _counter_extras(hub: TelemetryHub) -> Dict:
     return extras
 
 
+def _drop_metrics(conservation: Dict) -> Dict:
+    """The ledger's drop reasons as flat ``drops.<reason>`` metrics."""
+    return {f"drops.{reason}": count
+            for reason, count in conservation["drops"].items()}
+
+
 def _measured(
     target_factory: Callable,
     extra_cycles: int = 0,
@@ -125,16 +144,13 @@ def _measured(
 ) -> Callable[[int, int], SpecOutcome]:
     """Build a runner around :func:`measure_nfp` with span collection.
 
-    ``faults`` runs the scenario under fault injection; every
-    delivery-dependent metric becomes volatile (fault timing vs load
-    makes them workload-specific), and the fault/failover counters ride
-    along as extras instead.
-
-    ``watch`` arms a windowed :class:`~repro.telemetry.timeseries.Sampler`
-    (one window per ``window_us`` of simulated time) with the given
-    watch rules; peak-window stats and alert fire/clear counts then ride
-    along as volatile extras (schema v2).  The sampler observes the same
-    hub the scenario already fills, so an unarmed run costs nothing.
+    ``faults`` runs the scenario under fault injection; the fault and
+    failover counters ride along as extras.  ``watch`` arms a windowed
+    :class:`~repro.telemetry.timeseries.Sampler` (one window per
+    ``window_us`` of simulated time) with the given watch rules;
+    peak-window stats and alert fire/clear counts then ride along too.
+    A fault fires at a packet count and a window closes at a model
+    instant, so these readings are as deterministic as the latencies.
     """
 
     def run(packets: int, seed: int) -> SpecOutcome:
@@ -165,7 +181,7 @@ def _measured(
         if flow_cache:
             params["flow_cache"] = True
         extras = _counter_extras(hub)
-        volatile: List[str] = []
+        extras["events_per_pkt"] = result.events_processed / packets
         if faults:
             params["faults"] = faults
             registry = hub.registry
@@ -176,32 +192,25 @@ def _measured(
                 "degraded_graphs":
                     registry.counter_value("failover.degraded_graphs"),
             })
-            volatile += ["latency_mean_us", "latency_p50_us", "latency_p99_us",
-                         "delivered", "lost", "nil_dropped"]
         if sampler is not None:
             params["window_us"] = window_us
             params["watch"] = list(watch)
             series = sampler.series
-            telemetry_extras = {
+            extras.update({
                 "windows": len(series.windows),
                 "alerts_fired": watcher.fired,
                 "alerts_cleared": watcher.cleared,
-            }
+            })
             for key, metric in (("peak_window_tx", "tx.packets"),
                                 ("peak_ring_occupancy", "ring.occupancy"),
                                 ("peak_at_depth", "at.depth")):
                 peak = series.peak(metric)
                 if peak is not None:
-                    telemetry_extras[key] = round(float(peak[0]), 6)
-            extras.update(telemetry_extras)
-            # Window timing under faults follows the fault timing, so
-            # everything the sampler saw is reported, never gated.
-            volatile = volatile + sorted(telemetry_extras)
+                    extras[key] = round(float(peak[0]), 6)
         return SpecOutcome(
             measurement=measurement_to_dict(result),
             rollup=stage_rollup(tracer.events),
             extra_metrics=extras,
-            volatile=volatile,
             params=params,
         )
 
@@ -236,24 +245,21 @@ def corpus_dir() -> str:
 def _replay_corpus(packets: int, seed: int) -> SpecOutcome:
     """Replay the committed fuzz corpus through all three planes.
 
-    Latency percentiles come from the DES plane's span timestamps
-    (simulated time, deterministic); the packets/s figure is wall-clock
-    and therefore marked volatile.  Each case gets a fresh tracer so
-    packet keys never collide across cases.
+    The corpus fixes its own packets and seeds.  Latency percentiles
+    come from the DES plane's span timestamps (simulated time); each
+    case gets a fresh tracer so packet keys never collide across cases.
     """
     from ..check import FuzzCase, run_case
 
     rollup = StageRollup()
     latencies: List[float] = []
-    cases = failures = replayed_packets = 0
+    cases = failures = 0
     copies_full = copies_header = 0
-    started = perf_counter()
     for path in sorted(glob.glob(os.path.join(corpus_dir(), "*.json"))):
         tracer = Tracer()
         hub = TelemetryHub(tracer=tracer)
         outcome = run_case(FuzzCase.load(path), include_des=True, telemetry=hub)
         cases += 1
-        replayed_packets += outcome.packets
         if not outcome.ok:
             failures += 1
         copies_full += hub.registry.counter_value("copy.full")
@@ -269,7 +275,6 @@ def _replay_corpus(packets: int, seed: int) -> SpecOutcome:
                 continue
             ingress = (classify.args or {}).get("ingress_us", classify.ts_us)
             latencies.append(terminal.ts_us - float(ingress))
-    wall_s = max(perf_counter() - started, 1e-9)
     if latencies:
         summary = summarize(latencies)
         mean, p50, p99 = summary.mean, summary.p50, summary.p99
@@ -281,9 +286,7 @@ def _replay_corpus(packets: int, seed: int) -> SpecOutcome:
         "latency_mean_us": mean,
         "latency_p50_us": p50,
         "latency_p99_us": p99,
-        "throughput_mpps": replayed_packets / wall_s / 1e6,
         "bottleneck": "harness",
-        "offered_mpps": replayed_packets / wall_s / 1e6,
         "delivered": len(latencies),
         "lost": failures,
         "nil_dropped": 0,
@@ -296,69 +299,77 @@ def _replay_corpus(packets: int, seed: int) -> SpecOutcome:
         extra_metrics={"copies_full": copies_full,
                        "copies_header": copies_header,
                        "cases": cases, "cases_failed": failures},
-        volatile=["throughput_mpps", "offered_mpps"],
         params={"cases": cases, "corpus": "tests/corpus"},
     )
 
 
-def _flash_crowd_autoscale(packets: int, seed: int) -> SpecOutcome:
-    """Flash crowd against an elastic nat->vpn chain (PR-10 tentpole).
+def _flash_crowd(packets: int, seed: int, peak_mpps: float, phases,
+                 up_rule: str, down_rule: str, label: str = "",
+                 params: SimParams = DEFAULT_PARAMS):
+    """Flash crowd against an elastic nat->vpn chain.
 
     The offered rate traces a flash crowd (floor -> linear ramp ->
     plateau -> exponential decay) over a heavy-tailed (Zipf) flow mix;
     a :class:`~repro.autoscale.Autoscaler` watches windowed ring
     occupancy and rescales the VPN -- the chain's bottleneck at ~1.5
     Mpps/instance -- live, membership changes executing the classifier
-    hold + drain barrier + stateful-handover protocol.
-
-    The headline extras are the autoscaling claim itself: ``core_us``
-    (exact elastic core-time integral) versus ``static_peak_core_us``
-    (the same wall clock pinned at the peak core count), and
-    ``unaccounted`` from the conservation ledger, which must stay 0
-    across every membership change.  The timeline scales with the
-    packet budget so quick and full runs both see ramp, plateau and
-    decay.  Every drop is attributed (``ingress_full`` while the crowd
-    outruns the ramping capacity); ``lost`` gates at the baseline like
-    any other scenario, and a deterministic seed makes the whole
-    episode -- alerts, rescales, drops -- reproducible.
+    hold + drain barrier + stateful-handover protocol.  The nominal
+    horizon is the whole budget arriving at twice the floor rate (the
+    crowd roughly doubles the average); ``phases`` carves the crowd's
+    start, ramp, hold and decay out of it as fractions, so any budget
+    sees the full episode.
     """
     from ..autoscale import ScalePolicy
     from ..eval.harness import measure_autoscale
     from ..traffic import FlashCrowdShape
 
-    base_mpps, peak_mpps = 0.8, 3.5
-    # Nominal horizon if the whole budget arrived at twice the floor
-    # rate (the crowd roughly doubles the average); carves the crowd
-    # phases out of that so any budget sees the full episode.
+    base_mpps = 0.8
     horizon_us = packets / (base_mpps * 2.0)
     window_us = max(10.0, horizon_us / 100.0)
+    start, ramp, hold, decay = phases
     shape = FlashCrowdShape(
         base_mpps=base_mpps, peak_mpps=peak_mpps,
-        start_us=0.20 * horizon_us, ramp_us=0.10 * horizon_us,
-        hold_us=0.35 * horizon_us, decay_us=0.15 * horizon_us,
+        start_us=start * horizon_us, ramp_us=ramp * horizon_us,
+        hold_us=hold * horizon_us, decay_us=decay * horizon_us,
     )
     policy = ScalePolicy(
         "vpn", min_instances=1, max_instances=4,
-        # 0.25 of a 1024-slot ring: low enough that the quick budget's
-        # proportionally smaller backlog still trips it, hysteretic via
-        # the 2-window streak.
-        up_rule="ring.occupancy > 0.25 for 2 windows",
-        down_rule="ring.occupancy < 0.05 for 6 windows",
-        cooldown_us=3.0 * window_us,
-        max_barrier_us=horizon_us,
+        up_rule=up_rule, down_rule=down_rule,
+        cooldown_us=3.0 * window_us, max_barrier_us=horizon_us,
     )
-    tracer = Tracer()
-    hub = TelemetryHub(tracer=tracer)
+    hub = TelemetryHub(tracer=Tracer())
     result = measure_autoscale(
         ["nat", "vpn"], policy, shape,
-        packets=packets, seed=seed, telemetry=hub,
+        params=params, packets=packets, seed=seed, telemetry=hub,
         num_flows=256, popularity="zipf",
-        window_us=window_us, label="flash-crowd nat->vpn",
+        window_us=window_us, label=label,
     )
+    run_params = {"packets": packets, "seed": seed, "policy": "vpn 1..4",
+                  "up_rule": up_rule, "down_rule": down_rule,
+                  "window_us": round(window_us, 3),
+                  "base_mpps": base_mpps, "peak_mpps": peak_mpps,
+                  "popularity": "zipf", "num_flows": 256}
+    return result, hub, run_params
+
+
+def _flash_crowd_autoscale(packets: int, seed: int) -> SpecOutcome:
+    """The headline autoscaling claim: ``core_us`` (exact elastic
+    core-time integral) versus ``static_peak_core_us`` (the same wall
+    clock pinned at the peak core count), and ``unaccounted`` from the
+    conservation ledger, which must stay 0 across every membership
+    change.  Every drop is attributed (``ingress_full`` while the crowd
+    outruns the ramping capacity)."""
+    result, hub, params = _flash_crowd(
+        packets, seed, peak_mpps=3.5, phases=(0.20, 0.10, 0.35, 0.15),
+        # 0.25 of a 1024-slot ring, hysteretic via the 2-window streak.
+        up_rule="ring.occupancy > 0.25 for 2 windows",
+        down_rule="ring.occupancy < 0.05 for 6 windows",
+        label="flash-crowd nat->vpn")
     scaler = result.scaler
     extras = _counter_extras(hub)
     registry = hub.registry
     extras.update({
+        "events_per_pkt": result.measurement.events_processed / packets,
         "scale_ups": scaler.scale_ups,
         "scale_downs": scaler.scale_downs,
         "peak_cores": result.peak_cores,
@@ -371,27 +382,65 @@ def _flash_crowd_autoscale(packets: int, seed: int) -> SpecOutcome:
             registry.counter_value("autoscale.handover_flows"),
         "barrier_timeouts":
             registry.counter_value("autoscale.barrier_timeout"),
-    })
-    sampler_extras = {
         "windows": len(result.sampler.series.windows),
         "alerts_fired": scaler.watcher.fired,
         "alerts_cleared": scaler.watcher.cleared,
-    }
+    })
     peak = result.sampler.series.peak("ring.occupancy")
     if peak is not None:
-        sampler_extras["peak_ring_occupancy"] = round(float(peak[0]), 6)
-    extras.update(sampler_extras)
+        extras["peak_ring_occupancy"] = round(float(peak[0]), 6)
     return SpecOutcome(
         measurement=measurement_to_dict(result.measurement),
-        rollup=stage_rollup(tracer.events),
+        rollup=stage_rollup(hub.tracer.events),
         extra_metrics=extras,
-        volatile=sorted(sampler_extras),
-        params={"packets": packets, "seed": seed,
-                "policy": "vpn 1..4",
-                "up_rule": policy.up_rule, "down_rule": policy.down_rule,
-                "window_us": round(window_us, 3),
-                "base_mpps": base_mpps, "peak_mpps": peak_mpps,
-                "popularity": "zipf", "num_flows": 256},
+        params=params,
+    )
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def _flash_crowd_nat_vpn(packets: int, seed: int) -> SpecOutcome:
+    """A steeper, longer crowd on 4096-slot rings, pinned down to the
+    span *set* (a collapsed burst records its spans in a different order
+    than a stepped one, with the same timestamps), the counter totals
+    and every sampler gauge series but ``core.*.window_util``
+    (ARCHITECTURE §6)."""
+    result, hub, params = _flash_crowd(
+        packets, seed, peak_mpps=2.6, phases=(0.15, 0.30, 0.25, 0.10),
+        up_rule="ring.occupancy > 0.025 for 1 windows",
+        down_rule="ring.occupancy < 0.0125 for 6 windows",
+        params=dataclasses.replace(DEFAULT_PARAMS, ring_capacity=4096))
+    params["ring_capacity"] = 4096
+    spans = sorted(
+        (e.ts_us, e.kind.value, e.name, e.mid, e.pid, e.version,
+         e.duration_us, tuple(sorted((e.args or {}).items())))
+        for e in hub.tracer.events)
+    counters = sorted((name, counter.value)
+                      for name, counter in hub.registry.counters.items())
+    gauges = [
+        (w.index, w.start_us, w.end_us, sorted(
+            (name, value) for name, value in w.gauges.items()
+            if not (name.startswith("core.")
+                    and name.endswith(".window_util"))))
+        for w in result.sampler.series.windows]
+    extras = {
+        "span_set": _digest(spans),
+        "counter_totals": _digest(counters),
+        "gauge_series": _digest(gauges),
+        "events_per_pkt": result.measurement.events_processed / packets,
+        "unaccounted": result.conservation["unaccounted"],
+        "scale_ups": result.scaler.scale_ups,
+        "scale_downs": result.scaler.scale_downs,
+        "core_savings_fraction": result.core_savings_fraction,
+    }
+    extras.update(_drop_metrics(result.conservation))
+    return SpecOutcome(
+        measurement=measurement_to_dict(result.measurement),
+        rollup=stage_rollup(hub.tracer.events),
+        extra_metrics=extras,
+        params=params,
     )
 
 
@@ -437,6 +486,7 @@ def _placement_fig13(packets: int, seed: int) -> SpecOutcome:
     )
     extras = _counter_extras(hub)
     extras.update({
+        "events_per_pkt": result.events_processed / packets,
         "heuristic_objective_us": round(heuristic.objective_us, 3),
         "brute_objective_us": round(brute.objective_us, 3),
         "round_robin_objective_us": round(naive.objective_us, 3),
@@ -456,15 +506,95 @@ def _placement_fig13(packets: int, seed: int) -> SpecOutcome:
     )
 
 
+# -- timed servers driven directly -----------------------------------------
+def _drive(env: Environment, inject, rate_mpps: float, packets: int,
+           seed: int, flows: int = 64) -> None:
+    """Poisson arrivals over the data-center size mix, run to drain."""
+    TrafficSource(env, inject, rate_mpps, packets, seed=seed,
+                  flows=FlowGenerator(num_flows=flows, sizes=DATACENTER_MIX,
+                                      seed=seed))
+    env.run()
+
+
+def _reading(system: str, label: str, latency, env: Environment,
+             packets: int, params: Dict, **metrics) -> SpecOutcome:
+    summary = latency.summary()
+    metrics["events_per_pkt"] = env.events_processed / packets
+    return SpecOutcome(
+        measurement={"system": system, "label": label,
+                     "latency_mean_us": summary.mean,
+                     "latency_p50_us": summary.p50,
+                     "latency_p99_us": summary.p99},
+        extra_metrics=metrics,
+        params=params,
+    )
+
+
+def _two_servers(packets: int, seed: int) -> SpecOutcome:
+    from ..multiserver import TimedMultiServer
+
+    env = Environment()
+    graph = Orchestrator().compile(Policy.from_chain(list(SIX_NF_CHAIN))).graph
+    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph, cores_per_server=5)
+    _drive(env, multi.inject, 0.5, packets, seed)
+    return _reading(
+        "NFP-multi", graph.describe(), multi.tail.latency, env, packets,
+        {"packets": packets, "seed": seed, "rate_mpps": 0.5,
+         "cores_per_server": 5},
+        delivered=multi.delivered, lost=multi.lost,
+        nil_dropped=multi.nil_dropped, servers=multi.num_servers)
+
+
+def _baseline(cls, **kwargs) -> Callable[[int, int], SpecOutcome]:
+    def run(packets: int, seed: int) -> SpecOutcome:
+        env = Environment()
+        server = cls(env, DEFAULT_PARAMS, list(WEST_EAST_CHAIN), **kwargs)
+        _drive(env, server.inject, 0.75, packets, seed)
+        return _reading(
+            cls.__name__, " -> ".join(WEST_EAST_CHAIN), server.latency, env,
+            packets, dict(kwargs, packets=packets, seed=seed, rate_mpps=0.75),
+            delivered=server.rate.delivered, lost=server.lost,
+            nil_dropped=server.nil_dropped)
+
+    return run
+
+
+def _crash_hang_retry2(packets: int, seed: int) -> SpecOutcome:
+    from ..dataplane import NFPServer
+    from ..faults import FaultInjector, FaultPlan
+
+    env = Environment()
+    hub = TelemetryHub()  # counters only: no tracer, same model clock
+    # 32-slot rings under 32-packet bursts: deliveries retry, some give up.
+    params = SimParams(ring_retry_limit=2, ring_capacity=32,
+                       at_timeout_us=2_000.0)
+    plan = ["crash:monitor#0:pkt=40", "hang:ids#1:pkt=90"]
+    server = NFPServer(env, params, injector=FaultInjector(FaultPlan.parse(plan)),
+                       flow_cache_size=256, telemetry=hub)
+    server.deploy(Orchestrator().deploy(Policy.from_chain(list(WEST_EAST_CHAIN))),
+                  scale={name: 2 for name in WEST_EAST_CHAIN})
+    _drive(env, server.inject, 1.5, packets, seed, flows=32)
+    report = server.conservation_report()
+    return _reading(
+        "NFP", " -> ".join(WEST_EAST_CHAIN) + " x2, crash + hang",
+        server.latency, env, packets,
+        {"packets": packets, "seed": seed, "rate_mpps": 1.5, "faults": plan,
+         "ring_capacity": 32, "ring_retry_limit": 2},
+        delivered=server.rate.delivered, lost=server.lost,
+        unaccounted=report["unaccounted"],
+        reassigned_flows=server.reassigned_flows,
+        retries=hub.registry.counter_value("ring.retry"),
+        aborted=hub.registry.counter_value("faults.aborted_packets"),
+        **_drop_metrics(report))
+
+
 def _firewall_specs() -> List[BenchmarkSpec]:
     specs = []
     for length in (2, 3, 4, 5, 6):
-        quick = length in (2, 4, 6)
         specs.append(BenchmarkSpec(
             name=f"seq_chain_{length}",
             description=(f"sequential firewall chain x{length} "
                          f"({CHAIN_BUSY_CYCLES} busy cycles)"),
-            quick=quick,
             runner=_measured(
                 lambda n=length: forced_sequential(["firewall"] * n),
                 extra_cycles=CHAIN_BUSY_CYCLES,
@@ -474,7 +604,6 @@ def _firewall_specs() -> List[BenchmarkSpec]:
             name=f"par_chain_{length}",
             description=(f"NFP parallel firewall chain x{length}, no copy "
                          f"({CHAIN_BUSY_CYCLES} busy cycles)"),
-            quick=quick,
             runner=_measured(
                 lambda n=length: forced_parallel(["firewall"] * n,
                                                  with_copy=False),
@@ -484,13 +613,64 @@ def _firewall_specs() -> List[BenchmarkSpec]:
     return specs
 
 
+def _golden_specs() -> List[BenchmarkSpec]:
+    """The event-path goldens: seed 7, each at its own budget."""
+    from ..baselines import BessServer, OpenNetVMServer
+
+    fig13 = [
+        ("fig13_west_east_seed7", WEST_EAST_CHAIN, {}),
+        ("fig13_north_south_seed7", NORTH_SOUTH_CHAIN, {}),
+        ("fig13_west_east_x2_cached", WEST_EAST_CHAIN,
+         {"instances": 2, "flow_cache": True}),
+        ("fig13_north_south_x2_cached", NORTH_SOUTH_CHAIN,
+         {"instances": 2, "flow_cache": True}),
+    ]
+    specs = [
+        BenchmarkSpec(
+            name=name, seed=7,
+            description=f"{' -> '.join(chain)} (data-center mix"
+                        + (", 2 instances/NF, flow cache)" if kwargs else ")"),
+            runner=_measured(_compiled_chain(chain), sizes=DATACENTER_MIX,
+                             **kwargs))
+        for name, chain, kwargs in fig13
+    ]
+    specs.append(BenchmarkSpec(
+        name="flash_crowd_nat_vpn", packets=2000, seed=7,
+        description="flash crowd on nat->vpn, 4096-slot rings: span set, "
+                    "counter totals and sampler gauge series as digests",
+        runner=_flash_crowd_nat_vpn,
+    ))
+    specs.append(BenchmarkSpec(
+        name="two_server_six_nf", packets=600, seed=7,
+        description="six-NF chain cut over two 5-core timed servers",
+        runner=_two_servers,
+    ))
+    specs.append(BenchmarkSpec(
+        name="opennetvm_west_east", seed=7,
+        description="west-east chain on the OpenNetVM server at 0.75 Mpps",
+        runner=_baseline(OpenNetVMServer),
+    ))
+    specs.append(BenchmarkSpec(
+        name="bess_west_east", seed=7,
+        description="west-east chain on 2 BESS run-to-completion cores at "
+                    "0.75 Mpps",
+        runner=_baseline(BessServer, num_cores=2),
+    ))
+    specs.append(BenchmarkSpec(
+        name="crash_hang_retry2", packets=600, seed=7,
+        description="west-east x2 on 32-slot rings with 2 ring retries: one "
+                    "instance crashes, another hangs",
+        runner=_crash_hang_retry2,
+    ))
+    return specs
+
+
 def _build_registry() -> Dict[str, BenchmarkSpec]:
     specs: List[BenchmarkSpec] = []
     specs.extend(_firewall_specs())
     specs.append(BenchmarkSpec(
         name="fig11_degree_3_nocopy",
         description="Fig. 11 degree sweep: 3 firewalls, shared buffer",
-        quick=False,
         runner=_measured(
             lambda: forced_parallel(["firewall"] * 3, with_copy=False),
             extra_cycles=CHAIN_BUSY_CYCLES,
@@ -499,7 +679,6 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
     specs.append(BenchmarkSpec(
         name="fig11_degree_5_nocopy",
         description="Fig. 11 degree sweep: 5 firewalls, shared buffer",
-        quick=True,
         runner=_measured(
             lambda: forced_parallel(["firewall"] * 5, with_copy=False),
             extra_cycles=CHAIN_BUSY_CYCLES,
@@ -508,7 +687,6 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
     specs.append(BenchmarkSpec(
         name="fig11_degree_5_copy",
         description="Fig. 11 degree sweep: 5 firewalls, per-NF copies",
-        quick=False,
         runner=_measured(
             lambda: forced_parallel(["firewall"] * 5, with_copy=True),
             extra_cycles=CHAIN_BUSY_CYCLES,
@@ -517,21 +695,18 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
     specs.append(BenchmarkSpec(
         name="fig13_north_south",
         description="Fig. 13 north-south chain (compiled, data-center mix)",
-        quick=True,
         runner=_measured(_compiled_chain(NORTH_SOUTH_CHAIN),
                          sizes=DATACENTER_MIX, label="north-south"),
     ))
     specs.append(BenchmarkSpec(
         name="fig13_west_east",
         description="Fig. 13 west-east chain (compiled, data-center mix)",
-        quick=True,
         runner=_measured(_compiled_chain(WEST_EAST_CHAIN),
                          sizes=DATACENTER_MIX, label="west-east"),
     ))
     specs.append(BenchmarkSpec(
         name="ablation_op1_full_copy",
         description="OP#1 ablation: degree-2 firewall, full 512B copies",
-        quick=True,
         runner=_measured(
             lambda: forced_parallel(["firewall", "firewall"], with_copy=True,
                                     header_only=False),
@@ -542,7 +717,6 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
         name="ablation_op2_header_copy",
         description="OP#2 ablation: degree-2 firewall, header-only copies of "
                     "512B frames",
-        quick=True,
         runner=_measured(
             lambda: forced_parallel(["firewall", "firewall"], with_copy=True,
                                     header_only=True),
@@ -554,7 +728,6 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
             name=f"scale_ids_x{count}",
             description=(f"§7 scale-out sweep: single IDS chain, "
                          f"{count} instance(s), RSS flow-split"),
-            quick=count != 3,
             runner=_measured(
                 lambda: forced_sequential(["ids"]),
                 instances=count if count > 1 else None,
@@ -564,7 +737,6 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
     specs.append(BenchmarkSpec(
         name="fig13_ns_x2_cache_off",
         description="north-south chain, 2 instances/NF, flow cache off",
-        quick=True,
         runner=_measured(_compiled_chain(NORTH_SOUTH_CHAIN),
                          sizes=DATACENTER_MIX, instances=2,
                          label="north-south x2 cache-off"),
@@ -573,7 +745,6 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
         name="fig13_ns_x2_cache_on",
         description="north-south chain, 2 instances/NF, classifier flow "
                     "cache on (memoized CT+FT decision per flow)",
-        quick=True,
         runner=_measured(_compiled_chain(NORTH_SOUTH_CHAIN),
                          sizes=DATACENTER_MIX, instances=2, flow_cache=True,
                          label="north-south x2 cache-on"),
@@ -582,12 +753,10 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
         name="fig13_ns_faults",
         description="north-south chain, 2 instances/NF, one NF instance "
                     "crashed mid-run: failover recovery cost, windowed "
-                    "sampler armed (reported, delivery metrics volatile). "
-                    "No AT-timeout episode is possible here: the chain "
-                    "compiles to a single-version barrier graph, so a "
-                    "wedged NF stalls the stage barrier before any AT "
-                    "entry opens",
-        quick=True,
+                    "sampler armed. No AT-timeout episode is possible "
+                    "here: the chain compiles to a single-version barrier "
+                    "graph, so a wedged NF stalls the stage barrier before "
+                    "any AT entry opens",
         runner=_measured(_compiled_chain(NORTH_SOUTH_CHAIN),
                          sizes=DATACENTER_MIX, instances=2, flow_cache=True,
                          faults="crash:firewall:pkt=200",
@@ -603,8 +772,7 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
                     "entries at a 2/3 rendezvous until the AT timeout "
                     "emits partial merges -- the windowed sampler sees the "
                     "episode as a firing-then-cleared merger.at_timeout "
-                    "alert (reported, delivery metrics volatile)",
-        quick=True,
+                    "alert",
         runner=_measured(_compiled_chain(WEST_EAST_CHAIN),
                          sizes=DATACENTER_MIX,
                          faults="hang:monitor:pkt=200",
@@ -619,7 +787,6 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
                     "hold, drain barrier, stateful handover); extras carry "
                     "the core-seconds saved vs static peak provisioning "
                     "and the conservation ledger's unaccounted count (0)",
-        quick=True,
         runner=_flash_crowd_autoscale,
     ))
     specs.append(BenchmarkSpec(
@@ -627,15 +794,14 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
         description="Fig. 13 chains placed on a 4-server line under SLOs: "
                     "DES latency of the heuristic plan; heuristic vs brute "
                     "vs round-robin objectives as extras",
-        quick=True,
         runner=_placement_fig13,
     ))
     specs.append(BenchmarkSpec(
         name="fuzz_corpus_replay",
         description="committed fuzz corpus replayed through all three planes",
-        quick=True,
         runner=_replay_corpus,
     ))
+    specs.extend(_golden_specs())
     return {spec.name: spec for spec in specs}
 
 
@@ -643,16 +809,11 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
 REGISTRY: Dict[str, BenchmarkSpec] = _build_registry()
 
 
-def specs_for(mode: str = "quick",
-              names: Optional[List[str]] = None) -> List[BenchmarkSpec]:
-    """Select scenarios: ``quick``/``full`` mode or an explicit name list."""
-    if names:
-        unknown = [name for name in names if name not in REGISTRY]
-        if unknown:
-            raise KeyError(f"unknown scenario(s): {', '.join(unknown)}")
-        return [REGISTRY[name] for name in names]
-    if mode == "full":
+def specs_for(names: Optional[List[str]] = None) -> List[BenchmarkSpec]:
+    """The named scenarios, or every registered one."""
+    if not names:
         return list(REGISTRY.values())
-    if mode == "quick":
-        return [spec for spec in REGISTRY.values() if spec.quick]
-    raise ValueError(f"unknown bench mode {mode!r} (use 'quick' or 'full')")
+    unknown = [name for name in names if name not in REGISTRY]
+    if unknown:
+        raise KeyError(f"unknown scenario(s): {', '.join(unknown)}")
+    return [REGISTRY[name] for name in names]

@@ -26,10 +26,10 @@ autoscale
     summary compares elastic core-seconds against static peak
     provisioning next to the conservation ledger.
 bench
-    Run the registered benchmark scenarios (``--quick``/``--full``)
-    into a schema-versioned ``BENCH_<n>.json`` report, or compare two
-    reports (``--compare old.json new.json``) and exit non-zero on
-    regressions beyond tolerance.
+    Run every registered model-clock scenario at its own budget and
+    seed (``--out`` writes the report; ``benchmarks/results/baseline.json``
+    is the pinned one), or diff two reports (``--compare old.json
+    new.json``) with ``==`` and exit 1 on any difference.
 trace
     Run a chain with packet-lifecycle tracing enabled; write a Chrome
     ``trace_event`` file (chrome://tracing / Perfetto) and print the
@@ -612,12 +612,11 @@ def cmd_profile_audit(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Run the benchmark scenario registry, or compare two reports."""
+    """Run the benchmark scenario registry, or diff two reports."""
     from .bench import (
         BenchReport,
         REGISTRY,
         compare_reports,
-        next_bench_path,
         run_bench,
         summary_table,
     )
@@ -630,39 +629,28 @@ def cmd_bench(args) -> int:
             comparison = compare_reports(old, new)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"bench compare failed: {exc}")
-        print(f"old: {old_path} (commit {old.meta.get('commit', '?')}, "
-              f"{old.meta.get('mode', '?')}, {len(old.scenarios)} scenarios)")
-        print(f"new: {new_path} (commit {new.meta.get('commit', '?')}, "
-              f"{new.meta.get('mode', '?')}, {len(new.scenarios)} scenarios)\n")
-        print(comparison.render(verbose=args.verbose))
+        print(f"old: {old_path} ({len(old.scenarios)} scenarios)")
+        print(f"new: {new_path} ({len(new.scenarios)} scenarios)\n")
+        print(comparison.render())
         return comparison.exit_code
 
     if args.list:
         for spec in REGISTRY.values():
-            tag = "quick" if spec.quick else "full "
-            print(f"{tag}  {spec.name:<26s} {spec.description}")
+            print(f"{spec.name:<28s} {spec.description}")
         return 0
 
-    mode = "full" if args.full else "quick"
     names = [n.strip() for n in args.only.split(",") if n.strip()] \
         if args.only else None
     try:
-        report = run_bench(mode=mode, packets=args.packets, seed=args.seed,
-                           names=names, log=lambda line: print(f"  {line}"))
+        report = run_bench(names=names, log=lambda line: print(f"  {line}"))
     except KeyError as exc:
         raise SystemExit(str(exc))
-    out = args.out or next_bench_path(".")
-    report.save(out)
     print()
     print(summary_table(report))
-    meta = report.meta
-    print(f"\nmode={meta['mode']} packets={meta['packets']} "
-          f"seed={meta['seed']} commit={meta['commit']}"
-          f"{' (dirty)' if meta['dirty'] else ''}")
-    print(f"wall time: {meta['wall_time_s']:.1f}s  "
-          f"peak rss: {meta['peak_rss_kb'] / 1024:.0f} MiB")
-    print(f"report   : {out} ({len(report.scenarios)} scenarios, "
-          f"schema {report.schema})")
+    if args.out:
+        report.save(args.out)
+        print(f"\nreport: {args.out} ({len(report.scenarios)} scenarios, "
+              f"schema {report.schema})")
     return 0
 
 
@@ -951,25 +939,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_autoscale.set_defaults(func=cmd_autoscale)
 
     p_bench = sub.add_parser(
-        "bench", help="run benchmark scenarios / compare BENCH reports")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="quick scenario set (default)")
-    p_bench.add_argument("--full", action="store_true",
-                         help="every scenario at the full packet budget")
-    p_bench.add_argument("--packets", type=int, default=None,
-                         help="override the per-scenario packet budget")
-    p_bench.add_argument("--seed", type=int, default=1,
-                         help="traffic/flow seed (default 1)")
+        "bench", help="run the model-clock scenarios / diff two reports")
     p_bench.add_argument("--only", metavar="A,B,...",
                          help="run only the named scenarios")
-    p_bench.add_argument("--out", help="output path "
-                         "(default: next free BENCH_<n>.json in cwd)")
+    p_bench.add_argument("--out", help="write the report here "
+                         "(benchmarks/results/baseline.json re-pins)")
     p_bench.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                         help="compare two reports; exit 1 on regressions")
+                         help="diff two reports with ==; exit 1 on any "
+                              "difference")
     p_bench.add_argument("--list", action="store_true",
                          help="list registered scenarios")
-    p_bench.add_argument("-v", "--verbose", action="store_true",
-                         help="with --compare, show within-band rows too")
     p_bench.set_defaults(func=cmd_bench)
 
     p_trace = sub.add_parser("trace",

@@ -43,9 +43,8 @@ from ..faults import FaultInjector, FaultKind, HealthBoard, HealthState, base_na
 from ..faults.recovery import linearize
 from ..net.packet import Packet, PacketMeta
 from ..nfs.base import NetworkFunction, create_nf
-from ..sim import Core, Environment, Nic, PacketPool, RateMeter, Ring, SimParams
+from ..sim import Core, Environment, NicEgress, PacketPool, Ring, SimParams
 from ..sim.engine import Event
-from ..sim.stats import LatencyStats
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..telemetry.tracer import SpanKind
 from .chaining import ChainingManager
@@ -122,7 +121,7 @@ class _NFRuntimeSim:
         self.rx.wait(self._wake)
 
     def _wake(self, first: Packet) -> None:
-        batch = [first] + self.rx.get_batch(self.server.params.batch_size - 1)
+        batch = self.rx.burst(first, self.server.params.batch_size)
         self._serve(batch, 0, self.server.env.now)
 
     def _serve(self, batch: List[Packet], index: int, now: float) -> None:
@@ -266,7 +265,7 @@ class _MergerSim:
         params = server.params
         reserve = self.core.reserve
         now = server.env.now
-        batch = [first] + self.rx.get_batch(params.batch_size - 1)
+        batch = self.rx.burst(first, params.batch_size)
         for pkt in batch:
             now = reserve(now, params.merger_per_copy_us)
             done = self._accumulate(pkt, now)
@@ -415,7 +414,7 @@ def _drop_witness(entry: Dict) -> Optional[Packet]:
     return witness
 
 
-class NFPServer:
+class NFPServer(NicEgress):
     """A full simulated NFP box processing deployed service graphs."""
 
     def __init__(
@@ -428,8 +427,7 @@ class NFPServer:
         flow_cache_size: int = 0,
         injector: Optional[FaultInjector] = None,
     ):
-        self.env = env
-        self.params = params
+        super().__init__(env, params)
         #: Optional fault injector; when attached, instance health is
         #: consulted on every served/delivered packet, transitions drive
         #: failover/degradation, and the flight sweeper guarantees every
@@ -450,7 +448,6 @@ class NFPServer:
             self.flow_cache = FlowCache(flow_cache_size)
             self.chaining.on_install(lambda _record: self.flow_cache.invalidate())
         self.pool = PacketPool(capacity=1 << 16)
-        self.nic_tx = Nic(env, params, name="tx")
 
         self._cores = 0
         self.classifier_core = self._new_core("classifier")
@@ -481,13 +478,6 @@ class NFPServer:
         #: chain servers into a multi-server pipeline.
         self.on_emit: Optional[Callable[[Packet], None]] = None
 
-        # Measurement sinks.
-        self.latency = LatencyStats()
-        self.rate = RateMeter()
-        self.lost = 0
-        self.nil_dropped = 0
-        self.emitted_packets: List[Packet] = []
-        self.keep_packets = False
         #: When True, every packet records (label, timestamp) checkpoints
         #: usable by repro.eval.breakdown.
         self.record_timeline = False
@@ -628,7 +618,7 @@ class NFPServer:
         hub = self.telemetry
         reserve = self.classifier_core.reserve
         now = self.env.now
-        batch = [first] + self.ingress.get_batch(params.batch_size - 1)
+        batch = self.ingress.burst(first, params.batch_size)
         self._classifying = len(batch)
         work = []
         for pkt in batch:
@@ -945,9 +935,6 @@ class NFPServer:
         # claimed at the model time the driver leg ends.
         self.env.call_at((now + extra_delay) + self.params.nic_io_us,
                          self._tx_wire, pkt)
-
-    def _tx_wire(self, pkt: Packet) -> None:
-        self.env.call_at(self.nic_tx.transmit(pkt.wire_len), self._tx_done, pkt)
 
     def _tx_done(self, pkt: Packet) -> None:
         pkt.stamp("nic-tx", self.env.now)

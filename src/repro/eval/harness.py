@@ -63,7 +63,7 @@ class MeasurementResult:
     cores_used: int
     #: Simulator queue entries dispatched during the run (0 for
     #: harnesses that do not report it): the DES's own work per packet,
-    #: which the golden model-clock test pins per scenario.
+    #: which the bench registry pins per scenario.
     events_processed: int = 0
 
     @property
@@ -473,7 +473,7 @@ def measure_placed(
     return _result(
         "NFP-placed", label or f"{request.name}@{'->'.join(placement.path)}",
         plane.tail, placement.capacity_mpps, placement.bottleneck, rate,
-        totals=plane,
+        totals=plane, events_processed=env.events_processed,
     )
 
 

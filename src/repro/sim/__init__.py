@@ -6,7 +6,8 @@ Public surface:
 - :class:`~repro.sim.ring.Ring` -- bounded rings (``rte_ring`` analogue).
 - :class:`~repro.sim.cpu.Core` -- pinned-core single-server queue.
 - :class:`~repro.sim.memory.PacketPool` -- huge-page mempool accounting.
-- :class:`~repro.sim.nic.Nic` -- wire-rate serialisation model.
+- :class:`~repro.sim.nic.Nic` -- wire-rate serialisation model;
+  :class:`~repro.sim.nic.NicEgress` -- the tx port every timed server shares.
 - :class:`~repro.sim.params.SimParams` -- the calibrated timing constants.
 - :mod:`~repro.sim.stats` -- latency / rate collectors.
 """
@@ -15,7 +16,7 @@ from .engine import Environment, Event, Process, SimulationError, Timeout
 from .ring import Ring, RingFullError
 from .cpu import Core
 from .memory import PacketPool, PoolExhaustedError
-from .nic import Nic
+from .nic import Nic, NicEgress
 from .params import DEFAULT_PARAMS, VM_PARAMS, SimParams, nic_line_rate_mpps
 from .stats import LatencyStats, LatencySummary, RateMeter, percentile, summarize
 
@@ -31,6 +32,7 @@ __all__ = [
     "PacketPool",
     "PoolExhaustedError",
     "Nic",
+    "NicEgress",
     "SimParams",
     "DEFAULT_PARAMS",
     "VM_PARAMS",

@@ -9,11 +9,14 @@ rate and charges the fixed DPDK driver cost per packet.
 
 from __future__ import annotations
 
+from typing import Any, List
+
 from .cpu import Core
 from .engine import Environment
 from .params import SimParams
+from .stats import LatencyStats, RateMeter
 
-__all__ = ["Nic"]
+__all__ = ["Nic", "NicEgress"]
 
 
 class Nic:
@@ -43,3 +46,36 @@ class Nic:
 
     def line_rate_mpps(self, packet_size: int) -> float:
         return 1.0 / self.wire_time_us(packet_size)
+
+
+class NicEgress:
+    """The tx port and measurement sinks every timed server shares.
+
+    A finished packet claims the wire (:meth:`_tx_wire`) and is recorded
+    when its last bit leaves (:meth:`_tx_done`); a delivery into a full
+    ring (:meth:`_put`) counts as lost.
+    """
+
+    def __init__(self, env: Environment, params: SimParams):
+        self.env = env
+        self.params = params
+        self.nic_tx = Nic(env, params, name="tx")
+        self.latency = LatencyStats()
+        self.rate = RateMeter()
+        self.lost = 0
+        self.nil_dropped = 0
+        self.emitted_packets: List[Any] = []
+        self.keep_packets = False
+
+    def _put(self, ring, item: Any) -> None:
+        if not ring.try_put(item):
+            self.lost += 1
+
+    def _tx_wire(self, pkt) -> None:
+        self.env.call_at(self.nic_tx.transmit(pkt.wire_len), self._tx_done, pkt)
+
+    def _tx_done(self, pkt) -> None:
+        self.latency.record(self.env.now - pkt.ingress_us)
+        self.rate.record_delivery(self.env.now)
+        if self.keep_packets:
+            self.emitted_packets.append(pkt)

@@ -12,8 +12,8 @@ A ring has one consumer, a state machine rather than a process:
 
 * ``wait(callback)`` -- call ``callback(item)`` with the next item, one
   zero-delay scheduled call after it is available;
-* ``get_batch(n)`` -- drain up to ``n`` more items immediately, which is
-  how the callback completes its DPDK-style burst.
+* ``burst(first, n)`` -- that item plus up to ``n - 1`` more drained
+  immediately, which is how the callback completes its DPDK-style burst.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class Ring:
         The item leaves the ring when it is available -- now, if one is
         buffered -- and ``callback`` runs one zero-delay scheduled call
         later, so deliveries due at the same instant still land in the
-        burst the callback drains with :meth:`get_batch`.  ``not_before``
+        burst the callback drains with :meth:`burst`.  ``not_before``
         is the instant the consumer's previous burst ends when that lies
         ahead of the clock: until then items only queue, and one that
         arrives exactly then joins the queue behind them.
@@ -153,6 +153,15 @@ class Ring:
         batch: List[Any] = []
         while self._items and len(batch) < max_items:
             batch.append(self._items.popleft())
+        return batch
+
+    def burst(self, first: Any, size: int) -> List[Any]:
+        """``first`` (the item :meth:`wait` handed over) plus up to
+        ``size - 1`` more dequeued now: one burst of at most ``size``."""
+        batch = [first]
+        items = self._items
+        while items and len(batch) < size:
+            batch.append(items.popleft())
         return batch
 
     def peek(self) -> Optional[Any]:

@@ -1,6 +1,8 @@
 """Integration: the timed DES server against the analytic model and the
 functional reference."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import Orchestrator, Policy
@@ -114,3 +116,10 @@ def test_two_graphs_coexist_on_one_server():
     assert server.rate.delivered == 40
     mids = {a.mid, b.mid}
     assert set(server.chaining.mids()) == mids
+
+
+@pytest.mark.parametrize("measure", [measure_nfp, measure_onvm, measure_bess])
+def test_every_server_delivers_everything_in_bursts_of_one(measure):
+    params = replace(DEFAULT_PARAMS, batch_size=1)
+    result = measure(["firewall", "monitor"], params=params, packets=300)
+    assert (result.delivered, result.lost, result.nil_dropped) == (300, 0, 0)

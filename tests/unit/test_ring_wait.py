@@ -1,7 +1,7 @@
 """``Ring.wait``: the one-consumer "next item" callback.
 
 A ring's consumer is a state machine, not a process: it parks a callback
-with ``wait`` and finishes its burst with ``get_batch`` when called.  The
+with ``wait`` and finishes its burst with ``burst`` when called.  The
 contract these tests pin is the one the generator-based ``get()`` had --
 the item leaves the ring at the moment it is available, the consumer
 runs one zero-delay scheduled call later -- plus the "not before"
@@ -15,7 +15,7 @@ from repro.sim import Environment, Ring
 def _consumer(env, ring, log, burst=32):
     """A callback that completes its burst and logs it with the time."""
     def wake(first):
-        log.append((env.now, [first] + ring.get_batch(burst - 1)))
+        log.append((env.now, ring.burst(first, burst)))
     return wake
 
 
@@ -56,7 +56,7 @@ def test_puts_into_a_waiting_consumer_fill_its_burst():
     ring.wait(_consumer(env, ring, log))
     for item in "abc":
         ring.put(item)
-    # The first went to the consumer, the rest wait for its get_batch.
+    # The first went to the consumer, the rest wait for its burst.
     assert len(ring) == 2
     env.run()
     assert log == [(0.0, ["a", "b", "c"])]
@@ -139,3 +139,13 @@ def test_not_before_in_the_past_is_no_constraint():
     ring.wait(_consumer(env, ring, log), not_before=4.0)
     env.run()
     assert log == [(10.0, ["x"])]
+
+
+def test_a_burst_of_one_is_the_handed_over_item_alone():
+    env = Environment()
+    ring = Ring(env, capacity=8)
+    for item in "abc":
+        ring.put(item)
+    assert ring.burst("first", 1) == ["first"] and len(ring) == 3
+    assert ring.burst("first", 3) == ["first", "a", "b"] and len(ring) == 1
+    assert ring.burst("first", 32) == ["first", "c"] and ring.is_empty
