@@ -10,9 +10,9 @@ the NIC round trip plus one consolidated service time.
 
 from __future__ import annotations
 
-import zlib
 from typing import List, Sequence
 
+from ..dataplane.flowsplit import key_digest, packet_key
 from ..net.packet import Packet
 from ..nfs.base import NetworkFunction, create_nf
 from ..sim import Core, Environment, NicEgress, Ring, SimParams
@@ -82,10 +82,8 @@ class BessServer(NicEgress):
     def inject(self, pkt: Packet) -> None:
         if pkt.ingress_us < 0.0:
             pkt.ingress_us = self.env.now
-        # NIC RSS: hash the 5-tuple to a core.
-        target = self.cores[
-            zlib.crc32(pkt.flow_bytes()) % len(self.cores)
-        ]
+        # NIC RSS: hash the flow key to a core (a keyless frame: core 0).
+        target = self.cores[key_digest(packet_key(pkt)) % len(self.cores)]
         self.env.call_later(self.params.nic_io_us, self._put, target.rx, pkt)
 
     def emit(self, pkt: Packet, now: float) -> None:

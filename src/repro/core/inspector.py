@@ -22,7 +22,7 @@ Pattern in NF source                             Derived action
 ``remove_ah(pkt, ...)``                          Remove(AH_HEADER)
 ``insert_vlan`` / ``remove_vlan``                Add/Remove(VLAN_HEADER)
 ``vxlan_encap`` / ``vxlan_decap``                Add/Remove(VXLAN_HEADER)
-``pkt.five_tuple()`` / ``flow_bytes()`` & co.    Read(SIP,DIP,SPORT,DPORT)
+``pkt.flow_key()`` / ``port_key()`` / ...       Read(SIP,DIP,SPORT,DPORT)
 ``rec.record("write", Field.DIP, ...)``          Write(DIP) -- and "read"
 ===============================================  =======================
 
@@ -73,8 +73,7 @@ _STRUCTURAL_CALLS = {
 
 _FIVE_TUPLE_FIELDS = (Field.SIP, Field.DIP, Field.SPORT, Field.DPORT)
 #: The ``Packet`` methods that read the five-tuple (``Packet._flow``).
-_FLOW_KEY_CALLS = frozenset({"five_tuple", "five_tuple_ints", "flow_bytes",
-                             "datagram_bytes", "rss_bytes"})
+_FLOW_KEY_CALLS = frozenset({"flow_key", "port_key", "five_tuple"})
 
 
 class _ActionCollector(ast.NodeVisitor):

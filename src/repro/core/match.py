@@ -4,7 +4,11 @@ The paper's CT matches flows on "match fields (e.g. five tuple)"
 (§5.1).  Besides exact 5-tuple keys and the wildcard, operators steer
 *classes* of traffic into graphs; :class:`FlowMatch` expresses the
 classic ACL-style predicate: source/destination prefixes, protocol,
-and port ranges.
+and port ranges.  It reads the packet's flow key, whose ports are 0 on
+every fragment, so one datagram's fragments steer into one graph (a
+port predicate sees ports 0 on all of them).  Port *policy* -- the
+firewall ACL, IDS constraints, conntrack -- reads ``Packet.port_key()``
+instead, which keeps a first fragment's real ports.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..net.headers import ip_to_int
+from ..net.packet import FLOW_KEY
 
 __all__ = ["FlowMatch"]
 
@@ -59,12 +64,12 @@ class FlowMatch:
         mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
         return ip_to_int(address) & mask, mask
 
-    def matches(self, five_tuple: Tuple) -> bool:
-        """Test a classifier key (src, dst, proto, sport, dport)."""
-        src, dst, proto, sport, dport = five_tuple
-        if ip_to_int(src) & self._src_mask != self._src_net:
+    def matches(self, key: bytes) -> bool:
+        """Test a flow key (``Packet.flow_key()``)."""
+        src, dst, proto, sport, dport = FLOW_KEY.unpack(key)
+        if src & self._src_mask != self._src_net:
             return False
-        if ip_to_int(dst) & self._dst_mask != self._dst_net:
+        if dst & self._dst_mask != self._dst_net:
             return False
         if self.protocol is not None and proto != self.protocol:
             return False

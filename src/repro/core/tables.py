@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Sequence
 
+from ..net.packet import encode_flow_key
 from .graph import ORIGINAL_VERSION, MergeOp, ServiceGraph
 
 __all__ = [
@@ -119,13 +120,16 @@ class ClassificationTable:
 
     Three match kinds, in lookup order: exact 5-tuple keys, ordered
     :class:`~repro.core.match.FlowMatch` predicates (first match wins),
-    and the wildcard fallback.
+    and the wildcard fallback.  A lookup takes a packet's flow key
+    (``Packet.flow_key()``); an exact row's 5-tuple is encoded to those
+    bytes once, at install.  A lookup with no key (``None``: the frame
+    has none) falls to the wildcard row.
     """
 
     WILDCARD = "*"
 
     def __init__(self):
-        self._exact: Dict[object, CTEntry] = {}
+        self._exact: Dict[bytes, CTEntry] = {}
         self._predicates: List[CTEntry] = []
         self._wildcard: Optional[CTEntry] = None
 
@@ -144,13 +148,13 @@ class ClassificationTable:
                     return
             self._predicates.append(entry)
         else:
-            self._exact[entry.match] = entry
+            self._exact[encode_flow_key(entry.match)] = entry
 
-    def lookup(self, key: object) -> Optional[CTEntry]:
-        entry = self._exact.get(key)
-        if entry is not None:
-            return entry
-        if isinstance(key, tuple) and len(key) == 5:
+    def lookup(self, key: Optional[bytes]) -> Optional[CTEntry]:
+        if key is not None:
+            entry = self._exact.get(key)
+            if entry is not None:
+                return entry
             for candidate in self._predicates:
                 if candidate.match.matches(key):
                     return candidate

@@ -13,9 +13,9 @@ from .flowsplit import (
     FlowCache,
     FlowDecision,
     assign_instances,
-    flow_key,
-    rss_hash,
-    rss_instance,
+    key_digest,
+    packet_key,
+    pick_instance,
 )
 from .functional import (
     FunctionalDataplane,
@@ -31,9 +31,9 @@ __all__ = [
     "FlowCache",
     "FlowDecision",
     "assign_instances",
-    "flow_key",
-    "rss_hash",
-    "rss_instance",
+    "key_digest",
+    "packet_key",
+    "pick_instance",
     "FunctionalDataplane",
     "SequentialBank",
     "SequentialReference",

@@ -78,8 +78,10 @@ class ChainingManager:
                 f"no forwarding rules for NF {nf_name!r} under MID {mid}"
             ) from None
 
-    def classify(self, key: object) -> Optional[CTEntry]:
-        """Classifier lookup: exact match key, falling back to wildcard."""
+    def classify(self, key: Optional[bytes]) -> Optional[CTEntry]:
+        """Classifier lookup on a flow key (``Packet.flow_key()``): the
+        exact row, then the first matching predicate, then the wildcard;
+        ``None`` (a frame with no key) goes straight to the wildcard."""
         return self.classification.lookup(key)
 
     def mids(self) -> List[int]:

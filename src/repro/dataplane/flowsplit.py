@@ -10,15 +10,16 @@ so flow -> instance assignments agree across planes by construction.
 
 Two layers:
 
-* :func:`flow_key` / :func:`rss_instance` -- the split itself.  Only
-  unfragmented IPv4 TCP/UDP packets have a meaningful 5-tuple; anything
-  else (ICMP, fragments, non-IP) deterministically lands on instance 0,
-  which keeps such traffic ordered without pretending it has flow
-  affinity.  The hash is crc32 over ``repr(five_tuple).encode()``;
-  :func:`packet_digest` reads those bytes straight from the frame
-  (``Packet.rss_bytes``) for the per-packet walk, while the tuple
-  stays the key of the control plane (flow cache, flow directory,
-  handover, :func:`assign_instances`).
+* :func:`packet_key` / :func:`key_digest` / :func:`pick_instance` --
+  the split itself.  A flow is keyed by ``Packet.flow_key()``, the 13
+  raw header bytes ``sip | dip | proto | sport | dport``, and hashed
+  with crc32 over them (a NIC hashes the same fields with Toeplitz).
+  ICMP and fragments have ports 0 in their key, so they hash like any
+  other flow and every fragment of a datagram lands on one instance.
+  Only a frame with no key at all (not IPv4, or cut short) pins to
+  instance 0, counted under ``rss.pinned_flows``.  The same bytes key
+  the control plane: flow cache, flow directory, handover and
+  :func:`assign_instances`.
 * :class:`FlowCache` -- an LRU memo of the classifier's per-flow work
   (CT match, instance assignment).  The first packet of a flow
   pays the full CT lookup + tagging cost; subsequent packets hit the
@@ -32,18 +33,14 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.tables import CTEntry
-from ..net.headers import PROTO_TCP, PROTO_UDP
 from ..net.packet import Packet
 
 __all__ = [
-    "rss_hash",
-    "rss_instance",
-    "flow_key",
-    "flow_digest",
-    "packet_digest",
+    "packet_key",
+    "key_digest",
     "pick_instance",
     "assign_instances",
     "FlowDecision",
@@ -54,62 +51,25 @@ __all__ = [
 _NO_ASSIGNMENT: Dict[str, int] = {}
 
 
-def rss_hash(five_tuple: tuple) -> int:
-    """The RSS hash over a 5-tuple -- crc32, as commodity NICs use."""
-    return zlib.crc32(repr(five_tuple).encode())
-
-
-def rss_instance(key: Optional[tuple], count: int) -> int:
-    """Instance index for a flow key among ``count`` instances.
-
-    ``None`` keys (no meaningful 5-tuple) pin to instance 0 so that
-    ICMP/fragment traffic stays ordered on a single instance.
-    """
-    if count <= 1 or key is None:
-        return 0
-    return rss_hash(key) % count
-
-
-def flow_key(pkt: Packet) -> Optional[tuple]:
-    """The RSS/flow-cache key for a packet, or ``None`` when it has none.
-
-    Only unfragmented IPv4 TCP/UDP packets key by 5-tuple; ICMP (and
-    any other protocol), IP fragments, nil packets and non-IP frames
-    return ``None`` -- they bypass the flow cache and pin to instance 0.
-    """
-    if pkt.nil:
-        return None
+def packet_key(pkt: Packet) -> Optional[bytes]:
+    """``pkt.flow_key()``, or ``None`` for a frame that has none (not
+    IPv4, cut short, nil): it still flows, keyless."""
     try:
-        key = pkt.five_tuple()
+        return pkt.flow_key()
     except ValueError:
         return None
-    # In the whole IPv4 header five_tuple() found: MF or an offset set.
-    buf, l3 = pkt.buf, pkt.l3_offset
-    if (key[2] not in (PROTO_TCP, PROTO_UDP)
-            or buf[l3 + 6] & 0x3F or buf[l3 + 7]):
-        return None
-    return key
 
 
-def flow_digest(key: Optional[tuple], telemetry=None) -> int:
-    """The RSS hash of a flow key; 0 for a keyless packet (ICMP,
-    fragments, non-IP), which pins to instance 0 of every scaled NF and
-    is counted under ``rss.pinned_flows`` when ``telemetry`` is enabled,
-    so the known skew ceiling is reported instead of skewing silently."""
+def key_digest(key: Optional[bytes], telemetry=None) -> int:
+    """The RSS hash of a flow key, crc32 as commodity NICs use; 0 for a
+    keyless frame, which pins to instance 0 of every scaled NF and is
+    counted under ``rss.pinned_flows`` when ``telemetry`` is enabled, so
+    the skew is reported instead of hidden."""
     if key is not None:
-        return rss_hash(key)
+        return zlib.crc32(key)
     if telemetry is not None and telemetry.enabled:
         telemetry.inc("rss.pinned_flows")
     return 0
-
-
-def packet_digest(pkt: Packet, telemetry=None) -> int:
-    """``flow_digest(flow_key(pkt), telemetry)`` with no tuple built: crc32
-    of ``pkt.rss_bytes()``, or 0 for a packet without a flow."""
-    key = pkt.rss_bytes()
-    if key is not None:
-        return zlib.crc32(key)
-    return flow_digest(None, telemetry)
 
 
 def pick_instance(digest: int, count: int,
@@ -127,7 +87,7 @@ def pick_instance(digest: int, count: int,
 
 
 def assign_instances(
-    key: Optional[tuple],
+    key: Optional[bytes],
     counts: Mapping[str, int],
     healthy: Optional[Mapping[str, Sequence[int]]] = None,
     telemetry=None,
@@ -139,11 +99,11 @@ def assign_instances(
     re-filtered per flow); NFs not named implicitly read 0.  ``healthy``
     (failover) names the live instance indices of groups with
     casualties.  The functional plane's per-packet walk applies the
-    same :func:`flow_digest` / :func:`pick_instance` directly.
+    same :func:`key_digest` / :func:`pick_instance` directly.
     """
     if not counts:
         return _NO_ASSIGNMENT
-    digest = flow_digest(key, telemetry)
+    digest = key_digest(key, telemetry)
     live = healthy or {}
     return {name: pick_instance(digest, count, live.get(name))
             for name, count in counts.items()}
@@ -158,7 +118,7 @@ class FlowDecision:
 
 
 class FlowCache:
-    """LRU cache of :class:`FlowDecision` keyed by 5-tuple.
+    """LRU cache of :class:`FlowDecision` keyed by flow key.
 
     Plain-integer counters mirror what the server reports through
     telemetry, so the cache is observable even without a hub attached.
@@ -168,14 +128,14 @@ class FlowCache:
         if capacity < 1:
             raise ValueError("flow cache capacity must be >= 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[tuple, FlowDecision]" = OrderedDict()
+        self._entries: "OrderedDict[bytes, FlowDecision]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.bypasses = 0
         self.invalidations = 0
 
-    def get(self, key: tuple) -> Optional[FlowDecision]:
+    def get(self, key: bytes) -> Optional[FlowDecision]:
         decision = self._entries.get(key)
         if decision is None:
             self.misses += 1
@@ -184,7 +144,7 @@ class FlowCache:
         self.hits += 1
         return decision
 
-    def put(self, key: tuple, decision: FlowDecision) -> bool:
+    def put(self, key: bytes, decision: FlowDecision) -> bool:
         """Insert a decision; returns True when an LRU entry was evicted."""
         evicted = False
         if key not in self._entries and len(self._entries) >= self.capacity:
@@ -204,7 +164,7 @@ class FlowCache:
         """Cached decisions, LRU first (failover reassignment audit)."""
         return tuple(self._entries.values())
 
-    def keys(self) -> Tuple[tuple, ...]:
+    def keys(self) -> Tuple[bytes, ...]:
         """Cached flow keys, LRU first (for tests/telemetry)."""
         return tuple(self._entries.keys())
 

@@ -32,7 +32,7 @@ from ..core.scaling import scale_graph
 from ..faults import FaultInjector, HealthBoard
 from ..net.packet import Packet
 from ..nfs.base import NetworkFunction, create_nf
-from .flowsplit import flow_key, packet_digest, pick_instance, rss_instance
+from .flowsplit import key_digest, packet_key, pick_instance
 from .merging import MergePlan, apply_merge_ops
 
 __all__ = [
@@ -77,10 +77,10 @@ class StageKernel:
     1, every NF of the stage sees the pre-stage buffers, a drop takes
     effect only after the stage (parallel semantics), and the collected
     versions are merged at the end.  A replicated entry runs on
-    ``labels[digest % count]`` of the packet's :func:`packet_digest` --
-    the split the DES classifier gets from ``assign_instances``, read
-    from the frame's bytes instead of a tuple.  :class:`FunctionalDataplane`
-    runs the whole program, :class:`repro.multiserver.ServerStage` a slice.
+    ``labels[digest % count]`` of the crc32 of the packet's flow key --
+    the split the DES classifier gets from ``assign_instances``.
+    :class:`FunctionalDataplane` runs the whole program,
+    :class:`repro.multiserver.ServerStage` a slice.
     """
 
     #: Hooks consulted on the single path; ``None`` on a plane without:
@@ -112,7 +112,7 @@ class StageKernel:
         injector = self.injector
         digest, live = 0, None
         if self._scaled:
-            digest = packet_digest(pkt, self.telemetry)
+            digest = key_digest(packet_key(pkt), self.telemetry)
             if injector is not None:
                 live = self.health.view()
         nfs = self.nfs
@@ -244,10 +244,9 @@ class SequentialBank:
     VPN's global AH sequence counter) partition their state per
     instance once a graph is scaled, so the reference must partition
     identically.  ``chain_factory(bank_index)`` builds one fresh
-    sequential chain per bank; packets route by the same
-    :func:`~repro.dataplane.flowsplit.flow_key` / ``crc32`` split every
-    other plane uses.  With ``instances=1`` this degenerates to a plain
-    :class:`SequentialReference`.
+    sequential chain per bank; packets route by the same flow key /
+    ``crc32`` split every other plane uses.  With ``instances=1`` this
+    degenerates to a plain :class:`SequentialReference`.
     """
 
     def __init__(
@@ -262,7 +261,7 @@ class SequentialBank:
         ]
 
     def bank_for(self, pkt: Packet) -> int:
-        return rss_instance(flow_key(pkt), len(self.banks))
+        return pick_instance(key_digest(packet_key(pkt)), len(self.banks))
 
     def process(self, pkt: Packet) -> Optional[Packet]:
         return self.banks[self.bank_for(pkt)].process(pkt)

@@ -48,7 +48,7 @@ from ..sim.engine import Event
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..telemetry.tracer import SpanKind
 from .chaining import ChainingManager
-from .flowsplit import FlowCache, FlowDecision, assign_instances, flow_key
+from .flowsplit import FlowCache, FlowDecision, assign_instances, packet_key
 from .merging import apply_merge_ops
 
 __all__ = ["NFPServer", "FlightState"]
@@ -504,7 +504,7 @@ class NFPServer(NicEgress):
         #: Flow keys seen by the classifier, kept only when a membership
         #: controller enabled it (state handover needs *every* live
         #: flow, not just the cached ones).
-        self.flow_directory: Optional[Set[tuple]] = None
+        self.flow_directory: Optional[Set[bytes]] = None
         #: Completed membership changes, in order (dicts; see _rescale).
         self.scale_events: List[Dict] = []
         #: Flows whose instance pin changed across all rescales.
@@ -621,10 +621,11 @@ class NFPServer(NicEgress):
         batch = self.ingress.burst(first, params.batch_size)
         self._classifying = len(batch)
         work = []
+        directory = self.flow_directory
         for pkt in batch:
-            key = self._flow_key(pkt)
-            if key is not None and self.flow_directory is not None:
-                self.flow_directory.add(key)
+            key = packet_key(pkt)
+            if key is not None and directory is not None:
+                directory.add(key)
             decision = None
             if cache is not None:
                 if key is None:
@@ -641,7 +642,7 @@ class NFPServer(NicEgress):
                 now = reserve(now, params.classifier_cache_hit_us)
                 work.append((pkt, decision))
                 continue
-            entry = self.chaining.classify(pkt.five_tuple())
+            entry = self.chaining.classify(key)
             if entry is None:
                 self.pool.free(len(pkt.buf))
                 self.lost += 1
@@ -678,18 +679,6 @@ class NFPServer(NicEgress):
                 now = reserve(now, extra)
         self._classifying = 0
         self.ingress.wait(self._classifier_wake, now)
-
-    def _flow_key(self, pkt: Packet) -> Optional[tuple]:
-        """The packet's RSS/flow-cache key; None when it has none.
-
-        Skipped entirely (returns None) when no NF group is replicated,
-        no flow cache is installed and no flow directory is tracking --
-        the unscaled fast path.
-        """
-        if (self.flow_cache is None and not self._scaled_counts
-                and self.flow_directory is None):
-            return None
-        return flow_key(pkt)
 
     def _classify_one(self, pkt: Packet, decision: FlowDecision,
                       now: float) -> float:

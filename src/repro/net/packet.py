@@ -17,8 +17,8 @@ bytes, "ensuring that parallel NFs receive valid packets".
 
 from __future__ import annotations
 
-import ast
 import itertools
+import struct
 from typing import Optional
 
 from .fields import Field
@@ -35,6 +35,8 @@ from .headers import (
     Ipv4View,
     TcpView,
     UdpView,
+    int_to_ip,
+    ip_to_int,
 )
 from .recorder import (
     RecordingEthernetView,
@@ -43,8 +45,8 @@ from .recorder import (
     RecordingUdpView,
 )
 
-__all__ = ["Packet", "PacketMeta", "build_packet", "flow_tuple",
-           "HEADER_COPY_BYTES"]
+__all__ = ["Packet", "PacketMeta", "build_packet", "FLOW_KEY",
+           "decode_flow_key", "encode_flow_key", "HEADER_COPY_BYTES"]
 
 #: Bytes copied by header-only copying.  The paper fixes this at 64 B for
 #: TCP traffic on Ethernet (Eth 14 + IPv4 20 + TCP 20 + slack).
@@ -56,13 +58,30 @@ _serial = itertools.count(1)
 _L4_HEADER_LEN = {PROTO_TCP: TcpView.HEADER_LEN, PROTO_UDP: UdpView.HEADER_LEN}
 #: What ``five_tuple()`` reads, in the order a recorder hears of it.
 _FIVE_TUPLE_FIELDS = (Field.SIP, Field.DIP, Field.SPORT, Field.DPORT)
-#: ``repr`` of a five-tuple, as ``flow_bytes()`` fills it from the buffer.
-_FLOW_REPR = b"('%d.%d.%d.%d', '%d.%d.%d.%d', %d, %d, %d)"
+#: The 13 bytes of :meth:`Packet.flow_key`: ``sip | dip | proto | sport
+#: | dport``, network order; ``unpack`` gives the five as integers.
+FLOW_KEY = struct.Struct("!IIBHH")
+#: The key's tail, after the two addresses sliced from the frame.
+_KEY_TAIL = struct.Struct("!BHH")
+#: Bits of the first byte of the IPv4 flags/fragment-offset word (the
+#: second is all offset): any of ``_FRAGMENT`` (MF, offset) or a non-zero
+#: second byte marks a fragment; ``_LATER_FRAGMENT`` (offset) marks one
+#: past the first, whose L4 bytes are payload, not a header.
+_FRAGMENT = 0x3F
+_LATER_FRAGMENT = 0x1F
 
 
-def flow_tuple(key: bytes) -> tuple:
-    """The five-tuple whose ``Packet.flow_bytes()`` is ``key``."""
-    return ast.literal_eval(key.decode())
+def decode_flow_key(key: bytes) -> tuple:
+    """``(src_ip, dst_ip, proto, sport, dport)`` of a flow key, the
+    addresses dotted: the form :meth:`Packet.five_tuple` displays."""
+    sip, dip, proto, sport, dport = FLOW_KEY.unpack(key)
+    return int_to_ip(sip), int_to_ip(dip), proto, sport, dport
+
+
+def encode_flow_key(five_tuple: tuple) -> bytes:
+    """The flow key of ``(src_ip, dst_ip, proto, sport, dport)``."""
+    src, dst, proto, sport, dport = five_tuple
+    return FLOW_KEY.pack(ip_to_int(src), ip_to_int(dst), proto, sport, dport)
 
 
 class PacketMeta:
@@ -319,21 +338,22 @@ class Packet:
             raise ValueError("set_payload must preserve length")
         self.buf[start:] = data
 
-    def _flow(self, datagram: bool = False) -> tuple:
+    def _flow(self, portless: int = 0) -> tuple:
         """``(buf, l3, proto, sport, dport)``: the walk under every flow key.
 
         TCP and UDP ports are read (and their header bounds-checked);
-        any other protocol has ports 0.  With ``datagram`` a fragment
-        has ports 0 too and its L4 bytes are not read: only the first
-        fragment carries the ports.  A recorder hears the addresses,
+        any other protocol has ports 0.  So does, for a non-zero
+        ``portless``, a frame with a bit of ``portless`` set in the first
+        byte of its IPv4 flags/fragment-offset word, or a non-zero second
+        byte: its L4 bytes are not read.  A recorder hears the addresses,
         then the ports when they were read.
         """
         l3, proto, l4 = self._resolve()
         buf = self.buf
         sport = dport = 0
         reads = 2  # the addresses; the ports too when there are any
-        if proto in _L4_HEADER_LEN and not (
-                datagram and (buf[l3 + 6] & 0x3F or buf[l3 + 7])):
+        if proto in _L4_HEADER_LEN and not (portless and (
+                buf[l3 + 6] & portless or buf[l3 + 7])):
             if l4 + _L4_HEADER_LEN[proto] > len(buf):
                 raise ValueError(f"L4 header cut short at offset {l4}")
             sport = (buf[l4] << 8) | buf[l4 + 1]
@@ -346,7 +366,8 @@ class Packet:
         return buf, l3, proto, sport, dport
 
     def five_tuple(self) -> tuple:
-        """(src_ip, dst_ip, proto, sport, dport) -- the classifier key."""
+        """(src_ip, dst_ip, proto, sport, dport), for display: the
+        dataplane keys on :meth:`flow_key`."""
         buf, l3, proto, sport, dport = self._flow()
         return (
             "%d.%d.%d.%d" % (buf[l3 + 12], buf[l3 + 13], buf[l3 + 14], buf[l3 + 15]),
@@ -354,39 +375,27 @@ class Packet:
             proto, sport, dport,
         )
 
-    def five_tuple_ints(self) -> tuple:
-        """:meth:`five_tuple` with the addresses as integers."""
-        buf, l3, proto, sport, dport = self._flow()
-        return (int.from_bytes(buf[l3 + 12 : l3 + 16], "big"),
-                int.from_bytes(buf[l3 + 16 : l3 + 20], "big"),
-                proto, sport, dport)
+    def flow_key(self) -> bytes:
+        """The flow's 13 bytes, ``sip | dip | proto | sport | dport``
+        (:data:`FLOW_KEY`): the one key of the RSS split, the classifier,
+        the flow cache, the control plane and every per-flow NF table.
 
-    def flow_bytes(self) -> bytes:
-        """``repr(self.five_tuple()).encode()``, formatted from ``buf``:
-        the bytes the monitor keys on, with no strings or tuple between."""
-        buf, l3, proto, sport, dport = self._flow()
-        return _FLOW_REPR % (*buf[l3 + 12 : l3 + 20], proto, sport, dport)
+        Ports are 0 for non-TCP/UDP traffic and for every fragment, so
+        all fragments of one datagram share a key.  Raises ``ValueError``
+        on a frame that is not IPv4 or is cut short.
+        """
+        buf, l3, proto, sport, dport = self._flow(_FRAGMENT)
+        return bytes(buf[l3 + 12 : l3 + 20]) + _KEY_TAIL.pack(proto, sport, dport)
 
-    def datagram_bytes(self) -> bytes:
-        """:meth:`flow_bytes` of the datagram this frame belongs to: a
-        fragment is keyed ``(sip, dip, proto, 0, 0)``, so every fragment
-        of one datagram gets the same bytes.  The load balancer's key."""
-        buf, l3, proto, sport, dport = self._flow(True)
-        return _FLOW_REPR % (*buf[l3 + 12 : l3 + 20], proto, sport, dport)
-
-    def rss_bytes(self) -> Optional[bytes]:
-        """:meth:`flow_bytes` of an unfragmented TCP/UDP frame, the bytes
-        the RSS split hashes; ``None`` for any other frame (ICMP, a
-        fragment, nil, non-IPv4, a header cut short), which has no flow."""
-        if self.nil:
-            return None
-        try:
-            buf, l3, proto, sport, dport = self._flow()
-        except ValueError:
-            return None
-        if proto not in _L4_HEADER_LEN or buf[l3 + 6] & 0x3F or buf[l3 + 7]:
-            return None
-        return _FLOW_REPR % (*buf[l3 + 12 : l3 + 20], proto, sport, dport)
+    def port_key(self) -> bytes:
+        """:meth:`flow_key` with the ports this frame carries, the key
+        port *policy* reads (the firewall ACL, IDS constraints,
+        conntrack): a first fragment (offset 0, MF set) has its real
+        ports, since its L4 header is there; a later fragment has ports
+        0, as iptables matches no ports on one.  Same layout and errors.
+        """
+        buf, l3, proto, sport, dport = self._flow(_LATER_FRAGMENT)
+        return bytes(buf[l3 + 12 : l3 + 20]) + _KEY_TAIL.pack(proto, sport, dport)
 
     # ------------------------------------------------------------ copies
     def full_copy(self, version: int) -> "Packet":

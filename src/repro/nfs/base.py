@@ -121,18 +121,19 @@ class NetworkFunction:
     # owner processes packets against a blank table.  Defaults model a
     # stateless NF: nothing to move.
 
-    def export_flow_state(self, flow_key: tuple) -> Optional[Any]:
+    def export_flow_state(self, flow_key: bytes) -> Optional[Any]:
         """Extract (and remove) this NF's state for one flow.
 
-        ``flow_key`` is the classifier 5-tuple ``(src_ip, dst_ip, proto,
-        sport, dport)``.  Returns an opaque blob for
+        ``flow_key`` is the flow's ``Packet.flow_key()``: 13 bytes,
+        ``sip | dip | proto | sport | dport`` (decode it with
+        :func:`~repro.net.packet.decode_flow_key`).  Returns an opaque blob for
         :meth:`import_flow_state` on the flow's new owner, or ``None``
         when there is nothing to move.  The export must *remove* the
         state locally -- after the handover exactly one instance owns it.
         """
         return None
 
-    def import_flow_state(self, flow_key: tuple, state: Any) -> None:
+    def import_flow_state(self, flow_key: bytes, state: Any) -> None:
         """Install state exported by a peer instance for ``flow_key``."""
 
     def export_shared_state(self) -> Optional[Any]:

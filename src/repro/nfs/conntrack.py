@@ -35,11 +35,12 @@ class ConnState(enum.Enum):
     ESTABLISHED = "established"
 
 
-def _flow_key(pkt: Packet) -> Tuple:
-    """Direction-independent connection key."""
-    src, dst, proto, sport, dport = pkt.five_tuple()
-    a, b = (src, sport), (dst, dport)
-    return (proto,) + (a + b if a <= b else b + a)
+def _conn_key(pkt: Packet) -> bytes:
+    """Direction-independent connection key: proto, then the two
+    (address, port) ends of the port key in byte order."""
+    key = pkt.port_key()
+    a, b = key[0:4] + key[9:11], key[4:8] + key[11:13]
+    return key[8:9] + (a + b if a <= b else b + a)
 
 
 @register_nf_class
@@ -61,7 +62,7 @@ class ConnTrackFirewall(NetworkFunction):
         self._mask = (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF if length else 0
         self._net = ip_to_int(address) & self._mask
         self.max_connections = max_connections
-        self._connections: Dict[Tuple, ConnState] = {}
+        self._connections: Dict[bytes, ConnState] = {}
         self.established = 0
         self.rejected = 0
 
@@ -73,7 +74,7 @@ class ConnTrackFirewall(NetworkFunction):
         return len(self._connections)
 
     def state_of(self, pkt: Packet) -> Optional[ConnState]:
-        return self._connections.get(_flow_key(pkt))
+        return self._connections.get(_conn_key(pkt))
 
     # ------------------------------------------------------------- NF body
     def process(self, pkt: Packet, ctx: ProcessingContext) -> None:
@@ -86,7 +87,7 @@ class ConnTrackFirewall(NetworkFunction):
 
         tcp = pkt.tcp
         flags = tcp.flags
-        key = _flow_key(pkt)
+        key = _conn_key(pkt)
         state = self._connections.get(key)
         outbound = self._is_inside(pkt.ipv4.src_ip)
 

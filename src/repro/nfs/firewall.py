@@ -15,7 +15,7 @@ import random
 from typing import List, Optional, Tuple
 
 from ..net.headers import ip_to_int
-from ..net.packet import Packet
+from ..net.packet import FLOW_KEY, Packet
 from .base import NetworkFunction, ProcessingContext, register_nf_class
 
 __all__ = ["AclRule", "Firewall", "build_acl"]
@@ -97,7 +97,7 @@ class Firewall(NetworkFunction):
         self.denied = 0
 
     def process(self, pkt: Packet, ctx: ProcessingContext) -> None:
-        sip, dip, _, sport, dport = pkt.five_tuple_ints()
+        sip, dip, _, sport, dport = FLOW_KEY.unpack(pkt.port_key())
         for rule in self.acl:
             if rule.matches(sip, dip, sport, dport):
                 if rule.permit:

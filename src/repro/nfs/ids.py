@@ -18,7 +18,7 @@ import random
 import string
 from typing import Dict, List, Optional, Union
 
-from ..net.packet import Packet
+from ..net.packet import FLOW_KEY, Packet
 from .aho_corasick import AhoCorasick
 from .base import NetworkFunction, ProcessingContext, register_nf_class
 
@@ -62,7 +62,7 @@ class Signature:
 
     def constraints_match(self, pkt: Packet) -> bool:
         try:
-            _, _, proto, sport, dport = pkt.five_tuple()
+            _, _, proto, sport, dport = FLOW_KEY.unpack(pkt.port_key())
         except ValueError:
             return False
         if self.protocol is not None and proto != self.protocol:

@@ -6,11 +6,11 @@ full-proxy VIP (the F5/A10 style of Table 2), it rewrites the
 destination IP to the chosen backend and the source IP to its virtual
 IP -- hence the Write(SIP)/Write(DIP) profile.
 
-The hash input is ``Packet.datagram_bytes()`` -- ``repr`` of the
-5-tuple, read straight from the frame.  Every fragment of a datagram
-hashes on ``(sip, dip, proto, 0, 0)``: only the first one carries the
-ports, so reading "ports" from the others would scatter one datagram
-across backends.
+The hash input is ``Packet.flow_key()`` -- the 5-tuple's 13 bytes,
+read straight from the frame.  Every fragment of a datagram hashes on
+``(sip, dip, proto, 0, 0)``: only the first one carries the ports, so
+reading "ports" from the others would scatter one datagram across
+backends.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class LoadBalancer(NetworkFunction):
                            for b in self.backends]
 
     def _pick(self, pkt: Packet) -> int:
-        """Backend index: CRC32 (like hardware ECMP) of the flow bytes."""
-        return zlib.crc32(pkt.datagram_bytes()) % len(self.backends)
+        """Backend index: CRC32 (like hardware ECMP) of the flow key."""
+        return zlib.crc32(pkt.flow_key()) % len(self.backends)
 
     def pick_backend(self, pkt: Packet) -> str:
         return self.backends[self._pick(pkt)]

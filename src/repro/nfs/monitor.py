@@ -4,16 +4,17 @@
 The counter table uses the hash value of the 5-tuple as the key."
 Read-only -- the canonical parallelizable NF of Fig. 1.
 
-The table is keyed by ``Packet.flow_bytes()`` -- the 5-tuple's ``repr``
+The table is keyed by ``Packet.flow_key()`` -- the 5-tuple's 13 bytes
 read straight from the frame -- and the dict hashes that key, so two
-flows whose hashes collide keep separate counters.
+flows whose hashes collide keep separate counters.  Every fragment of
+a datagram counts under the datagram's key (ports 0).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..net.packet import Packet, flow_tuple
+from ..net.packet import Packet, decode_flow_key, encode_flow_key
 from .base import NetworkFunction, ProcessingContext, register_nf_class
 
 __all__ = ["Monitor", "FlowStats"]
@@ -43,7 +44,7 @@ class Monitor(NetworkFunction):
         self._flows: Dict[bytes, FlowStats] = {}
 
     def process(self, pkt: Packet, ctx: ProcessingContext) -> None:
-        key = pkt.flow_bytes()
+        key = pkt.flow_key()
         stats = self._flows.get(key)
         if stats is None:
             stats = FlowStats()
@@ -56,7 +57,7 @@ class Monitor(NetworkFunction):
         return len(self._flows)
 
     def stats_for(self, five_tuple: Tuple) -> Optional[FlowStats]:
-        return self._flows.get(repr(five_tuple).encode())
+        return self._flows.get(encode_flow_key(five_tuple))
 
     def totals(self) -> Tuple[int, int]:
         """(total packets, total bytes) across all flows."""
@@ -69,4 +70,4 @@ class Monitor(NetworkFunction):
         ranked = sorted(
             self._flows.items(), key=lambda kv: kv[1].packets, reverse=True
         )
-        return [(flow_tuple(key), stats) for key, stats in ranked[:n]]
+        return [(decode_flow_key(key), stats) for key, stats in ranked[:n]]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from ..net.headers import PROTO_TCP, PROTO_UDP
-from ..net.packet import Packet
+from ..net.packet import Packet, decode_flow_key
 from .base import NetworkFunction, ProcessingContext, register_nf_class
 
 __all__ = ["Nat", "NatBinding"]
@@ -89,13 +89,14 @@ class Nat(NetworkFunction):
         ip.update_checksum()
 
     # ------------------------------------------------------ state handover
-    def export_flow_state(self, flow_key: tuple) -> Optional[dict]:
+    def export_flow_state(self, flow_key: bytes) -> Optional[dict]:
         """Detach the binding for one flow so it can move instances.
 
-        The flow key is ``(src_ip, dst_ip, proto, sport, dport)``; NAT
-        state is keyed by the internal (src ip, src port) pair.
+        NAT state is keyed by the internal (src ip, src port) pair of
+        the flow key.
         """
-        binding = self._by_internal.pop((flow_key[0], flow_key[3]), None)
+        src, _, _, sport, _ = decode_flow_key(flow_key)
+        binding = self._by_internal.pop((src, sport), None)
         if binding is None:
             return None
         self._by_external.pop(binding.external_port, None)
@@ -106,7 +107,7 @@ class Nat(NetworkFunction):
             "packets": binding.packets,
         }
 
-    def import_flow_state(self, flow_key: tuple, state: dict) -> None:
+    def import_flow_state(self, flow_key: bytes, state: dict) -> None:
         """Adopt a moved binding, keeping its external port if free.
 
         The external port spaces of two NAT instances are independent,

@@ -26,7 +26,7 @@ import pytest
 
 from repro.autoscale import ScalePolicy
 from repro.core.orchestrator import Orchestrator
-from repro.dataplane.flowsplit import flow_key, rss_instance
+from repro.dataplane.flowsplit import key_digest, packet_key, pick_instance
 from repro.dataplane.functional import SequentialBank
 from repro.dataplane.server import NFPServer
 from repro.eval.harness import as_graph, deployed_from_graph, measure_autoscale
@@ -121,7 +121,7 @@ class _LockstepHarness:
 
     def step(self, server_pkt, oracle_pkt):
         """Inject one packet, drain, byte-compare against the oracle."""
-        key = flow_key(server_pkt)
+        key = packet_key(server_pkt)
         if key is not None:
             self.keys.add(key)
         before = len(self.server.emitted_packets)
@@ -153,7 +153,8 @@ class _LockstepHarness:
                     self._bank_nf(len(self.oracle.banks) - 1) \
                         .import_shared_state(state)
         for key in sorted(self.keys):
-            src, dst = rss_instance(key, old), rss_instance(key, count)
+            digest = key_digest(key)
+            src, dst = pick_instance(digest, old), pick_instance(digest, count)
             if src == dst:
                 continue
             state = self._bank_nf(src).export_flow_state(key)

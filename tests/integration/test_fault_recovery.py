@@ -11,7 +11,7 @@ ledger.
 from repro.check.fuzz import run_fuzz
 from repro.core import Orchestrator, Policy
 from repro.dataplane import FunctionalDataplane, NFPServer
-from repro.dataplane.flowsplit import flow_key, rss_instance
+from repro.dataplane.flowsplit import key_digest, packet_key, pick_instance
 from repro.dataplane.server import _drop_witness
 from repro.eval import deployed_from_graph, forced_parallel, nfp_capacity
 from repro.faults import FaultInjector, FaultPlan
@@ -167,7 +167,7 @@ def test_hang_with_replicas_fails_over_and_keeps_flow_order():
     # must come from the injected stream (pids are assigned in injection
     # order, starting at 1), not from the emitted bytes.
     replay = FlowGenerator(num_flows=16, seed=7)
-    key_of = {pid: flow_key(replay.next_packet())
+    key_of = {pid: packet_key(replay.next_packet())
               for pid in range(1, 121)}
     by_flow = {}
     for pkt in server.emitted_packets:
@@ -175,7 +175,7 @@ def test_hang_with_replicas_fails_over_and_keeps_flow_order():
         if key is not None:
             by_flow.setdefault(key, []).append(pkt.meta.pid)
     unaffected = {key: pids for key, pids in by_flow.items()
-                  if rss_instance(key, 2) == 1}
+                  if pick_instance(key_digest(key), 2) == 1}
     assert unaffected, "expected some flows pinned to the healthy instance"
     injected_per_flow = {}
     for pid, key in key_of.items():

@@ -12,8 +12,9 @@ rendezvous stall -- not on NF service time.
 import pytest
 
 from repro.core import Policy, compile_policy
-from repro.dataplane.flowsplit import assign_instances
+from repro.dataplane.flowsplit import assign_instances, packet_key
 from repro.eval import WEST_EAST_CHAIN, measure_nfp
+from repro.net import build_packet
 from repro.telemetry import (
     Sampler,
     TelemetryHub,
@@ -94,14 +95,23 @@ def test_run_survives_the_episode(hang_episode):
 
 # ------------------------------------------------- rss.pinned_flows probe
 def test_keyless_flows_on_scaled_nfs_bump_pinned_counter():
+    # Only a frame with no flow key at all (not IPv4, cut short) pins.
+    arp = build_packet()
+    arp.buf[12:14] = b"\x08\x06"
     hub = TelemetryHub()
-    assign_instances(None, {"ids": 2}, telemetry=hub)
+    assert assign_instances(packet_key(arp), {"ids": 2}, telemetry=hub) == {
+        "ids": 0}
     assert hub.registry.counter_value("rss.pinned_flows") == 1
 
 
 def test_keyed_or_unscaled_flows_do_not_count_as_pinned():
+    # ICMP and fragments have a key (ports 0): they hash, not pin.
+    icmp = build_packet()
+    icmp.ipv4.protocol = 1
+    fragment = build_packet()
+    fragment.ipv4.fragment_offset = 64
     hub = TelemetryHub()
-    assign_instances(("10.0.0.1", "10.0.0.2", 6, 80, 443), {"ids": 2},
-                     telemetry=hub)
+    for pkt in (build_packet(), icmp, fragment):
+        assign_instances(packet_key(pkt), {"ids": 2}, telemetry=hub)
     assign_instances(None, {}, telemetry=hub)  # nothing scaled
     assert hub.registry.counter_value("rss.pinned_flows") == 0

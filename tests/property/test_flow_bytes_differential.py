@@ -1,23 +1,30 @@
-"""``Packet.flow_bytes`` against the tuple-then-``repr`` key it replaced.
+"""``Packet.flow_key``: one flow, 13 bytes, over every frame the NFs meet.
 
-The RSS split, the load balancer and the monitor used to build the
-five-tuple's strings and tuple, then hash ``repr(tuple).encode()``;
-they now read those bytes from the frame in one ``bytes % (...)``.
-``tests/support/flowkey_reference.py`` keeps the old code.  Over TCP,
-UDP, ICMP, 802.1Q-tagged, AH-wrapped, fragmented and non-IPv4 frames,
-cut at every prefix length: the bytes are ``repr(five_tuple()).encode()``,
-the refusals carry the same words, a recorder hears the same reads, the
-kernel's digest is ``flow_digest(flow_key(pkt))``, the load balancer
-picks the old backend for every unfragmented frame and hashes a
-fragment on ``(sip, dip, proto, 0, 0)``, and the monitor counts what
-the hash-keyed table counted.
+The RSS split, the classifier, the flow cache, the load balancer, the
+monitor and the control plane used to key a flow five ways, the RSS
+input being ``repr()`` of a tuple of dotted-quad strings.  They all key
+on ``Packet.flow_key()`` now: ``sip | dip | proto | sport | dport``,
+ports 0 on a fragment and on non-TCP/UDP traffic.  What is held here is
+not a hash value but the key's meaning.  Over TCP, UDP, ICMP,
+802.1Q-tagged, AH-wrapped, fragmented and non-IPv4 frames, cut at every
+prefix length: a frame yields exactly 13 bytes or raises ``ValueError``;
+an unfragmented frame's key is its ``five_tuple()``, so two such frames
+share a key iff the tuples the old spelling
+(``tests/support/flowkey_reference.py``) keyed them on are equal; every
+fragment of one datagram shares the datagram's key; and a recorder
+hears the addresses, then the ports only when they were read.
+``Packet.port_key()``, the key port policy reads, is held the same way,
+except that a first fragment keeps its ports.  The kernel's digest, the
+load balancer's backend and the monitor's table follow from the key.
 """
+
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataplane.flowsplit import flow_digest, packet_digest
+from repro.dataplane.flowsplit import key_digest, packet_key
 from repro.net import (
     PROTO_TCP,
     PROTO_UDP,
@@ -28,6 +35,7 @@ from repro.net import (
     insert_vlan,
     int_to_ip,
 )
+from repro.net.packet import FLOW_KEY, decode_flow_key, encode_flow_key
 from repro.net.recorder import AccessRecorder
 from repro.nfs.loadbalancer import LoadBalancer
 from repro.nfs.monitor import Monitor
@@ -35,29 +43,41 @@ from tests.support import flowkey_reference as ref
 
 PROTO_ICMP = 1
 FRAGMENT_WORDS = [0x0000, 0x4000, 0x2000, 0x0001, 0x1FFF, 0x3FFF, 0x8000]
+#: Flag words with no fragment bits: DF, the reserved bit, none.
+WHOLE_WORDS = [0x0000, 0x4000, 0x8000]
 ETHERTYPES = [0x0800] * 5 + [0x86DD, 0x0806]
+#: Few addresses and ports, so two drawn frames often share a flow.
+ADDRESSES = ["10.0.0.1", "10.0.0.2", "192.168.7.9"]
+PORTS = [0, 80, 443, 0x5000]
 
 
 @st.composite
-def stacks(draw):
+def stacks(draw, fragments=True, pool=False):
     """A well-formed frame the NFs could meet, then broken a little.
 
     TCP / UDP / ICMP x {untagged, 802.1Q} x {no AH, AH} x fragment bits
-    x IHL 5-7 x an occasional non-IPv4 ethertype.
+    x IHL 5-7 x an occasional non-IPv4 ethertype.  ``pool`` draws the
+    addresses and ports from a few values, so flows repeat.
     """
     proto = draw(st.sampled_from([PROTO_TCP, PROTO_UDP, PROTO_ICMP]))
+    if pool:
+        addresses = st.sampled_from(ADDRESSES)
+        ports = st.sampled_from(PORTS)
+    else:
+        addresses = st.integers(0, 0xFFFFFFFF).map(int_to_ip)
+        ports = st.integers(0, 0xFFFF)
     pkt = build_packet(
-        src_ip=int_to_ip(draw(st.integers(0, 0xFFFFFFFF))),
-        dst_ip=int_to_ip(draw(st.integers(0, 0xFFFFFFFF))),
-        src_port=draw(st.integers(0, 0xFFFF)),
-        dst_port=draw(st.integers(0, 0xFFFF)),
+        src_ip=draw(addresses),
+        dst_ip=draw(addresses),
+        src_port=draw(ports),
+        dst_port=draw(ports),
         protocol=PROTO_UDP if proto == PROTO_UDP else PROTO_TCP,
         payload=draw(st.binary(max_size=24)),
     )
     ip = pkt.ipv4
     if proto == PROTO_ICMP:
         ip.protocol = PROTO_ICMP
-    frag = draw(st.sampled_from(FRAGMENT_WORDS))
+    frag = draw(st.sampled_from(FRAGMENT_WORDS if fragments else WHOLE_WORDS))
     pkt.buf[20], pkt.buf[21] = frag >> 8, frag & 0xFF
     pkt.buf[14] = 0x40 | draw(st.sampled_from([5, 5, 5, 6, 7]))
     if draw(st.booleans()):
@@ -114,34 +134,133 @@ def _is_fragment(pkt):
     return bool(buf[l3 + 6] & 0x3F or buf[l3 + 7])
 
 
+def _is_later_fragment(pkt):
+    """A fragment past the first: a non-zero offset, MF aside."""
+    buf, l3 = pkt.buf, pkt.l3_offset
+    return bool(buf[l3 + 6] & 0x1F or buf[l3 + 7])
+
+
+def _datagram_tuple(pkt, portless=_is_fragment):
+    """The datagram's five-tuple, ports 0 on a fragment (on one past the
+    first, for ``portless=_is_later_fragment``): the old spelling's
+    tuple, with the fragment rule applied."""
+    proto = pkt.l4_protocol  # raises until the whole IPv4 header is there
+    if portless(pkt):
+        ip = pkt.ipv4
+        return (ip.src_ip, ip.dst_ip, proto, 0, 0)
+    return pkt.five_tuple()
+
+
+def _heard(pkt, key, portless):
+    """What a recorder should hear of a read that returned ``key``: the
+    addresses, then the ports only when there were ports to read."""
+    if key is None:
+        return []
+    _, _, proto, _, _ = FLOW_KEY.unpack(key)
+    ported = proto in (PROTO_TCP, PROTO_UDP) and not portless(pkt)
+    fields = [Field.SIP, Field.DIP] + ([Field.SPORT, Field.DPORT] if ported else [])
+    return [("nf0", "read", field, pkt.uid) for field in fields]
+
+
+def _check_key_at_every_prefix(read, portless, buf, in_scope):
+    for pkt in _prefixes(buf):
+        (verdict, value), events = _recorded(lambda: read(pkt), pkt, in_scope)
+        if verdict == "raise":
+            assert value[0] is ValueError
+            key = None
+        else:
+            key = value
+            assert type(key) is bytes and len(key) == 13
+            assert decode_flow_key(key) == _datagram_tuple(pkt, portless)
+            if not portless(pkt):
+                assert key == encode_flow_key(pkt.five_tuple())
+        if in_scope:
+            assert events == _heard(pkt, key, portless)
+
+
 @settings(max_examples=150, deadline=None)
 @given(buf=stacks(), in_scope=st.booleans())
-def test_flow_bytes_is_the_repr_of_the_five_tuple_at_every_prefix(buf, in_scope):
-    for pkt in _prefixes(buf):
-        got = _recorded(pkt.flow_bytes, pkt, in_scope)
-        want = _recorded(lambda: repr(pkt.five_tuple()).encode(), pkt, in_scope)
-        assert got == want
-        if got[0][0] == "raise":
-            assert got[0][1][0] is ValueError
+def test_flow_key_is_the_five_tuple_at_every_prefix(buf, in_scope):
+    _check_key_at_every_prefix(Packet.flow_key, _is_fragment, buf, in_scope)
+
+
+@settings(max_examples=150, deadline=None)
+@given(buf=stacks(), in_scope=st.booleans())
+def test_port_key_keeps_a_first_fragments_ports_at_every_prefix(buf, in_scope):
+    _check_key_at_every_prefix(Packet.port_key, _is_later_fragment, buf,
+                               in_scope)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames=st.lists(stacks(fragments=False, pool=True), min_size=2,
+                       max_size=8))
+def test_two_frames_share_a_key_iff_their_five_tuples_are_equal(frames):
+    keyed = []
+    for buf in frames:
+        pkt = Packet(bytearray(buf))
+        try:
+            key = pkt.flow_key()
+        except ValueError:
+            assert ref.flow_key(pkt) is None
+            continue
+        # The old spelling keyed only TCP/UDP; a portless frame (ICMP)
+        # is its addresses and protocol, ports 0.
+        ip = pkt.ipv4
+        keyed.append((key, ref.flow_key(pkt)
+                      or (ip.src_ip, ip.dst_ip, pkt.l4_protocol, 0, 0)))
+    for key_a, five_a in keyed:
+        for key_b, five_b in keyed:
+            assert (key_a == key_b) == (five_a == five_b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(buf=stacks(), words=st.lists(st.sampled_from(FRAGMENT_WORDS[2:6]),
+                                    min_size=1, max_size=4),
+       junk=st.binary(min_size=4, max_size=4))
+def test_fragments_of_one_datagram_share_a_key(buf, words, junk):
+    first = Packet(bytearray(buf))
+    try:
+        l3, _, l4 = first._resolve()
+    except ValueError:
+        return
+    datagram = []
+    for word in words:
+        # The same datagram's other fragments: other offset / MF bits,
+        # and payload bytes where the first fragment had its ports.
+        frag = Packet(bytearray(buf))
+        frag.buf[l3 + 6], frag.buf[l3 + 7] = word >> 8, word & 0xFF
+        frag.buf[l4 : l4 + 4] = junk
+        datagram.append(frag)
+    keys = {packet_key(frag) for frag in datagram}
+    assert len(keys) == 1
+    (key,) = keys
+    assert key is not None and key[9:] == bytes(4)
+    if _is_fragment(first):
+        assert packet_key(first) == key
 
 
 @settings(max_examples=150, deadline=None)
 @given(buf=stacks())
 def test_kernel_digest_is_the_tuple_digest_at_every_prefix(buf):
     for pkt in _prefixes(buf):
-        ours, theirs = _Counts(), _Counts()
-        assert packet_digest(pkt, ours) == flow_digest(ref.flow_key(pkt), theirs)
-        assert ours.counts == theirs.counts
+        counts = _Counts()
+        digest = key_digest(packet_key(pkt), counts)
+        try:
+            five = _datagram_tuple(pkt)
+        except ValueError:
+            assert digest == 0 and counts.counts == {"rss.pinned_flows": 1}
+            continue
+        assert digest == zlib.crc32(encode_flow_key(five))
+        assert counts.counts == {}
     nil = Packet(bytearray(buf)).make_nil()
-    assert packet_digest(nil) == flow_digest(ref.flow_key(nil)) == 0
+    assert packet_key(nil) is None and key_digest(None) == 0
 
 
 def _datagram_backend(names, pkt):
-    """A fragment's backend: the hash of ``(sip, dip, proto, 0, 0)``,
-    whatever its bytes at the L4 offset are, and however few."""
-    proto = pkt.l4_protocol
-    ip = pkt.ipv4
-    return names[ref.ecmp_hash((ip.src_ip, ip.dst_ip, proto, 0, 0)) % len(names)]
+    """The backend of the datagram's tuple: a fragment hashes on
+    ``(sip, dip, proto, 0, 0)``, whatever its bytes at the L4 offset are,
+    and however few."""
+    return names[zlib.crc32(encode_flow_key(_datagram_tuple(pkt))) % len(names)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -151,23 +270,19 @@ def test_backend_choice_matches_on_unfragmented_frames(buf, backends):
     lb = LoadBalancer(backends=names)
     for pkt in _prefixes(buf):
         got = _outcome(lb.pick_backend, pkt)
+        want = _outcome(_datagram_backend, names, pkt)
+        assert got == want
         # Once the header walk succeeds the whole IPv4 header is there.
         if _outcome(lambda: pkt.l4_protocol)[0] == "ok" and _is_fragment(pkt):
-            want = _outcome(_datagram_backend, names, pkt)
-            reads = [Field.SIP, Field.DIP]
-        else:
-            want = _outcome(ref.pick_backend, names, pkt)
-            reads = None
-        assert got == want
-        if reads is not None:
             _, events = _recorded(lambda: lb.pick_backend(pkt), pkt, True)
-            assert [field for _, _, field, _ in events] == reads
+            assert [field for _, _, field, _ in events] == [Field.SIP, Field.DIP]
 
 
 @settings(max_examples=60, deadline=None)
 @given(frames=st.lists(stacks(), min_size=1, max_size=12))
 def test_monitor_counts_what_the_hash_keyed_table_counted(frames):
-    monitor, reference = Monitor(), ref.HashKeyedMonitor()
+    # Every fragment counts under its datagram's tuple, ports 0.
+    monitor, reference = Monitor(), ref.HashKeyedMonitor(_datagram_tuple)
     for buf in frames + frames[:3]:
         for nf, process in ((monitor, monitor.handle),
                             (reference, reference.process)):

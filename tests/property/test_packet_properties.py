@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.graph import MergeOp, MergeOpKind
-from repro.dataplane.flowsplit import flow_key
 from repro.dataplane.merging import apply_merge_ops
 from repro.net import (
     HEADER_COPY_BYTES,
@@ -100,7 +99,7 @@ def test_checksum_update_always_verifies(size, ttl, dscp):
 # The single-pass resolver against the view-chain parse it replaced
 # (tests/support/packet_reference.py): same value or same exception type,
 # and the only exception a frame may provoke is ValueError -- that is all
-# NetworkFunction.handle's callers, flow_key, has_ah and the merge skip
+# NetworkFunction.handle's callers, packet_key, has_ah and the merge skip
 # catch.
 # ---------------------------------------------------------------------------
 
@@ -184,7 +183,8 @@ def test_resolver_agrees_with_view_chain_at_every_prefix(buf):
         _agree(_outcome(lambda: pkt.payload_offset),
                _outcome(ref.payload_offset, pkt))
         _agree(_outcome(pkt.five_tuple), _outcome(ref.five_tuple, pkt))
-        _agree(_outcome(flow_key, pkt), _outcome(ref.flow_key, pkt))
+        _agree(_outcome(pkt.flow_key), _outcome(ref.flow_key, pkt))
+        _agree(_outcome(pkt.port_key), _outcome(ref.port_key, pkt))
         # The views land on the same bytes (or refuse the same frames).
         for name in ("ipv4", "ah", "tcp", "udp"):
             _agree(_outcome(lambda: getattr(pkt, name).offset),
@@ -195,10 +195,11 @@ def test_resolver_refuses_nil_packets_like_the_view_chain():
     nil = build_packet().make_nil()
     assert nil.l3_offset == ref.l3_offset(nil) == 14
     assert not nil.has_vlan and not nil.has_ah
-    assert flow_key(nil) is None and ref.flow_key(nil) is None
     for new, old in ((lambda: nil.l4_protocol, ref.l4_protocol),
                      (lambda: nil.payload_offset, ref.payload_offset),
-                     (nil.five_tuple, ref.five_tuple)):
+                     (nil.five_tuple, ref.five_tuple),
+                     (nil.flow_key, ref.flow_key),
+                     (nil.port_key, ref.port_key)):
         _agree(_outcome(new), _outcome(old, nil))
         assert _outcome(new)[0] == "raise"
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Orchestrator, Policy
-from repro.dataplane import NFPServer, flow_key, rss_instance
+from repro.dataplane import NFPServer, key_digest, packet_key, pick_instance
 from repro.net.packet import build_packet
 from repro.nfs.base import create_nf
 from repro.sim import DEFAULT_PARAMS, Environment
@@ -125,7 +125,7 @@ def test_flow_to_instance_assignment_is_stable(
     packets, flow_of = _interleaved_packets(num_flows, 8, seed)
     keys = {}
     for pkt in packets:
-        keys[pkt.ipv4.identification] = flow_key(pkt)
+        keys[pkt.ipv4.identification] = packet_key(pkt)
 
     nf_log = {}
     _run_chain(chain, packets, instances=instances, nf_log=nf_log)
@@ -139,4 +139,5 @@ def test_flow_to_instance_assignment_is_stable(
             previous = seen.setdefault((name, flow), label)
             assert previous == label, (
                 f"flow {flow} visited both {previous} and {label}")
-            assert int(index) == rss_instance(keys[ident], instances)
+            assert int(index) == pick_instance(key_digest(keys[ident]),
+                                               instances)

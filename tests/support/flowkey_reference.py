@@ -1,32 +1,23 @@
-"""The tuple-then-``repr`` flow key: the differential oracle for ``flow_bytes``.
+"""The tuple flow key: the differential oracle for ``Packet.flow_key``.
 
-Before ``Packet.flow_bytes`` the RSS split, the load balancer and the
-monitor each keyed a packet the same way: ``five_tuple()`` built two
-dotted-quad strings and a tuple, and the hash ran ``repr()`` and
-``.encode()`` over it.  This module keeps that code verbatim -- the
-kernel's ``flow_key`` / ``rss_hash``, the load balancer's ``_ecmp_hash``
-/ ``pick_backend`` and the monitor's ``hash(tuple)`` table -- as free
-functions and a small class, so
+Before the 13-byte key, the RSS split and the flow cache keyed a packet
+on its ``five_tuple()``, and only an unfragmented TCP/UDP frame had a
+key at all; the monitor kept its table under ``hash(five_tuple)``.  This
+module keeps that code -- the kernel's old ``flow_key`` and the
+monitor's hash-keyed table -- so
 ``tests/property/test_flow_bytes_differential.py`` can hold the byte
-form to it.
+key to the tuples it replaced.
 """
 
 from __future__ import annotations
 
-import zlib
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.net.headers import PROTO_TCP, PROTO_UDP
 from repro.net.packet import Packet
 from repro.nfs.monitor import FlowStats
 
-__all__ = ["rss_hash", "flow_key", "ecmp_hash", "pick_backend",
-           "HashKeyedMonitor"]
-
-
-def rss_hash(five_tuple: tuple) -> int:
-    """The RSS hash over a 5-tuple -- crc32, as commodity NICs use."""
-    return zlib.crc32(repr(five_tuple).encode())
+__all__ = ["flow_key", "HashKeyedMonitor"]
 
 
 def flow_key(pkt: Packet) -> Optional[tuple]:
@@ -45,26 +36,18 @@ def flow_key(pkt: Packet) -> Optional[tuple]:
     return key
 
 
-def ecmp_hash(five_tuple) -> int:
-    """``LoadBalancer._ecmp_hash``: deterministic 5-tuple hash (CRC32)."""
-    return zlib.crc32(repr(five_tuple).encode())
-
-
-def pick_backend(backends: Sequence[str], pkt: Packet) -> str:
-    """``LoadBalancer.pick_backend``: fragments hashed on their "ports"."""
-    return backends[ecmp_hash(pkt.five_tuple()) % len(backends)]
-
-
 class HashKeyedMonitor:
-    """The monitor's table keyed by ``hash(five_tuple)``: two flows whose
-    hashes collide share one counter."""
+    """The monitor's table keyed by ``hash(key(pkt))``, ``key`` being
+    ``five_tuple`` unless given: two flows whose hashes collide share
+    one counter."""
 
-    def __init__(self):
+    def __init__(self, key: Callable[[Packet], Tuple] = Packet.five_tuple):
+        self._key = key
         self._flows: Dict[int, FlowStats] = {}
         self._keys: Dict[int, Tuple] = {}
 
     def process(self, pkt: Packet) -> None:
-        key = pkt.five_tuple()
+        key = self._key(pkt)
         bucket = hash(key)
         stats = self._flows.get(bucket)
         if stats is None:

@@ -19,6 +19,8 @@ same value, or the same exception type.
 
 from __future__ import annotations
 
+import struct
+
 from repro.net.fields import Field
 from repro.net.headers import (
     ETH_HEADER_LEN,
@@ -44,7 +46,8 @@ from repro.net.recorder import (
 
 __all__ = [
     "has_vlan", "l3_offset", "ipv4", "has_ah", "ah", "l4_protocol", "tcp",
-    "udp", "payload_offset", "five_tuple", "flow_key", "header_copy",
+    "udp", "payload_offset", "five_tuple", "flow_key", "port_key",
+    "header_copy",
     "internet_checksum", "int_to_ip", "ip_to_int", "read_field",
     "write_field", "modify",
 ]
@@ -150,19 +153,23 @@ def five_tuple(pkt: Packet) -> tuple:
     return (ip.src_ip, ip.dst_ip, proto, 0, 0)
 
 
-def flow_key(pkt: Packet):
-    """``repro.dataplane.flowsplit.flow_key`` over the view chain."""
-    if pkt.nil:
-        return None
-    try:
-        ip = ipv4(pkt)
-        if ip.is_fragment:
-            return None
-        if l4_protocol(pkt) not in (PROTO_TCP, PROTO_UDP):
-            return None
-        return five_tuple(pkt)
-    except ValueError:
-        return None
+def flow_key(pkt: Packet, later_only: bool = False) -> bytes:
+    """``Packet.flow_key`` over the view chain: the 13 bytes
+    ``sip | dip | proto | sport | dport``, ports 0 on a fragment --
+    with ``later_only``, ``Packet.port_key``: ports 0 only on a fragment
+    past the first."""
+    ip = ipv4(pkt)
+    proto = l4_protocol(pkt)
+    sport = dport = 0
+    portless = ip.fragment_offset if later_only else ip.is_fragment
+    if proto in (PROTO_TCP, PROTO_UDP) and not portless:
+        _, _, _, sport, dport = five_tuple(pkt)
+    return struct.pack("!IIBHH", ip_to_int(ip.src_ip), ip_to_int(ip.dst_ip),
+                       proto, sport, dport)
+
+
+def port_key(pkt: Packet) -> bytes:
+    return flow_key(pkt, later_only=True)
 
 
 def header_copy(pkt: Packet, version: int, nbytes: int = 64) -> Packet:

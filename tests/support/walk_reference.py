@@ -10,7 +10,9 @@ packet: ``FunctionalDataplane.process`` (scaled, fault-gated) and
 those two loops and the ``assign_instances`` they called, moved verbatim
 (``self.`` state became one small class each; the merge is the per-op
 reference of :mod:`tests.support.merge_reference`, so neither oracle
-leans on the code it checks).
+leans on the code it checks).  The split they apply is today's: crc32
+of the packet's ``flow_key()``, since this module is an oracle for the
+walk, not for the key.
 
 ``tests/integration/test_kernel_walk_parity.py`` holds the kernel to it:
 same output bytes, same counters, same per-NF packet counts.
@@ -18,10 +20,11 @@ same output bytes, same counters, same per-NF packet counts.
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.graph import ORIGINAL_VERSION, ServiceGraph
-from repro.dataplane.flowsplit import flow_key, rss_hash
+from repro.dataplane.flowsplit import packet_key
 from repro.dataplane.functional import _counts, instantiate_nfs
 from repro.faults import HealthBoard
 from repro.net.packet import HEADER_COPY_BYTES, Packet
@@ -35,14 +38,14 @@ _NO_ASSIGNMENT: Dict[str, int] = {}
 
 
 def assign_instances_reference(
-    key: Optional[tuple],
+    key: Optional[bytes],
     counts: Mapping[str, int],
     healthy: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> Dict[str, int]:
     scaled = {name: c for name, c in counts.items() if c > 1}
     if not scaled:
         return _NO_ASSIGNMENT
-    digest = None if key is None else rss_hash(key)
+    digest = None if key is None else zlib.crc32(key)
     assignment: Dict[str, int] = {}
     for name, count in scaled.items():
         live = healthy.get(name) if healthy else None
@@ -89,7 +92,7 @@ class ReferenceWalk:
         self.processed += 1
         assignment = (
             assign_instances_reference(
-                flow_key(pkt), self._scaled,
+                packet_key(pkt), self._scaled,
                 healthy=self.health.view() if self.injector else None)
             if self._scaled else {}
         )

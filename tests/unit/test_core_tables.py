@@ -19,6 +19,7 @@ from repro.core import (
 )
 from repro.core.inspector import InspectionError
 from repro.net import Field
+from repro.net.packet import encode_flow_key
 from repro.nfs import Firewall, LoadBalancer, Monitor, Nat, VpnEncryptor
 
 
@@ -83,10 +84,12 @@ def test_nf_with_later_stage_copy_emits_copy_action():
 def test_classification_table_wildcard_fallback():
     table = ClassificationTable()
     table.install(CTEntry("*", mid=1, total_count=1, merge_ops=[], actions=[]))
-    assert table.lookup(("10.0.0.1", "10.0.0.2", 6, 1, 2)).mid == 1
-    exact = CTEntry(("a",), mid=2, total_count=1, merge_ops=[], actions=[])
+    five = ("10.0.0.1", "10.0.0.2", 6, 1, 2)
+    assert table.lookup(encode_flow_key(five)).mid == 1
+    assert table.lookup(None).mid == 1  # a frame with no key
+    exact = CTEntry(five, mid=2, total_count=1, merge_ops=[], actions=[])
     table.install(exact)
-    assert table.lookup(("a",)).mid == 2
+    assert table.lookup(encode_flow_key(five)).mid == 2
     assert table.by_mid(2) is exact
     with pytest.raises(KeyError):
         table.by_mid(99)

@@ -15,9 +15,10 @@ from repro.dataplane import (
     SequentialBank,
     SequentialReference,
     apply_merge_ops,
-    flow_key,
     instantiate_nfs,
-    rss_instance,
+    key_digest,
+    packet_key,
+    pick_instance,
 )
 from repro.net import Field, build_packet, insert_ah
 from repro.nfs import create_nf
@@ -214,7 +215,7 @@ def test_scaled_functional_plane_routes_flows_by_rss():
         monitor = plane.nfs[f"monitor#{k}"]
         expected = sum(
             1 for pkt in packets
-            if rss_instance(flow_key(pkt), 3) == k
+            if pick_instance(key_digest(packet_key(pkt)), 3) == k
         )
         assert monitor.rx_packets == expected
         total += monitor.rx_packets
@@ -242,7 +243,7 @@ def test_sequential_bank_partitions_nat_state_per_instance():
     packets = [build_packet(size=64, src_ip=f"10.3.{i}.1", src_port=7000 + i)
                for i in range(12)]
     for pkt in packets:
-        expected = rss_instance(flow_key(pkt), 2)
+        expected = pick_instance(key_digest(packet_key(pkt)), 2)
         assert bank.bank_for(pkt) == expected
         assert bank.process(pkt) is not None
     assert bank.processed == 12 and bank.emitted == 12

@@ -42,7 +42,7 @@ def test_chaining_manager_install_and_lookup():
     manager.install(deployed.tables)
     assert manager.mids() == [deployed.mid]
     assert manager.graph_for(deployed.mid) is deployed.graph
-    assert manager.classify(("any", "key")) is not None
+    assert manager.classify(None) is not None  # keyless: the wildcard row
     assert manager.ft_for(deployed.mid, "firewall")
     with pytest.raises(KeyError):
         manager.graph_for(999)

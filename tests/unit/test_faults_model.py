@@ -6,10 +6,12 @@ evaluation, fire-once semantics, health bookkeeping and the healthy-
 aware RSS assignment used for failover.
 """
 
+import zlib
+
 import pytest
 
 from repro.core import Orchestrator, Policy
-from repro.dataplane.flowsplit import assign_instances, rss_hash, rss_instance
+from repro.dataplane.flowsplit import assign_instances
 from repro.faults import (
     FaultInjector,
     FaultKind,
@@ -20,6 +22,7 @@ from repro.faults import (
     base_name,
     linearize,
 )
+from repro.net.packet import encode_flow_key
 from repro.telemetry import TelemetryHub
 
 
@@ -164,7 +167,7 @@ def test_health_board_mark_down_auto_registers():
 
 # ------------------------------------- healthy-aware RSS flow assignment
 def _tuple_key(i):
-    return ("10.0.0.1", f"10.0.1.{i}", 1000 + i, 80, 6)
+    return encode_flow_key(("10.0.0.1", f"10.0.1.{i}", 6, 1000 + i, 80))
 
 
 def test_assign_instances_healthy_none_matches_historical_hash():
@@ -172,7 +175,7 @@ def test_assign_instances_healthy_none_matches_historical_hash():
     for i in range(32):
         key = _tuple_key(i)
         assignment = assign_instances(key, counts, healthy=None)
-        assert assignment == {"fw": rss_instance(key, 4)}
+        assert assignment == {"fw": zlib.crc32(key) % 4}
         assert assignment.get("nat", 0) == 0  # unreplicated NFs read 0
 
 
@@ -182,7 +185,7 @@ def test_assign_instances_degraded_group_rehashes_over_live():
     for i in range(64):
         key = _tuple_key(i)
         assignment = assign_instances(key, counts, healthy={"fw": live})
-        assert assignment["fw"] == live[rss_hash(key) % len(live)]
+        assert assignment["fw"] == live[zlib.crc32(key) % len(live)]
         assert assignment["fw"] != 1
 
 

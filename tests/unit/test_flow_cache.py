@@ -5,14 +5,15 @@ RSS instance assignment).  These tests pin down the contract: exact
 hit/miss accounting via telemetry counters, LRU eviction at capacity,
 wholesale invalidation whenever tables are (re)installed -- a recompiled
 graph must never be reachable through a stale decision -- and bypass
-for traffic without a meaningful 5-tuple (ICMP, IP fragments).
+for the frames with no flow key at all (not IPv4, cut short).  ICMP and
+fragments have a key (ports 0), so they are cached like any flow.
 """
 
 import pytest
 
 from repro.core import Orchestrator, Policy
 from repro.core.tables import build_tables
-from repro.dataplane import FlowCache, FlowDecision, NFPServer, flow_key
+from repro.dataplane import FlowCache, FlowDecision, NFPServer, packet_key
 from repro.net.packet import build_packet
 from repro.sim import DEFAULT_PARAMS, Environment
 from repro.telemetry import TelemetryHub
@@ -144,24 +145,31 @@ def test_reinstall_invalidates_cache_and_forces_reclassify():
 
 
 # ----------------------------------------------------------------- bypass
-def test_icmp_and_fragments_bypass_the_cache():
+def test_icmp_and_fragments_are_cached_only_keyless_frames_bypass():
     icmp = _flow_packet(flow=0, ident=1)
     icmp.ipv4.protocol = 1  # ICMP
-    frag = _flow_packet(flow=1, ident=2)
-    frag.ipv4.more_fragments = True
-    tail = _flow_packet(flow=2, ident=3)
+    head = _flow_packet(flow=1, ident=2)
+    head.ipv4.more_fragments = True
+    tail = _flow_packet(flow=1, ident=2)
     tail.ipv4.fragment_offset = 64
+    tail.buf[34:38] = b"\xde\xad\xbe\xef"  # payload bytes, not ports
     plain = _flow_packet(flow=3, ident=4)
+    arp = _flow_packet(flow=4, ident=5)
+    arp.buf[12:14] = b"\x08\x06"
 
-    assert flow_key(icmp) is None
-    assert flow_key(frag) is None
-    assert flow_key(tail) is None
-    assert flow_key(plain) is not None
+    assert packet_key(icmp) is not None
+    # One datagram, one key: neither fragment's "ports" are read.
+    assert packet_key(head) == packet_key(tail) != packet_key(plain)
+    assert packet_key(arp) is None
 
     hub = TelemetryHub()
-    server = _serve([icmp, frag, tail, plain], hub=hub)
-    assert hub.registry.counter_value("classifier.cache_bypass") == 3
-    assert hub.registry.counter_value("classifier.cache_miss") == 1
-    assert server.flow_cache.bypasses == 3
-    assert len(server.flow_cache) == 1
+    server = _serve([icmp, head, tail, plain, arp], hub=hub)
+    assert hub.registry.counter_value("classifier.cache_bypass") == 1
+    assert hub.registry.counter_value("classifier.cache_miss") == 3
+    assert hub.registry.counter_value("classifier.cache_hit") == 1
+    assert server.flow_cache.bypasses == 1
+    assert len(server.flow_cache) == 3
+    # The keyless frame took the wildcard row; the monitor cannot read
+    # it and drops it, like the functional plane does.
     assert server.rate.delivered == 4
+    assert server.conservation_report()["unaccounted"] == 0

@@ -66,11 +66,10 @@ def test_functional_plane_merges_and_copies_under_the_lab_wrappers():
     assert "net.copy.full" not in calls
     # The lab wraps only ``Packet.five_tuple`` as ``net.fields``, and no
     # one on this path calls it any more: the split, the monitor and the
-    # load balancer key on ``rss_bytes`` / ``flow_bytes`` /
-    # ``datagram_bytes``, whose time the lab books as walk and ``nfs.*``
-    # self time.  The test wraps the walk under all three, ``_flow``, the
-    # way the lab would, to hold that each reaches it through the class:
-    # once per packet.
+    # load balancer key on ``flow_key``, whose time the lab books as walk
+    # and ``nfs.*`` self time.  The test wraps the walk under it,
+    # ``_flow``, the way the lab would, to hold that each of the three
+    # reaches it through the class: once per packet.
     assert "net.fields.five_tuple" not in calls
     assert calls["net.fields.flow"] == 3 * PACKETS
     for kind in WEST_EAST:

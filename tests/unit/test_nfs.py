@@ -143,6 +143,21 @@ def test_firewall_port_range_match():
     assert not fw.handle(build_packet(dst_port=80, size=64)).dropped
 
 
+def test_firewall_denies_a_first_fragment_by_its_ports():
+    # Fragment 0 (MF set, offset 0) carries the real TCP header; a later
+    # fragment carries payload there, so no port rule applies to it.
+    fw = Firewall(acl=[AclRule(dport_range=(1000, 2000), permit=False)])
+    first = build_packet(dst_port=1500, size=64)
+    first.ipv4.more_fragments = True
+    first.ipv4.update_checksum()
+    assert fw.handle(first).dropped
+    later = build_packet(dst_port=1500, size=64)
+    later.ipv4.fragment_offset = 8
+    later.ipv4.update_checksum()
+    assert not fw.handle(later).dropped
+    assert (fw.denied, fw.permitted) == (1, 1)
+
+
 def test_acl_rule_validation():
     with pytest.raises(ValueError):
         AclRule(src_prefix=("10.0.0.0", 40))
@@ -488,6 +503,19 @@ def test_signature_constraints_filter_matches():
     ids.handle(miss_port)
     assert ids.alerts == 1
     assert ids.alerts_by_sid[sig.sid] == 1
+
+
+def test_signature_port_constraint_matches_a_first_fragment():
+    from repro.nfs import Signature
+
+    sig = Signature(b"attack", dport=80)
+    first = build_packet(dst_port=80, size=200, payload=b"an attack here")
+    first.ipv4.more_fragments = True
+    first.ipv4.update_checksum()
+    assert sig.constraints_match(first)
+    ids = Ids(signatures=[sig])
+    ids.handle(first)
+    assert ids.alerts == 1
 
 
 def test_signature_validation_and_sid_allocation():

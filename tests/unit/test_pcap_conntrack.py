@@ -135,6 +135,39 @@ def test_established_traffic_flows_both_ways():
     assert not fw.handle(inbound).dropped
 
 
+def test_a_first_fragment_of_an_established_connection_passes():
+    # Fragment 0 (MF set, offset 0) carries the TCP header: conntrack
+    # finds the connection under its real ports, not under ports 0.
+    fw = ConnTrackFirewall()
+    fw.handle(syn(INSIDE, OUTSIDE, 1000, 80))
+    fw.handle(flagged(OUTSIDE, INSIDE, 80, 1000,
+                      TcpView.FLAG_SYN | TcpView.FLAG_ACK))
+    fw.handle(flagged(INSIDE, OUTSIDE, 1000, 80, TcpView.FLAG_ACK))
+    for src, dst, sport, dport in ((INSIDE, OUTSIDE, 1000, 80),
+                                   (OUTSIDE, INSIDE, 80, 1000)):
+        first = flagged(src, dst, sport, dport, TcpView.FLAG_ACK)
+        first.ipv4.more_fragments = True
+        first.ipv4.update_checksum()
+        assert fw.state_of(first) is ConnState.ESTABLISHED
+        assert not fw.handle(first).dropped
+    assert fw.rejected == 0
+
+
+def test_a_fragmented_syn_opens_only_its_own_connection():
+    fw = ConnTrackFirewall()
+    first = syn(INSIDE, OUTSIDE, 1000, 80)
+    first.ipv4.more_fragments = True
+    first.ipv4.update_checksum()
+    fw.handle(first)
+    # A fragmented SYN/ACK of another port pair is no answer to it.
+    other = flagged(OUTSIDE, INSIDE, 81, 1001,
+                    TcpView.FLAG_SYN | TcpView.FLAG_ACK)
+    other.ipv4.more_fragments = True
+    other.ipv4.update_checksum()
+    assert fw.state_of(other) is None
+    assert fw.handle(other).dropped
+
+
 def test_fin_and_rst_teardown():
     fw = ConnTrackFirewall()
     fw.handle(syn(INSIDE, OUTSIDE, 1000, 80))
