@@ -230,7 +230,7 @@ def cmd_trace(args) -> int:
 
     print(f"graph          : {graph.describe()}")
     print(f"packets traced : {len(traces)} ({complete} complete lifecycles)")
-    print(f"span events    : {len(tracer.events)} "
+    print(f"span events    : {len(tracer)} "
           f"(overflowed: {tracer.overflow})")
     print(f"chrome trace   : {args.out} ({written} trace events) "
           f"-- open in chrome://tracing or https://ui.perfetto.dev")

@@ -118,6 +118,7 @@ class _NFRuntimeSim:
         #: True once a live scale-down retired this instance.
         self.retired = False
         self._label = f"nf:{nf.name}"
+        self._service_metric = f"nf.{nf.name}.service_us"
         self.rx.wait(self._wake)
 
     def _wake(self, first: Packet) -> None:
@@ -165,14 +166,13 @@ class _NFRuntimeSim:
                 if health is HealthState.SLOW:
                     slow = injector.slow_factor(name)
             if enabled:
-                hub.span(SpanKind.NF_START, now, pkt.meta, name=name)
+                hub.span(SpanKind.NF_START, now, pkt.meta, name)
             service = (params.nf_runtime_us if pkt.nil else full) * slow
             now = reserve(now, service)
             pkt.stamp(self._label, now)
             if enabled:
-                hub.observe(f"nf.{name}.service_us", service)
-                hub.span(SpanKind.NF_END, now, pkt.meta, name=name,
-                         duration_us=service)
+                hub.observe(self._service_metric, service)
+                hub.span(SpanKind.NF_END, now, pkt.meta, name, service)
             if injector is not None and index + 1 < len(batch):
                 server.env.call_at(now, self._serve, batch, index + 1, now)
                 return
@@ -252,6 +252,8 @@ class _MergerSim:
         self.timed_out = 0
         self._sweeping = False
         self._sweep_interval = max(server.params.at_timeout_us / 4.0, 1.0)
+        #: The merger's span name, formatted once.
+        self._label = f"merger{index}"
         self.rx.wait(self._wake)
 
     def _wake(self, first: Packet) -> None:
@@ -295,8 +297,7 @@ class _MergerSim:
             self._maybe_sweep(now)
             if hub.enabled:
                 hub.inc("merger.at_insert")
-                hub.span(SpanKind.MERGE_WAIT, now, meta,
-                         name=f"merger{self.index}")
+                hub.span(SpanKind.MERGE_WAIT, now, meta, self._label)
         elif hub.enabled:
             hub.inc("merger.at_hit")
         entry["count"] += 1
@@ -325,9 +326,8 @@ class _MergerSim:
             # wait_us: AT entry opening -> last notification (rendezvous
             # wait); duration_us: the apply/bookkeeping latency itself.
             # Both ride on the event so stage rollups need no pairing.
-            hub.span(SpanKind.MERGE_APPLY, now, merged.meta,
-                     name=f"merger{self.index}", duration_us=delay,
-                     args={"wait_us": now - entry["opened_us"]})
+            hub.span(SpanKind.MERGE_APPLY, now, merged.meta, self._label,
+                     delay, {"wait_us": now - entry["opened_us"]})
         self.merged += 1
         self.server.emit(merged, now, extra_delay=delay)
 
@@ -388,7 +388,7 @@ class _MergerSim:
                 # rollups and critical-path attribution see the (huge)
                 # rendezvous wait the timeout exposed.
                 hub.span(SpanKind.MERGE_APPLY, server.env.now, merged.meta,
-                         name=f"merger{self.index}",
+                         name=self._label,
                          duration_us=server.params.merge_latency_us,
                          args={"wait_us":
                                server.env.now - entry["opened_us"],
@@ -694,8 +694,8 @@ class NFPServer(NicEgress):
         hub = self.telemetry
         if hub.enabled:
             hub.inc("classifier.packets")
-            hub.span(SpanKind.CLASSIFY, now, pkt.meta,
-                     name="classifier", args={"ingress_us": pkt.ingress_us})
+            hub.span(SpanKind.CLASSIFY, now, pkt.meta, "classifier", 0.0,
+                     {"ingress_us": pkt.ingress_us})
 
         extra = 0.0
         for copy in compiled.program[0][0]:
@@ -730,10 +730,11 @@ class NFPServer(NicEgress):
         hub = self.telemetry
         if hub.enabled:
             # OP#2 header-only vs OP#1 full copies (§4.2).
-            kind = "header" if copy_spec.header_only else "full"
-            hub.inc(f"copy.{kind}")
-            hub.span(SpanKind.COPY, now, new_pkt.meta, name=kind,
-                     duration_us=cost, args={"bytes": nbytes})
+            kind, metric = (("header", "copy.header") if copy_spec.header_only
+                            else ("full", "copy.full"))
+            hub.inc(metric)
+            hub.span(SpanKind.COPY, now, new_pkt.meta, kind, cost,
+                     {"bytes": nbytes})
         return cost
 
     def _release(self, state: FlightState) -> None:
@@ -828,7 +829,7 @@ class NFPServer(NicEgress):
         hub = self.telemetry
         if hub.enabled:
             hub.inc("ring.hops")
-            hub.span(SpanKind.ENQUEUE, now, pkt.meta, name=ring.name)
+            hub.span(SpanKind.ENQUEUE, now, pkt.meta, ring.name)
         self.env.call_at(now + wait, self._land, ring, pkt)
 
     def _land(self, ring: Ring, pkt: Packet,
@@ -930,7 +931,7 @@ class NFPServer(NicEgress):
         hub = self.telemetry
         if hub.enabled:
             hub.inc("tx.packets")
-            hub.span(SpanKind.OUTPUT, self.env.now, pkt.meta, name="nic-tx")
+            hub.span(SpanKind.OUTPUT, self.env.now, pkt.meta, "nic-tx")
         if self.on_emit is not None:
             self.on_emit(pkt)
             return
@@ -972,7 +973,7 @@ class NFPServer(NicEgress):
         if hub.enabled:
             hub.inc(f"drops.{reason}")
             if pkt is not None:
-                hub.span(SpanKind.DROP, now, pkt.meta, name=reason)
+                hub.span(SpanKind.DROP, now, pkt.meta, reason)
         return True
 
     def conservation_report(self) -> Dict[str, object]:

@@ -70,6 +70,10 @@ class NetworkFunction:
         self.extra_cycles = 0
         #: Telemetry hub; the disabled NULL_HUB unless a server wires one in.
         self.telemetry = NULL_HUB
+        #: The counters :meth:`handle` bumps, named once.
+        self._rx_metric = f"nf.{self.name}.rx"
+        self._dropped_metric = f"nf.{self.name}.dropped"
+        self._errors_metric = f"nf.{self.name}.errors"
 
     # ------------------------------------------------------------ NF logic
     def process(self, pkt: Packet, ctx: ProcessingContext) -> None:
@@ -107,11 +111,11 @@ class NetworkFunction:
             pkt.trace.append(self.name)
         hub = self.telemetry
         if hub.enabled:
-            hub.inc(f"nf.{self.name}.rx")
+            hub.inc(self._rx_metric)
             if ctx.dropped:
-                hub.inc(f"nf.{self.name}.dropped")
+                hub.inc(self._dropped_metric)
             if had_error:
-                hub.inc(f"nf.{self.name}.errors")
+                hub.inc(self._errors_metric)
         return ctx
 
     # ------------------------------------------------------ state handover

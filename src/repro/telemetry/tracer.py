@@ -4,7 +4,9 @@ Every packet in flight carries ``(MID, PID, version)`` (Fig. 5); the
 :class:`Tracer` records typed :class:`SpanEvent` checkpoints against
 that key so one packet's journey can be re-assembled *across branches
 of the service graph* -- the original and its copy versions share a
-``(MID, PID)`` and differ only in ``version``.
+``(MID, PID)`` and differ only in ``version``.  A span is stored as a
+plain tuple row while the run records, and becomes a ``SpanEvent`` only
+when something reads :attr:`Tracer.events`.
 
 Event vocabulary (``SpanKind``):
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["SpanKind", "SpanEvent", "PacketTrace", "Tracer"]
 
@@ -152,22 +154,36 @@ class PacketTrace:
         return bool(self.by_kind(SpanKind.CLASSIFY)) and self.terminal is not None
 
 
-class Tracer:
-    """Accumulates span events; bounded by ``max_events`` if given.
+#: One stored span: ``(kind, ts_us, mid, pid, version, name, duration_us,
+#: args)`` -- a :class:`SpanEvent`'s fields in order, without ``seq``.
+SpanRow = Tuple[SpanKind, float, int, int, int, str, float, Optional[Dict]]
 
-    When the cap is hit, further events are counted in ``overflow``
-    instead of being stored -- tests assert ``overflow == 0`` to prove
-    no spans were lost.
+
+class Tracer:
+    """Accumulates spans as tuple rows; bounded by ``max_events`` if given.
+
+    Recording a span is one tuple and one ``append`` to :attr:`rows`
+    (the hub appends there directly); :attr:`events` builds the
+    :class:`SpanEvent` objects from the rows only when something reads
+    them.  When the cap is hit, further spans are counted in
+    ``overflow`` instead of being stored -- tests assert
+    ``overflow == 0`` to prove no spans were lost.
     """
 
     def __init__(self, max_events: Optional[int] = None):
-        self.events: List[SpanEvent] = []
         self.max_events = max_events
         self.overflow = 0
-        self._seq = 0
+        #: Stored spans in recording order.  Append-only between clears;
+        #: an uncapped tracer's hub appends to this very list.
+        self.rows: List[SpanRow] = []
+        #: ``SpanEvent``s built so far for a prefix of ``rows``.
+        self._events: List[SpanEvent] = []
+        #: Spans stored before the last :meth:`clear`: ``seq`` keeps
+        #: counting across a clear, as it always has.
+        self._cleared = 0
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.rows)
 
     def record(
         self,
@@ -180,26 +196,45 @@ class Tracer:
         duration_us: float = 0.0,
         args: Optional[Dict] = None,
     ) -> None:
-        if self.max_events is not None and len(self.events) >= self.max_events:
+        rows = self.rows
+        if self.max_events is not None and len(rows) >= self.max_events:
             self.overflow += 1
             return
-        self._seq += 1
-        self.events.append(
-            SpanEvent(
-                kind=kind,
-                ts_us=ts_us,
-                mid=mid,
-                pid=pid,
-                version=version,
-                name=name,
-                duration_us=duration_us,
-                seq=self._seq,
-                args=args,
-            )
-        )
+        rows.append((kind, ts_us, mid, pid, version, name, duration_us, args))
+
+    def load(self, events: Iterable[SpanEvent]) -> None:
+        """Record ``events`` (e.g. read back from an export) as rows.
+
+        Each one is stored as a newly recorded span: its ``seq`` is
+        renumbered from this tracer's count and ``max_events`` applies.
+        """
+        for event in events:
+            self.record(event.kind, event.ts_us, event.mid, event.pid,
+                        event.version, event.name, event.duration_us,
+                        event.args)
+
+    @property
+    def events(self) -> List[SpanEvent]:
+        """Every stored span as a :class:`SpanEvent`, in recording order.
+
+        Built lazily from :attr:`rows` and cached: a read builds only the
+        rows stored since the previous read.  ``seq`` is 1-based and runs
+        on across :meth:`clear`.  Treat the list as read-only.
+        """
+        events = self._events
+        seq = self._cleared + len(events)
+        for kind, ts_us, mid, pid, version, name, duration_us, args in (
+                self.rows[len(events):]):
+            seq += 1
+            events.append(SpanEvent(kind, ts_us, mid, pid, version, name,
+                                    duration_us, seq, args))
+        return events
 
     def clear(self) -> None:
-        self.events.clear()
+        # In place: the hub holds a reference to ``rows``.
+        self._cleared += len(self.rows)
+        self.rows.clear()
+        self._events.clear()
         self.overflow = 0
 
     # ------------------------------------------------------- reassembly

@@ -91,6 +91,61 @@ def test_tracer_overflow_counts_dropped_events():
     assert len(tracer) == 0 and tracer.overflow == 0
 
 
+def test_capped_tracer_behind_a_hub_stores_exactly_its_bound():
+    tracer = Tracer(max_events=3)
+    hub = TelemetryHub(tracer=tracer)
+    for pid in range(5):
+        hub.span(SpanKind.ENQUEUE, float(pid), PacketMeta(mid=1, pid=pid), "fw.rx")
+    hub.span(SpanKind.OUTPUT, 9.0, None)  # meta-less: neither stored nor counted
+    assert len(tracer) == 3
+    assert tracer.overflow == 2
+    assert [event.pid for event in tracer.events] == [0, 1, 2]
+    assert [event.seq for event in tracer.events] == [1, 2, 3]
+    assert sorted(tracer.traces()) == [(1, 0), (1, 1), (1, 2)]
+    tracer.clear()
+    hub.span(SpanKind.ENQUEUE, 1.0, PacketMeta(mid=1, pid=7), "fw.rx")
+    assert len(tracer) == 1 and tracer.overflow == 0
+    # seq runs on across a clear.
+    assert tracer.events[0].seq == 4
+
+
+def test_hub_counter_refuses_a_decrement():
+    hub = TelemetryHub()
+    with pytest.raises(ValueError):
+        hub.inc("fresh", -1)
+    hub.inc("seen", 2)
+    with pytest.raises(ValueError):
+        hub.inc("seen", -1)
+    assert hub.registry.counter_value("seen") == 2
+
+
+def test_disabled_hub_records_nothing():
+    tracer = Tracer()
+    hub = TelemetryHub(enabled=False, tracer=tracer)
+    assert not hub.tracing
+    hub.inc("tx.packets")
+    hub.inc("tx.packets", -1)  # not even checked: the call is a no-op
+    hub.observe("latency_us", 3.0)
+    hub.gauge("ring.occupancy", 0.5)
+    hub.span(SpanKind.OUTPUT, 1.0, PacketMeta(mid=1, pid=1), "nic-tx")
+    assert len(tracer) == 0 and tracer.events == []
+    assert hub.registry.snapshot() == {"counters": {}, "gauges": {},
+                                       "histograms": {}}
+
+
+def test_events_are_read_only_and_load_appends_rows():
+    tracer = Tracer()
+    tracer.record(SpanKind.CLASSIFY, 1.0, 1, 7, 1, "classifier")
+    with pytest.raises(AttributeError):
+        tracer.events = []
+    copy = Tracer()
+    copy.load(tracer.events)
+    copy.load(tracer.events)
+    assert len(copy) == 2
+    assert [event.seq for event in copy.events] == [1, 2]
+    assert copy.rows == tracer.rows * 2
+
+
 def test_hub_span_uses_packet_meta():
     tracer = Tracer()
     hub = TelemetryHub(tracer=tracer)
@@ -139,7 +194,7 @@ def test_chrome_trace_round_trip():
     restored = events_from_chrome_trace(document)
     original = tracer.traces()[(1, 7)]
     round_tripped = Tracer()
-    round_tripped.events = restored
+    round_tripped.load(restored)
     trace = round_tripped.traces()[(1, 7)]
     # Kinds, names and timestamps survive the round trip.
     assert sorted((e.kind, e.ts_us, e.name) for e in trace.events) == (
