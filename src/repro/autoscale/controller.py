@@ -67,8 +67,8 @@ class ScaleDecision:
     ts_us: float
     direction: str  # "up" | "down"
     target: int
-    #: The server's membership-change record (see NFPServer._rescale);
-    #: filled in when the drain barrier completes.
+    #: The server's membership-change record (see
+    #: NFPServer.request_rescale); set when the change completes.
     outcome: Optional[Dict] = field(default=None)
 
     @property
@@ -139,20 +139,19 @@ class Autoscaler:
         self.decisions.append(decision)
         self._busy = True
         self._last_action_us = now
-        proc = self.server.request_rescale(
-            self.policy.name, target,
-            max_barrier_us=self.policy.max_barrier_us,
-        )
 
-        def done(event) -> None:
+        def done(outcome: Dict) -> None:
             self._busy = False
-            decision.outcome = event.value
+            decision.outcome = outcome
             if (self.orchestrator is not None and self.mid is not None
                     and not decision.aborted):
                 self.orchestrator.rescale(
-                    self.mid, self.policy.name, decision.outcome["to"])
+                    self.mid, self.policy.name, outcome["to"])
 
-        proc.callbacks.append(done)
+        self.server.request_rescale(
+            self.policy.name, target,
+            max_barrier_us=self.policy.max_barrier_us, on_done=done,
+        )
 
     # ------------------------------------------------------------- summary
     @property

@@ -63,6 +63,7 @@ from ..nfs.base import create_nf
 from ..profiles import ProfileAuditor, hard_findings, infer_profiles
 from ..sim import DEFAULT_PARAMS, Environment
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
+from ..traffic.generator import feed_list
 from .cases import FuzzCase
 
 __all__ = ["CaseOutcome", "reference_order", "run_case", "run_fault_case"]
@@ -264,12 +265,7 @@ def _run_des(
     # decapsulated frame non-IPv4 on every plane alike).
     idents = {pkt.uid: spec.ident for pkt, spec in zip(packets, case.packets)}
 
-    def _feed():
-        for pkt in packets:
-            server.inject(pkt)
-            yield env.timeout(DES_GAP_US)
-
-    env.process(_feed())
+    feed_list(env, server.inject, packets, DES_GAP_US)
     env.run()
 
     meta_error: Optional[str] = None
@@ -495,12 +491,7 @@ def run_fault_case(
     server.deploy(deployed)
     packets = case.build_packets()
 
-    def _feed():
-        for pkt in packets:
-            server.inject(pkt)
-            yield env.timeout(DES_GAP_US)
-
-    env.process(_feed())
+    feed_list(env, server.inject, packets, DES_GAP_US)
     env.run()
 
     report = server.conservation_report()

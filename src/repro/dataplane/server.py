@@ -44,7 +44,6 @@ from ..faults.recovery import linearize
 from ..net.packet import Packet, PacketMeta
 from ..nfs.base import NetworkFunction, create_nf
 from ..sim import Core, Environment, NicEgress, PacketPool, Ring, SimParams
-from ..sim.engine import Event
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..telemetry.tracer import SpanKind
 from .chaining import ChainingManager
@@ -498,14 +497,16 @@ class NFPServer(NicEgress):
         self._flight_sweep_interval = max(params.at_timeout_us / 2.0, 1.0)
 
         # Live membership (autoscaling) state.
-        #: Classifier hold gate: a pending event while a membership
-        #: change drains the pipeline; None when traffic flows freely.
-        self._hold: Optional[Event] = None
+        #: Classifier hold gate: while a membership change drains the
+        #: pipeline, the first packets of the bursts the classifier
+        #: parked; None when traffic flows freely.
+        self._hold: Optional[List[Packet]] = None
         #: Flow keys seen by the classifier, kept only when a membership
         #: controller enabled it (state handover needs *every* live
         #: flow, not just the cached ones).
         self.flow_directory: Optional[Set[bytes]] = None
-        #: Completed membership changes, in order (dicts; see _rescale).
+        #: Completed membership changes, in order (records; see
+        #: request_rescale).
         self.scale_events: List[Dict] = []
         #: Flows whose instance pin changed across all rescales.
         self.moved_flows = 0
@@ -610,8 +611,7 @@ class NFPServer(NicEgress):
             # observes half-moved NF state.  Later arrivals buffer in
             # the ingress ring; its overflow path stays attributed
             # (ingress_full).
-            self._hold.callbacks.append(
-                lambda _event: self._classifier_wake(first))
+            self._hold.append(first)
             return
         params = self.params
         cache = self.flow_cache
@@ -1098,71 +1098,104 @@ class NFPServer(NicEgress):
         if self.flow_directory is None:
             self.flow_directory = set()
 
-    def request_rescale(self, name: str, count: int,
-                        max_barrier_us: float = 10000.0):
-        """Begin a live instance-count change; returns the DES process.
+    def request_rescale(
+        self, name: str, count: int, max_barrier_us: float = 10000.0,
+        on_done: Optional[Callable[[Dict], None]] = None,
+    ) -> Dict:
+        """Begin a live instance-count change; returns its record.
 
-        The §7+Khalid&Akella protocol runs inside the simulation:
+        The §7+Khalid&Akella protocol runs inside the simulation as a
+        phase machine, one scheduled call per step:
 
-        1. hold the classifier (arrivals buffer in the ingress ring,
-           overflow stays attributed);
-        2. drain barrier: wait until no packet is in flight or in the
-           classifier's hands, so nothing can observe half-moved state;
-        3. grow (spawn runtimes, seed shared state such as the VPN AH
-           sequence floor) or mark the surplus instances for retirement;
-        4. re-split: update the RSS domain and the health board, then
-           move per-flow NF state (NAT bindings) for every flow whose
-           owner changed, and invalidate stale flow-cache pins;
-        5. retire surplus runtimes (their rings lose their consumer) and
-           release the hold.
+        1. wait (:meth:`_rescale_wait`) while another change holds the
+           classifier, polling every 1 us;
+        2. hold and drain (:meth:`_rescale_drain`): hold the classifier
+           (arrivals buffer in the ingress ring, overflow stays
+           attributed) and poll every ``max(batch_wait_us, 1)`` us until
+           no packet is in flight or in the classifier's hands, so
+           nothing can observe half-moved state;
+        3. move state and re-split (:meth:`_rescale_move`): grow (spawn
+           runtimes, seed shared state such as the VPN AH sequence floor)
+           or mark the surplus instances for retirement, update the RSS
+           domain and the health board, move per-flow NF state (NAT
+           bindings) for every flow whose owner changed, invalidate stale
+           flow-cache pins and retire the surplus runtimes;
+        4. release (:meth:`_release_hold`): one zero-delay call wakes the
+           bursts the hold parked, in order.
+
+        The record -- ``ts_us`` and ``from`` are set as the change takes
+        the classifier -- is appended to :attr:`scale_events` and handed
+        to ``on_done`` once the change completes or aborts (a drain that
+        outlasts ``max_barrier_us``).  An unknown group or a count below
+        1 raises :class:`ValueError` here and queues nothing.
 
         Flows that moved may observe reordering across the barrier;
         unmoved flows keep per-flow order (same instance before/after).
         """
-        return self.env.process(self._rescale(name, count, max_barrier_us))
-
-    def _rescale(self, name: str, new_count: int, max_barrier_us: float):
         if name not in self.runtimes:
             raise ValueError(f"no runtime group {name!r}")
-        if new_count < 1:
+        if count < 1:
             raise ValueError("instance count must be >= 1")
-        hub = self.telemetry
-        # Serialize concurrent membership changes.
-        while self._hold is not None:
-            yield self.env.timeout(1.0)
-        group = self.runtimes[name]
-        old_count = group.count
-        event: Dict = {
+        record: Dict = {
             "ts_us": self.env.now, "name": name,
-            "from": old_count, "to": new_count,
+            "from": self.runtimes[name].count, "to": count,
             "moved_flows": 0, "handover_flows": 0, "cache_reassigned": 0,
             "barrier_us": 0.0, "aborted": False,
         }
-        if new_count == old_count:
-            self.scale_events.append(event)
-            return event
+        self.env.call_later(0.0, self._rescale_wait, record, max_barrier_us,
+                            on_done)
+        return record
 
-        # 1+2. Hold the classifier and drain the pipeline.
-        self._hold = self.env.event()
-        barrier_start = self.env.now
-        step = max(self.params.batch_wait_us, 1.0)
-        # The hold only stops the *next* burst: the one the classifier is
-        # looking up right now is in neither the ingress ring nor
-        # ``_flight`` yet, and must drain too.
-        while ((self._flight or self._classifying)
-               and self.env.now - barrier_start < max_barrier_us):
-            yield self.env.timeout(step)
-        event["barrier_us"] = self.env.now - barrier_start
-        if self._flight or self._classifying:
+    def _rescale_wait(self, record: Dict, max_barrier_us: float,
+                      on_done: Optional[Callable[[Dict], None]]) -> None:
+        """Phase 1: serialize membership changes, then take the hold."""
+        env = self.env
+        if self._hold is not None:
+            env.call_later(1.0, self._rescale_wait, record, max_barrier_us,
+                           on_done)
+            return
+        record["ts_us"] = env.now
+        record["from"] = self.runtimes[record["name"]].count
+        if record["to"] == record["from"]:
+            self._rescale_finish(record, on_done)
+            return
+        self._hold = []
+        self._rescale_drain(record, max_barrier_us, on_done)
+
+    def _rescale_drain(self, record: Dict, max_barrier_us: float,
+                       on_done: Optional[Callable[[Dict], None]]) -> None:
+        """Phase 2: poll until the pipeline drains (or the budget runs out).
+
+        The hold only stops the *next* burst: the one the classifier is
+        looking up right now is in neither the ingress ring nor
+        ``_flight`` yet, and must drain too.
+        """
+        env = self.env
+        busy = self._flight or self._classifying
+        barrier_us = env.now - record["ts_us"]
+        if busy and barrier_us < max_barrier_us:
+            env.call_later(max(self.params.batch_wait_us, 1.0),
+                           self._rescale_drain, record, max_barrier_us,
+                           on_done)
+            return
+        record["barrier_us"] = barrier_us
+        if busy:
             # Stuck in-flight packets (hung instance): abort the change
             # rather than retire instances still holding work.
-            event["aborted"] = True
-            hub.inc("autoscale.barrier_timeout")
-            self.scale_events.append(event)
-            self._release_hold()
-            return event
+            record["aborted"] = True
+            self.telemetry.inc("autoscale.barrier_timeout")
+        else:
+            self._rescale_move(record)
+        self._release_hold()
+        self._rescale_finish(record, on_done)
 
-        # 3. Grow the instance set (scale-down retires after handover).
+    def _rescale_move(self, record: Dict) -> None:
+        """Phase 3: move state and re-split, under the drained hold."""
+        hub = self.telemetry
+        name, old_count, new_count = record["name"], record["from"], record["to"]
+        group = self.runtimes[name]
+
+        # 3a. Grow the instance set (scale-down retires after handover).
         old_counts = dict(self._scaled_counts)
         old_view = self.health.view()
         retired: List[_NFRuntimeSim] = []
@@ -1187,7 +1220,7 @@ class NFPServer(NicEgress):
             retired = group.instances[new_count:]
             hub.inc("autoscale.scale_down")
 
-        # 4a. Update the RSS split domain and health registration.
+        # 3b. Update the RSS split domain and health registration.
         if new_count > 1:
             self._scaled_counts[name] = new_count
         else:
@@ -1195,7 +1228,7 @@ class NFPServer(NicEgress):
         self.health.resize(name, new_count)
         new_view = self.health.view()
 
-        # 4b. Per-flow state handover for every flow whose owner moved.
+        # 3c. Per-flow state handover for every flow whose owner moved.
         keys = set()
         if self.flow_directory is not None:
             keys.update(self.flow_directory)
@@ -1214,15 +1247,15 @@ class NFPServer(NicEgress):
             if state is not None:
                 group.instances[new_idx].nf.import_flow_state(key, state)
                 handed += 1
-        event["moved_flows"] = moved
-        event["handover_flows"] = handed
+        record["moved_flows"] = moved
+        record["handover_flows"] = handed
         self.moved_flows += moved
         self.handover_flows += handed
         if hub.enabled and moved:
             hub.inc("autoscale.moved_flows", moved)
             hub.inc("autoscale.handover_flows", handed)
 
-        # 4c. Memoized classifier decisions may pin to the old split:
+        # 3d. Memoized classifier decisions may pin to the old split:
         # count the stale ones, then invalidate wholesale (mirror of
         # the failover path).
         if self.flow_cache is not None:
@@ -1233,13 +1266,13 @@ class NFPServer(NicEgress):
                         key, self._scaled_counts,
                         healthy=new_view).get(name, 0):
                     reassigned += 1
-            event["cache_reassigned"] = reassigned
+            record["cache_reassigned"] = reassigned
             if reassigned:
                 self.reassigned_flows += reassigned
                 hub.inc("autoscale.reassigned_cache_flows", reassigned)
             self.flow_cache.invalidate()
 
-        # 5. Retire surplus runtimes: the barrier drained all traffic,
+        # 3e. Retire surplus runtimes: the barrier drained all traffic,
         # so their rings are empty and each is parked on its ring;
         # unpark it and nothing re-arms.
         if retired:
@@ -1248,15 +1281,24 @@ class NFPServer(NicEgress):
                 runtime.retired = True
                 runtime.rx.cancel_wait()
 
-        self.scale_events.append(event)
         hub.inc("autoscale.rescale")
-        self._release_hold()
-        return event
+
+    def _rescale_finish(self, record: Dict,
+                        on_done: Optional[Callable[[Dict], None]]) -> None:
+        self.scale_events.append(record)
+        if on_done is not None:
+            on_done(record)
 
     def _release_hold(self) -> None:
-        hold, self._hold = self._hold, None
-        if hold is not None and not hold.triggered:
-            hold.succeed()
+        """Phase 4: lift the hold; one zero-delay call wakes the parked
+        bursts in order (nothing is queued when none parked)."""
+        parked, self._hold = self._hold, None
+        if parked:
+            self.env.call_later(0.0, self._wake_parked, parked)
+
+    def _wake_parked(self, parked: List[Packet]) -> None:
+        for first in parked:
+            self._classifier_wake(first)
 
     # ----------------------------------------------------- flight sweeping
     def _maybe_sweep_flight(self, now: float) -> None:

@@ -12,7 +12,7 @@ Public surface:
 - :mod:`~repro.sim.stats` -- latency / rate collectors.
 """
 
-from .engine import Environment, Event, Process, SimulationError, Timeout
+from .engine import Environment, SimulationError
 from .ring import Ring, RingFullError
 from .cpu import Core
 from .memory import PacketPool, PoolExhaustedError
@@ -22,9 +22,6 @@ from .stats import LatencyStats, LatencySummary, RateMeter, percentile, summariz
 
 __all__ = [
     "Environment",
-    "Event",
-    "Timeout",
-    "Process",
     "SimulationError",
     "Ring",
     "RingFullError",

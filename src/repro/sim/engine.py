@@ -1,14 +1,12 @@
 """A minimal discrete-event simulation (DES) engine.
 
 This module is the substrate that stands in for the paper's physical
-testbed (DPDK, CPU cores, NIC queues).  It is a deliberately small,
-dependency-free cousin of SimPy: simulation *processes* are Python
-generators that ``yield`` events; the :class:`Environment` advances a
-virtual clock and resumes processes when the events they wait on fire.
-A delay with nothing to wait on afterwards -- a ring hop, a NIC leg, the
-end of a burst whose instants were computed arithmetically -- is not a
-process: :meth:`Environment.call_later` / :meth:`Environment.call_at`
-push one plain call straight onto the queue, with no :class:`Event`.
+testbed (DPDK, CPU cores, NIC queues).  The engine only orders calls by
+absolute time: :meth:`Environment.call_later` / :meth:`Environment.call_at`
+push one plain call onto the queue, and :meth:`Environment.run` pops them
+in time order, ties in scheduling order.  Every component -- a ring hop,
+a core's burst, the traffic source, the windowed sampler, a live rescale
+-- schedules itself: a step that has to wait schedules the next one.
 
 Time is a ``float`` in *microseconds* throughout the repository, matching
 the unit the paper reports latencies in.
@@ -17,26 +15,24 @@ Example
 -------
 >>> env = Environment()
 >>> log = []
->>> def proc(env):
-...     yield env.timeout(5.0)
+>>> def tick(left):
 ...     log.append(env.now)
->>> _ = env.process(proc(env))
+...     if left:
+...         env.call_later(5.0, tick, left - 1)
+>>> env.call_later(5.0, tick, 1)
 >>> env.run()
 >>> log
-[5.0]
+[5.0, 10.0]
 """
 
 from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, List, Optional
 
 __all__ = [
     "Environment",
-    "Event",
-    "Timeout",
-    "Process",
     "SimulationError",
 ]
 
@@ -45,158 +41,15 @@ class SimulationError(RuntimeError):
     """Raised for illegal uses of the simulation API."""
 
 
-class Event:
-    """A one-shot occurrence that processes can wait on.
-
-    An event starts *pending*; :meth:`succeed` or :meth:`fail` triggers it,
-    which schedules all waiting callbacks at the current simulation time.
-    Triggering twice is an error -- events are single-use, as in SimPy.
-    """
-
-    def __init__(self, env: "Environment"):
-        self.env = env
-        self.callbacks: List[Callable[["Event"], None]] = []
-        self._value: Any = None
-        self._ok: Optional[bool] = None  # None = pending
-        self._scheduled = False
-        self._processed = False  # callbacks have run
-
-    # -- state inspection -------------------------------------------------
-    @property
-    def triggered(self) -> bool:
-        """True once the event has been succeeded or failed."""
-        return self._ok is not None
-
-    @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have been executed."""
-        return self._processed
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded.  Only valid once triggered."""
-        if self._ok is None:
-            raise SimulationError("event is still pending")
-        return self._ok
-
-    @property
-    def value(self) -> Any:
-        """The event's payload (or exception, if it failed)."""
-        if self._ok is None:
-            raise SimulationError("event is still pending")
-        return self._value
-
-    # -- triggering -------------------------------------------------------
-    def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with an optional payload."""
-        if self._ok is not None:
-            raise SimulationError("event already triggered")
-        self._ok = True
-        self._value = value
-        self.env._schedule(self)
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        The exception is re-raised inside every process waiting on the
-        event.
-        """
-        if self._ok is not None:
-            raise SimulationError("event already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() expects an exception instance")
-        self._ok = False
-        self._value = exception
-        self.env._schedule(self)
-        return self
-
-    def _fire(self) -> None:
-        """Run the callbacks; what this event's queue entry calls."""
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
-        if not self._ok and not callbacks:
-            # An unhandled failure with nobody listening: surface it.
-            raise self._value
-
-
-class Timeout(Event):
-    """An event that fires automatically after a fixed delay."""
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(env)
-        self._ok = True
-        self._value = value
-        env._schedule(self, delay=delay)
-
-    def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
-        raise SimulationError("Timeout events trigger themselves")
-
-    def fail(self, exception: BaseException) -> "Event":  # pragma: no cover
-        raise SimulationError("Timeout events trigger themselves")
-
-
-class Process(Event):
-    """Wraps a generator so it can be driven by the environment.
-
-    A process is itself an event: it triggers when the generator returns
-    (success, with the generator's return value) or raises (failure).
-    Other processes can therefore ``yield proc`` to join on it.
-    """
-
-    def __init__(self, env: "Environment", generator: Generator):
-        if not hasattr(generator, "send"):
-            raise SimulationError("process() expects a generator")
-        super().__init__(env)
-        self._generator = generator
-        # Bootstrap: resume the generator at the current time.
-        init = Event(env)
-        init._ok = True
-        init.callbacks.append(self._resume)
-        env._schedule(init)
-
-    # -- generator driving ------------------------------------------------
-    def _resume(self, event: Event) -> None:
-        try:
-            if event._ok:
-                next_event = self._generator.send(event._value)
-            else:
-                next_event = self._generator.throw(event._value)
-        except StopIteration as stop:
-            self._ok = True
-            self._value = stop.value
-            self.env._schedule(self)
-            return
-        except BaseException as exc:
-            self._ok = False
-            self._value = exc
-            self.env._schedule(self)
-            return
-        if not isinstance(next_event, Event):
-            raise SimulationError(
-                f"process yielded a non-event: {next_event!r}"
-            )
-        if next_event.processed:
-            # Its callbacks already ran: resume at the current time.
-            resume = Event(self.env)
-            resume._ok = next_event._ok
-            resume._value = next_event._value
-            resume.callbacks.append(self._resume)
-            self.env._schedule(resume)
-        else:
-            next_event.callbacks.append(self._resume)
+def _nothing() -> None:
+    """The call :meth:`Environment.timeout` queues."""
 
 
 class Environment:
     """The simulation clock and event queue.
 
     A queue entry is ``(when, eid, func, args)``; popping it sets the
-    clock to ``when`` and calls ``func(*args)``.  An :class:`Event` is
-    queued as its own ``_fire``; a scheduled call is queued as itself.
+    clock to ``when`` and calls ``func(*args)``.
 
     The queue is a binary heap; ties resolve by scheduling id.
     """
@@ -212,6 +65,7 @@ class Environment:
         # ``benchmarks/lab/workloads.py`` passes ``scheduler="heap"`` on
         # every ``*_des`` build and ``benchmarks/lab/child.py`` probes
         # ``"calendar"`` expecting :class:`SimulationError` once it is gone.
+        # ROADMAP's lab-upkeep items (4)-(5) remove it.
         if scheduler != "heap":
             raise SimulationError(
                 f"unknown scheduler {scheduler!r}; the event queue is a heap")
@@ -235,29 +89,14 @@ class Environment:
         queued, so the pop loop carries no bookkeeping of its own."""
         return self._eid - len(self._queue)
 
-    # -- factory helpers ----------------------------------------------------
-    def event(self) -> Event:
-        """Create a new pending event."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` microseconds from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: Generator) -> Process:
-        """Register a generator as a new simulation process."""
-        return Process(self, generator)
-
     def call_later(self, delay: float, func: Callable[..., Any],
                    *args: Any) -> None:
         """Call ``func(*args)`` once, ``delay`` microseconds from now.
 
-        One queue entry and nothing else -- no :class:`Event`, no
-        generator -- so there is nothing to return, join or cancel.  Use
-        it (or :meth:`call_at`) for a delay nobody waits on and for the
-        steps of a state machine; use :meth:`process` for anything that
-        waits on other events.  An exception ``func`` raises surfaces
-        from :meth:`step`.
+        One queue entry and nothing else, so there is nothing to return,
+        join or cancel.  A component that waits schedules its next step
+        here (or with :meth:`call_at`).  An exception ``func`` raises
+        surfaces from :meth:`step` / :meth:`run`.
         """
         if delay < 0:
             raise SimulationError(f"negative call_later delay: {delay!r}")
@@ -280,13 +119,16 @@ class Environment:
         self._eid += 1
         self._push((when, self._eid, func, args))
 
-    # -- scheduling ---------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if event._scheduled:
-            return
-        event._scheduled = True
-        self._eid += 1
-        self._push((self._now + delay, self._eid, event._fire, ()))
+    def timeout(self, delay: float) -> None:
+        """Queue one no-op entry ``delay`` microseconds from now.
+
+        Kept only for the performance lab, which this repo's PRs may not
+        edit: its bare-engine probe (``benchmarks/lab/layers.py:93``)
+        times ``env.timeout`` through an empty environment.  ROADMAP's
+        lab-upkeep items (4)-(5) restate that probe over
+        :meth:`call_later` and remove this.
+        """
+        self.call_later(delay, _nothing)
 
     def _push_tracked(self, entry: tuple) -> None:
         """Push plus the queue-depth watermark (``track_stats=True``)."""

@@ -348,22 +348,19 @@ class Sampler:
 
     # ------------------------------------------------------------- DES
     def arm(self, env: Environment) -> None:
-        """Schedule the sampler as a periodic DES event.
+        """Schedule the sampler as a periodic DES call.
 
-        The process retires when nothing else is scheduled (the run is
-        over), so arming never prevents ``env.run()`` from draining.
+        Each tick samples, then re-arms one window later -- unless
+        nothing else is scheduled (the run is over), in which case it
+        retires, so arming never prevents ``env.run()`` from draining.
         """
         if self.armed:
             return
         self.armed = True
         self._window_start = env.now
-        env.process(self._run(env))
+        env.call_later(self.window_us, self._tick, env)
 
-    def _run(self, env: Environment):
-        while True:
-            yield env.timeout(self.window_us)
-            self.sample(env.now)
-            if env.peek() == float("inf"):
-                # We were the only activity left; every other process is
-                # blocked on events nobody will trigger.  Retire.
-                return
+    def _tick(self, env: Environment) -> None:
+        self.sample(env.now)
+        if env.peek() != float("inf"):
+            env.call_later(self.window_us, self._tick, env)

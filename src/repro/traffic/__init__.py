@@ -6,6 +6,7 @@ from .generator import (
     FlowGenerator,
     PacketSizeDistribution,
     TrafficSource,
+    feed_list,
 )
 from .shapes import (
     BurstTrainShape,
@@ -21,6 +22,7 @@ __all__ = [
     "DATACENTER_MIX",
     "FlowGenerator",
     "TrafficSource",
+    "feed_list",
     "LoadShape",
     "ConstantShape",
     "DiurnalShape",

@@ -9,8 +9,10 @@ pieces:
   in data centers is around 724 bytes", §4.2 / §6.4);
 * :class:`FlowGenerator` -- deterministic, seeded packet factories over
   a set of synthetic flows;
-* :class:`TrafficSource` -- a DES process injecting packets into a
-  server at a configured rate, with deterministic or Poisson arrivals.
+* :class:`TrafficSource` -- a chain of scheduled DES calls injecting
+  packets into a server at a configured rate, with deterministic or
+  Poisson arrivals; :func:`feed_list` injects a fixed list at a fixed
+  gap the same way.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 import bisect
 import random
 from struct import pack_into
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .shapes import LoadShape
@@ -35,6 +37,7 @@ __all__ = [
     "DATACENTER_MIX",
     "FlowGenerator",
     "TrafficSource",
+    "feed_list",
 ]
 
 #: Minimum frame we generate: headers only (Eth+IP+TCP = 54) padded to 64.
@@ -259,7 +262,8 @@ class TrafficSource:
         self.shape = shape
         self.offered = 0
         self._rng = random.Random(seed)
-        self.done = env.process(self._run())
+        self._remaining = count
+        env.call_later(0.0, self._burst)
 
     def _gap_for_burst(self, burst: int) -> float:
         if self.shape is not None:
@@ -267,20 +271,44 @@ class TrafficSource:
             return burst / rate
         return self.gap_us * burst
 
-    def _run(self):
-        remaining = self.count
-        while remaining > 0:
-            burst = min(self.burst, remaining)
-            for _ in range(burst):
-                pkt = self.flows.next_packet()
-                pkt.ingress_us = self.env.now
-                self.offered += 1
-                self.inject(pkt)
-            remaining -= burst
-            mean_gap = self._gap_for_burst(burst)
-            gap = (
-                self._rng.expovariate(1.0 / mean_gap)
-                if self.poisson
-                else mean_gap
-            )
-            yield self.env.timeout(gap)
+    def _burst(self) -> None:
+        """Inject one burst, then schedule the next a drawn gap later.
+
+        The call after the last burst finds nothing left to send; its gap
+        was still drawn, so the run's last instant and the random stream
+        are what they would be for a longer source cut at ``count``.
+        """
+        remaining = self._remaining
+        if remaining <= 0:
+            return
+        env = self.env
+        burst = min(self.burst, remaining)
+        for _ in range(burst):
+            pkt = self.flows.next_packet()
+            pkt.ingress_us = env.now
+            self.offered += 1
+            self.inject(pkt)
+        self._remaining = remaining - burst
+        mean_gap = self._gap_for_burst(burst)
+        gap = (
+            self._rng.expovariate(1.0 / mean_gap)
+            if self.poisson
+            else mean_gap
+        )
+        env.call_later(gap, self._burst)
+
+
+def feed_list(env: Environment, inject: Callable[[Any], None],
+              items: Sequence[Any], gap_us: float) -> None:
+    """Inject ``items`` in order, ``gap_us`` apart, from a zero-delay call.
+
+    The fixed-stream counterpart of :class:`TrafficSource` (a fuzz case's
+    packets, a test's frames): each call injects one item and schedules
+    the next a gap later, and the call after the last item does nothing.
+    """
+    def step(index: int) -> None:
+        if index < len(items):
+            inject(items[index])
+            env.call_later(gap_us, step, index + 1)
+
+    env.call_later(0.0, step, 0)

@@ -139,9 +139,11 @@ class _LockstepHarness:
         """Execute the server's live rescale and mirror it on the bank
         through the same public handover hooks, same sorted key order."""
         old = len(self.oracle.banks)
-        proc = self.server.request_rescale(self.scaled_nf, count)
+        finished = []
+        record = self.server.request_rescale(self.scaled_nf, count,
+                                             on_done=finished.append)
         self.env.run()
-        assert proc.value is not None and not proc.value["aborted"]
+        assert finished == [record] and not record["aborted"]
 
         if count > old:
             shared = [s for s in (self._bank_nf(k).export_shared_state()
@@ -215,13 +217,11 @@ def test_per_flow_order_preserved_across_live_rescales():
     TrafficSource(env, server.inject, 0.8, 4000, flows=flows, seed=5,
                   shape=shape)
 
-    def controller():
-        yield env.timeout(900.0)
-        yield server.request_rescale("vpn", 3)
-        yield env.timeout(1500.0)
-        yield server.request_rescale("vpn", 1)
+    def scale_down(_record):
+        env.call_later(1500.0, server.request_rescale, "vpn", 1)
 
-    env.process(controller())
+    env.call_later(900.0, lambda: server.request_rescale(
+        "vpn", 3, on_done=scale_down))
     env.run()
 
     assert [e["to"] for e in server.scale_events] == [3, 1]
@@ -235,6 +235,21 @@ def test_per_flow_order_preserved_across_live_rescales():
     assert server.conservation_report()["unaccounted"] == 0
 
 
+@pytest.mark.parametrize("name,count", [("ids", 2), ("nat", 0)])
+def test_request_rescale_rejects_bad_arguments_at_the_call(name, count):
+    """An unknown group or a count below 1 raises where the change is
+    requested, and nothing is queued for a later ``env.run()`` to
+    surface it from."""
+    env = Environment()
+    server = NFPServer(env, DEFAULT_PARAMS)
+    server.deploy(deployed_from_graph(as_graph(["nat"])))
+    with pytest.raises(ValueError):
+        server.request_rescale(name, count)
+    assert env.peek() == float("inf")
+    env.run()
+    assert server.scale_events == []
+
+
 def test_scale_down_retires_runtimes_cleanly():
     env = Environment()
     server = NFPServer(env, DEFAULT_PARAMS, telemetry=TelemetryHub())
@@ -245,11 +260,7 @@ def test_scale_down_retires_runtimes_cleanly():
     flows = FlowGenerator(num_flows=48, seed=9)
     TrafficSource(env, server.inject, 1.0, 1500, flows=flows, seed=9)
 
-    def controller():
-        yield env.timeout(600.0)
-        yield server.request_rescale("vpn", 1)
-
-    env.process(controller())
+    env.call_later(600.0, server.request_rescale, "vpn", 1)
     group = server.runtimes["vpn"]
     doomed = group.instances[1:]
     env.run()
@@ -328,17 +339,9 @@ def test_rescale_barrier_sees_the_burst_the_classifier_holds(
                                        src_port=4000 + flow,
                                        dst_port=9000 + flow, size=64))
 
-    def traffic():
-        burst()
-        yield env.timeout(1000.0)
-        burst()
-
-    def controller():
-        yield env.timeout(request_us)
-        yield server.request_rescale("nat", 2)
-
-    env.process(traffic())
-    env.process(controller())
+    env.call_later(0.0, burst)
+    env.call_later(1000.0, burst)
+    env.call_later(request_us, server.request_rescale, "nat", 2)
     env.run()
 
     (event,) = server.scale_events

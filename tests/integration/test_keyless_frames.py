@@ -19,6 +19,7 @@ from repro.core import Orchestrator, Policy
 from repro.dataplane import FunctionalDataplane, NFPServer
 from repro.net import Packet, build_packet
 from repro.sim import DEFAULT_PARAMS, Environment
+from repro.traffic import feed_list
 
 CHAIN = ["firewall", "monitor", "loadbalancer"]
 GAP_US = 5.0
@@ -45,12 +46,8 @@ def _functional(instances):
 
 
 def _feed(env, server):
-    def feed():
-        for buf in _frames():
-            server.inject(Packet(bytearray(buf)))
-            yield env.timeout(GAP_US)
-
-    env.process(feed())
+    feed_list(env, server.inject, [Packet(bytearray(buf)) for buf in _frames()],
+              GAP_US)
     env.run()
 
 

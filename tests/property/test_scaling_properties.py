@@ -18,6 +18,7 @@ from repro.dataplane import NFPServer, key_digest, packet_key, pick_instance
 from repro.net.packet import build_packet
 from repro.nfs.base import create_nf
 from repro.sim import DEFAULT_PARAMS, Environment
+from repro.traffic import feed_list
 
 #: Chains whose NFs never rewrite the 5-tuple, so the classifier-time
 #: flow key is recoverable from any packet seen mid-chain.
@@ -73,12 +74,7 @@ def _run_chain(chain, packets, instances, nf_log=None):
     server.deploy(Orchestrator().deploy(Policy.from_chain(chain)),
                   scale={name: instances for name in chain})
 
-    def feed():
-        for pkt in packets:
-            server.inject(pkt)
-            yield env.timeout(GAP_US)
-
-    env.process(feed())
+    feed_list(env, server.inject, packets, GAP_US)
     env.run()
     assert server.lost == 0
     return [pkt.ipv4.identification for pkt in server.emitted_packets]

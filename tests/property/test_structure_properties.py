@@ -68,13 +68,8 @@ def test_aho_corasick_matches_naive_search(patterns, haystack):
 def test_engine_fires_events_in_time_order(delays):
     env = Environment()
     fired = []
-
-    def proc(delay):
-        yield env.timeout(delay)
-        fired.append(env.now)
-
     for delay in delays:
-        env.process(proc(delay))
+        env.call_later(delay, lambda: fired.append(env.now))
     env.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
@@ -89,12 +84,12 @@ def test_engine_chained_timeouts_accumulate(seed):
     env = Environment()
     observed = []
 
-    def proc():
-        for delay in delays:
-            yield env.timeout(delay)
-            observed.append(env.now)
+    def step(index):
+        observed.append(env.now)
+        if index + 1 < len(delays):
+            env.call_later(delays[index + 1], step, index + 1)
 
-    env.process(proc())
+    env.call_later(delays[0], step, 0)
     env.run()
     total = 0.0
     for delay, at in zip(delays, observed):

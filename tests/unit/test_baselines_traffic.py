@@ -13,19 +13,16 @@ from repro.traffic import (
     FlowGenerator,
     PacketSizeDistribution,
     TrafficSource,
+    feed_list,
 )
 from repro.nfs import AclRule, Firewall
 
 
 def drive(env, server, count=40, gap=1.0, size=64):
-    def gen():
-        for i in range(count):
-            server.inject(build_packet(src_ip=f"10.0.0.{i % 9 + 1}",
-                                       src_port=2000 + i, size=size,
-                                       identification=i))
-            yield env.timeout(gap)
-
-    env.process(gen())
+    packets = [build_packet(src_ip=f"10.0.0.{i % 9 + 1}", src_port=2000 + i,
+                            size=size, identification=i)
+               for i in range(count)]
+    feed_list(env, server.inject, packets, gap)
     env.run()
 
 
@@ -121,12 +118,7 @@ def test_bess_drop_inside_chain():
     server = BessServer(env, DEFAULT_PARAMS, ["ips", "monitor"], num_cores=1)
     sig = server.cores[0].nfs[0].engine.patterns[0]
 
-    def gen():
-        pkt = build_packet(size=256, payload=sig)
-        server.inject(pkt)
-        yield env.timeout(1.0)
-
-    env.process(gen())
+    server.inject(build_packet(size=256, payload=sig))
     env.run()
     assert server.nil_dropped == 1
     assert server.rate.delivered == 0

@@ -9,6 +9,7 @@ from repro.eval import deployed_from_graph, forced_parallel, forced_sequential
 from repro.net import build_packet
 from repro.sim import DEFAULT_PARAMS, Environment
 from repro.nfs import AclRule, Firewall, create_nf
+from repro.traffic import feed_list
 
 
 def make_server(target, num_mergers=1, nf_factory=None):
@@ -24,14 +25,10 @@ def make_server(target, num_mergers=1, nf_factory=None):
 
 
 def drive(env, server, count=50, gap=1.0, size=64, payload=b""):
-    def gen():
-        for i in range(count):
-            pkt = build_packet(src_ip=f"10.0.0.{i % 10 + 1}", src_port=1000 + i,
-                               size=size, payload=payload, identification=i)
-            server.inject(pkt)
-            yield env.timeout(gap)
-
-    env.process(gen())
+    packets = [build_packet(src_ip=f"10.0.0.{i % 10 + 1}", src_port=1000 + i,
+                            size=size, payload=payload, identification=i)
+               for i in range(count)]
+    feed_list(env, server.inject, packets, gap)
     env.run()
 
 

@@ -17,6 +17,7 @@ from repro.dataplane import FlowCache, FlowDecision, NFPServer, packet_key
 from repro.net.packet import build_packet
 from repro.sim import DEFAULT_PARAMS, Environment
 from repro.telemetry import TelemetryHub
+from repro.traffic import feed_list
 
 GAP_US = 25.0
 
@@ -33,12 +34,7 @@ def _serve(packets, flow_cache_size=16, hub=None, chain=("monitor",)):
                        flow_cache_size=flow_cache_size)
     server.deploy(Orchestrator().deploy(Policy.from_chain(list(chain))))
 
-    def feed():
-        for pkt in packets:
-            server.inject(pkt)
-            yield env.timeout(GAP_US)
-
-    env.process(feed())
+    feed_list(env, server.inject, packets, GAP_US)
     env.run()
     return server
 
@@ -116,11 +112,11 @@ def test_reinstall_invalidates_cache_and_forces_reclassify():
     cache = server.flow_cache
 
     def feed(idents):
-        for ident in idents:
-            server.inject(_flow_packet(flow=0, ident=ident))
-            yield env.timeout(GAP_US)
+        feed_list(env, server.inject,
+                  [_flow_packet(flow=0, ident=ident) for ident in idents],
+                  GAP_US)
 
-    env.process(feed([1, 2]))
+    feed([1, 2])
     env.run()
     assert cache.misses == 1 and cache.hits == 1
     assert len(cache) == 1
@@ -136,7 +132,7 @@ def test_reinstall_invalidates_cache_and_forces_reclassify():
     assert cache.invalidations == 2  # deploy + reinstall
 
     server.emitted_packets.clear()
-    env.process(feed([3]))
+    feed([3])
     env.run()
     # The repeat flow re-classified (miss, not a stale hit) and came out
     # tagged with the *new* MID.

@@ -7,6 +7,7 @@ from repro.dataplane import NFPServer
 from repro.net import PROTO_TCP, PROTO_UDP, build_packet
 from repro.net.packet import encode_flow_key as key
 from repro.sim import DEFAULT_PARAMS, Environment
+from repro.traffic import feed_list
 
 
 def test_flow_match_prefixes():
@@ -49,14 +50,9 @@ def test_classifier_routes_flows_by_predicate():
     server.deploy(web)
     server.deploy(rest)
 
-    def gen():
-        for i in range(20):
-            port = 80 if i % 2 == 0 else 443
-            server.inject(build_packet(src_port=4000 + i, dst_port=port,
-                                       size=64, identification=i))
-            yield env.timeout(1.0)
-
-    env.process(gen())
+    packets = [build_packet(src_port=4000 + i, dst_port=80 if i % 2 == 0 else 443,
+                            size=64, identification=i) for i in range(20)]
+    feed_list(env, server.inject, packets, 1.0)
     env.run()
     assert server.rate.delivered == 20
     # Port-80 flows traversed the web graph; others the rest graph.

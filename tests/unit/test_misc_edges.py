@@ -12,24 +12,9 @@ from repro.sim import Environment, SimulationError
 
 
 # ------------------------------------------------------------------ engine
-def test_event_fail_requires_exception():
-    env = Environment()
-    with pytest.raises(TypeError):
-        env.event().fail("not an exception")
-
-
 def test_step_on_empty_queue():
     with pytest.raises(SimulationError):
         Environment().step()
-
-
-def test_pending_event_value_access_rejected():
-    env = Environment()
-    event = env.event()
-    with pytest.raises(SimulationError):
-        _ = event.value
-    with pytest.raises(SimulationError):
-        _ = event.ok
 
 
 # -------------------------------------------------------------------- pcap

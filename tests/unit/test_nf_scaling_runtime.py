@@ -7,7 +7,7 @@ from repro.dataplane import NFPServer
 from repro.eval import deployed_from_graph, forced_sequential
 from repro.net import build_packet
 from repro.sim import DEFAULT_PARAMS, Environment
-from repro.traffic import FlowGenerator, TrafficSource
+from repro.traffic import FlowGenerator, TrafficSource, feed_list
 
 
 def scaled_server(chain, scale, num_flows=32):
@@ -74,13 +74,9 @@ def test_scaled_parallel_graph_still_correct():
     env, server = scaled_server(["firewall", "monitor"], {"monitor": 2})
     server.keep_packets = True
 
-    def gen():
-        for i in range(30):
-            server.inject(build_packet(src_ip=f"10.0.0.{i % 6 + 1}",
-                                       src_port=i, size=64, identification=i))
-            yield env.timeout(1.0)
-
-    env.process(gen())
+    packets = [build_packet(src_ip=f"10.0.0.{i % 6 + 1}", src_port=i,
+                            size=64, identification=i) for i in range(30)]
+    feed_list(env, server.inject, packets, 1.0)
     env.run()
     assert server.rate.delivered == 30
     group = server.runtimes["monitor"]

@@ -42,21 +42,16 @@ def _held_ring(env, free_at_us=None):
         landed.append((env.now, item))
 
     def free():
-        yield env.timeout(free_at_us)
         assert ring.get_batch(1) == ["blocker"]
         ring.wait(note)
 
     if free_at_us is not None:
-        env.process(free())
+        env.call_later(free_at_us, free)
     return ring, landed
 
 
 def _post_later(env, server, ring, pkt):
-    def poster():
-        yield env.timeout(POST_AT_US)
-        server._post(ring, pkt, env.now)
-
-    env.process(poster())
+    env.call_later(POST_AT_US, lambda: server._post(ring, pkt, env.now))
 
 
 @pytest.mark.parametrize("retries", [0, 1, 2])
@@ -142,14 +137,13 @@ def test_delivery_to_a_down_instance_is_diverted_not_retried():
     server.inject(build_packet(size=128))
 
     def crash():
-        # After the classifier posted (nic_io_us + a sub-microsecond
-        # tag), before the reference lands batch_wait_us later.
-        yield env.timeout(params.nic_io_us + params.batch_wait_us / 2.0)
         assert len(server._flight) == 1
         server.injector.on_packet("monitor", env.now)
         assert server.injector.is_down("monitor")
 
-    env.process(crash())
+    # After the classifier posted (nic_io_us + a sub-microsecond tag),
+    # before the reference lands batch_wait_us later.
+    env.call_later(params.nic_io_us + params.batch_wait_us / 2.0, crash)
     env.run()
 
     assert hub.registry.counter_value("faults.aborted_packets") == 1
@@ -174,17 +168,16 @@ def test_instance_that_goes_down_between_landing_and_retry_is_not_diverted():
     server.inject(build_packet(size=128))
 
     def crash():
-        # Half a backoff after the first landing (nic_io_us, a
-        # sub-microsecond tag, then batch_wait_us): the first retry is
-        # already armed, neither retry has run.
-        yield env.timeout(params.nic_io_us + params.batch_wait_us
-                          + BACKOFF_US / 2.0)
         assert hub.registry.counter_value("ring.retry") == 1
         assert len(server._flight) == 1
         server.injector.on_packet("monitor", env.now)
         assert server.injector.is_down("monitor")
 
-    env.process(crash())
+    # Half a backoff after the first landing (nic_io_us, a sub-microsecond
+    # tag, then batch_wait_us): the first retry is already armed, neither
+    # retry has run.
+    env.call_later(params.nic_io_us + params.batch_wait_us + BACKOFF_US / 2.0,
+                   crash)
     env.run()
 
     assert hub.registry.counter_value("ring.retry") == 2

@@ -42,12 +42,8 @@ def test_ring_blocking_get_wakes_consumer():
     ring = Ring(env, capacity=4)
     got = []
 
-    def producer():
-        yield env.timeout(3.0)
-        ring.put("pkt")
-
     ring.wait(lambda item: got.append((env.now, item)))
-    env.process(producer())
+    env.call_later(3.0, ring.put, "pkt")
     env.run()
     assert got == [(3.0, "pkt")]
 

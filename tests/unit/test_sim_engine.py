@@ -15,28 +15,16 @@ def test_timeout_advances_clock():
     env = Environment()
     seen = []
 
-    def proc():
-        yield env.timeout(5.0)
-        seen.append(env.now)
-        yield env.timeout(2.5)
+    def second():
         seen.append(env.now)
 
-    env.process(proc())
+    def first():
+        seen.append(env.now)
+        env.call_later(2.5, second)
+
+    env.call_later(5.0, first)
     env.run()
     assert seen == [5.0, 7.5]
-
-
-def test_timeout_carries_value():
-    env = Environment()
-    got = []
-
-    def proc():
-        value = yield env.timeout(1.0, value="payload")
-        got.append(value)
-
-    env.process(proc())
-    env.run()
-    assert got == ["payload"]
 
 
 def test_negative_timeout_rejected():
@@ -48,14 +36,9 @@ def test_negative_timeout_rejected():
 def test_processes_interleave_in_time_order():
     env = Environment()
     order = []
-
-    def proc(name, delay):
-        yield env.timeout(delay)
-        order.append(name)
-
-    env.process(proc("b", 2.0))
-    env.process(proc("a", 1.0))
-    env.process(proc("c", 3.0))
+    env.call_later(2.0, order.append, "b")
+    env.call_later(1.0, order.append, "a")
+    env.call_later(3.0, order.append, "c")
     env.run()
     assert order == ["a", "b", "c"]
 
@@ -63,104 +46,34 @@ def test_processes_interleave_in_time_order():
 def test_simultaneous_events_fifo():
     env = Environment()
     order = []
-
-    def proc(name):
-        yield env.timeout(1.0)
-        order.append(name)
-
     for name in ("x", "y", "z"):
-        env.process(proc(name))
+        env.call_later(1.0, order.append, name)
     env.run()
     assert order == ["x", "y", "z"]
-
-
-def test_process_is_event_joinable():
-    env = Environment()
-    log = []
-
-    def child():
-        yield env.timeout(3.0)
-        return "result"
-
-    def parent():
-        value = yield env.process(child())
-        log.append((env.now, value))
-
-    env.process(parent())
-    env.run()
-    assert log == [(3.0, "result")]
-
-
-def test_manual_event_succeed():
-    env = Environment()
-    log = []
-    gate = env.event()
-
-    def waiter():
-        value = yield gate
-        log.append((env.now, value))
-
-    def opener():
-        yield env.timeout(4.0)
-        gate.succeed(42)
-
-    env.process(waiter())
-    env.process(opener())
-    env.run()
-    assert log == [(4.0, 42)]
-
-
-def test_event_cannot_trigger_twice():
-    env = Environment()
-    event = env.event()
-    event.succeed(1)
-    with pytest.raises(SimulationError):
-        event.succeed(2)
-
-
-def test_event_fail_raises_in_waiter():
-    env = Environment()
-    caught = []
-    gate = env.event()
-
-    def waiter():
-        try:
-            yield gate
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    def failer():
-        yield env.timeout(1.0)
-        gate.fail(RuntimeError("boom"))
-
-    env.process(waiter())
-    env.process(failer())
-    env.run()
-    assert caught == ["boom"]
 
 
 def test_unhandled_process_exception_propagates():
     env = Environment()
 
     def bad():
-        yield env.timeout(1.0)
         raise ValueError("kaput")
 
-    env.process(bad())
+    env.call_later(1.0, bad)
     with pytest.raises(ValueError, match="kaput"):
         env.run()
+    assert env.now == 1.0
 
 
 def test_run_until_pauses_clock():
     env = Environment()
     seen = []
 
-    def proc():
-        for _ in range(10):
-            yield env.timeout(1.0)
-            seen.append(env.now)
+    def tick(left):
+        seen.append(env.now)
+        if left:
+            env.call_later(1.0, tick, left - 1)
 
-    env.process(proc())
+    env.call_later(1.0, tick, 9)
     env.run(until=3.5)
     assert env.now == 3.5
     assert seen == [1.0, 2.0, 3.0]
@@ -184,25 +97,22 @@ def test_the_scheduler_keyword_accepts_only_the_heap():
         Environment(scheduler="calendar")
 
 
-def test_yield_non_event_rejected():
+def test_the_timeout_stub_is_one_no_op_entry():
+    # The performance lab's bare-engine probe times env.timeout through an
+    # empty environment: one queue entry, nothing returned, no negatives.
     env = Environment()
-
-    def bad():
-        yield 42
-
-    env.process(bad())
+    assert env.timeout(2.0) is None
+    assert len(env._queue) == 1 and env.peek() == 2.0
+    env.run()
+    assert env.now == 2.0 and env.events_processed == 1
     with pytest.raises(SimulationError):
-        env.run()
+        env.timeout(-0.5)
 
 
 def test_peek_reports_next_event_time():
     env = Environment()
-
-    def proc():
-        yield env.timeout(7.0)
-
-    env.process(proc())
-    env.step()  # bootstrap event at t=0
+    env.call_later(0.0, env.call_later, 7.0, int)
+    env.step()  # the zero-delay call schedules the next one at t=7
     assert env.peek() == 7.0
     env.run()
     assert env.peek() == float("inf")
@@ -216,7 +126,7 @@ def test_call_later_is_one_event_calling_once_with_its_arguments():
     assert env.peek() == 3.0 and calls == []
     env.run()
     assert calls == [(3.0, ("a", 2))]
-    # No bootstrap, no completion, no Event: one queue entry is all.
+    # One queue entry is all.
     assert env.events_processed == 1
 
 
@@ -225,7 +135,7 @@ def test_call_later_keeps_scheduling_order_among_ties():
     order = []
     for tag in "abc":
         env.call_later(1.0, order.append, tag)
-    env.timeout(1.0).callbacks.append(lambda _event: order.append("d"))
+    env.call_at(1.0, order.append, "d")
     env.run()
     assert order == ["a", "b", "c", "d"]
 
@@ -293,11 +203,11 @@ def test_call_at_ties_resolve_in_scheduling_order():
     order = []
     env.call_at(2.0, order.append, "at-1")
     env.call_later(2.0, order.append, "later-2")
-    env.timeout(2.0).callbacks.append(lambda _event: order.append("timeout-3"))
+    env.call_later(2.0, order.append, "later-3")
     env.call_at(2.0, order.append, "at-4")
     env.call_at(1.0, order.append, "earlier")
     env.run()
-    assert order == ["earlier", "at-1", "later-2", "timeout-3", "at-4"]
+    assert order == ["earlier", "at-1", "later-2", "later-3", "at-4"]
 
 
 def test_exception_in_a_call_at_surfaces_from_step():
@@ -334,19 +244,19 @@ def test_events_processed_is_scheduled_minus_queued_without_warnings():
         assert env.events_processed == 0
         during = []
 
-        def proc():
-            for _ in range(3):
-                yield env.timeout(1.0)
-                during.append(env.events_processed)
+        def tick(left):
+            during.append(env.events_processed)
+            if left:
+                env.call_later(1.0, tick, left - 1)
 
-        env.process(proc())          # bootstrap: 1 scheduled, 1 queued
+        env.call_later(1.0, tick, 2)     # 1 scheduled, 1 queued
         env.call_later(10.0, during.append, "late")
         assert env.events_processed == 0 and len(env._queue) == 2
         env.run(until=5.0)
-        # Each reading follows the bootstrap and the timeouts popped so
-        # far; the process's completion event is popped after the third.
-        assert during == [2, 3, 4]
-        assert env.events_processed == 5 and len(env._queue) == 1
+        # A reading inside a call counts that call as popped: each tick
+        # queues the next one before the following reading.
+        assert during == [1, 2, 3]
+        assert env.events_processed == 3 and len(env._queue) == 1
         env.run()
         assert during[-1] == "late"
-        assert env.events_processed == 6 and len(env._queue) == 0
+        assert env.events_processed == 4 and len(env._queue) == 0

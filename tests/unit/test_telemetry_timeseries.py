@@ -132,12 +132,8 @@ def test_sampler_armed_on_des_env_samples_and_retires():
     sampler = Sampler(hub, window_us=10.0)
     sampler.arm(env)
 
-    def workload():
-        for _ in range(5):
-            yield env.timeout(7.0)
-            hub.inc("work.done")
-
-    env.process(workload())
+    for k in range(1, 6):
+        env.call_later(7.0 * k, hub.inc, "work.done")
     env.run()  # must drain: the armed sampler retires with the queue
     assert sampler.series.total("work.done") == 5
     # Windows carry DES timestamps on 10us boundaries.
