@@ -162,8 +162,6 @@ class Packet:
         "nil",
         "uid",
         "ingress_us",
-        "trace",
-        "timeline",
         "recorder",
     )
 
@@ -185,21 +183,11 @@ class Packet:
         #: Negative until a traffic source or NIC stamps it: 0.0 is a
         #: legal model time and cannot also mean "unset".
         self.ingress_us = -1.0
-        #: Names of NFs that processed this packet, for tests/debugging.
-        self.trace: list = []
-        #: Optional (label, timestamp) checkpoints recorded by the DES
-        #: when timeline instrumentation is enabled.
-        self.timeline: Optional[list] = None
         #: Opt-in :class:`~repro.net.recorder.AccessRecorder`.  ``None``
         #: (the default) keeps the hot path untouched: every view
         #: property pays exactly one ``is None`` check and returns the
         #: plain view classes.
         self.recorder = None
-
-    def stamp(self, label: str, now_us: float) -> None:
-        """Record a timeline checkpoint (no-op unless enabled)."""
-        if self.timeline is not None:
-            self.timeline.append((label, now_us))
 
     # ------------------------------------------------------------ views
     @property

@@ -107,8 +107,6 @@ class NetworkFunction:
                 rec.exit()
         if ctx.dropped:
             self.dropped_packets += 1
-        else:
-            pkt.trace.append(self.name)
         hub = self.telemetry
         if hub.enabled:
             hub.inc(self._rx_metric)

@@ -48,8 +48,8 @@ def _attempt(generator):
 
 
 def _same_defaults(got, want):
-    for attr in ("wire_len", "nil", "ingress_us", "trace", "timeline",
-                 "meta", "is_header_copy", "recorder"):
+    for attr in ("wire_len", "nil", "ingress_us", "meta", "is_header_copy",
+                 "recorder"):
         assert getattr(got, attr) == getattr(want, attr), attr
 
 

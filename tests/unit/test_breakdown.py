@@ -3,10 +3,7 @@
 import pytest
 
 from repro.core import Orchestrator, Policy
-from repro.dataplane import NFPServer
-from repro.eval import deployed_from_graph, latency_breakdown, measure_nfp
-from repro.sim import DEFAULT_PARAMS, Environment
-from repro.traffic import FlowGenerator, TrafficSource
+from repro.eval import latency_breakdown, measure_nfp
 
 
 def test_segments_cover_the_whole_path():
@@ -44,14 +41,3 @@ def test_shares_sum_to_one():
     )
     assert "LatencyBreakdown" in str(breakdown)
     assert len(breakdown.rows()) == len(breakdown.segments)
-
-
-def test_timeline_disabled_by_default():
-    env = Environment()
-    server = NFPServer(env, DEFAULT_PARAMS)
-    server.deploy(Orchestrator().deploy(Policy.from_chain(["firewall"])))
-    server.keep_packets = True
-    TrafficSource(env, server.inject, 0.5, 10,
-                  flows=FlowGenerator(num_flows=2), poisson=False)
-    env.run()
-    assert all(p.timeline is None for p in server.emitted_packets)

@@ -61,12 +61,3 @@ def test_payload_of_payloadless_packet_is_empty():
     assert pkt.payload == bytes(64 - 54)
     small = build_packet(size=54)
     assert small.payload == b""
-
-
-def test_stamp_noop_without_timeline():
-    pkt = build_packet(size=64)
-    pkt.stamp("anything", 1.0)  # must not raise
-    assert pkt.timeline is None
-    pkt.timeline = []
-    pkt.stamp("x", 2.0)
-    assert pkt.timeline == [("x", 2.0)]

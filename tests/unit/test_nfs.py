@@ -60,14 +60,14 @@ def test_base_class_requires_kind():
         register_nf_class(NoKind)
 
 
-def test_handle_tracks_stats_and_trace():
+def test_handle_tracks_stats():
     mon = Monitor()
     pkt = build_packet(size=64)
-    mon.handle(pkt)
-    assert mon.rx_packets == 1
-    assert pkt.trace == [mon.name]
+    ctx = mon.handle(pkt)
+    assert not ctx.dropped
+    assert (mon.rx_packets, mon.dropped_packets, mon.errors) == (1, 0, 0)
     mon.reset_stats()
-    assert mon.rx_packets == 0
+    assert (mon.rx_packets, mon.dropped_packets, mon.errors) == (0, 0, 0)
 
 
 # -------------------------------------------------------------- forwarder
