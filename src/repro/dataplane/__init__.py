@@ -24,7 +24,8 @@ from .functional import (
     instantiate_nfs,
 )
 from .merging import MergeError, apply_merge_ops
-from .server import FlightState, NFPServer
+from .runtimes import FlightState
+from .server import NFPServer
 
 __all__ = [
     "ChainingManager",

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import CompiledGraph, Orchestrator, Policy
 from repro.dataplane import ChainingManager, NFPServer
-from repro.dataplane.server import FlightState
+from repro.dataplane.runtimes import FlightState
 from repro.eval import deployed_from_graph, forced_parallel, forced_sequential
 from repro.net import build_packet
 from repro.sim import DEFAULT_PARAMS, Environment
