@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .core import Orchestrator, Parallelism, Policy, parse_policy
 from .eval import (
@@ -84,6 +84,24 @@ def _load_policy(args) -> Policy:
         with open(args.policy) as handle:
             return parse_policy(handle.read(), name=args.policy)
     return Policy.from_chain(_chain_from(args))
+
+
+def _spark_row(label: str, values) -> None:
+    """Print one series as a sparkline row; silent when it is all zero."""
+    from .telemetry import sparkline
+
+    values = list(values)
+    if values and any(values):
+        print(f"{label:<24s} {sparkline(values):<60s} peak {max(values):.4g}")
+
+
+def _peaks(series) -> Dict[str, Dict[str, float]]:
+    """Every sampled metric's peak value and the window it fell in."""
+    return {
+        name: {"value": peak[0], "window": peak[1]}
+        for name in series.metric_names()
+        if (peak := series.peak(name)) is not None
+    }
 
 
 def cmd_compile(args) -> int:
@@ -172,11 +190,7 @@ def cmd_measure(args) -> int:
             document["timeseries"] = {
                 "window_us": armed_sampler.window_us,
                 "windows": series.total_windows,
-                "peaks": {
-                    name: {"value": peak[0], "window": peak[1]}
-                    for name in series.metric_names()
-                    if (peak := series.peak(name)) is not None
-                },
+                "peaks": _peaks(series),
             }
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -191,20 +205,13 @@ def cmd_measure(args) -> int:
               f"ring hops: {hub.registry.counter_value('ring.hops')}  "
               f"merged: {hub.registry.counter_value('merger.merged')}")
     if armed_sampler is not None:
-        from .telemetry import sparkline
-
         series = armed_sampler.series
         print(f"\ntime series (first NFP run, "
               f"{series.total_windows} x {armed_sampler.window_us:g} us):")
-        for label, values in (
-            ("tx pkts/window", series.counter_values("tx.packets")),
-            ("p99 latency us", [v for _, v in
-                                series.percentile_series("latency_us", 99)]),
-            ("ring occupancy", series.values("ring.occupancy")),
-        ):
-            if values and any(values):
-                print(f"  {label:<16s} {sparkline(values):<60s} "
-                      f"peak {max(values):.4g}")
+        _spark_row("tx pkts/window", series.counter_values("tx.packets"))
+        _spark_row("p99 latency us", (
+            v for _, v in series.percentile_series("latency_us", 99)))
+        _spark_row("ring occupancy", series.values("ring.occupancy"))
     return 0
 
 
@@ -254,7 +261,6 @@ def cmd_monitor(args) -> int:
         Tracer,
         Watcher,
         critpath_report,
-        sparkline,
         write_prometheus,
     )
 
@@ -304,11 +310,7 @@ def cmd_monitor(args) -> int:
                     for e in watcher.events
                 ],
             },
-            "peaks": {
-                name: {"value": peak[0], "window": peak[1]}
-                for name in series.metric_names()
-                if (peak := series.peak(name)) is not None
-            },
+            "peaks": _peaks(series),
             "critical_path": report.to_dict(),
         }
         print(json.dumps(document, indent=2, sort_keys=True))
@@ -319,22 +321,16 @@ def cmd_monitor(args) -> int:
         for w in series.windows
     ]
 
-    def row(label: str, values) -> None:
-        values = list(values)
-        if not values or not any(values):
-            return
-        print(f"{label:<24s} {sparkline(values):<60s} peak {max(values):.4g}")
-
     print(f"\ngraph   : {graph.describe()}")
     print(f"windows : {series.total_windows} x {sampler.window_us:g} us  "
           f"(p99 {result.latency_p99_us:.1f} us, "
           f"{result.throughput_mpps:.2f} Mpps)")
-    row("tx pkts/window", series.counter_values("tx.packets"))
-    row("p99 latency us", (v for _, v in
-                           series.percentile_series("latency_us", 99)))
-    row("ring occupancy (max)", series.values("ring.occupancy"))
-    row("AT depth", series.values("at.depth"))
-    row("drops/window", drops)
+    _spark_row("tx pkts/window", series.counter_values("tx.packets"))
+    _spark_row("p99 latency us", (
+        v for _, v in series.percentile_series("latency_us", 99)))
+    _spark_row("ring occupancy (max)", series.values("ring.occupancy"))
+    _spark_row("AT depth", series.values("at.depth"))
+    _spark_row("drops/window", drops)
     pinned = hub.registry.counter_value("rss.pinned_flows")
     if pinned:
         print(f"rss.pinned_flows: {pinned} (keyless traffic on instance 0)")
@@ -365,7 +361,7 @@ def cmd_autoscale(args) -> int:
 
     from .autoscale import ScalePolicy
     from .eval.harness import measure_autoscale
-    from .telemetry import TelemetryHub, sparkline
+    from .telemetry import TelemetryHub
     from .traffic import (
         BurstTrainShape,
         ConstantShape,
@@ -463,10 +459,7 @@ def cmd_autoscale(args) -> int:
           f"up[{scale_policy.up_rule}]  down[{scale_policy.down_rule}]")
     print(f"windows : {series.total_windows} x {window_us:g} us  "
           f"(p99 {result.measurement.latency_p99_us:.1f} us)")
-    occupancy = list(series.values("ring.occupancy"))
-    if occupancy and any(occupancy):
-        print(f"{'ring occupancy (max)':<24s} {sparkline(occupancy):<60s} "
-              f"peak {max(occupancy):.4g}")
+    _spark_row("ring occupancy (max)", series.values("ring.occupancy"))
 
     print()
     for event in watcher.events:
