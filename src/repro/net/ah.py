@@ -10,12 +10,19 @@ fields, and stamp/verify the ICV.
 
 from __future__ import annotations
 
+import struct
+
 from .crypto import compute_icv
 from .fields import Field
 from .headers import PROTO_AH, AhView
 from .packet import Packet
 
 __all__ = ["insert_ah", "refresh_icv", "remove_ah", "verify_ah"]
+
+# next header, payload len (header length in 32-bit words minus 2),
+# reserved, SPI, sequence number, and a zero ICV to be stamped in place.
+_AH_HEADER = struct.Struct("!BBHII%dx" % AhView.ICV_LEN)
+_AH_PAYLOAD_LEN = AhView.HEADER_LEN // 4 - 2
 
 
 def insert_ah(pkt: Packet, spi: int, seq: int, icv_key: bytes) -> None:
@@ -25,28 +32,26 @@ def insert_ah(pkt: Packet, spi: int, seq: int, icv_key: bytes) -> None:
     payload that follows the AH, per RFC 4302's spirit.
     """
     ip = pkt.ipv4
-    if ip.protocol == PROTO_AH:
+    buf = pkt.buf
+    l3 = ip.offset
+    next_header = buf[l3 + 9]
+    if next_header == PROTO_AH:
         raise ValueError("packet already carries an AH")
-    ip_end = pkt.l3_offset + ip.header_len
-    next_header = ip.protocol
+    try:
+        header = _AH_HEADER.pack(next_header, _AH_PAYLOAD_LEN, 0, spi, seq)
+    except struct.error:
+        raise ValueError("AH SPI and sequence number must fit in 32 bits") from None
     rec = pkt.recorder
     if rec is not None:
         rec.record("add", Field.AH_HEADER, pkt.uid)
 
-    ah_bytes = bytearray(AhView.HEADER_LEN)
-    pkt.buf[ip_end:ip_end] = ah_bytes  # splice in place
-
-    ip = pkt.ipv4  # re-view after the splice
+    # The splice lands behind the IPv4 header, so ``ip`` stays valid.
+    ip_end = l3 + (buf[l3] & 0x0F) * 4
+    buf[ip_end:ip_end] = header
     ip.protocol = PROTO_AH
     ip.total_length = ip.total_length + AhView.HEADER_LEN
-
-    ah = AhView(pkt.buf, ip_end)
-    ah.next_header = next_header
-    # AH "payload len" = header length in 32-bit words minus 2.
-    ah.payload_len = AhView.HEADER_LEN // 4 - 2
-    ah.spi = spi
-    ah.seq = seq
-    refresh_icv(pkt, icv_key)
+    icv_at = ip_end + 12
+    buf[icv_at : icv_at + AhView.ICV_LEN] = compute_icv(icv_key, _icv_scope(buf, l3, ip_end))
 
     ip.update_checksum()
     pkt.wire_len += AhView.HEADER_LEN
@@ -60,7 +65,7 @@ def refresh_icv(pkt: Packet, icv_key: bytes) -> None:
     :func:`verify_ah` fails.
     """
     ah = pkt.ah
-    ah.icv = compute_icv(icv_key, _icv_scope(pkt, ah.offset))
+    ah.icv = compute_icv(icv_key, _icv_scope(pkt.buf, pkt.l3_offset, ah.offset))
 
 
 def remove_ah(pkt: Packet, icv_key: bytes = b"", verify: bool = False) -> None:
@@ -90,14 +95,11 @@ def verify_ah(pkt: Packet, icv_key: bytes) -> bool:
     ip = pkt.ipv4
     if ip.protocol != PROTO_AH:
         return False
-    ip_end = pkt.l3_offset + ip.header_len
+    ip_end = ip.offset + ip.header_len
     ah = AhView(pkt.buf, ip_end)
-    return ah.icv == compute_icv(icv_key, _icv_scope(pkt, ip_end))
+    return ah.icv == compute_icv(icv_key, _icv_scope(pkt.buf, ip.offset, ip_end))
 
 
-def _icv_scope(pkt: Packet, ip_end: int) -> bytes:
+def _icv_scope(buf: bytearray, l3: int, ip_end: int) -> bytearray:
     """Bytes covered by the ICV: src/dst IPs plus everything after the AH."""
-    l3 = pkt.l3_offset
-    addresses = bytes(pkt.buf[l3 + 12 : l3 + 20])
-    after_ah = bytes(pkt.buf[ip_end + AhView.HEADER_LEN :])
-    return addresses + after_ah
+    return buf[l3 + 12 : l3 + 20] + buf[ip_end + AhView.HEADER_LEN :]

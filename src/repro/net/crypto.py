@@ -1,15 +1,28 @@
-"""T-table AES-128 in CTR mode, for the VPN NF (§6.1: "encrypts a packet
-based on the AES algorithm and wraps it with an AH header").
+"""Lane-parallel AES-128 in CTR mode, for the VPN NF (§6.1: "encrypts a
+packet based on the AES algorithm and wraps it with an AH header").
 
 No third-party crypto is available offline, so this is a stdlib-only,
-test-vector-verified FIPS-197 implementation built for host throughput:
-SubBytes, ShiftRows and MixColumns are folded into four 256-entry 32-bit
-tables derived from the S-box at import, the 44-word key schedule is
-memoised per key, the CTR keystream is generated word-wise for all
-blocks of a payload, and the payload is XORed as one big integer.  The
-byte-wise transcription of the standard lives in
-``tests/support/aes_textbook.py`` as the differential oracle.  Only the
-forward cipher exists here: CTR is its own inverse.  The module also
+test-vector-verified FIPS-197 implementation built for host throughput.
+CTR keystream blocks are independent of each other (NIST SP 800-38A
+§6.5), so the n counter blocks of a payload are packed into one
+128·n-bit integer -- block k in the k-th 16-byte lane, most significant
+first -- and every round runs on all n lanes at once:
+
+* SubBytes is one ``bytes.translate`` of the whole state, and a second
+  translate of the same bytes gives 2·S for MixColumns;
+* ShiftRows is six masked shifts (SubBytes and ShiftRows commute, so
+  it runs first, on one integer instead of two);
+* MixColumns is XORs of the state and its in-column byte rotations;
+* AddRoundKey is one XOR with the round key times the lane-repeat
+  constant (xⁿ−1)/(x−1), x = 2¹²⁸, which copies a 128-bit value into
+  every lane (the row and rotation masks are repeated the same way).
+
+The counter lanes ``nonce ‖ k`` have a closed form too: the block
+numbers n−1−j in lane j sum to (xⁿ − n·x + n − 1)/(x−1)².  The 11
+round keys are memoised per key.  A single block (``Aes128``) is the
+same core at n = 1.  The byte-wise transcription of the standard lives
+in ``tests/support/aes_textbook.py`` as the differential oracle.  Only
+the forward cipher exists here: CTR is its own inverse.  The module also
 provides the truncated-HMAC integrity check value (ICV) stamped into AH.
 
 The simulation charges the *calibrated* VPN service time
@@ -19,11 +32,10 @@ speed only moves the host clock.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import struct
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 __all__ = ["Aes128", "aes_ctr_transform", "compute_icv"]
 
@@ -54,7 +66,6 @@ _SBOX = [
 ]
 
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
-_M32 = 0xFFFFFFFF
 
 #: Bound of the key-schedule memo: distinct keys alive at once are one
 #: per VPN tunnel, a handful in any run.
@@ -67,17 +78,44 @@ def _xtime(a: int) -> int:
     return (a ^ 0x11B) & 0xFF if a & 0x100 else a
 
 
-# Te0[x] is the MixColumns column (2s, s, s, 3s) of s = S-box[x], packed
-# big-endian; Te1..Te3 are its byte rotations (one per state row).
-_TE0 = [(_xtime(s) << 24) | (s << 16) | (s << 8) | (_xtime(s) ^ s) for s in _SBOX]
-_TE1 = [(t >> 8) | ((t & 0xFF) << 24) for t in _TE0]
-_TE2 = [(t >> 8) | ((t & 0xFF) << 24) for t in _TE1]
-_TE3 = [(t >> 8) | ((t & 0xFF) << 24) for t in _TE2]
+# SubBytes as translate tables: S(b), and 2·S(b) for MixColumns.
+_SUB = bytes(_SBOX)
+_SUB2 = bytes(_xtime(s) for s in _SBOX)
+
+_LANE = 1 << 128  # x: one lane up
+_ONE_PER_LANE = bytes(15) + b"\x01"  # one lane of (x^n - 1)/(x - 1)
+
+
+def _pattern(byte_mask: str) -> int:
+    """128-bit mask of the state bytes marked ``x`` (byte 4c + r is row r
+    of column c; columns are separated by spaces)."""
+    return int.from_bytes(bytes(0xFF if ch == "x" else 0
+                                for ch in byte_mask.replace(" ", "")), "big")
+
+
+# Lane masks, in the order _encrypt_lanes unpacks them.  ShiftRows moves
+# row r left by r columns: the columns that stay inside the lane shift
+# up by 32·r bits, the ones that wrap shift down by 128 − 32·r.
+_MASKS = (
+    _pattern("x... x... x... x..."),  # row 0 stays
+    _pattern(".x.. .x.. .x.. ...."),  # row 1, << 32
+    _pattern(".... .... .... .x.."),  # row 1, >> 96
+    _pattern("..x. ..x. .... ...."),  # row 2, << 64
+    _pattern(".... .... ..x. ..x."),  # row 2, >> 64
+    _pattern("...x .... .... ...."),  # row 3, << 96
+    _pattern(".... ...x ...x ...x"),  # row 3, >> 32
+    # In-column rotations: rot2 swaps the column's halves, rot1 moves
+    # rows 1-3 up one and row 0 to the bottom.
+    _pattern("xx.. xx.. xx.. xx.."),
+    _pattern("..xx ..xx ..xx ..xx"),
+    _pattern("xxx. xxx. xxx. xxx."),
+    _pattern("...x ...x ...x ...x"),
+)
 
 
 @lru_cache(maxsize=KEY_SCHEDULE_CACHE_SIZE)
 def _expand_key(key: bytes) -> Tuple[int, ...]:
-    """The 44 big-endian round-key words of a 16-byte key."""
+    """The 11 round keys of a 16-byte key, each a 128-bit integer."""
     if len(key) != 16:
         raise ValueError("AES-128 requires a 16-byte key")
     S = _SBOX
@@ -88,45 +126,35 @@ def _expand_key(key: bytes) -> Tuple[int, ...]:
             temp = ((S[(temp >> 16) & 255] << 24) | (S[(temp >> 8) & 255] << 16)
                     | (S[temp & 255] << 8) | S[temp >> 24]) ^ (_RCON[i // 4 - 1] << 24)
         words.append(words[i - 4] ^ temp)
-    return tuple(words)
+    return tuple((words[i] << 96) | (words[i + 1] << 64) | (words[i + 2] << 32)
+                 | words[i + 3] for i in range(0, 44, 4))
 
 
-def _encrypt_counters(rk: Tuple[int, ...], high: int, low: int, count: int) -> List[int]:
-    """Encrypt the ``count`` blocks ``high || low``, ``high || low+1``, ...
+def _encrypt_lanes(rk: Tuple[int, ...], state: int, blocks: int, rep: int) -> int:
+    """Encrypt the ``blocks`` 16-byte lanes of ``state`` at once.
 
-    ``high`` and ``low`` are the 64-bit halves of the first block; the
-    result is four big-endian words per block.
+    ``rep`` is the lane-repeat constant (x^blocks - 1)/(x - 1).
     """
-    T0, T1, T2, T3, S = _TE0, _TE1, _TE2, _TE3, _SBOX  # locals for the inner loop
-    out: List[int] = []
-    k0, k1, k2, k3 = rk[:4]
-    a0 = (high >> 32) ^ k0
-    a1 = (high & _M32) ^ k1
-    middle = [rk[r : r + 4] for r in range(4, 40, 4)]
-    e0, e1, e2, e3 = rk[40:]
-    for counter in range(low, low + count):
-        s0 = a0
-        s1 = a1
-        s2 = ((counter >> 32) & _M32) ^ k2
-        s3 = (counter & _M32) ^ k3
-        for r0, r1, r2, r3 in middle:
-            t0 = T0[s0 >> 24] ^ T1[(s1 >> 16) & 255] ^ T2[(s2 >> 8) & 255] ^ T3[s3 & 255] ^ r0
-            t1 = T0[s1 >> 24] ^ T1[(s2 >> 16) & 255] ^ T2[(s3 >> 8) & 255] ^ T3[s0 & 255] ^ r1
-            t2 = T0[s2 >> 24] ^ T1[(s3 >> 16) & 255] ^ T2[(s0 >> 8) & 255] ^ T3[s1 & 255] ^ r2
-            s3 = T0[s3 >> 24] ^ T1[(s0 >> 16) & 255] ^ T2[(s1 >> 8) & 255] ^ T3[s2 & 255] ^ r3
-            s0 = t0
-            s1 = t1
-            s2 = t2
-        # Last round has no MixColumns: S-box bytes in ShiftRows order.
-        out.append(((S[s0 >> 24] << 24) | (S[(s1 >> 16) & 255] << 16)
-                    | (S[(s2 >> 8) & 255] << 8) | S[s3 & 255]) ^ e0)
-        out.append(((S[s1 >> 24] << 24) | (S[(s2 >> 16) & 255] << 16)
-                    | (S[(s3 >> 8) & 255] << 8) | S[s0 & 255]) ^ e1)
-        out.append(((S[s2 >> 24] << 24) | (S[(s3 >> 16) & 255] << 16)
-                    | (S[(s0 >> 8) & 255] << 8) | S[s1 & 255]) ^ e2)
-        out.append(((S[s3 >> 24] << 24) | (S[(s0 >> 16) & 255] << 16)
-                    | (S[(s1 >> 8) & 255] << 8) | S[s2 & 255]) ^ e3)
-    return out
+    size = 16 * blocks
+    m0, a1, b1, a2, b2, a3, b3, h16, l16, h24, l8 = [m * rep for m in _MASKS]
+    sub, sub2, from_bytes = _SUB, _SUB2, int.from_bytes
+    state ^= rk[0] * rep
+    for key in rk[1:10]:
+        state = ((state & m0) | ((state << 32) & a1) | ((state >> 96) & b1)
+                 | ((state << 64) & a2) | ((state >> 64) & b2)
+                 | ((state << 96) & a3) | ((state >> 32) & b3))
+        raw = state.to_bytes(size, "big")
+        s = from_bytes(raw.translate(sub), "big")
+        # MixColumns: b_r = 2s_r ^ 3s_(r+1) ^ s_(r+2) ^ s_(r+3)
+        #                 = v ^ rot1(v ^ s), v = 2s ^ rot2(s).
+        v = from_bytes(raw.translate(sub2), "big") ^ ((s << 16) & h16) ^ ((s >> 16) & l16)
+        w = v ^ s
+        state = v ^ ((w << 8) & h24) ^ ((w >> 24) & l8) ^ key * rep
+    # Last round has no MixColumns.
+    state = ((state & m0) | ((state << 32) & a1) | ((state >> 96) & b1)
+             | ((state << 64) & a2) | ((state >> 64) & b2)
+             | ((state << 96) & a3) | ((state >> 32) & b3))
+    return from_bytes(state.to_bytes(size, "big").translate(sub), "big") ^ rk[10] * rep
 
 
 class Aes128:
@@ -140,8 +168,8 @@ class Aes128:
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != self.BLOCK:
             raise ValueError("AES block must be 16 bytes")
-        high, low = struct.unpack(">2Q", block)
-        return struct.pack(">4I", *_encrypt_counters(self._round_keys, high, low, 1))
+        state = int.from_bytes(block, "big")
+        return _encrypt_lanes(self._round_keys, state, 1, 1).to_bytes(16, "big")
 
 
 def aes_ctr_transform(key: bytes, nonce: int, data: bytes) -> bytes:
@@ -153,14 +181,19 @@ def aes_ctr_transform(key: bytes, nonce: int, data: bytes) -> bytes:
     """
     if nonce < 0 or nonce >= 1 << 64:
         raise ValueError("nonce must fit in 64 bits")
+    round_keys = _expand_key(bytes(key))
     length = len(data)
     blocks = (length + 15) >> 4
-    words = _encrypt_counters(_expand_key(bytes(key)), nonce, 0, blocks)
-    keystream = struct.pack(">%dI" % (4 * blocks), *words)[:length]
-    mixed = int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
-    return mixed.to_bytes(length, "big")
+    if not blocks:
+        return b""
+    rep = int.from_bytes(_ONE_PER_LANE * blocks, "big")
+    # Lane j (from the least significant) holds block n-1-j: the block
+    # numbers are (rep - n)/(x - 1) = (x^n - n·x + n - 1)/(x - 1)^2.
+    counters = (nonce << 64) * rep + (rep - blocks) // (_LANE - 1)
+    keystream = _encrypt_lanes(round_keys, counters, blocks, rep) >> (8 * (16 * blocks - length))
+    return (int.from_bytes(data, "big") ^ keystream).to_bytes(length, "big")
 
 
 def compute_icv(key: bytes, data: bytes, length: int = 12) -> bytes:
     """Truncated HMAC-SHA1 integrity check value (RFC 2404 style)."""
-    return hmac.new(key, data, hashlib.sha1).digest()[:length]
+    return hmac.digest(key, data, "sha1")[:length]

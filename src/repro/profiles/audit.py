@@ -17,7 +17,7 @@ corpus replay path can carry them alongside case files.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import Iterable, List, Mapping, Optional, Union
 
 from ..core.action_table import ActionTable
 from ..core.actions import Action, ActionProfile, Verb
@@ -219,7 +219,3 @@ def _covers_declared(observed: Action, declared: Action) -> bool:
 
 def hard_findings(findings: Iterable[Finding]) -> List[Finding]:
     return [f for f in findings if f.hard]
-
-
-def findings_to_json(findings: Iterable[Finding]) -> List[Dict]:
-    return [f.to_dict() for f in findings]

@@ -262,9 +262,6 @@ class Sampler:
         self.armed = False
 
     # ---------------------------------------------------------- wiring
-    def add_probe(self, name: str, probe: Callable[[], float]) -> None:
-        self.probes[name] = probe
-
     def add_probes(self, probes: Dict[str, Callable[[], float]]) -> None:
         self.probes.update(probes)
 

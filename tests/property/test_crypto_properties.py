@@ -1,6 +1,6 @@
 """Property-based tests for AES, CTR mode, AH, and the checksum.
 
-The T-table core in ``repro.net.crypto`` is checked against the byte-wise
+The lane-parallel core in ``repro.net.crypto`` is checked against the byte-wise
 FIPS-197 transcription in ``tests/support/aes_textbook.py``.
 """
 

@@ -5,8 +5,8 @@ A direct transcription of the standard -- a 16-byte state, SubBytes,
 ShiftRows, MixColumns with a bit-serial GF(2^8) multiply, both cipher
 directions, the key schedule re-expanded per object -- that favours
 clarity over speed (about 10 ms per KiB).  It shares nothing with the
-T-table core it checks: even the S-box is derived here from the field
-inverse and the affine map (FIPS-197 §5.1.1) rather than imported.
+lane-parallel core it checks: even the S-box is derived here from the
+field inverse and the affine map (FIPS-197 §5.1.1) rather than imported.
 """
 
 from __future__ import annotations

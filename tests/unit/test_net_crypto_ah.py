@@ -90,7 +90,7 @@ def test_aes128_sp800_38a_ctr_counter_blocks(counter, keystream):
 
 def test_sbox_matches_its_algebraic_definition():
     # The oracle derives its S-box from the GF(2^8) inverse and the
-    # affine map; the table the T-tables are built from must agree.
+    # affine map; the table SubBytes translates through must agree.
     assert crypto._SBOX == TEXTBOOK_SBOX
 
 
@@ -109,6 +109,35 @@ def test_ctr_matches_textbook_oracle_at_block_edges():
             data = bytes((i * 7 + length) & 0xFF for i in range(length))
             assert aes_ctr_transform(KEY, nonce, data) == \
                 textbook_ctr_transform(KEY, nonce, data)
+
+
+# Lane counts where the packed state changes shape: one lane, two, the
+# last count whose block counters fit one byte (256 blocks = 4,096 B),
+# the first where the counter's second byte moves (257 blocks, 4,097 to
+# 4,112 B), and a 9,000-byte jumbo payload.
+LANE_BOUNDARY_LENGTHS = (16, 32, 255 * 16, 4096, 4097, 4112, 9000)
+
+
+@pytest.mark.parametrize("length", LANE_BOUNDARY_LENGTHS)
+def test_ctr_matches_textbook_oracle_at_lane_boundaries(length):
+    data = bytes((i * 31 + 7) & 0xFF for i in range(length))
+    for nonce in (1, 12345, (1 << 64) - 1):
+        assert aes_ctr_transform(KEY, nonce, data) == \
+            textbook_ctr_transform(KEY, nonce, data)
+
+
+def test_ctr_lanes_are_encrypt_block_of_each_counter():
+    # encrypt_block is the lane core at n = 1: every lane of a 257-block
+    # keystream must be the single-block cipher of its own counter block.
+    nonce = 0x0123456789ABCDEF
+    keystream = aes_ctr_transform(KEY, nonce, bytes(257 * 16))
+    cipher = Aes128(KEY)
+    oracle = TextbookAes128(KEY)
+    for k in (0, 1, 254, 255, 256):
+        counter = nonce.to_bytes(8, "big") + k.to_bytes(8, "big")
+        lane = keystream[16 * k : 16 * k + 16]
+        assert cipher.encrypt_block(counter) == lane
+        assert oracle.encrypt_block(counter) == lane
 
 
 def test_key_schedule_memo_is_bounded_and_stays_correct():
@@ -204,6 +233,15 @@ def test_double_insert_rejected():
     insert_ah(pkt, spi=1, seq=1, icv_key=KEY)
     with pytest.raises(ValueError):
         insert_ah(pkt, spi=2, seq=2, icv_key=KEY)
+
+
+@pytest.mark.parametrize("spi,seq", [(1 << 32, 1), (1, 1 << 32), (-1, 1)])
+def test_insert_ah_rejects_out_of_range_fields_before_splicing(spi, seq):
+    pkt = build_packet(size=120)
+    original = bytes(pkt.buf)
+    with pytest.raises(ValueError):
+        insert_ah(pkt, spi=spi, seq=seq, icv_key=KEY)
+    assert bytes(pkt.buf) == original and pkt.wire_len == 120
 
 
 def test_remove_without_ah_rejected():
