@@ -1,84 +1,36 @@
 #!/usr/bin/env python3
 """Regenerate every table and figure of the paper's evaluation.
 
-Runs the full §4/§6/§7 experiment suite on the simulated testbed and
-prints each reproduced table next to the paper's reference numbers.
-Expect a few minutes at the default packet counts; pass ``--fast`` for
-a quick pass with fewer packets.
+Prints each DES experiment of §6/§7 -- Fig. 7-13, Table 4, the overhead,
+merger and ablation results -- from the ``repro.bench`` registry, at the
+packet budget and seed ``benchmarks/results/baseline.json`` pins, and
+runs the exact experiments (§4.3's pair statistics, the §6.4
+correctness replay, Fig. 15's cost model) directly.  Takes about half a
+minute.
 
-Run:  python examples/reproduce_paper.py [--fast]
+Run:  python examples/reproduce_paper.py
 """
 
-import argparse
-
-from repro.eval import (
-    compute_pair_statistics,
-    copy_merge_penalty,
-    fig7_sequential_chains,
-    fig8_nf_complexity,
-    fig9_cycles_sweep,
-    fig11_parallelism_degree,
-    fig12_graph_structures,
-    fig13_real_world_chains,
-    merger_scaling,
-    render_table,
-    replay_chain,
-    resource_overhead_curve,
-    table4_rtc_comparison,
-)
+from repro.bench import PAPER_SPECS, run_spec
+from repro.eval import compute_pair_statistics, render_table, replay_chain
 from repro.eval.experiments import NORTH_SOUTH_CHAIN, WEST_EAST_CHAIN
 from repro.modular import fig15
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fast", action="store_true", help="fewer packets")
-    args = parser.parse_args()
-    packets = 800 if args.fast else 3000
-
     print("== §4.3: NF pair parallelizability (Table 2 x Algorithm 1) ==")
     stats = compute_pair_statistics()
     print(render_table(["outcome", "measured %", "paper %"], stats.as_rows()))
     print()
 
-    for experiment in (
-        fig7_sequential_chains(packets=packets, max_len=3 if args.fast else 5),
-        fig8_nf_complexity(packets=packets),
-        fig9_cycles_sweep(packets=packets,
-                          cycles=(1, 300, 1500, 3000) if args.fast else
-                          (1, 300, 600, 900, 1200, 1500, 1800, 2100, 2400, 2700, 3000)),
-        fig11_parallelism_degree(packets=packets),
-        fig12_graph_structures(packets=packets),
-        fig13_real_world_chains(packets=packets),
-        table4_rtc_comparison(packets=packets),
-    ):
-        print(experiment.render())
+    for spec in PAPER_SPECS:
+        print(run_spec(spec).experiment_table().render())
+        print(f"({spec.description})")
         print()
-
-    print("== §6.3.1: resource overhead (ro = 64 x (d-1) / s) ==")
-    rows = [(d, f"{t*100:.1f}%", f"{m*100:.1f}%")
-            for d, t, m in resource_overhead_curve(packets=max(400, packets // 4))]
-    print(render_table(["degree", "theory", "simulated"], rows))
-    print()
-
-    print("== §6.3.2: copy+merge latency penalty (firewall, d=2) ==")
-    nocopy, copy, penalty = copy_merge_penalty(packets=packets)
-    print(f"no-copy {nocopy:.1f} us, copy {copy:.1f} us -> penalty "
-          f"{penalty:.1f} us (paper: ~15 us)")
-    print()
-
-    print("== §6.3.3: merger load balancing ==")
-    single = merger_scaling(degree=2, num_mergers=1, packets=packets)
-    double = merger_scaling(degree=5, num_mergers=2, packets=packets)
-    print(f"1 merger, degree 2: {single.capacity_mpps:.2f} Mpps "
-          f"(paper 10.7), lossless={single.lossless}")
-    print(f"2 mergers, degree 5: {double.capacity_mpps:.2f} Mpps, "
-          f"lossless={double.lossless}, imbalance={double.imbalance:.3f}")
-    print()
 
     print("== §6.4: correctness replay ==")
     for chain in (NORTH_SOUTH_CHAIN, WEST_EAST_CHAIN):
-        print(" ", replay_chain(chain, packets=max(100, packets // 10)))
+        print(" ", replay_chain(chain))
     print()
 
     print("== §7 / Fig. 15: OpenBox + NFP block-level parallelism ==")

@@ -21,7 +21,7 @@ from .schema import (
     measurement_to_dict,
     validate_bench,
 )
-from .spec import REGISTRY, BenchmarkSpec, SpecOutcome, specs_for
+from .spec import PAPER_SPECS, REGISTRY, BenchmarkSpec, SpecOutcome, specs_for
 from .runner import run_bench, run_spec, summary_table
 from .compare import ABSENT, ComparisonReport, Difference, compare_reports
 
@@ -34,6 +34,7 @@ __all__ = [
     "BenchmarkSpec",
     "SpecOutcome",
     "REGISTRY",
+    "PAPER_SPECS",
     "specs_for",
     "run_bench",
     "run_spec",

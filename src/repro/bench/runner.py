@@ -21,6 +21,7 @@ def run_spec(spec: BenchmarkSpec) -> ScenarioResult:
         rollup=outcome.rollup,
         params=outcome.params,
         extra_metrics=outcome.extra_metrics,
+        table=outcome.table,
     )
 
 
@@ -41,6 +42,10 @@ def summary_table(report: BenchReport) -> str:
     """Per-scenario ASCII summary for the CLI."""
     rows = []
     for result in report.scenarios:
+        if result.table:
+            rows.append([result.name, "-", "-", "-", "-",
+                         f"table of {len(result.table['rows'])} rows"])
+            continue
         stages = result.stage_us
         total = sum(stages.values())
         if total > 0:

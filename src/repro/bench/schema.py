@@ -13,7 +13,9 @@ Schema evolution: bump :data:`SCHEMA` when a field changes meaning or
 disappears.  v3 (this schema) dropped the run metadata, the per-scenario
 host wall-time and RSS, the derived stage shares and the ``volatile``
 lists: a report is ``{"schema", "scenarios"}`` and every value in it is
-compared with ``==``.
+compared with ``==``.  A paper experiment's record carries its figure
+or table as an optional ``table`` map (``headers`` and ``rows``) in
+place of the latency metrics; a record without one is read as before.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, IO, List, Union
 
+from ..eval.experiments import ExperimentTable
 from ..eval.harness import MeasurementResult
 from ..telemetry.rollup import STAGE_NAMES, StageRollup
 
@@ -36,7 +39,7 @@ __all__ = [
 #: Current schema identifier, stored in every report.
 SCHEMA = "repro.bench/3"
 
-#: Metric keys every scenario must carry.
+#: Metric keys every scenario without a ``table`` must carry.
 REQUIRED_METRICS = ("latency_mean_us", "latency_p50_us", "latency_p99_us",
                     "delivered", "lost")
 
@@ -81,6 +84,9 @@ class ScenarioResult:
     metrics: Dict = field(default_factory=dict)
     stage_us: Dict[str, float] = field(default_factory=dict)
     stage_events: Dict[str, int] = field(default_factory=dict)
+    #: A paper experiment's figure or table: ``{"headers": [...],
+    #: "rows": [[...], ...]}``; empty for every other scenario.
+    table: Dict = field(default_factory=dict)
 
     @classmethod
     def from_parts(
@@ -90,6 +96,7 @@ class ScenarioResult:
         rollup: StageRollup,
         params: Dict,
         extra_metrics: Dict = None,
+        table: Dict = None,
     ) -> "ScenarioResult":
         metrics = {
             key: value
@@ -106,21 +113,33 @@ class ScenarioResult:
             metrics=metrics,
             stage_us=dict(rollup.times_us),
             stage_events=dict(rollup.events),
+            table=dict(table or {}),
         )
+
+    def experiment_table(self) -> ExperimentTable:
+        """The pinned figure or table, titled by the label, to render or
+        read by column."""
+        return ExperimentTable(self.label, self.table["headers"],
+                               self.table["rows"])
 
     def values(self) -> Dict[str, object]:
         """Every pinned value under one flat key: metrics by name,
         ``params`` / ``stage_us`` / ``stage_events`` entries as
-        ``<map>.<entry>``, and ``system`` / ``label``."""
+        ``<map>.<entry>``, ``system`` / ``label``, and each table cell
+        as ``table[<row index>].<column header>``."""
         flat: Dict[str, object] = {"system": self.system, "label": self.label}
         flat.update(self.metrics)
         for key in _NESTED:
             flat.update((f"{key}.{entry}", value)
                         for entry, value in getattr(self, key).items())
+        headers = self.table.get("headers", [])
+        for index, row in enumerate(self.table.get("rows", [])):
+            flat.update((f"table[{index}].{header}", cell)
+                        for header, cell in zip(headers, row))
         return flat
 
     def to_dict(self) -> Dict:
-        return {
+        record = {
             "name": self.name,
             "system": self.system,
             "label": self.label,
@@ -129,6 +148,9 @@ class ScenarioResult:
             "stage_us": self.stage_us,
             "stage_events": self.stage_events,
         }
+        if self.table:
+            record["table"] = self.table
+        return record
 
     @classmethod
     def from_dict(cls, record: Dict) -> "ScenarioResult":
@@ -140,6 +162,7 @@ class ScenarioResult:
             metrics=dict(record.get("metrics", {})),
             stage_us=dict(record.get("stage_us", {})),
             stage_events=dict(record.get("stage_events", {})),
+            table=dict(record.get("table", {})),
         )
 
 
@@ -245,11 +268,15 @@ def validate_bench(document: Dict) -> List[str]:
         if not isinstance(metrics, dict):
             problems.append(f"{where}.metrics missing")
             continue
-        for key in REQUIRED_METRICS:
-            if key not in metrics:
-                problems.append(f"{where}.metrics.{key} missing")
-            elif not isinstance(metrics[key], (int, float)):
-                problems.append(f"{where}.metrics.{key} is not a number")
+        table = record.get("table")
+        if table is not None:
+            problems.extend(_table_problems(where, table))
+        else:
+            for key in REQUIRED_METRICS:
+                if key not in metrics:
+                    problems.append(f"{where}.metrics.{key} missing")
+                elif not isinstance(metrics[key], (int, float)):
+                    problems.append(f"{where}.metrics.{key} is not a number")
         stage_us = record.get("stage_us", {})
         unknown = set(stage_us) - set(STAGE_NAMES)
         if unknown:
@@ -261,3 +288,19 @@ def validate_bench(document: Dict) -> List[str]:
             problems.append(f"{where}.stage_us attributes no time to the "
                             "spans it counts")
     return problems
+
+
+def _table_problems(where: str, table) -> List[str]:
+    """A table needs headers, at least one row, and no ragged row."""
+    if not isinstance(table, dict):
+        return [f"{where}.table is not an object"]
+    headers, rows = table.get("headers"), table.get("rows")
+    if not isinstance(headers, list) or not headers:
+        return [f"{where}.table.headers missing or empty"]
+    if not isinstance(rows, list) or not rows:
+        return [f"{where}.table.rows missing or empty"]
+    return [
+        f"{where}.table.rows[{index}] is not a row of {len(headers)} cells"
+        for index, row in enumerate(rows)
+        if not isinstance(row, list) or len(row) != len(headers)
+    ]

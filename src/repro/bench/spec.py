@@ -10,8 +10,17 @@ reading is bit-reproducible: ``benchmarks/results/baseline.json`` pins
 them all and the gate compares with ``==``.  The registry is the single
 source of truth for what ``python -m repro bench`` runs:
 
+* the paper's experiments, one entry per figure or table, each built by
+  its ``repro.eval`` function and pinned as that figure's ``table``:
+  ``fig7_sequential_chains`` ... ``fig13_real_world_chains``,
+  ``table4_rtc_comparison``, ``latency_breakdown``,
+  ``merger_load_balancing``, ``overhead_copy_merge``,
+  ``ablation_header_only_copying``, ``ablation_containers_vs_vms``,
+  ``load_sweep``, ``overhead_resource`` and ``cross_server_timed``;
 * ``seq_chain_N`` / ``par_chain_N`` -- firewall chains of length 2-6,
-  sequential vs NFP-parallel (Fig. 9/11 forced setups, 300 busy cycles);
+  sequential vs NFP-parallel (Fig. 9/11 forced setups, 300 busy cycles)
+  at 800 packets, with the p50/p99 and stage rollup the figure tables
+  do not carry;
 * ``fig11_degree_*`` -- the parallelism-degree sweep points;
 * ``fig13_north_south`` / ``fig13_west_east`` -- the real-world
   data-center chains, compiled from policies, data-center size mix;
@@ -51,10 +60,28 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.orchestrator import Orchestrator
 from ..core.policy import Policy
-from ..eval.experiments import NORTH_SOUTH_CHAIN, WEST_EAST_CHAIN
+from ..eval.breakdown import latency_breakdown
+from ..eval.experiments import (
+    NORTH_SOUTH_CHAIN,
+    WEST_EAST_CHAIN,
+    ExperimentTable,
+    fig7_sequential_chains,
+    fig8_nf_complexity,
+    fig9_cycles_sweep,
+    fig11_parallelism_degree,
+    fig12_graph_structures,
+    fig13_real_world_chains,
+    table4_rtc_comparison,
+)
 from ..eval.forced import forced_parallel, forced_sequential
 from ..eval.harness import measure_nfp
-from ..sim import DEFAULT_PARAMS, Environment, SimParams
+from ..eval.load_sweep import load_sweep
+from ..eval.overhead import (
+    copy_merge_penalty,
+    merger_scaling,
+    resource_overhead_curve,
+)
+from ..sim import DEFAULT_PARAMS, VM_PARAMS, Environment, SimParams
 from ..sim.stats import summarize
 from ..telemetry import (
     Sampler,
@@ -73,12 +100,16 @@ __all__ = [
     "BenchmarkSpec",
     "SpecOutcome",
     "REGISTRY",
+    "PAPER_SPECS",
     "specs_for",
     "corpus_dir",
 ]
 
 #: Busy-loop cycles for the synthetic firewall chains (Fig. 9/11 point).
 CHAIN_BUSY_CYCLES = 300
+
+#: Fig. 9's busy-loop points: both ends and five between.
+FIG9_CYCLES = (1, 300, 900, 1500, 2100, 2700, 3000)
 
 #: The copy ablations run 512 B frames so OP#1 (full copy) and OP#2
 #: (64 B header copy) actually differ -- at 64 B they are the same copy.
@@ -96,6 +127,7 @@ class SpecOutcome:
     rollup: StageRollup = field(default_factory=StageRollup)
     extra_metrics: Dict = field(default_factory=dict)
     params: Dict = field(default_factory=dict)
+    table: Dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -588,6 +620,196 @@ def _crash_hang_retry2(packets: int, seed: int) -> SpecOutcome:
         **_drop_metrics(report))
 
 
+def _experiment(build: Callable[[int, int], ExperimentTable],
+                **params) -> Callable[[int, int], SpecOutcome]:
+    """Build a runner around a paper experiment: its figure or table is
+    the scenario's pinned ``table`` and its title the label."""
+
+    def run(packets: int, seed: int) -> SpecOutcome:
+        table = build(packets, seed)
+        return SpecOutcome(
+            measurement={"system": "experiment", "label": table.experiment},
+            table={"headers": list(table.headers),
+                   "rows": [list(row) for row in table.rows]},
+            params=dict(params, packets=packets, seed=seed),
+        )
+
+    return run
+
+
+def _latency_breakdown(packets: int, seed: int) -> ExperimentTable:
+    table = ExperimentTable(
+        "Latency breakdown of the Fig. 13 chains (data-center mix)",
+        ["chain", "segment", "mean_us", "share_pct"])
+    for name, chain in (("north-south", NORTH_SOUTH_CHAIN),
+                        ("west-east", WEST_EAST_CHAIN)):
+        breakdown = latency_breakdown(_compiled_chain(chain)(), packets=packets,
+                                      sizes=DATACENTER_MIX, seed=seed)
+        table.rows.extend([name, *row] for row in breakdown.rows())
+    return table
+
+
+#: The load sweep's offered rates, as fractions of the analytic capacity.
+LOAD_FRACTIONS = (0.2, 0.5, 0.8, 0.95, 1.3, 2.0)
+
+
+def _load_sweep(packets: int, seed: int) -> ExperimentTable:
+    points = load_sweep(_compiled_chain(WEST_EAST_CHAIN)(), packets=packets,
+                        fractions=LOAD_FRACTIONS, seed=seed)
+    return ExperimentTable(
+        "Offered-load sweep: the west-east graph at 64 B",
+        ["offered_mpps", "delivered_mpps", "loss_fraction",
+         "latency_mean_us", "latency_p99_us"],
+        [[p.offered_mpps, p.delivered_mpps, p.loss_fraction,
+          p.latency_mean_us, p.latency_p99_us] for p in points])
+
+
+def _merger_load_balancing(packets: int, seed: int) -> ExperimentTable:
+    table = ExperimentTable(
+        "§6.3.3: merger load balancing (forced-parallel firewalls)",
+        ["degree", "mergers", "capacity_mpps", "bottleneck", "lossless",
+         "imbalance"])
+    for degree, mergers in ((2, 1), (5, 2), (4, 2)):
+        result = merger_scaling(degree=degree, num_mergers=mergers,
+                                packets=packets)
+        table.rows.append([degree, mergers, result.capacity_mpps,
+                           result.bottleneck, result.lossless,
+                           result.imbalance])
+    return table
+
+
+def _overhead_resource(packets: int, seed: int) -> ExperimentTable:
+    return ExperimentTable(
+        "§6.3.1: resource overhead, theory vs the simulated packet pool",
+        ["degree", "theory_ro", "simulated_ro"],
+        [list(row) for row in resource_overhead_curve(packets=packets)])
+
+
+def _overhead_copy_merge(packets: int, seed: int) -> ExperimentTable:
+    return ExperimentTable(
+        "§6.3.2: copy + merge latency penalty (firewall, degree 2)",
+        ["nocopy_us", "copy_us", "penalty_us"],
+        [list(copy_merge_penalty(packets=packets))])
+
+
+def _ablation_header_only_copying(packets: int, seed: int) -> ExperimentTable:
+    table = ExperimentTable(
+        "OP#2 ablation: header-only vs full copies (west-east NFs, "
+        "data-center mix)",
+        ["variant", "resource_overhead", "latency_mean_us"])
+    for variant, header_only in (("header-only (OP#2)", True),
+                                 ("full copies", False)):
+        result = measure_nfp(
+            forced_parallel(["firewall", "monitor", "loadbalancer"],
+                            with_copy=True, header_only=header_only),
+            packets=packets, sizes=DATACENTER_MIX)
+        table.rows.append([variant, result.resource_overhead,
+                           result.latency_mean_us])
+    return table
+
+
+def _ablation_containers_vs_vms(packets: int, seed: int) -> ExperimentTable:
+    graph = _compiled_chain(WEST_EAST_CHAIN)()
+    table = ExperimentTable("§7: containers vs VMs (west-east graph)",
+                            ["substrate", "lat us", "Mpps"])
+    for substrate, params in (("containers (prototype)", DEFAULT_PARAMS),
+                              ("VMs (§7 variant)", VM_PARAMS)):
+        result = measure_nfp(graph, params, packets=packets)
+        table.rows.append([substrate, result.latency_mean_us,
+                           result.throughput_mpps])
+    return table
+
+
+def _cross_server_timed(packets: int, seed: int) -> ExperimentTable:
+    """The six-NF chain on one timed server and cut over two."""
+    from ..dataplane import NFPServer
+    from ..eval.harness import deployed_from_graph
+    from ..multiserver import TimedMultiServer
+
+    graph = _compiled_chain(SIX_NF_CHAIN)()
+    env = Environment()
+    single = NFPServer(env, DEFAULT_PARAMS)
+    single.deploy(deployed_from_graph(graph))
+    TrafficSource(env, single.inject, 0.5, packets,
+                  flows=FlowGenerator(num_flows=16, seed=seed), seed=seed)
+    env.run()
+    env = Environment()
+    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph, cores_per_server=5)
+    TrafficSource(env, multi.inject, 0.5, packets,
+                  flows=FlowGenerator(num_flows=16, seed=seed), seed=seed)
+    env.run()
+    return ExperimentTable(
+        "Cross-server latency: the six-NF chain on one box vs two",
+        ["setup", "servers", "delivered", "latency_mean_us"],
+        [["single box", 1, single.rate.delivered, single.latency.mean],
+         ["two boxes", multi.num_servers, multi.delivered,
+          multi.tail.latency.mean]])
+
+
+def _paper_specs() -> List[BenchmarkSpec]:
+    """The paper's experiments, one entry per figure or table.
+
+    Each wraps the ``repro.eval`` function that reproduces it at 1,200
+    packets unless it says otherwise.  Most of these functions take no
+    seed: they run at the harness default, seed 1, which is what their
+    entry records (``merger_scaling``'s flow mix keeps the flow
+    generator's own default).
+    """
+    figures = [
+        ("fig7_sequential_chains", "Fig. 7: forwarder chains of length 1-5, "
+         "NFP vs OpenNetVM (paper: NFP at line rate, OpenNetVM capped)",
+         lambda n, s: fig7_sequential_chains(packets=n)),
+        ("fig8_nf_complexity", "Fig. 8: two instances of each prototype NF, "
+         "sequential vs parallel (paper: the cut grows with NF cost)",
+         lambda n, s: fig8_nf_complexity(packets=n)),
+        ("fig9_cycles_sweep", "Fig. 9: firewall busy loop of 1-3,000 cycles, "
+         "degree 2 (paper: ~45% cut at 3,000 cycles)",
+         lambda n, s: fig9_cycles_sweep(packets=n, cycles=FIG9_CYCLES)),
+        ("fig11_parallelism_degree", "Fig. 11: 2-5 firewalls at 300 cycles "
+         "(paper: no-copy cut 33% -> 52%, copy up to 32%)",
+         lambda n, s: fig11_parallelism_degree(packets=n)),
+        ("fig12_graph_structures", "Fig. 12: the six 4-NF graph shapes of "
+         "Fig. 14 (paper: latency tracks equivalent chain length)",
+         lambda n, s: fig12_graph_structures(packets=n)),
+        ("fig13_real_world_chains", "Fig. 13: the north-south and west-east "
+         "data-center chains (paper: 12.9% at 0%, 35.9% at 8.8%)",
+         lambda n, s: fig13_real_world_chains(packets=n)),
+        ("table4_rtc_comparison", "Table 4: OpenNetVM vs NFP vs BESS, "
+         "firewall chains on n+2 cores",
+         lambda n, s: table4_rtc_comparison(packets=n)),
+        ("latency_breakdown", "per-segment latency of the Fig. 13 chains",
+         _latency_breakdown),
+        ("merger_load_balancing", "§6.3.3: one merger at degree 2, two at "
+         "degree 4-5 (paper: 10.7 Mpps per merger)", _merger_load_balancing),
+        ("overhead_copy_merge", "§6.3.2: copy + merge latency penalty "
+         "(paper: ~15 us)", _overhead_copy_merge),
+        ("ablation_header_only_copying", "OP#2 ablation: header-only vs full "
+         "copies of a copying forced-parallel graph",
+         _ablation_header_only_copying),
+        ("ablation_containers_vs_vms", "§7: the container prototype vs VMs",
+         _ablation_containers_vs_vms),
+    ]
+    specs = [BenchmarkSpec(name=name, description=description,
+                           runner=_experiment(build), packets=1200)
+             for name, description, build in figures]
+    specs.append(BenchmarkSpec(
+        name="load_sweep", packets=1500,
+        description="offered-load sweep of the west-east graph: delivered "
+                    "tracks offered up to the knee, then plateaus",
+        runner=_experiment(_load_sweep, fractions=list(LOAD_FRACTIONS))))
+    specs.append(BenchmarkSpec(
+        name="overhead_resource", packets=400,
+        description="§6.3.1: ro = 64 x (d-1) / s against the simulated pool "
+                    "(paper: 8.8% at degree 2)",
+        runner=_experiment(_overhead_resource)))
+    specs.append(BenchmarkSpec(
+        name="cross_server_timed", packets=400, seed=4,
+        description="the six-NF chain on one timed server vs cut over two: "
+                    "the per-link latency penalty",
+        runner=_experiment(_cross_server_timed)))
+    return specs
+
+
 def _firewall_specs() -> List[BenchmarkSpec]:
     specs = []
     for length in (2, 3, 4, 5, 6):
@@ -665,8 +887,13 @@ def _golden_specs() -> List[BenchmarkSpec]:
     return specs
 
 
+#: The paper's experiments, in figure order (the head of the registry).
+PAPER_SPECS: List[BenchmarkSpec] = _paper_specs()
+
+
 def _build_registry() -> Dict[str, BenchmarkSpec]:
     specs: List[BenchmarkSpec] = []
+    specs.extend(PAPER_SPECS)
     specs.extend(_firewall_specs())
     specs.append(BenchmarkSpec(
         name="fig11_degree_3_nocopy",

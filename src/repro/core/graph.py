@@ -252,12 +252,6 @@ class ServiceGraph:
         except KeyError:
             raise ValueError(f"version {version} never used") from None
 
-    def first_stage_of_version(self, version: int) -> int:
-        for index, stage in enumerate(self.stages):
-            if stage.entries_on(version):
-                return index
-        raise ValueError(f"version {version} never used")
-
     def merger_notifications(self) -> List[StageEntry]:
         """The stage entries that notify the merger (each version's final NFs)."""
         notifications: List[StageEntry] = []

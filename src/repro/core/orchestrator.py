@@ -24,7 +24,7 @@ from .dependency import DEFAULT_DEPENDENCY_TABLE, DependencyTable
 from .inspector import inspect_nf
 from .policy import Policy
 from .policy_dsl import parse_policy
-from .scaling import ScaledGraph, ScalePlan, plan_scale_out, scale_graph
+from .scaling import ScaledGraph, ScalePlan, scale_graph
 from .tables import TableSet, build_tables
 
 __all__ = ["Orchestrator", "DeployedGraph"]
@@ -130,32 +130,6 @@ class Orchestrator:
         deployed = DeployedGraph(mid, result, tables, scaled=scaled, plan=plan)
         self._deployed[mid] = deployed
         return deployed
-
-    def deploy_scaled(
-        self,
-        policy: Union[Policy, str],
-        target_mpps: float,
-        params,
-        match: object = "*",
-        packet_size: int = 64,
-        available_cores: Optional[int] = None,
-        num_mergers: int = 1,
-    ) -> DeployedGraph:
-        """Compile, size with :func:`plan_scale_out`, and deploy scaled.
-
-        The returned deployment carries both the executable
-        :class:`ScaledGraph` and the sizing :class:`ScalePlan` (as
-        ``.plan``), so callers can pass ``plan.merger_count`` when
-        building the server.
-        """
-        if isinstance(policy, str):
-            policy = parse_policy(policy)
-        graph = self.compile(policy).graph
-        plan = plan_scale_out(
-            graph, params, target_mpps, packet_size=packet_size,
-            available_cores=available_cores, num_mergers=num_mergers,
-        )
-        return self.deploy(policy, match=match, scale=plan)
 
     # ----------------------------------------------------------- placement
     def request(self, name: str, policy: Union[Policy, str], slo, **kwargs):

@@ -46,9 +46,6 @@ class ScalePlan:
     def total_nf_cores(self) -> int:
         return sum(self.instances.values())
 
-    def scaled_components(self) -> List[str]:
-        return sorted(n for n, count in self.instances.items() if count > 1)
-
     @property
     def merger_count(self) -> int:
         """How many merger instances the plan sized (>= 1)."""
@@ -198,13 +195,6 @@ class ScaledGraph:
         counts = dict(self.counts)
         counts[name] = count
         return ScaledGraph(self.base, counts)
-
-    @property
-    def total_instances(self) -> int:
-        return sum(self.counts.values())
-
-    def scaled_names(self) -> List[str]:
-        return sorted(n for n, c in self.counts.items() if c > 1)
 
     def describe(self) -> str:
         parts = ", ".join(

@@ -79,10 +79,6 @@ class Ring:
     def is_full(self) -> bool:
         return len(self._items) >= self.capacity
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._items
-
     # -- producer side ------------------------------------------------------
     def try_put(self, item: Any) -> bool:
         """Enqueue ``item``; return ``False`` (and count a drop) if full.

@@ -113,29 +113,6 @@ class PacketTrace:
     def by_kind(self, kind: SpanKind) -> List[SpanEvent]:
         return [event for event in self.events if event.kind is kind]
 
-    def nf_spans(self) -> List[Tuple[str, float, float]]:
-        """Pair ``nf_start``/``nf_end`` into ``(name, start, end)`` spans.
-
-        Unmatched starts are dropped (they indicate an incomplete
-        trace; :meth:`unmatched_starts` exposes them for assertions).
-        """
-        open_starts: Dict[Tuple[str, int], List[float]] = {}
-        spans: List[Tuple[str, float, float]] = []
-        for event in self.events:
-            slot = (event.name, event.version)
-            if event.kind is SpanKind.NF_START:
-                open_starts.setdefault(slot, []).append(event.ts_us)
-            elif event.kind is SpanKind.NF_END:
-                stack = open_starts.get(slot)
-                if stack:
-                    spans.append((event.name, stack.pop(0), event.ts_us))
-                else:
-                    spans.append(
-                        (event.name, event.ts_us - event.duration_us, event.ts_us)
-                    )
-        spans.sort(key=lambda span: span[1])
-        return spans
-
     def unmatched_starts(self) -> int:
         starts = len(self.by_kind(SpanKind.NF_START))
         ends = len(self.by_kind(SpanKind.NF_END))
@@ -253,13 +230,3 @@ class Tracer:
         for trace in grouped.values():
             trace.events.sort(key=lambda ev: (ev.ts_us, ev.seq))
         return grouped
-
-    def events_for(self, pid: int, mid: Optional[int] = None) -> List[SpanEvent]:
-        """Time-ordered events of one packet (optionally filtered by MID)."""
-        selected = [
-            event
-            for event in self.events
-            if event.pid == pid and (mid is None or event.mid == mid)
-        ]
-        selected.sort(key=lambda ev: (ev.ts_us, ev.seq))
-        return selected

@@ -204,19 +204,6 @@ class Watcher:
         self.events: List[AlertEvent] = []
         self._callbacks: List[Callable[[AlertEvent], None]] = []
 
-    @classmethod
-    def for_slo(cls, slo, extra_rules: Sequence[str] = (),
-                hub: Optional[TelemetryHub] = None) -> "Watcher":
-        """A watcher pre-armed with a chain's latency SLO rule.
-
-        ``slo`` is a :class:`repro.placement.request.Slo` (or anything
-        with ``max_delay_us``); the canonical ``p99_us > slo`` rule is
-        installed alongside any ``extra_rules``.
-        """
-        rules: List[Union[str, WatchRule]] = ["p99_us > slo"]
-        rules.extend(extra_rules)
-        return cls(rules, slo_us=float(slo.max_delay_us), hub=hub)
-
     def attach(self, sampler: Sampler) -> "Watcher":
         sampler.subscribe(self.observe)
         return self
@@ -250,6 +237,3 @@ class Watcher:
 
     def still_firing(self) -> List[WatchRule]:
         return [rule for rule in self.rules if rule.firing]
-
-    def alert_log(self) -> str:
-        return "\n".join(event.describe() for event in self.events)

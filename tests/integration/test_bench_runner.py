@@ -25,8 +25,13 @@ def pinned():
     return BenchReport.load(BASELINE)
 
 
+def _measured(pinned):
+    """The scenarios that pin latency metrics (not a paper table)."""
+    return [scenario for scenario in pinned.scenarios if not scenario.table]
+
+
 def test_every_scenario_reports_metrics_and_attribution(pinned):
-    for scenario in pinned.scenarios:
+    for scenario in _measured(pinned):
         metrics = scenario.metrics
         assert metrics["latency_p50_us"] > 0, scenario.name
         assert metrics["latency_p99_us"] >= metrics["latency_p50_us"], \
@@ -40,7 +45,7 @@ def test_every_scenario_reports_metrics_and_attribution(pinned):
 
 
 def test_every_des_scenario_pins_its_event_count(pinned):
-    for scenario in pinned.scenarios:
+    for scenario in _measured(pinned):
         if scenario.name != "fuzz_corpus_replay":
             assert scenario.metrics["events_per_pkt"] > 0, scenario.name
 
@@ -102,7 +107,7 @@ def test_the_autoscaler_keeps_its_ledger(pinned):
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
     path = tmp_path_factory.mktemp("bench") / "new.json"
-    assert main(["bench", "--only", "seq_chain_2,bess_west_east",
+    assert main(["bench", "--only", "bess_west_east,overhead_copy_merge",
                  "--out", str(path)]) == 0
     return path
 
@@ -110,7 +115,7 @@ def written(tmp_path_factory):
 def test_bench_out_writes_a_row_equal_to_the_pin(pinned, written):
     assert validate_bench(json.loads(written.read_text())) == []
     report = BenchReport.load(str(written))
-    assert report.names() == ["seq_chain_2", "bess_west_east"]
+    assert report.names() == ["bess_west_east", "overhead_copy_merge"]
     for row in report.scenarios:
         assert row.to_dict() == pinned.scenario(row.name).to_dict()
 
@@ -129,6 +134,21 @@ def test_compare_cli_zero_on_identical_one_on_regression(
     # Against the full pinned file, every scenario not run is one-sided.
     assert main(["bench", "--compare", BASELINE, str(written)]) == 1
     assert f"{len(REGISTRY) - 2} difference(s)" in capsys.readouterr().out
+
+
+def test_compare_names_a_moved_cell_by_row_and_column(
+        written, tmp_path, capsys):
+    document = json.loads(written.read_text())
+    table = document["scenarios"][1]["table"]
+    column = table["headers"].index("penalty_us")
+    table["rows"][0][column] += 0.5
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["bench", "--compare", str(written), str(moved)]) == 1
+    cells = [[cell.strip() for cell in line.split("|")][:2]
+             for line in capsys.readouterr().out.splitlines()]
+    assert ["overhead_copy_merge", "table[0].penalty_us"] in cells
 
 
 def test_measure_json_emits_machine_readable_results(capsys):

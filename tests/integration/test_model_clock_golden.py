@@ -56,7 +56,7 @@ def test_model_clock_is_bit_identical(name, pinned):
 
 def test_a_one_percent_model_change_fails_the_gate(pinned, monkeypatch,
                                                    tmp_path, capsys):
-    name = "fig13_west_east"
+    name = "fig13_west_east_seed7"
     monkeypatch.setattr(DEFAULT_PARAMS, "merge_latency_us",
                         DEFAULT_PARAMS.merge_latency_us * 1.01)
     diff = _diff(pinned, name)

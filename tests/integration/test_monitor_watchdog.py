@@ -50,8 +50,7 @@ def test_at_timeout_alert_fires_then_clears(hang_episode):
     assert rule.text == "merger.at_timeout > 0"
     assert rule.fired == 1 and rule.cleared == 1
     assert watcher.still_firing() == []
-    log = watcher.alert_log()
-    assert "FIRING" in log and "CLEARED" in log
+    assert {"firing", "cleared"} <= {event.state for event in watcher.events}
     # Alert counts are mirrored into the hub for exporters to scrape.
     assert hub.registry.counter_value(
         "watch.merger.at_timeout > 0.fired") == 1

@@ -8,7 +8,7 @@ the original chain.
 import pytest
 
 from repro.eval import replay_chain
-from repro.traffic import PacketSizeDistribution
+from repro.traffic import DATACENTER_MIX, FIXED_64B, PacketSizeDistribution
 
 CHAINS = [
     # The paper's real-world chains (Fig. 13).
@@ -59,7 +59,6 @@ def test_parallel_equals_sequential(chain):
     from repro.dataplane import FunctionalDataplane, SequentialReference
     from repro.eval.correctness import _tagged_flow_generator
     from repro.nfs import create_nf
-    from repro.traffic import FIXED_64B
 
     specs = _specs(chain)
     policy = Policy.from_chain(specs, name="replay")
@@ -81,11 +80,24 @@ def test_parallel_equals_sequential(chain):
             assert bytes(out_a.buf) == bytes(out_b.buf)
 
 
+#: §6.4's replay at benchmark scale: 200 packets of the data-center mix.
+DATACENTER_REPLAYS = [
+    ("vpn", "monitor", "firewall", "loadbalancer"),
+    ("ids", "monitor", "loadbalancer"),
+    ("firewall", "monitor"),
+    ("monitor", "nat", "vpn"),
+    ("gateway", "caching", "monitor", "nids"),
+    ("ips", "monitor"),
+]
+
+
 def test_replay_helper_reports_ok():
-    report = replay_chain(("vpn", "monitor", "firewall", "loadbalancer"),
-                          packets=100)
-    assert report.ok
-    assert report.matches + report.drop_agreements == 100
+    cases = [(("vpn", "monitor", "firewall", "loadbalancer"), 100, FIXED_64B)]
+    cases += [(chain, 200, DATACENTER_MIX) for chain in DATACENTER_REPLAYS]
+    for chain, packets, sizes in cases:
+        report = replay_chain(chain, packets=packets, sizes=sizes)
+        assert report.ok, report
+        assert report.matches + report.drop_agreements == packets
 
 
 def test_replay_with_datacenter_sizes():

@@ -40,13 +40,13 @@ def test_parallel_chain_has_complete_span_tree(traced_run):
         assert kinds[0] is SpanKind.CLASSIFY
         assert kinds[-1] is SpanKind.OUTPUT
         # All three NFs ran in the single parallel stage.
-        spans = trace.nf_spans()
-        assert {name for name, _, _ in spans} == set(CHAIN)
+        ends = trace.by_kind(SpanKind.NF_END)
+        assert {event.name for event in ends} == set(CHAIN)
         # Rendezvous: the merger waited, then applied.
         assert len(trace.by_kind(SpanKind.MERGE_WAIT)) == 1
         assert len(trace.by_kind(SpanKind.MERGE_APPLY)) == 1
         merge_ts = trace.by_kind(SpanKind.MERGE_APPLY)[0].ts_us
-        assert all(end <= merge_ts for _, _, end in spans)
+        assert all(event.ts_us <= merge_ts for event in ends)
     assert result.delivered == 300
 
 

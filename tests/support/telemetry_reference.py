@@ -91,16 +91,6 @@ class Tracer:
             trace.events.sort(key=lambda ev: (ev.ts_us, ev.seq))
         return grouped
 
-    def events_for(self, pid: int, mid: Optional[int] = None) -> List[SpanEvent]:
-        """Time-ordered events of one packet (optionally filtered by MID)."""
-        selected = [
-            event
-            for event in self.events
-            if event.pid == pid and (mid is None or event.mid == mid)
-        ]
-        selected.sort(key=lambda ev: (ev.ts_us, ev.seq))
-        return selected
-
 
 class TelemetryHub:
     """Bundles a metrics registry and an optional tracer behind one flag."""

@@ -35,7 +35,7 @@ def _rollup():
     ])
 
 
-def _scenario(name="seq_chain_2", **measurement_overrides) -> ScenarioResult:
+def _scenario(name="fw_fw", **measurement_overrides) -> ScenarioResult:
     return ScenarioResult.from_parts(
         name=name,
         measurement=measurement_to_dict(_measurement(**measurement_overrides)),
@@ -66,7 +66,7 @@ def test_report_round_trips_through_json(tmp_path):
     loaded = BenchReport.load(str(path))
     assert loaded.schema == SCHEMA
     assert loaded.to_dict() == report.to_dict()
-    scenario = loaded.scenario("seq_chain_2")
+    scenario = loaded.scenario("fw_fw")
     assert scenario.metrics["latency_p99_us"] == 0.1 + 0.2
     assert scenario.stage_us["ft"] == 4.0
     assert scenario.values()["params.seed"] == 1
@@ -91,6 +91,44 @@ def test_validate_flags_schema_and_structure_problems():
 
     duplicate = _report(_scenario(), _scenario()).to_dict()
     assert any("duplicate" in p for p in validate_bench(duplicate))
+
+
+def _table_scenario() -> ScenarioResult:
+    return ScenarioResult(
+        name="fig_x", system="experiment", label="Figure X",
+        params={"packets": 1200, "seed": 1},
+        table={"headers": ["degree", "lat_us"], "rows": [[2, 40.5], [3, 47.25]]},
+    )
+
+
+def test_a_table_stands_in_for_the_latency_metrics(tmp_path):
+    path = tmp_path / "baseline.json"
+    report = _report(_scenario(), _table_scenario())
+    report.save(str(path))
+    loaded = BenchReport.load(str(path)).scenario("fig_x")
+    assert loaded.table == _table_scenario().table
+    # One pinned value per cell, keyed by its row and column.
+    assert loaded.values()["table[1].lat_us"] == 47.25
+    assert loaded.experiment_table().column("degree") == [2, 3]
+    # A scenario without a table writes no table key.
+    assert "table" not in json.loads(path.read_text())["scenarios"][0]
+
+
+def test_validate_rejects_a_record_with_neither_metrics_nor_table():
+    document = _report(_table_scenario()).to_dict()
+    assert validate_bench(document) == []
+    del document["scenarios"][0]["table"]
+    problems = validate_bench(document)
+    assert any("latency_p99_us missing" in p for p in problems)
+
+
+def test_validate_rejects_a_ragged_table_row():
+    document = _report(_table_scenario()).to_dict()
+    document["scenarios"][0]["table"]["rows"][1].append(9.0)
+    assert validate_bench(document) == [
+        "scenarios[0].table.rows[1] is not a row of 2 cells"]
+    document["scenarios"][0]["table"]["rows"] = []
+    assert any("rows missing or empty" in p for p in validate_bench(document))
 
 
 def test_validate_requires_non_empty_stage_attribution():

@@ -94,9 +94,7 @@ def test_version_stage_lookups():
         Stage([StageEntry(node("firewall"), 1)]),
     ]
     graph = ServiceGraph(stages, copies=[CopySpec(0, 2)])
-    assert graph.first_stage_of_version(1) == 0
     assert graph.last_stage_of_version(1) == 1
-    assert graph.first_stage_of_version(2) == 0
     assert graph.last_stage_of_version(2) == 0
     with pytest.raises(ValueError):
         graph.last_stage_of_version(9)

@@ -97,24 +97,40 @@ def test_slice_merge_ops_split_across_servers():
 
 # -------------------------------------------------------- multi-server run
 def test_multiserver_output_matches_single_server():
-    from repro.dataplane import FunctionalDataplane
+    from repro.dataplane import FunctionalDataplane, SequentialReference
+    from repro.nfs import create_nf
 
-    chain = ["vpn", "monitor", "firewall", "loadbalancer"]
-    graph = graph_for(chain)
-    multi = MultiServerDataplane(graph, cores_per_server=5)
-    single = FunctionalDataplane(graph_for(chain))
-    assert multi.num_servers == 2
+    # The north-south chain, and §7's six-NF chain at benchmark scale.
+    cases = [
+        (["vpn", "monitor", "firewall", "loadbalancer"], 40,
+         lambda i: dict(src_ip=f"10.0.0.{i % 5 + 1}", src_port=100 + i,
+                        size=200, payload=b"p")),
+        (["gateway", "monitor", "nat", "firewall", "loadbalancer", "vpn"], 300,
+         lambda i: dict(src_ip=f"192.0.2.{i % 120 + 1}", src_port=6000 + i,
+                        size=256, payload=b"x")),
+    ]
+    for chain, count, fields in cases:
+        multi = MultiServerDataplane(graph_for(chain), cores_per_server=5)
+        single = FunctionalDataplane(graph_for(chain))
+        reference = SequentialReference(
+            [create_nf(kind, name=f"ref-{kind}") for kind in chain])
+        assert multi.num_servers == 2
 
-    for i in range(40):
-        a = build_packet(src_ip=f"10.0.0.{i % 5 + 1}", src_port=100 + i,
-                         size=200, identification=i, payload=b"p")
-        b = build_packet(src_ip=f"10.0.0.{i % 5 + 1}", src_port=100 + i,
-                         size=200, identification=i, payload=b"p")
-        out_multi = multi.process(a)
-        out_single = single.process(b)
-        assert (out_multi is None) == (out_single is None)
-        if out_multi is not None:
-            assert bytes(out_multi.buf) == bytes(out_single.buf)
+        for i in range(count):
+            # Same bytes (or the same drop) as one server and as the
+            # chain run in order.
+            outputs = {
+                None if out is None else bytes(out.buf)
+                for out in (plane.process(build_packet(identification=i,
+                                                       **fields(i)))
+                            for plane in (multi, single, reference))
+            }
+            assert len(outputs) == 1
+        for link in multi.links:
+            # The paper's constraint: one copy per packet per link, shim
+            # overhead a fixed 16 B.
+            assert link.frames == count
+            assert link.bytes >= count * NSH_LEN
 
 
 def test_one_frame_per_packet_per_link():

@@ -148,4 +148,4 @@ def test_a_burst_of_one_is_the_handed_over_item_alone():
         ring.put(item)
     assert ring.burst("first", 1) == ["first"] and len(ring) == 3
     assert ring.burst("first", 3) == ["first", "a", "b"] and len(ring) == 1
-    assert ring.burst("first", 32) == ["first", "c"] and ring.is_empty
+    assert ring.burst("first", 32) == ["first", "c"] and len(ring) == 0

@@ -56,9 +56,10 @@ def test_events_reassemble_per_pid_in_causal_order():
         assert timestamps == sorted(timestamps)
         assert trace.is_complete()
         assert trace.unmatched_starts() == 0
-        spans = trace.nf_spans()
-        assert [name for name, _, _ in spans] == ["fw", "ids"]
-        assert all(end > start for _, start, end in spans)
+        starts = trace.by_kind(SpanKind.NF_START)
+        ends = trace.by_kind(SpanKind.NF_END)
+        assert [event.name for event in ends] == ["fw", "ids"]
+        assert all(end.ts_us > start.ts_us for start, end in zip(starts, ends))
 
 
 def test_simultaneous_events_keep_recording_order():
@@ -68,17 +69,6 @@ def test_simultaneous_events_keep_recording_order():
     trace = tracer.traces()[(1, 1)]
     assert trace.kinds() == [SpanKind.NF_START, SpanKind.NF_END]
     assert trace.events[0].seq < trace.events[1].seq
-
-
-def test_events_for_pid_filters_and_sorts():
-    tracer = Tracer()
-    tracer.record(SpanKind.OUTPUT, 9.0, 1, 3, 1)
-    tracer.record(SpanKind.CLASSIFY, 1.0, 1, 3, 1)
-    tracer.record(SpanKind.CLASSIFY, 2.0, 2, 4, 1)
-    events = tracer.events_for(3)
-    assert [event.kind for event in events] == [SpanKind.CLASSIFY,
-                                                SpanKind.OUTPUT]
-    assert tracer.events_for(3, mid=2) == []
 
 
 def test_tracer_overflow_counts_dropped_events():
@@ -200,7 +190,10 @@ def test_chrome_trace_round_trip():
     assert sorted((e.kind, e.ts_us, e.name) for e in trace.events) == (
         sorted((e.kind, e.ts_us, e.name) for e in original.events)
     )
-    assert trace.nf_spans() == original.nf_spans()
+    assert [(e.name, e.ts_us, e.duration_us)
+            for e in trace.by_kind(SpanKind.NF_END)] == [
+        (e.name, e.ts_us, e.duration_us)
+        for e in original.by_kind(SpanKind.NF_END)]
 
 
 def test_chrome_trace_unmatched_start_becomes_zero_slice():

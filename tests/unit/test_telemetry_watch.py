@@ -92,13 +92,4 @@ def test_watcher_mirrors_alert_counts_into_hub_and_notifies_callbacks():
     assert hub.registry.counter_value("watch.x > 5.cleared") == 1
     assert watcher.fired == 1 and watcher.cleared == 1
     assert watcher.still_firing() == []
-    assert "FIRING" in watcher.alert_log()
-
-
-def test_watcher_for_slo_installs_canonical_rule():
-    class FakeSlo:
-        max_delay_us = 150.0
-
-    watcher = Watcher.for_slo(FakeSlo(), extra_rules=["x > 1"])
-    assert watcher.slo_us == 150.0
-    assert [rule.text for rule in watcher.rules] == ["p99_us > slo", "x > 1"]
+    assert "FIRING" in seen[0].describe()
