@@ -197,11 +197,28 @@ class _NFRuntimeSim:
         server.env.call_at(now, self._commit, batch, now)
 
     def _commit(self, batch: List[Packet], now: float) -> None:
-        """Forward the served burst; ``now`` walks the per-packet instants."""
-        complete = self.server.nf_complete
+        """Forward the served burst; ``now`` walks the per-packet instants.
+
+        The NF handles the burst's live packets (not nil, still in
+        flight) in one :meth:`~NetworkFunction.handle_burst` call, in
+        ring order; each packet's verdict then goes through the barrier
+        and forwarding bookkeeping.
+        """
+        server = self.server
+        complete = server.nf_complete
         reserve = self.core.reserve
+        flight = server._flight
+        live = [pkt for pkt in batch
+                if not pkt.nil and (pkt.meta.mid, pkt.meta.pid) in flight]
+        verdicts = self.nf.handle_burst(live) if live else ()
+        pending = len(live)
+        k = 0
         for pkt in batch:
-            extra = complete(self, pkt, now)
+            dropped = False
+            if k < pending and live[k] is pkt:
+                dropped = verdicts[k].dropped
+                k += 1
+            extra = complete(self, pkt, now, dropped)
             if extra > 0:
                 now = reserve(now, extra)
         # Free at ``now``, which the forwarding charges put ahead of the

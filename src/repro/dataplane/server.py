@@ -393,21 +393,20 @@ class NFPServer(NicEgress):
 
     # ------------------------------------------------------ completion hook
     def nf_complete(self, runtime: _NFRuntimeSim, pkt: Packet, now: float,
-                    faulted: bool = False) -> float:
+                    dropped: bool) -> float:
         """Bookkeeping after an NF finishes one packet, at instant ``now``.
 
-        Runs the NF's functional logic result through the barrier state
+        Runs the NF's verdict on the packet through the barrier state
         machine and executes FT actions.  Returns extra core time the
         runtime must charge (ring hops + copies it performed).  ``now``
         is the packet's own instant in its burst's commit phase, at or
         ahead of the clock: spans and deliveries are placed at it, not
         at ``env.now``.
 
-        ``faulted`` marks a packet the NF never actually served (crash
-        abort, ring overflow): its version is recorded as dropped and
-        only the barrier/forwarding machinery runs, so the resulting nil
-        reaches the merger and the AT entry completes instead of
-        stranding.
+        ``dropped`` is the verdict: the NF dropped the packet, or never
+        actually served it (crash abort, ring overflow).  Its version is
+        recorded as dropped, so the resulting nil reaches the merger and
+        the AT entry completes instead of stranding.
         """
         meta = pkt.meta
         state = self._flight.get((meta.mid, meta.pid))
@@ -416,12 +415,8 @@ class NFPServer(NicEgress):
         key, (last, fan_in, copies, targets) = state.steps[runtime.name]
         version = key[1]
 
-        if faulted:
+        if dropped:
             state.dropped.add(version)
-        elif not pkt.nil:
-            ctx = runtime.nf.handle(pkt)
-            if ctx.dropped:
-                state.dropped.add(version)
 
         extra = 0.0
         hop = self.params.ring_hop_us
@@ -541,7 +536,7 @@ class NFPServer(NicEgress):
                     now: float) -> None:
         """Abort a packet an instance will never serve (crash/overflow).
 
-        Reuses :meth:`nf_complete` with ``faulted=True``: the version is
+        Reuses :meth:`nf_complete` with a drop verdict: the version is
         nil'ed and barrier/forwarding bookkeeping runs, so downstream
         stages and the merger account the packet naturally.  Stale
         references (flight already reclaimed) are ignored.
@@ -550,7 +545,7 @@ class NFPServer(NicEgress):
         if meta is None or (meta.mid, meta.pid) not in self._flight:
             return
         self.telemetry.inc("faults.aborted_packets")
-        self.nf_complete(runtime, pkt, now, faulted=True)
+        self.nf_complete(runtime, pkt, now, dropped=True)
 
     def emit(self, pkt: Packet, now: float, extra_delay: float = 0.0) -> None:
         """Send a packet finished at ``now`` out of the NIC; record metrics."""

@@ -29,7 +29,7 @@ from .packet import HEADER_COPY_BYTES, Packet, PacketMeta, build_packet
 from .fields import Field, read_field, write_field
 from .recorder import AccessEvent, AccessRecorder, RECORD_VERBS
 from .lpm import LpmTable
-from .crypto import Aes128, aes_ctr_transform, compute_icv
+from .crypto import Aes128, aes_ctr_keystreams, aes_ctr_transform, compute_icv
 from .ah import insert_ah, refresh_icv, remove_ah, verify_ah
 from .encap import (
     VXLAN_HEADER_LEN,
@@ -71,6 +71,7 @@ __all__ = [
     "write_field",
     "LpmTable",
     "Aes128",
+    "aes_ctr_keystreams",
     "aes_ctr_transform",
     "compute_icv",
     "insert_ah",

@@ -19,10 +19,17 @@ first -- and every round runs on all n lanes at once:
 
 The counter lanes ``nonce ‖ k`` have a closed form too: the block
 numbers n−1−j in lane j sum to (xⁿ − n·x + n − 1)/(x−1)².  The 11
-round keys are memoised per key.  A single block (``Aes128``) is the
-same core at n = 1.  The byte-wise transcription of the standard lives
-in ``tests/support/aes_textbook.py`` as the differential oracle.  Only
-the forward cipher exists here: CTR is its own inverse.  The module also
+round keys are memoised per key.
+
+Messages share lanes as well: :func:`aes_ctr_keystreams` packs the
+counter lanes of several ``(nonce, length)`` messages (a burst of
+payloads, as in multi-buffer IPsec) into one state and slices one
+keystream per message out of a single pass, so the rounds' fixed cost
+is paid once per burst.  :func:`aes_ctr_transform` is its one-message
+case, and a single block (``Aes128``) is the same core at n = 1.  The
+byte-wise transcription of the standard lives in
+``tests/support/aes_textbook.py`` as the differential oracle.  Only the
+forward cipher exists here: CTR is its own inverse.  The module also
 provides the truncated-HMAC integrity check value (ICV) stamped into AH.
 
 The simulation charges the *calibrated* VPN service time
@@ -35,9 +42,9 @@ from __future__ import annotations
 import hmac
 import struct
 from functools import lru_cache
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = ["Aes128", "aes_ctr_transform", "compute_icv"]
+__all__ = ["Aes128", "aes_ctr_keystreams", "aes_ctr_transform", "compute_icv"]
 
 # FIPS-197 S-box.
 _SBOX = [
@@ -172,25 +179,66 @@ class Aes128:
         return _encrypt_lanes(self._round_keys, state, 1, 1).to_bytes(16, "big")
 
 
+def _ctr_lanes(key: bytes, spans: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """``(keystream, lanes)``: every message's CTR blocks, from one pass.
+
+    Message after message, most significant first, each message's
+    counter blocks (the 8-byte big-endian nonce followed by an 8-byte
+    big-endian block counter) become lanes of one state; ``keystream``
+    is that state encrypted, ``lanes`` its block count.
+    """
+    round_keys = _expand_key(bytes(key))
+    state = rep = total = 0
+    for nonce, length in spans:
+        if nonce < 0 or nonce >= 1 << 64:
+            raise ValueError("nonce must fit in 64 bits")
+        if length < 0:
+            raise ValueError("keystream length must not be negative")
+        blocks = (length + 15) >> 4
+        ones = int.from_bytes(_ONE_PER_LANE * blocks, "big")
+        # Lane j (from the least significant) holds block n-1-j: the
+        # block numbers are (ones - n)/(x - 1) = (x^n - n·x + n - 1)/(x - 1)^2.
+        shift = 128 * blocks
+        state = (state << shift) | ((nonce << 64) * ones
+                                    + (ones - blocks) // (_LANE - 1))
+        rep = (rep << shift) | ones
+        total += blocks
+    if not total:
+        return 0, 0
+    return _encrypt_lanes(round_keys, state, total, rep), total
+
+
+def aes_ctr_keystreams(key: bytes,
+                       spans: Sequence[Tuple[int, int]]) -> List[bytes]:
+    """The CTR keystreams of several messages, from one lane pass.
+
+    ``spans`` lists ``(nonce, length)`` per message; the result holds
+    ``length`` keystream bytes for each, in order.  The messages share
+    the lanes of one state, so a burst of short payloads pays the
+    rounds' fixed cost once instead of once per payload.  Any
+    out-of-range nonce raises ``ValueError`` before the pass.
+    """
+    keystream, lanes = _ctr_lanes(key, spans)
+    out = keystream.to_bytes(16 * lanes, "big")
+    streams = []
+    start = 0
+    for _, length in spans:
+        streams.append(out[start:start + length])
+        start += (length + 15) & ~15
+    return streams
+
+
 def aes_ctr_transform(key: bytes, nonce: int, data: bytes) -> bytes:
     """CTR-mode encrypt/decrypt (the operation is its own inverse).
 
-    The counter block is the 8-byte big-endian nonce followed by an
-    8-byte big-endian block counter.  Length-preserving, so the VPN NF
-    can encrypt a payload in place.  ``data`` is any bytes-like object.
+    The one-message case of :func:`aes_ctr_keystreams`: the same lane
+    pass, with the keystream kept as an integer for the XOR.
+    Length-preserving, so the VPN NF can encrypt a payload in place.
+    ``data`` is any bytes-like object.
     """
-    if nonce < 0 or nonce >= 1 << 64:
-        raise ValueError("nonce must fit in 64 bits")
-    round_keys = _expand_key(bytes(key))
     length = len(data)
-    blocks = (length + 15) >> 4
-    if not blocks:
-        return b""
-    rep = int.from_bytes(_ONE_PER_LANE * blocks, "big")
-    # Lane j (from the least significant) holds block n-1-j: the block
-    # numbers are (rep - n)/(x - 1) = (x^n - n·x + n - 1)/(x - 1)^2.
-    counters = (nonce << 64) * rep + (rep - blocks) // (_LANE - 1)
-    keystream = _encrypt_lanes(round_keys, counters, blocks, rep) >> (8 * (16 * blocks - length))
+    keystream, lanes = _ctr_lanes(key, ((nonce, length),))
+    keystream >>= 8 * (16 * lanes - length)
     return (int.from_bytes(data, "big") ^ keystream).to_bytes(length, "big")
 
 

@@ -8,13 +8,19 @@ and signalling drops through the :class:`ProcessingContext`.  The NF
 never forwards packets itself -- delivery is the runtime's job, keeping
 parallelism transparent to NF authors.
 
+The runtime serves packets a burst at a time, as a DPDK poll loop
+drains its ring: :meth:`NetworkFunction.handle_burst` is
+:meth:`~NetworkFunction.handle` over each packet in ring order, and an
+NF may override it to share per-burst work (one cipher pass for every
+payload) as long as each packet's result is the one ``handle`` gives.
+
 A registry maps NF *kind* names (matching the action-table rows) to
 implementations, so policies, profiles and code line up by name.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Type
+from typing import Any, Dict, List, Optional, Sequence, Type
 
 from ..net.packet import Packet
 from ..telemetry.hooks import NULL_HUB
@@ -115,6 +121,19 @@ class NetworkFunction:
             if had_error:
                 hub.inc(self._errors_metric)
         return ctx
+
+    def handle_burst(self, pkts: Sequence[Packet]) -> List[ProcessingContext]:
+        """:meth:`handle` each packet of a burst, in order.
+
+        The unit of the DPDK poll loop the NF runtime models: it drains
+        a burst from the NF's ring and serves it whole.  An NF that can
+        share work across independent packets (the VPN runs one cipher
+        pass for the burst's payloads) overrides this; the contexts, the
+        bytes and the recorder events must stay those of per-packet
+        :meth:`handle`.
+        """
+        handle = self.handle
+        return [handle(pkt) for pkt in pkts]
 
     # ------------------------------------------------------ state handover
     # Live membership change (autoscaling, §7 + Khalid & Akella) moves

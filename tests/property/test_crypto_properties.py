@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.net import (
     Aes128,
+    aes_ctr_keystreams,
     aes_ctr_transform,
     build_packet,
     insert_ah,
@@ -44,6 +45,22 @@ def test_encrypt_block_matches_textbook_and_inverts(key, block):
 def test_ctr_matches_textbook_oracle(key, nonce, data, wrap):
     assert aes_ctr_transform(key, nonce, wrap(data)) == \
         textbook_ctr_transform(key, nonce, data)
+
+
+# One burst's messages: block edges, lane-count edges, a jumbo payload.
+spans = st.lists(
+    st.tuples(nonces, st.one_of(st.sampled_from([0, 1, 15, 16, 17, 4096, 4112, 9000]),
+                                st.integers(0, 300))),
+    min_size=1, max_size=33)
+
+
+@settings(max_examples=15, deadline=None)
+@given(key=keys, spans=spans)
+def test_burst_keystreams_match_textbook_message_by_message(key, spans):
+    streams = aes_ctr_keystreams(key, spans)
+    assert [len(stream) for stream in streams] == [length for _, length in spans]
+    for (nonce, length), stream in zip(spans, streams):
+        assert stream == textbook_ctr_transform(key, nonce, bytes(length))
 
 
 @settings(max_examples=25)

@@ -1,14 +1,16 @@
 """Unit tests for the timed DES dataplane (classifier/runtime/merger)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import CompiledGraph, Orchestrator, Policy
-from repro.dataplane import ChainingManager, NFPServer
+from repro.dataplane import ChainingManager, NFPServer, SequentialReference
 from repro.dataplane.runtimes import FlightState
 from repro.eval import deployed_from_graph, forced_parallel, forced_sequential
-from repro.net import build_packet
+from repro.net import PacketMeta, build_packet
 from repro.sim import DEFAULT_PARAMS, Environment
-from repro.nfs import AclRule, Firewall, create_nf
+from repro.nfs import AclRule, Firewall, NetworkFunction, create_nf
 from repro.traffic import feed_list
 
 
@@ -201,3 +203,94 @@ def test_flight_state_structure():
     # What every completion reads of the record the packet started under.
     assert state.compiled is compiled and state.steps is compiled.by_nf
     assert state.merged is compiled.needs_merger is True
+
+
+# ------------------------------------------------------- burst hand-off
+class BurstLog(NetworkFunction):
+    """A monitor stand-in that logs each burst it is handed and raises
+    on the third packet it serves."""
+
+    KIND = "monitor"
+
+    def __init__(self, name=None):
+        super().__init__(name)
+        self.bursts = []
+        self.served = 0
+
+    def handle_burst(self, pkts):
+        self.bursts.append(list(pkts))
+        return super().handle_burst(pkts)
+
+    def process(self, pkt, ctx):
+        self.served += 1
+        if self.served == 3:
+            raise RuntimeError("third packet")
+
+
+def test_commit_hands_the_nf_its_live_packets_in_ring_order():
+    env, server = make_server(forced_sequential(["monitor"]),
+                              nf_factory=lambda kind, name: BurstLog(name))
+    server.keep_packets = True
+    mid = server.chaining.mids()[0]
+    compiled = server.chaining.compiled_for(mid)
+    runtime = server.runtimes["monitor0"].instances[0]
+    batch = []
+    for pid in range(1, 9):
+        pkt = build_packet(src_port=1000 + pid, identification=pid)
+        pkt.meta = PacketMeta(mid=mid, pid=pid)
+        pkt.ingress_us = 0.0
+        server._flight[(mid, pid)] = FlightState(pkt, compiled)
+        server.pool.alloc(len(pkt.buf))
+        batch.append(pkt)
+    batch[1] = batch[1].make_nil()  # an upstream drop: still in flight
+    server._flight[(mid, 2)].dropped.add(1)
+    del server._flight[(mid, 5)]  # already accounted (a stale reference)
+    server.pool.free(len(batch[4].buf))
+    live = [batch[i] for i in (0, 2, 3, 5, 6, 7)]
+
+    runtime._commit(batch, env.now)
+    env.run()
+
+    assert runtime.nf.bursts == [live]
+    assert runtime.nf.errors == 1
+    # The raising (third live) packet and the nil are dropped; the rest forward.
+    assert [p.meta.pid for p in server.emitted_packets] == [1, 3, 6, 7, 8]
+    assert server.nil_dropped == 2
+    assert server._flight == {}
+
+
+@pytest.mark.parametrize("batch_size", (1, 32))
+def test_nat_vpn_through_the_server_matches_the_sequential_reference(batch_size):
+    params = dataclasses.replace(DEFAULT_PARAMS, batch_size=batch_size)
+    env = Environment()
+    server = NFPServer(env, params)
+    server.deploy(Orchestrator().deploy(Policy.from_chain(["nat", "vpn"])))
+    server.keep_packets = True
+    sizes = [64, 80, 1500, 54, 600, 2048, 66, 128]
+
+    def frames():
+        frames = []
+        for i in range(120):
+            size = sizes[i % len(sizes)]
+            frames.append(build_packet(
+                src_ip=f"10.0.0.{i % 10 + 1}", src_port=1000 + i, size=size,
+                identification=i, payload=bytes([i & 0xFF]) * min(10, size - 54)))
+        return frames
+
+    vpn = server.nfs["vpn"]
+    bursts = []
+
+    def logged(pkts, handle_burst=vpn.handle_burst):
+        bursts.append(len(pkts))
+        return handle_burst(pkts)
+
+    vpn.handle_burst = logged
+    feed_list(env, server.inject, frames(), 0.5)
+    env.run()
+    reference = SequentialReference([create_nf("nat"), create_nf("vpn")])
+    expected = [bytes(out.buf) for out in reference.process_many(frames())]
+    got = sorted(server.emitted_packets, key=lambda p: p.meta.pid)
+    assert [bytes(p.buf) for p in got] == expected
+    assert vpn.seq == sum(bursts) == 120
+    # The offered load queues at the VPN: at 32 it is handed real bursts.
+    assert max(bursts) == 1 if batch_size == 1 else max(bursts) > 1

@@ -1,5 +1,7 @@
 """Unit tests for checksum, AES-128, ICV, and AH insertion/removal."""
 
+import functools
+
 import pytest
 
 from repro.net import (
@@ -249,3 +251,49 @@ def test_remove_without_ah_rejected():
     with pytest.raises(ValueError):
         remove_ah(pkt)
     assert not verify_ah(pkt, KEY)
+
+
+# ------------------------------------------------------ burst keystreams
+MIXED_LENGTHS = (0, 1, 15, 16, 17, 4096, 4112, 9000)
+
+
+@functools.lru_cache(maxsize=None)
+def _textbook_stream(nonce, length):
+    return textbook_ctr_transform(KEY, nonce, bytes(length))
+
+
+@pytest.mark.parametrize("count", (1, 2, 33))
+def test_keystreams_match_textbook_message_by_message(count):
+    nonces = (0, (1 << 64) - 1)
+    for shift in range(len(MIXED_LENGTHS)):
+        spans = [(nonces[i % 2], MIXED_LENGTHS[(i + shift) % len(MIXED_LENGTHS)])
+                 for i in range(count)]
+        streams = crypto.aes_ctr_keystreams(KEY, spans)
+        assert len(streams) == count
+        for (nonce, length), stream in zip(spans, streams):
+            assert stream == _textbook_stream(nonce, length)
+
+
+def test_keystreams_of_no_message_and_of_empty_messages():
+    assert crypto.aes_ctr_keystreams(KEY, []) == []
+    assert crypto.aes_ctr_keystreams(KEY, [(3, 0), (4, 0)]) == [b"", b""]
+
+
+def test_ctr_transform_is_the_one_message_keystream():
+    data = bytes(range(40))
+    (stream,) = crypto.aes_ctr_keystreams(KEY, [(9, 40)])
+    assert aes_ctr_transform(KEY, 9, data) == bytes(a ^ b for a, b in zip(data, stream))
+
+
+@pytest.mark.parametrize("bad", (1 << 64, -1))
+@pytest.mark.parametrize("where", (0, 1, 2))
+def test_keystreams_reject_any_out_of_range_nonce_before_lane_work(
+        monkeypatch, bad, where):
+    def no_lanes(*args):
+        raise AssertionError("lane work began before the nonces were checked")
+
+    monkeypatch.setattr(crypto, "_encrypt_lanes", no_lanes)
+    spans = [(1, 16), (2, 100), (3, 9000)]
+    spans[where] = (bad, spans[where][1])
+    with pytest.raises(ValueError):
+        crypto.aes_ctr_keystreams(KEY, spans)
