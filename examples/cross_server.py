@@ -27,10 +27,10 @@ def main() -> None:
     multi = MultiServerDataplane(graph, cores_per_server=5)
     print(f"partitioned over {multi.num_servers} servers "
           f"(3 NF cores each + classifier + merger):")
-    for server in multi.servers:
-        print(f"  server {server.slice.server_index}: "
-              f"{server.slice.nf_names()}  "
-              f"({server.slice.total_cores} cores)")
+    for server_slice in multi.slices:
+        print(f"  server {server_slice.server_index}: "
+              f"{server_slice.nf_names()}  "
+              f"({server_slice.total_cores} cores)")
 
     reference = SequentialReference(
         [create_nf(k, name=f"ref-{k}") for k in CHAIN]

@@ -9,6 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import Orchestrator, Policy
+from repro.core import CompiledGraph, table_view
 from repro.dataplane import FunctionalDataplane, SequentialReference
 from repro.net import build_packet
 from repro.nfs import create_nf
@@ -35,8 +36,10 @@ def main() -> None:
 
     # 3. Deploy: allocate a MID and generate the CT/FT/MO tables (§5).
     deployed = orch.deploy(policy)
-    print("\nclassifier CT  :", deployed.tables.ct_entry)
-    for nf, actions in deployed.tables.forwarding.items():
+    ct_row, forwarding = table_view(CompiledGraph(graph),
+                                    deployed.tables.ct_entry)
+    print("\nclassifier CT  :", ct_row)
+    for nf, actions in forwarding.items():
         print(f"  FT[{nf}]: {actions}")
 
     # 4. Process real packets through the parallel graph and verify the

@@ -58,7 +58,14 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
-from .core import Orchestrator, Parallelism, Policy, parse_policy
+from .core import (
+    CompiledGraph,
+    Orchestrator,
+    Parallelism,
+    Policy,
+    parse_policy,
+    table_view,
+)
 from .eval import (
     compute_pair_statistics,
     forced_parallel,
@@ -123,8 +130,10 @@ def cmd_compile(args) -> int:
         for (a, b), verdict in sorted(result.decisions.items()):
             print(f"  {a} before {b}: {verdict.classification.value}")
         deployed = orch.deploy(policy)
-        print(f"\nCT: {deployed.tables.ct_entry}")
-        for nf, actions in deployed.tables.forwarding.items():
+        ct_row, forwarding = table_view(CompiledGraph(deployed.graph),
+                                        deployed.tables.ct_entry)
+        print(f"\nCT: {ct_row}")
+        for nf, actions in forwarding.items():
             print(f"FT[{nf}]: {actions}")
     return 0
 

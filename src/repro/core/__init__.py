@@ -43,19 +43,9 @@ from .graph import (
     Stage,
     StageEntry,
 )
-from .closures import CompiledGraph
+from .closures import CompiledGraph, table_view
 from .compiler import CompilationResult, CompileError, NFPCompiler, compile_policy
-from .tables import (
-    MERGER_TARGET,
-    OUTPUT_TARGET,
-    ClassificationTable,
-    CTEntry,
-    ForwardingTable,
-    FTAction,
-    FTActionKind,
-    TableSet,
-    build_tables,
-)
+from .tables import ClassificationTable, CTEntry, TableSet, build_tables
 from .inspector import InspectionError, inspect_nf, inspect_nf_source
 from .match import FlowMatch
 from .profiles_io import (
@@ -115,15 +105,11 @@ __all__ = [
     "CompileError",
     "compile_policy",
     "CompiledGraph",
+    "table_view",
     "build_tables",
     "TableSet",
     "ClassificationTable",
     "CTEntry",
-    "ForwardingTable",
-    "FTAction",
-    "FTActionKind",
-    "MERGER_TARGET",
-    "OUTPUT_TARGET",
     "inspect_nf",
     "inspect_nf_source",
     "InspectionError",

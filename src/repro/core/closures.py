@@ -4,18 +4,22 @@ NFP's per-packet semantics are fixed once a graph is compiled: which
 copies are due at each stage's entry, which NFs run in the stage and on
 which version.  :class:`CompiledGraph` states that *once per install* as
 plain tuples, so no per-packet path scans ``graph.copies`` or formats an
-instance label.  The functional plane and each multi-server stage
-execute (a slice of) the program, bound to their scale map, through the
-one interpreter (:class:`repro.dataplane.functional.StageKernel`); the
-DES server, whose packets advance one NF completion at a time, reads
-the *step table* beside the program -- per ``(stage, version)``: is it
-the version's last stage, how many completions its barrier waits for,
-which copies and rings come next -- so a completion is one lookup
+instance label.  It is the one routing artefact of a graph: the
+functional plane executes the program, bound to its scale map, through
+the one interpreter (:class:`repro.dataplane.functional.FunctionalDataplane`;
+a cross-server slice is a graph of its own,
+:func:`repro.core.partition.slice_subgraph`, run the same way); the DES
+server, whose packets advance one NF completion at a time, reads the
+*step table* beside the program -- per ``(stage, version)``: is it the
+version's last stage, how many completions its barrier waits for, which
+copies and rings come next -- so a completion is one lookup
 (:class:`~repro.dataplane.chaining.ChainingManager` keeps one record per
 MID, unbound: instance membership stays with the runtime groups).  The
-merge half of the install-time work is
-:class:`repro.dataplane.merging.MergePlan`; the performance lab times
-the one-argument constructor as ``core.closure_compile_ms``.
+paper's Forwarding Tables (Fig. 4) are a view of the step table,
+:func:`table_view`, not a second copy of it.  The merge half of the
+install-time work is :class:`repro.dataplane.merging.MergePlan`; the
+performance lab times the one-argument constructor as
+``core.closure_compile_ms``.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .graph import ORIGINAL_VERSION, CopySpec, ServiceGraph
+from .tables import CTEntry
 
-__all__ = ["CompiledGraph", "instance_labels"]
+__all__ = ["CompiledGraph", "instance_labels", "table_view"]
 
 
 def instance_labels(name: str, count: int) -> Tuple[str, ...]:
@@ -103,3 +108,49 @@ class CompiledGraph:
 
 def _names(stage, version: int) -> Tuple[str, ...]:
     return tuple(entry.node.name for entry in stage.entries_on(version))
+
+
+def table_view(compiled: CompiledGraph,
+               ct_entry: CTEntry) -> Tuple[str, Dict[str, str]]:
+    """Fig. 4's tables for one install: its CT row and each NF's FT.
+
+    Read off what the planes execute.  The classifier's entry actions
+    are stage 0's copies and fan-out; an NF's FT is its completion's
+    step: a version's last stage goes to the merger (or out, with no
+    merger), any other stage cuts the copies due next and forwards to
+    the next stage.  Returns the CT row and ``FT[nf]`` per NF name, as
+    ``compile --verbose`` prints them.
+    """
+    def copy(spec: CopySpec) -> str:
+        mode = "hdr" if spec.header_only else "full"
+        return f"copy(v{ORIGINAL_VERSION}, v{spec.version}, {mode})"
+
+    def distribute(version: int, names) -> str:
+        return f"distribute(v{version}, {list(names)})"
+
+    fanout: Dict[int, List[str]] = {}
+    for version, name in compiled.stage0:
+        fanout.setdefault(version, []).append(name)
+    entry = [copy(spec) for spec in sorted(compiled.program[0][0],
+                                           key=lambda spec: spec.version)]
+    entry += [distribute(version, names) for version, names in fanout.items()]
+    ct_row = (f"CTEntry(match={ct_entry.match!r}, mid={ct_entry.mid}, "
+              f"count={compiled.total_count}, "
+              f"mos={list(compiled.graph.merge_ops)}, "
+              f"actions=[{', '.join(entry)}])")
+    forwarding: Dict[str, str] = {}
+    for _, entries in compiled.program:
+        for *_, stage_entry in entries:
+            name = stage_entry.node.name
+            (_, version), (last, _, due, targets) = compiled.by_nf[name]
+            if last:
+                actions = [distribute(version, ["@merger"])
+                           if compiled.needs_merger else f"output(v{version})"]
+            else:
+                actions = []
+                for spec, names in sorted(due, key=lambda d: d[0].version):
+                    actions += [copy(spec), distribute(spec.version, names)]
+                if targets:
+                    actions.append(distribute(version, targets))
+            forwarding[name] = f"[{', '.join(actions)}]"
+    return ct_row, forwarding

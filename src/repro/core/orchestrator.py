@@ -5,9 +5,10 @@ Ties the pieces together the way Fig. 3's control plane does:
 1. operators submit policies (objects or DSL text);
 2. the compiler turns each policy into a service graph;
 3. a fresh MID is allocated (20 bits -> up to 1M graphs) and the
-   CT/FT/MO tables are built;
+   graph's CT row is built;
 4. the tables are handed to whatever infrastructure is attached (the
-   simulated NFP server's chaining manager, §5).
+   simulated NFP server's chaining manager, §5), which compiles the
+   graph's FTs and MOs into its install-time record.
 
 It also owns the NF action table and exposes the §5.4 registration flow
 for new NFs (manual profile or inspector-derived).

@@ -18,9 +18,15 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .graph import ServiceGraph, Stage
+from .graph import ORIGINAL_VERSION, CopySpec, ServiceGraph, Stage
 
-__all__ = ["ServerSlice", "partition_graph", "partition_at", "PartitionError"]
+__all__ = [
+    "ServerSlice",
+    "partition_graph",
+    "partition_at",
+    "slice_subgraph",
+    "PartitionError",
+]
 
 #: Cores a server must reserve beyond NFs: classifier + merger (§6).
 _OVERHEAD_CORES = 2
@@ -63,8 +69,8 @@ def partition_at(graph: ServiceGraph, cuts: Sequence[int]) -> List[ServerSlice]:
     ``[0,1]`` and ``[2,3]``.  This is the placement solvers' primitive:
     they search over cut vectors instead of trusting the greedy
     first-fit of :func:`partition_graph`.  Slices reuse the graph's own
-    :class:`~repro.core.graph.Stage` objects so
-    :func:`repro.multiserver.timed.slice_subgraph` can rebase them.
+    :class:`~repro.core.graph.Stage` objects so :func:`slice_subgraph`
+    can rebase them.
     """
     bounds = sorted(set(cuts))
     if any(not 0 < cut < len(graph.stages) for cut in bounds):
@@ -120,3 +126,33 @@ def partition_graph(
             f"graph needs {len(slices)} servers, more than max_servers={max_servers}"
         )
     return slices
+
+
+def slice_subgraph(graph: ServiceGraph, server_slice: ServerSlice) -> ServiceGraph:
+    """A slice re-expressed as a standalone service graph.
+
+    Stage indices of copy specs are rebased to the slice.  Copy versions
+    are stage-local, so each graph MO belongs to exactly one slice --
+    the one holding the stage where its source version runs -- and the
+    slice keeps those (v1 carries everything else onward).  Every plane
+    runs a server's slice as this graph, compiled like any other.
+    """
+    offset = graph.stages.index(server_slice.stages[0])
+    copies = [
+        CopySpec(c.stage_index - offset, c.version, c.header_only)
+        for c in graph.copies
+        if 0 <= c.stage_index - offset < len(server_slice.stages)
+    ]
+    local_versions = {
+        entry.version
+        for stage in server_slice.stages
+        for entry in stage
+        if entry.version != ORIGINAL_VERSION
+    }
+    return ServiceGraph(
+        server_slice.stages,
+        copies=copies,
+        merge_ops=[op for op in graph.merge_ops
+                   if op.src_version in local_versions],
+        name=f"{graph.name}[server{server_slice.server_index}]",
+    )

@@ -1,14 +1,14 @@
 """Chaining manager (§5, Fig. 3): holds installed tables for the server.
 
 The orchestrator pushes a :class:`~repro.core.tables.TableSet` per
-deployed graph; the chaining manager splits it -- the CT entry goes to
-the classifier, each NF runtime receives its FT slice, and the mergers
-look up total counts and MOs by MID.  What the server's per-packet paths
-need of a graph is compiled here, once per install, into one record per
-MID (:class:`~repro.core.closures.CompiledGraph`: stage program, step
-table, stage-0 fan-out, merge plan): the classifier, every NF completion
-and the mergers read that record, never the graph, so a table set
-installed through :meth:`ChainingManager.install` alone is complete.
+deployed graph: its CT row goes to the classifier, and its graph is
+compiled here, once per install, into one record per MID
+(:class:`~repro.core.closures.CompiledGraph`: stage program, step
+table, stage-0 fan-out, merge plan).  That record is the paper's
+Forwarding Tables and merging operations in executable form: the
+classifier, every NF completion and the mergers read it, never the
+graph, so a table set installed through :meth:`ChainingManager.install`
+alone is complete.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.closures import CompiledGraph
 from ..core.graph import ServiceGraph
-from ..core.tables import ClassificationTable, CTEntry, FTAction, TableSet
+from ..core.tables import ClassificationTable, CTEntry, TableSet
 from .merging import MergePlan
 
 __all__ = ["ChainingManager"]
@@ -28,7 +28,6 @@ class ChainingManager:
 
     def __init__(self):
         self.classification = ClassificationTable()
-        self._forwarding: Dict[int, Dict[str, List[FTAction]]] = {}
         #: Install-time compiled records, one per MID: everything the
         #: server's classifier, NF completions and mergers read of a
         #: graph, stated once so no per-packet path derives it.
@@ -46,9 +45,8 @@ class ChainingManager:
         self._install_listeners.append(listener)
 
     def install(self, tables: TableSet) -> None:
-        """Install a deployed graph's tables (classifier + runtimes)."""
+        """Install a deployed graph: its CT row and its compiled record."""
         self.classification.install(tables.ct_entry)
-        self._forwarding[tables.mid] = tables.forwarding
         compiled = self._compiled[tables.mid] = CompiledGraph(tables.graph)
         compiled.merge_plan = MergePlan(tables.graph.merge_ops)
         self.closures_compiled += 1
@@ -69,14 +67,6 @@ class ChainingManager:
 
     def ct_entry_for(self, mid: int) -> CTEntry:
         return self.classification.by_mid(mid)
-
-    def ft_for(self, mid: int, nf_name: str) -> List[FTAction]:
-        try:
-            return self._forwarding[mid][nf_name]
-        except KeyError:
-            raise KeyError(
-                f"no forwarding rules for NF {nf_name!r} under MID {mid}"
-            ) from None
 
     def classify(self, key: Optional[bytes]) -> Optional[CTEntry]:
         """Classifier lookup on a flow key (``Packet.flow_key()``): the

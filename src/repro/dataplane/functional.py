@@ -23,11 +23,10 @@ ground truth: N independent sequential chains fed by the same split.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..core.closures import CompiledGraph, instance_labels
-from ..core.graph import MergeOp, ORIGINAL_VERSION, ServiceGraph
+from ..core.graph import ORIGINAL_VERSION, ServiceGraph
 from ..core.scaling import scale_graph
 from ..faults import FaultInjector, HealthBoard
 from ..net.packet import Packet
@@ -36,7 +35,6 @@ from .flowsplit import key_digest, packet_key, pick_instance
 from .merging import MergePlan, apply_merge_ops
 
 __all__ = [
-    "StageKernel",
     "FunctionalDataplane",
     "SequentialReference",
     "SequentialBank",
@@ -69,46 +67,64 @@ def instantiate_nfs(
     return instances
 
 
-class StageKernel:
-    """The one stage walk: NFP's per-packet semantics, written once.
+class FunctionalDataplane:
+    """Synchronous executor with NFP's exact packet semantics.
 
-    Executes (a slice of) a bound :class:`~repro.core.closures.CompiledGraph`
+    The one stage walk: NFP's per-packet semantics, written once.  It
+    executes the graph's bound :class:`~repro.core.closures.CompiledGraph`
     program: copies due at a stage's entry come from the current version
     1, every NF of the stage sees the pre-stage buffers, a drop takes
     effect only after the stage (parallel semantics), and the collected
     versions are merged at the end.  A replicated entry runs on
     ``labels[digest % count]`` of the crc32 of the packet's flow key --
-    the split the DES classifier gets from ``assign_instances``.
-    :class:`FunctionalDataplane` runs the whole program,
-    :class:`repro.multiserver.ServerStage` a slice.
+    the split the DES classifier gets from ``assign_instances``.  A
+    cross-server slice runs here as a graph of its own
+    (:func:`repro.core.partition.slice_subgraph`).
     """
 
-    #: Hooks consulted on the single path; ``None`` on a plane without:
-    #: a fault injector gating every NF application, a telemetry hub, a
-    #: :class:`~repro.telemetry.timeseries.Sampler`.
-    injector: Optional[FaultInjector] = None
-    telemetry = sampler = None
-
-    def _bind(self, stages: Sequence[tuple], merge_ops: Iterable[MergeOp],
-              nfs: Dict[str, NetworkFunction]) -> None:
-        missing = [label for _, entries in stages for _, _, labels, _ in entries
-                   for label in labels if label not in nfs]
+    def __init__(
+        self,
+        graph: ServiceGraph,
+        nf_instances: Optional[Dict[str, NetworkFunction]] = None,
+        scale: Union[int, Mapping[str, int], None] = None,
+        injector: Optional[FaultInjector] = None,
+        telemetry=None,
+    ):
+        self.graph = graph
+        #: The untimed plane has no clock: the hub only counts
+        #: control-plane facts (RSS pinning).
+        self.telemetry = telemetry
+        self.scale = _counts(graph, scale)
+        self._stages = CompiledGraph(graph, self.scale).program
+        #: Instance label -> NF object, looked up per packet.
+        self.nfs = nf_instances or instantiate_nfs(graph, scale=self.scale)
+        missing = [label for _, entries in self._stages
+                   for _, _, labels, _ in entries
+                   for label in labels if label not in self.nfs]
         if missing:
             raise ValueError(f"no NF instances for graph nodes: {missing}")
-        self._stages = tuple(stages)
         #: Whether any entry is replicated (else no packet is hashed).
         self._scaled = any(count > 1 for _, entries in self._stages
                            for _, count, _, _ in entries)
-        self._plan = MergePlan(merge_ops)
-        #: Instance label -> NF object, looked up per packet.
-        self.nfs = nfs
+        self._plan = MergePlan(graph.merge_ops)
         self.processed = self.emitted = self.dropped = 0
+        #: Instance health is consulted before each NF application.
+        #: Down instances drop the version (nil) instead of serving it;
+        #: with replicas left, later flows rehash onto healthy
+        #: instances; with none left, the instance restarts fresh (its
+        #: per-flow state is lost -- the semantics failover degrades to,
+        #: and what fuzzing measures the blast radius of).
+        self.injector = injector
+        self.health = HealthBoard()
+        for name, count in self.scale.items():
+            self.health.register(name, count)
+        #: reason -> packet count for faulted drops (conservation report).
+        self.drop_reasons: Dict[str, int] = {}
+        self.restarts = 0
 
     def process(self, pkt: Packet) -> Optional[Packet]:
         """Run one packet through the program; ``None`` means dropped."""
         self.processed += 1
-        if self.sampler is not None:
-            self.sampler.maybe_tick(time.monotonic() * 1e6)
         injector = self.injector
         digest, live = 0, None
         if self._scaled:
@@ -149,40 +165,6 @@ class StageKernel:
         else:
             self.emitted += 1
         return merged
-
-
-class FunctionalDataplane(StageKernel):
-    """Synchronous executor with NFP's exact packet semantics."""
-
-    def __init__(
-        self,
-        graph: ServiceGraph,
-        nf_instances: Optional[Dict[str, NetworkFunction]] = None,
-        scale: Union[int, Mapping[str, int], None] = None,
-        injector: Optional[FaultInjector] = None,
-        telemetry=None,
-    ):
-        self.graph = graph
-        #: The untimed plane has no clock: it only counts control-plane
-        #: facts (RSS pinning), and :meth:`process` drives an attached
-        #: sampler's wall-clock ``maybe_tick`` fallback.
-        self.telemetry = telemetry
-        self.scale = _counts(graph, scale)
-        self._bind(CompiledGraph(graph, self.scale).program, graph.merge_ops,
-                   nf_instances or instantiate_nfs(graph, scale=self.scale))
-        #: Instance health is consulted before each NF application.
-        #: Down instances drop the version (nil) instead of serving it;
-        #: with replicas left, later flows rehash onto healthy
-        #: instances; with none left, the instance restarts fresh (its
-        #: per-flow state is lost -- the semantics failover degrades to,
-        #: and what fuzzing measures the blast radius of).
-        self.injector = injector
-        self.health = HealthBoard()
-        for name, count in self.scale.items():
-            self.health.register(name, count)
-        #: reason -> packet count for faulted drops (conservation report).
-        self.drop_reasons: Dict[str, int] = {}
-        self.restarts = 0
 
     def _instance_down(self, entry, label: str, index: int) -> bool:
         """Health gate before one NF application (fault runs only).

@@ -25,6 +25,7 @@ from ..core.tables import build_tables
 from ..baselines.bess import BessServer
 from ..baselines.opennetvm import OpenNetVMServer
 from ..dataplane.server import NFPServer
+from ..multiserver.dataplane import publish_core_util
 from ..nfs.base import create_nf
 from ..sim import DEFAULT_PARAMS, Environment, SimParams
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
@@ -449,26 +450,14 @@ def measure_placed(
         # plane uses, so the ASCII exporter table covers DES runs too.
         if topology is not None:
             for name, server_slice in zip(placement.path, placement.slices):
-                capacity = topology.server(name).cores
-                if capacity > 0:
-                    telemetry.gauge(
-                        f"multiserver.server.{name}.core_util",
-                        server_slice.total_cores / capacity,
-                    )
+                publish_core_util(telemetry, name, server_slice,
+                                  topology.server(name).cores)
         for index, link in enumerate(plane.links):
             if not link.frames:
                 continue
             telemetry.inc(f"multiserver.link{index}.frames", link.frames)
             telemetry.inc(f"multiserver.link{index}.bytes", link.bytes)
-            telemetry.gauge(
-                f"multiserver.link{index}.busy_us",
-                link.bytes * 8 / (link.gbps * 1000.0),
-            )
-            mean_bits = link.bytes * 8 / link.frames
-            telemetry.gauge(
-                f"multiserver.link{index}.occupancy",
-                rate * mean_bits / (link.gbps * 1000.0),
-            )
+            link.publish(telemetry, index, link.gbps, rate)
 
     return _result(
         "NFP-placed", label or f"{request.name}@{'->'.join(placement.path)}",

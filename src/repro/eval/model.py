@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, Mapping, Optional, Sequence
 
 from ..core.graph import ORIGINAL_VERSION, ServiceGraph
+from ..core.partition import slice_subgraph
 from ..net.packet import HEADER_COPY_BYTES
 from ..sim.params import SimParams
 
@@ -150,8 +151,6 @@ def placed_capacity(
     is reported as ``server<i>:<component>``.  Used by the placement
     solvers to check a candidate against a chain's [min,max] rate SLO.
     """
-    from ..multiserver.timed import slice_subgraph  # local: avoids a cycle
-
     demands: Dict[str, float] = {}
     for server_slice in slices:
         sub = slice_subgraph(graph, server_slice)

@@ -70,12 +70,6 @@ class Block:
     def base_name(self) -> str:
         return self.name.split("#", 1)[0]
 
-    def renamed(self, suffix: str) -> "Block":
-        return Block(
-            f"{self.base_name}#{suffix}", self.profile.actions, self.cost_us,
-            self.depends_on,
-        )
-
     def __repr__(self) -> str:
         return f"Block({self.name})"
 

@@ -8,14 +8,14 @@ NFP metadata.
 """
 
 from .nsh import NSH_LEN, NshTag, decapsulate, encapsulate, has_nsh
-from .dataplane import MultiServerDataplane, ServerStage, slice_merge_ops
+from .dataplane import MultiServerDataplane
 from .latency import (
     CrossServerLatency,
     estimate_cross_server_latency,
     estimate_placed_latency,
     link_cost_us,
 )
-from .timed import TimedMultiServer, slice_subgraph
+from .timed import TimedMultiServer
 
 __all__ = [
     "NshTag",
@@ -24,12 +24,9 @@ __all__ = [
     "has_nsh",
     "NSH_LEN",
     "MultiServerDataplane",
-    "ServerStage",
-    "slice_merge_ops",
     "estimate_cross_server_latency",
     "estimate_placed_latency",
     "CrossServerLatency",
     "link_cost_us",
     "TimedMultiServer",
-    "slice_subgraph",
 ]

@@ -2,11 +2,13 @@
 
 Executes a service graph partitioned over several servers under the
 paper's bandwidth constraint: "each server sends only one copy of a
-packet to the next server".  Each :class:`ServerStage` runs its slice
-of stages with full NFP semantics (versions, copies, barriers, nil
-propagation) and performs a *slice-local merge* at its egress -- copy
-versions never leave the server; only the (merged) original crosses a
-link, tagged with an NSH shim carrying the flight metadata.
+packet to the next server".  Each server runs its slice as a service
+graph of its own (:func:`repro.core.partition.slice_subgraph`) on a
+:class:`~repro.dataplane.functional.FunctionalDataplane`, with full NFP
+semantics (versions, copies, barriers, nil propagation) and a
+*slice-local merge* at its egress -- copy versions never leave the
+server; only the (merged) original crosses a link, tagged with an NSH
+shim carrying the flight metadata.
 
 The pipeline:
 
@@ -24,72 +26,53 @@ processing for that packet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from ..core.closures import CompiledGraph
-from ..core.graph import MergeOp, ORIGINAL_VERSION, ServiceGraph
-from ..core.partition import ServerSlice, partition_graph
-from ..dataplane.functional import StageKernel
+from ..core.graph import ORIGINAL_VERSION, ServiceGraph
+from ..core.partition import ServerSlice, partition_graph, slice_subgraph
+from ..dataplane.functional import FunctionalDataplane
 from ..net.headers import ETH_HEADER_LEN
 from ..net.packet import Packet, PacketMeta
-from ..nfs.base import NetworkFunction, create_nf
+from ..nfs.base import NetworkFunction
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..telemetry.tracer import SpanKind
 from .nsh import NshTag, decapsulate, encapsulate
 
-__all__ = ["ServerStage", "MultiServerDataplane", "slice_merge_ops"]
+__all__ = ["LinkStats", "MultiServerDataplane", "publish_core_util"]
 
 
-def slice_merge_ops(graph: ServiceGraph, server_slice: ServerSlice) -> List[MergeOp]:
-    """The merge operations whose source versions live in this slice.
-
-    Copy versions are stage-local, so each graph MO belongs to exactly
-    one slice -- the one holding the stage where its source version
-    runs.
-    """
-    local_versions = {
-        entry.version
-        for stage in server_slice.stages
-        for entry in stage
-        if entry.version != ORIGINAL_VERSION
-    }
-    return [op for op in graph.merge_ops if op.src_version in local_versions]
-
-
-class ServerStage(StageKernel):
-    """One server running a slice of a partitioned graph.
-
-    :meth:`~repro.dataplane.functional.StageKernel.process` over the
-    slice's stages of the graph's program, merging the slice's own
-    operations: returns the merged v1, or ``None`` on drop.
-    """
-
-    def __init__(
-        self,
-        graph: ServiceGraph,
-        server_slice: ServerSlice,
-        nf_instances: Optional[Dict[str, NetworkFunction]] = None,
-    ):
-        self.graph = graph
-        self.slice = server_slice
-        self.merge_ops = slice_merge_ops(graph, server_slice)
-        if nf_instances is None:
-            nf_instances = {
-                entry.node.name: create_nf(entry.node.kind, name=entry.node.name)
-                for stage in server_slice.stages for entry in stage}
-        first = graph.stages.index(server_slice.stages[0])
-        self._bind(
-            CompiledGraph(graph).program[first:first + len(server_slice.stages)],
-            self.merge_ops, nf_instances)
+def publish_core_util(hub: TelemetryHub, name: str, server_slice: ServerSlice,
+                      capacity: int) -> None:
+    """Gauge ``multiserver.server.<name>.core_util``: the cores the slice
+    takes over the ``capacity`` its server offers (skipped at 0)."""
+    if capacity > 0:
+        hub.gauge(f"multiserver.server.{name}.core_util",
+                  server_slice.total_cores / capacity)
 
 
 @dataclass
 class LinkStats:
-    """Per-link accounting proving the one-copy constraint."""
+    """Per-link accounting proving the one-copy constraint.
+
+    The one ledger of an inter-server link, on the functional plane and
+    (as its ``_Link``) on the timed one.
+    """
 
     frames: int = 0
     bytes: int = 0
     nil_frames: int = 0
+
+    def publish(self, hub: TelemetryHub, index: int, gbps: float,
+                offered_mpps: Optional[float] = None) -> None:
+        """Gauge link ``index``'s wire time at ``gbps``
+        (``multiserver.link<i>.busy_us``) and, at a known offered rate,
+        its occupancy of that rate (``.occupancy``)."""
+        hub.gauge(f"multiserver.link{index}.busy_us",
+                  self.bytes * 8 / (gbps * 1000.0))
+        if offered_mpps:
+            mean_bits = self.bytes * 8 / self.frames
+            hub.gauge(f"multiserver.link{index}.occupancy",
+                      offered_mpps * mean_bits / (gbps * 1000.0))
 
 
 class MultiServerDataplane:
@@ -136,7 +119,8 @@ class MultiServerDataplane:
                 server_cores = [cores_per_server] * len(self.slices)
         else:
             raise ValueError("need cores_per_server or an explicit slices list")
-        self.servers = [ServerStage(graph, s) for s in self.slices]
+        self.servers = [FunctionalDataplane(slice_subgraph(graph, s))
+                        for s in self.slices]
         if server_names is not None and len(server_names) != len(self.servers):
             raise ValueError("one server name per slice required")
         self.server_names = (
@@ -155,15 +139,10 @@ class MultiServerDataplane:
         self.emitted = 0
         self.dropped = 0
         if self.telemetry.enabled and server_cores is not None:
-            for index, (name, server_slice) in enumerate(
-                zip(self.server_names, self.slices)
+            for name, server_slice, capacity in zip(
+                self.server_names, self.slices, server_cores
             ):
-                capacity = server_cores[index]
-                if capacity > 0:
-                    self.telemetry.gauge(
-                        f"multiserver.server.{name}.core_util",
-                        server_slice.total_cores / capacity,
-                    )
+                publish_core_util(self.telemetry, name, server_slice, capacity)
 
     @property
     def num_servers(self) -> int:
@@ -217,18 +196,8 @@ class MultiServerDataplane:
                     if nil:
                         hub.inc(f"multiserver.link{index}.nil_frames")
                     if self.link_specs is not None:
-                        spec = self.link_specs[index]
-                        hub.gauge(
-                            f"multiserver.link{index}.busy_us",
-                            link.bytes * 8 / (spec.gbps * 1000.0),
-                        )
-                        if self.offered_mpps:
-                            mean_bits = link.bytes * 8 / link.frames
-                            hub.gauge(
-                                f"multiserver.link{index}.occupancy",
-                                self.offered_mpps * mean_bits
-                                / (spec.gbps * 1000.0),
-                            )
+                        link.publish(hub, index, self.link_specs[index].gbps,
+                                     self.offered_mpps)
                     # The functional pipeline has no clock; hop ordinal
                     # stands in for time so spans still order causally.
                     hub.span(SpanKind.ENQUEUE, float(index), pkt.meta,

@@ -18,44 +18,24 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.graph import ServiceGraph
-from ..core.partition import ServerSlice, partition_graph
-from ..core.graph import CopySpec
+from ..core.partition import ServerSlice, partition_graph, slice_subgraph
 from ..dataplane.server import NFPServer
 from ..net.packet import Packet
 from ..sim import Environment, SimParams
-from .dataplane import slice_merge_ops
+from .dataplane import LinkStats
 from .nsh import NshTag, decapsulate, encapsulate
 
-__all__ = ["slice_subgraph", "TimedMultiServer"]
+__all__ = ["TimedMultiServer"]
 
 
-def slice_subgraph(graph: ServiceGraph, server_slice: ServerSlice) -> ServiceGraph:
-    """A slice re-expressed as a standalone service graph.
-
-    Stage indices of copy specs are rebased to the slice; merge ops are
-    restricted to the slice's copy versions (v1 carries everything else
-    onward).
-    """
-    offset = graph.stages.index(server_slice.stages[0])
-    copies = [
-        CopySpec(c.stage_index - offset, c.version, c.header_only)
-        for c in graph.copies
-        if 0 <= c.stage_index - offset < len(server_slice.stages)
-    ]
-    return ServiceGraph(
-        server_slice.stages,
-        copies=copies,
-        merge_ops=slice_merge_ops(graph, server_slice),
-        name=f"{graph.name}[server{server_slice.server_index}]",
-    )
-
-
-class _Link:
+class _Link(LinkStats):
     """A point-to-point link between two slice servers.
 
     ``gbps``/``propagation_us`` override the NIC-rate default so a
     placement over a heterogeneous topology serialises each hop at that
-    hop's real bandwidth and pays its propagation delay.
+    hop's real bandwidth and pays its propagation delay.  It counts
+    into the functional plane's ledger (a DES drop never crosses a
+    link, so ``nil_frames`` stays 0).
     """
 
     def __init__(self, env: Environment, params: SimParams,
@@ -68,8 +48,7 @@ class _Link:
         self.path_id = path_id
         self.gbps = gbps if gbps > 0 else params.nic_gbps
         self.propagation_us = propagation_us
-        self.frames = 0
-        self.bytes = 0
+        super().__init__()
 
     def send(self, pkt: Packet) -> None:
         tag = NshTag(self.path_id, self.index + 1, pkt.meta)

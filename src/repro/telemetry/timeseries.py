@@ -8,8 +8,8 @@ a human watching a flash crowd) subscribes to.
 Design: the hot path is untouched.  Instrumented layers keep writing
 cumulative counters and histograms into the registry exactly as before;
 a :class:`Sampler` wakes up once per window (a periodic DES event on the
-timed plane, a wall-clock ``maybe_tick`` on the functional plane) and
-snapshots the *delta* since its previous wake-up:
+timed plane, or whenever its owner calls ``maybe_tick`` / ``sample``)
+and snapshots the *delta* since its previous wake-up:
 
 * **counters** -- per-window increments (``tx.packets`` delta is the
   windowed throughput, ``drops.*`` deltas are windowed drops by reason);
@@ -226,14 +226,14 @@ class TimeSeries:
 
 
 class Sampler:
-    """Snapshots a hub's registry into fixed windows; DES- or wall-driven.
+    """Snapshots a hub's registry into fixed windows; DES- or caller-driven.
 
     One sampler watches one :class:`TelemetryHub` (plus optional live
     probes).  Arm it on a DES environment with :meth:`arm` -- it
     schedules itself as a periodic simulation event and retires when the
     event queue drains -- or drive it manually with :meth:`sample` /
-    :meth:`maybe_tick` (the wall-clock fallback the functional plane
-    uses, where there is no virtual clock to schedule against).
+    :meth:`maybe_tick` (for a caller with its own clock and no virtual
+    one to schedule against).
 
     Subscribers (:class:`~repro.telemetry.watch.Watcher`, dashboards)
     register callables via :meth:`subscribe`; each completed
@@ -332,7 +332,7 @@ class Sampler:
         return delta
 
     def maybe_tick(self, now_us: float) -> Optional[Window]:
-        """Wall-clock fallback: sample iff a full window has elapsed."""
+        """Caller-clocked sampling: sample iff a full window has elapsed."""
         if now_us - self._window_start < self.window_us:
             return None
         return self.sample(now_us)

@@ -1,7 +1,8 @@
 """The stage kernel against the hand-written walks it replaced.
 
-``FunctionalDataplane`` and ``multiserver.ServerStage`` both execute the
-bound stage program through ``StageKernel.process``;
+``FunctionalDataplane.process`` executes the bound stage program, of a
+whole graph and of each cross-server slice (run as a graph of its own,
+``slice_subgraph``);
 ``tests/support/walk_reference.py`` holds the two loops that used to do
 it, re-deriving everything from the graph per packet.  Over the
 fuzzer's policies and adversarial packets -- unscaled and x4, healthy
@@ -14,10 +15,9 @@ import pytest
 
 from repro.check.generator import CaseGenerator
 from repro.core.orchestrator import Orchestrator
-from repro.core.partition import partition_graph
+from repro.core.partition import partition_graph, slice_subgraph
 from repro.dataplane.functional import FunctionalDataplane
 from repro.faults import FaultInjector, FaultPlan
-from repro.multiserver import ServerStage
 from repro.nfs.base import create_nf
 from tests.support.walk_reference import ReferenceSliceWalk, ReferenceWalk
 
@@ -95,10 +95,11 @@ def test_server_stage_agrees_with_the_hand_written_slice_walk():
                                                name=entry.node.name)
                     for stage in server_slice.stages for entry in stage}
 
-        kernels = [ServerStage(graph, s, fresh(s)) for s in slices]
+        kernels = [FunctionalDataplane(slice_subgraph(graph, s), fresh(s))
+                   for s in slices]
         references = [
-            ReferenceSliceWalk(graph, s, stage.merge_ops, fresh(s))
-            for s, stage in zip(slices, kernels)]
+            ReferenceSliceWalk(graph, s, kernel.graph.merge_ops, fresh(s))
+            for s, kernel in zip(slices, kernels)]
         for spec in case.packets:
             got, want = spec.build(), spec.build()
             for kernel, reference in zip(kernels, references):

@@ -5,9 +5,9 @@ import pytest
 from repro.core import Orchestrator, Policy
 from repro.dataplane import NFPServer
 from repro.eval import deployed_from_graph
-from repro.multiserver import TimedMultiServer, slice_subgraph
+from repro.multiserver import TimedMultiServer
 from repro.multiserver.latency import link_cost_us
-from repro.core.partition import partition_graph
+from repro.core.partition import partition_graph, slice_subgraph
 from repro.sim import DEFAULT_PARAMS, Environment
 from repro.sim.stats import LatencyStats
 from repro.traffic import FlowGenerator, TrafficSource

@@ -1,9 +1,11 @@
 """The hand-written stage walks: the differential oracle for the kernel.
 
-Until the bound stage program landed (``repro.core.closures`` executed
-by ``repro.dataplane.functional.StageKernel``), the walk -- copies at a
-stage's entry, every NF of the stage on the pre-stage buffers, drops
-deferred to the stage end, then the merge -- was written out twice
+Until the bound stage program landed (``repro.core.closures``, now
+executed by ``repro.dataplane.functional.FunctionalDataplane.process``
+for a whole graph and, as its ``slice_subgraph``, for each cross-server
+slice), the walk -- copies at a stage's entry, every NF of the stage on
+the pre-stage buffers, drops deferred to the stage end, then the
+merge -- was written out twice
 under ``src/`` and re-derived from the graph object model for every
 packet: ``FunctionalDataplane.process`` (scaled, fault-gated) and
 ``multiserver.ServerStage.process`` (a stage slice).  This module is
@@ -15,7 +17,9 @@ of the packet's ``flow_key()``, since this module is an oracle for the
 walk, not for the key.
 
 ``tests/integration/test_kernel_walk_parity.py`` holds the kernel to it:
-same output bytes, same counters, same per-NF packet counts.
+same output bytes, same counters, same per-NF packet counts.  The slice
+walk still reads the parent graph's copies at the slice's stage offset,
+so it also checks ``slice_subgraph``'s rebasing of them.
 """
 
 from __future__ import annotations

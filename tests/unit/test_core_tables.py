@@ -1,14 +1,11 @@
-"""Unit tests for CT/FT table generation and the inspector (§4.4.3, §5.4)."""
+"""Unit tests for CT generation, the FT view and the inspector (§4.4.3, §5.4)."""
 
 import pytest
 
 from repro.core import (
     ClassificationTable,
+    CompiledGraph,
     CTEntry,
-    ForwardingTable,
-    FTAction,
-    FTActionKind,
-    MERGER_TARGET,
     Orchestrator,
     Policy,
     Verb,
@@ -16,8 +13,10 @@ from repro.core import (
     compile_policy,
     inspect_nf,
     inspect_nf_source,
+    table_view,
 )
 from repro.core.inspector import InspectionError
+from repro.dataplane import ChainingManager
 from repro.net import Field
 from repro.net.packet import encode_flow_key
 from repro.nfs import Firewall, LoadBalancer, Monitor, Nat, VpnEncryptor
@@ -27,67 +26,74 @@ def graph_for(chain):
     return compile_policy(Policy.from_chain(chain)).graph
 
 
-# -------------------------------------------------------------- FT actions
+def installed(chain, mid):
+    """The chain's compiled record, as a server's chaining manager holds it."""
+    manager = ChainingManager()
+    manager.install(build_tables(graph_for(chain), mid=mid))
+    return manager.compiled_for(mid)
+
+
+# ------------------------------------------------- FT view of the step table
 def test_ftaction_validation():
-    with pytest.raises(ValueError):
-        FTAction(FTActionKind.COPY)  # needs new version
-    with pytest.raises(ValueError):
-        FTAction(FTActionKind.DISTRIBUTE)  # needs targets
-    action = FTAction(FTActionKind.DISTRIBUTE, version=1, targets=["a"])
-    assert "distribute" in repr(action)
+    # A copy always names its new version and a forward always has
+    # targets: no step of a parallel graph fans out to nobody.
+    compiled = installed(["vpn", "monitor", "firewall", "loadbalancer"], 1)
+    for _, (last, fan_in, due, targets) in compiled.steps.items():
+        assert fan_in >= 1
+        for spec, names in due:
+            assert spec.version > 1 and names
+        assert last or targets or due
+    ct_row, forwarding = table_view(compiled, CTEntry("*", 1))
+    assert "distribute(v1, ['vpn'])" in ct_row
+    assert forwarding["vpn"] == "[distribute(v1, ['firewall', 'monitor'])]"
 
 
 def test_sequential_graph_tables_have_output_action():
-    tables = build_tables(graph_for(["nat", "loadbalancer"]), mid=7)
-    assert tables.ct_entry.total_count == 1
-    last = tables.forwarding["loadbalancer"]
-    assert last[-1].kind is FTActionKind.OUTPUT
-    first = tables.forwarding["nat"]
-    assert first == [FTAction(FTActionKind.DISTRIBUTE, 1, ["loadbalancer"])]
+    compiled = installed(["nat", "loadbalancer"], 7)
+    assert compiled.total_count == 1
+    assert not compiled.needs_merger  # the last NF outputs, no merger
+    (_, version), (last, _, _, _) = compiled.by_nf["loadbalancer"]
+    assert last and version == 1
+    _, (last, _, due, targets) = compiled.by_nf["nat"]
+    assert not last and due == () and targets == ("loadbalancer",)
 
 
 def test_parallel_graph_tables_route_to_merger():
-    tables = build_tables(graph_for(["ids", "monitor", "loadbalancer"]), mid=3)
-    entry = tables.ct_entry
-    assert entry.total_count == 3
-    kinds = [a.kind for a in entry.actions]
-    assert FTActionKind.COPY in kinds
-    # Every NF's final action targets the merger.
-    for actions in tables.forwarding.values():
-        assert actions[-1].targets == [MERGER_TARGET]
+    compiled = installed(["ids", "monitor", "loadbalancer"], 3)
+    assert compiled.total_count == 3
+    assert compiled.program[0][0]  # the classifier cuts a copy
+    # Every NF's completion ends its version and goes to the merger.
+    assert compiled.needs_merger
+    assert all(step[0] for _, step in compiled.by_nf.values())
 
 
 def test_midgraph_copy_attached_to_prior_stage():
     # monitor->nat->vpn compiles to (nat | monitor[v2]) -> vpn; the copy
     # happens at stage 0, i.e. in the classifier's actions.
-    tables = build_tables(graph_for(["monitor", "nat", "vpn"]), mid=1)
-    copy_actions = [a for a in tables.ct_entry.actions if a.kind is FTActionKind.COPY]
-    assert len(copy_actions) == 1
+    compiled = installed(["monitor", "nat", "vpn"], 1)
+    assert len(compiled.program[0][0]) == 1
+    assert compiled.stage0 == ((1, "nat"), (2, "monitor"))
     # NAT (stage 0, v1, not final) forwards to the vpn.
-    nat_actions = tables.forwarding["nat"]
-    assert any(
-        a.kind is FTActionKind.DISTRIBUTE and a.targets == ["vpn"]
-        for a in nat_actions
-    )
+    _, (last, _, _, targets) = compiled.by_nf["nat"]
+    assert not last and targets == ("vpn",)
 
 
 def test_nf_with_later_stage_copy_emits_copy_action():
     # Build a graph where a copy version starts at stage 1: vpn -> (monitor | lb).
     graph = graph_for(["vpn", "monitor", "loadbalancer"])
     if any(c.stage_index > 0 for c in graph.copies):
-        tables = build_tables(graph, mid=1)
-        vpn_actions = tables.forwarding["vpn"]
-        assert any(a.kind is FTActionKind.COPY for a in vpn_actions)
+        _, (_, _, due, _) = CompiledGraph(graph).by_nf["vpn"]
+        assert due
 
 
 # ------------------------------------------------------ table containers
 def test_classification_table_wildcard_fallback():
     table = ClassificationTable()
-    table.install(CTEntry("*", mid=1, total_count=1, merge_ops=[], actions=[]))
+    table.install(CTEntry("*", mid=1))
     five = ("10.0.0.1", "10.0.0.2", 6, 1, 2)
     assert table.lookup(encode_flow_key(five)).mid == 1
     assert table.lookup(None).mid == 1  # a frame with no key
-    exact = CTEntry(five, mid=2, total_count=1, merge_ops=[], actions=[])
+    exact = CTEntry(five, mid=2)
     table.install(exact)
     assert table.lookup(encode_flow_key(five)).mid == 2
     assert table.by_mid(2) is exact
@@ -96,13 +102,15 @@ def test_classification_table_wildcard_fallback():
 
 
 def test_forwarding_table_lookup():
-    table = ForwardingTable("fw")
-    actions = [FTAction(FTActionKind.OUTPUT, 1)]
-    table.install(5, actions)
-    assert table.lookup(5) == actions
-    assert table.mids() == [5]
+    manager = ChainingManager()
+    manager.install(build_tables(graph_for(["firewall"]), mid=5))
+    (_, version), (last, _, _, _) = manager.compiled_for(5).by_nf["firewall"]
+    assert last and version == 1
+    assert manager.mids() == [5]
     with pytest.raises(KeyError):
-        table.lookup(6)
+        manager.compiled_for(6)
+    with pytest.raises(KeyError):
+        manager.compiled_for(5).by_nf["ghost"]
 
 
 # -------------------------------------------------------------- inspector

@@ -42,11 +42,11 @@ def test_chaining_manager_install_and_lookup():
     assert manager.mids() == [deployed.mid]
     assert manager.graph_for(deployed.mid) is deployed.graph
     assert manager.classify(None) is not None  # keyless: the wildcard row
-    assert manager.ft_for(deployed.mid, "firewall")
+    assert manager.compiled_for(deployed.mid).by_nf["firewall"]
     with pytest.raises(KeyError):
         manager.graph_for(999)
     with pytest.raises(KeyError):
-        manager.ft_for(deployed.mid, "ghost")
+        manager.compiled_for(deployed.mid).by_nf["ghost"]
 
 
 # ------------------------------------------------------------- sequential

@@ -64,10 +64,8 @@ def test_predicate_order_first_match_wins():
     from repro.core.tables import ClassificationTable, CTEntry
 
     table = ClassificationTable()
-    narrow = CTEntry(FlowMatch(dport_range=(80, 80)), mid=1, total_count=1,
-                     merge_ops=[], actions=[])
-    broad = CTEntry(FlowMatch(dport_range=(0, 1000)), mid=2, total_count=1,
-                    merge_ops=[], actions=[])
+    narrow = CTEntry(FlowMatch(dport_range=(80, 80)), mid=1)
+    broad = CTEntry(FlowMatch(dport_range=(0, 1000)), mid=2)
     table.install(narrow)
     table.install(broad)
     assert table.lookup(key(("1.1.1.1", "2.2.2.2", 6, 5, 80))).mid == 1
@@ -81,9 +79,9 @@ def test_exact_match_beats_predicates():
 
     table = ClassificationTable()
     five = ("1.1.1.1", "2.2.2.2", 6, 5, 80)
-    table.install(CTEntry(FlowMatch(), mid=1, total_count=1, merge_ops=[], actions=[]))
-    table.install(CTEntry(five, mid=2, total_count=1, merge_ops=[], actions=[]))
-    table.install(CTEntry("*", mid=3, total_count=1, merge_ops=[], actions=[]))
+    table.install(CTEntry(FlowMatch(), mid=1))
+    table.install(CTEntry(five, mid=2))
+    table.install(CTEntry("*", mid=3))
     assert table.lookup(key(five)).mid == 2
     assert table.lookup(key(("9.9.9.9", "2.2.2.2", 6, 5, 80))).mid == 1
     assert table.lookup(None).mid == 3  # a frame with no key

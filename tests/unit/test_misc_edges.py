@@ -5,8 +5,8 @@ import struct
 
 import pytest
 
-from repro.core import Orchestrator, Policy
-from repro.core.tables import FTAction, FTActionKind
+from repro.core import Orchestrator, Policy, table_view
+from repro.dataplane import ChainingManager
 from repro.net import build_packet, read_pcap
 from repro.sim import Environment, SimulationError
 
@@ -30,11 +30,18 @@ def test_pcap_nanosecond_magic():
 
 # -------------------------------------------------------------- FT actions
 def test_ignore_action_repr():
-    assert repr(FTAction(FTActionKind.IGNORE)) == "ignore"
-    output = FTAction(FTActionKind.OUTPUT, version=1)
-    assert repr(output) == "output(v1)"
-    assert output == FTAction(FTActionKind.OUTPUT, version=1)
-    assert hash(output) == hash(FTAction(FTActionKind.OUTPUT, version=1))
+    # No NF is left without a step (the paper's "ignore" is never
+    # built); a one-NF chain's NF outputs v1, and the view is a pure
+    # function of the installed record.
+    deployed = Orchestrator().deploy(Policy.from_chain(["firewall"]))
+    manager = ChainingManager()
+    manager.install(deployed.tables)
+    compiled = manager.compiled_for(deployed.mid)
+    assert set(compiled.by_nf) == set(deployed.graph.nf_names())
+    assert compiled.stage0 == ((1, "firewall"),)
+    view = table_view(compiled, deployed.tables.ct_entry)
+    assert view[1] == {"firewall": "[output(v1)]"}
+    assert view == table_view(compiled, deployed.tables.ct_entry)
 
 
 # ------------------------------------------------------------ orchestrator

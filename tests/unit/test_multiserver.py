@@ -10,9 +10,8 @@ from repro.multiserver import (
     decapsulate,
     encapsulate,
     has_nsh,
-    slice_merge_ops,
 )
-from repro.core.partition import partition_graph
+from repro.core.partition import partition_graph, slice_subgraph
 from repro.net import PacketMeta, build_packet
 from repro.nfs import AclRule, Firewall
 
@@ -78,7 +77,7 @@ def test_slice_merge_ops_follow_copy_versions():
     graph = graph_for(["ids", "monitor", "loadbalancer"])
     slices = partition_graph(graph, cores_per_server=8)
     assert len(slices) == 1
-    assert slice_merge_ops(graph, slices[0]) == graph.merge_ops
+    assert slice_subgraph(graph, slices[0]).merge_ops == graph.merge_ops
 
 
 def test_slice_merge_ops_split_across_servers():
@@ -89,7 +88,7 @@ def test_slice_merge_ops_split_across_servers():
     slices = partition_graph(graph, cores_per_server=4)
     assert len(slices) == 2
     for s in slices:
-        local = slice_merge_ops(graph, s)
+        local = slice_subgraph(graph, s).merge_ops
         for op in local:
             versions = {e.version for st in s.stages for e in st}
             assert op.src_version in versions
