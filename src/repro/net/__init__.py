@@ -6,7 +6,7 @@ functionally: the merged output of a parallel service graph must be
 byte-identical to sequential execution.
 """
 
-from .checksum import internet_checksum, pseudo_header_checksum
+from .checksum import internet_checksum
 from .headers import (
     ETH_HEADER_LEN,
     ETHERTYPE_IPV4,
@@ -47,7 +47,6 @@ from .pcap import PcapError, read_pcap, write_pcap
 
 __all__ = [
     "internet_checksum",
-    "pseudo_header_checksum",
     "ETH_HEADER_LEN",
     "ETHERTYPE_IPV4",
     "PROTO_AH",

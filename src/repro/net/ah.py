@@ -48,8 +48,11 @@ def insert_ah(pkt: Packet, spi: int, seq: int, icv_key: bytes) -> None:
     # The splice lands behind the IPv4 header, so ``ip`` stays valid.
     ip_end = l3 + (buf[l3] & 0x0F) * 4
     buf[ip_end:ip_end] = header
-    ip.protocol = PROTO_AH
-    ip.total_length = ip.total_length + AhView.HEADER_LEN
+    buf[l3 + 9] = PROTO_AH
+    # Byte stores, not ``struct``: > 16 bits must stay a ValueError.
+    length = ((buf[l3 + 2] << 8) | buf[l3 + 3]) + AhView.HEADER_LEN
+    buf[l3 + 2] = length >> 8
+    buf[l3 + 3] = length & 0xFF
     icv_at = ip_end + 12
     buf[icv_at : icv_at + AhView.ICV_LEN] = compute_icv(icv_key, _icv_scope(buf, l3, ip_end))
 

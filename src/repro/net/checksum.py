@@ -1,8 +1,8 @@
-"""RFC 1071 Internet checksum and the TCP/UDP pseudo-header variant."""
+"""RFC 1071 Internet checksum."""
 
 from __future__ import annotations
 
-__all__ = ["internet_checksum", "pseudo_header_checksum"]
+__all__ = ["internet_checksum"]
 
 
 def internet_checksum(data: bytes) -> int:
@@ -24,21 +24,3 @@ def internet_checksum(data: bytes) -> int:
         folded = 0xFFFF
     return 0xFFFF - folded
 
-
-def pseudo_header_checksum(
-    src_ip: bytes, dst_ip: bytes, protocol: int, payload: bytes
-) -> int:
-    """Checksum over the IPv4 pseudo-header plus an L4 segment.
-
-    Used for TCP (protocol 6) and UDP (protocol 17) checksums.  ``src_ip``
-    and ``dst_ip`` are 4-byte network-order addresses; ``payload`` is the
-    entire L4 header+data with its checksum field zeroed.
-    """
-    if len(src_ip) != 4 or len(dst_ip) != 4:
-        raise ValueError("IPv4 addresses must be 4 bytes")
-    if not 0 <= protocol <= 255:
-        raise ValueError("protocol must be one byte")
-    pseudo = bytes(src_ip) + bytes(dst_ip) + bytes(
-        [0, protocol, (len(payload) >> 8) & 0xFF, len(payload) & 0xFF]
-    )
-    return internet_checksum(pseudo + bytes(payload))

@@ -43,6 +43,8 @@ PROTO_AH = 51  # IPsec Authentication Header
 
 Buffer = Union[bytearray, memoryview]
 
+_U32 = struct.Struct("!I")
+
 
 @lru_cache(maxsize=256)  # NFs write a handful of configured addresses per packet
 def ip_to_int(address: str) -> int:
@@ -115,12 +117,12 @@ class _View:
 
     def _u32(self, rel: int) -> int:
         off = self.offset + rel
-        return struct.unpack_from("!I", self.buf, off)[0]
+        return _U32.unpack_from(self.buf, off)[0]
 
     def _set_u32(self, rel: int, value: int) -> None:
         if not 0 <= value <= 0xFFFFFFFF:
             raise ValueError("u32 out of range")
-        struct.pack_into("!I", self.buf, self.offset + rel, value)
+        _U32.pack_into(self.buf, self.offset + rel, value)
 
     def raw(self) -> bytes:
         """The header bytes as an immutable snapshot."""
@@ -172,7 +174,7 @@ class Ipv4View(_View):
 
     @property
     def header_len(self) -> int:
-        return self.ihl * 4
+        return (self.buf[self.offset] & 0x0F) * 4
 
     @property
     def dscp(self) -> int:
@@ -226,11 +228,6 @@ class Ipv4View(_View):
         self._set_u16(6, (self._u16(6) & ~0x1FFF) | value)
 
     @property
-    def is_fragment(self) -> bool:
-        """True for any fragment: MF set, or a non-zero offset."""
-        return bool(self._u16(6) & 0x3FFF)
-
-    @property
     def ttl(self) -> int:
         return self._u8(8)
 
@@ -282,11 +279,13 @@ class Ipv4View(_View):
         """Recompute the header checksum over IHL*4 bytes."""
         buf, off = self.buf, self.offset
         buf[off + 10] = buf[off + 11] = 0
-        self.checksum = internet_checksum(buf[off : off + self.header_len])
+        value = internet_checksum(buf[off : off + (buf[off] & 0x0F) * 4])
+        buf[off + 10] = value >> 8
+        buf[off + 11] = value & 0xFF
 
     def verify_checksum(self) -> bool:
-        off = self.offset
-        return internet_checksum(self.buf[off : off + self.header_len]) == 0
+        buf, off = self.buf, self.offset
+        return internet_checksum(buf[off : off + (buf[off] & 0x0F) * 4]) == 0
 
 
 class TcpView(_View):
@@ -338,7 +337,7 @@ class TcpView(_View):
 
     @property
     def header_len(self) -> int:
-        return self.data_offset * 4
+        return (self.buf[self.offset + 12] >> 4) * 4
 
     @property
     def flags(self) -> int:

@@ -54,15 +54,28 @@ HEADER_COPY_BYTES = 64
 
 _serial = itertools.count(1)
 
-#: Fixed header bytes the transport views need in the buffer.
-_L4_HEADER_LEN = {PROTO_TCP: TcpView.HEADER_LEN, PROTO_UDP: UdpView.HEADER_LEN}
+#: The walk's constants, bound once as module names.  Ethertypes are
+#: compared a byte at a time, so an untagged frame fails the 802.1Q test
+#: on its first TPID byte.
+_TPID_HI, _TPID_LO = ETHERTYPE_VLAN >> 8, ETHERTYPE_VLAN & 0xFF
+_IPV4_HI, _IPV4_LO = ETHERTYPE_IPV4 >> 8, ETHERTYPE_IPV4 & 0xFF
+_TAGGED_L3 = ETH_HEADER_LEN + VLAN_TAG_LEN
+_IPV4_LEN = Ipv4View.HEADER_LEN
+#: RFC 791's least IHL: the 20 fixed bytes, in 32-bit words.
+_IHL_MIN = _IPV4_LEN // 4
+_AH_LEN = AhView.HEADER_LEN
+_TCP_LEN = TcpView.HEADER_LEN
+_UDP_LEN = UdpView.HEADER_LEN
+_PORTS = struct.Struct("!HH")
 #: What ``five_tuple()`` reads, in the order a recorder hears of it.
 _FIVE_TUPLE_FIELDS = (Field.SIP, Field.DIP, Field.SPORT, Field.DPORT)
 #: The 13 bytes of :meth:`Packet.flow_key`: ``sip | dip | proto | sport
 #: | dport``, network order; ``unpack`` gives the five as integers.
 FLOW_KEY = struct.Struct("!IIBHH")
-#: The key's tail, after the two addresses sliced from the frame.
-_KEY_TAIL = struct.Struct("!BHH")
+#: The same 13 bytes, packed with both addresses as one 8-byte slice of
+#: the frame.  ``8s`` zero-pads a short slice: safe only because
+#: ``_ipv4_offset`` guarantees all 20 fixed bytes of the IPv4 header.
+_KEY = struct.Struct("!8sBHH")
 #: Bits of the first byte of the IPv4 flags/fragment-offset word (the
 #: second is all offset): any of ``_FRAGMENT`` (MF, offset) or a non-zero
 #: second byte marks a fragment; ``_LATER_FRAGMENT`` (offset) marks one
@@ -199,9 +212,8 @@ class Packet:
     def l3_offset(self) -> int:
         """Offset of the L3 header: 14, or 18 when 802.1Q-tagged."""
         buf = self.buf
-        tagged = ETH_HEADER_LEN + VLAN_TAG_LEN
-        if len(buf) >= tagged and ((buf[12] << 8) | buf[13]) == ETHERTYPE_VLAN:
-            return tagged
+        if len(buf) >= _TAGGED_L3 and buf[12] == _TPID_HI and buf[13] == _TPID_LO:
+            return _TAGGED_L3
         return ETH_HEADER_LEN
 
     # The header stack is resolved here and nowhere else: one stateless
@@ -211,18 +223,22 @@ class Packet:
     # index is bounds-checked; a frame that does not parse raises
     # ``ValueError``, the one exception callers catch.
     def _ipv4_offset(self) -> int:
-        """Offset of the IPv4 header, all 20 fixed bytes of it in ``buf``."""
+        """Offset of the IPv4 header, all 20 fixed bytes of it in ``buf``
+        and an IHL of at least 5, so its L4 bytes start past them."""
         buf = self.buf
         size = len(buf)
-        off = ETH_HEADER_LEN
-        if size >= off + VLAN_TAG_LEN and ((buf[12] << 8) | buf[13]) == ETHERTYPE_VLAN:
-            off += VLAN_TAG_LEN
+        if size >= _TAGGED_L3 and buf[12] == _TPID_HI and buf[13] == _TPID_LO:
+            off = _TAGGED_L3
+        else:
+            off = ETH_HEADER_LEN
         # The effective ethertype sits just before the L3 header: at 12
         # when untagged, at 16 (the inner ethertype) when 802.1Q-tagged.
-        if size < off or ((buf[off - 2] << 8) | buf[off - 1]) != ETHERTYPE_IPV4:
+        if size < off or buf[off - 2] != _IPV4_HI or buf[off - 1] != _IPV4_LO:
             raise ValueError("packet is not IPv4")
-        if off + Ipv4View.HEADER_LEN > size:
+        if off + _IPV4_LEN > size:
             raise ValueError(f"IPv4 header cut short at offset {off}")
+        if (buf[off] & 0x0F) < _IHL_MIN:
+            raise ValueError(f"IPv4 IHL below {_IHL_MIN} at offset {off}")
         return off
 
     def _resolve(self) -> tuple:
@@ -232,10 +248,10 @@ class Packet:
         l4 = l3 + (buf[l3] & 0x0F) * 4
         proto = buf[l3 + 9]
         if proto == PROTO_AH:
-            if l4 + AhView.HEADER_LEN > len(buf):
+            if l4 + _AH_LEN > len(buf):
                 raise ValueError(f"AH cut short at offset {l4}")
             proto = buf[l4]
-            l4 += AhView.HEADER_LEN
+            l4 += _AH_LEN
         return l3, proto, l4
 
     def _header_span(self) -> tuple:
@@ -243,11 +259,11 @@ class Packet:
         l3, proto, end = self._resolve()
         if proto == PROTO_TCP:
             buf = self.buf
-            if end + TcpView.HEADER_LEN > len(buf):
+            if end + _TCP_LEN > len(buf):
                 raise ValueError(f"TCP header cut short at offset {end}")
             end += (buf[end + 12] >> 4) * 4
         elif proto == PROTO_UDP:
-            end += UdpView.HEADER_LEN
+            end += _UDP_LEN
         return l3, end
 
     @property
@@ -310,7 +326,7 @@ class Packet:
         rec = self.recorder
         if rec is not None:
             rec.record("read", Field.PAYLOAD, self.uid)
-        return bytes(self.buf[self.payload_offset :])
+        return bytes(self.buf[self._header_span()[1] :])
 
     def set_payload(self, data: bytes) -> None:
         """Replace the L4 payload in place (same length only).
@@ -321,7 +337,7 @@ class Packet:
         rec = self.recorder
         if rec is not None:
             rec.record("write", Field.PAYLOAD, self.uid)
-        start = self.payload_offset
+        start = self._header_span()[1]
         if len(data) != len(self.buf) - start:
             raise ValueError("set_payload must preserve length")
         self.buf[start:] = data
@@ -338,15 +354,15 @@ class Packet:
         """
         l3, proto, l4 = self._resolve()
         buf = self.buf
-        sport = dport = 0
-        reads = 2  # the addresses; the ports too when there are any
-        if proto in _L4_HEADER_LEN and not (portless and (
+        if (proto == PROTO_TCP or proto == PROTO_UDP) and not (portless and (
                 buf[l3 + 6] & portless or buf[l3 + 7])):
-            if l4 + _L4_HEADER_LEN[proto] > len(buf):
+            if l4 + (_TCP_LEN if proto == PROTO_TCP else _UDP_LEN) > len(buf):
                 raise ValueError(f"L4 header cut short at offset {l4}")
-            sport = (buf[l4] << 8) | buf[l4 + 1]
-            dport = (buf[l4 + 2] << 8) | buf[l4 + 3]
+            sport, dport = _PORTS.unpack_from(buf, l4)
             reads = 4
+        else:
+            sport = dport = 0
+            reads = 2  # the addresses only
         rec = self.recorder
         if rec is not None:
             for field in _FIVE_TUPLE_FIELDS[:reads]:
@@ -373,7 +389,7 @@ class Packet:
         on a frame that is not IPv4 or is cut short.
         """
         buf, l3, proto, sport, dport = self._flow(_FRAGMENT)
-        return bytes(buf[l3 + 12 : l3 + 20]) + _KEY_TAIL.pack(proto, sport, dport)
+        return _KEY.pack(buf[l3 + 12 : l3 + 20], proto, sport, dport)
 
     def port_key(self) -> bytes:
         """:meth:`flow_key` with the ports this frame carries, the key
@@ -383,16 +399,14 @@ class Packet:
         0, as iptables matches no ports on one.  Same layout and errors.
         """
         buf, l3, proto, sport, dport = self._flow(_LATER_FRAGMENT)
-        return bytes(buf[l3 + 12 : l3 + 20]) + _KEY_TAIL.pack(proto, sport, dport)
+        return _KEY.pack(buf[l3 + 12 : l3 + 20], proto, sport, dport)
 
     # ------------------------------------------------------------ copies
     def full_copy(self, version: int) -> "Packet":
         """Deep copy of the whole frame, tagged with a new version."""
-        copy = Packet(
-            bytearray(self.buf),
-            meta=self.meta.clone(version) if self.meta else None,
-            wire_len=self.wire_len,
-        )
+        meta = self.meta
+        copy = Packet(bytearray(self.buf),
+                      meta.clone(version) if meta else None, self.wire_len)
         copy.ingress_us = self.ingress_us
         rec = self.recorder
         if rec is not None:
@@ -418,25 +432,22 @@ class Packet:
             if end > nbytes:
                 nbytes = end
         except ValueError:
-            # Not IPv4, or AH/TCP cut short: keep the requested size (an
-            # IPv4 header that is there still gets its length).
-            try:
-                l3 = self._ipv4_offset()
-            except ValueError:
+            # The stack does not parse: keep the requested size (the 20
+            # bytes of an IPv4 header that are there still get a length).
+            l3 = self.l3_offset
+            if size < l3 or buf[l3 - 2] != _IPV4_HI or buf[l3 - 1] != _IPV4_LO:
                 l3 = size
         if nbytes > size:
             nbytes = size
-        copy = Packet(
-            buf[:nbytes],
-            meta=self.meta.clone(version) if self.meta else None,
-            wire_len=self.wire_len,
-            is_header_copy=True,
-        )
-        copy.ingress_us = self.ingress_us
-        if nbytes >= l3 + Ipv4View.HEADER_LEN:
+        head = buf[:nbytes]
+        if nbytes >= l3 + _IPV4_LEN:
             # Byte stores, not ``struct``: > 16 bits must stay a ValueError.
-            copy.buf[l3 + 2] = (nbytes - l3) >> 8
-            copy.buf[l3 + 3] = (nbytes - l3) & 0xFF
+            head[l3 + 2] = (nbytes - l3) >> 8
+            head[l3 + 3] = (nbytes - l3) & 0xFF
+        meta = self.meta
+        copy = Packet(head, meta.clone(version) if meta else None,
+                      self.wire_len, True)
+        copy.ingress_us = self.ingress_us
         rec = self.recorder
         if rec is not None:
             copy.recorder = rec

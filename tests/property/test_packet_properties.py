@@ -1,5 +1,7 @@
 """Property-based tests for the packet substrate (hypothesis)."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,12 @@ from repro.net import (
     PROTO_AH,
     PROTO_TCP,
     PROTO_UDP,
+    AhView,
     Field,
     Packet,
     PacketMeta,
     build_packet,
+    compute_icv,
     insert_ah,
     insert_vlan,
     int_to_ip,
@@ -467,3 +471,127 @@ def test_ip_to_int_memo_is_bounded_and_right_past_the_bound():
     assert info.currsize == bound and info.misses == bound + 2
     assert ip_to_int(addresses[-1]) == ref.ip_to_int(addresses[-1])
     assert ip_to_int.cache_info().hits == 1
+
+
+# ---------------------------------------------------------------------------
+# What the walk's answers build -- the checksum, the payload, the AH splice
+# and the keys -- against the view chain, at every prefix of every frame.
+# ---------------------------------------------------------------------------
+
+def _checksummed(pkt):
+    pkt.ipv4.update_checksum()
+    return bytes(pkt.buf)
+
+
+def _reference_checksummed(pkt):
+    ip = ref.ipv4(pkt)
+    ip.checksum = 0
+    ip.checksum = ref.internet_checksum(
+        bytes(pkt.buf[ip.offset:ip.offset + ip.header_len]))
+    return bytes(pkt.buf)
+
+
+def _reference_verifies(pkt):
+    ip = ref.ipv4(pkt)
+    return ref.internet_checksum(
+        bytes(pkt.buf[ip.offset:ip.offset + ip.header_len])) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(buf=frames())
+def test_ipv4_checksum_agrees_with_byte_loop_at_every_prefix(buf):
+    for cut in range(len(buf) + 1):
+        pkt, want = Packet(bytearray(buf[:cut])), Packet(bytearray(buf[:cut]))
+        _agree(_outcome(lambda: pkt.ipv4.verify_checksum()),
+               _outcome(_reference_verifies, want))
+        _agree(_outcome(_checksummed, pkt),
+               _outcome(_reference_checksummed, want))
+        assert bytes(pkt.buf) == bytes(want.buf)
+
+
+def _payload_write(pkt, data, write):
+    write(pkt, data)
+    return bytes(pkt.buf)
+
+
+@settings(max_examples=80, deadline=None)
+@given(buf=frames(), fill=st.integers(0, 255),
+       delta=st.sampled_from([0, 0, 1, -1]))
+def test_payload_and_set_payload_agree_with_view_chain_at_every_prefix(
+        buf, fill, delta):
+    for cut in range(len(buf) + 1):
+        pkt, want = Packet(bytearray(buf[:cut])), Packet(bytearray(buf[:cut]))
+        read = _outcome(lambda: pkt.payload)
+        _agree(read, _outcome(ref.read_field, want, Field.PAYLOAD))
+        data = bytes([fill]) * max(0, (len(read[1]) if read[0] == "ok"
+                                       else cut) + delta)
+        _agree(_outcome(_payload_write, pkt, data, Packet.set_payload),
+               _outcome(_payload_write, want, data,
+                        lambda p, d: ref.write_field(p, Field.PAYLOAD, d)))
+        assert bytes(pkt.buf) == bytes(want.buf)
+
+
+ICV_KEY = bytes(range(16))
+
+
+def _reference_insert_ah(pkt, spi, seq):
+    """``insert_ah`` as it stood on the view chain: every IPv4 field
+    through its property, the checksum by the byte loop."""
+    ip = ref.ipv4(pkt)
+    buf = pkt.buf
+    if ip.protocol == PROTO_AH:
+        raise ValueError("packet already carries an AH")
+    header = struct.pack("!BBHII12x", ip.protocol,
+                         AhView.HEADER_LEN // 4 - 2, 0, spi, seq)
+    ip_end = ip.offset + ip.header_len
+    buf[ip_end:ip_end] = header
+    ip.protocol = PROTO_AH
+    ip.total_length = ip.total_length + AhView.HEADER_LEN
+    scope = buf[ip.offset + 12:ip.offset + 20] + buf[ip_end + AhView.HEADER_LEN:]
+    buf[ip_end + 12:ip_end + AhView.HEADER_LEN] = compute_icv(ICV_KEY, scope)
+    _reference_checksummed(pkt)
+    pkt.wire_len += AhView.HEADER_LEN
+
+
+def _spliced(insert, pkt, spi, seq):
+    insert(pkt, spi, seq)
+    return bytes(pkt.buf), pkt.wire_len
+
+
+@settings(max_examples=80, deadline=None)
+@given(buf=frames(), spi=st.integers(0, 0xFFFFFFFF),
+       seq=st.integers(0, 0xFFFFFFFF))
+def test_insert_ah_agrees_with_view_chain_at_every_prefix(buf, spi, seq):
+    def insert(pkt, spi, seq):
+        insert_ah(pkt, spi, seq, ICV_KEY)
+
+    for cut in range(len(buf) + 1):
+        pkt, want = Packet(bytearray(buf[:cut])), Packet(bytearray(buf[:cut]))
+        _agree(_outcome(_spliced, insert, pkt, spi, seq),
+               _outcome(_spliced, _reference_insert_ah, want, spi, seq))
+        assert bytes(pkt.buf) == bytes(want.buf)
+
+
+@pytest.mark.parametrize("total_length", [0xFFE7, 0xFFE8, 0xFFFF])
+def test_insert_ah_refuses_a_total_length_past_16_bits(total_length):
+    # 0xFFE7 + 24 = 0xFFFF still fits; one more does not.
+    pkt, want = (build_packet(size=96, identification=1) for _ in "ab")
+    for p in (pkt, want):
+        p.buf[16:18] = total_length.to_bytes(2, "big")
+    got = _outcome(_spliced, lambda p, s, q: insert_ah(p, s, q, ICV_KEY),
+                   pkt, 1, 2)
+    _agree(got, _outcome(_spliced, _reference_insert_ah, want, 1, 2))
+    assert (got[0] == "ok") is (total_length == 0xFFE7)
+    assert bytes(pkt.buf) == bytes(want.buf)
+
+
+@settings(max_examples=80, deadline=None)
+@given(buf=frames())
+def test_flow_and_port_keys_are_13_bytes_at_every_prefix(buf):
+    for pkt in _prefixes(buf):
+        for key in (pkt.flow_key, pkt.port_key):
+            got = _outcome(key)
+            if got[0] == "ok":
+                assert type(got[1]) is bytes and len(got[1]) == 13
+            else:
+                assert got[1] is ValueError

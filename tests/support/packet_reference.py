@@ -78,6 +78,8 @@ def ipv4(pkt: Packet) -> Ipv4View:
     buf = pkt.buf
     if len(buf) < off or ((buf[off - 2] << 8) | buf[off - 1]) != ETHERTYPE_IPV4:
         raise ValueError("packet is not IPv4")
+    if Ipv4View(buf, off).ihl < 5:  # RFC 791's least IHL
+        raise ValueError("IPv4 IHL below 5")
     rec = pkt.recorder
     if rec is None:
         return Ipv4View(buf, off)
@@ -161,7 +163,8 @@ def flow_key(pkt: Packet, later_only: bool = False) -> bytes:
     ip = ipv4(pkt)
     proto = l4_protocol(pkt)
     sport = dport = 0
-    portless = ip.fragment_offset if later_only else ip.is_fragment
+    portless = ip.fragment_offset if later_only else (
+        ip.more_fragments or ip.fragment_offset)
     if proto in (PROTO_TCP, PROTO_UDP) and not portless:
         _, _, _, sport, dport = five_tuple(pkt)
     return struct.pack("!IIBHH", ip_to_int(ip.src_ip), ip_to_int(ip.dst_ip),

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import Policy, compile_policy
+from repro.dataplane import FunctionalDataplane, SequentialReference
 from repro.net import (
     HEADER_COPY_BYTES,
     PROTO_TCP,
@@ -10,6 +12,7 @@ from repro.net import (
     PacketMeta,
     build_packet,
 )
+from repro.nfs import Nat, create_nf
 
 
 # ------------------------------------------------------------- PacketMeta
@@ -143,3 +146,49 @@ def test_payload_offset_tcp():
 def test_packet_repr_smoke():
     pkt = build_packet(size=64)
     assert "Packet" in repr(pkt)
+
+
+# ------------------------------------------------- IPv4 IHL below RFC 791's 5
+def _short_ihl_frame(ihl):
+    """A TCP frame whose IHL claims fewer than the 20 fixed bytes."""
+    pkt = build_packet(src_ip="10.1.2.3", src_port=4321, size=96,
+                       identification=7)
+    pkt.buf[14] = 0x40 | ihl
+    return pkt
+
+
+@pytest.mark.parametrize("ihl", [0, 2, 4])
+def test_ipv4_header_with_ihl_below_five_is_refused(ihl):
+    # An IHL of 2 used to put the "TCP header" at byte 22: the key read
+    # TTL/protocol and the checksum as ports, and the NAT wrote its
+    # external port over TTL and protocol.
+    pkt = _short_ihl_frame(ihl)
+    before = bytes(pkt.buf)
+    for read in (pkt.flow_key, pkt.port_key, pkt.five_tuple,
+                 lambda: pkt.ipv4, lambda: pkt.l4_protocol,
+                 lambda: pkt.payload):
+        with pytest.raises(ValueError):
+            read()
+    assert not pkt.has_ah
+    nat = Nat()
+    ctx = nat.handle(pkt)
+    assert ctx.dropped and nat.errors == 1
+    assert bytes(pkt.buf) == before
+
+
+@pytest.mark.parametrize("chain", [["nat", "monitor"],
+                                   ["monitor", "nat", "loadbalancer"]])
+def test_functional_plane_and_sequential_agree_on_short_ihl(chain):
+    def frames():
+        good = [build_packet(src_port=5000 + i, size=96, identification=i)
+                for i in range(3)]
+        return [good[0], _short_ihl_frame(2), good[1], _short_ihl_frame(4),
+                good[2]]
+
+    plane = FunctionalDataplane(compile_policy(Policy.from_chain(chain)).graph)
+    sequential = SequentialReference([create_nf(kind) for kind in chain])
+    got = [plane.process(pkt) for pkt in frames()]
+    want = [sequential.process(pkt) for pkt in frames()]
+    assert [None if out is None else bytes(out.buf) for out in got] == [
+        None if out is None else bytes(out.buf) for out in want]
+    assert [out is None for out in got] == [False, True, False, True, False]
