@@ -307,7 +307,6 @@ class _MergerSim:
         now = server.env.now
         batch = self.rx.burst(first, params.batch_size)
         for pkt in batch:
-            now = reserve(now, params.merger_per_copy_us)
             done = self._accumulate(pkt, now)
             if done is not None:
                 now = reserve(now, params.merger_base_us)

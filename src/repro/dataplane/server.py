@@ -209,12 +209,9 @@ class NFPServer(NicEgress):
         """Install listener: rendezvous latency (AT bookkeeping plus the
         copy-collection penalty, §6.3.2), the record's one ``SimParams``
         fact; charged as pipeline latency, not core time."""
-        graph, params = compiled.graph, self.params
-        compiled.merge_delay_us = params.merge_latency_us + (
-            (graph.num_versions - 1) * params.copy_merge_latency_us
-        ) + graph.total_count * params.merge_per_notification_us + len(
-            graph.merge_ops
-        ) * params.merge_per_mo_us
+        graph = compiled.graph
+        compiled.merge_delay_us = self.params.merge_delay_us(
+            graph.num_versions, graph.total_count)
 
     def _spawn_runtime(self, group: _RuntimeGroup, label: str) -> _NFRuntimeSim:
         """One NF instance on a fresh core, overflow hook attached."""

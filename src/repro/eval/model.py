@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Optional, Sequence
 from ..core.graph import ORIGINAL_VERSION, ServiceGraph
 from ..core.partition import slice_subgraph
 from ..net.packet import HEADER_COPY_BYTES
-from ..sim.params import SimParams
+from ..sim.params import CPU_FREQ_MHZ, SimParams
 
 __all__ = [
     "CapacityReport",
@@ -72,8 +72,7 @@ def nfp_capacity(
       + stage-0 ring hops;
     * each NF: runtime + NF service (+ barrier-completer hops/copies,
       amortised onto the version's NFs);
-    * merger: notifications x per-copy + completion base, split across
-      instances.
+    * merger: one completion per output packet, split across instances.
 
     ``scale`` (name -> instance count, §7) divides an NF's demand by its
     replica count: RSS splits the flow space, so each instance sees
@@ -128,10 +127,7 @@ def nfp_capacity(
             demands[entry.node.name] = demand
 
     if graph.needs_merger:
-        per_packet = (
-            graph.total_count * params.merger_per_copy_us + params.merger_base_us
-        )
-        demands["merger"] = per_packet / num_mergers
+        demands["merger"] = params.merger_base_us / num_mergers
 
     return _finish(demands, params.line_rate_mpps(packet_size))
 
@@ -188,9 +184,7 @@ def bess_capacity(
     extra_cycles: int = 0,
 ) -> CapacityReport:
     """Throughput under BESS RTC with duplicated chains on k cores."""
-    per_chain = params.rtc_base_us + sum(
-        params.rtc_per_nf_us + extra_cycles / 3000.0 for _ in chain
-    )
+    per_chain = len(chain) * extra_cycles / CPU_FREQ_MHZ
     demands = {"rtc": per_chain / num_cores}
     return _finish(demands, params.line_rate_mpps(packet_size))
 
@@ -219,11 +213,8 @@ def nfp_latency_floor(
         )
     if graph.needs_merger:
         latency += params.merger_hop_latency_us
-        latency += graph.total_count * params.merger_per_copy_us + params.merger_base_us
-        latency += params.merge_latency_us
-        latency += graph.total_count * params.merge_per_notification_us
-        latency += (graph.num_versions - 1) * params.copy_merge_latency_us
-        latency += len(graph.merge_ops) * params.merge_per_mo_us
+        latency += params.merger_base_us
+        latency += params.merge_delay_us(graph.num_versions, graph.total_count)
     latency += params.nic_io_us
     latency += (packet_size + 20) * 8 / (params.nic_gbps * 1000.0)
     return latency

@@ -26,7 +26,7 @@ with PR-5 fault injection: crash any active server and traffic fails
 over onto the pre-planned backup with packet conservation intact.
 """
 
-from .backup import backup_paths, plan_backups
+from .backup import plan_backups
 from .brute import BruteForceError, brute_force_place, chain_candidates
 from .heuristic import heuristic_place, round_robin_place
 from .plan import (
@@ -48,6 +48,6 @@ __all__ = [
     "MEMORY_PER_NF_MB", "enumerate_cuts", "evaluate_candidate",
     "brute_force_place", "BruteForceError", "chain_candidates",
     "heuristic_place", "round_robin_place",
-    "plan_backups", "backup_paths",
+    "plan_backups",
     "PlacedDataplane", "build_dataplane", "build_timed",
 ]

