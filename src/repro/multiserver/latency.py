@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..core.graph import ORIGINAL_VERSION, ServiceGraph
-from ..core.partition import ServerSlice, partition_graph
+from ..core.graph import ServiceGraph
+from ..core.partition import ServerSlice, partition_graph, slice_subgraph
 from ..sim.params import SimParams
 from .nsh import NSH_LEN
 
@@ -120,7 +120,9 @@ class CrossServerLatency:
 def _slice_path_cost(
     graph: ServiceGraph, server_slice: ServerSlice, params: SimParams
 ) -> float:
-    """Critical-path cost of one slice: per-stage hop + slowest NF."""
+    """Critical-path cost of one slice: per-stage hop + slowest NF, then
+    the rendezvous of the slice's own merge (a slice runs as its own
+    subgraph, so it is priced as one)."""
     cost = 0.0
     for stage in server_slice.stages:
         cost += params.batch_wait_us
@@ -128,13 +130,9 @@ def _slice_path_cost(
             params.nf_runtime_us + params.nf_service(entry.node.kind)
             for entry in stage
         )
-        # A stage with copy versions pays the slice-local merge.
-        copies_here = {
-            e.version for e in stage if e.version != ORIGINAL_VERSION
-        }
-        if copies_here:
-            cost += params.merge_latency_us
-            cost += len(copies_here) * params.copy_merge_latency_us
+    local = slice_subgraph(graph, server_slice)
+    if local.needs_merger:
+        cost += params.merge_delay_us(local.num_versions, local.total_count)
     return cost
 
 
