@@ -7,7 +7,10 @@
    rules -- NOT from the compiled graph, so compiler bugs cannot vouch
    for themselves),
 2. :class:`~repro.dataplane.functional.FunctionalDataplane` over the
-   compiled parallel graph, and
+   compiled parallel graph, fed ``burst`` packets per ``process_many``
+   (the fuzz session cycles :data:`FUZZ_BURSTS` by case index, so the
+   stage-major walk is fuzzed at a burst of one, a ragged burst and a
+   full one), and
 3. (optionally) the timed DES dataplane
    (:class:`~repro.dataplane.server.NFPServer`), checking the emitted
    bytes *and* the MID/version metadata word.
@@ -66,7 +69,12 @@ from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..traffic.generator import feed_list
 from .cases import FuzzCase
 
-__all__ = ["CaseOutcome", "reference_order", "run_case", "run_fault_case"]
+__all__ = ["CaseOutcome", "FUZZ_BURSTS", "reference_order", "run_case",
+           "run_fault_case"]
+
+#: Functional-plane burst sizes a fuzz session cycles through by case
+#: index: one packet, a burst that leaves a ragged tail, a DPDK burst.
+FUZZ_BURSTS = (1, 7, 32)
 
 #: Deterministic inter-arrival gap for the DES plane, far below any
 #: graph's capacity so ring overflow (``server.lost``) cannot occur and
@@ -91,6 +99,8 @@ class CaseOutcome:
     elapsed_s: float = 0.0
     #: uniform §7 instance count the case ran with (1 = unscaled).
     instances: int = 1
+    #: packets per functional ``process_many`` call the case ran with.
+    burst: int = 1
 
     def __str__(self) -> str:
         status = "OK" if self.ok else f"FAIL({self.kind})"
@@ -291,8 +301,12 @@ def run_case(
     instances: int = 1,
     flow_cache: Optional[bool] = None,
     audit_profiles: bool = False,
+    burst: int = 1,
 ) -> CaseOutcome:
     """Run one differential case end to end.
+
+    The functional plane takes the packets ``burst`` at a time; the
+    sequential oracle always takes them one at a time.
 
     ``instances > 1`` runs the §7 scale-out axis: every NF is replicated
     uniformly, and the sequential oracle becomes a
@@ -314,6 +328,8 @@ def run_case(
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
+    if burst < 1:
+        raise ValueError("burst must be >= 1")
     if flow_cache is None:
         flow_cache = instances > 1
     started = time.monotonic()
@@ -395,9 +411,11 @@ def run_case(
     functional = FunctionalDataplane(
         graph, scale=instances if instances > 1 else None)
     func_out: Dict[int, Optional[bytes]] = {}
-    for spec in case.packets:
-        out = functional.process(spec.build())
-        func_out[spec.ident] = None if out is None else bytes(out.buf)
+    for start in range(0, len(case.packets), burst):
+        specs = case.packets[start:start + burst]
+        outputs = functional.process_many([spec.build() for spec in specs])
+        for spec, out in zip(specs, outputs):
+            func_out[spec.ident] = None if out is None else bytes(out.buf)
 
     matched = sum(
         1 for spec in case.packets
@@ -411,7 +429,7 @@ def run_case(
     base = dict(
         case=case, packets=len(case.packets), matched=matched,
         agreed_drops=agreed_drops, graph_desc=graph.describe(),
-        reference=order, instances=instances,
+        reference=order, instances=instances, burst=burst,
     )
 
     divergence = _first_divergence(case, func_out, seq_out)

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..faults import FaultPlan, FaultSpec
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from .cases import FuzzCase, ProfileTweak
-from .differential import CaseOutcome, run_case, run_fault_case
+from .differential import FUZZ_BURSTS, CaseOutcome, run_case, run_fault_case
 from .generator import CaseGenerator
 from .shrinker import ShrinkResult, shrink_case, write_repro
 
@@ -116,6 +116,7 @@ def run_fuzz(
                     f"after {report.cases} cases")
             break
         case = generator.generate(index)
+        burst = FUZZ_BURSTS[index % len(FUZZ_BURSTS)]
         if faults:
             plan = _fault_plan_for(case, index, faults, packets_per_case)
             outcome = run_fault_case(case, plan, telemetry=telemetry,
@@ -123,7 +124,7 @@ def run_fuzz(
         else:
             outcome = run_case(case, include_des=include_des,
                                telemetry=telemetry, instances=instances,
-                               audit_profiles=audit_profiles)
+                               audit_profiles=audit_profiles, burst=burst)
         telemetry.inc("fuzz.cases")
         report.cases += 1
         report.packets += outcome.packets
@@ -136,7 +137,8 @@ def run_fuzz(
         if shrink and not faults:
             failure.shrunk = shrink_case(
                 case, include_des=include_des, telemetry=telemetry,
-                instances=instances, audit_profiles=audit_profiles)
+                instances=instances, audit_profiles=audit_profiles,
+                burst=burst)
             if log:
                 log(f"case {index}: {failure.shrunk.summary()}")
             if out_dir:
@@ -184,12 +186,15 @@ def replay_corpus(
     instances: int = 1,
     audit_profiles: bool = False,
 ) -> List[Tuple[str, CaseOutcome]]:
-    """Re-run every ``*.json`` seed in ``corpus_dir`` (sorted, stable)."""
+    """Re-run every ``*.json`` seed in ``corpus_dir`` (sorted, stable),
+    the functional plane's burst cycling by position as in a session."""
     results: List[Tuple[str, CaseOutcome]] = []
-    for path in sorted(glob.glob(os.path.join(corpus_dir, "*.json"))):
+    paths = sorted(glob.glob(os.path.join(corpus_dir, "*.json")))
+    for index, path in enumerate(paths):
         case = FuzzCase.load(path)
         outcome = run_case(case, include_des=include_des, telemetry=telemetry,
-                           instances=instances, audit_profiles=audit_profiles)
+                           instances=instances, audit_profiles=audit_profiles,
+                           burst=FUZZ_BURSTS[index % len(FUZZ_BURSTS)])
         telemetry.inc("fuzz.cases")
         results.append((path, outcome))
     return results

@@ -60,10 +60,12 @@ def shrink_case(
     telemetry: TelemetryHub = NULL_HUB,
     instances: int = 1,
     audit_profiles: bool = False,
+    burst: int = 1,
 ) -> ShrinkResult:
-    """Minimize ``case`` while it keeps failing with the same kind."""
+    """Minimize ``case`` while it keeps failing with the same kind, at
+    the functional burst size it failed with."""
     baseline = run_case(case, include_des=include_des, instances=instances,
-                        audit_profiles=audit_profiles)
+                        audit_profiles=audit_profiles, burst=burst)
     if baseline.ok:
         raise ValueError("shrink_case needs a failing case")
     kind = baseline.kind
@@ -85,7 +87,7 @@ def shrink_case(
         try:
             outcome = run_case(candidate, include_des=probe_des,
                                instances=instances,
-                               audit_profiles=probe_audit)
+                               audit_profiles=probe_audit, burst=burst)
         except Exception:
             return False
         if not outcome.ok and outcome.kind == kind:
@@ -102,12 +104,12 @@ def shrink_case(
         state["best"], case_id=f"{case.case_id}-min") \
         if state["best"] is not case else case
     final = run_case(final_case, include_des=include_des, instances=instances,
-                     audit_profiles=audit_profiles)
+                     audit_profiles=audit_profiles, burst=burst)
     if final.ok or final.kind != kind:  # paranoid re-check with full planes
         final_case = replace(case, case_id=f"{case.case_id}-min")
         final = run_case(final_case, include_des=include_des,
                          instances=instances,
-                         audit_profiles=audit_profiles)
+                         audit_profiles=audit_profiles, burst=burst)
     return ShrinkResult(
         case=final_case,
         outcome=final,
@@ -216,7 +218,8 @@ CASE_JSON = r"""
 
 def test_repro_{digest}():
     outcome = run_case(FuzzCase.from_json(CASE_JSON), include_des={include_des},
-                       instances={instances}, audit_profiles={audit_profiles})
+                       instances={instances}, audit_profiles={audit_profiles},
+                       burst={burst})
     assert outcome.ok, f"{{outcome.kind}}: {{outcome.detail}}"
 '''
 
@@ -245,5 +248,6 @@ def write_repro(
             include_des=include_des,
             instances=instances,
             audit_profiles=result.outcome.kind == "profile-violation",
+            burst=result.outcome.burst,
         ))
     return json_path, test_path

@@ -8,6 +8,13 @@ for any policy, ``FunctionalDataplane`` output must be byte-identical to
 :class:`SequentialReference` output over the original chain (§6.4's
 replay experiment).
 
+The walk is stage-major over a burst, the unit of work of NFP's DPDK
+dataplane (§5): each stage runs over every packet of the burst, and an
+NF gets the burst's live buffers in one
+:meth:`~repro.nfs.base.NetworkFunction.handle_burst` (so the VPN runs
+one cipher pass per burst here, as on the DES).  A single packet is a
+burst of one; there is no per-packet walk beside it.
+
 The timed DES dataplane (:mod:`repro.dataplane.server`) shares the same
 NF objects and merge code; this module is the semantics, that one adds
 queueing and service times.
@@ -70,16 +77,18 @@ def instantiate_nfs(
 class FunctionalDataplane:
     """Synchronous executor with NFP's exact packet semantics.
 
-    The one stage walk: NFP's per-packet semantics, written once.  It
-    executes the graph's bound :class:`~repro.core.closures.CompiledGraph`
-    program: copies due at a stage's entry come from the current version
-    1, every NF of the stage sees the pre-stage buffers, a drop takes
-    effect only after the stage (parallel semantics), and the collected
-    versions are merged at the end.  A replicated entry runs on
-    ``labels[digest % count]`` of the crc32 of the packet's flow key --
-    the split the DES classifier gets from ``assign_instances``.  A
-    cross-server slice runs here as a graph of its own
-    (:func:`repro.core.partition.slice_subgraph`).
+    The one stage walk: NFP's per-packet semantics, written once and
+    run stage-major over a burst (:meth:`process_many`; :meth:`process`
+    is a burst of one).  It executes the graph's bound
+    :class:`~repro.core.closures.CompiledGraph` program: copies due at a
+    stage's entry come from the current version 1, every NF of the
+    stage sees the pre-stage buffers, a drop takes effect only after the
+    stage (parallel semantics), and the collected versions are merged at
+    the end.  A replicated entry runs on ``labels[digest % count]`` of
+    the crc32 of the packet's flow key -- the split the DES classifier
+    gets from ``assign_instances`` -- and each instance gets its share
+    of the burst in burst order.  A cross-server slice runs here as a
+    graph of its own (:func:`repro.core.partition.slice_subgraph`).
     """
 
     def __init__(
@@ -103,9 +112,10 @@ class FunctionalDataplane:
                    for label in labels if label not in self.nfs]
         if missing:
             raise ValueError(f"no NF instances for graph nodes: {missing}")
-        #: Whether any entry is replicated (else no packet is hashed).
-        self._scaled = any(count > 1 for _, entries in self._stages
-                           for _, count, _, _ in entries)
+        #: The distinct instance counts of replicated entries: a burst
+        #: is split once per count (none: no packet is hashed).
+        self._replicas = sorted({count for _, entries in self._stages
+                                 for _, count, _, _ in entries if count > 1})
         self._plan = MergePlan(graph.merge_ops)
         self.processed = self.emitted = self.dropped = 0
         #: Instance health is consulted before each NF application.
@@ -123,51 +133,104 @@ class FunctionalDataplane:
         self.restarts = 0
 
     def process(self, pkt: Packet) -> Optional[Packet]:
-        """Run one packet through the program; ``None`` means dropped."""
-        self.processed += 1
-        injector = self.injector
-        digest, live = 0, None
-        if self._scaled:
-            digest = key_digest(packet_key(pkt), self.telemetry)
-            if injector is not None:
-                live = self.health.view()
+        """Run one packet through the program -- a burst of one;
+        ``None`` means dropped."""
+        return self.process_many((pkt,))[0]
+
+    def process_many(self, packets: Iterable[Packet]) -> List[Optional[Packet]]:
+        """Run a burst through the program, one stage at a time.
+
+        Each stage makes its entry copies for every packet, hands each
+        entry's NF the burst's live buffers in one ``handle_burst``, and
+        turns that stage's drops into nils; then every packet merges.
+        Each NF still sees its packets in burst order and every copy is
+        still taken from version 1 after the previous stage, so the
+        outputs are those of the packets run one at a time.
+        """
+        pkts = list(packets)
+        first = self.processed
+        self.processed = first + len(pkts)
         nfs = self.nfs
-        versions: Dict[int, Packet] = {ORIGINAL_VERSION: pkt}
+        injector = self.injector
+        # Per packet: version -> buffer, version 1 the packet itself.
+        flights = [{ORIGINAL_VERSION: pkt} for pkt in pkts]
+        digests = shares = None
+        if self._replicas:
+            telemetry = self.telemetry
+            digests = [key_digest(packet_key(pkt), telemetry) for pkt in pkts]
+            if injector is None:
+                # Each instance's share of the burst, once per count.
+                shares = {}
+                for count in self._replicas:
+                    picks = [digest % count for digest in digests]
+                    shares[count] = [
+                        (k, [flight for flight, pick in zip(flights, picks)
+                             if pick == k])
+                        for k in dict.fromkeys(picks)]
 
         for copies, entries in self._stages:
             for copy in copies:
-                versions[copy.version] = copy.make(versions[ORIGINAL_VERSION])
-            newly_dropped = []
+                make, version = copy.make, copy.version
+                for flight in flights:
+                    flight[version] = make(flight[ORIGINAL_VERSION])
+            drops = []
             for version, count, labels, entry in entries:
-                buffer = versions[version]
-                if buffer.nil:
-                    continue
-                if count == 1:
-                    index = 0
-                elif live is None:
-                    index = digest % count
+                if injector is not None:
+                    served = self._gate(entry, version, count, labels,
+                                        flights, digests, first, drops)
+                elif count == 1:
+                    served = ((nfs[labels[0]], flights),)
                 else:
-                    index = pick_instance(digest, count,
-                                          live.get(entry.node.name))
-                label = labels[index]
-                if (injector is not None
-                        and self._instance_down(entry, label, index)):
-                    newly_dropped.append(version)
-                elif nfs[label].handle(buffer).dropped:
-                    newly_dropped.append(version)
-            for version in newly_dropped:
-                versions[version] = versions[version].make_nil()
+                    served = [(nfs[labels[k]], share)
+                              for k, share in shares[count]]
+                for nf, share in served:
+                    live = [flight for flight in share if not flight[version].nil]
+                    if not live:
+                        continue
+                    contexts = nf.handle_burst([flight[version] for flight in live])
+                    for flight, ctx in zip(live, contexts):
+                        if ctx.dropped:
+                            drops.append((flight, version))
+            for flight, version in drops:
+                flight[version] = flight[version].make_nil()
 
+        plan = self._plan
         # The module global, looked up per call: the lab patches it.
-        merged = apply_merge_ops(versions, self._plan)
-        if merged is None:
-            self.dropped += 1
-        else:
-            self.emitted += 1
-        return merged
+        outputs = [apply_merge_ops(flight, plan) for flight in flights]
+        lost = outputs.count(None)
+        self.dropped += lost
+        self.emitted += len(outputs) - lost
+        return outputs
 
-    def _instance_down(self, entry, label: str, index: int) -> bool:
-        """Health gate before one NF application (fault runs only).
+    def _gate(self, entry, version: int, count: int, labels, flights,
+              digests, first: int, drops: list):
+        """Health-gate one entry over the burst (fault runs only).
+
+        Packets are asked about in burst order, each at its own ordinal
+        on the injector's clock, and picked over the group's healthy
+        instances as they stand at that packet.  A version whose
+        instance is down joins ``drops``; the rest are grouped by NF
+        *object*, so packets before a restart go to the old object and
+        packets after it to the fresh one.
+        """
+        name = entry.node.name
+        health = self.health
+        served: Dict[NetworkFunction, list] = {}
+        for i, flight in enumerate(flights):
+            if flight[version].nil:
+                continue
+            index = (0 if count == 1 else
+                     pick_instance(digests[i], count, health.healthy(name)))
+            label = labels[index]
+            if self._instance_down(entry, label, index, first + i + 1):
+                drops.append((flight, version))
+            else:
+                served.setdefault(self.nfs[label], []).append(flight)
+        return served.items()
+
+    def _instance_down(self, entry, label: str, index: int,
+                       ordinal: int) -> bool:
+        """Health gate before one NF application, at packet ``ordinal``.
 
         Returns True when the instance is dead/hung and the version must
         drop.  When the casualty was the group's last healthy instance
@@ -176,7 +239,7 @@ class FunctionalDataplane:
         reviving in place is safe here.
         """
         injector = self.injector
-        state = injector.on_packet(label, float(self.processed))
+        state = injector.on_packet(label, float(ordinal))
         if not state.down:
             return False
         self.drop_reasons["instance_down"] = (
@@ -189,9 +252,6 @@ class FunctionalDataplane:
             injector.revive(label)
             self.health.mark_up(name, index)
         return True
-
-    def process_many(self, packets: Iterable[Packet]) -> List[Optional[Packet]]:
-        return [self.process(pkt) for pkt in packets]
 
 
 class SequentialReference:

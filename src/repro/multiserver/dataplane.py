@@ -26,7 +26,7 @@ processing for that packet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from ..core.graph import ORIGINAL_VERSION, ServiceGraph
 from ..core.partition import ServerSlice, partition_graph, slice_subgraph
@@ -155,61 +155,76 @@ class MultiServerDataplane:
         raise KeyError(name)
 
     def process(self, pkt: Packet) -> Optional[Packet]:
-        """Run one packet across all servers; ``None`` means dropped."""
-        # Ingress classification: assign flight metadata.
-        self._next_pid = (self._next_pid + 1) % (1 << 40)
-        pkt.meta = PacketMeta(mid=self.path_id, pid=self._next_pid,
-                              version=ORIGINAL_VERSION)
+        """Run one packet across all servers -- a burst of one;
+        ``None`` means dropped."""
+        return self.process_many((pkt,))[0]
 
-        current: Optional[Packet] = pkt
-        nil = False
+    def process_many(self, packets: Iterable[Packet]) -> List[Optional[Packet]]:
+        """Run a burst across all servers, one slice at a time.
+
+        Each server runs its slice over the burst's surviving packets in
+        one ``process_many``; then every packet of the burst crosses the
+        link, in burst order, as exactly one (possibly nil) frame.
+        """
+        pkts = list(packets)
+        # Ingress classification: assign flight metadata.
+        for pkt in pkts:
+            self._next_pid = (self._next_pid + 1) % (1 << 40)
+            pkt.meta = PacketMeta(mid=self.path_id, pid=self._next_pid,
+                                  version=ORIGINAL_VERSION)
+        #: Per packet: the frame in flight, ``None`` once it is nil.
+        current: List[Optional[Packet]] = list(pkts)
         for index, server in enumerate(self.servers):
-            if not nil:
-                current = server.process(current)
-                if current is None:
-                    nil = True
+            alive = [i for i, frame in enumerate(current) if frame is not None]
+            outputs = server.process_many([current[i] for i in alive])
+            for i, out in zip(alive, outputs):
+                current[i] = out
             if index < len(self.links):
-                # Cross the link: exactly one frame per packet, tagged.
-                if current is not None and not nil:
-                    carrier = current
-                else:
-                    # A dropped packet still crosses as a minimal nil
-                    # notification so downstream accounting completes.
-                    carrier = Packet(
-                        bytearray(ETH_HEADER_LEN), meta=pkt.meta,
-                        wire_len=ETH_HEADER_LEN,
-                    )
-                    carrier.eth.ethertype = 0x0800
-                tag = NshTag(self.path_id, index + 1, pkt.meta, nil=nil)
-                encapsulate(carrier, tag)
-                link = self.links[index]
-                link.frames += 1
-                link.bytes += carrier.wire_len
-                if nil:
-                    link.nil_frames += 1
-                hub = self.telemetry
-                if hub.enabled:
-                    # Cross-server hop: exactly one (possibly nil) frame.
-                    hub.inc("multiserver.hops")
-                    hub.inc(f"multiserver.link{index}.frames")
-                    hub.inc(f"multiserver.link{index}.bytes", carrier.wire_len)
-                    if nil:
-                        hub.inc(f"multiserver.link{index}.nil_frames")
-                    if self.link_specs is not None:
-                        link.publish(hub, index, self.link_specs[index].gbps,
-                                     self.offered_mpps)
-                    # The functional pipeline has no clock; hop ordinal
-                    # stands in for time so spans still order causally.
-                    hub.span(SpanKind.ENQUEUE, float(index), pkt.meta,
-                             name=f"link{index}", args={"nil": nil})
-                # ... wire ...
-                received_tag = decapsulate(carrier)
-                assert received_tag.index == index + 1
-                nil = nil or received_tag.nil
-                if not nil:
-                    current = carrier
-        if nil or current is None:
-            self.dropped += 1
-            return None
-        self.emitted += 1
+                current = [self._cross(index, pkt.meta, frame)
+                           for pkt, frame in zip(pkts, current)]
+        lost = current.count(None)
+        self.dropped += lost
+        self.emitted += len(current) - lost
         return current
+
+    def _cross(self, index: int, meta: PacketMeta,
+               frame: Optional[Packet]) -> Optional[Packet]:
+        """Carry one packet over link ``index``: exactly one frame,
+        tagged; returns what the next server receives (``None``: nil)."""
+        nil = frame is None
+        if nil:
+            # A dropped packet still crosses as a minimal nil
+            # notification so downstream accounting completes.
+            carrier = Packet(
+                bytearray(ETH_HEADER_LEN), meta=meta,
+                wire_len=ETH_HEADER_LEN,
+            )
+            carrier.eth.ethertype = 0x0800
+        else:
+            carrier = frame
+        tag = NshTag(self.path_id, index + 1, meta, nil=nil)
+        encapsulate(carrier, tag)
+        link = self.links[index]
+        link.frames += 1
+        link.bytes += carrier.wire_len
+        if nil:
+            link.nil_frames += 1
+        hub = self.telemetry
+        if hub.enabled:
+            # Cross-server hop: exactly one (possibly nil) frame.
+            hub.inc("multiserver.hops")
+            hub.inc(f"multiserver.link{index}.frames")
+            hub.inc(f"multiserver.link{index}.bytes", carrier.wire_len)
+            if nil:
+                hub.inc(f"multiserver.link{index}.nil_frames")
+            if self.link_specs is not None:
+                link.publish(hub, index, self.link_specs[index].gbps,
+                             self.offered_mpps)
+            # The functional pipeline has no clock; hop ordinal
+            # stands in for time so spans still order causally.
+            hub.span(SpanKind.ENQUEUE, float(index), meta,
+                     name=f"link{index}", args={"nil": nil})
+        # ... wire ...
+        received_tag = decapsulate(carrier)
+        assert received_tag.index == index + 1
+        return None if received_tag.nil else carrier

@@ -164,6 +164,42 @@ def test_multiserver_drop_suppresses_downstream_work():
         assert link.nil_frames == 10
 
 
+def test_burst_crosses_like_packets_one_at_a_time():
+    # process_many runs each slice over the burst's survivors, then every
+    # packet crosses the link: same bytes, drops, link ledger and NF
+    # counters as process() per packet, with some packets denied on the
+    # first server and so crossing as nil frames.
+    chain = ["firewall", "monitor", "nat", "vpn"]
+
+    def run(burst):
+        multi = MultiServerDataplane(graph_for(chain), cores_per_server=4)
+        assert multi.num_servers >= 2
+        for server in multi.servers:
+            for name in [n for n in server.nfs if n.startswith("firewall")]:
+                server.nfs[name] = Firewall(name=name, acl=[AclRule(
+                    src_prefix=("192.0.2.0", 28), permit=False)])
+        pkts = [build_packet(src_ip=f"192.0.2.{i % 120 + 1}", src_port=6000 + i,
+                             size=256, payload=b"x", identification=i)
+                for i in range(100)]
+        outputs = []
+        for start in range(0, len(pkts), burst):
+            outputs += multi.process_many(pkts[start:start + burst])
+        return {
+            "outputs": [None if out is None else bytes(out.buf)
+                        for out in outputs],
+            "links": [(link.frames, link.bytes, link.nil_frames)
+                      for link in multi.links],
+            "totals": (multi.emitted, multi.dropped),
+            "nfs": [{label: (nf.rx_packets, nf.dropped_packets)
+                     for label, nf in server.nfs.items()}
+                    for server in multi.servers],
+        }
+
+    one = run(1)
+    assert one["totals"][1] > 0 and one["links"][0][2] > 0
+    assert run(32) == one
+
+
 def test_nf_lookup_across_servers():
     graph = graph_for(["monitor", "nat", "vpn"])
     multi = MultiServerDataplane(graph, cores_per_server=4)
