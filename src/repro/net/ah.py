@@ -10,6 +10,7 @@ fields, and stamp/verify the ICV.
 
 from __future__ import annotations
 
+import hmac
 import struct
 
 from .crypto import compute_icv
@@ -94,13 +95,14 @@ def remove_ah(pkt: Packet, icv_key: bytes = b"", verify: bool = False) -> None:
 
 
 def verify_ah(pkt: Packet, icv_key: bytes) -> bool:
-    """Recompute the ICV and compare with the one in the packet."""
+    """Recompute the ICV and compare it with the packet's in constant time."""
     ip = pkt.ipv4
     if ip.protocol != PROTO_AH:
         return False
     ip_end = ip.offset + ip.header_len
     ah = AhView(pkt.buf, ip_end)
-    return ah.icv == compute_icv(icv_key, _icv_scope(pkt.buf, ip.offset, ip_end))
+    return hmac.compare_digest(
+        ah.icv, compute_icv(icv_key, _icv_scope(pkt.buf, ip.offset, ip_end)))
 
 
 def _icv_scope(buf: bytearray, l3: int, ip_end: int) -> bytearray:

@@ -1,28 +1,39 @@
 """Lane-parallel AES-128 in CTR mode, for the VPN NF (§6.1: "encrypts a
 packet based on the AES algorithm and wraps it with an AH header").
 
-No third-party crypto is available offline, so this is a stdlib-only,
-test-vector-verified FIPS-197 implementation built for host throughput.
-CTR keystream blocks are independent of each other (NIST SP 800-38A
-§6.5), so the n counter blocks of a payload are packed into one
-128·n-bit integer -- block k in the k-th 16-byte lane, most significant
-first -- and every round runs on all n lanes at once:
+The package has no third-party runtime dependencies (README), so this
+is a stdlib-only, test-vector-verified FIPS-197 implementation built
+for host throughput.  CTR keystream blocks are independent of each
+other (NIST SP 800-38A §6.5), so the n counter blocks of a payload are
+encrypted together, and the state is held row-sliced: four integers,
+one per AES row, where row r holds byte r of every column of every
+block -- four bytes per block, block 0 most significant (``raw[r::4]``
+of the counter blocks).  Every round then runs on all n blocks at once:
 
-* SubBytes is one ``bytes.translate`` of the whole state, and a second
-  translate of the same bytes gives 2·S for MixColumns;
-* ShiftRows is six masked shifts (SubBytes and ShiftRows commute, so
-  it runs first, on one integer instead of two);
-* MixColumns is XORs of the state and its in-column byte rotations;
-* AddRoundKey is one XOR with the round key times the lane-repeat
-  constant (xⁿ−1)/(x−1), x = 2¹²⁸, which copies a 128-bit value into
-  every lane (the row and rotation masks are repeated the same way).
+* ShiftRows rotates rows 1-3 left by 8/16/24 bits inside each 32-bit
+  group (two masked shifts a row);
+* SubBytes joins the rows into one integer and converts it once -- one
+  ``to_bytes``, one ``bytes.translate``, one ``from_bytes`` -- and masks
+  split the rows back out.  Never one conversion per row: that is four
+  times the calls a round, and a burst of one-block payloads pays them
+  all (``test_keystream_pass_stays_within_its_call_budget``);
+* MixColumns is XOR between rows, ``b_r = s_r ^ t ^ 2·(s_r ^ s_(r+1))``
+  with ``t`` the XOR of all four rows and 2· the GF(2⁸) doubling done
+  bytewise on the integer.  Three doublings do: the four row pairs XOR
+  to 0.  A second, 2·S, table would cost a translate and a
+  ``from_bytes`` a round, slower from ten blocks up;
+* AddRoundKey XORs each row with its 32-bit row word of the round key
+  times the group-repeat constant, which copies it into every block.
 
-The counter lanes ``nonce ‖ k`` have a closed form too: the block
-numbers n−1−j in lane j sum to (xⁿ − n·x + n − 1)/(x−1)².  The 11
-round keys are memoised per key.
+The last round's rows are interleaved back into blocks
+(``out[r::4] = …``) and take round key 10 whole, times the lane-repeat
+constant (xⁿ−1)/(x−1), x = 2¹²⁸.  The counter blocks ``nonce ‖ k`` have
+a closed form too: the block numbers n−1−j in lane j (from the least
+significant) sum to (xⁿ − n·x + n − 1)/(x−1)².  The key schedule is
+memoised per key, in the form the rounds read it.
 
-Messages share lanes as well: :func:`aes_ctr_keystreams` packs the
-counter lanes of several ``(nonce, length)`` messages (a burst of
+Messages share the pass as well: :func:`aes_ctr_keystreams` packs the
+counter blocks of several ``(nonce, length)`` messages (a burst of
 payloads, as in multi-buffer IPsec) into one state and slices one
 keystream per message out of a single pass, so the rounds' fixed cost
 is paid once per burst.  :func:`aes_ctr_transform` is its one-message
@@ -78,51 +89,22 @@ _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 #: per VPN tunnel, a handful in any run.
 KEY_SCHEDULE_CACHE_SIZE = 32
 
-
-def _xtime(a: int) -> int:
-    """Multiply by x in GF(2^8)."""
-    a <<= 1
-    return (a ^ 0x11B) & 0xFF if a & 0x100 else a
-
-
-# SubBytes as translate tables: S(b), and 2·S(b) for MixColumns.
-_SUB = bytes(_SBOX)
-_SUB2 = bytes(_xtime(s) for s in _SBOX)
+_SUB = bytes(_SBOX)  # SubBytes as a translate table
 
 _LANE = 1 << 128  # x: one lane up
 _ONE_PER_LANE = bytes(15) + b"\x01"  # one lane of (x^n - 1)/(x - 1)
 
-
-def _pattern(byte_mask: str) -> int:
-    """128-bit mask of the state bytes marked ``x`` (byte 4c + r is row r
-    of column c; columns are separated by spaces)."""
-    return int.from_bytes(bytes(0xFF if ch == "x" else 0
-                                for ch in byte_mask.replace(" ", "")), "big")
-
-
-# Lane masks, in the order _encrypt_lanes unpacks them.  ShiftRows moves
-# row r left by r columns: the columns that stay inside the lane shift
-# up by 32·r bits, the ones that wrap shift down by 128 − 32·r.
-_MASKS = (
-    _pattern("x... x... x... x..."),  # row 0 stays
-    _pattern(".x.. .x.. .x.. ...."),  # row 1, << 32
-    _pattern(".... .... .... .x.."),  # row 1, >> 96
-    _pattern("..x. ..x. .... ...."),  # row 2, << 64
-    _pattern(".... .... ..x. ..x."),  # row 2, >> 64
-    _pattern("...x .... .... ...."),  # row 3, << 96
-    _pattern(".... ...x ...x ...x"),  # row 3, >> 32
-    # In-column rotations: rot2 swaps the column's halves, rot1 moves
-    # rows 1-3 up one and row 0 to the bottom.
-    _pattern("xx.. xx.. xx.. xx.."),
-    _pattern("..xx ..xx ..xx ..xx"),
-    _pattern("xxx. xxx. xxx. xxx."),
-    _pattern("...x ...x ...x ...x"),
-)
+#: ``_expand_key``'s result: round keys 0-9 as four row words each,
+#: round key 10 as one 128-bit integer.
+_RoundKeys = Tuple[Tuple[Tuple[int, int, int, int], ...], int]
 
 
 @lru_cache(maxsize=KEY_SCHEDULE_CACHE_SIZE)
-def _expand_key(key: bytes) -> Tuple[int, ...]:
-    """The 11 round keys of a 16-byte key, each a 128-bit integer."""
+def _expand_key(key: bytes) -> _RoundKeys:
+    """The round keys of a 16-byte key, as :func:`_encrypt_lanes` reads
+    them: keys 0-9 split into row words (row r's word holds byte r of
+    columns 0-3, column 0 most significant), key 10 whole, in block
+    byte order."""
     if len(key) != 16:
         raise ValueError("AES-128 requires a 16-byte key")
     S = _SBOX
@@ -133,35 +115,71 @@ def _expand_key(key: bytes) -> Tuple[int, ...]:
             temp = ((S[(temp >> 16) & 255] << 24) | (S[(temp >> 8) & 255] << 16)
                     | (S[temp & 255] << 8) | S[temp >> 24]) ^ (_RCON[i // 4 - 1] << 24)
         words.append(words[i - 4] ^ temp)
-    return tuple((words[i] << 96) | (words[i + 1] << 64) | (words[i + 2] << 32)
-                 | words[i + 3] for i in range(0, 44, 4))
+    rows = tuple(
+        tuple((((words[i] >> s) & 255) << 24) | (((words[i + 1] >> s) & 255) << 16)
+              | (((words[i + 2] >> s) & 255) << 8) | ((words[i + 3] >> s) & 255)
+              for s in (24, 16, 8, 0))
+        for i in range(0, 40, 4))
+    return rows, (words[40] << 96) | (words[41] << 64) | (words[42] << 32) | words[43]
 
 
-def _encrypt_lanes(rk: Tuple[int, ...], state: int, blocks: int, rep: int) -> int:
+def _encrypt_lanes(rk: _RoundKeys, state: int, blocks: int, rep: int) -> int:
     """Encrypt the ``blocks`` 16-byte lanes of ``state`` at once.
 
     ``rep`` is the lane-repeat constant (x^blocks - 1)/(x - 1).
     """
+    rows, last = rk
     size = 16 * blocks
-    m0, a1, b1, a2, b2, a3, b3, h16, l16, h24, l8 = [m * rep for m in _MASKS]
-    sub, sub2, from_bytes = _SUB, _SUB2, int.from_bytes
-    state ^= rk[0] * rep
-    for key in rk[1:10]:
-        state = ((state & m0) | ((state << 32) & a1) | ((state >> 96) & b1)
-                 | ((state << 64) & a2) | ((state >> 64) & b2)
-                 | ((state << 96) & a3) | ((state >> 32) & b3))
-        raw = state.to_bytes(size, "big")
-        s = from_bytes(raw.translate(sub), "big")
-        # MixColumns: b_r = 2s_r ^ 3s_(r+1) ^ s_(r+2) ^ s_(r+3)
-        #                 = v ^ rot1(v ^ s), v = 2s ^ rot2(s).
-        v = from_bytes(raw.translate(sub2), "big") ^ ((s << 16) & h16) ^ ((s >> 16) & l16)
-        w = v ^ s
-        state = v ^ ((w << 8) & h24) ^ ((w >> 24) & l8) ^ key * rep
-    # Last round has no MixColumns.
-    state = ((state & m0) | ((state << 32) & a1) | ((state >> 96) & b1)
-             | ((state << 64) & a2) | ((state >> 64) & b2)
-             | ((state << 96) & a3) | ((state >> 32) & b3))
-    return from_bytes(state.to_bytes(size, "big").translate(sub), "big") ^ rk[10] * rep
+    q = 4 * blocks  # bytes per row
+    w = 8 * q
+    w2 = 2 * w
+    low = (1 << w) - 1
+    half = (1 << w2) - 1
+    one = low // 0xFFFFFFFF  # 1 in every 32-bit group
+    hi24, lo8 = 0xFFFFFF00 * one, 0xFF * one
+    hi16, lo16 = 0xFFFF0000 * one, 0xFFFF * one
+    hi8, lo24 = 0xFF000000 * one, 0xFFFFFF * one
+    fe, b1 = 0xFEFEFEFE * one, 0x01010101 * one
+    sub, from_bytes = _SUB, int.from_bytes
+    # The blocks' rows, joined, then split and keyed with round key 0.
+    raw = state.to_bytes(size, "big")
+    s = from_bytes(raw[0::4] + raw[1::4] + raw[2::4] + raw[3::4], "big")
+    hi, lo = s >> w2, s & half
+    k0, k1, k2, k3 = rows[0]
+    r0, r1, r2, r3 = ((hi >> w) ^ k0 * one, (hi & low) ^ k1 * one,
+                      (lo >> w) ^ k2 * one, (lo & low) ^ k3 * one)
+    for key in rows[1:] + (None,):
+        # ShiftRows (it commutes with SubBytes) on the rows, then
+        # SubBytes on them joined: row 0 most significant.
+        raw = ((((r0 << w) | ((r1 << 8) & hi24) | ((r1 >> 24) & lo8)) << w2)
+               | (((((r2 << 16) & hi16) | ((r2 >> 16) & lo16)) << w)
+                  | ((r3 << 24) & hi8) | ((r3 >> 8) & lo24))
+               ).to_bytes(size, "big").translate(sub)
+        if key is None:  # the last round has no MixColumns
+            break
+        s = from_bytes(raw, "big")
+        hi, lo = s >> w2, s & half
+        s0, s1, s2, s3 = hi >> w, hi & low, lo >> w, lo & low
+        # MixColumns: b_r = s_r ^ t ^ 2(s_r ^ s_(r+1)); 2x is a shift
+        # with 0x1B XORed into each byte whose top bit fell off.
+        x0 = s0 ^ s1
+        x1 = s1 ^ s2
+        x2 = s2 ^ s3
+        t = x0 ^ x2
+        y0 = ((x0 << 1) & fe) ^ ((x0 >> 7) & b1) * 0x1B
+        y1 = ((x1 << 1) & fe) ^ ((x1 >> 7) & b1) * 0x1B
+        y2 = ((x2 << 1) & fe) ^ ((x2 >> 7) & b1) * 0x1B
+        k0, k1, k2, k3 = key
+        r0 = s0 ^ t ^ y0 ^ k0 * one
+        r1 = s1 ^ t ^ y1 ^ k1 * one
+        r2 = s2 ^ t ^ y2 ^ k2 * one
+        r3 = s3 ^ t ^ y0 ^ y1 ^ y2 ^ k3 * one  # 2(s_3 ^ s_0) = y0 ^ y1 ^ y2
+    out = bytearray(size)
+    out[0::4] = raw[:q]
+    out[1::4] = raw[q:2 * q]
+    out[2::4] = raw[2 * q:3 * q]
+    out[3::4] = raw[3 * q:]
+    return from_bytes(out, "big") ^ last * rep
 
 
 class Aes128:

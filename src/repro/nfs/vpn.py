@@ -46,6 +46,10 @@ class VpnEncryptor(NetworkFunction):
         super().__init__(name)
         if len(key) != 16:
             raise ValueError("VPN key must be 16 bytes (AES-128)")
+        # Checked here: insert_ah would raise on every packet and
+        # handle() drop each one, so a bad SPI would read as 100% loss.
+        if not 0 <= spi < 1 << 32:
+            raise ValueError("VPN SPI must fit in 32 bits")
         self.key = key
         self.spi = spi
         self.seq = 0

@@ -1,6 +1,7 @@
 """Unit tests for checksum, AES-128, ICV, and AH insertion/removal."""
 
 import functools
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.net import (
     remove_ah,
     verify_ah,
 )
+from repro.net import ah as ah_module
 from tests.support.aes_textbook import SBOX as TEXTBOOK_SBOX
 from tests.support.aes_textbook import TextbookAes128, textbook_ctr_transform
 
@@ -105,10 +107,11 @@ def test_ctr_matches_textbook_oracle_at_block_edges():
                 textbook_ctr_transform(KEY, nonce, data)
 
 
-# Lane counts where the packed state changes shape: one lane, two, the
-# last count whose block counters fit one byte (256 blocks = 4,096 B),
-# the first where the counter's second byte moves (257 blocks, 4,097 to
-# 4,112 B), and a 9,000-byte jumbo payload.
+# Lengths around the one boundary the row-sliced state has: a block
+# counter's low byte is row 3 of column 3 and its next byte row 2, so
+# 256 blocks (4,096 B) is the last count that leaves row 2's counter byte
+# zero in every block and 257 blocks (4,097 to 4,112 B) the first that
+# sets it.  One block, two, 255 and a 9,000-byte jumbo payload ride along.
 LANE_BOUNDARY_LENGTHS = (16, 32, 255 * 16, 4096, 4097, 4112, 9000)
 
 
@@ -170,6 +173,36 @@ def test_ctr_nonce_range():
         aes_ctr_transform(KEY, -1, b"data")
 
 
+# Profiler events ("call" + "c_call") of one aes_ctr_keystreams pass over
+# n one-block spans: the whole-state core before the row layout made 55,
+# 73 and 953 at 1, 10 and 450 spans; the budget is those plus 5.  The
+# lab's traced flash_crowd_des gate (< 299 calls per packet) has about 6
+# calls of headroom, and a cipher that converts the state row by row
+# makes four times the conversion calls per round, so it fails here.
+PASS_CALL_BUDGET = {1: 60, 10: 78, 450: 958}
+
+
+def _pass_calls(spans):
+    crypto.aes_ctr_keystreams(KEY, spans)  # the key schedule is memoised
+    events = []
+
+    def profile(frame, event, arg):
+        if event == "call" or (event == "c_call" and arg is not sys.setprofile):
+            events.append(event)
+
+    sys.setprofile(profile)
+    try:
+        crypto.aes_ctr_keystreams(KEY, spans)
+    finally:
+        sys.setprofile(None)
+    return len(events)
+
+
+@pytest.mark.parametrize("spans", sorted(PASS_CALL_BUDGET))
+def test_keystream_pass_stays_within_its_call_budget(spans):
+    assert _pass_calls([(i, 16) for i in range(spans)]) <= PASS_CALL_BUDGET[spans]
+
+
 def test_icv_is_keyed_and_truncated():
     icv = compute_icv(b"k1", b"payload")
     assert len(icv) == 12
@@ -220,6 +253,35 @@ def test_ah_verify_covers_addresses():
     insert_ah(pkt, spi=1, seq=1, icv_key=KEY)
     pkt.ipv4.src_ip = "9.9.9.9"
     assert not verify_ah(pkt, KEY)
+
+
+@pytest.mark.parametrize("index", range(AhView.ICV_LEN))
+def test_ah_verify_rejects_a_one_bit_flip_in_each_icv_byte(index):
+    pkt = build_packet(size=120, payload=b"hello")
+    insert_ah(pkt, spi=1, seq=1, icv_key=KEY)
+    icv = pkt.ah.icv
+    assert verify_ah(pkt, KEY)
+    for bit in range(8):
+        flipped = bytearray(icv)
+        flipped[index] ^= 1 << bit
+        pkt.ah.icv = bytes(flipped)
+        assert not verify_ah(pkt, KEY)
+    pkt.ah.icv = icv
+    assert verify_ah(pkt, KEY)
+
+
+def test_ah_verify_compares_in_constant_time(monkeypatch):
+    calls = []
+
+    def compare_digest(a, b):
+        calls.append((a, b))
+        return a == b
+
+    monkeypatch.setattr(ah_module.hmac, "compare_digest", compare_digest)
+    pkt = build_packet(size=120, payload=b"hello")
+    insert_ah(pkt, spi=1, seq=1, icv_key=KEY)
+    assert verify_ah(pkt, KEY)
+    assert calls == [(pkt.ah.icv, pkt.ah.icv)]
 
 
 def test_double_insert_rejected():

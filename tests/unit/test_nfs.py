@@ -319,6 +319,21 @@ def test_vpn_key_length_checked(vpn_class):
         vpn_class(key=b"short")
 
 
+@pytest.mark.parametrize("spi", [1 << 32, -1])
+def test_vpn_spi_range_checked_at_construction(spi):
+    # Accepted, it would make insert_ah raise on every packet and
+    # handle() drop each one as an nf-error.
+    with pytest.raises(ValueError, match="SPI"):
+        VpnEncryptor(spi=spi)
+
+
+def test_vpn_spi_range_edges_accepted():
+    for spi in (0, (1 << 32) - 1):
+        pkt = build_packet(size=128, payload=b"p")
+        assert not VpnEncryptor(spi=spi).handle(pkt).dropped
+        assert pkt.ah.spi == spi
+
+
 # ---------------------------------------------------------------- IDS/IPS
 def test_ids_alerts_without_dropping():
     ids = Ids(signatures=[b"evil-signature"])
