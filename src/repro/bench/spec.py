@@ -21,17 +21,16 @@ source of truth for what ``python -m repro bench`` runs:
   sequential vs NFP-parallel (Fig. 9/11 forced setups, 300 busy cycles)
   at 800 packets, with the p50/p99 and stage rollup the figure tables
   do not carry;
-* ``fig11_degree_*`` -- the parallelism-degree sweep points;
+* ``fig11_degree_5_copy`` -- the Fig. 11 degree-5 point with per-NF
+  copies (the shared-buffer degree points are ``par_chain_3`` /
+  ``par_chain_5``);
 * ``fig13_north_south`` / ``fig13_west_east`` -- the real-world
   data-center chains, compiled from policies, data-center size mix;
 * ``ablation_op1_full_copy`` / ``ablation_op2_header_copy`` -- the §4.2
   copy-operation ablations (full vs header-only copies, degree 2);
 * ``scale_ids_x{1..4}`` -- the §7 scale-out sweep: one heavy IDS,
   1-4 RSS-split instances, throughput scaling with the instance count;
-* ``fig13_ns_x2_cache_off`` / ``fig13_ns_x2_cache_on`` -- the
-  north-south chain at 2 instances/NF without and with the classifier
-  flow cache (same seed, so the classify-stage attribution delta is the
-  cache's doing);
+* ``fig13_ns_x2`` -- the north-south chain at 2 instances/NF;
 * ``fig13_ns_faults`` / ``fig13_we_faults`` -- fault-injected runs with
   the windowed telemetry sampler and watch rules armed: a crash/failover
   episode on the north-south chain, and the AT-timeout episode (hung
@@ -43,7 +42,7 @@ source of truth for what ``python -m repro bench`` runs:
 * ``fuzz_corpus_replay`` -- the committed differential-fuzz corpus
   replayed through all three planes;
 * the event-path goldens, seed 7: ``fig13_*_seed7`` and
-  ``fig13_*_x2_cached``, ``flash_crowd_nat_vpn`` (with digests of its
+  ``fig13_*_x2``, ``flash_crowd_nat_vpn`` (with digests of its
   span set, counter totals and sampler gauge series),
   ``two_server_six_nf``, ``opennetvm_west_east`` / ``bess_west_east``
   and ``crash_hang_retry2`` (crash + hang with ring retries).
@@ -143,18 +142,12 @@ class BenchmarkSpec:
 
 def _counter_extras(hub: TelemetryHub) -> Dict:
     registry = hub.registry
-    extras = {
+    return {
         "copies_full": registry.counter_value("copy.full"),
         "copies_header": registry.counter_value("copy.header"),
         "ring_hops": registry.counter_value("ring.hops"),
         "merged": registry.counter_value("merger.merged"),
     }
-    hits = registry.counter_value("classifier.cache_hit")
-    misses = registry.counter_value("classifier.cache_miss")
-    if hits or misses:
-        extras["cache_hits"] = hits
-        extras["cache_misses"] = misses
-    return extras
 
 
 def _drop_metrics(conservation: Dict) -> Dict:
@@ -169,7 +162,6 @@ def _measured(
     sizes=None,
     label: str = "",
     instances=None,
-    flow_cache: bool = False,
     faults: Optional[str] = None,
     watch: Optional[List[str]] = None,
     window_us: float = 1000.0,
@@ -196,8 +188,6 @@ def _measured(
             kwargs["label"] = label
         if instances is not None:
             kwargs["instances"] = instances
-        if flow_cache:
-            kwargs["flow_cache"] = True
         if faults:
             kwargs["faults"] = faults
         sampler = watcher = None
@@ -210,8 +200,6 @@ def _measured(
                   "extra_cycles": extra_cycles}
         if instances is not None:
             params["instances"] = instances
-        if flow_cache:
-            params["flow_cache"] = True
         extras = _counter_extras(hub)
         extras["events_per_pkt"] = result.events_processed / packets
         if faults:
@@ -602,7 +590,7 @@ def _crash_hang_retry2(packets: int, seed: int) -> SpecOutcome:
                        at_timeout_us=2_000.0)
     plan = ["crash:monitor#0:pkt=40", "hang:ids#1:pkt=90"]
     server = NFPServer(env, params, injector=FaultInjector(FaultPlan.parse(plan)),
-                       flow_cache_size=256, telemetry=hub)
+                       telemetry=hub)
     server.deploy(Orchestrator().deploy(Policy.from_chain(list(WEST_EAST_CHAIN))),
                   scale={name: 2 for name in WEST_EAST_CHAIN})
     _drive(env, server.inject, 1.5, packets, seed, flows=32)
@@ -614,7 +602,6 @@ def _crash_hang_retry2(packets: int, seed: int) -> SpecOutcome:
          "ring_capacity": 32, "ring_retry_limit": 2},
         delivered=server.rate.delivered, lost=server.lost,
         unaccounted=report["unaccounted"],
-        reassigned_flows=server.reassigned_flows,
         retries=hub.registry.counter_value("ring.retry"),
         aborted=hub.registry.counter_value("faults.aborted_packets"),
         **_drop_metrics(report))
@@ -842,16 +829,14 @@ def _golden_specs() -> List[BenchmarkSpec]:
     fig13 = [
         ("fig13_west_east_seed7", WEST_EAST_CHAIN, {}),
         ("fig13_north_south_seed7", NORTH_SOUTH_CHAIN, {}),
-        ("fig13_west_east_x2_cached", WEST_EAST_CHAIN,
-         {"instances": 2, "flow_cache": True}),
-        ("fig13_north_south_x2_cached", NORTH_SOUTH_CHAIN,
-         {"instances": 2, "flow_cache": True}),
+        ("fig13_west_east_x2", WEST_EAST_CHAIN, {"instances": 2}),
+        ("fig13_north_south_x2", NORTH_SOUTH_CHAIN, {"instances": 2}),
     ]
     specs = [
         BenchmarkSpec(
             name=name, seed=7,
             description=f"{' -> '.join(chain)} (data-center mix"
-                        + (", 2 instances/NF, flow cache)" if kwargs else ")"),
+                        + (", 2 instances/NF)" if kwargs else ")"),
             runner=_measured(_compiled_chain(chain), sizes=DATACENTER_MIX,
                              **kwargs))
         for name, chain, kwargs in fig13
@@ -895,22 +880,6 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
     specs: List[BenchmarkSpec] = []
     specs.extend(PAPER_SPECS)
     specs.extend(_firewall_specs())
-    specs.append(BenchmarkSpec(
-        name="fig11_degree_3_nocopy",
-        description="Fig. 11 degree sweep: 3 firewalls, shared buffer",
-        runner=_measured(
-            lambda: forced_parallel(["firewall"] * 3, with_copy=False),
-            extra_cycles=CHAIN_BUSY_CYCLES,
-        ),
-    ))
-    specs.append(BenchmarkSpec(
-        name="fig11_degree_5_nocopy",
-        description="Fig. 11 degree sweep: 5 firewalls, shared buffer",
-        runner=_measured(
-            lambda: forced_parallel(["firewall"] * 5, with_copy=False),
-            extra_cycles=CHAIN_BUSY_CYCLES,
-        ),
-    ))
     specs.append(BenchmarkSpec(
         name="fig11_degree_5_copy",
         description="Fig. 11 degree sweep: 5 firewalls, per-NF copies",
@@ -962,19 +931,11 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
             ),
         ))
     specs.append(BenchmarkSpec(
-        name="fig13_ns_x2_cache_off",
-        description="north-south chain, 2 instances/NF, flow cache off",
+        name="fig13_ns_x2",
+        description="north-south chain, 2 instances/NF",
         runner=_measured(_compiled_chain(NORTH_SOUTH_CHAIN),
                          sizes=DATACENTER_MIX, instances=2,
-                         label="north-south x2 cache-off"),
-    ))
-    specs.append(BenchmarkSpec(
-        name="fig13_ns_x2_cache_on",
-        description="north-south chain, 2 instances/NF, classifier flow "
-                    "cache on (memoized CT+FT decision per flow)",
-        runner=_measured(_compiled_chain(NORTH_SOUTH_CHAIN),
-                         sizes=DATACENTER_MIX, instances=2, flow_cache=True,
-                         label="north-south x2 cache-on"),
+                         label="north-south x2"),
     ))
     specs.append(BenchmarkSpec(
         name="fig13_ns_faults",
@@ -985,7 +946,7 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
                     "graph, so a wedged NF stalls the stage barrier before "
                     "any AT entry opens",
         runner=_measured(_compiled_chain(NORTH_SOUTH_CHAIN),
-                         sizes=DATACENTER_MIX, instances=2, flow_cache=True,
+                         sizes=DATACENTER_MIX, instances=2,
                          faults="crash:firewall:pkt=200",
                          watch=["ring.occupancy > 0.8 for 3 windows",
                                 "merger.at_timeout > 0"],

@@ -260,13 +260,11 @@ def _run_des(
     policy: Policy,
     telemetry: TelemetryHub = NULL_HUB,
     instances: int = 1,
-    flow_cache: bool = False,
 ) -> Tuple[Dict[int, Optional[bytes]], int, Optional[str]]:
     """Run the timed dataplane; returns ``(outputs, lost, meta_error)``."""
     deployed = orch.deploy(policy, scale=instances if instances > 1 else None)
     env = Environment(track_stats=telemetry.enabled)
-    server = NFPServer(env, DEFAULT_PARAMS, telemetry=telemetry,
-                       flow_cache_size=4096 if flow_cache else 0)
+    server = NFPServer(env, DEFAULT_PARAMS, telemetry=telemetry)
     server.keep_packets = True
     server.deploy(deployed)
     packets = case.build_packets()
@@ -299,7 +297,6 @@ def run_case(
     include_des: bool = True,
     telemetry: TelemetryHub = NULL_HUB,
     instances: int = 1,
-    flow_cache: Optional[bool] = None,
     audit_profiles: bool = False,
     burst: int = 1,
 ) -> CaseOutcome:
@@ -314,9 +311,7 @@ def run_case(
     sequential chains behind the same RSS split -- because replication
     partitions cross-flow NF state (NAT port allocation order, the VPN
     sequence counter), so a single shared chain is *not* byte-equivalent
-    to a scaled deployment by construction.  ``flow_cache`` controls the
-    DES classifier cache (default: on exactly when scaled, so both the
-    cached and uncached classify paths see fuzz coverage).
+    to a scaled deployment by construction.
 
     ``audit_profiles`` arms the fourth oracle: the sequential-reference
     pass runs with an :class:`AccessRecorder` attached, the observed
@@ -330,8 +325,6 @@ def run_case(
         raise ValueError("instances must be >= 1")
     if burst < 1:
         raise ValueError("burst must be >= 1")
-    if flow_cache is None:
-        flow_cache = instances > 1
     started = time.monotonic()
 
     def finish(outcome: CaseOutcome) -> CaseOutcome:
@@ -442,7 +435,7 @@ def run_case(
     if include_des:
         des_out, lost, meta_error = _run_des(
             case, orch, policy, telemetry=telemetry,
-            instances=instances, flow_cache=flow_cache)
+            instances=instances)
         if lost:
             return finish(CaseOutcome(
                 ok=False, kind="des-loss",
@@ -504,7 +497,6 @@ def run_fault_case(
     env = Environment(track_stats=telemetry.enabled)
     injector = FaultInjector(faults, telemetry=telemetry)
     server = NFPServer(env, DEFAULT_PARAMS, telemetry=telemetry,
-                       flow_cache_size=4096 if instances > 1 else 0,
                        injector=injector)
     server.deploy(deployed)
     packets = case.build_packets()

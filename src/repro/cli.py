@@ -169,12 +169,10 @@ def cmd_measure(args) -> int:
             graph = Orchestrator().compile(Policy.from_chain(chain)).graph
             result = measure_nfp(graph, packets=args.packets, telemetry=hub,
                                  instances=scale_out,
-                                 flow_cache=args.flow_cache,
                                  sampler=run_sampler)
         elif system == "nfp-seq":
             result = measure_nfp(forced_sequential(chain), packets=args.packets,
                                  telemetry=hub, instances=scale_out,
-                                 flow_cache=args.flow_cache,
                                  sampler=run_sampler)
         elif system == "onvm":
             result = measure_onvm(chain, packets=args.packets)
@@ -291,8 +289,8 @@ def cmd_monitor(args) -> int:
 
     scale_out = args.instances if args.instances > 1 else None
     result = measure_nfp(graph, packets=args.packets, telemetry=hub,
-                         instances=scale_out, flow_cache=args.flow_cache,
-                         faults=args.faults, sampler=sampler)
+                         instances=scale_out, faults=args.faults,
+                         sampler=sampler)
 
     series = sampler.series
     report = critpath_report(tracer.traces().values())
@@ -859,9 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--instances", type=int, default=1,
                            help="replicate every NF this many times with RSS "
                                 "flow-split (§7 scale-out; NFP runs only)")
-    p_measure.add_argument("--flow-cache", action="store_true",
-                           help="enable the classifier per-flow decision "
-                                "cache (NFP runs only)")
     p_measure.add_argument("--json", action="store_true",
                            help="dump results as JSON instead of a table")
     p_measure.add_argument("--timeseries", action="store_true",
@@ -888,8 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(adds a p99_us > slo rule)")
     p_monitor.add_argument("--instances", type=int, default=1,
                            help="replicate every NF this many times")
-    p_monitor.add_argument("--flow-cache", action="store_true",
-                           help="enable the classifier flow cache")
     p_monitor.add_argument("--faults", metavar="SPEC",
                            help="fault plan to inject, e.g. "
                                 "'ring:ids:cap=2:pkt=100'")

@@ -10,8 +10,6 @@ Two executors share the same NF objects and merge code:
 
 from .chaining import ChainingManager
 from .flowsplit import (
-    FlowCache,
-    FlowDecision,
     assign_instances,
     key_digest,
     packet_key,
@@ -29,8 +27,6 @@ from .server import NFPServer
 
 __all__ = [
     "ChainingManager",
-    "FlowCache",
-    "FlowDecision",
     "assign_instances",
     "key_digest",
     "packet_key",

@@ -1,4 +1,4 @@
-"""RSS flow-splitting and the classifier flow cache (§7 scale-out).
+"""RSS flow-splitting (§7 scale-out).
 
 When a service graph is scaled out, flows must be pinned to exactly one
 instance of every replicated NF so per-flow NF state stays local and
@@ -8,34 +8,21 @@ the functional dataplane, and the scaled sequential reference bank used
 by differential testing) routes through the *same* hash in this module,
 so flow -> instance assignments agree across planes by construction.
 
-Two layers:
-
-* :func:`packet_key` / :func:`key_digest` / :func:`pick_instance` --
-  the split itself.  A flow is keyed by ``Packet.flow_key()``, the 13
-  raw header bytes ``sip | dip | proto | sport | dport``, and hashed
-  with crc32 over them (a NIC hashes the same fields with Toeplitz).
-  ICMP and fragments have ports 0 in their key, so they hash like any
-  other flow and every fragment of a datagram lands on one instance.
-  Only a frame with no key at all (not IPv4, or cut short) pins to
-  instance 0, counted under ``rss.pinned_flows``.  The same bytes key
-  the control plane: flow cache, flow directory, handover and
-  :func:`assign_instances`.
-* :class:`FlowCache` -- an LRU memo of the classifier's per-flow work
-  (CT match, instance assignment).  The first packet of a flow
-  pays the full CT lookup + tagging cost; subsequent packets hit the
-  cache and pay ``classifier_cache_hit_us``.  The cache is invalidated
-  wholesale whenever tables are (re)installed, so a recompiled graph can
-  never be reached through a stale decision.
+A flow is keyed by ``Packet.flow_key()``, the 13 raw header bytes
+``sip | dip | proto | sport | dport``, and hashed with crc32 over them
+(a NIC hashes the same fields with Toeplitz).  ICMP and fragments have
+ports 0 in their key, so they hash like any other flow and every
+fragment of a datagram lands on one instance.  Only a frame with no key
+at all (not IPv4, or cut short) pins to instance 0, counted under
+``rss.pinned_flows``.  The same bytes key the control plane: flow
+directory, handover and :func:`assign_instances`.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
-from ..core.tables import CTEntry
 from ..net.packet import Packet
 
 __all__ = [
@@ -43,8 +30,6 @@ __all__ = [
     "key_digest",
     "pick_instance",
     "assign_instances",
-    "FlowDecision",
-    "FlowCache",
 ]
 
 #: Shared immutable assignment for graphs with no replicated NFs.
@@ -107,70 +92,3 @@ def assign_instances(
     live = healthy or {}
     return {name: pick_instance(digest, count, live.get(name))
             for name, count in counts.items()}
-
-
-@dataclass
-class FlowDecision:
-    """The memoized classifier verdict for one flow."""
-
-    ct_entry: CTEntry
-    assignment: Dict[str, int]
-
-
-class FlowCache:
-    """LRU cache of :class:`FlowDecision` keyed by flow key.
-
-    Plain-integer counters mirror what the server reports through
-    telemetry, so the cache is observable even without a hub attached.
-    """
-
-    def __init__(self, capacity: int = 4096):
-        if capacity < 1:
-            raise ValueError("flow cache capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: "OrderedDict[bytes, FlowDecision]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bypasses = 0
-        self.invalidations = 0
-
-    def get(self, key: bytes) -> Optional[FlowDecision]:
-        decision = self._entries.get(key)
-        if decision is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return decision
-
-    def put(self, key: bytes, decision: FlowDecision) -> bool:
-        """Insert a decision; returns True when an LRU entry was evicted."""
-        evicted = False
-        if key not in self._entries and len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            evicted = True
-        self._entries[key] = decision
-        self._entries.move_to_end(key)
-        return evicted
-
-    def invalidate(self) -> None:
-        """Drop every cached decision (tables were (re)installed)."""
-        self._entries.clear()
-        self.invalidations += 1
-
-    def decisions(self) -> Tuple[FlowDecision, ...]:
-        """Cached decisions, LRU first (failover reassignment audit)."""
-        return tuple(self._entries.values())
-
-    def keys(self) -> Tuple[bytes, ...]:
-        """Cached flow keys, LRU first (for tests/telemetry)."""
-        return tuple(self._entries.keys())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FlowCache({len(self)}/{self.capacity}, hits={self.hits}, "
-                f"misses={self.misses}, evictions={self.evictions})")

@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..core.closures import CompiledGraph, instance_labels
 from ..core.graph import ORIGINAL_VERSION
 from ..core.orchestrator import DeployedGraph
-from ..core.tables import build_tables
+from ..core.tables import CTEntry, build_tables
 from ..faults import FaultInjector, FaultKind, HealthBoard, HealthState, base_name
 from ..faults.recovery import linearize
 from ..net.packet import Packet, PacketMeta
@@ -50,7 +50,7 @@ from ..sim import Core, Environment, NicEgress, PacketPool, Ring, SimParams
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..telemetry.tracer import SpanKind
 from .chaining import ChainingManager
-from .flowsplit import FlowCache, FlowDecision, assign_instances, packet_key
+from .flowsplit import assign_instances, packet_key
 from .runtimes import FlightState, Sweeper, _MergerSim, _NFRuntimeSim, _RuntimeGroup
 
 __all__ = ["NFPServer"]
@@ -59,6 +59,14 @@ __all__ = ["NFPServer"]
 class NFPServer(NicEgress):
     """A full simulated NFP box processing deployed service graphs."""
 
+    # ``flow_cache`` (always None) and the ``flow_cache_size`` keyword
+    # (accepted, unused) are kept for the performance lab, which changes
+    # only together with the benchmark itself: ``benchmarks/lab/child.py:176``
+    # builds ``NFPServer(..., flow_cache_size=4096)`` and
+    # ``benchmarks/lab/workloads.py:296`` reads ``server.flow_cache``.
+    # ROADMAP's lab-upkeep item (5) removes them.
+    flow_cache = None
+
     def __init__(
         self,
         env: Environment,
@@ -66,7 +74,7 @@ class NFPServer(NicEgress):
         num_mergers: int = 1,
         nf_factory: Optional[Callable[[str, str], NetworkFunction]] = None,
         telemetry: Optional[TelemetryHub] = None,
-        flow_cache_size: int = 0,
+        flow_cache_size: int = 0,  # lab stub, see ``flow_cache`` above
         injector: Optional[FaultInjector] = None,
     ):
         super().__init__(env, params)
@@ -82,13 +90,6 @@ class NFPServer(NicEgress):
         self.telemetry = telemetry if telemetry is not None else NULL_HUB
         self.chaining = ChainingManager()
         self.chaining.on_install(self._attach_merge_delay)
-        #: The classifier's LRU flow cache (``flow_cache_size`` > 0
-        #: enables it).  Off by default: the Table 4 calibration anchors
-        #: are stated for the uncached classifier path.
-        self.flow_cache: Optional[FlowCache] = None
-        if flow_cache_size > 0:
-            self.flow_cache = FlowCache(flow_cache_size)
-            self.chaining.on_install(lambda _record: self.flow_cache.invalidate())
         self.pool = PacketPool(capacity=1 << 16)
 
         self._cores = 0
@@ -128,8 +129,6 @@ class NFPServer(NicEgress):
 
         # Failover state.
         self.health = HealthBoard()
-        #: Cached-flow reassignments performed by failover so far.
-        self.reassigned_flows = 0
         #: original MID -> degraded sequential MID.
         self.degraded_mids: Dict[int, int] = {}
         #: The last-resort conservation backstop, on fault runs only:
@@ -150,8 +149,8 @@ class NFPServer(NicEgress):
         #: parked; None when traffic flows freely.
         self._hold: Optional[List[Packet]] = None
         #: Flow keys seen by the classifier, kept only when a membership
-        #: controller enabled it (state handover needs *every* live
-        #: flow, not just the cached ones).
+        #: controller enabled it: state handover needs every live flow,
+        #: and a rescale refuses a server without it.
         self.flow_directory: Optional[Set[bytes]] = None
         #: Completed membership changes, in order (records; see
         #: request_rescale).
@@ -261,7 +260,6 @@ class NFPServer(NicEgress):
             self._hold.append(first)
             return
         params = self.params
-        cache = self.flow_cache
         hub = self.telemetry
         reserve = self.classifier_core.reserve
         now = self.env.now
@@ -269,26 +267,15 @@ class NFPServer(NicEgress):
         self._classifying = len(batch)
         work = []
         directory = self.flow_directory
+        # The health view is a dict over every runtime group: built only
+        # when something is replicated and will read it, and once per
+        # burst, since no health transition fires inside this loop.
+        scaled = self._scaled_counts
+        healthy = self.health.view() if scaled else None
         for pkt in batch:
             key = packet_key(pkt)
             if key is not None and directory is not None:
                 directory.add(key)
-            decision = None
-            if cache is not None:
-                if key is None:
-                    cache.bypasses += 1
-                    if hub.enabled:
-                        hub.inc("classifier.cache_bypass")
-                else:
-                    decision = cache.get(key)
-            if decision is not None:
-                # Hit: the memoized CT match + fan-out decision is
-                # reused; only the hash + metadata stamp cost remains.
-                if hub.enabled:
-                    hub.inc("classifier.cache_hit")
-                now = reserve(now, params.classifier_cache_hit_us)
-                work.append((pkt, decision))
-                continue
             entry = self.chaining.classify(key)
             if entry is None:
                 self._drop_unclassified(pkt, "no_match")
@@ -298,39 +285,29 @@ class NFPServer(NicEgress):
             now = reserve(now, params.classifier_tag_us
                           if compiled.needs_merger
                           else params.classifier_fwd_us)
-            # The health view is a dict over every runtime group: built
-            # only when something is replicated and will read it.
-            scaled = self._scaled_counts
-            decision = FlowDecision(entry, assign_instances(
-                key, scaled, healthy=self.health.view() if scaled else None,
-                telemetry=hub))
-            if cache is not None and key is not None:
-                if hub.enabled:
-                    hub.inc("classifier.cache_miss")
-                if cache.put(key, decision) and hub.enabled:
-                    hub.inc("classifier.cache_evict")
-            work.append((pkt, decision))
+            work.append((pkt, entry, assign_instances(
+                key, scaled, healthy=healthy, telemetry=hub)))
         self.env.call_at(now, self._fan_out, work, now)
 
-    def _fan_out(self, work: List[Tuple[Packet, FlowDecision]],
+    def _fan_out(self, work: List[Tuple[Packet, CTEntry, Dict[str, int]]],
                  now: float) -> None:
         """Tag and distribute the looked-up burst; ``now`` walks it."""
         reserve = self.classifier_core.reserve
-        for pkt, decision in work:
-            extra = self._classify_one(pkt, decision, now)
+        for pkt, entry, assignment in work:
+            extra = self._classify_one(pkt, entry, assignment, now)
             if extra > 0:
                 now = reserve(now, extra)
         self._classifying = 0
         self.ingress.wait(self._classifier_wake, now)
 
-    def _classify_one(self, pkt: Packet, decision: FlowDecision,
-                      now: float) -> float:
+    def _classify_one(self, pkt: Packet, entry: CTEntry,
+                      assignment: Dict[str, int], now: float) -> float:
         """Tag metadata, run CT actions; returns extra core time spent."""
-        mid = decision.ct_entry.mid
+        mid = entry.mid
         compiled = self.chaining.compiled_for(mid)
         pid = self._next_pid = (self._next_pid + 1) % (1 << 40)
         pkt.meta = PacketMeta(mid=mid, pid=pid, version=ORIGINAL_VERSION)
-        state = FlightState(pkt, compiled, decision.assignment, now)
+        state = FlightState(pkt, compiled, assignment, now)
         self._flight[(mid, pid)] = state
         if self._flight_sweeper is not None:
             self._flight_sweeper.arm(now)
@@ -645,17 +622,7 @@ class NFPServer(NicEgress):
         remaining = self.health.mark_down(name, index)
         if remaining:
             # Failover: future classifications rehash this NF's flows
-            # over the healthy instances; memoized decisions pinned to
-            # the casualty are invalidated (and counted) now.
-            if self.flow_cache is not None:
-                reassigned = sum(
-                    1 for decision in self.flow_cache.decisions()
-                    if decision.assignment.get(name) == index
-                )
-                if reassigned:
-                    self.reassigned_flows += reassigned
-                    hub.inc("failover.reassigned_flows", reassigned)
-                self.flow_cache.invalidate()
+            # over the healthy instances.
             return
         # Zero healthy instances left: degrade every parallel graph the
         # NF participates in to its sequential linearization, and
@@ -671,10 +638,9 @@ class NFPServer(NicEgress):
         """Fall back to the sequential linearization of graph ``mid``.
 
         Installs the degraded chain under a fresh MID with the original
-        CT match, so new traffic re-classifies onto it (the flow cache
-        is invalidated by the install).  In-flight packets of the old
-        MID drain through the AT/flight timeouts; the old graph stays
-        resolvable for them.
+        CT match, so new traffic re-classifies onto it.  In-flight
+        packets of the old MID drain through the AT/flight timeouts; the
+        old graph stays resolvable for them.
         """
         graph = self.chaining.graph_for(mid)
         seq = linearize(graph)
@@ -720,8 +686,9 @@ class NFPServer(NicEgress):
         """Track every live flow key the classifier sees.
 
         Membership change must hand per-flow NF state over for *every*
-        moved flow; the flow cache only remembers the hot subset, so a
-        controller turns this on before traffic starts.
+        moved flow, and the directory is the only record of live flows,
+        so a controller turns this on before traffic starts;
+        :meth:`request_rescale` refuses a server without it.
         """
         if self.flow_directory is None:
             self.flow_directory = set()
@@ -746,16 +713,18 @@ class NFPServer(NicEgress):
            runtimes, seed shared state such as the VPN AH sequence floor)
            or mark the surplus instances for retirement, update the RSS
            domain and the health board, move per-flow NF state (NAT
-           bindings) for every flow whose owner changed, invalidate stale
-           flow-cache pins and retire the surplus runtimes;
+           bindings) for every flow of the directory whose owner changed
+           and retire the surplus runtimes;
         4. release (:meth:`_release_hold`): one zero-delay call wakes the
            bursts the hold parked, in order.
 
         The record -- ``ts_us`` and ``from`` are set as the change takes
         the classifier -- is appended to :attr:`scale_events` and handed
         to ``on_done`` once the change completes or aborts (a drain that
-        outlasts ``max_barrier_us``).  An unknown group or a count below
-        1 raises :class:`ValueError` here and queues nothing.
+        outlasts ``max_barrier_us``).  An unknown group, a count below 1
+        or a server with no flow directory (its live flows would lose
+        their NF state) raises :class:`ValueError` here and queues
+        nothing.
 
         Flows that moved may observe reordering across the barrier;
         unmoved flows keep per-flow order (same instance before/after).
@@ -764,10 +733,13 @@ class NFPServer(NicEgress):
             raise ValueError(f"no runtime group {name!r}")
         if count < 1:
             raise ValueError("instance count must be >= 1")
+        if self.flow_directory is None:
+            raise ValueError("rescale needs a flow directory to hand live "
+                             "flows over; call enable_flow_directory() first")
         record: Dict = {
             "ts_us": self.env.now, "name": name,
             "from": self.runtimes[name].count, "to": count,
-            "moved_flows": 0, "handover_flows": 0, "cache_reassigned": 0,
+            "moved_flows": 0, "handover_flows": 0,
             "barrier_us": 0.0, "aborted": False,
         }
         self.env.call_later(0.0, self._rescale_wait, record, max_barrier_us,
@@ -857,13 +829,8 @@ class NFPServer(NicEgress):
         new_view = self.health.view()
 
         # 3c. Per-flow state handover for every flow whose owner moved.
-        keys = set()
-        if self.flow_directory is not None:
-            keys.update(self.flow_directory)
-        if self.flow_cache is not None:
-            keys.update(self.flow_cache.keys())
         moved = handed = 0
-        for key in sorted(keys):
+        for key in sorted(self.flow_directory):
             old_idx = assign_instances(
                 key, old_counts, healthy=old_view).get(name, 0)
             new_idx = assign_instances(
@@ -883,24 +850,7 @@ class NFPServer(NicEgress):
             hub.inc("autoscale.moved_flows", moved)
             hub.inc("autoscale.handover_flows", handed)
 
-        # 3d. Memoized classifier decisions may pin to the old split:
-        # count the stale ones, then invalidate wholesale (mirror of
-        # the failover path).
-        if self.flow_cache is not None:
-            reassigned = 0
-            for key, decision in zip(self.flow_cache.keys(),
-                                     self.flow_cache.decisions()):
-                if decision.assignment.get(name, 0) != assign_instances(
-                        key, self._scaled_counts,
-                        healthy=new_view).get(name, 0):
-                    reassigned += 1
-            record["cache_reassigned"] = reassigned
-            if reassigned:
-                self.reassigned_flows += reassigned
-                hub.inc("autoscale.reassigned_cache_flows", reassigned)
-            self.flow_cache.invalidate()
-
-        # 3e. Retire surplus runtimes: the barrier drained all traffic,
+        # 3d. Retire surplus runtimes: the barrier drained all traffic,
         # so their rings are empty and each is parked on its ring;
         # unpark it and nothing re-arms.
         if retired:
@@ -959,12 +909,6 @@ class NFPServer(NicEgress):
             hub.gauge(f"merger{merger.index}.at_hwm",
                       float(merger.at_high_watermark))
             hub.gauge(f"merger{merger.index}.at_depth", float(len(merger.at)))
-        if self.flow_cache is not None:
-            hub.gauge("classifier.flow_cache.size", float(len(self.flow_cache)))
-            hub.gauge("classifier.flow_cache.capacity",
-                      float(self.flow_cache.capacity))
-            hub.gauge("classifier.flow_cache.invalidations",
-                      float(self.flow_cache.invalidations))
 
     # ------------------------------------------------- streaming telemetry
     def probes(self) -> Dict[str, Callable[[], float]]:

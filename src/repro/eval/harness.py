@@ -156,7 +156,6 @@ def _nfp_rig(
     num_mergers: int,
     extra_cycles: int,
     telemetry: Optional[TelemetryHub],
-    flow_cache_size: int,
     injector=None,
 ) -> Tuple[Environment, NFPServer]:
     """A fresh environment with ``deployed`` installed on one NFP server."""
@@ -168,8 +167,7 @@ def _nfp_rig(
         return nf
 
     server = NFPServer(env, params, num_mergers=num_mergers, nf_factory=factory,
-                       telemetry=telemetry, flow_cache_size=flow_cache_size,
-                       injector=injector)
+                       telemetry=telemetry, injector=injector)
     server.deploy(deployed, scale=scale)
     return env, server
 
@@ -187,8 +185,6 @@ def measure_nfp(
     seed: int = 1,
     telemetry: Optional[TelemetryHub] = None,
     instances: Union[int, Mapping[str, int], None] = None,
-    flow_cache: bool = False,
-    flow_cache_size: int = 4096,
     faults: Union[str, Sequence[str], None] = None,
     sampler=None,
 ) -> MeasurementResult:
@@ -202,8 +198,6 @@ def measure_nfp(
     ``instances`` replicates NFs (§7): a uniform count or a name ->
     count mapping; flows are RSS-split, the capacity model divides each
     replicated NF's demand accordingly, and the offered rate follows.
-    ``flow_cache=True`` enables the classifier's per-flow decision cache
-    (``flow_cache_size`` entries) and models its steady-state hit cost.
 
     ``faults`` (a :class:`repro.faults.FaultPlan` spec string or list,
     e.g. ``"crash:firewall:pkt=500"``) injects failures mid-run and
@@ -224,7 +218,7 @@ def measure_nfp(
     size = int(sizes.mean())
     capacity = nfp_capacity(
         graph, params, num_mergers=num_mergers, packet_size=size,
-        extra_cycles=extra_cycles, scale=scale, flow_cache=flow_cache,
+        extra_cycles=extra_cycles, scale=scale,
     )
     fraction = params.latency_load_fraction if load_fraction is None else load_fraction
     rate = max(1e-6, capacity.mpps * fraction)
@@ -240,7 +234,7 @@ def measure_nfp(
 
     env, server = _nfp_rig(
         deployed_from_graph(graph), params, scale, num_mergers, extra_cycles,
-        telemetry, flow_cache_size if flow_cache else 0, injector=injector)
+        telemetry, injector=injector)
     if sampler is not None:
         server.arm_sampler(sampler)
     flows = FlowGenerator(num_flows=num_flows, sizes=sizes, seed=seed)
@@ -301,8 +295,6 @@ def measure_autoscale(
     seed: int = 1,
     telemetry: Optional[TelemetryHub] = None,
     instances: Union[int, Mapping[str, int], None] = None,
-    flow_cache: bool = True,
-    flow_cache_size: int = 4096,
     window_us: float = 100.0,
     orchestrator: Optional[Orchestrator] = None,
 ) -> AutoscaleResult:
@@ -341,8 +333,7 @@ def measure_autoscale(
             Policy.from_chain(list(graph.nf_names())), scale=scale)
         mid = deployed.mid
     env, server = _nfp_rig(
-        deployed, params, scale, num_mergers, extra_cycles, hub,
-        flow_cache_size if flow_cache else 0)
+        deployed, params, scale, num_mergers, extra_cycles, hub)
 
     sampler = Sampler(hub, window_us=window_us)
     server.arm_sampler(sampler)
@@ -381,7 +372,7 @@ def measure_autoscale(
     )
     capacity = nfp_capacity(
         graph, params, num_mergers=num_mergers, packet_size=size,
-        extra_cycles=extra_cycles, scale=peak_scale, flow_cache=flow_cache,
+        extra_cycles=extra_cycles, scale=peak_scale,
     )
 
     measurement = _result(

@@ -62,7 +62,6 @@ def nfp_capacity(
     packet_size: int = 64,
     extra_cycles: int = 0,
     scale: Optional[Mapping[str, int]] = None,
-    flow_cache: bool = False,
 ) -> CapacityReport:
     """Throughput of an NFP server running one service graph.
 
@@ -76,20 +75,13 @@ def nfp_capacity(
 
     ``scale`` (name -> instance count, §7) divides an NF's demand by its
     replica count: RSS splits the flow space, so each instance sees
-    ``1/k`` of the load.  ``flow_cache=True`` models the steady state of
-    the classifier flow cache -- every packet after a flow's first hits
-    the memoized CT+FT decision and pays ``classifier_cache_hit_us``
-    instead of the full lookup.
+    ``1/k`` of the load.
     """
     demands: Dict[str, float] = {}
     service = (
-        params.classifier_cache_hit_us
-        if flow_cache
-        else (
-            params.classifier_tag_us
-            if graph.has_parallelism
-            else params.classifier_fwd_us
-        )
+        params.classifier_tag_us
+        if graph.has_parallelism
+        else params.classifier_fwd_us
     )
     stage0 = graph.stages[0]
     for copy in graph.copies:

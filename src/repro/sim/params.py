@@ -64,14 +64,6 @@ class SimParams:
     #: metadata tagging (any graph with parallelism).  1/0.0915 = 10.93
     #: Mpps, the NFP plateau in Table 4.
     classifier_tag_us: float = 0.0875
-    #: Classifier service time on a flow-cache hit: the memoized CT
-    #: match + fan-out decision is reused, leaving only the hash lookup
-    #: and the metadata stamp.  Opt-in (the cache is off by default so
-    #: the Table 4 calibration anchors are produced by the uncached
-    #: path).  No paper value reads it; it stays while the flow cache
-    #: does, because the performance lab builds a cached ``NFPServer``
-    #: and reads its ``flow_cache``.
-    classifier_cache_hit_us: float = 0.035
     #: Core cost of the distributed NF runtime writing a packet
     #: reference into a peer's receive ring (zero-copy, §5.2) -- a
     #: pointer enqueue, a few nanoseconds.

@@ -97,8 +97,7 @@ class _LockstepHarness:
         self.scaled_nf = scaled_nf
         self.env = Environment()
         self.server = NFPServer(self.env, DEFAULT_PARAMS,
-                                telemetry=TelemetryHub(),
-                                flow_cache_size=512)
+                                telemetry=TelemetryHub())
         graph = as_graph(chain)
         self.server.deploy(deployed_from_graph(graph),
                            scale={name: (initial if name == scaled_nf else 1)
@@ -205,10 +204,10 @@ def test_per_flow_order_preserved_across_live_rescales():
     packets egress in injection order -- the drain barrier admits no
     reordering window, for moved and unmoved flows alike."""
     env = Environment()
-    server = NFPServer(env, DEFAULT_PARAMS, telemetry=TelemetryHub(),
-                       flow_cache_size=512)
+    server = NFPServer(env, DEFAULT_PARAMS, telemetry=TelemetryHub())
     graph = as_graph(["nat", "vpn"])
     server.deploy(deployed_from_graph(graph), scale={"nat": 1, "vpn": 1})
+    server.enable_flow_directory()
     server.keep_packets = True
 
     flows = FlowGenerator(num_flows=64, seed=5)
@@ -235,15 +234,21 @@ def test_per_flow_order_preserved_across_live_rescales():
     assert server.conservation_report()["unaccounted"] == 0
 
 
-@pytest.mark.parametrize("name,count", [("ids", 2), ("nat", 0)])
-def test_request_rescale_rejects_bad_arguments_at_the_call(name, count):
-    """An unknown group or a count below 1 raises where the change is
-    requested, and nothing is queued for a later ``env.run()`` to
-    surface it from."""
+@pytest.mark.parametrize("name,count,match", [
+    ("ids", 2, "no runtime group"),
+    ("nat", 0, "instance count"),
+    # Without a flow directory no record of live flows exists: a NAT
+    # rescale would hand no binding over and re-port the moved flows.
+    ("nat", 2, "flow directory"),
+], ids=["ids-2", "nat-0", "nat-2"])
+def test_request_rescale_rejects_bad_arguments_at_the_call(name, count, match):
+    """An unknown group, a count below 1 or a server with no flow
+    directory raises where the change is requested, and nothing is
+    queued for a later ``env.run()`` to surface it from."""
     env = Environment()
     server = NFPServer(env, DEFAULT_PARAMS)
     server.deploy(deployed_from_graph(as_graph(["nat"])))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         server.request_rescale(name, count)
     assert env.peek() == float("inf")
     env.run()

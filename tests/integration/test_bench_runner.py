@@ -77,25 +77,6 @@ def test_scale_sweep_throughput_tracks_instance_count(pinned):
     assert x1["lost"] == 0
 
 
-def test_flow_cache_reduces_classify_attribution(pinned):
-    """Same chain, same seed, 2 instances/NF: cache on vs off.
-
-    The capacity bottleneck is an NF, so both runs see the identical
-    offered load; the only difference is the classifier's per-packet
-    service (memoized hit vs full CT lookup), which must show up as
-    less classify time in the per-stage attribution.
-    """
-    off = pinned.scenario("fig13_ns_x2_cache_off")
-    on = pinned.scenario("fig13_ns_x2_cache_on")
-    assert on.metrics["offered_mpps"] == off.metrics["offered_mpps"]
-    assert on.metrics["cache_hits"] > 0  # 64 flows -> most packets hit
-    assert on.metrics["cache_misses"] > 0
-    assert "cache_hits" not in off.metrics
-    assert on.stage_us["classify"] < off.stage_us["classify"]
-    for scenario in (on, off):
-        assert scenario.metrics["lost"] == 0
-
-
 def test_the_autoscaler_keeps_its_ledger(pinned):
     for name in ("flash_crowd_autoscale", "flash_crowd_nat_vpn"):
         metrics = pinned.scenario(name).metrics

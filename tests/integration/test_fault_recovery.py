@@ -31,12 +31,11 @@ FAULT_PARAMS = SimParams(at_timeout_us=2_000.0)
 
 
 def _fault_server(graph_or_policy, faults, params=FAULT_PARAMS, hub=None,
-                  scale=None, flow_cache_size=0):
+                  scale=None):
     env = Environment()
     injector = FaultInjector(FaultPlan.parse(faults),
                              telemetry=hub if hub is not None else NULL_HUB)
-    server = NFPServer(env, params, telemetry=hub, injector=injector,
-                       flow_cache_size=flow_cache_size)
+    server = NFPServer(env, params, telemetry=hub, injector=injector)
     if isinstance(graph_or_policy, Policy):
         server.deploy(Orchestrator().deploy(graph_or_policy), scale=scale)
     else:
@@ -171,7 +170,7 @@ def test_hang_with_replicas_fails_over_and_keeps_flow_order():
     scale = {name: 2 for name in WEST_EAST}
     env, server = _fault_server(Policy.from_chain(WEST_EAST),
                                 "hang:monitor#0:pkt=10", hub=hub,
-                                scale=scale, flow_cache_size=256)
+                                scale=scale)
     server.keep_packets = True
     TrafficSource(env, server.inject, 0.5, 120,
                   flows=FlowGenerator(num_flows=16, seed=7), poisson=False)
@@ -181,9 +180,6 @@ def test_hang_with_replicas_fails_over_and_keeps_flow_order():
     # One of two instances down: failover, not degradation.
     assert not server.degraded_mids
     assert server.health.view() == {"monitor": [1]}
-    # Cached decisions pinned to the casualty were invalidated/counted.
-    assert server.reassigned_flows >= 1
-    assert hub.registry.counter_value("failover.reassigned_flows") >= 1
 
     # The loadbalancer rewrites sip/dip at merge time, so flow identity
     # must come from the injected stream (pids are assigned in injection

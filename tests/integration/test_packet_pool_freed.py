@@ -54,8 +54,7 @@ def test_every_slot_is_back_after_a_crash_and_a_hang():
     params = SimParams(ring_retry_limit=2, ring_capacity=32,
                        at_timeout_us=2_000.0)
     plan = FaultPlan.parse(["crash:monitor#0:pkt=40", "hang:ids#1:pkt=90"])
-    server = NFPServer(env, params, injector=FaultInjector(plan),
-                       flow_cache_size=256)
+    server = NFPServer(env, params, injector=FaultInjector(plan))
     server.deploy(Orchestrator().deploy(Policy.from_chain(WEST_EAST)),
                   scale={name: 2 for name in WEST_EAST})
     # The hung instance sits on its burst until the flight sweeper

@@ -44,8 +44,7 @@ def _run_scaled(chain, target_mpps, shrink=None):
         counts = dict(counts)
         counts[shrink] = 1
     env = Environment()
-    server = NFPServer(env, DEFAULT_PARAMS, num_mergers=plan.merger_count,
-                       flow_cache_size=4096)
+    server = NFPServer(env, DEFAULT_PARAMS, num_mergers=plan.merger_count)
     server.deploy(orch.deploy(policy), scale=counts)
     TrafficSource(env, server.inject, LOAD * plan.achievable_mpps, PACKETS,
                   flows=FlowGenerator(num_flows=64, seed=11),

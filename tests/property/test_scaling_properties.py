@@ -68,8 +68,7 @@ def _run_chain(chain, packets, instances, nf_log=None):
         return nf
 
     env = Environment()
-    server = NFPServer(env, DEFAULT_PARAMS, nf_factory=factory,
-                       flow_cache_size=64)
+    server = NFPServer(env, DEFAULT_PARAMS, nf_factory=factory)
     server.keep_packets = True
     server.deploy(Orchestrator().deploy(Policy.from_chain(chain)),
                   scale={name: instances for name in chain})

@@ -99,9 +99,10 @@ def test_reinstall_after_rescale_rebinds_and_keeps_no_stale_labels():
     the copies the server reads are the new program's.
     """
     env = Environment()
-    server = NFPServer(env, DEFAULT_PARAMS, flow_cache_size=64)
+    server = NFPServer(env, DEFAULT_PARAMS)
     deployed = Orchestrator().deploy(Policy.from_chain(["nat", "vpn"]))
     server.deploy(deployed)
+    server.enable_flow_directory()
     TrafficSource(env, server.inject, 0.5, 64, seed=3,
                   flows=FlowGenerator(num_flows=8, seed=3))
     env.run()

@@ -121,13 +121,3 @@ def test_capacity_scale_divides_nf_demand():
     scaled = nfp_capacity(graph, DEFAULT_PARAMS, scale={"ids0": 4})
     assert scaled.demands["ids0"] == pytest.approx(base.demands["ids0"] / 4)
     assert scaled.mpps == pytest.approx(base.mpps * 4, rel=0.05)
-
-
-def test_capacity_flow_cache_reduces_classifier_demand():
-    graph = graph_for(["firewall", "monitor"])
-    base = nfp_capacity(graph, DEFAULT_PARAMS)
-    cached = nfp_capacity(graph, DEFAULT_PARAMS, flow_cache=True)
-    delta = (DEFAULT_PARAMS.classifier_tag_us
-             - DEFAULT_PARAMS.classifier_cache_hit_us)
-    assert cached.demands["classifier"] == pytest.approx(
-        base.demands["classifier"] - delta)
