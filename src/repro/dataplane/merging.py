@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Union
 
 from ..net import fields as _f
+from ..net.checksum import ipv4_header_checksum
 from ..net.encap import VXLAN_OUTER_LEN, is_vxlan
 from ..net.headers import (
     ETH_HEADER_LEN,
@@ -148,7 +149,9 @@ def apply_merge_ops(
             checksum_dirty |= _apply_whole(base, versions, op)
             offsets = plan.unresolved[:]
             continue
-        source = _require(versions, src)
+        source = versions.get(src)
+        if source is None:
+            source = _require(versions, src)
         at = offsets[src_slot]
         if at is None:
             # A field the writer's copy cannot even parse (e.g. ports on
@@ -167,8 +170,7 @@ def apply_merge_ops(
             checksum_dirty = True
     if checksum_dirty:
         to = offsets[0]
-        Ipv4View(base.buf, base._ipv4_offset() if to is None else to
-                 ).update_checksum()
+        ipv4_header_checksum(base.buf, base._ipv4_offset() if to is None else to)
     return base
 
 
@@ -214,15 +216,16 @@ def _splice_ah(base: Packet, source: Packet) -> None:
     ah_bytes = bytes(source.buf[src_off : src_off + AhView.HEADER_LEN])
 
     ip = base.ipv4
-    ip_end = base.l3_offset + ip.header_len
+    l3 = ip.offset
+    ip_end = l3 + ip.header_len
     if base.has_ah:
         base.buf[ip_end : ip_end + AhView.HEADER_LEN] = ah_bytes
         return
+    # The splice lands behind the IPv4 header, so ``ip`` stays valid.
     base.buf[ip_end:ip_end] = ah_bytes
-    ip = base.ipv4
     ip.protocol = PROTO_AH
     ip.total_length = ip.total_length + AhView.HEADER_LEN
-    ip.update_checksum()
+    ipv4_header_checksum(base.buf, l3)
     base.wire_len += AhView.HEADER_LEN
 
 
@@ -230,14 +233,15 @@ def _strip_ah(base: Packet) -> None:
     if not base.has_ah:
         raise MergeError("base carries no AH to remove")
     ip = base.ipv4
-    ip_end = base.l3_offset + ip.header_len
+    l3 = ip.offset
+    ip_end = l3 + ip.header_len
     ah = AhView(base.buf, ip_end)
     next_header = ah.next_header
+    # The cut lies behind the IPv4 header, so ``ip`` stays valid.
     del base.buf[ip_end : ip_end + AhView.HEADER_LEN]
-    ip = base.ipv4
     ip.protocol = next_header
     ip.total_length = ip.total_length - AhView.HEADER_LEN
-    ip.update_checksum()
+    ipv4_header_checksum(base.buf, l3)
     base.wire_len -= AhView.HEADER_LEN
 
 

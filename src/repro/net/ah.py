@@ -13,6 +13,7 @@ from __future__ import annotations
 import hmac
 import struct
 
+from .checksum import ipv4_header_checksum
 from .crypto import compute_icv
 from .fields import Field
 from .headers import PROTO_AH, AhView
@@ -32,9 +33,8 @@ def insert_ah(pkt: Packet, spi: int, seq: int, icv_key: bytes) -> None:
     The ICV is computed over the (immutable-field) IPv4 header and the
     payload that follows the AH, per RFC 4302's spirit.
     """
-    ip = pkt.ipv4
+    l3 = pkt._ipv4_offset()
     buf = pkt.buf
-    l3 = ip.offset
     next_header = buf[l3 + 9]
     if next_header == PROTO_AH:
         raise ValueError("packet already carries an AH")
@@ -46,7 +46,7 @@ def insert_ah(pkt: Packet, spi: int, seq: int, icv_key: bytes) -> None:
     if rec is not None:
         rec.record("add", Field.AH_HEADER, pkt.uid)
 
-    # The splice lands behind the IPv4 header, so ``ip`` stays valid.
+    # The splice lands behind the IPv4 header, so ``l3`` stays valid.
     ip_end = l3 + (buf[l3] & 0x0F) * 4
     buf[ip_end:ip_end] = header
     buf[l3 + 9] = PROTO_AH
@@ -57,7 +57,7 @@ def insert_ah(pkt: Packet, spi: int, seq: int, icv_key: bytes) -> None:
     icv_at = ip_end + 12
     buf[icv_at : icv_at + AhView.ICV_LEN] = compute_icv(icv_key, _icv_scope(buf, l3, ip_end))
 
-    ip.update_checksum()
+    ipv4_header_checksum(buf, l3)
     pkt.wire_len += AhView.HEADER_LEN
 
 
@@ -77,7 +77,8 @@ def remove_ah(pkt: Packet, icv_key: bytes = b"", verify: bool = False) -> None:
     ip = pkt.ipv4
     if ip.protocol != PROTO_AH:
         raise ValueError("packet carries no AH")
-    ip_end = pkt.l3_offset + ip.header_len
+    l3 = ip.offset
+    ip_end = l3 + ip.header_len
     ah = AhView(pkt.buf, ip_end)
     rec = pkt.recorder
     if rec is not None:
@@ -85,12 +86,12 @@ def remove_ah(pkt: Packet, icv_key: bytes = b"", verify: bool = False) -> None:
     if verify and not verify_ah(pkt, icv_key):
         raise ValueError("AH integrity check failed")
     next_header = ah.next_header
+    # The cut lies behind the IPv4 header, so ``ip`` stays valid.
     del pkt.buf[ip_end : ip_end + AhView.HEADER_LEN]
 
-    ip = pkt.ipv4
     ip.protocol = next_header
     ip.total_length = ip.total_length - AhView.HEADER_LEN
-    ip.update_checksum()
+    ipv4_header_checksum(pkt.buf, l3)
     pkt.wire_len -= AhView.HEADER_LEN
 
 

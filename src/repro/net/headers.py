@@ -12,7 +12,7 @@ import struct
 from functools import lru_cache
 from typing import Union
 
-from .checksum import internet_checksum
+from .checksum import internet_checksum, ipv4_header_checksum
 
 __all__ = [
     "ETH_HEADER_LEN",
@@ -277,11 +277,7 @@ class Ipv4View(_View):
 
     def update_checksum(self) -> None:
         """Recompute the header checksum over IHL*4 bytes."""
-        buf, off = self.buf, self.offset
-        buf[off + 10] = buf[off + 11] = 0
-        value = internet_checksum(buf[off : off + (buf[off] & 0x0F) * 4])
-        buf[off + 10] = value >> 8
-        buf[off + 11] = value & 0xFF
+        ipv4_header_checksum(self.buf, self.offset)
 
     def verify_checksum(self) -> bool:
         buf, off = self.buf, self.offset

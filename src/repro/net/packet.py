@@ -65,6 +65,8 @@ _IPV4_LEN = Ipv4View.HEADER_LEN
 _IHL_MIN = _IPV4_LEN // 4
 _AH_LEN = AhView.HEADER_LEN
 _TCP_LEN = TcpView.HEADER_LEN
+#: RFC 9293's least data offset: the 20 fixed TCP bytes, in 32-bit words.
+_DATA_OFFSET_MIN = _TCP_LEN // 4
 _UDP_LEN = UdpView.HEADER_LEN
 _PORTS = struct.Struct("!HH")
 #: What ``five_tuple()`` reads, in the order a recorder hears of it.
@@ -73,8 +75,8 @@ _FIVE_TUPLE_FIELDS = (Field.SIP, Field.DIP, Field.SPORT, Field.DPORT)
 #: | dport``, network order; ``unpack`` gives the five as integers.
 FLOW_KEY = struct.Struct("!IIBHH")
 #: The same 13 bytes, packed with both addresses as one 8-byte slice of
-#: the frame.  ``8s`` zero-pads a short slice: safe only because
-#: ``_ipv4_offset`` guarantees all 20 fixed bytes of the IPv4 header.
+#: the frame.  ``8s`` zero-pads a short slice: safe only because the
+#: walk (``_flow``) guarantees all 20 fixed bytes of the IPv4 header.
 _KEY = struct.Struct("!8sBHH")
 #: Bits of the first byte of the IPv4 flags/fragment-offset word (the
 #: second is all offset): any of ``_FRAGMENT`` (MF, offset) or a non-zero
@@ -216,12 +218,26 @@ class Packet:
             return _TAGGED_L3
         return ETH_HEADER_LEN
 
-    # The header stack is resolved here and nowhere else: one stateless
-    # walk over the raw bytes, redone on every call.  Nothing is cached:
-    # views, NFs and splice helpers write structural bytes straight into
-    # ``buf``, so a remembered layout could go stale unnoticed.  Every
-    # index is bounds-checked; a frame that does not parse raises
-    # ``ValueError``, the one exception callers catch.
+    # The header stack is resolved here and nowhere else: stateless walks
+    # over the raw bytes, redone on every call.  Nothing is cached: views,
+    # NFs and splice helpers write structural bytes straight into ``buf``,
+    # so a remembered layout could go stale unnoticed.  Every index is
+    # bounds-checked; a frame that does not parse raises ``ValueError``,
+    # the one exception callers catch.
+    #
+    # Which walk answers which question, each in as few frames as it can:
+    # - ``_ipv4_offset``, L3 only: the IPv4 views, ``has_ah`` / ``ah`` and
+    #   the merge's IPv4 anchor (a frame whose AH is cut short still has
+    #   an IPv4 header);
+    # - ``_resolve``, L3 through an AH to L4: the protocol, the L4 views,
+    #   the NAT; ``_header_span`` (payload, header copy) calls it once
+    #   and bounds the TCP header itself;
+    # - ``_flow``, L3 through L4 to the ports: every flow key, three per
+    #   packet on the west-east chain, so it walks inline too.
+    # So the L3 checks are written three times, each a frame saved per
+    # question; the every-prefix differential properties
+    # (``test_packet_properties.py``, ``test_flow_bytes_differential.py``)
+    # hold all three to the view chain.
     def _ipv4_offset(self) -> int:
         """Offset of the IPv4 header, all 20 fixed bytes of it in ``buf``
         and an IHL of at least 5, so its L4 bytes start past them."""
@@ -242,26 +258,47 @@ class Packet:
         return off
 
     def _resolve(self) -> tuple:
-        """``(l3_offset, l4_protocol, l4_offset)``, looking through an AH."""
-        l3 = self._ipv4_offset()
+        """``(l3_offset, l4_protocol, l4_offset)``, looking through an AH:
+        :meth:`_ipv4_offset`'s checks, then the AH's bounds."""
         buf = self.buf
-        l4 = l3 + (buf[l3] & 0x0F) * 4
+        size = len(buf)
+        if size >= _TAGGED_L3 and buf[12] == _TPID_HI and buf[13] == _TPID_LO:
+            l3 = _TAGGED_L3
+        else:
+            l3 = ETH_HEADER_LEN
+        if size < l3 or buf[l3 - 2] != _IPV4_HI or buf[l3 - 1] != _IPV4_LO:
+            raise ValueError("packet is not IPv4")
+        if l3 + _IPV4_LEN > size:
+            raise ValueError(f"IPv4 header cut short at offset {l3}")
+        ihl = buf[l3] & 0x0F
+        if ihl < _IHL_MIN:
+            raise ValueError(f"IPv4 IHL below {_IHL_MIN} at offset {l3}")
+        l4 = l3 + ihl * 4
         proto = buf[l3 + 9]
         if proto == PROTO_AH:
-            if l4 + _AH_LEN > len(buf):
+            if l4 + _AH_LEN > size:
                 raise ValueError(f"AH cut short at offset {l4}")
             proto = buf[l4]
             l4 += _AH_LEN
         return l3, proto, l4
 
     def _header_span(self) -> tuple:
-        """``(l3_offset, payload_offset)``: the header stack above Ethernet."""
+        """``(l3_offset, payload_offset)``: the header stack above Ethernet.
+
+        A TCP data offset below 5 words is refused, as an IHL below 5 is:
+        the "payload" would start inside the TCP header, at or before the
+        data-offset byte itself.
+        """
         l3, proto, end = self._resolve()
         if proto == PROTO_TCP:
             buf = self.buf
             if end + _TCP_LEN > len(buf):
                 raise ValueError(f"TCP header cut short at offset {end}")
-            end += (buf[end + 12] >> 4) * 4
+            words = buf[end + 12] >> 4
+            if words < _DATA_OFFSET_MIN:
+                raise ValueError(
+                    f"TCP data offset below {_DATA_OFFSET_MIN} at offset {end}")
+            end += words * 4
         elif proto == PROTO_UDP:
             end += _UDP_LEN
         return l3, end
@@ -343,7 +380,8 @@ class Packet:
         self.buf[start:] = data
 
     def _flow(self, portless: int = 0) -> tuple:
-        """``(buf, l3, proto, sport, dport)``: the walk under every flow key.
+        """``(buf, l3, proto, sport, dport)``: the walk under every flow key,
+        :meth:`_resolve`'s checks inline.
 
         TCP and UDP ports are read (and their header bounds-checked);
         any other protocol has ports 0.  So does, for a non-zero
@@ -352,11 +390,29 @@ class Packet:
         byte: its L4 bytes are not read.  A recorder hears the addresses,
         then the ports when they were read.
         """
-        l3, proto, l4 = self._resolve()
         buf = self.buf
+        size = len(buf)
+        if size >= _TAGGED_L3 and buf[12] == _TPID_HI and buf[13] == _TPID_LO:
+            l3 = _TAGGED_L3
+        else:
+            l3 = ETH_HEADER_LEN
+        if size < l3 or buf[l3 - 2] != _IPV4_HI or buf[l3 - 1] != _IPV4_LO:
+            raise ValueError("packet is not IPv4")
+        if l3 + _IPV4_LEN > size:
+            raise ValueError(f"IPv4 header cut short at offset {l3}")
+        ihl = buf[l3] & 0x0F
+        if ihl < _IHL_MIN:
+            raise ValueError(f"IPv4 IHL below {_IHL_MIN} at offset {l3}")
+        l4 = l3 + ihl * 4
+        proto = buf[l3 + 9]
+        if proto == PROTO_AH:
+            if l4 + _AH_LEN > size:
+                raise ValueError(f"AH cut short at offset {l4}")
+            proto = buf[l4]
+            l4 += _AH_LEN
         if (proto == PROTO_TCP or proto == PROTO_UDP) and not (portless and (
                 buf[l3 + 6] & portless or buf[l3 + 7])):
-            if l4 + (_TCP_LEN if proto == PROTO_TCP else _UDP_LEN) > len(buf):
+            if l4 + (_TCP_LEN if proto == PROTO_TCP else _UDP_LEN) > size:
                 raise ValueError(f"L4 header cut short at offset {l4}")
             sport, dport = _PORTS.unpack_from(buf, l4)
             reads = 4

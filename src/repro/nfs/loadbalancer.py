@@ -19,9 +19,10 @@ import struct
 import zlib
 from typing import Dict, List, Optional
 
+from ..net.checksum import ipv4_header_checksum
 from ..net.fields import Field
 from ..net.headers import ip_to_int
-from ..net.packet import Packet
+from ..net.packet import _FRAGMENT, _KEY, Packet
 from .base import NetworkFunction, ProcessingContext, register_nf_class
 
 __all__ = ["LoadBalancer"]
@@ -53,24 +54,25 @@ class LoadBalancer(NetworkFunction):
         self._addresses = [struct.pack("!II", ip_to_int(vip), ip_to_int(b))
                            for b in self.backends]
 
-    def _pick(self, pkt: Packet) -> int:
-        """Backend index: CRC32 (like hardware ECMP) of the flow key."""
-        return zlib.crc32(pkt.flow_key()) % len(self.backends)
-
     def pick_backend(self, pkt: Packet) -> str:
-        return self.backends[self._pick(pkt)]
+        """The backend of ``pkt``'s flow: CRC32 (like hardware ECMP) of
+        its flow key."""
+        return self.backends[zlib.crc32(pkt.flow_key()) % len(self.backends)]
 
     def process(self, pkt: Packet, ctx: ProcessingContext) -> None:
-        index = self._pick(pkt)
+        # One walk gives the flow key's bytes and the IPv4 offset the
+        # rewrite stores at: :meth:`Packet.flow_key`, spelled out.
+        buf, l3, proto, sport, dport = pkt._flow(_FRAGMENT)
+        at = l3 + 12
+        index = zlib.crc32(_KEY.pack(buf[at : at + 8], proto, sport, dport)
+                           ) % len(self.backends)
         self.per_backend[self.backends[index]] += 1
         rec = pkt.recorder
         if rec is not None:
             rec.record("write", Field.DIP, pkt.uid)
             rec.record("write", Field.SIP, pkt.uid)
-        ip = pkt.ipv4
-        start = ip.offset + 12
-        ip.buf[start : start + 8] = self._addresses[index]
-        ip.update_checksum()
+        buf[at : at + 8] = self._addresses[index]
+        ipv4_header_checksum(buf, l3)
 
     def imbalance(self) -> float:
         """max/mean backend load ratio (1.0 = perfectly balanced)."""

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..net.headers import PROTO_TCP, PROTO_UDP
+from ..net.checksum import ipv4_header_checksum
+from ..net.fields import Field
+from ..net.headers import PROTO_TCP, PROTO_UDP, TcpView, UdpView, ip_to_int
 from ..net.packet import Packet, decode_flow_key
 from .base import NetworkFunction, ProcessingContext, register_nf_class
 
 __all__ = ["Nat", "NatBinding"]
+
+_TCP_LEN = TcpView.HEADER_LEN
+_UDP_LEN = UdpView.HEADER_LEN
 
 
 class NatBinding:
@@ -50,6 +55,8 @@ class Nat(NetworkFunction):
     ):
         super().__init__(name)
         self.external_ip = external_ip
+        #: The bytes the SIP rewrite stores.
+        self._external = ip_to_int(external_ip).to_bytes(4, "big")
         self._port_base = port_base
         self._port_count = port_count
         self._next_port = port_base
@@ -75,18 +82,30 @@ class Nat(NetworkFunction):
         # L4 tuple to translate; it passes through untouched.  Dropping
         # here would be an *undeclared* drop -- Table 2's NAT row has no
         # Drop action, and the profile-audit oracle flags the mismatch.
-        if pkt.l4_protocol not in (PROTO_TCP, PROTO_UDP):
+        l3, proto, l4 = pkt._resolve()
+        if proto != PROTO_TCP and proto != PROTO_UDP:
             return
-        ip = pkt.ipv4
-        l4 = pkt.tcp if pkt.l4_protocol == PROTO_TCP else pkt.udp
-        key = (ip.src_ip, l4.src_port)
+        buf = pkt.buf
+        if l4 + (_TCP_LEN if proto == PROTO_TCP else _UDP_LEN) > len(buf):
+            raise ValueError(f"L4 header cut short at offset {l4}")
+        rec = pkt.recorder
+        if rec is not None:
+            rec.record("read", Field.SIP, pkt.uid)
+            rec.record("read", Field.SPORT, pkt.uid)
+        key = ("%d.%d.%d.%d" % (buf[l3 + 12], buf[l3 + 13], buf[l3 + 14],
+                                buf[l3 + 15]), (buf[l4] << 8) | buf[l4 + 1])
         binding = self._by_internal.get(key)
         if binding is None:
             binding = self._allocate(*key)
         binding.packets += 1
-        ip.src_ip = self.external_ip
-        l4.src_port = binding.external_port
-        ip.update_checksum()
+        if rec is not None:
+            rec.record("write", Field.SIP, pkt.uid)
+            rec.record("write", Field.SPORT, pkt.uid)
+        port = binding.external_port
+        buf[l3 + 12 : l3 + 16] = self._external
+        buf[l4] = port >> 8
+        buf[l4 + 1] = port & 0xFF
+        ipv4_header_checksum(buf, l3)
 
     # ------------------------------------------------------ state handover
     def export_flow_state(self, flow_key: bytes) -> Optional[dict]:

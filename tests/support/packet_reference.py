@@ -137,7 +137,10 @@ def payload_offset(pkt: Packet) -> int:
     offset = _l4_offset(pkt)
     proto = l4_protocol(pkt)
     if proto == PROTO_TCP:
-        offset += TcpView(pkt.buf, offset).header_len
+        header_len = TcpView(pkt.buf, offset).header_len
+        if header_len < TcpView.HEADER_LEN:  # RFC 9293's least data offset
+            raise ValueError("TCP data offset below 5")
+        offset += header_len
     elif proto == PROTO_UDP:
         offset += UdpView.HEADER_LEN
     return offset
