@@ -44,8 +44,8 @@ class CompiledGraph:
     """One service graph flattened into per-stage program tuples.
 
     ``scale`` (NF name -> instance count, default 1 each) binds every
-    entry to its instance labels -- labels, never NF objects, so a plane
-    may replace an instance (a fault restart) between two packets.
+    entry to its instance labels -- labels, never NF objects, so an
+    instance may be replaced between two bursts without a rebind.
     Immutable: a membership change means a new ``CompiledGraph`` --
     but for ``merge_plan`` and ``merge_delay_us``, the installer's to
     fill: the chaining manager compiles the plan, the DES server

@@ -35,7 +35,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from ..core.closures import CompiledGraph, instance_labels
 from ..core.graph import ORIGINAL_VERSION, ServiceGraph
 from ..core.scaling import scale_graph
-from ..faults import FaultInjector, HealthBoard
 from ..net.packet import Packet
 from ..nfs.base import NetworkFunction, create_nf
 from .flowsplit import key_digest, packet_key, pick_instance
@@ -63,8 +62,8 @@ def instantiate_nfs(
 
     Unscaled nodes key by their plain name; replicated nodes get one
     object per instance under ``name#k`` labels (the same labels the
-    DES server and telemetry use).  Extra kwargs are forwarded to every
-    constructor.
+    DES server and its per-NF counters use).  Extra kwargs are
+    forwarded to every constructor.
     """
     counts = _counts(graph, scale)
     instances: Dict[str, NetworkFunction] = {}
@@ -96,16 +95,11 @@ class FunctionalDataplane:
         graph: ServiceGraph,
         nf_instances: Optional[Dict[str, NetworkFunction]] = None,
         scale: Union[int, Mapping[str, int], None] = None,
-        injector: Optional[FaultInjector] = None,
-        telemetry=None,
     ):
         self.graph = graph
-        #: The untimed plane has no clock: the hub only counts
-        #: control-plane facts (RSS pinning).
-        self.telemetry = telemetry
         self.scale = _counts(graph, scale)
         self._stages = CompiledGraph(graph, self.scale).program
-        #: Instance label -> NF object, looked up per packet.
+        #: Instance label -> NF object, looked up per burst.
         self.nfs = nf_instances or instantiate_nfs(graph, scale=self.scale)
         missing = [label for _, entries in self._stages
                    for _, _, labels, _ in entries
@@ -118,19 +112,6 @@ class FunctionalDataplane:
                                  for _, count, _, _ in entries if count > 1})
         self._plan = MergePlan(graph.merge_ops)
         self.processed = self.emitted = self.dropped = 0
-        #: Instance health is consulted before each NF application.
-        #: Down instances drop the version (nil) instead of serving it;
-        #: with replicas left, later flows rehash onto healthy
-        #: instances; with none left, the instance restarts fresh (its
-        #: per-flow state is lost -- the semantics failover degrades to,
-        #: and what fuzzing measures the blast radius of).
-        self.injector = injector
-        self.health = HealthBoard()
-        for name, count in self.scale.items():
-            self.health.register(name, count)
-        #: reason -> packet count for faulted drops (conservation report).
-        self.drop_reasons: Dict[str, int] = {}
-        self.restarts = 0
 
     def process(self, pkt: Packet) -> Optional[Packet]:
         """Run one packet through the program -- a burst of one;
@@ -148,25 +129,21 @@ class FunctionalDataplane:
         outputs are those of the packets run one at a time.
         """
         pkts = list(packets)
-        first = self.processed
-        self.processed = first + len(pkts)
+        self.processed += len(pkts)
         nfs = self.nfs
-        injector = self.injector
         # Per packet: version -> buffer, version 1 the packet itself.
         flights = [{ORIGINAL_VERSION: pkt} for pkt in pkts]
-        digests = shares = None
+        shares = None
         if self._replicas:
-            telemetry = self.telemetry
-            digests = [key_digest(packet_key(pkt), telemetry) for pkt in pkts]
-            if injector is None:
-                # Each instance's share of the burst, once per count.
-                shares = {}
-                for count in self._replicas:
-                    picks = [digest % count for digest in digests]
-                    shares[count] = [
-                        (k, [flight for flight, pick in zip(flights, picks)
-                             if pick == k])
-                        for k in dict.fromkeys(picks)]
+            digests = [key_digest(packet_key(pkt)) for pkt in pkts]
+            # Each instance's share of the burst, once per count.
+            shares = {}
+            for count in self._replicas:
+                picks = [digest % count for digest in digests]
+                shares[count] = [
+                    (k, [flight for flight, pick in zip(flights, picks)
+                         if pick == k])
+                    for k in dict.fromkeys(picks)]
 
         for copies, entries in self._stages:
             for copy in copies:
@@ -174,11 +151,8 @@ class FunctionalDataplane:
                 for flight in flights:
                     flight[version] = make(flight[ORIGINAL_VERSION])
             drops = []
-            for version, count, labels, entry in entries:
-                if injector is not None:
-                    served = self._gate(entry, version, count, labels,
-                                        flights, digests, first, drops)
-                elif count == 1:
+            for version, count, labels, _ in entries:
+                if count == 1:
                     served = ((nfs[labels[0]], flights),)
                 else:
                     served = [(nfs[labels[k]], share)
@@ -201,57 +175,6 @@ class FunctionalDataplane:
         self.dropped += lost
         self.emitted += len(outputs) - lost
         return outputs
-
-    def _gate(self, entry, version: int, count: int, labels, flights,
-              digests, first: int, drops: list):
-        """Health-gate one entry over the burst (fault runs only).
-
-        Packets are asked about in burst order, each at its own ordinal
-        on the injector's clock, and picked over the group's healthy
-        instances as they stand at that packet.  A version whose
-        instance is down joins ``drops``; the rest are grouped by NF
-        *object*, so packets before a restart go to the old object and
-        packets after it to the fresh one.
-        """
-        name = entry.node.name
-        health = self.health
-        served: Dict[NetworkFunction, list] = {}
-        for i, flight in enumerate(flights):
-            if flight[version].nil:
-                continue
-            index = (0 if count == 1 else
-                     pick_instance(digests[i], count, health.healthy(name)))
-            label = labels[index]
-            if self._instance_down(entry, label, index, first + i + 1):
-                drops.append((flight, version))
-            else:
-                served.setdefault(self.nfs[label], []).append(flight)
-        return served.items()
-
-    def _instance_down(self, entry, label: str, index: int,
-                       ordinal: int) -> bool:
-        """Health gate before one NF application, at packet ``ordinal``.
-
-        Returns True when the instance is dead/hung and the version must
-        drop.  When the casualty was the group's last healthy instance
-        it is restarted immediately with a fresh NF object (per-flow
-        state lost) -- the untimed plane has no parked process, so
-        reviving in place is safe here.
-        """
-        injector = self.injector
-        state = injector.on_packet(label, float(ordinal))
-        if not state.down:
-            return False
-        self.drop_reasons["instance_down"] = (
-            self.drop_reasons.get("instance_down", 0) + 1)
-        name = entry.node.name
-        remaining = self.health.mark_down(name, index)
-        if not remaining:
-            self.nfs[label] = create_nf(entry.node.kind, name=label)
-            self.restarts += 1
-            injector.revive(label)
-            self.health.mark_up(name, index)
-        return True
 
 
 class SequentialReference:

@@ -612,7 +612,7 @@ class NFPServer(NicEgress):
         index = None if group is None else group.index_of(label)
         if index is None:
             return
-        if spec is not None and spec.kind is FaultKind.RING_PRESSURE:
+        if spec.kind is FaultKind.RING_PRESSURE:
             group.instances[index].rx.capacity = spec.ring_capacity
             return
         if not state.down:

@@ -437,8 +437,8 @@ def measure_placed(
     for server in plane.servers:
         server.collect_telemetry()
     if telemetry is not None and telemetry.enabled:
-        # Publish the same gauge namespace the functional multi-server
-        # plane uses, so the ASCII exporter table covers DES runs too.
+        # The multiserver.* gauge namespace, read by the ASCII
+        # exporter's server/link table (``place --measure``).
         if topology is not None:
             for name, server_slice in zip(placement.path, placement.slices):
                 publish_core_util(telemetry, name, server_slice,

@@ -1,7 +1,7 @@
 """The fault injector: per-instance health plus scheduled fault firing.
 
 One :class:`FaultInjector` is shared by an execution plane (the DES
-server or the functional dataplane).  The plane calls
+server, or the placed functional plane's servers).  The plane calls
 :meth:`FaultInjector.on_packet` each time an instance is about to serve
 a packet; the injector advances that instance's packet count, fires any
 matching :class:`~repro.faults.model.FaultSpec` whose trigger is met,
@@ -14,7 +14,7 @@ the hook failover and degradation hang off.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, List, Sequence, Set, Union
 
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from .model import FaultKind, FaultPlan, FaultSpec
@@ -34,8 +34,8 @@ class HealthState(enum.Enum):
         return self in (HealthState.HUNG, HealthState.DEAD)
 
 
-#: Listener signature: (instance label, fired spec or None, new state).
-TransitionListener = Callable[[str, Optional[FaultSpec], HealthState], None]
+#: Listener signature: (instance label, fired spec, new state).
+TransitionListener = Callable[[str, FaultSpec, HealthState], None]
 
 
 class FaultInjector:
@@ -109,10 +109,3 @@ class FaultInjector:
         state = self.state(label)
         for listener in self._listeners:
             listener(label, spec, state)
-
-    def revive(self, label: str) -> None:
-        """Mark an instance healthy again (a restarted runtime)."""
-        self._health[label] = HealthState.HEALTHY
-        self._slow.pop(label, None)
-        for listener in self._listeners:
-            listener(label, None, HealthState.HEALTHY)

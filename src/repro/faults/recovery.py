@@ -3,10 +3,10 @@
 Two pieces:
 
 * :class:`HealthBoard` -- which instance indices of each replicated NF
-  are still healthy.  Both the DES server and the functional dataplane
-  keep one and hand its view to
+  are still healthy.  The DES server keeps one and hands its view to
   :func:`repro.dataplane.flowsplit.assign_instances`, so RSS failover
-  (flows rehashed away from a dead instance) is one shared mechanism.
+  (flows rehashed away from a dead instance) is one shared mechanism;
+  the placed functional plane keeps one per server.
 * :func:`linearize` -- the sequential fallback of a parallel
   micrograph: its NFs in stage order on a single version, no copies, no
   merger.  When an NF kind has zero healthy instances the orchestrator

@@ -34,8 +34,7 @@ from ..dataplane.functional import FunctionalDataplane
 from ..net.headers import ETH_HEADER_LEN
 from ..net.packet import Packet, PacketMeta
 from ..nfs.base import NetworkFunction
-from ..telemetry.hooks import NULL_HUB, TelemetryHub
-from ..telemetry.tracer import SpanKind
+from ..telemetry.hooks import TelemetryHub
 from .nsh import NshTag, decapsulate, encapsulate
 
 __all__ = ["LinkStats", "MultiServerDataplane", "publish_core_util"]
@@ -55,7 +54,7 @@ class LinkStats:
     """Per-link accounting proving the one-copy constraint.
 
     The one ledger of an inter-server link, on the functional plane and
-    (as its ``_Link``) on the timed one.
+    (as its ``_Link``) on the timed one, which publishes it.
     """
 
     frames: int = 0
@@ -80,20 +79,16 @@ class MultiServerDataplane:
 
     Two construction modes:
 
-    * ``cores_per_server`` -- the legacy greedy first-fit split over
-      identical boxes (:func:`repro.core.partition.partition_graph`);
-    * ``slices`` -- an explicit placement (e.g. from
-      ``Orchestrator.place``), optionally with ``server_names``,
-      per-server ``server_cores`` and per-hop ``link_specs`` (objects
-      exposing ``gbps``/``propagation_us``) so the utilisation gauges
-      reflect the real topology.
+    * ``cores_per_server`` -- the greedy first-fit split over identical
+      boxes (:func:`repro.core.partition.partition_graph`);
+    * ``slices`` -- an explicit placement (e.g. a
+      :class:`~repro.placement.plan.ChainPlacement`'s).
 
-    With telemetry attached, the dataplane emits per-server
-    core-utilisation gauges (``multiserver.server.<name>.core_util``)
-    at deploy time and per-link occupancy gauges
-    (``multiserver.link<i>.busy_us`` wire time; plus
-    ``multiserver.link<i>.occupancy`` as a fraction of the link's rate
-    when ``offered_mpps`` is known) as frames cross.
+    This plane has no clock, so it publishes no gauges: the
+    ``multiserver.*`` namespace (per-server core utilisation, per-link
+    wire time and occupancy) comes from the timed pipeline,
+    :func:`repro.eval.harness.measure_placed`.  Its :class:`LinkStats`
+    still count every frame that crosses.
     """
 
     def __init__(
@@ -101,48 +96,22 @@ class MultiServerDataplane:
         graph: ServiceGraph,
         cores_per_server: Optional[int] = None,
         path_id: int = 1,
-        telemetry: Optional[TelemetryHub] = None,
         slices: Optional[List[ServerSlice]] = None,
-        server_names: Optional[List[str]] = None,
-        server_cores: Optional[List[int]] = None,
-        link_specs: Optional[List] = None,
-        offered_mpps: Optional[float] = None,
     ):
         self.graph = graph
         self.path_id = path_id
-        self.telemetry = telemetry if telemetry is not None else NULL_HUB
         if slices is not None:
             self.slices = list(slices)
         elif cores_per_server is not None:
             self.slices = partition_graph(graph, cores_per_server)
-            if server_cores is None:
-                server_cores = [cores_per_server] * len(self.slices)
         else:
             raise ValueError("need cores_per_server or an explicit slices list")
         self.servers = [FunctionalDataplane(slice_subgraph(graph, s))
                         for s in self.slices]
-        if server_names is not None and len(server_names) != len(self.servers):
-            raise ValueError("one server name per slice required")
-        self.server_names = (
-            list(server_names) if server_names is not None
-            else [f"server{i}" for i in range(len(self.servers))]
-        )
-        if link_specs is not None and len(link_specs) != max(0, len(self.servers) - 1):
-            raise ValueError("one link spec per inter-server hop required")
-        self.link_specs = list(link_specs) if link_specs is not None else None
-        self.offered_mpps = offered_mpps
-        for server in self.servers:
-            for nf in server.nfs.values():
-                nf.telemetry = self.telemetry
         self.links: List[LinkStats] = [LinkStats() for _ in self.servers[:-1]]
         self._next_pid = 0
         self.emitted = 0
         self.dropped = 0
-        if self.telemetry.enabled and server_cores is not None:
-            for name, server_slice, capacity in zip(
-                self.server_names, self.slices, server_cores
-            ):
-                publish_core_util(self.telemetry, name, server_slice, capacity)
 
     @property
     def num_servers(self) -> int:
@@ -209,21 +178,6 @@ class MultiServerDataplane:
         link.bytes += carrier.wire_len
         if nil:
             link.nil_frames += 1
-        hub = self.telemetry
-        if hub.enabled:
-            # Cross-server hop: exactly one (possibly nil) frame.
-            hub.inc("multiserver.hops")
-            hub.inc(f"multiserver.link{index}.frames")
-            hub.inc(f"multiserver.link{index}.bytes", carrier.wire_len)
-            if nil:
-                hub.inc(f"multiserver.link{index}.nil_frames")
-            if self.link_specs is not None:
-                link.publish(hub, index, self.link_specs[index].gbps,
-                             self.offered_mpps)
-            # The functional pipeline has no clock; hop ordinal
-            # stands in for time so spans still order causally.
-            hub.span(SpanKind.ENQUEUE, float(index), meta,
-                     name=f"link{index}", args={"nil": nil})
         # ... wire ...
         received_tag = decapsulate(carrier)
         assert received_tag.index == index + 1

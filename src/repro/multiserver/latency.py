@@ -55,24 +55,17 @@ class CrossServerLatency:
     """Breakdown of a partitioned graph's zero-load latency.
 
     ``link_costs_us`` holds one entry per hop, so heterogeneous
-    topologies price each link individually; the old homogeneous
-    behaviour is the uniform special case (construct with
-    ``link_cost_each_us``).
+    topologies price each link individually.
     """
 
     def __init__(
         self,
         single_server_us: float,
         slice_costs_us: List[float],
-        link_costs_us: Optional[Sequence[float]] = None,
-        link_cost_each_us: Optional[float] = None,
+        link_costs_us: Sequence[float],
     ):
         self.single_server_us = single_server_us
         self.slice_costs_us = slice_costs_us
-        if link_costs_us is None:
-            if link_cost_each_us is None:
-                raise ValueError("need link_costs_us or link_cost_each_us")
-            link_costs_us = [link_cost_each_us] * max(0, len(slice_costs_us) - 1)
         self.link_costs_us = list(link_costs_us)
         if len(self.link_costs_us) != max(0, len(slice_costs_us) - 1):
             raise ValueError(
@@ -80,18 +73,6 @@ class CrossServerLatency:
                 f"{max(0, len(slice_costs_us) - 1)} link costs, "
                 f"got {len(self.link_costs_us)}"
             )
-
-    @property
-    def link_cost_each_us(self) -> float:
-        """The uniform per-hop cost; raises when links are heterogeneous."""
-        if not self.link_costs_us:
-            return 0.0
-        first = self.link_costs_us[0]
-        if any(abs(cost - first) > 1e-9 for cost in self.link_costs_us[1:]):
-            raise ValueError(
-                "links are heterogeneous; read link_costs_us instead"
-            )
-        return first
 
     @property
     def num_servers(self) -> int:

@@ -34,8 +34,8 @@ class _Link(LinkStats):
     ``gbps``/``propagation_us`` override the NIC-rate default so a
     placement over a heterogeneous topology serialises each hop at that
     hop's real bandwidth and pays its propagation delay.  It counts
-    into the functional plane's ledger (a DES drop never crosses a
-    link, so ``nil_frames`` stays 0).
+    into the same :class:`LinkStats` ledger as the functional plane (a
+    DES drop never crosses a link, so ``nil_frames`` stays 0).
     """
 
     def __init__(self, env: Environment, params: SimParams,

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 from ..net.checksum import ipv4_header_checksum
 from ..net.fields import Field
 from ..net.headers import PROTO_TCP, PROTO_UDP, TcpView, UdpView, ip_to_int
-from ..net.packet import Packet, decode_flow_key
+from ..net.packet import _LATER_FRAGMENT, Packet, decode_flow_key
 from .base import NetworkFunction, ProcessingContext, register_nf_class
 
 __all__ = ["Nat", "NatBinding"]
@@ -83,9 +83,10 @@ class Nat(NetworkFunction):
         # here would be an *undeclared* drop -- Table 2's NAT row has no
         # Drop action, and the profile-audit oracle flags the mismatch.
         l3, proto, l4 = pkt._resolve()
-        if proto != PROTO_TCP and proto != PROTO_UDP:
-            return
         buf = pkt.buf
+        if (proto != PROTO_TCP and proto != PROTO_UDP
+                or buf[l3 + 6] & _LATER_FRAGMENT or buf[l3 + 7]):
+            return
         if l4 + (_TCP_LEN if proto == PROTO_TCP else _UDP_LEN) > len(buf):
             raise ValueError(f"L4 header cut short at offset {l4}")
         rec = pkt.recorder

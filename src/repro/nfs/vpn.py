@@ -62,21 +62,23 @@ class VpnEncryptor(NetworkFunction):
     def handle_burst(self, pkts: Sequence[Packet]) -> List[ProcessingContext]:
         """Serve a burst with one cipher pass for all of its payloads.
 
-        Packet i will encrypt under ``seq + 1 + i``; its payload length
-        is read here without a recorder event.  A frame that does not
-        parse gets an empty span, and the burst stops at the first
-        sequence number that no longer fits the 64-bit nonce, so those
-        packets take the per-packet call and fail exactly as they would
-        alone.
+        Each packet whose payload length reads (here, without a
+        recorder event) will encrypt under the next sequence number; a
+        frame that does not parse gets none, as :meth:`process` fails
+        it before it spends one.  The burst stops at the first sequence
+        number that no longer fits the 64-bit nonce, so those packets
+        take the per-packet call and fail exactly as they would alone.
         """
         spans = []
-        for seq, pkt in enumerate(pkts, self.seq + 1):
-            if seq >> 64:
-                break
+        seq = self.seq
+        for pkt in pkts:
             try:
                 length = len(pkt.buf) - pkt.payload_offset
             except ValueError:
-                length = 0
+                continue
+            seq += 1
+            if seq >> 64:
+                break
             spans.append((seq, length if length > 0 else 0))
         self._spans = spans
         try:
@@ -101,8 +103,11 @@ class VpnEncryptor(NetworkFunction):
         return aes_ctr_transform(self.key, seq, payload)
 
     def process(self, pkt: Packet, ctx: ProcessingContext) -> None:
-        self.seq += 1
+        # The payload read refuses a frame that does not parse, before
+        # it spends a sequence number: a VPN beside a sibling that drops
+        # such a frame keeps the sequential chain's numbering.
         payload = pkt.payload
+        self.seq += 1
         if payload:
             pkt.set_payload(self._encrypt(payload))
         if pkt.has_ah:

@@ -38,7 +38,7 @@ from .plan import (
     evaluate_candidate,
 )
 from .request import ChainRequest, RequestError, Slo
-from .runtime import PlacedDataplane, build_dataplane, build_timed
+from .runtime import PlacedDataplane, build_timed
 from .topology import Link, Server, Topology, TopologyError
 
 __all__ = [
@@ -49,5 +49,5 @@ __all__ = [
     "brute_force_place", "BruteForceError", "chain_candidates",
     "heuristic_place", "round_robin_place",
     "plan_backups",
-    "PlacedDataplane", "build_dataplane", "build_timed",
+    "PlacedDataplane", "build_timed",
 ]

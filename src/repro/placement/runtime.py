@@ -1,20 +1,21 @@
 """Execute a placement plan, with server-crash failover onto the backup.
 
-:func:`build_dataplane` / :func:`build_timed` turn one
-:class:`~repro.placement.plan.ChainPlacement` into the corresponding
-executable plane (functional :class:`~repro.multiserver.MultiServerDataplane`
-or DES :class:`~repro.multiserver.TimedMultiServer`) with the placement's
-own slices, server names and link characteristics.
+:func:`build_timed` turns one
+:class:`~repro.placement.plan.ChainPlacement` into the DES
+:class:`~repro.multiserver.TimedMultiServer` with the placement's own
+slices and link characteristics.
 
 :class:`PlacedDataplane` is the fault-tolerant wrapper the acceptance
 tests drive: the active placement and its pre-planned server-disjoint
-backup each run as a functional multi-server plane; every *server* is
-registered on a PR-5 :class:`~repro.faults.recovery.HealthBoard` and
-fed through a :class:`~repro.faults.FaultInjector` whose labels are
-server names (``"crash:s1:pkt=5"`` kills server ``s1`` on its 5th
-packet).  When a server on the active path dies, the packet that
-witnessed the crash is accounted -- not lost -- and every subsequent
-packet rides the backup path.  A conservation ledger proves it:
+backup each run as a functional
+:class:`~repro.multiserver.MultiServerDataplane` over the placement's
+slices; every *server* is registered on a
+:class:`~repro.faults.recovery.HealthBoard` and fed through a
+:class:`~repro.faults.FaultInjector` whose labels are server names
+(``"crash:s1:pkt=5"`` kills server ``s1`` on its 5th packet).  When a
+server on the active path dies, the packet that witnessed the crash is
+accounted -- not lost -- and every subsequent packet rides the backup
+path.  A conservation ledger proves it:
 ``injected == emitted + sum(drops by reason)``, always.
 """
 
@@ -33,29 +34,7 @@ from ..sim.params import DEFAULT_PARAMS, SimParams
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from .plan import ChainPlacement
 
-__all__ = ["build_dataplane", "build_timed", "PlacedDataplane"]
-
-
-def build_dataplane(
-    placement: ChainPlacement,
-    topology=None,
-    telemetry: Optional[TelemetryHub] = None,
-    path_id: int = 1,
-) -> MultiServerDataplane:
-    """The functional multi-server plane for one placed chain."""
-    server_cores = None
-    if topology is not None:
-        server_cores = [topology.server(n).cores for n in placement.path]
-    return MultiServerDataplane(
-        placement.request.graph,
-        path_id=path_id,
-        telemetry=telemetry,
-        slices=placement.slices,
-        server_names=list(placement.path),
-        server_cores=server_cores,
-        link_specs=placement.links,
-        offered_mpps=placement.request.slo.max_mpps,
-    )
+__all__ = ["build_timed", "PlacedDataplane"]
 
 
 def build_timed(
@@ -86,7 +65,6 @@ class PlacedDataplane:
     def __init__(
         self,
         placement: ChainPlacement,
-        topology=None,
         faults: Union[FaultPlan, Sequence[FaultSpec], str, None] = None,
         telemetry: Optional[TelemetryHub] = None,
     ):
@@ -97,13 +75,11 @@ class PlacedDataplane:
             )
         self.placement = placement
         self.telemetry = telemetry if telemetry is not None else NULL_HUB
-        self.active = build_dataplane(
-            placement, topology=topology, telemetry=telemetry, path_id=1
-        )
-        self.backup = build_dataplane(
-            placement.backup, topology=topology, telemetry=telemetry,
-            path_id=2,
-        )
+        self.active = MultiServerDataplane(
+            placement.request.graph, path_id=1, slices=placement.slices)
+        self.backup = MultiServerDataplane(
+            placement.backup.request.graph, path_id=2,
+            slices=placement.backup.slices)
         if isinstance(faults, str):
             faults = FaultPlan.parse(faults)
         self.injector = FaultInjector(faults, telemetry=self.telemetry)

@@ -14,8 +14,8 @@ Three consumers, three formats:
   prints (processed / dropped / errors / service-time percentiles);
 * ``multiserver_summary_table`` -- per-server core utilisation and
   per-link occupancy from the ``multiserver.*`` gauge namespace that
-  :class:`~repro.multiserver.dataplane.MultiServerDataplane` publishes,
-  plus any ``placement.*`` failover/drop counters.
+  :func:`~repro.eval.harness.measure_placed` publishes off the timed
+  pipeline, plus any ``placement.*`` failover/drop counters.
 """
 
 from __future__ import annotations

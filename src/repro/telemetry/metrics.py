@@ -22,8 +22,8 @@ Histograms use fixed exponential bucket bounds so that recording is one
 bisect plus one add, merging is element-wise addition, and percentile
 estimation is a cumulative walk with linear interpolation inside the
 winning bucket (the classic Prometheus/HdrHistogram trade-off).
-Percentile/summary logic for *raw sample lists* intentionally lives in
-:mod:`repro.sim.stats`; see :mod:`repro.telemetry.histogram`.
+Percentile/summary logic for *raw sample lists* lives only in
+:mod:`repro.sim.stats`.
 """
 
 from __future__ import annotations

@@ -3,14 +3,13 @@
 The conservation contract under faults: every injected packet is
 eventually *emitted* or accounted to exactly one drop reason -- no
 stranded AT entries, no leaked flight state.  These tests drive the
-timed DES server (and the functional plane) through each failure mode
-of :mod:`repro.faults` and check both the recovery behavior and the
-ledger.
+timed DES server through each failure mode of :mod:`repro.faults` and
+check both the recovery behavior and the ledger.
 """
 
 from repro.check.fuzz import run_fuzz
 from repro.core import Orchestrator, Policy
-from repro.dataplane import FunctionalDataplane, NFPServer
+from repro.dataplane import NFPServer
 from repro.dataplane.flowsplit import key_digest, packet_key, pick_instance
 from repro.dataplane.runtimes import _drop_witness
 from repro.eval import (
@@ -243,22 +242,3 @@ def test_fault_mode_fuzz_smoke_holds_conservation():
                       instances=2, packets_per_case=12)
     assert report.cases == 8
     assert report.ok, [f.outcome.detail for f in report.failures]
-
-
-# ------------------------------------------------------- functional plane
-def test_functional_plane_crash_restarts_and_accounts():
-    graph = Orchestrator().compile(Policy.from_chain(WEST_EAST)).graph
-    injector = FaultInjector(FaultPlan.parse("crash:monitor:pkt=3"))
-    plane = FunctionalDataplane(graph, injector=injector)
-
-    flows = FlowGenerator(num_flows=4, seed=1)
-    outputs = [plane.process(flows.next_packet()) for _ in range(10)]
-
-    # Packet 3 lost its monitor version (nil -> merge yields None); the
-    # sole instance restarted fresh and everything after flowed again.
-    assert plane.drop_reasons == {"instance_down": 1}
-    assert plane.restarts == 1
-    assert plane.dropped == 1
-    assert plane.emitted == 9
-    assert outputs[2] is None
-    assert all(out is not None for out in outputs[3:])

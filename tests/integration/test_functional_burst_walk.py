@@ -1,104 +1,19 @@
-"""The functional plane's stage-major walk against bursts of one.
+"""The functional plane's stage-major walk: the burst reaches the NF.
 
 ``FunctionalDataplane.process_many`` runs each stage over the whole
-burst; ``process`` is its burst of one.  Two paths of the walk are
-subtle enough to hold here rather than only through the fuzzer:
-
-* **Fault-armed runs.**  Health is asked per (instance, packet) in
-  burst order at the packet's own ordinal, and a burst is served by NF
-  *object*, so packets before a restart go to the old object and the
-  ones after it to the fresh one.  A burst of 16 must leave the same
-  outputs, drop reasons, restarts, emitted / dropped counts and per-NF
-  counters as the same packets one at a time -- with restarts that land
-  in the middle of a burst.
-* **The burst reaches the NF.**  The VPN's ``handle_burst`` computes
-  every payload's keystream in one lane pass; on this plane that pass
-  must run once per burst, not once per packet.
+burst; ``process`` is its burst of one.  The VPN's ``handle_burst``
+computes every payload's keystream in one lane pass; on this plane that
+pass must run once per burst, not once per packet.  And the burst walk
+keeps its per-packet call budget.
 """
 
 import sys
 
-import pytest
-
 from repro.core import Orchestrator, Policy
 from repro.dataplane import FunctionalDataplane
-from repro.faults import FaultInjector, FaultPlan
 from repro.net import build_packet
 from repro.nfs import vpn as vpn_module
 from repro.traffic import FlowGenerator, PacketSizeDistribution
-
-#: Two stages (the NAT writes what the rest read), a header copy and a
-#: merge: a fault in either stage lands between copy and merge.
-CHAIN = ["nat", "ids", "monitor", "loadbalancer"]
-PACKETS = 48
-BURST = 16
-
-
-def _stream():
-    return FlowGenerator(num_flows=12, seed=5).packets(PACKETS)
-
-
-def _run(plan, scale, burst):
-    graph = Orchestrator().compile(Policy.from_chain(CHAIN)).graph
-    plane = FunctionalDataplane(graph, scale=scale,
-                                injector=FaultInjector(FaultPlan.parse(plan)))
-    stream = _stream()
-    outputs = []
-    for start in range(0, len(stream), burst):
-        outputs += plane.process_many(stream[start:start + burst])
-    return plane, {
-        "outputs": [None if out is None else bytes(out.buf) for out in outputs],
-        "drop_reasons": plane.drop_reasons,
-        "restarts": plane.restarts,
-        "emitted": plane.emitted,
-        "dropped": plane.dropped,
-        "processed": plane.processed,
-        "nfs": {label: (nf.rx_packets, nf.dropped_packets, nf.errors)
-                for label, nf in plane.nfs.items()},
-    }
-
-
-@pytest.mark.parametrize("scale", [None, 2], ids=["unscaled", "x2"])
-@pytest.mark.parametrize("plan", [
-    # The sole instance (or, scaled, every instance) dies mid-burst and
-    # restarts fresh for the packets after it in the same burst.
-    "crash:monitor:pkt=5",
-    "hang:nat:pkt=9",
-    # On the injector's clock: the packet's own ordinal, not the burst's.
-    "crash:ids:t=7",
-    # Two faults on one NF, the second after the first one's restart.
-    "crash:ids:pkt=3,crash:ids:pkt=20",
-    # A first-stage and a second-stage casualty in the same burst.
-    "hang:nat:pkt=4,crash:loadbalancer:pkt=6",
-])
-def test_fault_armed_burst_equals_bursts_of_one(plan, scale):
-    _, one = _run(plan, scale, 1)
-    _, burst = _run(plan, scale, BURST)
-    assert burst == one
-    # The plan bites: packets were lost to it.
-    assert one["drop_reasons"]["instance_down"] > 0
-    assert one["emitted"] + one["dropped"] == one["processed"] == PACKETS
-
-
-def test_restart_mid_burst_splits_the_burst_between_objects():
-    # One instance, crashing at its 5th packet: packets 1-4 of the first
-    # burst reach the old object, packet 5 drops, 6-16 the fresh one.
-    plane, result = _run("crash:monitor:pkt=5", None, BURST)
-    assert result["restarts"] == 1
-    assert result["outputs"][4] is None
-    assert all(out is not None for out in result["outputs"][5:])
-    assert plane.nfs["monitor"].rx_packets == PACKETS - 5
-
-
-def test_scaled_casualty_rehashes_the_rest_of_its_burst():
-    # x2: instance #0 dies on its 3rd packet; with #1 still up there is
-    # no restart, and the group's later packets all land on #1.
-    plane, result = _run("crash:monitor#0:pkt=3", 2, BURST)
-    _, one = _run("crash:monitor#0:pkt=3", 2, 1)
-    assert result == one
-    assert result["restarts"] == 0
-    assert result["drop_reasons"] == {"instance_down": 1}
-    assert plane.nfs["monitor#0"].rx_packets == 2
 
 
 def test_vpn_ciphers_once_per_burst(monkeypatch):

@@ -11,6 +11,11 @@ on its copy, and the merge's payload copy then raised out of
 as it refuses an IHL below 5, so the VPN's payload read fails, the
 frame drops as an NF error, and both planes agree with the sequential
 chain; the server's ledger balances.
+
+Mid-stream, the refused frame must also leave every later frame alone:
+beside the IDS the VPN sees it too, and its payload read refuses it
+before it spends an AH sequence number, so the frames after it encrypt
+under the sequential chain's numbers, a packet at a time or in a burst.
 """
 
 import pytest
@@ -19,7 +24,7 @@ from repro.core import Orchestrator, Policy
 from repro.dataplane import FunctionalDataplane, NFPServer, SequentialReference
 from repro.net import Packet, build_packet
 from repro.nfs import create_nf
-from repro.sim import DEFAULT_PARAMS, Environment
+from repro.sim import DEFAULT_PARAMS, Environment, SimParams
 from repro.traffic import feed_list
 
 CHAINS = (["monitor", "vpn"], ["ids", "vpn"])
@@ -27,19 +32,14 @@ CHAINS = (["monitor", "vpn"], ["ids", "vpn"])
 DATA_OFFSET_AT = 14 + 20 + 12
 
 
-def _frames(words):
-    """Five 200-byte frames; the last one has data offset ``words``.
-
-    Last, because beside the IDS the VPN sees (and spends a sequence
-    number on) a frame the chain drops at the IDS, and every later
-    frame's AH would show it: that is the parallel stage's NF state,
-    not the walk.
-    """
+def _frames(words, at=4):
+    """Five 200-byte frames; frame ``at`` (by default the last) has data
+    offset ``words``."""
     frames = []
     for i in range(5):
         pkt = build_packet(src_ip=f"10.0.{i}.1", src_port=1000 + i,
                            size=200, identification=i)
-        if i == 4:
+        if i == at:
             pkt.buf[DATA_OFFSET_AT] = words << 4
         frames.append(bytes(pkt.buf))
     return frames
@@ -79,3 +79,48 @@ def test_nfp_server_agrees_with_the_chain(chain, words):
     report = server.conservation_report()
     assert report["injected"] == 5
     assert report["unaccounted"] == 0
+
+
+#: The refused frame's position when it is not the last.
+MID_STREAM = 2
+
+
+def _sequential(chain, frames):
+    nfs = [create_nf(kind) for kind in chain]
+    outputs = SequentialReference(nfs).process_many(
+        [Packet(bytearray(buf)) for buf in frames])
+    return [bytes(out.buf) for out in outputs if out is not None], nfs[-1].seq
+
+
+@pytest.mark.parametrize("burst", [1, 7])
+@pytest.mark.parametrize("chain", CHAINS, ids="+".join)
+def test_mid_stream_refusal_spends_no_sequence_number_functional(chain, burst):
+    frames = _frames(0, at=MID_STREAM)
+    plane = FunctionalDataplane(
+        Orchestrator().compile(Policy.from_chain(chain)).graph)
+    packets = [Packet(bytearray(buf)) for buf in frames]
+    outputs = []
+    for start in range(0, len(packets), burst):
+        outputs += plane.process_many(packets[start:start + burst])
+    got = [bytes(out.buf) for out in outputs if out is not None]
+    assert (got, plane.nfs["vpn"].seq) == _sequential(chain, frames)
+    assert len(got) == 4
+
+
+@pytest.mark.parametrize("burst", [1, 7])
+@pytest.mark.parametrize("chain", CHAINS, ids="+".join)
+def test_mid_stream_refusal_spends_no_sequence_number_des(chain, burst):
+    frames = _frames(0, at=MID_STREAM)
+    env = Environment()
+    server = NFPServer(env, SimParams(batch_size=burst))
+    server.keep_packets = True
+    server.deploy(Orchestrator().deploy(Policy.from_chain(chain)))
+    # All five land at once: the VPN's ring holds them for one burst.
+    feed_list(env, server.inject,
+              [Packet(bytearray(buf)) for buf in frames], 0.0)
+    env.run()
+    got = sorted(server.emitted_packets, key=lambda pkt: pkt.meta.pid)
+    (vpn,) = server.runtimes["vpn"].instances
+    assert ([bytes(pkt.buf) for pkt in got], vpn.nf.seq) == _sequential(
+        chain, frames)
+    assert server.conservation_report()["unaccounted"] == 0

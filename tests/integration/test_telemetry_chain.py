@@ -13,8 +13,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import Orchestrator, Policy
 from repro.eval import latency_breakdown, measure_nfp
-from repro.multiserver.dataplane import MultiServerDataplane
-from repro.net.packet import build_packet
 from repro.telemetry import SpanKind, TelemetryHub, Tracer
 
 CHAIN = ["firewall", "ids", "monitor"]
@@ -105,23 +103,6 @@ def test_breakdown_consumes_tracer_spans():
     measured = measure_nfp(CHAIN, packets=400, seed=3)
     assert breakdown.total_us == pytest.approx(measured.latency_mean_us,
                                                rel=0.15)
-
-
-def test_multiserver_hop_counters():
-    graph = Orchestrator().compile(
-        Policy.from_chain(["vpn", "monitor", "firewall", "loadbalancer"])
-    ).graph
-    hub = TelemetryHub(tracer=Tracer())
-    plane = MultiServerDataplane(graph, cores_per_server=4, telemetry=hub)
-    assert plane.num_servers > 1
-    for index in range(20):
-        plane.process(build_packet(src_port=10000 + index))
-    hops = hub.registry.counter_value("multiserver.hops")
-    assert hops == 20 * (plane.num_servers - 1)
-    assert hub.registry.counter_value("multiserver.link0.frames") == 20
-    assert hub.registry.counter_value("multiserver.link0.bytes") > 0
-    # Per-NF counters flow through the same hub.
-    assert hub.registry.counter_value("nf.vpn.rx") == 20
 
 
 def test_trace_cli_writes_valid_chrome_trace(tmp_path, capsys):

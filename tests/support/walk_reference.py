@@ -7,9 +7,10 @@ slice), the walk -- copies at a stage's entry, every NF of the stage on
 the pre-stage buffers, drops deferred to the stage end, then the
 merge -- was written out twice
 under ``src/`` and re-derived from the graph object model for every
-packet: ``FunctionalDataplane.process`` (scaled, fault-gated) and
+packet: ``FunctionalDataplane.process`` (scaled) and
 ``multiserver.ServerStage.process`` (a stage slice).  This module is
 those two loops and the ``assign_instances`` they called, moved verbatim
+but for the instance-health gate, which left the functional plane
 (``self.`` state became one small class each; the merge is the per-op
 reference of :mod:`tests.support.merge_reference`, so neither oracle
 leans on the code it checks).  The split they apply is today's: crc32
@@ -25,14 +26,13 @@ so it also checks ``slice_subgraph``'s rebasing of them.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from repro.core.graph import ORIGINAL_VERSION, ServiceGraph
 from repro.dataplane.flowsplit import packet_key
 from repro.dataplane.functional import _counts, instantiate_nfs
-from repro.faults import HealthBoard
 from repro.net.packet import HEADER_COPY_BYTES, Packet
-from repro.nfs.base import NetworkFunction, create_nf
+from repro.nfs.base import NetworkFunction
 
 from .merge_reference import apply_merge_ops_reference
 
@@ -44,26 +44,19 @@ _NO_ASSIGNMENT: Dict[str, int] = {}
 def assign_instances_reference(
     key: Optional[bytes],
     counts: Mapping[str, int],
-    healthy: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> Dict[str, int]:
     scaled = {name: c for name, c in counts.items() if c > 1}
     if not scaled:
         return _NO_ASSIGNMENT
     digest = None if key is None else zlib.crc32(key)
-    assignment: Dict[str, int] = {}
-    for name, count in scaled.items():
-        live = healthy.get(name) if healthy else None
-        if live is not None and 0 < len(live) < count:
-            assignment[name] = live[0 if digest is None else digest % len(live)]
-        else:
-            assignment[name] = 0 if digest is None else digest % count
-    return assignment
+    return {name: 0 if digest is None else digest % count
+            for name, count in scaled.items()}
 
 
 class ReferenceWalk:
     """``FunctionalDataplane`` as it stood: one packet, the whole graph."""
 
-    def __init__(self, graph: ServiceGraph, scale=None, injector=None):
+    def __init__(self, graph: ServiceGraph, scale=None):
         self.graph = graph
         self.scale = _counts(graph, scale)
         self._scaled = {n: c for n, c in self.scale.items() if c > 1}
@@ -71,33 +64,11 @@ class ReferenceWalk:
         self.processed = 0
         self.emitted = 0
         self.dropped = 0
-        self.injector = injector
-        self.health = HealthBoard()
-        for name, count in self.scale.items():
-            self.health.register(name, count)
-        self.drop_reasons: Dict[str, int] = {}
-        self.restarts = 0
-
-    def _instance_down(self, entry, label: str, index: int) -> bool:
-        injector = self.injector
-        state = injector.on_packet(label, float(self.processed))
-        if not state.down:
-            return False
-        name = entry.node.name
-        remaining = self.health.mark_down(name, index)
-        if not remaining:
-            self.nfs[label] = create_nf(entry.node.kind, name=label)
-            self.restarts += 1
-            injector.revive(label)
-            self.health.mark_up(name, index)
-        return True
 
     def process(self, pkt: Packet) -> Optional[Packet]:
         self.processed += 1
         assignment = (
-            assign_instances_reference(
-                packet_key(pkt), self._scaled,
-                healthy=self.health.view() if self.injector else None)
+            assign_instances_reference(packet_key(pkt), self._scaled)
             if self._scaled else {}
         )
         versions: Dict[int, Packet] = {ORIGINAL_VERSION: pkt}
@@ -128,12 +99,6 @@ class ReferenceWalk:
                 index = (0 if self.scale[name] == 1
                          else assignment.get(name, 0))
                 label = name if self.scale[name] == 1 else f"{name}#{index}"
-                if (self.injector is not None
-                        and self._instance_down(entry, label, index)):
-                    self.drop_reasons["instance_down"] = (
-                        self.drop_reasons.get("instance_down", 0) + 1)
-                    newly_dropped.append(entry.version)
-                    continue
                 ctx = self.nfs[label].handle(buffer)
                 if ctx.dropped:
                     newly_dropped.append(entry.version)

@@ -129,14 +129,13 @@ def test_injector_fires_once_and_tracks_health():
     assert injector.packet_count("fw#0") == 2
 
 
-def test_injector_slow_factor_and_revive():
+def test_injector_slow_factor():
     injector = FaultInjector(FaultPlan.parse("slow:fw:x=6"))
+    assert injector.slow_factor("fw") == 1.0
     injector.on_packet("fw", 0.0)
     assert injector.state("fw") is HealthState.SLOW
     assert injector.slow_factor("fw") == 6.0
-    injector.revive("fw")
-    assert injector.state("fw") is HealthState.HEALTHY
-    assert injector.slow_factor("fw") == 1.0
+    assert injector.slow_factor("ids") == 1.0
 
 
 def test_injector_hang_is_down_but_slow_is_not():

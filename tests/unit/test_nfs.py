@@ -404,6 +404,30 @@ def test_nat_handles_udp_and_passes_others_through():
     assert bytes(icmp_like.buf) == before
 
 
+def test_nat_passes_a_later_fragment_through_untouched():
+    # A fragment past the first has no L4 header: its "ports" are
+    # payload bytes.  No rewrite, no binding.
+    nat = Nat()
+    frag = build_packet(size=96)
+    frag.ipv4.fragment_offset = 8
+    before = bytes(frag.buf)
+    assert not nat.handle(frag).dropped
+    assert bytes(frag.buf) == before
+    assert nat.binding_count() == 0
+
+
+def test_nat_translates_a_first_fragment():
+    # MF set at offset 0: the L4 header is there, so it translates.
+    nat = Nat()
+    first = build_packet(src_ip="10.0.0.1", src_port=5000, size=96)
+    first.ipv4.more_fragments = True
+    assert not nat.handle(first).dropped
+    assert first.ipv4.src_ip == nat.external_ip
+    assert first.tcp.src_port != 5000
+    assert first.ipv4.verify_checksum()
+    assert nat.binding_count() == 1
+
+
 def test_nat_pool_exhaustion_is_contained():
     # Port-pool exhaustion raises inside the NF; the fault-isolation
     # boundary in handle() converts it to a counted drop.

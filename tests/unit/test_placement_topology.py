@@ -144,17 +144,18 @@ class TestPerLinkLatency:
             link_cost_us(DEFAULT_PARAMS, 64, gbps=DEFAULT_PARAMS.nic_gbps))
 
     def test_uniform_special_case(self):
-        lat = CrossServerLatency(10.0, [5.0, 5.0], link_cost_each_us=2.0)
-        assert lat.link_costs_us == [2.0]
-        assert lat.link_cost_each_us == 2.0
-        assert lat.total_us == pytest.approx(12.0)
+        # The homogeneous cluster of §7: every hop at one cost.
+        lat = CrossServerLatency(10.0, [5.0, 5.0, 5.0], link_costs_us=[2.0] * 2)
+        assert lat.num_links == 2
+        assert lat.total_us == pytest.approx(19.0)
+        assert lat.penalty_us == pytest.approx(9.0)
 
     def test_heterogeneous_links_sum_and_guard(self):
         lat = CrossServerLatency(10.0, [4.0, 4.0, 4.0],
                                  link_costs_us=[1.0, 3.0])
         assert lat.total_us == pytest.approx(16.0)
         with pytest.raises(ValueError):
-            _ = lat.link_cost_each_us  # heterogeneous: no uniform cost
+            CrossServerLatency(10.0, [4.0, 4.0, 4.0], link_costs_us=[1.0])
 
     def test_wrong_link_count_rejected(self):
         with pytest.raises(ValueError):
