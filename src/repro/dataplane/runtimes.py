@@ -132,8 +132,9 @@ class _NFRuntimeSim:
         self.name = name
         self.core = core
         self.rx = Ring(server.env, server.params.ring_capacity, name=f"{nf.name}.rx")
-        #: Back-reference for the landing-time health check and overflow
-        #: accounting (see ``NFPServer._land`` / ``Ring.on_drop``).
+        #: Back-reference for the landing-time health check on fault runs
+        #: and overflow accounting (see ``NFPServer._land`` /
+        #: ``Ring.on_drop``).
         self.rx.owner = self
         #: True once a live scale-down retired this instance.
         self.retired = False
@@ -331,8 +332,10 @@ class _MergerSim:
             state.notified = 0
             state.nil = False
             state.at_opened_us = now
-            self.at[key] = state
-            self.at_high_watermark = max(self.at_high_watermark, len(self.at))
+            at = self.at
+            at[key] = state
+            if len(at) > self.at_high_watermark:
+                self.at_high_watermark = len(at)
             # Ticks anchor at ``now``, the instant the entry opened, not
             # at the clock the burst was woken on.
             if self.sweeper is not None:

@@ -392,12 +392,24 @@ class NFPServer(NicEgress):
         if dropped:
             state.dropped.add(version)
 
+        # Mid-graph: version barrier, counted only when it has one.
+        if not last and fan_in > 1:
+            barriers = state.barriers
+            remaining = barriers[key] = barriers.get(key, fan_in) - 1
+            if remaining > 0:
+                return 0.0
+
+        # The version as it leaves this stage: nil once any NF dropped it.
+        versions = state.versions
+        out_pkt = versions[version]
+        if version in state.dropped and not out_pkt.nil:
+            out_pkt = versions[version] = out_pkt.make_nil()
+
         extra = 0.0
         hop = self.params.ring_hop_us
         if last:
             # Final stage for this version: notify the merger the PID
             # hash picks (or output directly for a sequential graph).
-            out_pkt = self._version_packet(state, version)
             if state.merged:
                 self._post(self.mergers[meta.pid % self.num_mergers].rx,
                            out_pkt, now, self.params.merger_hop_latency_us)
@@ -408,49 +420,47 @@ class NFPServer(NicEgress):
                 self.emit(out_pkt, now)
             return extra
 
-        # Mid-graph: version barrier, counted only when it has one.
-        if fan_in > 1:
-            barriers = state.barriers
-            remaining = barriers[key] = barriers.get(key, fan_in) - 1
-            if remaining > 0:
-                return 0.0
-
         # Barrier complete: this runtime makes the copies due at the
         # next stage's entry and forwards to that stage.
-        fwd_pkt = self._version_packet(state, version)
         for copy, names in copies:
-            extra += self._make_copy(state, fwd_pkt, copy, now)
-            new_pkt = state.versions[copy.version]
+            extra += self._make_copy(state, out_pkt, copy, now)
+            new_pkt = versions[copy.version]
             for name in names:
                 self._post(self._ring_for(name, state), new_pkt, now)
                 extra += hop
         for name in targets:
-            self._post(self._ring_for(name, state), fwd_pkt, now)
+            self._post(self._ring_for(name, state), out_pkt, now)
             extra += hop
         return extra
-
-    def _version_packet(self, state: FlightState, version: int) -> Packet:
-        pkt = state.versions[version]
-        if version in state.dropped and not pkt.nil:
-            pkt = pkt.make_nil()
-            state.versions[version] = pkt
-        return pkt
 
     # ------------------------------------------------------------- egress
     def _post(self, ring: Ring, pkt: Packet, now: float,
               delay: Optional[float] = None) -> None:
-        """Send the reference at ``now``; it lands (:meth:`_land`) after
-        the pipeline's batch latency (or ``delay``)."""
-        wait = self.params.batch_wait_us if delay is None else delay
+        """Send the reference at ``now``; it lands after the pipeline's
+        batch latency (or ``delay``).
+
+        Fault-free and fail-fast (no injector, ``ring_retry_limit`` 0),
+        landing is the ring's own :meth:`~repro.sim.Ring.try_put`, queued
+        directly; otherwise :meth:`_land` decides.  Either way it is one
+        queue entry at the same instant.
+        """
+        params = self.params
+        wait = params.batch_wait_us if delay is None else delay
         hub = self.telemetry
         if hub.enabled:
             hub.inc("ring.hops")
             hub.span(SpanKind.ENQUEUE, now, pkt.meta, ring.name)
-        self.env.call_at(now + wait, self._land, ring, pkt)
+        if self.injector is None and params.ring_retry_limit == 0:
+            self.env.call_at(now + wait, ring.try_put, pkt)
+        else:
+            self.env.call_at(now + wait, self._land, ring, pkt)
 
     def _land(self, ring: Ring, pkt: Packet,
               retries: Optional[int] = None) -> None:
         """Land a posted reference: divert, retry while full, or put.
+
+        Queued by :meth:`_post` only on a server with a fault injector
+        or ring retries; a plain landing is the ring's ``try_put``.
 
         On arrival (``retries`` is None) with a fault injector attached,
         a reference to a dead or hung instance is diverted to

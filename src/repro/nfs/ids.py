@@ -105,9 +105,11 @@ class Ids(NetworkFunction):
     ):
         super().__init__(name)
         raw = signatures if signatures is not None else build_signatures()
+        #: A raw pattern's sid is its position in the list (1..N), so two
+        #: IDS objects over the same list count alerts under the same keys.
         self.rules: List[Signature] = [
-            sig if isinstance(sig, Signature) else Signature(sig)
-            for sig in raw
+            sig if isinstance(sig, Signature) else Signature(sig, sid=position)
+            for position, sig in enumerate(raw, 1)
         ]
         self.engine = AhoCorasick([rule.content for rule in self.rules])
         self.alerts = 0

@@ -69,7 +69,10 @@ class Environment:
         if scheduler != "heap":
             raise SimulationError(
                 f"unknown scheduler {scheduler!r}; the event queue is a heap")
-        self._now = float(initial_time)
+        #: Current simulation time in microseconds: a plain attribute
+        #: that only the pop loop (:meth:`step` / :meth:`run`) writes, so
+        #: a read is one attribute load, not a property call.
+        self.now = float(initial_time)
         #: Entries queued so far; the latest one's tie-break id.
         self._eid = 0
         self.queue_high_watermark = 0
@@ -77,11 +80,6 @@ class Environment:
         self._push: Callable[[tuple], None] = (
             self._push_tracked if track_stats
             else partial(heapq.heappush, self._queue))
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in microseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -101,7 +99,7 @@ class Environment:
         if delay < 0:
             raise SimulationError(f"negative call_later delay: {delay!r}")
         self._eid += 1
-        self._push((self._now + delay, self._eid, func, args))
+        self._push((self.now + delay, self._eid, func, args))
 
     def call_at(self, when: float, func: Callable[..., Any],
                 *args: Any) -> None:
@@ -113,9 +111,9 @@ class Environment:
         as given.  Ties with anything else due at ``when`` resolve in
         scheduling order, as for :meth:`call_later`.
         """
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"call_at({when!r}) lies in the past (now={self._now!r})")
+                f"call_at({when!r}) lies in the past (now={self.now!r})")
         self._eid += 1
         self._push((when, self._eid, func, args))
 
@@ -140,21 +138,21 @@ class Environment:
         """Pop the single next queue entry and call it."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        self._now, _, func, args = heapq.heappop(self._queue)
+        self.now, _, func, args = heapq.heappop(self._queue)
         func(*args)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock passes ``until``."""
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError("run(until) lies in the past")
         queue, pop = self._queue, heapq.heappop
         while queue:
             if until is not None and queue[0][0] > until:
                 break
-            self._now, _, func, args = pop(queue)  # step(), inlined
+            self.now, _, func, args = pop(queue)  # step(), inlined
             func(*args)
         if until is not None:
-            self._now = until
+            self.now = until
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

@@ -87,7 +87,8 @@ class Ring:
         free; otherwise it is buffered.
         """
         items = self._items
-        if len(items) >= self.capacity:
+        depth = len(items)
+        if depth >= self.capacity:
             self.dropped += 1
             if self.on_drop is not None:
                 self.on_drop(item)
@@ -104,8 +105,8 @@ class Ring:
             # consumer comes for it -- and whatever follows -- when free.
             env.call_at(self._free_at, self.wait, consumer)
         items.append(item)
-        if len(items) > self.high_watermark:
-            self.high_watermark = len(items)
+        if depth >= self.high_watermark:
+            self.high_watermark = depth + 1
         return True
 
     def put(self, item: Any) -> None:
@@ -153,12 +154,20 @@ class Ring:
 
     def burst(self, first: Any, size: int) -> List[Any]:
         """``first`` (the item :meth:`wait` handed over) plus up to
-        ``size - 1`` more dequeued now: one burst of at most ``size``."""
-        batch = [first]
+        ``size - 1`` more dequeued now: one burst of at most ``size``.
+
+        A ring holding less than a burst's worth is taken whole; a
+        fuller one drains ``size - 1`` items in one comprehension.
+        """
         items = self._items
-        while items and len(batch) < size:
-            batch.append(items.popleft())
-        return batch
+        if not items:
+            return [first]
+        if len(items) < size:
+            batch = [first, *items]
+            items.clear()
+            return batch
+        popleft = items.popleft
+        return [first, *[popleft() for _ in range(size - 1)]]
 
     def peek(self) -> Optional[Any]:
         """The next item without removing it, or ``None`` if empty."""

@@ -1,7 +1,8 @@
 """Differential: ``repro.nfs.AhoCorasick`` against the textbook automaton.
 
 ``src/`` walks only runs of pattern-alphabet bytes at least as long as
-the shortest pattern (found by a C-level ``re`` scan);
+the shortest pattern (marked by one ``translate`` through a class table
+and located with ``find``);
 :mod:`tests.support.aho_corasick_textbook` walks every byte.  Both must
 yield the same ``(pattern_index, end_offset)`` sequence, in the same
 order -- compared as lists, over all 256 byte values, every buffer type
@@ -16,12 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.check.generator import CaseGenerator
-from repro.nfs import AhoCorasick, Ids, Ips, Signature, build_signatures
+from repro.nfs import AhoCorasick, Ids, Ips, build_signatures
 from tests.support.aho_corasick_textbook import TextbookAhoCorasick
 
 BUFFERS = [bytes, bytearray, memoryview]
-#: NUL plus the bytes that mean something inside a regex character class.
-AWKWARD = [b"\x00", b"]", b"^", b"-", b"\\", b"[", b"^-]\\", b"\x00\x00", b"a-z"]
+#: NUL and \x01 (the two values a class mark takes, so a pattern made of
+#: them reads like the marks themselves), plus punctuation patterns.
+AWKWARD = [b"\x00", b"\x01", b"\x00\x01", b"]", b"^", b"-", b"\\", b"[",
+           b"^-]\\", b"\x00\x00", b"a-z"]
 
 
 def _same(patterns, data):
@@ -93,18 +96,36 @@ def test_runs_one_byte_shorter_than_the_shortest_pattern_are_skipped():
     assert _same(patterns, b"ab-abc-ca") == [(0, 6)]
 
 
+@pytest.mark.parametrize("data, expected", [
+    (b"abc", [(0, 3)]),                    # one run, exactly the shortest
+    (b"ab", []),                           # one byte short, whole buffer
+    (b"abc-ab", [(0, 3)]),                 # exact run at the start
+    (b"ab-abc", [(0, 6)]),                 # exact run at the end
+    (b"abc-abc", [(0, 3), (0, 7)]),        # two runs, one foreign byte apart
+    (b"bca-bc", []),                       # walked run, then a short one
+    (b"abcab", [(0, 3), (1, 5)]),          # a match ends on the last byte
+    (b"-abcabca", [(0, 4), (1, 6), (0, 7), (2, 8)]),
+])
+def test_run_boundaries(data, expected):
+    # Shortest pattern 3: every run is at, under or over the seed length.
+    assert _same([b"abc", b"bcab", b"cabca"], data) == expected
+
+
 def test_one_byte_patterns_and_no_patterns():
     assert _same([b"\x00"], b"\x00a\x00") == [(0, 1), (0, 3)]
+    assert _same([b"\x01"], b"\x00\x01\x01") == [(0, 2), (0, 3)]
     assert _same([b"a", b"a"], b"aa") == [(0, 1), (1, 1), (0, 2), (1, 2)]
-    assert list(AhoCorasick([]).finditer(b"anything")) == []
+    empty = AhoCorasick([])
+    for buffer in BUFFERS:
+        for data in (b"", b"\x00\x01", b"anything"):
+            assert list(empty.finditer(buffer(data))) == []
 
 
 @pytest.mark.parametrize("nf_class", [Ids, Ips])
 def test_ids_counts_equal_on_the_fuzzers_signature_traffic(nf_class):
-    # One rule list for both NFs: sids are process-global counters.
-    rules = [Signature(content) for content in build_signatures()]
-    fast, reference = nf_class("fast", rules), nf_class("ref", rules)
-    reference.engine = TextbookAhoCorasick([rule.content for rule in rules])
+    signatures = build_signatures()
+    fast, reference = nf_class("fast", signatures), nf_class("ref", signatures)
+    reference.engine = TextbookAhoCorasick(signatures)
     generator = CaseGenerator(seed=0, packets_per_case=24)
     packets = 0
     for index in range(40):
@@ -133,10 +154,12 @@ def _best_us(engine, data, rounds=5, loops=40):
 
 
 def test_scan_cost_follows_the_property_the_skip_names():
-    # The skip helps bytes that occur in no signature (here ~10x on the
-    # lab's zero padding) and costs a C-level pre-scan on payloads made
-    # only of signature-alphabet bytes (here ~1.05x; docs/BENCHMARKS.md).
-    # Wide margins: this guards the shape, not the numbers.
+    # The skip helps bytes that occur in no signature (here ~50x on the
+    # lab's zero padding: one translate and one containment test, no
+    # walk) and costs a C-level translate and find on payloads made only
+    # of signature-alphabet bytes, where every byte is still walked
+    # (here ~0.94-1.02x; docs/BENCHMARKS.md §25).  Wide margins: this
+    # guards the shape, not the numbers.
     signatures = build_signatures()
     fast, reference = AhoCorasick(signatures), TextbookAhoCorasick(signatures)
     rng = random.Random(5)

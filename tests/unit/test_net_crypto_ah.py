@@ -176,7 +176,7 @@ def test_ctr_nonce_range():
 # Profiler events ("call" + "c_call") of one aes_ctr_keystreams pass over
 # n one-block spans: the whole-state core before the row layout made 55,
 # 73 and 953 at 1, 10 and 450 spans; the budget is those plus 5.  The
-# lab's traced flash_crowd_des gate (< 258 calls per packet, 250.53 at
+# lab's traced flash_crowd_des gate (< 238 calls per packet, 230.20 at
 # seed 1) has about 7 calls of headroom, and a cipher that converts the
 # state row by row makes four times the conversion calls per round, so
 # it fails here.

@@ -568,6 +568,24 @@ def test_signature_validation_and_sid_allocation():
     assert explicit.sid == 424242
 
 
+def test_default_ids_objects_count_alerts_under_the_same_sids():
+    # A raw pattern's sid is its list position, not the next value of a
+    # process-wide counter: two IDS objects (two planes, or a plane and
+    # its sequential bank) agree on which rule fired.
+    corpus = build_signatures()
+    first, second = Ids("first"), Ids("second")
+    for index, pattern in enumerate(corpus[::7]):
+        payload = b"..." + pattern + b"..."
+        first.handle(build_packet(src_port=1000 + index, size=200,
+                                  payload=payload))
+        second.handle(build_packet(src_port=1000 + index, size=200,
+                                   payload=payload))
+    assert first.alerts >= len(corpus[::7])
+    assert first.alerts_by_sid == second.alerts_by_sid
+    assert set(first.alerts_by_sid) <= set(range(1, len(corpus) + 1))
+    assert first.alerts_by_sid[1] == 1  # corpus[0] is the first rule
+
+
 def test_ids_accepts_mixed_signature_types():
     from repro.nfs import Signature
 

@@ -149,3 +149,11 @@ def test_a_burst_of_one_is_the_handed_over_item_alone():
     assert ring.burst("first", 1) == ["first"] and len(ring) == 3
     assert ring.burst("first", 3) == ["first", "a", "b"] and len(ring) == 1
     assert ring.burst("first", 32) == ["first", "c"] and len(ring) == 0
+    assert ring.burst("first", 32) == ["first"]
+    # Exactly a burst's worth buffered, and one more than that.
+    for item in "def":
+        ring.put(item)
+    assert ring.burst("first", 4) == ["first", "d", "e", "f"] and len(ring) == 0
+    for item in "ghij":
+        ring.put(item)
+    assert ring.burst("first", 4) == ["first", "g", "h", "i"] and len(ring) == 1
