@@ -29,8 +29,12 @@ The last round's rows are interleaved back into blocks
 (``out[r::4] = …``) and take round key 10 whole, times the lane-repeat
 constant (xⁿ−1)/(x−1), x = 2¹²⁸.  The counter blocks ``nonce ‖ k`` have
 a closed form too: the block numbers n−1−j in lane j (from the least
-significant) sum to (xⁿ − n·x + n − 1)/(x−1)².  The key schedule is
-memoised per key, in the form the rounds read it.
+significant) sum to (xⁿ − n·x + n − 1)/(x−1)².  That quotient is a long
+division as wide as the message, so both lane constants of an n-block
+message are memoised per block count (a traffic mix has a handful of
+payload sizes), and a message's counter lanes cost one memo hit, a
+multiply-add and a shift.  The key schedule is memoised per key, in the
+form the rounds read it.
 
 Messages share the pass as well: :func:`aes_ctr_keystreams` packs the
 counter blocks of several ``(nonce, length)`` messages (a burst of
@@ -41,7 +45,11 @@ case, and a single block (``Aes128``) is the same core at n = 1.  The
 byte-wise transcription of the standard lives in
 ``tests/support/aes_textbook.py`` as the differential oracle.  Only the
 forward cipher exists here: CTR is its own inverse.  The module also
-provides the truncated-HMAC integrity check value (ICV) stamped into AH.
+provides the truncated HMAC-SHA1 integrity check value (ICV) stamped
+into AH.  HMAC hashes a keyed inner pad and a keyed outer pad ahead of
+the message (RFC 2104); the SHA-1 states after those pads depend on the
+key alone, so they are memoised per key and every ICV copies them:
+``copy`` / ``update`` / ``digest`` twice, not a fresh key set-up.
 
 The simulation charges the *calibrated* VPN service time
 (``SimParams.nf_service_us['vpn']``) on the model clock; this code's
@@ -50,7 +58,7 @@ speed only moves the host clock.
 
 from __future__ import annotations
 
-import hmac
+import hashlib
 import struct
 from functools import lru_cache
 from typing import List, Sequence, Tuple
@@ -89,10 +97,24 @@ _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 #: per VPN tunnel, a handful in any run.
 KEY_SCHEDULE_CACHE_SIZE = 32
 
+#: Bound of the per-block-count lane-constant memo: a payload's block
+#: count is at most 94 at a 1,500-byte MTU (563 for a 9,000-byte jumbo
+#: frame), and a traffic mix has a handful of sizes.  An entry holds
+#: two integers of 16 bytes a block, so the memo stays under 2.5 MB
+#: even when it fills with jumbo counts.
+LANE_CONSTANT_CACHE_SIZE = 128
+
+#: Bound of the HMAC pad memo: one key per VPN tunnel, as above.
+ICV_KEY_CACHE_SIZE = 32
+
 _SUB = bytes(_SBOX)  # SubBytes as a translate table
 
 _LANE = 1 << 128  # x: one lane up
 _ONE_PER_LANE = bytes(15) + b"\x01"  # one lane of (x^n - 1)/(x - 1)
+
+_SHA1_BLOCK = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))  # XOR with HMAC's ipad
+_OPAD = bytes(b ^ 0x5C for b in range(256))  # and opad, as translates
 
 #: ``_expand_key``'s result: round keys 0-9 as four row words each,
 #: round key 10 as one 128-bit integer.
@@ -197,6 +219,15 @@ class Aes128:
         return _encrypt_lanes(self._round_keys, state, 1, 1).to_bytes(16, "big")
 
 
+@lru_cache(maxsize=LANE_CONSTANT_CACHE_SIZE)
+def _lane_constants(blocks: int) -> Tuple[int, int]:
+    """``(ones, ramp)`` of an n-block message: ``ones`` = (xⁿ−1)/(x−1)
+    has a 1 in every lane, and lane j of ``ramp`` (from the least
+    significant) holds its block number n−1−j: (ones − n)/(x − 1)."""
+    ones = int.from_bytes(_ONE_PER_LANE * blocks, "big")
+    return ones, (ones - blocks) // (_LANE - 1)
+
+
 def _ctr_lanes(key: bytes, spans: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
     """``(keystream, lanes)``: every message's CTR blocks, from one pass.
 
@@ -206,23 +237,20 @@ def _ctr_lanes(key: bytes, spans: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
     is that state encrypted, ``lanes`` its block count.
     """
     round_keys = _expand_key(bytes(key))
-    state = rep = total = 0
+    state = total = 0
     for nonce, length in spans:
         if nonce < 0 or nonce >= 1 << 64:
             raise ValueError("nonce must fit in 64 bits")
         if length < 0:
             raise ValueError("keystream length must not be negative")
         blocks = (length + 15) >> 4
-        ones = int.from_bytes(_ONE_PER_LANE * blocks, "big")
-        # Lane j (from the least significant) holds block n-1-j: the
-        # block numbers are (ones - n)/(x - 1) = (x^n - n·x + n - 1)/(x - 1)^2.
-        shift = 128 * blocks
-        state = (state << shift) | ((nonce << 64) * ones
-                                    + (ones - blocks) // (_LANE - 1))
-        rep = (rep << shift) | ones
+        ones, ramp = _lane_constants(blocks)
+        state = (state << 128 * blocks) | ((nonce << 64) * ones + ramp)
         total += blocks
     if not total:
         return 0, 0
+    # The lane-repeat constant has a 1 in every lane whatever the split.
+    rep = int.from_bytes(_ONE_PER_LANE * total, "big")
     return _encrypt_lanes(round_keys, state, total, rep), total
 
 
@@ -260,6 +288,29 @@ def aes_ctr_transform(key: bytes, nonce: int, data: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ keystream).to_bytes(length, "big")
 
 
+@lru_cache(maxsize=ICV_KEY_CACHE_SIZE)
+def _hmac_pads(key: bytes) -> tuple:
+    """The SHA-1 states after HMAC's keyed inner and outer pads (RFC
+    2104 §4): a key longer than the 64-byte block is hashed first, a
+    shorter one zero-filled.  Every call shares them: copy a state
+    before updating it."""
+    if len(key) > _SHA1_BLOCK:
+        key = hashlib.sha1(key).digest()
+    key = key.ljust(_SHA1_BLOCK, b"\0")
+    return (hashlib.sha1(key.translate(_IPAD)),
+            hashlib.sha1(key.translate(_OPAD)))
+
+
 def compute_icv(key: bytes, data: bytes, length: int = 12) -> bytes:
-    """Truncated HMAC-SHA1 integrity check value (RFC 2404 style)."""
-    return hmac.digest(key, data, "sha1")[:length]
+    """Truncated HMAC-SHA1 integrity check value (RFC 2404 style).
+
+    Each call copies the key's memoised pad states and hashes ``data``
+    (any bytes-like object) into them: two compressions fewer than
+    keying HMAC afresh.
+    """
+    inner, outer = _hmac_pads(bytes(key))
+    inner = inner.copy()
+    inner.update(data)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()[:length]

@@ -22,6 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..net.ah import insert_ah, refresh_icv, remove_ah, verify_ah
 from ..net.crypto import aes_ctr_keystreams, aes_ctr_transform
+from ..net.fields import Field
+from ..net.headers import PROTO_AH
 from ..net.packet import Packet
 from .base import NetworkFunction, ProcessingContext, register_nf_class
 
@@ -73,7 +75,7 @@ class VpnEncryptor(NetworkFunction):
         seq = self.seq
         for pkt in pkts:
             try:
-                length = len(pkt.buf) - pkt.payload_offset
+                length = len(pkt.buf) - pkt._header_span()[1]
             except ValueError:
                 continue
             seq += 1
@@ -86,7 +88,7 @@ class VpnEncryptor(NetworkFunction):
         finally:
             self._spans = self._streams = None
 
-    def _encrypt(self, payload: bytes) -> bytes:
+    def _encrypt(self, payload: bytearray) -> bytes:
         """Encrypt under ``self.seq``: the burst's keystream when the
         payload is the one it was read as, else one call of its own."""
         seq = self.seq
@@ -103,14 +105,24 @@ class VpnEncryptor(NetworkFunction):
         return aes_ctr_transform(self.key, seq, payload)
 
     def process(self, pkt: Packet, ctx: ProcessingContext) -> None:
-        # The payload read refuses a frame that does not parse, before
-        # it spends a sequence number: a VPN beside a sibling that drops
-        # such a frame keeps the sequential chain's numbering.
-        payload = pkt.payload
+        # One header walk serves the payload read, its write and the AH
+        # test; the recorder hears the read and the write as it would
+        # through ``pkt.payload`` / ``pkt.set_payload``.  The walk
+        # refuses a frame that does not parse before it spends a
+        # sequence number: a VPN beside a sibling that drops such a
+        # frame keeps the sequential chain's numbering.
+        rec = pkt.recorder
+        if rec is not None:
+            rec.record("read", Field.PAYLOAD, pkt.uid)
+        l3, start = pkt._header_span()
+        buf = pkt.buf
+        payload = buf[start:]
         self.seq += 1
         if payload:
-            pkt.set_payload(self._encrypt(payload))
-        if pkt.has_ah:
+            if rec is not None:
+                rec.record("write", Field.PAYLOAD, pkt.uid)
+            buf[start:] = self._encrypt(payload)
+        if buf[l3 + 9] == PROTO_AH:
             # Already encapsulated (e.g. a second VPN hop in a synthetic
             # chain): the payload is re-encrypted under a fresh keystream
             # and the existing AH refreshed (sequence and ICV) instead of

@@ -12,8 +12,10 @@ import sys
 
 from repro.core import Orchestrator, Policy
 from repro.dataplane import FunctionalDataplane, NFPServer
-from repro.net import build_packet
+from repro.net import Packet, build_packet
+from repro.net import ah as ah_module
 from repro.nfs import vpn as vpn_module
+from repro.nfs.vpn import VpnEncryptor
 from repro.sim import DEFAULT_PARAMS, Environment
 from repro.traffic import FlowGenerator, PacketSizeDistribution, TrafficSource
 
@@ -63,6 +65,40 @@ WEST_EAST_DES_CALLS_PER_PKT = 210.0
 WEST_EAST = ["ids", "monitor", "loadbalancer"]
 DC_MIX = PacketSizeDistribution(
     [(64, 0.40), (200, 0.05), (576, 0.10), (1024, 0.05), (1450, 0.40)])
+
+
+def test_vpn_burst_walks_each_header_twice_and_times_each_icv(monkeypatch):
+    # One header walk in the burst's length pre-scan and one in
+    # ``process`` (the payload read, its write and the AH test); the AH
+    # splice finds its IPv4 offset once.  It was three walks and two
+    # offset look-ups a packet before.  And the ICV goes through
+    # ``repro.net.ah.compute_icv``, the module attribute the lab
+    # replaces to time it: a call that bypassed it reads 0 there.
+    pkts = FlowGenerator(num_flows=64, sizes=DC_MIX, seed=1).packets(10)
+    assert len({len(pkt.buf) for pkt in pkts}) > 1
+    walks = {"_header_span": 0, "_ipv4_offset": 0}
+    for name in walks:
+        original = getattr(Packet, name)
+
+        def counted(pkt, _name=name, _original=original):
+            walks[_name] += 1
+            return _original(pkt)
+
+        monkeypatch.setattr(Packet, name, counted)
+    icvs = []
+    compute_icv = ah_module.compute_icv
+
+    def counted_icv(key, data, length=12):
+        icvs.append(len(data))
+        return compute_icv(key, data, length)
+
+    monkeypatch.setattr(ah_module, "compute_icv", counted_icv)
+    ctxs = VpnEncryptor().handle_burst(pkts)
+    assert walks["_header_span"] <= 2 * len(pkts)
+    assert walks["_ipv4_offset"] <= len(pkts)
+    assert len(icvs) == len(pkts)
+    assert not any(ctx.dropped for ctx in ctxs)
+    assert all(pkt.has_ah for pkt in pkts)
 
 
 def _calls(func) -> int:
