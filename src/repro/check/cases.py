@@ -148,10 +148,6 @@ class ProfileTweak:
         if self.op in ("add-read", "hide-write") and self.field is None:
             raise ValueError(f"tweak {self.op!r} needs a field")
 
-    @property
-    def sound(self) -> bool:
-        return self.op in SOUND_TWEAK_OPS
-
     def apply(self, table: ActionTable) -> None:
         """Rewrite the profile for ``kind`` in place (register replace)."""
         base = table.fetch(self.kind)
@@ -247,10 +243,6 @@ class FuzzCase:
 
     def build_packets(self) -> List[Packet]:
         return [spec.build() for spec in self.packets]
-
-    @property
-    def has_bug_injection(self) -> bool:
-        return any(not tweak.sound for tweak in self.tweaks)
 
     def restricted_to(self, names: Sequence[str]) -> "FuzzCase":
         """The sub-case over a subset of NF instances.

@@ -48,21 +48,6 @@ from .compiler import CompilationResult, CompileError, NFPCompiler, compile_poli
 from .tables import ClassificationTable, CTEntry, TableSet, build_tables
 from .inspector import InspectionError, inspect_nf, inspect_nf_source
 from .match import FlowMatch
-from .profiles_io import (
-    load_action_table,
-    profile_from_dict,
-    profile_to_dict,
-    save_action_table,
-)
-from .micrograph import (
-    Decomposition,
-    Micrograph,
-    MicrographKind,
-    PairIR,
-    PositionIR,
-    decompose,
-)
-from .resolution import ResolutionReport, resolve_policy
 from .scaling import ScalePlan, plan_scale_out
 from .orchestrator import DeployedGraph, Orchestrator
 from .partition import PartitionError, ServerSlice, partition_graph
@@ -114,18 +99,6 @@ __all__ = [
     "inspect_nf_source",
     "InspectionError",
     "FlowMatch",
-    "profile_to_dict",
-    "profile_from_dict",
-    "save_action_table",
-    "load_action_table",
-    "resolve_policy",
-    "decompose",
-    "Decomposition",
-    "Micrograph",
-    "MicrographKind",
-    "PairIR",
-    "PositionIR",
-    "ResolutionReport",
     "plan_scale_out",
     "ScalePlan",
     "Orchestrator",

@@ -10,8 +10,8 @@ checks a compiler actually needs before graph construction:
   pinned to the same end.
 * **Order/Position contradictions** -- e.g. ``Position(X, first)`` while
   some rule orders another NF before X.
-* **Priority contradictions** -- both ``Priority(A > B)`` and
-  ``Priority(B > A)``.
+* **Priority cycles** -- the Priority relation must be a DAG too;
+  ``Priority(A > B)`` with ``Priority(B > A)`` is its shortest cycle.
 * **Priority/Order redundancy warnings** -- a pair constrained by both
   rule types (legal, but flagged since the paper treats them as
   different intents).
@@ -19,7 +19,7 @@ checks a compiler actually needs before graph construction:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .policy import Policy, Position
 
@@ -53,11 +53,11 @@ class ConflictReport:
         return f"ConflictReport(errors={self.errors!r}, warnings={self.warnings!r})"
 
 
-def _order_cycle(policy: Policy) -> List[str]:
-    """Return one cycle through the Order relation, if any (DFS)."""
+def _find_cycle(edges: Iterable[Tuple[str, str]]) -> List[str]:
+    """Return one cycle through a relation's edges, if any (DFS)."""
     adjacency: Dict[str, List[str]] = {}
-    for rule in policy.order_rules():
-        adjacency.setdefault(rule.before, []).append(rule.after)
+    for src, dst in edges:
+        adjacency.setdefault(src, []).append(dst)
 
     WHITE, GRAY, BLACK = 0, 1, 2
     colour: Dict[str, int] = {}
@@ -90,10 +90,17 @@ def check_policy(policy: Policy) -> ConflictReport:
     """Validate a policy; returns a report of errors and warnings."""
     report = ConflictReport()
 
-    # 1. Order cycles.
-    cycle = _order_cycle(policy)
-    if cycle:
-        report.errors.append(f"Order rules form a cycle: {' -> '.join(cycle)}")
+    # 1. Order and Priority cycles.
+    relations = (
+        ("Order", [(r.before, r.after) for r in policy.order_rules()]),
+        ("Priority", [(r.high, r.low) for r in policy.priority_rules()]),
+    )
+    for relation, edges in relations:
+        cycle = _find_cycle(edges)
+        if cycle:
+            report.errors.append(
+                f"{relation} rules form a cycle: {' -> '.join(cycle)}"
+            )
 
     # 2. Position clashes.
     pinned: Dict[str, Set[Position]] = {}
@@ -124,13 +131,9 @@ def check_policy(policy: Policy) -> ConflictReport:
                 f"{rule.before} is pinned last but ordered before {rule.after}"
             )
 
-    # 4. Priority contradictions and duplicates.
+    # 4. Priority duplicates.
     seen_priorities: Set[Tuple[str, str]] = set()
     for rule in policy.priority_rules():
-        if (rule.low, rule.high) in seen_priorities:
-            report.errors.append(
-                f"contradictory priorities between {rule.high} and {rule.low}"
-            )
         if (rule.high, rule.low) in seen_priorities:
             report.warnings.append(
                 f"duplicate priority rule {rule.high} > {rule.low}"

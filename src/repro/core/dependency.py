@@ -155,10 +155,6 @@ class ParallelismResult:
         self.conflicting_actions = list(conflicting_actions or [])
 
     @property
-    def needs_copy(self) -> bool:
-        return self.parallelizable and bool(self.conflicting_actions)
-
-    @property
     def classification(self) -> Parallelism:
         if not self.parallelizable:
             return Parallelism.NOT_PARALLELIZABLE

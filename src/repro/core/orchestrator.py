@@ -87,10 +87,6 @@ class Orchestrator:
         self._next_mid = 1
 
     # -------------------------------------------------------- NF lifecycle
-    def register_profile(self, profile: ActionProfile, replace: bool = False) -> None:
-        """Register a manually written action profile (§4.3)."""
-        self.action_table.register(profile, replace=replace)
-
     def register_nf(
         self, nf: Union[type, object], name: Optional[str] = None, replace: bool = False
     ) -> ActionProfile:
@@ -217,11 +213,6 @@ class Orchestrator:
         self._deployed[new_mid] = deployed
         return deployed
 
-    def undeploy(self, mid: int) -> None:
-        if mid not in self._deployed:
-            raise KeyError(f"no deployed graph with MID {mid}")
-        del self._deployed[mid]
-
     def deployed(self) -> List[DeployedGraph]:
         return list(self._deployed.values())
 
@@ -229,8 +220,6 @@ class Orchestrator:
         return self._deployed[mid]
 
     def _allocate_mid(self) -> int:
-        while self._next_mid in self._deployed:
-            self._next_mid += 1
         if self._next_mid > _MAX_MID:
             raise RuntimeError("MID space exhausted (20 bits)")
         mid = self._next_mid

@@ -27,7 +27,6 @@ from .overhead import (
     expected_overhead,
     merger_scaling,
     resource_overhead_curve,
-    theoretical_overhead,
 )
 from .experiments import (
     ExperimentTable,
@@ -68,7 +67,6 @@ __all__ = [
     "TABLE2_NF_SET",
     "ReplayReport",
     "replay_chain",
-    "theoretical_overhead",
     "expected_overhead",
     "resource_overhead_curve",
     "copy_merge_penalty",

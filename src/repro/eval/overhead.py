@@ -26,22 +26,12 @@ from .harness import measure_nfp
 from .model import nfp_capacity
 
 __all__ = [
-    "theoretical_overhead",
     "expected_overhead",
     "resource_overhead_curve",
     "copy_merge_penalty",
     "merger_scaling",
     "MergerScalingResult",
 ]
-
-
-def theoretical_overhead(packet_size: int, degree: int) -> float:
-    """§6.3.1: ro = 64 x (d - 1) / s for one packet size."""
-    if packet_size <= 0:
-        raise ValueError("packet size must be positive")
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    return HEADER_COPY_BYTES * (degree - 1) / packet_size
 
 
 def expected_overhead(

@@ -9,12 +9,7 @@ NFP metadata.
 
 from .nsh import NSH_LEN, NshTag, decapsulate, encapsulate, has_nsh
 from .dataplane import MultiServerDataplane
-from .latency import (
-    CrossServerLatency,
-    estimate_cross_server_latency,
-    estimate_placed_latency,
-    link_cost_us,
-)
+from .latency import estimate_placed_latency, link_cost_us
 from .timed import TimedMultiServer
 
 __all__ = [
@@ -24,9 +19,7 @@ __all__ = [
     "has_nsh",
     "NSH_LEN",
     "MultiServerDataplane",
-    "estimate_cross_server_latency",
     "estimate_placed_latency",
-    "CrossServerLatency",
     "link_cost_us",
     "TimedMultiServer",
 ]

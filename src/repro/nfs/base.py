@@ -166,11 +166,6 @@ class NetworkFunction:
     def import_shared_state(self, state: Any) -> None:
         """Merge a peer's shared-state snapshot into this instance."""
 
-    def reset_stats(self) -> None:
-        self.rx_packets = 0
-        self.dropped_packets = 0
-        self.errors = 0
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
 

@@ -150,6 +150,3 @@ class Nat(NetworkFunction):
     # ------------------------------------------------------ operator API
     def binding_count(self) -> int:
         return len(self._by_internal)
-
-    def lookup_external(self, external_port: int) -> Optional[NatBinding]:
-        return self._by_external.get(external_port)

@@ -203,13 +203,13 @@ def round_robin_place(
             continue
         report = placed_capacity(request.graph, slices, params,
                                  packet_size=request.packet_size)
-        latency = estimate_placed_latency(
+        delay_us = estimate_placed_latency(
             request.graph, slices, links, params,
             packet_size=request.packet_size,
         )
         placement = ChainPlacement(
             request=request, cuts=tuple(cuts), path=path, slices=slices,
-            links=links, delay_us=latency.total_us,
+            links=links, delay_us=delay_us,
             capacity_mpps=report.mpps, bottleneck=report.bottleneck,
         )
         ledger.commit(placement)

@@ -248,7 +248,7 @@ def evaluate_candidate(
     report = placed_capacity(
         request.graph, slices, params, packet_size=request.packet_size
     )
-    latency = estimate_placed_latency(
+    delay_us = estimate_placed_latency(
         request.graph, slices, links, params,
         packet_size=request.packet_size,
     )
@@ -258,7 +258,7 @@ def evaluate_candidate(
         path=tuple(path),
         slices=slices,
         links=links,
-        delay_us=latency.total_us,
+        delay_us=delay_us,
         capacity_mpps=report.mpps,
         bottleneck=report.bottleneck,
     )
@@ -271,9 +271,9 @@ def evaluate_candidate(
             f"capacity {report.mpps:.2f} Mpps < SLO max "
             f"{request.slo.max_mpps:.2f} (bottleneck {report.bottleneck})"
         )
-    if latency.total_us > request.slo.max_delay_us:
+    if delay_us > request.slo.max_delay_us:
         return None, (
-            f"predicted delay {latency.total_us:.1f}us exceeds SLO "
+            f"predicted delay {delay_us:.1f}us exceeds SLO "
             f"{request.slo.max_delay_us:.1f}us"
         )
     return placement, ""

@@ -112,13 +112,6 @@ class PlacedDataplane:
         """Whether the active placement is still fully healthy."""
         return all(self.board.up(name) for name in self.placement.path)
 
-    @property
-    def current_path(self) -> tuple:
-        return (
-            self.placement.path if self.on_active_path
-            else self.placement.backup.path
-        )
-
     def _account_drop(self, reason: str) -> None:
         self.drops[reason] = self.drops.get(reason, 0) + 1
         if self.telemetry.enabled:

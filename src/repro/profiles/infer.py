@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
-from ..core.actions import Action, ActionProfile, Verb
+from ..core.actions import Action, Verb
 from ..net.recorder import AccessEvent
 
 __all__ = ["Observation", "InferredProfile", "infer_profiles", "VERB_MAP"]
@@ -75,10 +75,6 @@ class InferredProfile:
     @property
     def actions(self) -> frozenset:
         return frozenset(self.observations)
-
-    def to_action_profile(self, name: Optional[str] = None) -> ActionProfile:
-        """The inferred footprint as a registrable ActionProfile."""
-        return ActionProfile(name or self.kind, self.actions)
 
     def finish(self) -> "InferredProfile":
         self.packets_seen = len(self._uids)

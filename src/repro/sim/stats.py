@@ -103,11 +103,6 @@ class LatencyStats:
         """How many leading samples the statistics currently exclude."""
         return int(len(self._samples) * self._warmup_fraction)
 
-    @property
-    def warmup_effective(self) -> bool:
-        """True when a non-empty warm-up prefix is actually trimmed."""
-        return self.warmup_skipped > 0
-
     def _steady(self) -> List[float]:
         """Samples with the warm-up prefix removed.
 

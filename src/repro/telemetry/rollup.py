@@ -56,11 +56,6 @@ class StageRollup:
     def total_us(self) -> float:
         return sum(self.times_us.values())
 
-    @property
-    def non_empty(self) -> bool:
-        """True when at least one stage accumulated time."""
-        return self.total_us > 0.0
-
     def shares(self) -> Dict[str, float]:
         """Per-stage fraction of the total attributed time.
 

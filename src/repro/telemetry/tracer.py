@@ -113,11 +113,6 @@ class PacketTrace:
     def by_kind(self, kind: SpanKind) -> List[SpanEvent]:
         return [event for event in self.events if event.kind is kind]
 
-    def unmatched_starts(self) -> int:
-        starts = len(self.by_kind(SpanKind.NF_START))
-        ends = len(self.by_kind(SpanKind.NF_END))
-        return max(0, starts - ends)
-
     @property
     def terminal(self) -> Optional[SpanEvent]:
         """The output/drop event closing the trace, if any."""

@@ -98,11 +98,3 @@ def test_fault_in_sequential_position_stops_that_packet_only():
     for out in results:
         if out is not None:
             assert out.has_ah  # the surviving path completed the VPN
-
-
-def test_error_counters_reset():
-    faulty = FaultyMonitor(crash_every=1)
-    faulty.handle(build_packet(size=64))
-    assert faulty.errors == 1
-    faulty.reset_stats()
-    assert faulty.errors == 0

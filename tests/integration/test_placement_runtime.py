@@ -86,8 +86,8 @@ class TestCrashFailover:
             assert emitted == 39
             # Failover happened onto the pre-planned disjoint backup.
             assert plane.failovers == 1
-            assert plane.current_path == placement.backup.path
-            assert victim not in plane.current_path
+            assert not plane.on_active_path
+            assert victim not in placement.backup.path
             assert hub.registry.counter_value("placement.failover") == 1
 
     def test_multi_server_active_path_each_hop(self):
@@ -104,7 +104,7 @@ class TestCrashFailover:
             report = plane.conservation_report()
             assert report["violation"] == 0, report
             assert report["drop.server_crash"] == 1
-            assert plane.current_path == placement.backup.path
+            assert not plane.on_active_path
 
     def test_double_fault_still_conserves(self):
         # Kill the active path, then the backup too: everything after
@@ -132,7 +132,7 @@ class TestCrashFailover:
         assert report["violation"] == 0
         assert report["dropped"] == 0
         assert plane.failovers == 0
-        assert plane.current_path == placement.path
+        assert plane.on_active_path
 
     def test_backup_required(self):
         topology, plan = place_fig13(backups=False)

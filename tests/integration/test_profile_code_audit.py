@@ -95,7 +95,7 @@ def test_registering_inspected_profile_compiles(kind):
 
     orch = Orchestrator()
     profile = inspect_nf(nf_class(kind), name=f"audited-{kind}")
-    orch.register_profile(profile)
+    orch.action_table.register(profile)
     policy = Policy(name="audit")
     policy.declare(__import__("repro.core", fromlist=["NFSpec"]).NFSpec(
         "x", f"audited-{kind}"))

@@ -1,6 +1,7 @@
-"""Property-based tests for the policy layer (DSL round trip, resolution)."""
+"""Property-based tests for the policy layer (DSL round trip, conflict check)."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -9,11 +10,12 @@ from repro.core import (
     Policy,
     PositionRule,
     PriorityRule,
+    PolicyConflictError,
     check_policy,
+    compile_policy,
     format_policy,
     parse_policy,
 )
-from repro.core.resolution import resolve_policy
 
 nf_names = st.sampled_from(
     ["fw", "mon", "lb", "vpn", "ids", "nat", "gw", "cache"]
@@ -59,13 +61,20 @@ def test_format_parse_roundtrip_preserves_explicit_kinds(policy):
 
 @settings(max_examples=60, deadline=None)
 @given(policy=policies())
-def test_resolution_always_converges_to_clean_policy(policy):
-    report = resolve_policy(policy)
-    assert check_policy(report.policy).ok
-    # Resolution only ever removes rules, never invents them.
-    assert len(report.policy.rules) + len(report.dropped) == len(policy.rules)
-    for rule in report.policy.rules:
-        assert rule in policy.rules
+def test_compile_fails_exactly_on_check_policy_errors(policy):
+    # The compiler's only policy gate is check_policy: a policy it
+    # accepts compiles, one it rejects raises its errors, never a bare
+    # ValueError from a later pass.
+    assume(policy.nf_names())  # an empty policy has no graph to build
+    policy = Policy(policy.rules, [NFSpec(name, "firewall")
+                                   for name in sorted(policy.nf_names())])
+    report = check_policy(policy)
+    if report.ok:
+        compile_policy(policy)
+    else:
+        with pytest.raises(PolicyConflictError) as caught:
+            compile_policy(policy)
+        assert caught.value.conflicts == report.errors
 
 
 @settings(max_examples=60, deadline=None)

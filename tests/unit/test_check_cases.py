@@ -3,6 +3,7 @@
 import pytest
 
 from repro.check import FuzzCase, PacketSpec, ProfileTweak
+from repro.check.cases import SOUND_TWEAK_OPS
 from repro.core.actions import Verb
 from repro.core.action_table import default_action_table
 from repro.net.fields import Field
@@ -53,9 +54,9 @@ def test_packet_spec_builds_fresh_packets():
 def test_tweak_parse_accepts_cli_forms():
     t = ProfileTweak.parse("hidden-write:loadbalancer:DIP")
     assert (t.kind, t.op, t.field) == ("loadbalancer", "hide-write", Field.DIP)
-    assert not t.sound
+    assert t.op not in SOUND_TWEAK_OPS
     assert ProfileTweak.parse("no-drop:firewall").op == "hide-drop"
-    assert ProfileTweak.parse("add-read:monitor:TTL").sound
+    assert ProfileTweak.parse("add-read:monitor:TTL").op in SOUND_TWEAK_OPS
     with pytest.raises(ValueError):
         ProfileTweak.parse("hidden-write:loadbalancer")  # missing field
     with pytest.raises(ValueError):
@@ -120,10 +121,10 @@ def test_restricted_to_keeps_transitive_order():
 
 
 def test_bug_injection_flag():
-    case = _case()
-    assert not case.has_bug_injection
-    case.tweaks.append(ProfileTweak.parse("no-drop:firewall"))
-    assert case.has_bug_injection
+    # A bug injection is a tweak outside the sound ops; a plain case
+    # carries none.
+    assert all(t.op in SOUND_TWEAK_OPS for t in _case().tweaks)
+    assert ProfileTweak.parse("no-drop:firewall").op not in SOUND_TWEAK_OPS
 
 
 def test_protocols_match_skeleton_expectations():

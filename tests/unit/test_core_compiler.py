@@ -185,10 +185,7 @@ def test_orchestrator_deploy_allocates_mids():
     b = orch.deploy(Policy.from_chain(["gateway", "caching"], name="b"))
     assert a.mid != b.mid
     assert {d.mid for d in orch.deployed()} == {a.mid, b.mid}
-    orch.undeploy(a.mid)
-    assert [d.mid for d in orch.deployed()] == [b.mid]
-    with pytest.raises(KeyError):
-        orch.undeploy(a.mid)
+    assert orch.get(b.mid) is b
 
 
 # ------------------------------------------- version-field bound (4 bits)
@@ -204,7 +201,7 @@ def _same_field_writers(n):
     kinds = []
     for i in range(n):
         kind = f"scrub{i}"
-        orch.register_profile(
+        orch.action_table.register(
             ActionProfile(kind, [Action(Verb.WRITE, Field.TTL)]))
         kinds.append(kind)
     return orch, Policy.from_chain(kinds)

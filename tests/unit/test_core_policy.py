@@ -12,6 +12,7 @@ from repro.core import (
     PositionRule,
     PriorityRule,
     check_policy,
+    compile_policy,
     format_policy,
     parse_policy,
 )
@@ -188,7 +189,20 @@ def test_order_position_contradiction():
 
 def test_priority_contradiction():
     policy = Policy().priority("a", "b").priority("b", "a")
-    assert any("contradictory priorities" in e for e in check_policy(policy).errors)
+    assert check_policy(policy).errors == [
+        "Priority rules form a cycle: a -> b -> a"
+    ]
+
+
+def test_priority_three_cycle_is_a_policy_conflict():
+    # No two rules contradict each other; the cycle only closes at three.
+    policy = Policy(instances=[NFSpec(n, "firewall") for n in "abc"])
+    policy.priority("a", "b").priority("b", "c").priority("c", "a")
+    with pytest.raises(PolicyConflictError) as caught:
+        compile_policy(policy)
+    assert caught.value.conflicts == [
+        "Priority rules form a cycle: a -> b -> c -> a"
+    ]
 
 
 def test_duplicate_priority_warns():

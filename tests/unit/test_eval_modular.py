@@ -14,7 +14,6 @@ from repro.eval import (
     nfp_latency_floor,
     onvm_capacity,
     render_table,
-    theoretical_overhead,
 )
 from repro.modular import (
     BlockPipeline,
@@ -29,6 +28,7 @@ from repro.modular import (
     read_packets,
 )
 from repro.sim import DEFAULT_PARAMS
+from repro.traffic import PacketSizeDistribution
 
 
 # ---------------------------------------------------------- forced graphs
@@ -146,14 +146,13 @@ def test_pair_statistics_weighting_variants():
 
 # ---------------------------------------------------------------- overhead
 def test_theoretical_overhead_equation():
-    # §6.3.1: ro = 64 x (d - 1) / s.
-    assert theoretical_overhead(64, 2) == pytest.approx(1.0)
-    assert theoretical_overhead(1500, 2) == pytest.approx(64 / 1500)
-    assert theoretical_overhead(724, 1) == 0.0
-    with pytest.raises(ValueError):
-        theoretical_overhead(0, 2)
-    with pytest.raises(ValueError):
-        theoretical_overhead(64, 0)
+    # §6.3.1: ro = 64 x (d - 1) / s, over a one-size distribution.
+    def at(size, degree):
+        return expected_overhead(degree, PacketSizeDistribution([(size, 1.0)]))
+
+    assert at(64, 2) == pytest.approx(1.0)
+    assert at(1500, 2) == pytest.approx(64 / 1500)
+    assert at(724, 1) == 0.0
 
 
 def test_expected_overhead_matches_paper_8_8_percent():

@@ -45,13 +45,14 @@ def test_ignore_action_repr():
 
 
 # ------------------------------------------------------------ orchestrator
-def test_mid_allocation_skips_and_reuses_cleanly():
+def test_mid_allocation_never_reuses_a_mid():
     orch = Orchestrator()
     first = orch.deploy(Policy.from_chain(["firewall"], name="a"))
     second = orch.deploy(Policy.from_chain(["monitor"], name="b"))
-    orch.undeploy(first.mid)
+    degraded = orch.degrade(first.mid)
     third = orch.deploy(Policy.from_chain(["gateway"], name="c"))
-    assert third.mid not in (second.mid,)
+    mids = [first.mid, second.mid, degraded.mid, third.mid]
+    assert mids == sorted(set(mids))
     assert orch.get(third.mid) is third
 
 

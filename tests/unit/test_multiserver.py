@@ -209,31 +209,39 @@ def test_nf_lookup_across_servers():
 
 
 # --------------------------------------------------------- latency model
+def _placed_penalty_us(graph, cores_per_server):
+    """Partitioned zero-load latency over uniform NIC-rate links, minus
+    the single-box floor; returns (slices, penalty)."""
+    from repro.core import partition_graph
+    from repro.eval.model import nfp_latency_floor
+    from repro.multiserver import estimate_placed_latency
+    from repro.placement import Link
+    from repro.sim import DEFAULT_PARAMS
+
+    slices = partition_graph(graph, cores_per_server)
+    links = [Link(f"s{i}", f"s{i + 1}", gbps=DEFAULT_PARAMS.nic_gbps)
+             for i in range(len(slices) - 1)]
+    total = estimate_placed_latency(graph, slices, links, DEFAULT_PARAMS)
+    return slices, total - nfp_latency_floor(graph, DEFAULT_PARAMS)
+
+
 def test_cross_server_latency_penalty_is_link_cost():
-    from repro.multiserver import estimate_cross_server_latency, link_cost_us
+    from repro.multiserver import link_cost_us
     from repro.sim import DEFAULT_PARAMS
 
     graph = graph_for(["gateway", "monitor", "nat", "firewall",
                        "loadbalancer", "vpn"])
-    estimate = estimate_cross_server_latency(graph, DEFAULT_PARAMS,
-                                             cores_per_server=5)
-    assert estimate.num_servers == 2
-    assert estimate.num_links == 1
-    assert estimate.penalty_us > 0
-    assert estimate.penalty_us == pytest.approx(
-        link_cost_us(DEFAULT_PARAMS, 64), abs=0.5
-    )
+    slices, penalty = _placed_penalty_us(graph, cores_per_server=5)
+    assert len(slices) == 2
+    assert penalty > 0
+    assert penalty == pytest.approx(link_cost_us(DEFAULT_PARAMS, 64), abs=0.5)
 
 
 def test_cross_server_latency_single_box_has_no_penalty():
-    from repro.multiserver import estimate_cross_server_latency
-    from repro.sim import DEFAULT_PARAMS
-
     graph = graph_for(["firewall", "monitor"])
-    estimate = estimate_cross_server_latency(graph, DEFAULT_PARAMS,
-                                             cores_per_server=8)
-    assert estimate.num_servers == 1
-    assert estimate.penalty_us == pytest.approx(0.0, abs=0.01)
+    slices, penalty = _placed_penalty_us(graph, cores_per_server=8)
+    assert len(slices) == 1
+    assert penalty == pytest.approx(0.0, abs=0.01)
 
 
 def test_link_cost_grows_with_packet_size():

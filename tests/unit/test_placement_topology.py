@@ -4,11 +4,8 @@ import pytest
 
 from repro.core import Orchestrator, Policy
 from repro.core.partition import PartitionError, partition_at
-from repro.multiserver.latency import (
-    CrossServerLatency,
-    estimate_placed_latency,
-    link_cost_us,
-)
+from repro.eval.model import nfp_latency_floor
+from repro.multiserver.latency import estimate_placed_latency, link_cost_us
 from repro.placement import Link, Server, Topology, TopologyError
 from repro.sim.params import DEFAULT_PARAMS
 
@@ -144,22 +141,37 @@ class TestPerLinkLatency:
             link_cost_us(DEFAULT_PARAMS, 64, gbps=DEFAULT_PARAMS.nic_gbps))
 
     def test_uniform_special_case(self):
-        # The homogeneous cluster of §7: every hop at one cost.
-        lat = CrossServerLatency(10.0, [5.0, 5.0, 5.0], link_costs_us=[2.0] * 2)
-        assert lat.num_links == 2
-        assert lat.total_us == pytest.approx(19.0)
-        assert lat.penalty_us == pytest.approx(9.0)
+        # The homogeneous cluster of §7: every hop at one cost, and the
+        # placement pays exactly its hops over the single-box floor.
+        graph = chain_graph("vpn", "monitor", "firewall", "loadbalancer")
+        slices = partition_at(graph, [1, 2])
+        links = [Link("a", "b", gbps=10.0), Link("b", "c", gbps=10.0)]
+        total = estimate_placed_latency(graph, slices, links, DEFAULT_PARAMS)
+        assert total - nfp_latency_floor(graph, DEFAULT_PARAMS) == pytest.approx(
+            2 * link_cost_us(DEFAULT_PARAMS, 64, gbps=10.0))
 
     def test_heterogeneous_links_sum_and_guard(self):
-        lat = CrossServerLatency(10.0, [4.0, 4.0, 4.0],
-                                 link_costs_us=[1.0, 3.0])
-        assert lat.total_us == pytest.approx(16.0)
+        graph = chain_graph("vpn", "monitor", "firewall", "loadbalancer")
+        slices = partition_at(graph, [1, 2])
+        mixed = [Link("a", "b", gbps=10.0),
+                 Link("b", "c", gbps=40.0, propagation_us=2.0)]
+        total = estimate_placed_latency(graph, slices, mixed, DEFAULT_PARAMS)
+        hops = sum(link_cost_us(DEFAULT_PARAMS, 64, gbps=link.gbps,
+                                propagation_us=link.propagation_us)
+                   for link in mixed)
+        assert total - nfp_latency_floor(graph, DEFAULT_PARAMS) == pytest.approx(
+            hops)
         with pytest.raises(ValueError):
-            CrossServerLatency(10.0, [4.0, 4.0, 4.0], link_costs_us=[1.0])
+            estimate_placed_latency(graph, slices, mixed[:1], DEFAULT_PARAMS)
 
     def test_wrong_link_count_rejected(self):
+        graph = chain_graph("vpn", "monitor", "firewall", "loadbalancer")
+        slices = partition_at(graph, [1])
         with pytest.raises(ValueError):
-            CrossServerLatency(10.0, [5.0, 5.0], link_costs_us=[1.0, 2.0])
+            estimate_placed_latency(graph, slices, [], DEFAULT_PARAMS)
+        with pytest.raises(ValueError):
+            estimate_placed_latency(graph, slices, [Link("a", "b")] * 2,
+                                    DEFAULT_PARAMS)
 
     def test_estimate_placed_latency_prices_each_hop(self):
         graph = chain_graph("vpn", "monitor", "firewall", "loadbalancer")
@@ -171,14 +183,8 @@ class TestPerLinkLatency:
             graph, slices, uniform, DEFAULT_PARAMS)
         lat_mixed = estimate_placed_latency(
             graph, slices, mixed, DEFAULT_PARAMS)
-        assert lat_uniform.link_costs_us[0] == pytest.approx(
-            lat_uniform.link_costs_us[1])
-        assert lat_mixed.link_costs_us[0] != lat_mixed.link_costs_us[1]
         expected_delta = (
             link_cost_us(DEFAULT_PARAMS, 64, gbps=40.0, propagation_us=2.0)
             - link_cost_us(DEFAULT_PARAMS, 64, gbps=10.0)
         )
-        assert (lat_mixed.total_us - lat_uniform.total_us
-                == pytest.approx(expected_delta))
-        with pytest.raises(ValueError):
-            estimate_placed_latency(graph, slices, uniform[:1], DEFAULT_PARAMS)
+        assert lat_mixed - lat_uniform == pytest.approx(expected_delta)

@@ -51,9 +51,9 @@ def test_copy_events_are_attribution_only():
 
 def test_inferred_profile_registers_as_action_profile():
     events = [_event("custom", "write", Field.TTL)]
-    inferred = infer_profiles(events)["custom"].to_action_profile()
+    inferred = infer_profiles(events)["custom"]
     table = ActionTable()
-    table.register(inferred)
+    table.register(ActionProfile(inferred.kind, inferred.actions))
     assert table.fetch("custom").writes == {Field.TTL}
 
 

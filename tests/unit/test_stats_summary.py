@@ -33,14 +33,13 @@ def test_latency_stats_summary_uses_steady_state():
     assert summary.count == 2
     assert summary.mean == pytest.approx(2.5)
     assert stats.warmup_skipped == 2
-    assert stats.warmup_effective
 
 
 def test_short_run_warns_once_about_ineffective_warmup():
     stats = LatencyStats(warmup_fraction=0.1)
     for value in (1.0, 2.0, 3.0):  # 3 samples -> skip = int(0.3) = 0
         stats.record(value)
-    assert not stats.warmup_effective
+    assert stats.warmup_skipped == 0
     with pytest.warns(UserWarning, match="warm-up skip is empty"):
         assert stats.mean == pytest.approx(2.0)
     # Warned once; further statistics stay quiet.
@@ -67,5 +66,5 @@ def test_no_warning_when_warmup_disabled_or_effective():
         effective = LatencyStats(warmup_fraction=0.1)
         for value in range(20):
             effective.record(float(value))
-        assert effective.warmup_effective
+        assert effective.warmup_skipped == 2
         assert effective.mean > 0

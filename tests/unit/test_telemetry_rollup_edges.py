@@ -89,7 +89,6 @@ def test_mutating_snapshot_does_not_touch_registry():
 # ---------------------------------------------------------------- rollups
 def test_stage_rollup_of_nothing_is_empty_and_share_safe():
     rollup = stage_rollup([])
-    assert not rollup.non_empty
     assert rollup.total_us == 0.0
     shares = rollup.shares()
     assert set(shares) == set(STAGE_NAMES)
@@ -113,7 +112,6 @@ def test_stage_rollup_folds_each_kind():
     assert rollup.times_us["copy"] == pytest.approx(1.5)
     assert rollup.times_us["merge_wait"] == pytest.approx(6.0)
     assert rollup.times_us["merge_apply"] == pytest.approx(2.0)
-    assert rollup.non_empty
     assert sum(rollup.shares().values()) == pytest.approx(1.0)
 
 
@@ -125,7 +123,7 @@ def test_stage_rollup_skips_eventless_edge_data():
         _event(SpanKind.NF_END, ts=1.0, duration=-3.0),
     ]
     rollup = stage_rollup(events)
-    assert not rollup.non_empty
+    assert rollup.total_us == 0.0
     assert rollup.events["classify"] == 0
     assert rollup.events["ft"] == 0
 
