@@ -682,6 +682,8 @@ def cmd_place(args) -> int:
         ))
     if not requests:
         raise SystemExit("--chains is empty")
+    if args.faults and not args.measure:
+        raise SystemExit("--faults needs --measure")
 
     solvers = (["heuristic", "brute"] if args.solver == "both"
                else [args.solver])
@@ -720,8 +722,12 @@ def cmd_place(args) -> int:
             hub = TelemetryHub()
             rows = []
             for placement in plan.placements:
-                result = measure_placed(placement, packets=args.packets,
-                                        telemetry=hub, topology=topo)
+                try:
+                    result = measure_placed(
+                        placement, packets=args.packets, telemetry=hub,
+                        topology=topo, faults=args.faults)
+                except ValueError as exc:
+                    raise SystemExit(f"--faults: {exc}")
                 slo = placement.request.slo
                 rows.append([
                     placement.request.name, "->".join(placement.path),
@@ -981,6 +987,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_place.add_argument("--measure", action="store_true",
                          help="DES-validate each placement at its committed "
                               "rate and print server/link telemetry")
+    p_place.add_argument("--faults", metavar="SPEC",
+                         help="with --measure, crash servers and fail over "
+                              "onto the backups, e.g. 'crash:s0:pkt=5'")
     p_place.add_argument("--packets", type=int, default=2000,
                          help="packets per DES validation run (default 2000)")
     p_place.set_defaults(func=cmd_place)

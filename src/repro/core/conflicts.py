@@ -89,6 +89,8 @@ def _find_cycle(edges: Iterable[Tuple[str, str]]) -> List[str]:
 def check_policy(policy: Policy) -> ConflictReport:
     """Validate a policy; returns a report of errors and warnings."""
     report = ConflictReport()
+    if not policy.nf_names():
+        report.errors.append("policy names no NF")
 
     # 1. Order and Priority cycles.
     relations = (

@@ -27,7 +27,7 @@ from ..baselines.opennetvm import OpenNetVMServer
 from ..dataplane.server import NFPServer
 from ..multiserver.dataplane import publish_core_util
 from ..nfs.base import create_nf
-from ..sim import DEFAULT_PARAMS, Environment, SimParams
+from ..sim import DEFAULT_PARAMS, Environment, LatencySummary, SimParams
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..traffic.generator import FIXED_64B, FlowGenerator, PacketSizeDistribution, TrafficSource
 from .model import bess_capacity, nfp_capacity, onvm_capacity
@@ -119,7 +119,9 @@ def _result(
     a multi-server plane sums over its servers.
     """
     totals = server if totals is None else totals
-    summary = server.latency.summary()
+    # A fault run can deliver nothing: its latencies are then NaN.
+    summary = (server.latency.summary() if len(server.latency)
+               else LatencySummary(0, *[float("nan")] * 5))
     return MeasurementResult(
         system=system,
         label=label,
@@ -406,6 +408,7 @@ def measure_placed(
     seed: int = 1,
     telemetry: Optional[TelemetryHub] = None,
     topology=None,
+    faults: Union[str, Sequence, None] = None,
 ) -> MeasurementResult:
     """DES-measure one placed chain on its planned servers and links.
 
@@ -417,8 +420,13 @@ def measure_placed(
     The resulting p99 is the number the delay SLO is validated against:
     the plan promised ``delay <= slo.max_delay_us`` from the zero-load
     model, the DES shows what queueing at the committed rate adds.
+
+    ``faults`` (server names as labels: ``"crash:s1:pkt=5"``) runs the
+    ``plan_backups`` standby beside it and fails over onto it
+    (:class:`repro.placement.runtime._Failover`); the result covers both
+    paths, and ``telemetry`` gets the ``placement.<chain>.*`` ledger.
     """
-    from ..placement.runtime import build_timed  # local: avoids a cycle
+    from ..placement.runtime import _Failover, build_timed  # avoids a cycle
 
     request = placement.request
     fraction = (
@@ -430,7 +438,8 @@ def measure_placed(
     env = Environment(track_stats=telemetry is not None and telemetry.enabled)
     plane = build_timed(
         placement, env, params, num_mergers=num_mergers, telemetry=telemetry
-    )
+    ) if faults is None else _Failover(
+        placement, env, params, faults, num_mergers, telemetry)
     flows = FlowGenerator(num_flows=num_flows, sizes=sizes, seed=seed)
     TrafficSource(env, plane.inject, rate, packets, flows=flows, seed=seed)
     _drain(env)
@@ -449,6 +458,8 @@ def measure_placed(
             telemetry.inc(f"multiserver.link{index}.frames", link.frames)
             telemetry.inc(f"multiserver.link{index}.bytes", link.bytes)
             link.publish(telemetry, index, link.gbps, rate)
+        if faults is not None:
+            plane.publish()
 
     return _result(
         "NFP-placed", label or f"{request.name}@{'->'.join(placement.path)}",

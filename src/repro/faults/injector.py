@@ -1,7 +1,8 @@
 """The fault injector: per-instance health plus scheduled fault firing.
 
 One :class:`FaultInjector` is shared by an execution plane (the DES
-server, or the placed functional plane's servers).  The plane calls
+server's NF instances, or the servers of a placed chain's active and
+backup pipelines under ``measure_placed(faults=)``).  The plane calls
 :meth:`FaultInjector.on_packet` each time an instance is about to serve
 a packet; the injector advances that instance's packet count, fires any
 matching :class:`~repro.faults.model.FaultSpec` whose trigger is met,

@@ -5,8 +5,7 @@ Two pieces:
 * :class:`HealthBoard` -- which instance indices of each replicated NF
   are still healthy.  The DES server keeps one and hands its view to
   :func:`repro.dataplane.flowsplit.assign_instances`, so RSS failover
-  (flows rehashed away from a dead instance) is one shared mechanism;
-  the placed functional plane keeps one per server.
+  (flows rehashed away from a dead instance) is one shared mechanism.
 * :func:`linearize` -- the sequential fallback of a parallel
   micrograph: its NFs in stage order on a single version, no copies, no
   merger.  When an NF kind has zero healthy instances the orchestrator
@@ -87,14 +86,6 @@ class HealthBoard:
         """True when ``name`` has lost at least one instance."""
         count = self._counts.get(name)
         return count is not None and len(self._healthy[name]) < count
-
-    def up(self, name: str) -> bool:
-        """True while ``name`` keeps at least one healthy instance.
-
-        The placement runtime registers whole *servers* here (count 1),
-        so this doubles as "is the server alive" for path selection.
-        """
-        return bool(self.healthy(name))
 
     def view(self) -> Optional[Dict[str, List[int]]]:
         """Healthy map for ``assign_instances``; None when all-healthy."""

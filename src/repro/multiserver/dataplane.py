@@ -77,12 +77,11 @@ class LinkStats:
 class MultiServerDataplane:
     """A service graph spread over several servers, linked by NSH.
 
-    Two construction modes:
-
-    * ``cores_per_server`` -- the greedy first-fit split over identical
-      boxes (:func:`repro.core.partition.partition_graph`);
-    * ``slices`` -- an explicit placement (e.g. a
-      :class:`~repro.placement.plan.ChainPlacement`'s).
+    The graph is split greedily, first fit, over identical boxes of
+    ``cores_per_server`` cores
+    (:func:`repro.core.partition.partition_graph`); a placement's
+    explicit slices run on the timed pipeline
+    (:func:`repro.placement.runtime.build_timed`).
 
     This plane has no clock, so it publishes no gauges: the
     ``multiserver.*`` namespace (per-server core utilisation, per-link
@@ -91,21 +90,9 @@ class MultiServerDataplane:
     still count every frame that crosses.
     """
 
-    def __init__(
-        self,
-        graph: ServiceGraph,
-        cores_per_server: Optional[int] = None,
-        path_id: int = 1,
-        slices: Optional[List[ServerSlice]] = None,
-    ):
+    def __init__(self, graph: ServiceGraph, cores_per_server: int):
         self.graph = graph
-        self.path_id = path_id
-        if slices is not None:
-            self.slices = list(slices)
-        elif cores_per_server is not None:
-            self.slices = partition_graph(graph, cores_per_server)
-        else:
-            raise ValueError("need cores_per_server or an explicit slices list")
+        self.slices = partition_graph(graph, cores_per_server)
         self.servers = [FunctionalDataplane(slice_subgraph(graph, s))
                         for s in self.slices]
         self.links: List[LinkStats] = [LinkStats() for _ in self.servers[:-1]]
@@ -139,7 +126,7 @@ class MultiServerDataplane:
         # Ingress classification: assign flight metadata.
         for pkt in pkts:
             self._next_pid = (self._next_pid + 1) % (1 << 40)
-            pkt.meta = PacketMeta(mid=self.path_id, pid=self._next_pid,
+            pkt.meta = PacketMeta(mid=1, pid=self._next_pid,
                                   version=ORIGINAL_VERSION)
         #: Per packet: the frame in flight, ``None`` once it is nil.
         current: List[Optional[Packet]] = list(pkts)
@@ -171,7 +158,7 @@ class MultiServerDataplane:
             carrier.eth.ethertype = 0x0800
         else:
             carrier = frame
-        tag = NshTag(self.path_id, index + 1, meta, nil=nil)
+        tag = NshTag(1, index + 1, meta, nil=nil)
         encapsulate(carrier, tag)
         link = self.links[index]
         link.frames += 1

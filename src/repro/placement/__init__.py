@@ -21,9 +21,10 @@ are comparable by construction:
 
 :func:`plan_backups` attaches a server-disjoint standby placement to
 every placed chain (1+1 protection), and
-:class:`~repro.placement.runtime.PlacedDataplane` executes the pair
-with PR-5 fault injection: crash any active server and traffic fails
-over onto the pre-planned backup with packet conservation intact.
+``measure_placed(faults=)`` (:mod:`repro.eval.harness`) runs the pair
+on the DES: crash an active server and the source fails over onto the
+pre-planned backup, with the ledger balanced and the recovery time
+measured on the model clock.
 """
 
 from .backup import plan_backups
@@ -38,7 +39,7 @@ from .plan import (
     evaluate_candidate,
 )
 from .request import ChainRequest, RequestError, Slo
-from .runtime import PlacedDataplane, build_timed
+from .runtime import build_timed
 from .topology import Link, Server, Topology, TopologyError
 
 __all__ = [
@@ -49,5 +50,5 @@ __all__ = [
     "brute_force_place", "BruteForceError", "chain_candidates",
     "heuristic_place", "round_robin_place",
     "plan_backups",
-    "PlacedDataplane", "build_timed",
+    "build_timed",
 ]

@@ -8,11 +8,11 @@ committed to the ledger like active capacity -- protection that only
 exists until the first correlated burst is not protection -- so a plan
 with backups honestly shows double the core bill.
 
-The backup feeds the PR-5 failover machinery at runtime: the
-:class:`~repro.placement.runtime.PlacedDataplane` registers every
-active server on a :class:`~repro.faults.recovery.HealthBoard`, and a
-crash (via :mod:`repro.faults`) reroutes traffic onto the pre-planned
-standby without replanning.
+``measure_placed(faults=)`` runs the backup beside the active
+placement on the DES: a server crash (via :mod:`repro.faults`, server
+names as labels) reroutes the source onto the pre-planned standby
+without replanning, and the run reports the ledger and the recovery
+time.
 """
 
 from __future__ import annotations

@@ -2,14 +2,12 @@
 
 A :class:`Topology` is a set of :class:`Server` nodes (core + memory
 capacity) joined by undirected :class:`Link` edges (bandwidth +
-propagation delay).  The placement solvers walk it two ways:
-
-* :meth:`Topology.paths` enumerates simple paths -- the candidate
-  server sequences a sliced chain can occupy (slice *i* runs on the
-  path's *i*-th server, consecutive slices must be adjacent so the NSH
-  frame has a wire to cross);
-* :meth:`Topology.disjoint_path` finds a server-disjoint alternative to
-  an active path, which is what the backup planner reserves.
+propagation delay).  The placement solvers walk it through
+:meth:`Topology.paths`, which enumerates simple paths -- the candidate
+server sequences a sliced chain can occupy (slice *i* runs on the
+path's *i*-th server, consecutive slices must be adjacent so the NSH
+frame has a wire to cross).  The backup planner filters the same
+enumeration for paths that avoid every active server.
 
 Builders cover the shapes the tests and CLI need (``line``, ``star``,
 ``full_mesh``) plus :meth:`Topology.from_spec` for compact CLI strings
@@ -160,21 +158,6 @@ class Topology:
         for first in starts:
             self.server(first)
             yield from walk((first,))
-
-    def disjoint_path(
-        self, length: int, avoid: Sequence[str]
-    ) -> Optional[Tuple[str, ...]]:
-        """A simple path of ``length`` servers avoiding ``avoid`` entirely.
-
-        Server-disjointness implies link-disjointness from the avoided
-        path, so a backup found here shares no fate with the active
-        placement.  Returns ``None`` when the topology cannot offer one.
-        """
-        banned = set(avoid)
-        for path in self.paths(length):
-            if not banned.intersection(path):
-                return path
-        return None
 
     # ----------------------------------------------------------- builders
     @classmethod

@@ -13,7 +13,7 @@ Public surface:
 """
 
 from .engine import Environment, SimulationError
-from .ring import Ring, RingFullError
+from .ring import Ring
 from .cpu import Core
 from .memory import PacketPool, PoolExhaustedError
 from .nic import Nic, NicEgress
@@ -24,7 +24,6 @@ __all__ = [
     "Environment",
     "SimulationError",
     "Ring",
-    "RingFullError",
     "Core",
     "PacketPool",
     "PoolExhaustedError",

@@ -23,11 +23,7 @@ from typing import Any, Callable, Deque, List, Optional
 
 from .engine import Environment
 
-__all__ = ["Ring", "RingFullError"]
-
-
-class RingFullError(Exception):
-    """Raised by :meth:`Ring.put` when the ring has no free slot."""
+__all__ = ["Ring"]
 
 
 class Ring:
@@ -108,11 +104,6 @@ class Ring:
         if depth >= self.high_watermark:
             self.high_watermark = depth + 1
         return True
-
-    def put(self, item: Any) -> None:
-        """Enqueue ``item`` or raise :class:`RingFullError`."""
-        if not self.try_put(item):
-            raise RingFullError(self.name or "ring")
 
     # -- consumer side ------------------------------------------------------
     def wait(self, callback: Callable[[Any], None],

@@ -15,7 +15,7 @@ Three consumers, three formats:
 * ``multiserver_summary_table`` -- per-server core utilisation and
   per-link occupancy from the ``multiserver.*`` gauge namespace that
   :func:`~repro.eval.harness.measure_placed` publishes off the timed
-  pipeline, plus any ``placement.*`` failover/drop counters.
+  pipeline, plus a fault run's ``placement.*`` ledger.
 """
 
 from __future__ import annotations
@@ -237,8 +237,8 @@ def multiserver_summary_table(registry: MetricsRegistry) -> str:
 
     One row per server (core-utilisation gauge) and one per inter-server
     link (frame/byte counters, wire-busy time and occupancy gauges),
-    followed by any ``placement.*`` counters (failovers, server-down
-    events, attributed drops).  Returns ``""`` when no multiserver run
+    followed by any ``placement.*`` counters and gauges (a fault run's
+    ledger, failovers and recovery time).  Returns ``""`` when no multiserver run
     has published anything, so callers can print it unconditionally.
     """
     from ..eval.report import render_table  # local: avoids a package cycle
@@ -284,12 +284,14 @@ def multiserver_summary_table(registry: MetricsRegistry) -> str:
             rows,
         ))
 
-    placement = sorted(
-        name for name in registry.counters if name.startswith("placement.")
-    )
+    placement = {name: metric.value
+                 for metrics in (registry.counters, gauges)
+                 for name, metric in metrics.items()
+                 if name.startswith("placement.")}
     if placement:
         parts.append(render_table(
-            ["placement counter", "value"],
-            [[name, registry.counter_value(name)] for name in placement],
+            ["placement metric", "value"],
+            [[name, value if isinstance(value, int) else f"{value:.1f}"]
+             for name, value in sorted(placement.items())],
         ))
     return "\n".join(parts)

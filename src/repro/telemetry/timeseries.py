@@ -8,7 +8,7 @@ a human watching a flash crowd) subscribes to.
 Design: the hot path is untouched.  Instrumented layers keep writing
 cumulative counters and histograms into the registry exactly as before;
 a :class:`Sampler` wakes up once per window (a periodic DES event on the
-timed plane, or whenever its owner calls ``maybe_tick`` / ``sample``)
+timed plane, or whenever its owner calls ``sample``)
 and snapshots the *delta* since its previous wake-up:
 
 * **counters** -- per-window increments (``tx.packets`` delta is the
@@ -231,9 +231,7 @@ class Sampler:
     One sampler watches one :class:`TelemetryHub` (plus optional live
     probes).  Arm it on a DES environment with :meth:`arm` -- it
     schedules itself as a periodic simulation event and retires when the
-    event queue drains -- or drive it manually with :meth:`sample` /
-    :meth:`maybe_tick` (for a caller with its own clock and no virtual
-    one to schedule against).
+    event queue drains -- or close windows by hand with :meth:`sample`.
 
     Subscribers (:class:`~repro.telemetry.watch.Watcher`, dashboards)
     register callables via :meth:`subscribe`; each completed
@@ -330,12 +328,6 @@ class Sampler:
         delta.min = histogram.min
         delta.max = histogram.max
         return delta
-
-    def maybe_tick(self, now_us: float) -> Optional[Window]:
-        """Caller-clocked sampling: sample iff a full window has elapsed."""
-        if now_us - self._window_start < self.window_us:
-            return None
-        return self.sample(now_us)
 
     def flush(self, now_us: float) -> Optional[Window]:
         """Close a final partial window if anything happened since."""

@@ -1,22 +1,22 @@
 """Placement runtime: DES SLO validation and crash failover.
 
-Acceptance criteria of the placement PR:
-
 * the DES-measured p99 of a planned placement meets the chain's
   max-delay SLO at the committed rate;
-* crashing any server on the active path (via ``repro.faults``) fails
-  traffic over onto the pre-planned disjoint backup with zero
-  conservation-ledger violations (injected == emitted + attributed
-  drops).
+* crashing any server on the active path (``measure_placed(faults=)``)
+  fails traffic over onto the pre-planned disjoint backup on the same
+  model clock, with zero ledger violations (injected == delivered +
+  drops by reason) and a measured recovery time.
 """
+
+import dataclasses
+import math
 
 import pytest
 
 from repro.core import Orchestrator, Policy
 from repro.eval.experiments import NORTH_SOUTH_CHAIN, WEST_EAST_CHAIN
 from repro.eval.harness import measure_placed
-from repro.net.packet import build_packet
-from repro.placement import PlacedDataplane, Slo, Topology
+from repro.placement import Slo, Topology
 from repro.telemetry import TelemetryHub, multiserver_summary_table
 
 
@@ -61,34 +61,73 @@ class TestDesMeetsSlo:
         assert result.latency_p99_us >= placement.delay_us * 0.5
 
 
+#: ``measure_placed(packets=400, seed=7)`` of the north-south chain on
+#: ``mesh:6x5`` before faults came to the timed pipeline: the fault-free
+#: run must not move.
+FAULT_FREE_NS_6X5 = {
+    "system": "NFP-placed", "label": "north-south@s0->s1",
+    "latency_mean_us": 98.54533742971165,
+    "latency_p50_us": 94.23819886513493,
+    "latency_p99_us": 111.32530057140414,
+    "throughput_mpps": 1.4705882352941175, "bottleneck": "server0:vpn",
+    "offered_mpps": 0.275, "delivered": 400, "lost": 0, "nil_dropped": 0,
+    "resource_overhead": 0.0, "cores_used": 8, "events_processed": 9066,
+}
+
+
+def ledger(hub, chain):
+    """The ``placement.<chain>.*`` counters and gauges, prefix stripped."""
+    prefix = f"placement.{chain}."
+    values = {}
+    for metrics in (hub.registry.counters, hub.registry.gauges):
+        for name, metric in metrics.items():
+            if name.startswith(prefix):
+                values[name[len(prefix):]] = metric.value
+    return values
+
+
+def drops(values):
+    return sum(v for k, v in values.items() if k.startswith("drop."))
+
+
+def run_crash(placement, faults, packets=300):
+    hub = TelemetryHub()
+    result = measure_placed(placement, packets=packets, seed=7,
+                            telemetry=hub, faults=faults)
+    values = ledger(hub, placement.request.name)
+    # Zero conservation violations over both paths.
+    assert values["imbalance"] == 0, values
+    assert values["injected"] == packets
+    assert values["delivered"] + drops(values) == packets
+    # The result covers both paths' deliveries.
+    assert result.delivered == values["delivered"]
+    return values
+
+
+def assert_failed_over(values, victim, placement):
+    assert values["drop.server_crash"] >= 1
+    assert values["failover"] == 1
+    assert values["recovery_us"] > 0.0
+    assert victim not in placement.backup.path
+    # Every packet offered after the crash fired rode the backup, and
+    # the backup delivered each one (it holds no casualty).
+    assert values["backup.injected"] > 0
+    assert values["backup.delivered"] == values["backup.injected"]
+    # What the active path took before the crash is delivered or an
+    # attributed drop.
+    active_offered = values["injected"] - values["backup.injected"]
+    active_delivered = values["delivered"] - values["backup.delivered"]
+    assert active_offered == active_delivered + drops(values)
+
+
 class TestCrashFailover:
     def test_every_active_server_crash_fails_over(self):
         topology, plan = place_fig13()
         assert plan.feasible and not plan.unprotected, plan.describe()
         placement = plan.placement_for("north-south")
         for victim in placement.path:
-            hub = TelemetryHub()
-            plane = PlacedDataplane(
-                placement, faults=f"crash:{victim}:pkt=5", telemetry=hub)
-            emitted = 0
-            for index in range(40):
-                out = plane.process(build_packet(size=64,
-                                                 src_port=10000 + index))
-                if out is not None:
-                    emitted += 1
-            report = plane.conservation_report()
-            # Zero conservation violations: every packet accounted.
-            assert report["violation"] == 0, report
-            assert report["injected"] == 40
-            assert report["emitted"] == emitted
-            # Exactly the crash-witnessing packet was dropped.
-            assert report["drop.server_crash"] == 1
-            assert emitted == 39
-            # Failover happened onto the pre-planned disjoint backup.
-            assert plane.failovers == 1
-            assert not plane.on_active_path
-            assert victim not in placement.backup.path
-            assert hub.registry.counter_value("placement.failover") == 1
+            values = run_crash(placement, f"crash:{victim}:pkt=5")
+            assert_failed_over(values, victim, placement)
 
     def test_multi_server_active_path_each_hop(self):
         topology, plan = place_fig13("mesh:6x5", delay=200.0, mpps=0.5)
@@ -97,14 +136,17 @@ class TestCrashFailover:
         assert placement.num_servers >= 2
         assert placement.backup is not None
         for victim in placement.path:
-            plane = PlacedDataplane(placement,
-                                    faults=f"crash:{victim}:pkt=3")
-            for index in range(30):
-                plane.process(build_packet(size=64, src_port=20000 + index))
-            report = plane.conservation_report()
-            assert report["violation"] == 0, report
-            assert report["drop.server_crash"] == 1
-            assert not plane.on_active_path
+            values = run_crash(placement, f"crash:{victim}:pkt=3")
+            assert_failed_over(values, victim, placement)
+
+    def test_time_triggered_crash_delivers_before_and_after(self):
+        topology, plan = place_fig13()
+        placement = plan.placement_for("north-south")
+        victim = placement.path[0]
+        values = run_crash(placement, f"crash:{victim}:t=200")
+        assert_failed_over(values, victim, placement)
+        # Packets that finished before t=200 left by the active path.
+        assert values["delivered"] > values["backup.delivered"]
 
     def test_double_fault_still_conserves(self):
         # Kill the active path, then the backup too: everything after
@@ -112,33 +154,56 @@ class TestCrashFailover:
         topology, plan = place_fig13()
         placement = plan.placement_for("west-east")
         faults = (f"crash:{placement.path[0]}:pkt=3,"
-                  f"crash:{placement.backup.path[0]}:pkt=6")
-        plane = PlacedDataplane(placement, faults=faults)
-        for index in range(20):
-            plane.process(build_packet(size=64, src_port=30000 + index))
-        report = plane.conservation_report()
-        assert report["violation"] == 0, report
-        assert report["drop.server_crash"] == 2
-        assert report["drop.no_placement"] == 20 - report["emitted"] - 2
+                  f"crash:{placement.backup.path[0]}:t=100")
+        values = run_crash(placement, faults)
+        assert values["failover"] == 1
+        assert values["recovery_us"] > 0.0
+        assert values["drop.server_crash"] >= 2
+        assert values["drop.no_placement"] >= 1
+        # The backup ran from the first crash until t=100.
+        assert 0 < values["backup.delivered"] < values["backup.injected"]
 
-    def test_no_faults_no_drops(self):
+    def test_nothing_delivered_still_balances(self):
+        # Both heads die on their first frame: no packet is delivered,
+        # every one is attributed, and the latencies read NaN.
         topology, plan = place_fig13()
         placement = plan.placement_for("west-east")
-        plane = PlacedDataplane(placement)
-        for index in range(25):
-            assert plane.process(
-                build_packet(size=64, src_port=40000 + index)) is not None
-        report = plane.conservation_report()
-        assert report["violation"] == 0
-        assert report["dropped"] == 0
-        assert plane.failovers == 0
-        assert plane.on_active_path
+        hub = TelemetryHub()
+        result = measure_placed(
+            placement, packets=100, seed=7, telemetry=hub,
+            faults=f"crash:{placement.path[0]}:pkt=1,"
+                   f"crash:{placement.backup.path[0]}:pkt=1")
+        values = ledger(hub, "west-east")
+        assert values["imbalance"] == 0, values
+        assert result.delivered == 0 and result.lost == 100
+        assert values["drop.server_crash"] == 2
+        assert values["drop.no_placement"] == 98
+        assert "recovery_us" not in values
+        assert math.isnan(result.latency_p99_us)
+
+    def test_no_faults_no_drops(self):
+        # faults=None is the fault-free timed run, field for field.
+        topology, plan = place_fig13("mesh:6x5", delay=200.0, mpps=0.5)
+        placement = plan.placement_for("north-south")
+        hub = TelemetryHub()
+        result = measure_placed(placement, packets=400, seed=7,
+                                telemetry=hub)
+        assert dataclasses.asdict(result) == FAULT_FREE_NS_6X5
+        assert ledger(hub, "north-south") == {}
 
     def test_backup_required(self):
         topology, plan = place_fig13(backups=False)
         placement = plan.placement_for("west-east")
-        with pytest.raises(ValueError):
-            PlacedDataplane(placement)
+        with pytest.raises(ValueError, match="plan_backups"):
+            measure_placed(placement, packets=10,
+                           faults=f"crash:{placement.path[0]}:pkt=1")
+
+    def test_only_crash_faults(self):
+        topology, plan = place_fig13()
+        placement = plan.placement_for("west-east")
+        with pytest.raises(ValueError, match="crash faults only"):
+            measure_placed(placement, packets=10,
+                           faults=f"slow:{placement.path[0]}")
 
 
 class TestTelemetryGauges:

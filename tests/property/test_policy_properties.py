@@ -1,7 +1,7 @@
 """Property-based tests for the policy layer (DSL round trip, conflict check)."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -65,7 +65,6 @@ def test_compile_fails_exactly_on_check_policy_errors(policy):
     # The compiler's only policy gate is check_policy: a policy it
     # accepts compiles, one it rejects raises its errors, never a bare
     # ValueError from a later pass.
-    assume(policy.nf_names())  # an empty policy has no graph to build
     policy = Policy(policy.rules, [NFSpec(name, "firewall")
                                    for name in sorted(policy.nf_names())])
     report = check_policy(policy)

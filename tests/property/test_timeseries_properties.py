@@ -10,6 +10,7 @@ boundaries, and any ring capacity.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import Environment
 from repro.telemetry import Sampler, TelemetryHub
 
 # (timestamp delta, latency sample) streams; timestamps strictly advance.
@@ -25,6 +26,19 @@ samples = st.lists(
 )
 
 
+def run_armed(sampler, stream, record):
+    """``record(value)`` at each stream instant, the sampler armed on
+    the same DES clock; then the final partial window is flushed."""
+    env = Environment()
+    sampler.arm(env)
+    now = 0.0
+    for gap, value in stream:
+        now += gap
+        env.call_at(now, record, value)
+    env.run()
+    sampler.flush(env.now)
+
+
 @given(stream=samples,
        window_us=st.floats(min_value=1.0, max_value=200.0),
        capacity=st.integers(min_value=1, max_value=8))
@@ -33,12 +47,8 @@ def test_window_merge_reproduces_cumulative_histogram(stream, window_us,
                                                       capacity):
     hub = TelemetryHub()
     sampler = Sampler(hub, window_us=window_us, capacity=capacity)
-    now = 0.0
-    for gap, value in stream:
-        now += gap
-        hub.observe("latency_us", value)
-        sampler.maybe_tick(now)
-    sampler.flush(now)
+    run_armed(sampler, stream,
+              lambda value: hub.observe("latency_us", value))
 
     merged = sampler.series.merged_histogram("latency_us")
     cumulative = hub.registry.histograms["latency_us"]
@@ -55,12 +65,7 @@ def test_window_merge_reproduces_cumulative_histogram(stream, window_us,
 def test_counter_window_deltas_partition_the_total(stream, window_us):
     hub = TelemetryHub()
     sampler = Sampler(hub, window_us=window_us, capacity=4)
-    now = 0.0
-    for gap, _ in stream:
-        now += gap
-        hub.inc("tx.packets")
-        sampler.maybe_tick(now)
-    sampler.flush(now)
+    run_armed(sampler, stream, lambda _: hub.inc("tx.packets"))
     assert sampler.series.total("tx.packets") == len(stream)
     assert (sampler.series.total("tx.packets")
             == hub.registry.counter_value("tx.packets"))
@@ -73,18 +78,19 @@ def test_counter_window_deltas_partition_the_total(stream, window_us):
 def test_peak_is_eviction_proof(stream, window_us, capacity):
     hub = TelemetryHub()
     sampler = Sampler(hub, window_us=window_us, capacity=capacity)
-    now = 0.0
     deltas = []
-    pending = 0
-    for gap, _ in stream:
-        now += gap
+    pending = [0]
+
+    def record(_):
         hub.inc("tx.packets")
-        pending += 1
-        if sampler.maybe_tick(now) is not None:
-            deltas.append(pending)
-            pending = 0
-    if sampler.flush(now) is not None and pending:
-        deltas.append(pending)
+        pending[0] += 1
+
+    def close(window):
+        deltas.append(pending[0])
+        pending[0] = 0
+
+    sampler.subscribe(close)
+    run_armed(sampler, stream, record)
     peak = sampler.series.peak("tx.packets")
     assert peak is not None
     assert peak[0] == max(deltas)

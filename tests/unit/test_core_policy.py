@@ -205,6 +205,14 @@ def test_priority_three_cycle_is_a_policy_conflict():
     ]
 
 
+def test_empty_policy_is_a_policy_conflict():
+    # Nothing to place: rejected at the check, not by a later pass.
+    assert check_policy(Policy()).errors == ["policy names no NF"]
+    with pytest.raises(PolicyConflictError) as caught:
+        compile_policy(Policy())
+    assert caught.value.conflicts == ["policy names no NF"]
+
+
 def test_duplicate_priority_warns():
     policy = Policy().priority("a", "b").priority("a", "b")
     report = check_policy(policy)

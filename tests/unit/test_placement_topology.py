@@ -82,15 +82,6 @@ class TestTopology:
         with pytest.raises(TopologyError):
             topo.path_links(("s0", "s2"))
 
-    def test_disjoint_path(self):
-        mesh = Topology.full_mesh(4, 4)
-        backup = mesh.disjoint_path(2, avoid=("s0", "s1"))
-        assert backup is not None
-        assert not {"s0", "s1"}.intersection(backup)
-        # A line of 3 cannot offer a 2-server path avoiding the middle.
-        line = Topology.line(3, 4)
-        assert line.disjoint_path(2, avoid=("s1",)) is None
-
     def test_link_capacity_scales_with_gbps(self):
         slow = Link("a", "b", gbps=10.0)
         fast = Link("a", "b", gbps=40.0)

@@ -39,8 +39,6 @@ ALLOWED = {
         "reader of the JSONL trace export; the round-trip test holds both",
     "repro.telemetry.export.events_from_chrome_trace":
         "reader of the Chrome trace export; the round-trip test holds both",
-    "repro.placement.runtime.PlacedDataplane":
-        "the placement failover runtime; its conservation tests drive it",
     # Test references: readers a test checks against an oracle.
     "repro.net.crypto.Aes128":
         "single-block AES object the FIPS-197 vectors check",
@@ -68,8 +66,6 @@ ALLOWED = {
         "matcher output the textbook Aho-Corasick differential compares",
     "repro.nfs.aho_corasick.AhoCorasick.match_count":
         "matcher output the textbook Aho-Corasick differential compares",
-    "repro.sim.ring.Ring.put":
-        "blocking-free enqueue the ring tests fill rings with",
     "repro.eval.experiments.ExperimentTable.column":
         "the paper-claim tests read pinned tables through it",
     "repro.eval.load_sweep.LoadPoint.saturated":
@@ -78,14 +74,10 @@ ALLOWED = {
         "the scale-plan test sizes the server's merger pool with it",
     "repro.faults.recovery.HealthBoard.registered":
         "the fault-model tests check group registration through it",
-    "repro.placement.topology.Topology.disjoint_path":
-        "the topology tests check backup-path search through it",
     "repro.telemetry.hooks.TelemetryHub.tracing":
         "the telemetry tests check tracer attachment through it",
     "repro.telemetry.timeseries.TimeSeries.merged_histogram":
         "the sampler tests fold windows through it",
-    "repro.telemetry.timeseries.Sampler.maybe_tick":
-        "the sampler tests drive windows through it",
     "repro.nfs.misc.TrafficShaper.advance_time":
         "the shaper tests move its token clock through it",
     # NF state readers: the bound readers of the NF tests' ledgers.

@@ -35,7 +35,7 @@ def _held_ring(env, free_at_us=None):
     handed the next reference at the model time it is put.
     """
     ring = Ring(env, capacity=1, name="held")
-    ring.put("blocker")
+    assert ring.try_put("blocker")
     landed = []
 
     def note(item):

@@ -23,13 +23,13 @@ def test_wait_on_a_non_empty_ring_pops_now_and_calls_one_event_later():
     env = Environment()
     ring = Ring(env, capacity=8)
     for item in "abc":
-        ring.put(item)
+        assert ring.try_put(item)
     log = []
     ring.wait(_consumer(env, ring, log))
     # "a" left at once; the call itself is one queue entry, not yet run.
     assert len(ring) == 2 and log == [] and len(env._queue) == 1
     # A delivery due at the same instant lands in the same burst.
-    ring.put("d")
+    assert ring.try_put("d")
     env.run()
     assert log == [(0.0, ["a", "b", "c", "d"])]
     assert env.events_processed == 1 and ring._consumer is None
@@ -41,7 +41,7 @@ def test_wait_on_an_empty_ring_parks_until_a_delivery_hands_over():
     log = []
     ring.wait(_consumer(env, ring, log))
     assert len(env._queue) == 0 and ring._consumer is not None
-    env.call_later(3.0, ring.put, "x")
+    env.call_later(3.0, ring.try_put, "x")
     env.run()
     assert log == [(3.0, ["x"])]
     # Handed over, never buffered: depth and watermark did not move.
@@ -55,7 +55,7 @@ def test_puts_into_a_waiting_consumer_fill_its_burst():
     log = []
     ring.wait(_consumer(env, ring, log))
     for item in "abc":
-        ring.put(item)
+        assert ring.try_put(item)
     # The first went to the consumer, the rest wait for its burst.
     assert len(ring) == 2
     env.run()
@@ -69,7 +69,7 @@ def test_a_retired_consumer_gets_nothing():
     ring.wait(_consumer(env, ring, log))
     ring.cancel_wait()
     assert ring._consumer is None
-    ring.put("late")
+    assert ring.try_put("late")
     env.run()
     assert log == [] and len(ring) == 1 and env.events_processed == 0
 
@@ -80,7 +80,7 @@ def test_not_before_on_an_empty_ring_costs_no_call_of_its_own():
     log = []
     ring.wait(_consumer(env, ring, log), not_before=5.0)
     assert len(env._queue) == 0
-    env.call_later(9.0, ring.put, "x")
+    env.call_later(9.0, ring.try_put, "x")
     env.run()
     # Free long before the item came: handed over like any parked wait.
     assert log == [(9.0, ["x"])] and env.events_processed == 2
@@ -91,8 +91,8 @@ def test_an_item_that_comes_before_the_consumer_is_free_queues_for_it():
     ring = Ring(env, capacity=8)
     log = []
     ring.wait(_consumer(env, ring, log), not_before=5.0)
-    env.call_later(2.0, ring.put, "early")
-    env.call_later(3.0, ring.put, "later")
+    env.call_later(2.0, ring.try_put, "early")
+    env.call_later(3.0, ring.try_put, "later")
     env.run(until=4.0)
     # Both buffered -- the consumer is inside its previous burst.
     assert log == [] and len(ring) == 2 and ring.high_watermark == 2
@@ -109,12 +109,12 @@ def test_an_item_due_exactly_when_the_consumer_frees_up_goes_to_the_back():
         ring = Ring(env, capacity=8)
         log = []
         if schedule_tie_first:
-            env.call_at(5.0, ring.put, "tie")
-        ring.put("waiting-1")
+            env.call_at(5.0, ring.try_put, "tie")
+        assert ring.try_put("waiting-1")
         ring.wait(_consumer(env, ring, log, burst=2), not_before=5.0)
-        env.call_later(1.0, ring.put, "waiting-2")
+        env.call_later(1.0, ring.try_put, "waiting-2")
         if not schedule_tie_first:
-            env.call_at(5.0, ring.put, "tie")
+            env.call_at(5.0, ring.try_put, "tie")
         env.run()
         assert log == [(5.0, ["waiting-1", "waiting-2"])]
         assert ring.get_batch(4) == ["tie"]
@@ -125,7 +125,7 @@ def test_an_item_due_exactly_when_an_idle_consumer_frees_up_is_handed_over():
     ring = Ring(env, capacity=8)
     log = []
     ring.wait(_consumer(env, ring, log), not_before=5.0)
-    env.call_at(5.0, ring.put, "tie")
+    env.call_at(5.0, ring.try_put, "tie")
     env.run()
     assert log == [(5.0, ["tie"])] and ring.high_watermark == 0
 
@@ -134,7 +134,7 @@ def test_not_before_in_the_past_is_no_constraint():
     env = Environment()
     env.run(until=10.0)
     ring = Ring(env, capacity=8)
-    ring.put("x")
+    assert ring.try_put("x")
     log = []
     ring.wait(_consumer(env, ring, log), not_before=4.0)
     env.run()
@@ -145,15 +145,15 @@ def test_a_burst_of_one_is_the_handed_over_item_alone():
     env = Environment()
     ring = Ring(env, capacity=8)
     for item in "abc":
-        ring.put(item)
+        assert ring.try_put(item)
     assert ring.burst("first", 1) == ["first"] and len(ring) == 3
     assert ring.burst("first", 3) == ["first", "a", "b"] and len(ring) == 1
     assert ring.burst("first", 32) == ["first", "c"] and len(ring) == 0
     assert ring.burst("first", 32) == ["first"]
     # Exactly a burst's worth buffered, and one more than that.
     for item in "def":
-        ring.put(item)
+        assert ring.try_put(item)
     assert ring.burst("first", 4) == ["first", "d", "e", "f"] and len(ring) == 0
     for item in "ghij":
-        ring.put(item)
+        assert ring.try_put(item)
     assert ring.burst("first", 4) == ["first", "g", "h", "i"] and len(ring) == 1

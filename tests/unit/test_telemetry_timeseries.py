@@ -118,12 +118,18 @@ def test_sampler_probes_and_subscribers():
     assert seen == [window]
 
 
-def test_sampler_maybe_tick_respects_window_size():
+def test_sampler_armed_window_respects_window_size():
     hub = TelemetryHub()
+    env = Environment()
     sampler = Sampler(hub, window_us=100.0)
-    assert sampler.maybe_tick(50.0) is None
-    window = sampler.maybe_tick(120.0)
-    assert window is not None and window.end_us == 120.0
+    sampler.arm(env)
+    env.call_at(50.0, hub.inc, "work.done")
+    env.call_at(120.0, hub.inc, "work.done")
+    env.run()
+    # Nothing closes at 50: the first window runs its full 100us.
+    first = sampler.series.windows[0]
+    assert first.end_us == 100.0
+    assert first.counters == {"work.done": 1}
 
 
 def test_sampler_armed_on_des_env_samples_and_retires():
