@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..core.orchestrator import Orchestrator
+from ..core.partition import partition_graph
 from ..core.policy import Policy
 from ..eval.breakdown import latency_breakdown
 from ..eval.experiments import (
@@ -555,7 +556,8 @@ def _two_servers(packets: int, seed: int) -> SpecOutcome:
 
     env = Environment()
     graph = Orchestrator().compile(Policy.from_chain(list(SIX_NF_CHAIN))).graph
-    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph, cores_per_server=5)
+    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph,
+                             partition_graph(graph, 5))
     _drive(env, multi.inject, 0.5, packets, seed)
     return _reading(
         "NFP-multi", graph.describe(), multi.tail.latency, env, packets,
@@ -721,7 +723,8 @@ def _cross_server_timed(packets: int, seed: int) -> ExperimentTable:
                   flows=FlowGenerator(num_flows=16, seed=seed), seed=seed)
     env.run()
     env = Environment()
-    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph, cores_per_server=5)
+    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph,
+                             partition_graph(graph, 5))
     TrafficSource(env, multi.inject, 0.5, packets,
                   flows=FlowGenerator(num_flows=16, seed=seed), seed=seed)
     env.run()

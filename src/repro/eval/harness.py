@@ -25,7 +25,6 @@ from ..core.tables import build_tables
 from ..baselines.bess import BessServer
 from ..baselines.opennetvm import OpenNetVMServer
 from ..dataplane.server import NFPServer
-from ..multiserver.dataplane import publish_core_util
 from ..nfs.base import create_nf
 from ..sim import DEFAULT_PARAMS, Environment, LatencySummary, SimParams
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
@@ -396,12 +395,45 @@ def measure_autoscale(
     )
 
 
+def _add_gauge(hub: TelemetryHub, name: str, value: float) -> None:
+    """Add ``value`` to gauge ``name`` (0 when unset)."""
+    gauge = hub.registry.gauges.get(name)
+    hub.gauge(name, value if gauge is None else gauge.value + value)
+
+
+def _publish_multiserver(hub: TelemetryHub, placement, links, rate: float,
+                         topology) -> None:
+    """The ``multiserver.*`` namespace, read by the ASCII exporter's
+    server/link table (``place --measure``).
+
+    Keys name a server (``multiserver.server.<s>.core_util``: the cores
+    the chain's slice takes over the server's, given a ``topology``) or
+    the server pair a link joins (``multiserver.link.<a>-<b>.frames`` /
+    ``.bytes`` counters; ``.busy_us`` wire time and ``.occupancy`` of
+    the wire at the offered ``rate``), so the chains placed on one
+    server or one link sum into one row.
+    """
+    if topology is not None:
+        for name, server_slice in zip(placement.path, placement.slices):
+            _add_gauge(hub, f"multiserver.server.{name}.core_util",
+                       server_slice.total_cores / topology.server(name).cores)
+    for spec, link in zip(placement.links, links):
+        if not link.frames:
+            continue
+        prefix = f"multiserver.link.{spec.a}-{spec.b}."
+        hub.inc(prefix + "frames", link.frames)
+        hub.inc(prefix + "bytes", link.bytes)
+        bits_per_us = link.gbps * 1000.0
+        mean_bits = link.bytes * 8 / link.frames
+        _add_gauge(hub, prefix + "busy_us", link.bytes * 8 / bits_per_us)
+        _add_gauge(hub, prefix + "occupancy", rate * mean_bits / bits_per_us)
+
+
 def measure_placed(
     placement,
     params: SimParams = DEFAULT_PARAMS,
     packets: int = 3000,
     sizes: PacketSizeDistribution = FIXED_64B,
-    num_mergers: int = 1,
     load_fraction: Optional[float] = None,
     num_flows: int = 64,
     label: str = "",
@@ -437,27 +469,16 @@ def measure_placed(
 
     env = Environment(track_stats=telemetry is not None and telemetry.enabled)
     plane = build_timed(
-        placement, env, params, num_mergers=num_mergers, telemetry=telemetry
+        placement, env, params, telemetry=telemetry
     ) if faults is None else _Failover(
-        placement, env, params, faults, num_mergers, telemetry)
+        placement, env, params, faults, telemetry)
     flows = FlowGenerator(num_flows=num_flows, sizes=sizes, seed=seed)
     TrafficSource(env, plane.inject, rate, packets, flows=flows, seed=seed)
     _drain(env)
     for server in plane.servers:
         server.collect_telemetry()
     if telemetry is not None and telemetry.enabled:
-        # The multiserver.* gauge namespace, read by the ASCII
-        # exporter's server/link table (``place --measure``).
-        if topology is not None:
-            for name, server_slice in zip(placement.path, placement.slices):
-                publish_core_util(telemetry, name, server_slice,
-                                  topology.server(name).cores)
-        for index, link in enumerate(plane.links):
-            if not link.frames:
-                continue
-            telemetry.inc(f"multiserver.link{index}.frames", link.frames)
-            telemetry.inc(f"multiserver.link{index}.bytes", link.bytes)
-            link.publish(telemetry, index, link.gbps, rate)
+        _publish_multiserver(telemetry, placement, plane.links, rate, topology)
         if faults is not None:
             plane.publish()
 

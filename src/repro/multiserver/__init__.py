@@ -1,14 +1,14 @@
 """Cross-server NF parallelism (§7 scalability sketch, implemented).
 
 A compiled service graph is partitioned at stage boundaries over
-several simulated servers (`repro.core.partition`); copy versions are
+several simulated servers (`repro.core.partition`) and run on one
+plane, the timed pipeline :class:`TimedMultiServer`: copy versions are
 merged before leaving each server so every inter-server link carries
 exactly one packet copy, tagged with an NSH-style shim that ferries the
-NFP metadata.
+NFP metadata, and each link delivers its frames in the order sent.
 """
 
 from .nsh import NSH_LEN, NshTag, decapsulate, encapsulate, has_nsh
-from .dataplane import MultiServerDataplane
 from .latency import estimate_placed_latency, link_cost_us
 from .timed import TimedMultiServer
 
@@ -18,7 +18,6 @@ __all__ = [
     "decapsulate",
     "has_nsh",
     "NSH_LEN",
-    "MultiServerDataplane",
     "estimate_placed_latency",
     "link_cost_us",
     "TimedMultiServer",

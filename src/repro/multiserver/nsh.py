@@ -7,9 +7,10 @@ and IPv4 headers on inter-server links, carrying:
 
 * service path id / index (which slice of which graph comes next), and
 * the NFP 64-bit metadata word (MID | PID | version), so the next
-  server's dataplane can resume the flight without re-classifying;
-* a nil flag, so a drop decided on one server suppresses work on the
-  next.
+  server's dataplane can resume the flight without re-classifying.
+
+A dropped packet never leaves its server, so no flag is needed: the
+flags byte is written 0 and ignored on receipt.
 
 Layout (16 bytes)::
 
@@ -36,7 +37,6 @@ NSH_LEN = 16
 _MAGIC = 0x9F17
 #: Private ethertype marking an NSH-tagged frame.
 ETHERTYPE_NSH = 0x894F
-_FLAG_NIL = 0x01
 
 _STRUCT = struct.Struct("!HBBIQ")
 assert _STRUCT.size == NSH_LEN
@@ -45,9 +45,9 @@ assert _STRUCT.size == NSH_LEN
 class NshTag:
     """Decoded NSH shim contents."""
 
-    __slots__ = ("path_id", "index", "meta", "nil")
+    __slots__ = ("path_id", "index", "meta")
 
-    def __init__(self, path_id: int, index: int, meta: PacketMeta, nil: bool = False):
+    def __init__(self, path_id: int, index: int, meta: PacketMeta):
         if not 0 <= path_id <= 0xFFFFFFFF:
             raise ValueError("path id out of range")
         if not 0 <= index <= 0xFF:
@@ -55,20 +55,18 @@ class NshTag:
         self.path_id = path_id
         self.index = index
         self.meta = meta
-        self.nil = nil
 
     def __repr__(self) -> str:
         return (
             f"NshTag(path={self.path_id}, index={self.index}, "
-            f"meta={self.meta}, nil={self.nil})"
+            f"meta={self.meta})"
         )
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, NshTag)
-            and (self.path_id, self.index, self.nil) ==
-                (other.path_id, other.index, other.nil)
-            and self.meta == other.meta
+            and (self.path_id, self.index, self.meta) ==
+                (other.path_id, other.index, other.meta)
         )
 
 
@@ -81,8 +79,7 @@ def encapsulate(pkt: Packet, tag: NshTag) -> None:
     """Insert the shim after the Ethernet header (in place)."""
     if has_nsh(pkt):
         raise ValueError("packet already NSH-tagged")
-    flags = _FLAG_NIL if tag.nil else 0
-    shim = _STRUCT.pack(_MAGIC, flags, tag.index, tag.path_id, tag.meta.pack())
+    shim = _STRUCT.pack(_MAGIC, 0, tag.index, tag.path_id, tag.meta.pack())
     pkt.buf[ETH_HEADER_LEN:ETH_HEADER_LEN] = shim
     pkt.eth.ethertype = ETHERTYPE_NSH
     pkt.wire_len += NSH_LEN
@@ -93,7 +90,7 @@ def decapsulate(pkt: Packet) -> NshTag:
     if not has_nsh(pkt):
         raise ValueError("packet carries no NSH shim")
     raw = bytes(pkt.buf[ETH_HEADER_LEN : ETH_HEADER_LEN + NSH_LEN])
-    magic, flags, index, path_id, word = _STRUCT.unpack(raw)
+    magic, _flags, index, path_id, word = _STRUCT.unpack(raw)
     if magic != _MAGIC:
         raise ValueError("corrupt NSH shim")
     del pkt.buf[ETH_HEADER_LEN : ETH_HEADER_LEN + NSH_LEN]
@@ -101,4 +98,4 @@ def decapsulate(pkt: Packet) -> NshTag:
     pkt.wire_len -= NSH_LEN
     meta = PacketMeta.unpack(word)
     pkt.meta = meta
-    return NshTag(path_id, index, meta, nil=bool(flags & _FLAG_NIL))
+    return NshTag(path_id, index, meta)

@@ -28,7 +28,6 @@ def build_timed(
     placement: ChainPlacement,
     env: Environment,
     params: SimParams = DEFAULT_PARAMS,
-    num_mergers: int = 1,
     path_id: int = 1,
     telemetry: Optional[TelemetryHub] = None,
 ) -> TimedMultiServer:
@@ -39,10 +38,8 @@ def build_timed(
     predicted delay against the chain's SLO.
     """
     return TimedMultiServer(
-        env, params, placement.request.graph,
-        num_mergers=num_mergers, path_id=path_id,
-        slices=placement.slices, link_specs=placement.links,
-        telemetry=telemetry,
+        env, params, placement.request.graph, placement.slices,
+        path_id=path_id, link_specs=placement.links, telemetry=telemetry,
     )
 
 
@@ -73,7 +70,6 @@ class _Failover:
         env: Environment,
         params: SimParams,
         faults: Union[FaultPlan, Sequence[FaultSpec], str],
-        num_mergers: int,
         telemetry: Optional[TelemetryHub],
     ):
         if placement.backup is None:
@@ -88,10 +84,8 @@ class _Failover:
         self.env = env
         self.name = placement.request.name
         self.telemetry = telemetry if telemetry is not None else NULL_HUB
-        active = build_timed(placement, env, params, num_mergers, 1,
-                             telemetry)
-        backup = build_timed(placement.backup, env, params, num_mergers, 2,
-                             telemetry)
+        active = build_timed(placement, env, params, 1, telemetry)
+        backup = build_timed(placement.backup, env, params, 2, telemetry)
         self.paths = ((placement.path, active), (placement.backup.path, backup))
         self.servers = active.servers + backup.servers
         self.links = active.links

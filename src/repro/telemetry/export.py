@@ -235,8 +235,9 @@ def nf_summary_table(registry: MetricsRegistry) -> str:
 def multiserver_summary_table(registry: MetricsRegistry) -> str:
     """Server/link ASCII summary from the ``multiserver.*`` namespace.
 
-    One row per server (core-utilisation gauge) and one per inter-server
-    link (frame/byte counters, wire-busy time and occupancy gauges),
+    One row per server (core-utilisation gauge) and one per linked
+    server pair, e.g. ``s0-s1`` (frame/byte counters, wire-busy time and
+    occupancy gauges),
     followed by any ``placement.*`` counters and gauges (a fault run's
     ledger, failovers and recovery time).  Returns ``""`` when no multiserver run
     has published anything, so callers can print it unconditionally.
@@ -260,27 +261,26 @@ def multiserver_summary_table(registry: MetricsRegistry) -> str:
              for name in servers],
         ))
 
-    link_prefix = "multiserver.link"
-    link_ids = sorted(
-        int(name[len(link_prefix):-len(".frames")])
+    link_prefix = "multiserver.link."
+    links = sorted(
+        name[len(link_prefix):-len(".frames")]
         for name in registry.counters
         if name.startswith(link_prefix) and name.endswith(".frames")
     )
-    if link_ids:
+    if links:
         rows = []
-        for index in link_ids:
-            busy = gauges.get(f"{link_prefix}{index}.busy_us")
-            occupancy = gauges.get(f"{link_prefix}{index}.occupancy")
+        for pair in links:
+            busy = gauges.get(f"{link_prefix}{pair}.busy_us")
+            occupancy = gauges.get(f"{link_prefix}{pair}.occupancy")
             rows.append([
-                f"link{index}",
-                registry.counter_value(f"{link_prefix}{index}.frames"),
-                registry.counter_value(f"{link_prefix}{index}.bytes"),
-                registry.counter_value(f"{link_prefix}{index}.nil_frames"),
+                pair,
+                registry.counter_value(f"{link_prefix}{pair}.frames"),
+                registry.counter_value(f"{link_prefix}{pair}.bytes"),
                 f"{busy.value:.2f}" if busy is not None else "-",
                 f"{occupancy.value * 100:.2f}" if occupancy is not None else "-",
             ])
         parts.append(render_table(
-            ["link", "frames", "bytes", "nil", "busy us", "occupancy %"],
+            ["link", "frames", "bytes", "busy us", "occupancy %"],
             rows,
         ))
 

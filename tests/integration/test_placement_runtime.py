@@ -62,16 +62,16 @@ class TestDesMeetsSlo:
 
 
 #: ``measure_placed(packets=400, seed=7)`` of the north-south chain on
-#: ``mesh:6x5`` before faults came to the timed pipeline: the fault-free
-#: run must not move.
+#: ``mesh:6x5``, the link serialising one frame at a time: a fault-free
+#: run must be the plain timed pipeline, field for field.
 FAULT_FREE_NS_6X5 = {
     "system": "NFP-placed", "label": "north-south@s0->s1",
-    "latency_mean_us": 98.54533742971165,
-    "latency_p50_us": 94.23819886513493,
-    "latency_p99_us": 111.32530057140414,
+    "latency_mean_us": 98.60671742971168,
+    "latency_p50_us": 94.29979886513618,
+    "latency_p99_us": 111.42803757140464,
     "throughput_mpps": 1.4705882352941175, "bottleneck": "server0:vpn",
     "offered_mpps": 0.275, "delivered": 400, "lost": 0, "nil_dropped": 0,
-    "resource_overhead": 0.0, "cores_used": 8, "events_processed": 9066,
+    "resource_overhead": 0.0, "cores_used": 8, "events_processed": 8481,
 }
 
 
@@ -219,12 +219,67 @@ class TestTelemetryGauges:
                   for name, gauge in hub.registry.gauges.items()}
         for name in placement.path:
             assert 0.0 < gauges[f"multiserver.server.{name}.core_util"] <= 1.0
-        assert gauges["multiserver.link0.busy_us"] > 0.0
-        assert 0.0 < gauges["multiserver.link0.occupancy"] < 1.0
-        assert hub.registry.counter_value("multiserver.link0.frames") == 400
+        pair = "{0.a}-{0.b}".format(placement.links[0])
+        assert gauges[f"multiserver.link.{pair}.busy_us"] > 0.0
+        assert 0.0 < gauges[f"multiserver.link.{pair}.occupancy"] < 1.0
+        assert hub.registry.counter_value(
+            f"multiserver.link.{pair}.frames") == 400
         # And the gauges are visible in the ASCII exporter table.
         table = multiserver_summary_table(hub.registry)
         for name in placement.path:
             assert name in table
-        assert "link0" in table
+        assert f"\n{pair} " in table
         assert "core util" in table and "occupancy" in table
+
+    def test_two_chains_on_disjoint_pairs_keep_their_rows(self):
+        # ``place --measure`` measures every chain into one hub: each
+        # link row is the server pair its chain crossed, holding that
+        # chain's frames and wire time alone.
+        orch = Orchestrator()
+        topology = Topology.from_spec("line:4x5")
+        requests = [orch.request(name, Policy.from_chain(
+            list(NORTH_SOUTH_CHAIN)), Slo(max_delay_us=100.0, max_mpps=1.0))
+            for name in "ab"]
+        plan = orch.place(topology, requests, backups=False)
+        assert [p.path for p in plan.placements] == [("s0", "s1"),
+                                                     ("s2", "s3")]
+        hub = TelemetryHub()
+        alone = {}
+        for placement in plan.placements:
+            measure_placed(placement, packets=200, telemetry=hub,
+                           topology=topology)
+            own = TelemetryHub()
+            measure_placed(placement, packets=200, telemetry=own,
+                           topology=topology)
+            alone.update({name: gauge.value
+                          for name, gauge in own.registry.gauges.items()})
+        gauges = {name: gauge.value
+                  for name, gauge in hub.registry.gauges.items()}
+        for pair in ("s0-s1", "s2-s3"):
+            prefix = f"multiserver.link.{pair}."
+            assert hub.registry.counter_value(prefix + "frames") == 200
+            assert gauges[prefix + "busy_us"] == alone[prefix + "busy_us"]
+            assert gauges[prefix + "occupancy"] == alone[prefix + "occupancy"]
+        table = multiserver_summary_table(hub.registry)
+        rows = [line.split("|") for line in table.splitlines()
+                if line.startswith(("s0-s1 ", "s2-s3 "))]
+        assert [int(row[1]) for row in rows] == [200, 200]
+
+    def test_chains_on_one_pair_sum(self):
+        # Two chains over one server pair (here one placement measured
+        # twice) sum their frames, bytes, wire time and core use.
+        topology, plan = place_fig13("line:4x5", delay=150.0, backups=False)
+        placement = plan.placement_for("north-south")
+        once, twice = TelemetryHub(), TelemetryHub()
+        measure_placed(placement, packets=200, telemetry=once,
+                       topology=topology)
+        for _ in range(2):
+            measure_placed(placement, packets=200, telemetry=twice,
+                           topology=topology)
+        for name, counter in once.registry.counters.items():
+            if name.startswith("multiserver."):
+                assert twice.registry.counter_value(name) == 2 * counter.value
+        for name, gauge in once.registry.gauges.items():
+            if name.startswith("multiserver."):
+                assert twice.registry.gauges[name].value == pytest.approx(
+                    2 * gauge.value)

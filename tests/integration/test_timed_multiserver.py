@@ -1,16 +1,21 @@
 """Integration: the timed (DES) cross-server pipeline."""
 
+import itertools
+
 import pytest
 
 from repro.core import Orchestrator, Policy
-from repro.dataplane import NFPServer
+from repro.dataplane import NFPServer, SequentialReference
 from repro.eval import deployed_from_graph
-from repro.multiserver import TimedMultiServer
+from repro.eval.experiments import NORTH_SOUTH_CHAIN
+from repro.multiserver import TimedMultiServer, has_nsh
 from repro.multiserver.latency import link_cost_us
-from repro.core.partition import partition_graph, slice_subgraph
+from repro.core.partition import partition_at, partition_graph, slice_subgraph
+from repro.net.packet import Packet
+from repro.nfs import create_nf
 from repro.sim import DEFAULT_PARAMS, Environment
 from repro.sim.stats import LatencyStats
-from repro.traffic import FlowGenerator, TrafficSource
+from repro.traffic import DATACENTER_MIX, FlowGenerator, TrafficSource
 
 CHAIN = ["gateway", "monitor", "nat", "firewall", "loadbalancer", "vpn"]
 
@@ -32,7 +37,8 @@ def run_single(graph, count=400, rate=0.5, seed=4, keep=False):
 
 def run_multi(graph, count=400, rate=0.5, seed=4, cores=5, keep=False):
     env = Environment()
-    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph, cores_per_server=cores)
+    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph,
+                             partition_graph(graph, cores))
     multi.tail.keep_packets = keep
     TrafficSource(env, multi.inject, rate, count,
                   flows=FlowGenerator(num_flows=16, seed=seed), seed=seed)
@@ -107,7 +113,8 @@ def test_latency_spans_every_server_whatever_the_injection_time(inject_at_us):
     graph = Orchestrator().compile(Policy.from_chain(
         ["firewall", "monitor", "loadbalancer", "nat"])).graph
     env = Environment()
-    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph, cores_per_server=4)
+    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph,
+                             partition_graph(graph, 4))
     assert multi.num_servers == 2
     multi.tail.latency = LatencyStats(allow_partial_warmup=True)
     env.call_later(inject_at_us, multi.inject,
@@ -115,3 +122,57 @@ def test_latency_spans_every_server_whatever_the_injection_time(inject_at_us):
     env.run()
     assert multi.delivered == 1
     assert multi.tail.latency.mean == pytest.approx(69.0, abs=0.01)
+
+
+def _every_cut(chain):
+    """(chain, cut vector) for every legal ``partition_at`` cut."""
+    graph = Orchestrator().compile(Policy.from_chain(chain)).graph
+    stages = range(1, len(graph.stages))
+    return [(chain, cuts) for count in range(len(graph.stages))
+            for cuts in itertools.combinations(stages, count)]
+
+
+EVERY_CUT = [case for chain in (list(NORTH_SOUTH_CHAIN), CHAIN,
+                                ["firewall", "monitor", "nat", "vpn"])
+             for case in _every_cut(chain)]
+
+
+@pytest.mark.parametrize(
+    "chain,cuts", EVERY_CUT,
+    ids=[f"{'>'.join(chain)}@{'-'.join(map(str, cuts)) or 'none'}"
+         for chain, cuts in EVERY_CUT])
+def test_every_cut_matches_the_sequential_chain(chain, cuts):
+    # The data-center size mix puts 64 B frames right behind 1,500 B
+    # ones: a link that let a short frame overtake a long one would hand
+    # a NAT or VPN behind the cut its packets out of order, and their
+    # ports and AH sequence numbers would follow arrival order.
+    graph = Orchestrator().compile(Policy.from_chain(chain)).graph
+    env = Environment()
+    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph,
+                             partition_at(graph, cuts))
+    multi.tail.keep_packets = True
+    offered = []
+
+    def inject(pkt):
+        offered.append(Packet(bytearray(pkt.buf)))
+        multi.inject(pkt)
+
+    TrafficSource(env, inject, 0.5, 400, seed=4, flows=FlowGenerator(
+        num_flows=16, sizes=DATACENTER_MIX, seed=4))
+    env.run()
+
+    reference = SequentialReference(
+        [create_nf(kind, name=f"ref-{kind}") for kind in chain])
+    want = {}
+    for pkt in offered:
+        out = reference.process(pkt)
+        if out is not None:
+            want[pkt.ipv4.identification] = bytes(out.buf)
+    emitted = multi.tail.emitted_packets
+    assert len(emitted) == len(want)
+    assert {pkt.ipv4.identification: bytes(pkt.buf)
+            for pkt in emitted} == want
+    assert multi.lost == 0
+    assert not any(has_nsh(pkt) for pkt in emitted)
+    for link, upstream in zip(multi.links, multi.servers):
+        assert link.frames == upstream.emitted

@@ -158,7 +158,7 @@ def test_scan_cost_follows_the_property_the_skip_names():
     # lab's zero padding: one translate and one containment test, no
     # walk) and costs a C-level translate and find on payloads made only
     # of signature-alphabet bytes, where every byte is still walked
-    # (here ~0.94-1.02x; docs/BENCHMARKS.md §25).  Wide margins: this
+    # (here ~0.94-1.02x of the textbook walk).  Wide margins: this
     # guards the shape, not the numbers.
     signatures = build_signatures()
     fast, reference = AhoCorasick(signatures), TextbookAhoCorasick(signatures)

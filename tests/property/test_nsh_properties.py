@@ -1,7 +1,7 @@
 """Property-based tests for the NSH inter-server shim (hypothesis).
 
 The shim is the only thing that crosses a link in a partitioned graph,
-so its encode/decode must be lossless: whatever (path id, index, nil,
+so its encode/decode must be lossless: whatever (path id, index,
 metadata word) goes in must come out, the payload must be untouched,
 and detection (``has_nsh``) must never misfire on truncated or garbage
 frames.
@@ -19,6 +19,7 @@ from repro.multiserver.nsh import (
     has_nsh,
 )
 from repro.net import PacketMeta, build_packet
+from repro.net.headers import ETH_HEADER_LEN
 from repro.net.packet import Packet
 
 mids = st.integers(min_value=0, max_value=(1 << PacketMeta.MID_BITS) - 1)
@@ -30,15 +31,16 @@ sizes = st.integers(min_value=64, max_value=1500)
 
 
 @given(mid=mids, pid=pids, version=versions, path_id=path_ids,
-       index=indices, nil=st.booleans(), size=sizes)
-def test_encap_decap_roundtrip(mid, pid, version, path_id, index, nil, size):
+       index=indices, size=sizes)
+def test_encap_decap_roundtrip(mid, pid, version, path_id, index, size):
     pkt = build_packet(size=size)
     original = bytes(pkt.buf)
     original_wire = pkt.wire_len
-    tag = NshTag(path_id, index, PacketMeta(mid, pid, version), nil=nil)
+    tag = NshTag(path_id, index, PacketMeta(mid, pid, version))
 
     encapsulate(pkt, tag)
     assert has_nsh(pkt)
+    assert pkt.buf[ETH_HEADER_LEN + 2] == 0  # the flags byte
     assert pkt.wire_len == original_wire + NSH_LEN
     assert len(pkt.buf) == len(original) + NSH_LEN
 
@@ -46,7 +48,6 @@ def test_encap_decap_roundtrip(mid, pid, version, path_id, index, nil, size):
     assert received == tag
     assert received.path_id == path_id
     assert received.index == index
-    assert received.nil is nil
     # The 64-bit metadata word survives bit-exactly.
     assert received.meta.mid == mid
     assert received.meta.pid == pid

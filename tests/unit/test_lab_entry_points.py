@@ -9,8 +9,9 @@
 one of those at install, or reached the merge through a private name,
 would still be byte-correct while the lab read
 ``dataplane.merge_us_per_pkt`` (or ``traffic.gen_us_per_pkt``) as 0.0.
-This test installs the lab's own wrappers and counts spans on all three
-planes, and on a source-driven DES run.
+This test installs the lab's own wrappers and counts spans on the
+functional plane, the event-driven server, the timed cross-server
+pipeline, and a source-driven DES run.
 """
 
 import contextlib
@@ -18,8 +19,9 @@ import contextlib
 import pytest
 
 from repro.core import Orchestrator, Policy
+from repro.core.partition import partition_graph
 from repro.dataplane import FunctionalDataplane, NFPServer
-from repro.multiserver import MultiServerDataplane
+from repro.multiserver import TimedMultiServer
 from repro.net.packet import Packet
 from repro.sim import DEFAULT_PARAMS, Environment
 from repro.traffic.generator import FlowGenerator, TrafficSource
@@ -77,19 +79,24 @@ def test_functional_plane_merges_and_copies_under_the_lab_wrappers():
 
 
 def test_two_slice_multiserver_merges_once_per_slice():
-    # West-east is one stage and cannot span two servers; a NAT in front
-    # makes it two, with the header copy and the merge on the second.
+    # West-east is one stage and cannot span two servers; a parallel
+    # gateway | NAT stage behind it makes two, each slice with a copy
+    # and a merger (a sequential slice bypasses its merger, §6.2.1).
     graph = Orchestrator().compile(
-        Policy.from_chain(["nat"] + WEST_EAST)).graph
-    multi = MultiServerDataplane(graph, cores_per_server=5)
+        Policy.from_chain(WEST_EAST + ["gateway", "nat"])).graph
+    env = Environment()
+    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph,
+                             partition_graph(graph, 5))
     assert multi.num_servers == 2
     with lab_wrappers() as recorder:
         for pkt in _stream():
-            assert multi.process(pkt) is not None
+            multi.inject(pkt)
+        env.run()
     calls = _calls(recorder)
-    assert calls["dataplane.merge"] == PACKETS * multi.num_servers
-    assert calls["net.copy.header"] == PACKETS
     assert [server.emitted for server in multi.servers] == [PACKETS, PACKETS]
+    assert calls["dataplane.merge"] == PACKETS * multi.num_servers
+    assert calls["net.copy.header"] + calls.get("net.copy.full", 0) \
+        == PACKETS * len(graph.copies) == PACKETS * multi.num_servers
 
 
 def test_nfp_server_merges_and_copies_under_the_lab_wrappers():

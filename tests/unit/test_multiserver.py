@@ -1,23 +1,39 @@
-"""Unit tests for cross-server parallelism (NSH shim + multi-server plane)."""
+"""Unit tests for cross-server parallelism (NSH shim + the timed plane)."""
+
+import ipaddress
 
 import pytest
 
 from repro.core import Orchestrator, Policy
 from repro.multiserver import (
     NSH_LEN,
-    MultiServerDataplane,
     NshTag,
+    TimedMultiServer,
     decapsulate,
     encapsulate,
     has_nsh,
 )
 from repro.core.partition import partition_graph, slice_subgraph
 from repro.net import PacketMeta, build_packet
-from repro.nfs import AclRule, Firewall
+from repro.nfs.firewall import build_acl
+from repro.sim import DEFAULT_PARAMS, Environment
 
 
 def graph_for(chain):
     return Orchestrator().compile(Policy.from_chain(chain)).graph
+
+
+def run_timed(graph, cores_per_server, packets, gap_us=2.0):
+    """``packets`` through the timed plane, one every ``gap_us``; the
+    tail keeps what it emits."""
+    env = Environment()
+    multi = TimedMultiServer(env, DEFAULT_PARAMS, graph,
+                             partition_graph(graph, cores_per_server))
+    multi.tail.keep_packets = True
+    for i, pkt in enumerate(packets):
+        env.call_at(i * gap_us, multi.inject, pkt)
+    env.run()
+    return multi
 
 
 # -------------------------------------------------------------------- NSH
@@ -35,13 +51,6 @@ def test_nsh_roundtrip_preserves_frame_and_metadata():
     assert pkt.wire_len == 128
     assert tag == NshTag(7, 2, meta)
     assert pkt.meta == meta
-
-
-def test_nsh_nil_flag_survives():
-    pkt = build_packet(size=64)
-    meta = PacketMeta(mid=1, pid=2, version=1)
-    encapsulate(pkt, NshTag(1, 1, meta, nil=True))
-    assert decapsulate(pkt).nil
 
 
 def test_nsh_double_encapsulation_rejected():
@@ -109,22 +118,24 @@ def test_multiserver_output_matches_single_server():
                         size=256, payload=b"x")),
     ]
     for chain, count, fields in cases:
-        multi = MultiServerDataplane(graph_for(chain), cores_per_server=5)
+        def packets():
+            return [build_packet(identification=i, **fields(i))
+                    for i in range(count)]
+
+        multi = run_timed(graph_for(chain), 5, packets())
         single = FunctionalDataplane(graph_for(chain))
         reference = SequentialReference(
             [create_nf(kind, name=f"ref-{kind}") for kind in chain])
         assert multi.num_servers == 2
 
-        for i in range(count):
-            # Same bytes (or the same drop) as one server and as the
-            # chain run in order.
-            outputs = {
-                None if out is None else bytes(out.buf)
-                for out in (plane.process(build_packet(identification=i,
-                                                       **fields(i)))
-                            for plane in (multi, single, reference))
-            }
-            assert len(outputs) == 1
+        # Same bytes (or the same drop) as one server and as the chain
+        # run in order, matched by IPv4 identification.
+        got = {pkt.ipv4.identification: bytes(pkt.buf)
+               for pkt in multi.tail.emitted_packets}
+        for plane in (single, reference):
+            outputs = plane.process_many(packets())
+            assert got == {i: bytes(out.buf) for i, out in enumerate(outputs)
+                           if out is not None}
         for link in multi.links:
             # The paper's constraint: one copy per packet per link, shim
             # overhead a fixed 16 B.
@@ -135,77 +146,44 @@ def test_multiserver_output_matches_single_server():
 def test_one_frame_per_packet_per_link():
     # The paper's bandwidth constraint: each server sends only one copy.
     graph = graph_for(["ids", "monitor", "loadbalancer", "nat"])
-    multi = MultiServerDataplane(graph, cores_per_server=5)
+    multi = run_timed(graph, 5, [
+        build_packet(src_port=i, size=96, identification=i)
+        for i in range(30)])
     assert multi.num_servers >= 2
-    for i in range(30):
-        multi.process(build_packet(src_port=i, size=96, identification=i))
+    assert multi.delivered == 30
     for link in multi.links:
         assert link.frames == 30
 
 
 def test_multiserver_drop_suppresses_downstream_work():
     graph = graph_for(["firewall", "monitor", "nat", "vpn"])
-    multi = MultiServerDataplane(graph, cores_per_server=4)
+    # Every packet hits the firewall's first deny rule on server 0.
+    deny = build_acl()[0]
+    src_ip = str(ipaddress.IPv4Address(deny.src_net | 1))
+    multi = run_timed(graph, 4, [
+        build_packet(src_ip=src_ip, src_port=i,
+                     dst_port=deny.dport_range[0], size=96)
+        for i in range(10)])
     assert multi.num_servers >= 2
-    # Replace the firewall with a deny-all instance.
-    fw_server = multi.servers[0]
-    fw_name = next(n for n in fw_server.nfs if n.startswith("firewall"))
-    fw_server.nfs[fw_name] = Firewall(name=fw_name, acl=[AclRule(permit=False)])
-
-    for i in range(10):
-        assert multi.process(build_packet(src_port=i, size=96)) is None
-    assert multi.dropped == 10
-    # Downstream servers never ran their NFs...
-    last = multi.servers[-1]
-    assert all(nf.rx_packets == 0 for nf in last.nfs.values())
-    # ...but every link still saw exactly one (nil) frame per packet.
+    assert multi.delivered == 0
+    assert multi.nil_dropped == 10
+    # A drop never crosses: no frame on any link, and the downstream
+    # servers never ran their NFs.
     for link in multi.links:
-        assert link.frames == 10
-        assert link.nil_frames == 10
-
-
-def test_burst_crosses_like_packets_one_at_a_time():
-    # process_many runs each slice over the burst's survivors, then every
-    # packet crosses the link: same bytes, drops, link ledger and NF
-    # counters as process() per packet, with some packets denied on the
-    # first server and so crossing as nil frames.
-    chain = ["firewall", "monitor", "nat", "vpn"]
-
-    def run(burst):
-        multi = MultiServerDataplane(graph_for(chain), cores_per_server=4)
-        assert multi.num_servers >= 2
-        for server in multi.servers:
-            for name in [n for n in server.nfs if n.startswith("firewall")]:
-                server.nfs[name] = Firewall(name=name, acl=[AclRule(
-                    src_prefix=("192.0.2.0", 28), permit=False)])
-        pkts = [build_packet(src_ip=f"192.0.2.{i % 120 + 1}", src_port=6000 + i,
-                             size=256, payload=b"x", identification=i)
-                for i in range(100)]
-        outputs = []
-        for start in range(0, len(pkts), burst):
-            outputs += multi.process_many(pkts[start:start + burst])
-        return {
-            "outputs": [None if out is None else bytes(out.buf)
-                        for out in outputs],
-            "links": [(link.frames, link.bytes, link.nil_frames)
-                      for link in multi.links],
-            "totals": (multi.emitted, multi.dropped),
-            "nfs": [{label: (nf.rx_packets, nf.dropped_packets)
-                     for label, nf in server.nfs.items()}
-                    for server in multi.servers],
-        }
-
-    one = run(1)
-    assert one["totals"][1] > 0 and one["links"][0][2] > 0
-    assert run(32) == one
+        assert link.frames == 0
+    for server in multi.servers[1:]:
+        assert all(nf.rx_packets == 0 for nf in server.nfs.values())
 
 
 def test_nf_lookup_across_servers():
+    # Each of the graph's NFs runs on exactly one server of the plane.
     graph = graph_for(["monitor", "nat", "vpn"])
-    multi = MultiServerDataplane(graph, cores_per_server=4)
-    assert multi.nf("monitor").KIND == "monitor"
-    with pytest.raises(KeyError):
-        multi.nf("ghost")
+    multi = TimedMultiServer(Environment(), DEFAULT_PARAMS, graph,
+                             partition_graph(graph, 4))
+    kinds = [nf.KIND for server in multi.servers
+             for nf in server.nfs.values()]
+    assert multi.num_servers >= 2
+    assert sorted(kinds) == ["monitor", "nat", "vpn"]
 
 
 # --------------------------------------------------------- latency model
