@@ -2,9 +2,10 @@
 
 NFP's per-packet semantics are fixed once a graph is compiled: which
 copies are due at each stage's entry, which NFs run in the stage and on
-which version.  :class:`CompiledGraph` states that *once per install* as
-plain tuples, so no per-packet path scans ``graph.copies`` or formats an
-instance label.  It is the one routing artefact of a graph: the
+which version, and what each NF's visit costs a packet's parse memo.
+:class:`CompiledGraph` states that *once per install* as plain tuples,
+so no per-packet path scans ``graph.copies`` or formats an instance
+label.  It is the one routing artefact of a graph: the
 functional plane executes the program, bound to its scale map, through
 the one interpreter (:class:`repro.dataplane.functional.FunctionalDataplane`;
 a cross-server slice is a graph of its own,
@@ -26,6 +27,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..net.fields import Field
+from ..net.packet import FORGET_KEY, FORGET_MEMO, KEEP_MEMO
+from .actions import ActionProfile
 from .graph import ORIGINAL_VERSION, CopySpec, ServiceGraph
 from .tables import CTEntry
 
@@ -40,6 +44,20 @@ def instance_labels(name: str, count: int) -> Tuple[str, ...]:
     return tuple(f"{name}#{k}" for k in range(count))
 
 
+#: The fields a flow key is made of.
+_KEY_FIELDS = frozenset((Field.SIP, Field.DIP, Field.SPORT, Field.DPORT))
+
+
+def _memo_rule(profile: ActionProfile) -> int:
+    """What a visit by an NF of ``profile`` may make stale: the key when
+    it writes a key field, everything when it adds or removes a header
+    unit or writes the whole packet."""
+    writes = profile.writes
+    if profile.adds or profile.removes or Field.WHOLE_PACKET in writes:
+        return FORGET_MEMO
+    return FORGET_KEY if writes & _KEY_FIELDS else KEEP_MEMO
+
+
 class CompiledGraph:
     """One service graph flattened into per-stage program tuples.
 
@@ -52,7 +70,7 @@ class CompiledGraph:
     attaches the delay its ``SimParams`` give a merge.
     """
 
-    __slots__ = ("graph", "program", "steps", "by_nf", "stage0",
+    __slots__ = ("graph", "program", "steps", "by_nf", "stage0", "forget",
                  "total_count", "needs_merger", "merge_plan", "merge_delay_us")
 
     def __init__(self, graph: ServiceGraph,
@@ -100,6 +118,10 @@ class CompiledGraph:
         self.stage0: Tuple[Tuple[int, str], ...] = tuple(
             (version, name) for version in sorted(graph.stages[0].versions())
             for name in _names(graph.stages[0], version))
+        #: NF name -> the memo rule (``repro.net.packet.forget_memos``)
+        #: both planes apply to the packets it takes, before its visit.
+        self.forget: Dict[str, int] = {
+            node.name: _memo_rule(node.profile) for node in graph.nodes()}
         self.total_count = graph.total_count
         self.needs_merger = graph.needs_merger
         self.merge_plan = None

@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from ..core.closures import CompiledGraph, instance_labels
 from ..core.graph import ORIGINAL_VERSION, ServiceGraph
 from ..core.scaling import scale_graph
-from ..net.packet import Packet
+from ..net.packet import FORGET_MEMO, KEEP_MEMO, Packet, forget_memos
 from ..nfs.base import NetworkFunction, create_nf
 from .flowsplit import key_digest, packet_key, pick_instance
 from .merging import MergePlan, apply_merge_ops
@@ -98,7 +98,9 @@ class FunctionalDataplane:
     ):
         self.graph = graph
         self.scale = _counts(graph, scale)
-        self._stages = CompiledGraph(graph, self.scale).program
+        compiled = CompiledGraph(graph, self.scale)
+        self._stages = compiled.program
+        self._forget = compiled.forget
         #: Instance label -> NF object, looked up per burst.
         self.nfs = nf_instances or instantiate_nfs(graph, scale=self.scale)
         missing = [label for _, entries in self._stages
@@ -110,6 +112,14 @@ class FunctionalDataplane:
         #: is split once per count (none: no packet is hashed).
         self._replicas = sorted({count for _, entries in self._stages
                                  for _, count, _, _ in entries if count > 1})
+        # The entry walk has a reader unless the split needs no key, no
+        # copy is cut at stage 0 and the first NF on version 1 forgets
+        # the whole memo before its visit (a VPN or a tunnel first).
+        copies, entries = self._stages[0]
+        first = next((self._forget[entry.node.name]
+                      for version, _, _, entry in entries
+                      if version == ORIGINAL_VERSION), KEEP_MEMO)
+        self._parse = bool(self._replicas or copies or first != FORGET_MEMO)
         self._plan = MergePlan(graph.merge_ops)
         self.processed = self.emitted = self.dropped = 0
 
@@ -121,9 +131,14 @@ class FunctionalDataplane:
     def process_many(self, packets: Iterable[Packet]) -> List[Optional[Packet]]:
         """Run a burst through the program, one stage at a time.
 
-        Each stage makes its entry copies for every packet, hands each
-        entry's NF the burst's live buffers in one ``handle_burst``, and
-        turns that stage's drops into nils; then every packet merges.
+        Each packet is parsed once, at entry, as NFP's classifier does:
+        the parse memo it fills is what copies inherit and read-only NFs
+        answer from (a graph with no reader for it skips the walk).
+        Each stage makes its entry copies for every packet, applies each
+        entry's memo rule to its live buffers, hands the entry's NF
+        those buffers in one ``handle_burst``, and turns that stage's
+        drops into nils; then every packet merges, and leaves its memo
+        behind.
         Each NF still sees its packets in burst order and every copy is
         still taken from version 1 after the previous stage, so the
         outputs are those of the packets run one at a time.
@@ -133,9 +148,11 @@ class FunctionalDataplane:
         nfs = self.nfs
         # Per packet: version -> buffer, version 1 the packet itself.
         flights = [{ORIGINAL_VERSION: pkt} for pkt in pkts]
+        if self._parse:
+            keys = [pkt.parse() for pkt in pkts]
         shares = None
         if self._replicas:
-            digests = [key_digest(packet_key(pkt)) for pkt in pkts]
+            digests = [key_digest(key) for key in keys]
             # Each instance's share of the burst, once per count.
             shares = {}
             for count in self._replicas:
@@ -145,13 +162,15 @@ class FunctionalDataplane:
                          if pick == k])
                     for k in dict.fromkeys(picks)]
 
+        forget = self._forget
         for copies, entries in self._stages:
             for copy in copies:
                 make, version = copy.make, copy.version
                 for flight in flights:
                     flight[version] = make(flight[ORIGINAL_VERSION])
             drops = []
-            for version, count, labels, _ in entries:
+            for version, count, labels, entry in entries:
+                rule = forget[entry.node.name]
                 if count == 1:
                     served = ((nfs[labels[0]], flights),)
                 else:
@@ -161,7 +180,10 @@ class FunctionalDataplane:
                     live = [flight for flight in share if not flight[version].nil]
                     if not live:
                         continue
-                    contexts = nf.handle_burst([flight[version] for flight in live])
+                    taken = [flight[version] for flight in live]
+                    if rule:
+                        forget_memos(taken, rule)
+                    contexts = nf.handle_burst(taken)
                     for flight, ctx in zip(live, contexts):
                         if ctx.dropped:
                             drops.append((flight, version))
@@ -171,6 +193,7 @@ class FunctionalDataplane:
         plan = self._plan
         # The module global, looked up per call: the lab patches it.
         outputs = [apply_merge_ops(flight, plan) for flight in flights]
+        forget_memos(pkts, FORGET_MEMO)
         lost = outputs.count(None)
         self.dropped += lost
         self.emitted += len(outputs) - lost

@@ -21,6 +21,11 @@ absent unit -- pop/decap NFs pass untagged/non-tunnel traffic through,
 and unit presence on the base at merge time matches what the popping
 NF's copy saw at stage entry, so a no-op strip reproduces sequential
 behaviour exactly.
+
+Every splice and strip drops the parse memo of the base it takes, before
+a later step resolves an offset on it (``Packet.parse``); a merge that
+ran any step drops the base's key memo, since a ``modify`` may have
+written an address or a port.
 """
 
 from __future__ import annotations
@@ -168,6 +173,8 @@ def apply_merge_ops(
         base.buf[to + lo : to + hi] = source.buf[at + lo : at + hi]
         if base_slot == 0:
             checksum_dirty = True
+    if plan.steps:
+        base.memo_key = None
     if checksum_dirty:
         to = offsets[0]
         ipv4_header_checksum(base.buf, base._ipv4_offset() if to is None else to)
@@ -218,6 +225,7 @@ def _splice_ah(base: Packet, source: Packet) -> None:
     ip = base.ipv4
     l3 = ip.offset
     ip_end = l3 + ip.header_len
+    base.memo_offsets = base.memo_key = None
     if base.has_ah:
         base.buf[ip_end : ip_end + AhView.HEADER_LEN] = ah_bytes
         return
@@ -238,6 +246,7 @@ def _strip_ah(base: Packet) -> None:
     ah = AhView(base.buf, ip_end)
     next_header = ah.next_header
     # The cut lies behind the IPv4 header, so ``ip`` stays valid.
+    base.memo_offsets = base.memo_key = None
     del base.buf[ip_end : ip_end + AhView.HEADER_LEN]
     ip.protocol = next_header
     ip.total_length = ip.total_length - AhView.HEADER_LEN
@@ -251,6 +260,7 @@ def _splice_vlan(base: Packet, source: Packet) -> None:
     if not source.has_vlan:
         raise MergeError("source version carries no VLAN tag to splice")
     tag = bytes(source.buf[12 : 12 + VLAN_TAG_LEN])
+    base.memo_offsets = base.memo_key = None
     if base.has_vlan:
         base.buf[12 : 12 + VLAN_TAG_LEN] = tag
         return
@@ -262,6 +272,7 @@ def _strip_vlan(base: Packet) -> None:
     """Pop the tag; tolerant no-op when the base is untagged (see module doc)."""
     if not base.has_vlan:
         return
+    base.memo_offsets = base.memo_key = None
     del base.buf[12 : 12 + VLAN_TAG_LEN]
     base.wire_len -= VLAN_TAG_LEN
 
@@ -276,6 +287,7 @@ def _splice_vxlan(base: Packet, source: Packet) -> None:
     """
     if not is_vxlan(source):
         raise MergeError("source version carries no VXLAN outer stack to splice")
+    base.memo_offsets = base.memo_key = None
     if is_vxlan(base):
         # Refresh the existing outer stack in place (mirrors the AH
         # replace branch: the encap NF rewrote its copy's outer).
@@ -296,6 +308,7 @@ def _strip_vxlan(base: Packet) -> None:
     """Drop the outer stack; tolerant no-op for non-tunnel traffic."""
     if not is_vxlan(base):
         return
+    base.memo_offsets = base.memo_key = None
     del base.buf[0:VXLAN_OUTER_LEN]
     base.wire_len -= VXLAN_OUTER_LEN
 

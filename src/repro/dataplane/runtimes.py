@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set, 
 from ..core.closures import CompiledGraph
 from ..core.graph import ORIGINAL_VERSION
 from ..faults import HealthState
-from ..net.packet import Packet
+from ..net.packet import Packet, forget_memos
 from ..nfs.base import NetworkFunction
 from ..sim import Core, Environment, Ring
 from ..telemetry.tracer import SpanKind
@@ -202,8 +202,9 @@ class _NFRuntimeSim:
 
         The NF handles the burst's live packets (not nil, still in
         flight) in one :meth:`~NetworkFunction.handle_burst` call, in
-        ring order; each packet's verdict then goes through the barrier
-        and forwarding bookkeeping.
+        ring order, after their parse memos took the NF's rule; each
+        packet's verdict then goes through the barrier and forwarding
+        bookkeeping.
         """
         server = self.server
         complete = server.nf_complete
@@ -211,7 +212,17 @@ class _NFRuntimeSim:
         flight = server._flight
         live = [pkt for pkt in batch
                 if not pkt.nil and (pkt.meta.mid, pkt.meta.pid) in flight]
-        verdicts = self.nf.handle_burst(live) if live else ()
+        verdicts = ()
+        if live:
+            # One runtime serves one graph node, and every graph
+            # installed for it (a re-install, a degraded linearization)
+            # carries that node's profile: any live packet's record
+            # gives the rule.
+            meta = live[0].meta
+            rule = flight[meta.mid, meta.pid].compiled.forget[self.name]
+            if rule:
+                forget_memos(live, rule)
+            verdicts = self.nf.handle_burst(live)
         pending = len(live)
         k = 0
         for pkt in batch:

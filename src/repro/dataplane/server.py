@@ -50,7 +50,7 @@ from ..sim import Core, Environment, NicEgress, PacketPool, Ring, SimParams
 from ..telemetry.hooks import NULL_HUB, TelemetryHub
 from ..telemetry.tracer import SpanKind
 from .chaining import ChainingManager
-from .flowsplit import assign_instances, packet_key
+from .flowsplit import assign_instances
 from .runtimes import FlightState, Sweeper, _MergerSim, _NFRuntimeSim, _RuntimeGroup
 
 __all__ = ["NFPServer"]
@@ -273,7 +273,9 @@ class NFPServer(NicEgress):
         scaled = self._scaled_counts
         healthy = self.health.view() if scaled else None
         for pkt in batch:
-            key = packet_key(pkt)
+            # The one header walk: it fills the parse memo the packet's
+            # copies inherit and its read-only NFs answer from.
+            key = pkt.parse()
             if key is not None and directory is not None:
                 directory.add(key)
             entry = self.chaining.classify(key)
@@ -532,7 +534,9 @@ class NFPServer(NicEgress):
         self.nf_complete(runtime, pkt, now, dropped=True)
 
     def emit(self, pkt: Packet, now: float, extra_delay: float = 0.0) -> None:
-        """Send a packet finished at ``now`` out of the NIC; record metrics."""
+        """Send a packet finished at ``now`` out of the NIC; record metrics.
+        The packet leaves its parse memo behind."""
+        pkt.memo_offsets = pkt.memo_key = None
         if pkt.meta is not None:
             popped = self._flight.pop((pkt.meta.mid, pkt.meta.pid), None)
             if popped is not None:

@@ -456,7 +456,9 @@ def measure_placed(
     ``faults`` (server names as labels: ``"crash:s1:pkt=5"``) runs the
     ``plan_backups`` standby beside it and fails over onto it
     (:class:`repro.placement.runtime._Failover`); the result covers both
-    paths, and ``telemetry`` gets the ``placement.<chain>.*`` ledger.
+    paths, and ``telemetry`` gets the ``placement.<chain>.*`` ledger and
+    the ``multiserver.*`` rows of the backup's servers and links beside
+    the active path's.
     """
     from ..placement.runtime import _Failover, build_timed  # avoids a cycle
 
@@ -478,7 +480,14 @@ def measure_placed(
     for server in plane.servers:
         server.collect_telemetry()
     if telemetry is not None and telemetry.enabled:
-        _publish_multiserver(telemetry, placement, plane.links, rate, topology)
+        # A failover run publishes the backup's servers and links too:
+        # after the crash, they carry the traffic.
+        paths = ((placement, plane),) if faults is None else (
+            (placement, plane.paths[0][1]),
+            (placement.backup, plane.paths[1][1]))
+        for placed, timed in paths:
+            _publish_multiserver(telemetry, placed, timed.links, rate,
+                                 topology)
         if faults is not None:
             plane.publish()
 

@@ -80,6 +80,7 @@ def encapsulate(pkt: Packet, tag: NshTag) -> None:
     if has_nsh(pkt):
         raise ValueError("packet already NSH-tagged")
     shim = _STRUCT.pack(_MAGIC, 0, tag.index, tag.path_id, tag.meta.pack())
+    pkt.memo_offsets = pkt.memo_key = None
     pkt.buf[ETH_HEADER_LEN:ETH_HEADER_LEN] = shim
     pkt.eth.ethertype = ETHERTYPE_NSH
     pkt.wire_len += NSH_LEN
@@ -93,6 +94,7 @@ def decapsulate(pkt: Packet) -> NshTag:
     magic, _flags, index, path_id, word = _STRUCT.unpack(raw)
     if magic != _MAGIC:
         raise ValueError("corrupt NSH shim")
+    pkt.memo_offsets = pkt.memo_key = None
     del pkt.buf[ETH_HEADER_LEN : ETH_HEADER_LEN + NSH_LEN]
     pkt.eth.ethertype = ETHERTYPE_IPV4
     pkt.wire_len -= NSH_LEN

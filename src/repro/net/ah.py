@@ -46,7 +46,9 @@ def insert_ah(pkt: Packet, spi: int, seq: int, icv_key: bytes) -> None:
     if rec is not None:
         rec.record("add", Field.AH_HEADER, pkt.uid)
 
-    # The splice lands behind the IPv4 header, so ``l3`` stays valid.
+    # The splice lands behind the IPv4 header, so ``l3`` stays valid;
+    # the parse memo does not.
+    pkt.memo_offsets = pkt.memo_key = None
     ip_end = l3 + (buf[l3] & 0x0F) * 4
     buf[ip_end:ip_end] = header
     buf[l3 + 9] = PROTO_AH
@@ -86,7 +88,9 @@ def remove_ah(pkt: Packet, icv_key: bytes = b"", verify: bool = False) -> None:
     if verify and not verify_ah(pkt, icv_key):
         raise ValueError("AH integrity check failed")
     next_header = ah.next_header
-    # The cut lies behind the IPv4 header, so ``ip`` stays valid.
+    # The cut lies behind the IPv4 header, so ``ip`` stays valid; the
+    # parse memo does not.
+    pkt.memo_offsets = pkt.memo_key = None
     del pkt.buf[ip_end : ip_end + AhView.HEADER_LEN]
 
     ip.protocol = next_header

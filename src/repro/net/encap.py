@@ -3,7 +3,8 @@
 Structural primitives for the Lemur-style L2/tunnel NFs (VLAN push/pop,
 VXLAN encap/decap): like :mod:`repro.net.ah` they splice whole header
 units in and out of the frame, which the profile model expresses as
-``Add``/``Remove`` of :data:`Field.VLAN_HEADER` / :data:`Field.VXLAN_HEADER`.
+``Add``/``Remove`` of :data:`Field.VLAN_HEADER` / :data:`Field.VXLAN_HEADER`,
+and each drops the parse memo of the packet it takes.
 
 Layout facts used throughout:
 
@@ -70,6 +71,7 @@ def insert_vlan(pkt: Packet, vlan_id: int, pcp: int = 0) -> None:
     if rec is not None:
         rec.record("add", Field.VLAN_HEADER, pkt.uid)
     tci = (pcp << 13) | vlan_id
+    pkt.memo_offsets = pkt.memo_key = None
     if pkt.has_vlan:
         pkt.buf[14] = (tci >> 8) & 0xFF
         pkt.buf[15] = tci & 0xFF
@@ -93,6 +95,7 @@ def remove_vlan(pkt: Packet) -> None:
     rec = pkt.recorder
     if rec is not None:
         rec.record("remove", Field.VLAN_HEADER, pkt.uid)
+    pkt.memo_offsets = pkt.memo_key = None
     del pkt.buf[12 : 12 + VLAN_TAG_LEN]
     pkt.wire_len -= VLAN_TAG_LEN
 
@@ -176,6 +179,7 @@ def vxlan_encap(
     )
     vxlan = struct.pack("!BBHI", 0x08, 0, 0, vni << 8)  # I-flag set, VNI<<8
 
+    pkt.memo_offsets = pkt.memo_key = None
     pkt.buf[0:0] = eth + bytes(ip) + udp + vxlan
     pkt.wire_len += VXLAN_OUTER_LEN
 
@@ -187,6 +191,7 @@ def vxlan_decap(pkt: Packet) -> None:
     rec = pkt.recorder
     if rec is not None:
         rec.record("remove", Field.VXLAN_HEADER, pkt.uid)
+    pkt.memo_offsets = pkt.memo_key = None
     del pkt.buf[0:VXLAN_OUTER_LEN]
     pkt.wire_len -= VXLAN_OUTER_LEN
 

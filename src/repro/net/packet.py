@@ -46,7 +46,8 @@ from .recorder import (
 )
 
 __all__ = ["Packet", "PacketMeta", "build_packet", "FLOW_KEY",
-           "decode_flow_key", "encode_flow_key", "HEADER_COPY_BYTES"]
+           "decode_flow_key", "encode_flow_key", "HEADER_COPY_BYTES",
+           "KEEP_MEMO", "FORGET_KEY", "FORGET_MEMO", "forget_memos"]
 
 #: Bytes copied by header-only copying.  The paper fixes this at 64 B for
 #: TCP traffic on Ethernet (Eth 14 + IPv4 20 + TCP 20 + slack).
@@ -78,12 +79,29 @@ FLOW_KEY = struct.Struct("!IIBHH")
 #: the frame.  ``8s`` zero-pads a short slice: safe only because the
 #: walk (``_flow``) guarantees all 20 fixed bytes of the IPv4 header.
 _KEY = struct.Struct("!8sBHH")
+#: The same 13 bytes as ``parse`` packs them: the ports as the frame's
+#: 4 bytes, or ``b""`` zero-padded to ports 0.
+_PARSED_KEY = struct.Struct("!8sB4s")
 #: Bits of the first byte of the IPv4 flags/fragment-offset word (the
 #: second is all offset): any of ``_FRAGMENT`` (MF, offset) or a non-zero
 #: second byte marks a fragment; ``_LATER_FRAGMENT`` (offset) marks one
 #: past the first, whose L4 bytes are payload, not a header.
 _FRAGMENT = 0x3F
 _LATER_FRAGMENT = 0x1F
+#: What an NF's visit costs the packets it takes of their parse memo
+#: (``CompiledGraph.forget``, from the NF's profile): nothing, the key,
+#: or both parts.
+KEEP_MEMO, FORGET_KEY, FORGET_MEMO = 0, 1, 2
+
+
+def forget_memos(packets, rule: int) -> None:
+    """Apply a visit's memo ``rule`` to ``packets``, before the visit."""
+    if rule == FORGET_MEMO:
+        for pkt in packets:
+            pkt.memo_offsets = pkt.memo_key = None
+    elif rule == FORGET_KEY:
+        for pkt in packets:
+            pkt.memo_key = None
 
 
 def decode_flow_key(key: bytes) -> tuple:
@@ -178,6 +196,8 @@ class Packet:
         "uid",
         "ingress_us",
         "recorder",
+        "memo_offsets",
+        "memo_key",
     )
 
     def __init__(
@@ -203,6 +223,11 @@ class Packet:
         #: property pays exactly one ``is None`` check and returns the
         #: plain view classes.
         self.recorder = None
+        #: The parse memo (see :meth:`parse`): ``(l3, l4 protocol, l4,
+        #: payload offset)`` and ``(flow key, five-tuple fields read)``,
+        #: each ``None`` until a classifier fills it.
+        self.memo_offsets = None
+        self.memo_key = None
 
     # ------------------------------------------------------------ views
     @property
@@ -218,12 +243,28 @@ class Packet:
             return _TAGGED_L3
         return ETH_HEADER_LEN
 
-    # The header stack is resolved here and nowhere else: stateless walks
-    # over the raw bytes, redone on every call.  Nothing is cached: views,
-    # NFs and splice helpers write structural bytes straight into ``buf``,
-    # so a remembered layout could go stale unnoticed.  Every index is
-    # bounds-checked; a frame that does not parse raises ``ValueError``,
-    # the one exception callers catch.
+    # The header stack is resolved here and nowhere else.  NFP's
+    # classifier parses a packet once and tags it (§5), and so do both
+    # planes' classifiers here: :meth:`parse`, one walk, fills the parse
+    # memo -- ``memo_offsets`` (L3 offset, L4 protocol, L4 offset,
+    # payload offset) and ``memo_key`` (the flow key and how many
+    # five-tuple fields its walk read) -- and every question below
+    # returns from it; header and full copies inherit it.  Views, NFs and
+    # splice helpers write bytes straight into ``buf``, so the memo is
+    # trusted only while nothing can have moved what it records:
+    # - before an NF's visit, a plane applies the rule the compiled graph
+    #   derives from the NF's profile (``CompiledGraph.forget``): a
+    #   SIP/DIP/SPORT/DPORT writer's packet loses the key, a header-unit
+    #   adder or remover's, or a WHOLE_PACKET writer's, both parts;
+    # - every structural primitive (AH, VLAN, VXLAN, NSH, the merge's
+    #   splices and strips) drops both parts of the packet it takes, and
+    #   a merge that ran a step drops the key;
+    # - a plane's outputs leave their memo behind (the functional plane's
+    #   drops too), so no caller holds one its own writes could outdate.
+    # A packet with no memo (the sequential reference's, a writer NF's,
+    # a frame the walk refuses) takes the walks below, the miss path:
+    # stateless, every index bounds-checked; a frame that does not parse
+    # raises ``ValueError``, the one exception callers catch.
     #
     # Which walk answers which question, each in as few frames as it can:
     # - ``_ipv4_offset``, L3 only: the IPv4 views, ``has_ah`` / ``ah`` and
@@ -232,15 +273,20 @@ class Packet:
     # - ``_resolve``, L3 through an AH to L4: the protocol, the L4 views,
     #   the NAT; ``_header_span`` (payload, header copy) calls it once
     #   and bounds the TCP header itself;
-    # - ``_flow``, L3 through L4 to the ports: every flow key, three per
-    #   packet on the west-east chain, so it walks inline too.
-    # So the L3 checks are written three times, each a frame saved per
-    # question; the every-prefix differential properties
+    # - ``_flow``, L3 through L4 to the ports: the load balancer's
+    #   rewrite, ``five_tuple``, a key the memo does not hold; it takes
+    #   its offsets from the memo when there is one and reads the ports
+    #   itself.
+    # So the L3 checks are written four times (``parse`` too), each a
+    # frame saved per question; the every-prefix differential properties
     # (``test_packet_properties.py``, ``test_flow_bytes_differential.py``)
-    # hold all three to the view chain.
+    # hold them all to the view chain.
     def _ipv4_offset(self) -> int:
         """Offset of the IPv4 header, all 20 fixed bytes of it in ``buf``
         and an IHL of at least 5, so its L4 bytes start past them."""
+        memo = self.memo_offsets
+        if memo is not None:
+            return memo[0]
         buf = self.buf
         size = len(buf)
         if size >= _TAGGED_L3 and buf[12] == _TPID_HI and buf[13] == _TPID_LO:
@@ -260,6 +306,9 @@ class Packet:
     def _resolve(self) -> tuple:
         """``(l3_offset, l4_protocol, l4_offset)``, looking through an AH:
         :meth:`_ipv4_offset`'s checks, then the AH's bounds."""
+        memo = self.memo_offsets
+        if memo is not None:
+            return memo[:3]
         buf = self.buf
         size = len(buf)
         if size >= _TAGGED_L3 and buf[12] == _TPID_HI and buf[13] == _TPID_LO:
@@ -289,6 +338,9 @@ class Packet:
         the "payload" would start inside the TCP header, at or before the
         data-offset byte itself.
         """
+        memo = self.memo_offsets
+        if memo is not None:
+            return memo[0], memo[3]
         l3, proto, end = self._resolve()
         if proto == PROTO_TCP:
             buf = self.buf
@@ -380,8 +432,8 @@ class Packet:
         self.buf[start:] = data
 
     def _flow(self, portless: int = 0) -> tuple:
-        """``(buf, l3, proto, sport, dport)``: the walk under every flow key,
-        :meth:`_resolve`'s checks inline.
+        """``(buf, l3, proto, sport, dport)``: the walk under a flow key,
+        :meth:`_resolve`'s checks inline, or its offsets from the memo.
 
         TCP and UDP ports are read (and their header bounds-checked);
         any other protocol has ports 0.  So does, for a non-zero
@@ -392,24 +444,28 @@ class Packet:
         """
         buf = self.buf
         size = len(buf)
-        if size >= _TAGGED_L3 and buf[12] == _TPID_HI and buf[13] == _TPID_LO:
-            l3 = _TAGGED_L3
+        memo = self.memo_offsets
+        if memo is not None:
+            l3, proto, l4, _ = memo
         else:
-            l3 = ETH_HEADER_LEN
-        if size < l3 or buf[l3 - 2] != _IPV4_HI or buf[l3 - 1] != _IPV4_LO:
-            raise ValueError("packet is not IPv4")
-        if l3 + _IPV4_LEN > size:
-            raise ValueError(f"IPv4 header cut short at offset {l3}")
-        ihl = buf[l3] & 0x0F
-        if ihl < _IHL_MIN:
-            raise ValueError(f"IPv4 IHL below {_IHL_MIN} at offset {l3}")
-        l4 = l3 + ihl * 4
-        proto = buf[l3 + 9]
-        if proto == PROTO_AH:
-            if l4 + _AH_LEN > size:
-                raise ValueError(f"AH cut short at offset {l4}")
-            proto = buf[l4]
-            l4 += _AH_LEN
+            if size >= _TAGGED_L3 and buf[12] == _TPID_HI and buf[13] == _TPID_LO:
+                l3 = _TAGGED_L3
+            else:
+                l3 = ETH_HEADER_LEN
+            if size < l3 or buf[l3 - 2] != _IPV4_HI or buf[l3 - 1] != _IPV4_LO:
+                raise ValueError("packet is not IPv4")
+            if l3 + _IPV4_LEN > size:
+                raise ValueError(f"IPv4 header cut short at offset {l3}")
+            ihl = buf[l3] & 0x0F
+            if ihl < _IHL_MIN:
+                raise ValueError(f"IPv4 IHL below {_IHL_MIN} at offset {l3}")
+            l4 = l3 + ihl * 4
+            proto = buf[l3 + 9]
+            if proto == PROTO_AH:
+                if l4 + _AH_LEN > size:
+                    raise ValueError(f"AH cut short at offset {l4}")
+                proto = buf[l4]
+                l4 += _AH_LEN
         if (proto == PROTO_TCP or proto == PROTO_UDP) and not (portless and (
                 buf[l3 + 6] & portless or buf[l3 + 7])):
             if l4 + (_TCP_LEN if proto == PROTO_TCP else _UDP_LEN) > size:
@@ -419,11 +475,61 @@ class Packet:
         else:
             sport = dport = 0
             reads = 2  # the addresses only
-        rec = self.recorder
-        if rec is not None:
-            for field in _FIVE_TUPLE_FIELDS[:reads]:
-                rec.record("read", field, self.uid)
+        if self.recorder is not None:
+            self._heard(reads)
         return buf, l3, proto, sport, dport
+
+    def _heard(self, reads: int) -> None:
+        """Tell the recorder what a key's walk read: the addresses, then
+        the ports when ``reads`` is 4."""
+        rec, uid = self.recorder, self.uid
+        for field in _FIVE_TUPLE_FIELDS[:reads]:
+            rec.record("read", field, uid)
+
+    def parse(self) -> Optional[bytes]:
+        """The classifier's one walk: fill the parse memo and return
+        :meth:`flow_key`, or ``None`` for a frame with no key.
+
+        ``memo_offsets`` is filled when :meth:`_header_span` would
+        answer, ``memo_key`` when :meth:`flow_key` would; a part the
+        frame refuses stays ``None``, so that question takes its walk and
+        raises as before.  A recorder hears nothing: classifying is no
+        NF's read.
+        """
+        self.memo_offsets = self.memo_key = None
+        buf = self.buf
+        size = len(buf)
+        if size >= _TAGGED_L3 and buf[12] == _TPID_HI and buf[13] == _TPID_LO:
+            l3 = _TAGGED_L3
+        else:
+            l3 = ETH_HEADER_LEN
+        if (l3 + _IPV4_LEN > size or buf[l3 - 2] != _IPV4_HI
+                or buf[l3 - 1] != _IPV4_LO or (buf[l3] & 0x0F) < _IHL_MIN):
+            return None
+        l4 = l3 + (buf[l3] & 0x0F) * 4
+        proto = buf[l3 + 9]
+        if proto == PROTO_AH:
+            if l4 + _AH_LEN > size:
+                return None
+            proto = buf[l4]
+            l4 += _AH_LEN
+        if proto == PROTO_TCP:
+            words = buf[l4 + 12] >> 4 if l4 + _TCP_LEN <= size else 0
+            if words >= _DATA_OFFSET_MIN:
+                self.memo_offsets = (l3, proto, l4, l4 + words * 4)
+        else:
+            self.memo_offsets = (l3, proto, l4,
+                                 l4 + _UDP_LEN if proto == PROTO_UDP else l4)
+        if (proto == PROTO_TCP or proto == PROTO_UDP) and not (
+                buf[l3 + 6] & _FRAGMENT or buf[l3 + 7]):
+            if l4 + (_TCP_LEN if proto == PROTO_TCP else _UDP_LEN) > size:
+                return None
+            ports, reads = buf[l4 : l4 + 4], 4
+        else:
+            ports, reads = b"", 2
+        key = _PARSED_KEY.pack(buf[l3 + 12 : l3 + 20], proto, ports)
+        self.memo_key = (key, reads)
+        return key
 
     def five_tuple(self) -> tuple:
         """(src_ip, dst_ip, proto, sport, dport), for display: the
@@ -442,10 +548,16 @@ class Packet:
 
         Ports are 0 for non-TCP/UDP traffic and for every fragment, so
         all fragments of one datagram share a key.  Raises ``ValueError``
-        on a frame that is not IPv4 or is cut short.
+        on a frame that is not IPv4 or is cut short.  Returned from the
+        memo when it holds the key; a recorder hears the same reads.
         """
-        buf, l3, proto, sport, dport = self._flow(_FRAGMENT)
-        return _KEY.pack(buf[l3 + 12 : l3 + 20], proto, sport, dport)
+        memo = self.memo_key
+        if memo is None:
+            buf, l3, proto, sport, dport = self._flow(_FRAGMENT)
+            return _KEY.pack(buf[l3 + 12 : l3 + 20], proto, sport, dport)
+        if self.recorder is not None:
+            self._heard(memo[1])
+        return memo[0]
 
     def port_key(self) -> bytes:
         """:meth:`flow_key` with the ports this frame carries, the key
@@ -454,8 +566,15 @@ class Packet:
         ports, since its L4 header is there; a later fragment has ports
         0, as iptables matches no ports on one.  Same layout and errors.
         """
-        buf, l3, proto, sport, dport = self._flow(_LATER_FRAGMENT)
-        return _KEY.pack(buf[l3 + 12 : l3 + 20], proto, sport, dport)
+        memo = self.memo_key
+        # A memoised key that read the ports is no fragment's: it is
+        # this frame's port key too.
+        if memo is None or memo[1] != 4:
+            buf, l3, proto, sport, dport = self._flow(_LATER_FRAGMENT)
+            return _KEY.pack(buf[l3 + 12 : l3 + 20], proto, sport, dport)
+        if self.recorder is not None:
+            self._heard(4)
+        return memo[0]
 
     # ------------------------------------------------------------ copies
     def full_copy(self, version: int) -> "Packet":
@@ -464,6 +583,8 @@ class Packet:
         copy = Packet(bytearray(self.buf),
                       meta.clone(version) if meta else None, self.wire_len)
         copy.ingress_us = self.ingress_us
+        copy.memo_offsets = self.memo_offsets
+        copy.memo_key = self.memo_key
         rec = self.recorder
         if rec is not None:
             copy.recorder = rec
@@ -483,6 +604,7 @@ class Packet:
         """
         buf = self.buf
         size = len(buf)
+        memo = self.memo_offsets
         try:
             l3, end = self._header_span()
             if end > nbytes:
@@ -504,6 +626,11 @@ class Packet:
         copy = Packet(head, meta.clone(version) if meta else None,
                       self.wire_len, True)
         copy.ingress_us = self.ingress_us
+        if memo is not None:
+            # The copy holds the whole header stack, or the whole frame:
+            # every walk answers on it as on this packet.
+            copy.memo_offsets = memo
+            copy.memo_key = self.memo_key
         rec = self.recorder
         if rec is not None:
             copy.recorder = rec

@@ -34,7 +34,7 @@ class AhoCorasick:
     """Immutable multi-pattern byte matcher.
 
     >>> ac = AhoCorasick([b"he", b"she", b"his", b"hers"])
-    >>> sorted(pat for pat, _ in ac.findall(b"ushers"))
+    >>> sorted(ac.patterns[i] for i, _ in ac.finditer(b"ushers"))
     [b'he', b'hers', b'she']
     """
 
@@ -105,14 +105,6 @@ class AhoCorasick:
                 for pattern_index in node.outputs:
                     yield pattern_index, end
             start = marks.find(seed, stop)
-
-    def findall(self, data: bytes) -> List[Tuple[bytes, int]]:
-        """All matches as (pattern, end_offset) pairs."""
-        return [(self.patterns[i], end) for i, end in self.finditer(data)]
-
-    def match_count(self, data: bytes) -> int:
-        """Number of matches (an IDS alert counter)."""
-        return sum(1 for _ in self.finditer(data))
 
     def __len__(self) -> int:
         return len(self.patterns)

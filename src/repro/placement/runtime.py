@@ -57,8 +57,9 @@ class _Failover:
     ``no_placement`` drops.  Over both paths, ``injected == delivered +
     sum(drops by reason)``.  ``measure_placed`` reads it as it reads a
     :class:`~repro.multiserver.TimedMultiServer`: ``tail`` is itself
-    (``latency`` / ``rate`` hold both paths' deliveries), ``links`` the
-    active path's, and ``lost`` counts the crash drops too.
+    (``latency`` / ``rate`` hold both paths' deliveries), ``paths`` pairs
+    each path's server names with its pipeline (whose links publish
+    per path), and ``lost`` counts the crash drops too.
     """
 
     nil_dropped = TimedMultiServer.nil_dropped  # both sum ``self.servers``
@@ -88,7 +89,6 @@ class _Failover:
         backup = build_timed(placement.backup, env, params, 2, telemetry)
         self.paths = ((placement.path, active), (placement.backup.path, backup))
         self.servers = active.servers + backup.servers
-        self.links = active.links
         self.tail = self
         self.injector = FaultInjector(faults, telemetry=self.telemetry)
         self.injector.on_transition(self._on_transition)

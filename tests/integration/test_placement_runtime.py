@@ -231,6 +231,36 @@ class TestTelemetryGauges:
         assert f"\n{pair} " in table
         assert "core util" in table and "occupancy" in table
 
+    def test_failover_run_publishes_the_backup_rows(self):
+        # ``place --topology mesh:6x5 --chains ns=vpn,monitor,firewall,
+        # loadbalancer --max-delay-us 200 --max-mpps 0.5 --measure
+        # --faults crash:s0:pkt=5 --packets 300``: the backup carries
+        # every packet after the crash, so its servers and its link get
+        # rows beside the active path's.
+        orch = Orchestrator()
+        topology = Topology.from_spec("mesh:6x5")
+        request = orch.request(
+            "ns", Policy.from_chain(list(NORTH_SOUTH_CHAIN)),
+            Slo(max_delay_us=200.0, max_mpps=0.5))
+        placement = orch.place(topology, [request]).placement_for("ns")
+        backup = placement.backup
+        assert placement.path[0] == "s0" and len(backup.links) == 1
+        hub = TelemetryHub()
+        measure_placed(placement, packets=300, telemetry=hub,
+                       topology=topology, faults="crash:s0:pkt=5")
+        values = ledger(hub, "ns")
+        assert values["backup.delivered"] == 295
+        gauges = hub.registry.gauges
+        for name in placement.path + backup.path:
+            assert f"multiserver.server.{name}.core_util" in gauges
+        pair = "{0.a}-{0.b}".format(backup.links[0])
+        assert hub.registry.counter_value(
+            f"multiserver.link.{pair}.frames") == 295
+        table = multiserver_summary_table(hub.registry)
+        assert f"\n{pair} " in table
+        for name in placement.path + backup.path:
+            assert f"\n{name} " in table
+
     def test_two_chains_on_disjoint_pairs_keep_their_rows(self):
         # ``place --measure`` measures every chain into one hub: each
         # link row is the server pair its chain crossed, holding that

@@ -208,6 +208,36 @@ def test_resolver_refuses_nil_packets_like_the_view_chain():
         assert _outcome(new)[0] == "raise"
 
 
+@settings(max_examples=100, deadline=None)
+@given(buf=frames(), in_scope=st.booleans())
+def test_parse_memo_answers_like_the_view_chain_at_every_prefix(buf, in_scope):
+    """``parse``, the classifier's one walk: its key is ``flow_key``'s
+    (``None`` where that raises), and on the parsed packet and on both
+    copies it hands its memo to, every question the memo answers agrees
+    with the view chain -- the value or ``ValueError`` -- and a recorder
+    hears the reads an unparsed packet's walk makes."""
+    for pkt in _prefixes(buf):
+        key = pkt.parse()
+        want = _outcome(ref.flow_key, pkt)
+        assert key == (want[1] if want[0] == "ok" else None)
+        _agree(_outcome(lambda: _copy_facts(pkt.header_copy(3))),
+               _outcome(lambda: _copy_facts(ref.header_copy(pkt, 3))))
+        for probe in (pkt, pkt.full_copy(2), pkt.header_copy(3)):
+            _agree(_outcome(lambda: probe.l4_protocol),
+                   _outcome(ref.l4_protocol, probe))
+            _agree(_outcome(lambda: probe.payload_offset),
+                   _outcome(ref.payload_offset, probe))
+            for name in ("ipv4", "ah", "tcp", "udp"):
+                _agree(_outcome(lambda: getattr(probe, name).offset),
+                       _outcome(lambda: getattr(ref, name)(probe).offset))
+            for name in ("flow_key", "port_key", "five_tuple"):
+                got = _five_tuple_events(getattr(probe, name), probe, in_scope)
+                _agree(got[0], _outcome(getattr(ref, name), probe))
+                walked = Packet(bytearray(probe.buf))
+                assert got == _five_tuple_events(getattr(walked, name),
+                                                 walked, in_scope)
+
+
 def _copy_facts(copy):
     return (bytes(copy.buf), copy.wire_len, copy.meta, copy.is_header_copy,
             copy.ingress_us, copy.nil, copy.recorder)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.net import LpmTable, int_to_ip
 from repro.nfs import AhoCorasick
 from repro.sim import Environment
+from tests.support.aho_corasick_textbook import findall
 
 
 # --------------------------------------------------------------------- LPM
@@ -58,7 +59,7 @@ def test_aho_corasick_matches_naive_search(patterns, haystack):
                 break
             expected.add((pattern, index + len(pattern)))
             start = index + 1
-    assert set(ac.findall(haystack)) == expected
+    assert set(findall(ac, haystack)) == expected
 
 
 # ------------------------------------------------------------------ engine

@@ -5,7 +5,8 @@ The classic automaton -- trie + BFS failure links -- walked over every
 byte of the input, exactly as ``src/`` did before its scan learnt to
 skip bytes no pattern contains.  Kept verbatim so the Hypothesis suite
 can require the same ``(pattern_index, end_offset)`` sequence, in the
-same order, from both.
+same order, from both.  :func:`findall` and :func:`match_count` read
+either matcher through ``finditer``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-__all__ = ["TextbookAhoCorasick"]
+__all__ = ["TextbookAhoCorasick", "findall", "match_count"]
 
 
 class _State:
@@ -29,7 +30,7 @@ class TextbookAhoCorasick:
     """Immutable multi-pattern byte matcher.
 
     >>> ac = TextbookAhoCorasick([b"he", b"she", b"his", b"hers"])
-    >>> sorted(pat for pat, _ in ac.findall(b"ushers"))
+    >>> sorted(pat for pat, _ in findall(ac, b"ushers"))
     [b'he', b'hers', b'she']
     """
 
@@ -76,13 +77,16 @@ class TextbookAhoCorasick:
             for pattern_index in node.outputs:
                 yield pattern_index, offset + 1
 
-    def findall(self, data: bytes) -> List[Tuple[bytes, int]]:
-        """All matches as (pattern, end_offset) pairs."""
-        return [(self.patterns[i], end) for i, end in self.finditer(data)]
-
-    def match_count(self, data: bytes) -> int:
-        """Number of matches (an IDS alert counter)."""
-        return sum(1 for _ in self.finditer(data))
-
     def __len__(self) -> int:
         return len(self.patterns)
+
+
+def findall(matcher, data: bytes) -> List[Tuple[bytes, int]]:
+    """All of ``matcher``'s matches in ``data`` as (pattern, end_offset)
+    pairs, in ``finditer`` order."""
+    return [(matcher.patterns[i], end) for i, end in matcher.finditer(data)]
+
+
+def match_count(matcher, data: bytes) -> int:
+    """Number of ``matcher``'s matches in ``data``."""
+    return sum(1 for _ in matcher.finditer(data))

@@ -70,10 +70,13 @@ def test_functional_plane_merges_and_copies_under_the_lab_wrappers():
     # one on this path calls it any more: the split, the monitor and the
     # load balancer key on ``flow_key``, whose time the lab books as walk
     # and ``nfs.*`` self time.  The test wraps the walk under it,
-    # ``_flow``, the way the lab would, to hold that each of the three
-    # reaches it through the class: once per packet.
+    # ``_flow``, the way the lab would.  The plane's entry walk fills the
+    # parse memo, so the split's key and the monitor's and the IDS's
+    # keys come from it; the load balancer, which rewrites the
+    # addresses, loses the key before its visit and reaches ``_flow``
+    # through the class: once per packet (it was three, one a key).
     assert "net.fields.five_tuple" not in calls
-    assert calls["net.fields.flow"] == 3 * PACKETS
+    assert calls["net.fields.flow"] == PACKETS
     for kind in WEST_EAST:
         assert calls[f"nfs.{kind}"] == PACKETS
 

@@ -62,10 +62,6 @@ ALLOWED = {
         "802.1Q tag reader the L2 NF tests assert with",
     "repro.net.encap.vxlan_vni":
         "VXLAN VNI reader the tunnel NF tests assert with",
-    "repro.nfs.aho_corasick.AhoCorasick.findall":
-        "matcher output the textbook Aho-Corasick differential compares",
-    "repro.nfs.aho_corasick.AhoCorasick.match_count":
-        "matcher output the textbook Aho-Corasick differential compares",
     "repro.eval.experiments.ExperimentTable.column":
         "the paper-claim tests read pinned tables through it",
     "repro.eval.load_sweep.LoadPoint.saturated":
