@@ -82,8 +82,8 @@ def run_fuzz(
 
     ``instances > 1`` fuzzes the §7 scale-out axis: every case runs all
     three planes with each NF uniformly replicated, the sequential
-    oracle partitioned into per-instance banks, and the DES classifier
-    flow cache enabled (see :func:`repro.check.differential.run_case`).
+    oracle partitioned into per-instance banks (see
+    :func:`repro.check.differential.run_case`).
 
     ``faults`` (fault kinds, e.g. ``("crash", "hang")``) switches to
     fault-mode fuzzing: each case runs on the DES plane only, with one

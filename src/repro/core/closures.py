@@ -50,10 +50,12 @@ _KEY_FIELDS = frozenset((Field.SIP, Field.DIP, Field.SPORT, Field.DPORT))
 
 def _memo_rule(profile: ActionProfile) -> int:
     """What a visit by an NF of ``profile`` may make stale: the key when
-    it writes a key field, everything when it adds or removes a header
-    unit or writes the whole packet."""
+    it writes a key field, everything when it writes the whole packet.
+    A header unit's add or remove needs no rule: its mover
+    (``repro.net.ah`` / ``repro.net.encap``) drops the memo as it moves
+    the bytes."""
     writes = profile.writes
-    if profile.adds or profile.removes or Field.WHOLE_PACKET in writes:
+    if Field.WHOLE_PACKET in writes:
         return FORGET_MEMO
     return FORGET_KEY if writes & _KEY_FIELDS else KEEP_MEMO
 

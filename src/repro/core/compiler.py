@@ -174,14 +174,29 @@ class NFPCompiler:
         hard: Set[Tuple[str, str]] = set()
         decisions: Dict[Tuple[str, str], ParallelismResult] = {}
 
-        prioritised = priority_pairs | {(b, a) for a, b in priority_pairs}
+        # A Priority rule declares the pair "directly parallelizable"
+        # (§4.1); Algorithm 1 is only consulted for conflicting actions,
+        # during version assignment -- unless an NF of the pair adds or
+        # removes an encapsulating unit, which no merge reconciles with
+        # a parallel NF's view of the inner packet.  Such a pair stays
+        # sequential: Algorithm 1 decides an ordered one, and a free one
+        # runs low first, so the high NF's effect wins.
+        prioritised: Set[Tuple[str, str]] = set()
+        sequenced: Set[Tuple[str, str]] = set()
+        for high, low in priority_pairs:
+            if not (_encapsulates(profiles[high]) or _encapsulates(profiles[low])):
+                prioritised |= {(high, low), (low, high)}
+            elif ((high, low) not in closure and (low, high) not in closure
+                  and high not in pins and low not in pins):
+                sequenced.add((low, high))
+                warnings.append(
+                    f"Priority({high} > {low}) cannot run an encapsulating NF "
+                    f"in parallel; {low!r} sequenced before {high!r}")
+        hard |= sequenced
 
         # Ordered pairs: Algorithm 1 decides hard vs soft.
         for before, after in closure:
             if (before, after) in prioritised:
-                # A Priority rule declares the pair "directly
-                # parallelizable" (§4.1); Algorithm 1 is only consulted
-                # for conflicting actions, during version assignment.
                 continue
             verdict = identify_parallelism(
                 profiles[before], profiles[after], self.dependency_table
@@ -201,7 +216,8 @@ class NFPCompiler:
                     hard.add((other, nf))
 
         # Free / cross-micrograph pairs: probe both directions.
-        related = closure | {(b, a) for a, b in closure} | prioritised
+        related = (closure | {(b, a) for a, b in closure} | prioritised
+                   | sequenced | {(b, a) for a, b in sequenced})
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
                 if (a, b) in related or a in pins or b in pins:
@@ -446,6 +462,10 @@ class NFPCompiler:
             if version != ORIGINAL_VERSION:
                 ops.append(MergeOp(MergeOpKind.REMOVE, field))
         return ops
+
+
+def _encapsulates(profile: ActionProfile) -> bool:
+    return any(field.is_encapsulating for field in (*profile.adds, *profile.removes))
 
 
 def compile_policy(

@@ -24,6 +24,7 @@ __all__ = [
     "ServerSlice",
     "partition_graph",
     "partition_at",
+    "first_fit_cuts",
     "slice_subgraph",
     "PartitionError",
 ]
@@ -103,29 +104,34 @@ def partition_graph(
             "(classifier + merger overhead)"
         )
     budget = cores_per_server - _OVERHEAD_CORES
-
-    slices: List[ServerSlice] = []
-    current: List[Stage] = []
-    used = 0
     for stage in graph.stages:
-        need = len(stage)
-        if need > budget:
+        if len(stage) > budget:
             raise PartitionError(
-                f"stage with {need} parallel NFs cannot fit a server "
+                f"stage with {len(stage)} parallel NFs cannot fit a server "
                 f"offering {budget} NF cores"
             )
-        if used + need > budget:
-            slices.append(ServerSlice(len(slices), current))
-            current, used = [], 0
-        current.append(stage)
-        used += need
-    if current:
-        slices.append(ServerSlice(len(slices), current))
-    if len(slices) > max_servers:
+    cuts = first_fit_cuts(graph, budget)
+    if len(cuts) + 1 > max_servers:
         raise PartitionError(
-            f"graph needs {len(slices)} servers, more than max_servers={max_servers}"
+            f"graph needs {len(cuts) + 1} servers, more than max_servers={max_servers}"
         )
-    return slices
+    return partition_at(graph, cuts)
+
+
+def first_fit_cuts(graph: ServiceGraph, budget: int) -> List[int]:
+    """Greedy first-fit over consecutive stages: the indices of the
+    stages that start a new server (index 0 is implicit), each server
+    taking stages while their NFs fit ``budget`` cores.  A stage larger
+    than the budget gets a server of its own."""
+    cuts: List[int] = []
+    used = 0
+    for index, stage in enumerate(graph.stages):
+        need = len(stage)
+        if index and used + need > budget:
+            cuts.append(index)
+            used = 0
+        used += need
+    return cuts
 
 
 def slice_subgraph(graph: ServiceGraph, server_slice: ServerSlice) -> ServiceGraph:

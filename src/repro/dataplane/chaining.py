@@ -36,8 +36,7 @@ class ChainingManager:
         #: of installs, proving compilation stays off the packet path).
         self.closures_compiled = 0
         #: Called with the new record after every table (re)install: the
-        #: server attaches what depends on its ``SimParams``; the flow
-        #: cache drops its decisions so none survives a graph recompile.
+        #: server attaches what depends on its ``SimParams``.
         self._install_listeners: List[Callable[[CompiledGraph], None]] = []
 
     def on_install(self, listener: Callable[[CompiledGraph], None]) -> None:

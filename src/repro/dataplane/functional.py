@@ -35,7 +35,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from ..core.closures import CompiledGraph, instance_labels
 from ..core.graph import ORIGINAL_VERSION, ServiceGraph
 from ..core.scaling import scale_graph
-from ..net.packet import FORGET_MEMO, KEEP_MEMO, Packet, forget_memos
+from ..net.packet import FORGET_MEMO, Packet, forget_memos
 from ..nfs.base import NetworkFunction, create_nf
 from .flowsplit import key_digest, packet_key, pick_instance
 from .merging import MergePlan, apply_merge_ops
@@ -112,14 +112,6 @@ class FunctionalDataplane:
         #: is split once per count (none: no packet is hashed).
         self._replicas = sorted({count for _, entries in self._stages
                                  for _, count, _, _ in entries if count > 1})
-        # The entry walk has a reader unless the split needs no key, no
-        # copy is cut at stage 0 and the first NF on version 1 forgets
-        # the whole memo before its visit (a VPN or a tunnel first).
-        copies, entries = self._stages[0]
-        first = next((self._forget[entry.node.name]
-                      for version, _, _, entry in entries
-                      if version == ORIGINAL_VERSION), KEEP_MEMO)
-        self._parse = bool(self._replicas or copies or first != FORGET_MEMO)
         self._plan = MergePlan(graph.merge_ops)
         self.processed = self.emitted = self.dropped = 0
 
@@ -133,7 +125,7 @@ class FunctionalDataplane:
 
         Each packet is parsed once, at entry, as NFP's classifier does:
         the parse memo it fills is what copies inherit and read-only NFs
-        answer from (a graph with no reader for it skips the walk).
+        answer from.
         Each stage makes its entry copies for every packet, applies each
         entry's memo rule to its live buffers, hands the entry's NF
         those buffers in one ``handle_burst``, and turns that stage's
@@ -148,8 +140,7 @@ class FunctionalDataplane:
         nfs = self.nfs
         # Per packet: version -> buffer, version 1 the packet itself.
         flights = [{ORIGINAL_VERSION: pkt} for pkt in pkts]
-        if self._parse:
-            keys = [pkt.parse() for pkt in pkts]
+        keys = [pkt.parse() for pkt in pkts]
         shares = None
         if self._replicas:
             digests = [key_digest(key) for key in keys]

@@ -5,8 +5,8 @@ the DES dataplane share one implementation of §5.3's merge process:
 
 * ``modify(v1.A, vk.A)`` -- overwrite field A of version 1 with the
   value carried by version k;
-* ``add(vk.B, after, v1.IP)`` -- splice the header unit B (AH, a VLAN
-  tag, or a VXLAN outer stack) from version k into version 1;
+* ``add(vk.B, after, v1.IP)`` -- splice the header unit B (AH or a
+  VLAN tag) from version k into version 1;
 * ``remove(v1.C)`` -- delete the header unit C from version 1.
 
 Fields of v1 not referenced by any operation pass through unmodified;
@@ -14,18 +14,25 @@ fields of other versions not referenced are discarded -- exactly the
 Fig. 6 semantics.  If any collected version is nil, the packet was
 dropped by some NF and the merge yields ``None``.
 
+A unit's bytes move through its ``repro.net`` mover (:func:`splice_ah`
+/ :func:`strip_ah`, :func:`splice_vlan` / :func:`strip_vlan`), the same
+code the VPN and VLAN NFs run, which drops the base's parse memo before
+a later step resolves an offset on it (``Packet.parse``); the merge
+stores the IPv4 checksum once, at its end.  A VXLAN stack has no mover
+here: the compiler never parallelises an encapsulating NF (Algorithm
+1's encapsulation guard), so no graph declares one, and a plan that
+does is refused when it is built.
+
 Strip semantics differ per unit: the AH strip is strict (the VPN
 decryptor drops non-AH packets *before* its remove, so a missing AH at
-merge time is a real inconsistency) while VLAN/VXLAN strips tolerate an
-absent unit -- pop/decap NFs pass untagged/non-tunnel traffic through,
-and unit presence on the base at merge time matches what the popping
-NF's copy saw at stage entry, so a no-op strip reproduces sequential
-behaviour exactly.
+merge time is a real inconsistency) while the VLAN strip tolerates an
+untagged base -- a pop NF passes untagged traffic through, and the tag's
+presence on the base at merge time matches what the popping NF's copy
+saw at stage entry, so a no-op strip reproduces sequential behaviour
+exactly.
 
-Every splice and strip drops the parse memo of the base it takes, before
-a later step resolves an offset on it (``Packet.parse``); a merge that
-ran any step drops the base's key memo, since a ``modify`` may have
-written an address or a port.
+A merge that ran any step drops the base's key memo, since a ``modify``
+may have written an address or a port.
 """
 
 from __future__ import annotations
@@ -33,16 +40,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Union
 
 from ..net import fields as _f
+from ..net.ah import splice_ah, strip_ah
 from ..net.checksum import ipv4_header_checksum
-from ..net.encap import VXLAN_OUTER_LEN, is_vxlan
-from ..net.headers import (
-    ETH_HEADER_LEN,
-    PROTO_AH,
-    UdpView,
-    VLAN_TAG_LEN,
-    AhView,
-    Ipv4View,
-)
+from ..net.encap import splice_vlan, strip_vlan
+from ..net.headers import VLAN_TAG_LEN, AhView
 from ..net.packet import Packet
 from ..core.graph import MergeOp, MergeOpKind, ORIGINAL_VERSION
 
@@ -94,6 +95,9 @@ class MergePlan:
         for op in ops:
             name = f"merge.ops.{op.kind.value}"
             counts[name] = counts.get(name, 0) + 1
+            if op.kind is not MergeOpKind.MODIFY and op.field not in (
+                    _SPLICE if op.kind is MergeOpKind.ADD else _STRIP):
+                raise MergeError(f"cannot {op.kind.value} header unit {op.field}")
             src = op.src_version
             anchor, lo, length = (
                 _f.FIELD_BYTES.get(op.field, _NO_RANGE)
@@ -191,14 +195,11 @@ def _apply_whole(base: Packet, versions: Dict[int, Packet], op: MergeOp) -> bool
             return False
         _f.write_field(base, op.field, value)
         return op.field is _f.Field.DSCP
-    unit = (_SPLICE if op.kind is MergeOpKind.ADD else _STRIP).get(op.field)
-    if unit is None:
-        raise MergeError(f"cannot {op.kind.value} header unit {op.field}")
     if op.kind is MergeOpKind.ADD:
-        unit(base, _require(versions, op.src_version))
+        _SPLICE[op.field](base, _require(versions, op.src_version))
     else:
-        unit(base)
-    return False
+        _STRIP[op.field](base)
+    return op.field is _f.Field.AH_HEADER
 
 
 def _require(versions: Dict[int, Packet], version: Optional[int]) -> Packet:
@@ -208,113 +209,38 @@ def _require(versions: Dict[int, Packet], version: Optional[int]) -> Packet:
         raise MergeError(f"merge needs version {version}, not collected") from None
 
 
-# ----------------------------------------------------------------- AH unit
+# ------------------------------------------------ the units' merge wrappers
 def _splice_ah(base: Packet, source: Packet) -> None:
-    """Copy the AH unit from ``source`` into ``base`` after the IP header.
-
-    When the base already carries an AH (e.g. a second VPN hop refreshed
-    the existing header on its copy instead of stacking another), the
-    unit is replaced in place rather than inserted.
-    """
+    """Copy the AH unit from ``source`` into ``base`` after the IP header,
+    in place of one the base already carries (a second VPN hop refreshes
+    the existing header on its copy instead of stacking another)."""
     if not source.has_ah:
         raise MergeError("source version carries no AH to splice")
-    src_ip = source.ipv4
-    src_off = source.l3_offset + src_ip.header_len
-    ah_bytes = bytes(source.buf[src_off : src_off + AhView.HEADER_LEN])
-
-    ip = base.ipv4
-    l3 = ip.offset
-    ip_end = l3 + ip.header_len
-    base.memo_offsets = base.memo_key = None
-    if base.has_ah:
-        base.buf[ip_end : ip_end + AhView.HEADER_LEN] = ah_bytes
-        return
-    # The splice lands behind the IPv4 header, so ``ip`` stays valid.
-    base.buf[ip_end:ip_end] = ah_bytes
-    ip.protocol = PROTO_AH
-    ip.total_length = ip.total_length + AhView.HEADER_LEN
-    ipv4_header_checksum(base.buf, l3)
-    base.wire_len += AhView.HEADER_LEN
+    at = source._ipv4_offset()
+    at += (source.buf[at] & 0x0F) * 4
+    splice_ah(base, bytes(source.buf[at : at + AhView.HEADER_LEN]),
+              base._ipv4_offset())
 
 
 def _strip_ah(base: Packet) -> None:
     if not base.has_ah:
         raise MergeError("base carries no AH to remove")
-    ip = base.ipv4
-    l3 = ip.offset
-    ip_end = l3 + ip.header_len
-    ah = AhView(base.buf, ip_end)
-    next_header = ah.next_header
-    # The cut lies behind the IPv4 header, so ``ip`` stays valid.
-    base.memo_offsets = base.memo_key = None
-    del base.buf[ip_end : ip_end + AhView.HEADER_LEN]
-    ip.protocol = next_header
-    ip.total_length = ip.total_length - AhView.HEADER_LEN
-    ipv4_header_checksum(base.buf, l3)
-    base.wire_len -= AhView.HEADER_LEN
+    strip_ah(base, base._ipv4_offset())
 
 
-# --------------------------------------------------------------- VLAN unit
 def _splice_vlan(base: Packet, source: Packet) -> None:
     """Copy the 802.1Q tag from ``source`` into ``base`` (replace or insert)."""
     if not source.has_vlan:
         raise MergeError("source version carries no VLAN tag to splice")
-    tag = bytes(source.buf[12 : 12 + VLAN_TAG_LEN])
-    base.memo_offsets = base.memo_key = None
-    if base.has_vlan:
-        base.buf[12 : 12 + VLAN_TAG_LEN] = tag
-        return
-    base.buf[12:12] = tag
-    base.wire_len += VLAN_TAG_LEN
+    splice_vlan(base, bytes(source.buf[12 : 12 + VLAN_TAG_LEN]))
 
 
 def _strip_vlan(base: Packet) -> None:
     """Pop the tag; tolerant no-op when the base is untagged (see module doc)."""
-    if not base.has_vlan:
-        return
-    base.memo_offsets = base.memo_key = None
-    del base.buf[12 : 12 + VLAN_TAG_LEN]
-    base.wire_len -= VLAN_TAG_LEN
-
-
-# -------------------------------------------------------------- VXLAN unit
-def _splice_vxlan(base: Packet, source: Packet) -> None:
-    """Prepend the outer stack from ``source`` around ``base``.
-
-    The outer IPv4/UDP lengths are *recomputed* from the base's inner
-    frame length (the source version may be a truncated header-only
-    copy whose lengths don't describe the base's payload).
-    """
-    if not is_vxlan(source):
-        raise MergeError("source version carries no VXLAN outer stack to splice")
-    base.memo_offsets = base.memo_key = None
-    if is_vxlan(base):
-        # Refresh the existing outer stack in place (mirrors the AH
-        # replace branch: the encap NF rewrote its copy's outer).
-        inner_len = len(base.buf) - VXLAN_OUTER_LEN
-        base.buf[0:VXLAN_OUTER_LEN] = source.buf[0:VXLAN_OUTER_LEN]
-    else:
-        inner_len = len(base.buf)
-        base.buf[0:0] = source.buf[0:VXLAN_OUTER_LEN]
-        base.wire_len += VXLAN_OUTER_LEN
-    ip = Ipv4View(base.buf, ETH_HEADER_LEN)
-    ip.total_length = VXLAN_OUTER_LEN - ETH_HEADER_LEN + inner_len
-    udp = UdpView(base.buf, ETH_HEADER_LEN + Ipv4View.HEADER_LEN)
-    udp.length = VXLAN_OUTER_LEN - ETH_HEADER_LEN - Ipv4View.HEADER_LEN + inner_len
-    ip.update_checksum()
-
-
-def _strip_vxlan(base: Packet) -> None:
-    """Drop the outer stack; tolerant no-op for non-tunnel traffic."""
-    if not is_vxlan(base):
-        return
-    base.memo_offsets = base.memo_key = None
-    del base.buf[0:VXLAN_OUTER_LEN]
-    base.wire_len -= VXLAN_OUTER_LEN
+    if base.has_vlan:
+        strip_vlan(base)
 
 
 #: Header unit -> how to copy it from a source into the base / remove it.
-_SPLICE = {_f.Field.AH_HEADER: _splice_ah, _f.Field.VLAN_HEADER: _splice_vlan,
-           _f.Field.VXLAN_HEADER: _splice_vxlan}
-_STRIP = {_f.Field.AH_HEADER: _strip_ah, _f.Field.VLAN_HEADER: _strip_vlan,
-          _f.Field.VXLAN_HEADER: _strip_vxlan}
+_SPLICE = {_f.Field.AH_HEADER: _splice_ah, _f.Field.VLAN_HEADER: _splice_vlan}
+_STRIP = {_f.Field.AH_HEADER: _strip_ah, _f.Field.VLAN_HEADER: _strip_vlan}

@@ -3,9 +3,14 @@
 The VPN NF implements "the tunnel mode of IPsec Authentication Header
 (AH) protocol" (§6.1).  For the dataplane the structurally relevant part
 is that a 24-byte AH is spliced between the IPv4 header and the L4
-segment and later removed -- the add/remove actions of Table 2.  These
-helpers perform the splice, fix up the IPv4 protocol/length/checksum
-fields, and stamp/verify the ICV.
+segment and later removed -- the add/remove actions of Table 2.
+
+:func:`splice_ah` / :func:`strip_ah` are the one place an AH's bytes
+move: the VPN's :func:`insert_ah` / :func:`remove_ah` and the merger's
+``add`` / ``remove`` all call them.  A mover fixes the IPv4 protocol,
+total length and ``wire_len`` and drops the packet's parse memo; the
+IPv4 checksum is its caller's, who may have more of the header to
+write first (the ICV, a merge's other operations).
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from .fields import Field
 from .headers import PROTO_AH, AhView
 from .packet import Packet
 
-__all__ = ["insert_ah", "refresh_icv", "remove_ah", "verify_ah"]
+__all__ = ["insert_ah", "refresh_icv", "remove_ah", "splice_ah", "strip_ah",
+           "verify_ah"]
 
 # next header, payload len (header length in 32-bit words minus 2),
 # reserved, SPI, sequence number, and a zero ICV to be stamped in place.
@@ -45,22 +51,13 @@ def insert_ah(pkt: Packet, spi: int, seq: int, icv_key: bytes) -> None:
     rec = pkt.recorder
     if rec is not None:
         rec.record("add", Field.AH_HEADER, pkt.uid)
-
-    # The splice lands behind the IPv4 header, so ``l3`` stays valid;
-    # the parse memo does not.
-    pkt.memo_offsets = pkt.memo_key = None
+    splice_ah(pkt, header, l3)
     ip_end = l3 + (buf[l3] & 0x0F) * 4
-    buf[ip_end:ip_end] = header
-    buf[l3 + 9] = PROTO_AH
-    # Byte stores, not ``struct``: > 16 bits must stay a ValueError.
-    length = ((buf[l3 + 2] << 8) | buf[l3 + 3]) + AhView.HEADER_LEN
-    buf[l3 + 2] = length >> 8
-    buf[l3 + 3] = length & 0xFF
     icv_at = ip_end + 12
     buf[icv_at : icv_at + AhView.ICV_LEN] = compute_icv(icv_key, _icv_scope(buf, l3, ip_end))
-
+    # After the ICV: on a frame whose IHL reaches past the buffer the
+    # AH lands inside the header the checksum covers.
     ipv4_header_checksum(buf, l3)
-    pkt.wire_len += AhView.HEADER_LEN
 
 
 def refresh_icv(pkt: Packet, icv_key: bytes) -> None:
@@ -76,26 +73,57 @@ def refresh_icv(pkt: Packet, icv_key: bytes) -> None:
 
 def remove_ah(pkt: Packet, icv_key: bytes = b"", verify: bool = False) -> None:
     """Strip the AH, restoring the original protocol and lengths."""
-    ip = pkt.ipv4
-    if ip.protocol != PROTO_AH:
+    l3 = pkt._ipv4_offset()
+    if pkt.buf[l3 + 9] != PROTO_AH:
         raise ValueError("packet carries no AH")
-    l3 = ip.offset
-    ip_end = l3 + ip.header_len
-    ah = AhView(pkt.buf, ip_end)
     rec = pkt.recorder
     if rec is not None:
         rec.record("remove", Field.AH_HEADER, pkt.uid)
     if verify and not verify_ah(pkt, icv_key):
         raise ValueError("AH integrity check failed")
-    next_header = ah.next_header
-    # The cut lies behind the IPv4 header, so ``ip`` stays valid; the
-    # parse memo does not.
-    pkt.memo_offsets = pkt.memo_key = None
-    del pkt.buf[ip_end : ip_end + AhView.HEADER_LEN]
-
-    ip.protocol = next_header
-    ip.total_length = ip.total_length - AhView.HEADER_LEN
+    strip_ah(pkt, l3)
     ipv4_header_checksum(pkt.buf, l3)
+
+
+def splice_ah(pkt: Packet, unit: bytes, l3: int) -> None:
+    """Put the 24-byte AH ``unit`` behind the IPv4 header at ``l3``,
+    replacing an AH already there.
+
+    The splice lands behind the IPv4 header, so ``l3`` stays valid; the
+    parse memo does not.  The checksum is left to the caller.
+    """
+    buf = pkt.buf
+    ip_end = l3 + (buf[l3] & 0x0F) * 4
+    pkt.memo_offsets = pkt.memo_key = None
+    if buf[l3 + 9] == PROTO_AH:
+        buf[ip_end : ip_end + AhView.HEADER_LEN] = unit
+        return
+    buf[ip_end:ip_end] = unit
+    buf[l3 + 9] = PROTO_AH
+    # Byte stores, not ``struct``: > 16 bits must stay a ValueError.
+    length = ((buf[l3 + 2] << 8) | buf[l3 + 3]) + AhView.HEADER_LEN
+    buf[l3 + 2] = length >> 8
+    buf[l3 + 3] = length & 0xFF
+    pkt.wire_len += AhView.HEADER_LEN
+
+
+def strip_ah(pkt: Packet, l3: int) -> None:
+    """Cut the AH behind the IPv4 header at ``l3``, whose protocol must
+    read AH, restoring its next header.
+
+    The cut lies behind the IPv4 header, so ``l3`` stays valid; the
+    parse memo does not.  The checksum is left to the caller.
+    """
+    buf = pkt.buf
+    ip_end = l3 + (buf[l3] & 0x0F) * 4
+    next_header = buf[ip_end]
+    pkt.memo_offsets = pkt.memo_key = None
+    del buf[ip_end : ip_end + AhView.HEADER_LEN]
+    buf[l3 + 9] = next_header
+    # A negative length must stay a ValueError, as above.
+    length = ((buf[l3 + 2] << 8) | buf[l3 + 3]) - AhView.HEADER_LEN
+    buf[l3 + 2] = length >> 8
+    buf[l3 + 3] = length & 0xFF
     pkt.wire_len -= AhView.HEADER_LEN
 
 

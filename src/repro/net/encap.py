@@ -4,7 +4,11 @@ Structural primitives for the Lemur-style L2/tunnel NFs (VLAN push/pop,
 VXLAN encap/decap): like :mod:`repro.net.ah` they splice whole header
 units in and out of the frame, which the profile model expresses as
 ``Add``/``Remove`` of :data:`Field.VLAN_HEADER` / :data:`Field.VXLAN_HEADER`,
-and each drops the parse memo of the packet it takes.
+and each drops the parse memo of the packet it takes.  A tag's bytes
+move in :func:`splice_vlan` / :func:`strip_vlan` only: the VLAN NFs'
+:func:`insert_vlan` / :func:`remove_vlan` and the merger's ``add`` /
+``remove`` call them.  No merge ever splices a VXLAN stack: the
+compiler never runs an encapsulating NF in parallel.
 
 Layout facts used throughout:
 
@@ -47,6 +51,8 @@ __all__ = [
     "VXLAN_OUTER_LEN",
     "insert_vlan",
     "remove_vlan",
+    "splice_vlan",
+    "strip_vlan",
     "vlan_tci",
     "is_vxlan",
     "vxlan_encap",
@@ -70,22 +76,7 @@ def insert_vlan(pkt: Packet, vlan_id: int, pcp: int = 0) -> None:
     rec = pkt.recorder
     if rec is not None:
         rec.record("add", Field.VLAN_HEADER, pkt.uid)
-    tci = (pcp << 13) | vlan_id
-    pkt.memo_offsets = pkt.memo_key = None
-    if pkt.has_vlan:
-        pkt.buf[14] = (tci >> 8) & 0xFF
-        pkt.buf[15] = tci & 0xFF
-        return
-    tag = bytes(
-        (
-            (ETHERTYPE_VLAN >> 8) & 0xFF,
-            ETHERTYPE_VLAN & 0xFF,
-            (tci >> 8) & 0xFF,
-            tci & 0xFF,
-        )
-    )
-    pkt.buf[12:12] = tag
-    pkt.wire_len += VLAN_TAG_LEN
+    splice_vlan(pkt, struct.pack("!HH", ETHERTYPE_VLAN, (pcp << 13) | vlan_id))
 
 
 def remove_vlan(pkt: Packet) -> None:
@@ -95,6 +86,22 @@ def remove_vlan(pkt: Packet) -> None:
     rec = pkt.recorder
     if rec is not None:
         rec.record("remove", Field.VLAN_HEADER, pkt.uid)
+    strip_vlan(pkt)
+
+
+def splice_vlan(pkt: Packet, tag: bytes) -> None:
+    """Put the 4-byte 802.1Q ``tag`` behind the MACs, replacing a tag
+    already there; drops the parse memo."""
+    pkt.memo_offsets = pkt.memo_key = None
+    if pkt.has_vlan:
+        pkt.buf[12 : 12 + VLAN_TAG_LEN] = tag
+        return
+    pkt.buf[12:12] = tag
+    pkt.wire_len += VLAN_TAG_LEN
+
+
+def strip_vlan(pkt: Packet) -> None:
+    """Cut the 802.1Q tag of a tagged frame; drops the parse memo."""
     pkt.memo_offsets = pkt.memo_key = None
     del pkt.buf[12 : 12 + VLAN_TAG_LEN]
     pkt.wire_len -= VLAN_TAG_LEN
@@ -111,8 +118,8 @@ def vlan_tci(pkt: Packet) -> int:
 def is_vxlan(pkt: Packet) -> bool:
     """Raw-byte check for a VXLAN outer stack (untagged outer frame).
 
-    Deliberately bypasses the packet views so infrastructure (merge
-    strips, validity checks) can probe without logging field reads.
+    Deliberately bypasses the packet views so a validity check can
+    probe without logging field reads.
     """
     buf = pkt.buf
     if len(buf) < VXLAN_OUTER_LEN:

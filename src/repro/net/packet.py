@@ -249,17 +249,21 @@ class Packet:
     # memo -- ``memo_offsets`` (L3 offset, L4 protocol, L4 offset,
     # payload offset) and ``memo_key`` (the flow key and how many
     # five-tuple fields its walk read) -- and every question below
-    # returns from it; header and full copies inherit it.  Views, NFs and
-    # splice helpers write bytes straight into ``buf``, so the memo is
-    # trusted only while nothing can have moved what it records:
-    # - before an NF's visit, a plane applies the rule the compiled graph
-    #   derives from the NF's profile (``CompiledGraph.forget``): a
-    #   SIP/DIP/SPORT/DPORT writer's packet loses the key, a header-unit
-    #   adder or remover's, or a WHOLE_PACKET writer's, both parts;
-    # - every structural primitive (AH, VLAN, VXLAN, NSH, the merge's
-    #   splices and strips) drops both parts of the packet it takes, and
-    #   a merge that ran a step drops the key;
-    # - a plane's outputs leave their memo behind (the functional plane's
+    # returns from it; header and full copies inherit it.  Views and NFs
+    # write bytes straight into ``buf``, so the memo is trusted only while
+    # nothing can have moved what it records.  It is dropped in three
+    # places:
+    # - the unit movers: every primitive that moves header bytes
+    #   (``splice_ah`` / ``strip_ah``, ``splice_vlan`` / ``strip_vlan``,
+    #   the VXLAN and NSH stacks) drops both parts of the packet it takes
+    #   as it moves them -- for the NF that adds or removes the unit and
+    #   for the merge's ``add`` / ``remove`` alike;
+    # - the key-writer rule: before an NF's visit, a plane applies the
+    #   rule the compiled graph derives from the NF's profile
+    #   (``CompiledGraph.forget``): a SIP/DIP/SPORT/DPORT writer's packet
+    #   loses the key, a WHOLE_PACKET writer's both parts;
+    # - the merge and egress: a merge that ran a step drops the key, and
+    #   a plane's outputs leave their memo behind (the functional plane's
     #   drops too), so no caller holds one its own writes could outdate.
     # A packet with no memo (the sequential reference's, a writer NF's,
     # a frame the walk refuses) takes the walks below, the miss path:
@@ -544,7 +548,7 @@ class Packet:
     def flow_key(self) -> bytes:
         """The flow's 13 bytes, ``sip | dip | proto | sport | dport``
         (:data:`FLOW_KEY`): the one key of the RSS split, the classifier,
-        the flow cache, the control plane and every per-flow NF table.
+        the control plane and every per-flow NF table.
 
         Ports are 0 for non-TCP/UDP traffic and for every fragment, so
         all fragments of one datagram share a key.  Raises ``ValueError``

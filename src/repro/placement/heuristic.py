@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ..core.partition import first_fit_cuts, partition_at
 from ..sim.params import DEFAULT_PARAMS, SimParams
 from .plan import (
     ChainPlacement,
@@ -146,10 +147,11 @@ def round_robin_place(
 ) -> PlacementPlan:
     """The naive baseline: greedy slicing, servers dealt in index order.
 
-    Slices each chain with the legacy first-fit
-    (:func:`repro.core.partition.partition_graph` semantics against the
-    *smallest* server's budget) and deals slices onto servers round
-    robin, chain after chain, ignoring scores, SLOs and constraints --
+    Slices each chain with :func:`repro.core.partition.first_fit_cuts`,
+    :func:`~repro.core.partition.partition_graph`'s first-fit, against
+    the *smallest* server's budget (a stage too big for it still gets a
+    server of its own) and deals slices onto servers round robin, chain
+    after chain, ignoring scores, SLOs and constraints --
     exactly what an orchestrator without a placement layer would do.
     Placements that happen to violate capacity or the SLO are still
     reported (with their true predicted delay), so the bench comparison
@@ -168,18 +170,7 @@ def round_robin_place(
 
     cursor = 0
     for request in requests:
-        cuts: List[int] = []
-        used = 0
-        for index, stage in enumerate(request.graph.stages):
-            need = len(stage)
-            if index == 0:
-                used = need
-                continue
-            if used + need > budget:
-                cuts.append(index)
-                used = need
-            else:
-                used += need
+        cuts = first_fit_cuts(request.graph, budget)
         path = tuple(
             names[(cursor + offset) % len(names)]
             for offset in range(len(cuts) + 1)
@@ -193,7 +184,6 @@ def round_robin_place(
                 f"the topology"
             )
             continue
-        from ..core.partition import partition_at
         from ..eval.model import placed_capacity
         from ..multiserver.latency import estimate_placed_latency
 

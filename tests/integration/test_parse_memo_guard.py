@@ -2,7 +2,7 @@
 
 The classifier's one walk (``Packet.parse``) fills a memo that copies
 inherit and read-only NFs answer from; the compiled graph's per-NF rule,
-the structural primitives and the merge drop it where a write could have
+the header units' movers and the merge drop it where a write could have
 moved what it records.  The guard checks every memo still set after
 every NF visit and every merge -- on the functional plane and on the DES
 -- against the view-chain oracle (``tests/support/packet_reference.py``):
@@ -11,14 +11,13 @@ the offsets against ``l3_offset`` / ``l4_protocol`` / the L4 offset /
 read.  It runs over the committed fuzz corpus and over a Hypothesis
 stream of generated cases.
 
-``memo/regression-merge-vlan-splice-memo.json`` (fuzz seed 0, case 2,
+``regression-merge-vlan-splice-memo.json`` (fuzz seed 0, case 2,
 shrunk to ``caching | proxy | vlan-push``) is the case a memo dropped
 only after the whole merge got wrong: the merge's VLAN splice moved L3
 from 14 to 18 while the memo still said 14, so the IPv4 checksum
 re-derive wrote at the old offset and the output differed at byte 24.
-It sits outside the corpus glob, beside ``negative/``: the
-``fuzz_corpus_replay`` bench scenario replays ``tests/corpus/*.json``
-and its model-clock values are pinned in ``baseline.json``.
+Since a unit's mover drops the memo as it moves the bytes, the VPN, the
+VLAN and the tunnel NFs take their packets with the classifier's memo.
 """
 
 import contextlib
@@ -37,7 +36,7 @@ from repro.core import Orchestrator, Policy
 from repro.core.closures import CompiledGraph
 from repro.dataplane import FunctionalDataplane, NFPServer, functional, runtimes
 from repro.net.headers import PROTO_TCP, PROTO_UDP
-from repro.net.packet import FORGET_KEY, FORGET_MEMO, KEEP_MEMO
+from repro.net.packet import FORGET_KEY, KEEP_MEMO
 from repro.nfs.base import NetworkFunction, nf_class, registered_kinds
 from repro.sim import DEFAULT_PARAMS, Environment
 from repro.traffic import FlowGenerator
@@ -48,9 +47,8 @@ ref = pytest.importorskip(
     reason="run from the repo root (python -m pytest)")
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
-REGRESSION = os.path.join(CORPUS_DIR, "memo",
-                          "regression-merge-vlan-splice-memo.json")
-CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json"))) + [REGRESSION]
+REGRESSION = os.path.join(CORPUS_DIR, "regression-merge-vlan-splice-memo.json")
+CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
 
 class _Guard:
@@ -208,10 +206,12 @@ def test_the_guard_sees_a_stale_memo():
 @pytest.mark.parametrize("kind, rule", [
     ("monitor", KEEP_MEMO), ("ids", KEEP_MEMO), ("firewall", KEEP_MEMO),
     ("compression", KEEP_MEMO), ("loadbalancer", FORGET_KEY),
-    ("nat", FORGET_KEY), ("proxy", FORGET_KEY), ("vpn", FORGET_MEMO),
-    ("vpn-decrypt", FORGET_MEMO), ("vlan-push", FORGET_MEMO),
-    ("vxlan-decap", FORGET_MEMO),
+    ("nat", FORGET_KEY), ("proxy", FORGET_KEY), ("vpn", KEEP_MEMO),
+    ("vpn-decrypt", KEEP_MEMO), ("vlan-push", KEEP_MEMO),
+    ("vxlan-decap", KEEP_MEMO),
 ])
 def test_the_compiled_graph_derives_each_rule_from_the_profile(kind, rule):
+    """An adder or remover of a header unit keeps the memo: its mover
+    drops it when the bytes move, after the NF's reads."""
     graph = Orchestrator().compile(Policy.from_chain([kind])).graph
     assert CompiledGraph(graph).forget == {kind: rule}

@@ -1,10 +1,12 @@
 """Property-based tests on compiler invariants and the correctness
 principle over randomly generated chains."""
 
+import itertools
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.check.generator import CaseGenerator
+from repro.check.generator import NF_POOL, CaseGenerator
 from repro.core import NFSpec, Orchestrator, Policy, identify_parallelism
 from repro.core.action_table import default_action_table
 from repro.core.graph import ORIGINAL_VERSION, MergeOpKind
@@ -119,3 +121,28 @@ def test_merge_takes_each_field_from_its_last_stage_writer(seed, index):
         # Version 1 needs no modify: its write is already in the base.
         assert sources.get(field, ORIGINAL_VERSION) == winner, (
             field, graph.describe())
+
+
+def test_no_graph_merges_an_encapsulating_unit():
+    """Every ordered pair of the fuzzer's NF pool, under Order and under
+    Priority either way: no compiled graph declares an add or a remove
+    of an encapsulating unit, so the merger needs no VXLAN mover."""
+    orchestrator = Orchestrator()
+    units = set()
+    for a, b in itertools.product(NF_POOL, repeat=2):
+        first, second = f"{a}-0", f"{b}-1"
+        for rule in ("order", "high", "low"):
+            policy = Policy(name="pair")
+            policy.declare(NFSpec(first, a)).declare(NFSpec(second, b))
+            if rule == "order":
+                policy.order(first, second)
+            else:
+                policy.priority(*((first, second) if rule == "high"
+                                  else (second, first)))
+            graph = orchestrator.compile(policy).graph
+            for op in graph.merge_ops:
+                if op.kind is not MergeOpKind.MODIFY:
+                    assert not op.field.is_encapsulating, (policy, op)
+                    units.add(op.field)
+    # Not vacuous: the offset-transparent units are merged.
+    assert {unit.value for unit in units} == {"ah", "vlan"}

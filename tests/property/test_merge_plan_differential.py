@@ -11,11 +11,12 @@ or the same exception type.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.check.generator import CaseGenerator
 from repro.core.graph import MergeOp, MergeOpKind
-from repro.dataplane.merging import MergePlan, apply_merge_ops
+from repro.dataplane.merging import MergeError, MergePlan, apply_merge_ops
 from repro.net import Field, insert_ah, insert_vlan
 from repro.net.encap import vxlan_encap
 from repro.net.packet import Packet, PacketMeta
@@ -25,7 +26,7 @@ from tests.support.merge_reference import apply_merge_ops_reference
 GENERATOR = CaseGenerator(seed=23)
 MODIFY_FIELDS = [Field.SIP, Field.DIP, Field.SPORT, Field.DPORT, Field.TTL,
                  Field.SMAC, Field.DMAC, Field.DSCP, Field.PAYLOAD]
-UNITS = [Field.AH_HEADER, Field.VLAN_HEADER, Field.VXLAN_HEADER]
+UNITS = [Field.AH_HEADER, Field.VLAN_HEADER]
 #: How a collected version differs from the packet it was copied from.
 SHAPES = ["full", "header", "vlan", "ah", "vxlan", "rewritten", "cut", "nil"]
 #: Prefix lengths a "cut" version is tried at: every one through the
@@ -163,10 +164,22 @@ def test_a_unit_operation_forgets_resolved_offsets():
 
     before = [modify(Field.SIP), modify(Field.SPORT), modify(Field.SMAC)]
     after = [modify(Field.DIP), modify(Field.DPORT), modify(Field.DMAC)]
-    for unit, tagged in ((Field.VLAN_HEADER, "vlan"), (Field.AH_HEADER, "ah"),
-                         (Field.VXLAN_HEADER, "vxlan")):
+    for unit, tagged in ((Field.VLAN_HEADER, "vlan"), (Field.AH_HEADER, "ah")):
         strip = before + [MergeOp(MergeOpKind.REMOVE, unit)] + after
         assert _agree(spec, {1: tagged, 2: "rewritten"}, strip, 7, None) == "ok"
         splice = before + [MergeOp(MergeOpKind.ADD, unit, 3)] + after
         assert _agree(spec, {1: "full", 2: "rewritten", 3: tagged},
                       splice, 7, None) == "ok"
+
+
+@pytest.mark.parametrize("op", [MergeOp(MergeOpKind.ADD, Field.VXLAN_HEADER, 2),
+                                MergeOp(MergeOpKind.REMOVE, Field.VXLAN_HEADER)])
+def test_a_plan_refuses_a_unit_with_no_mover(op):
+    """No graph parallelises an encapsulating NF, so a VXLAN stack has
+    no merge mover: a plan that declares one is refused when it is
+    built, and so is a one-off merge of plain operations."""
+    with pytest.raises(MergeError, match="header unit"):
+        MergePlan([MergeOp(MergeOpKind.MODIFY, Field.SIP, 2), op])
+    versions = {1: GENERATOR._draw_packets(random.Random(3))[0].build()}
+    with pytest.raises(MergeError, match="header unit"):
+        apply_merge_ops(versions, [op])

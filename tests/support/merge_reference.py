@@ -6,8 +6,10 @@ packet: each ``modify`` of a byte-aligned field resolved its span on the
 source *and* on the base (``field_span`` -> ``_ipv4_offset`` / a header
 view), looked the field up in two enum-keyed tables, and tracked
 checksum dirtiness as it went.  This module is that loop and its
-``field_span`` and header-unit dispatch, moved verbatim from ``src/``
-(the per-unit splice / strip helpers were not changed and are imported).
+``field_span`` and header-unit dispatch, moved verbatim from ``src/``;
+a unit's bytes move through the ``repro.net`` movers the NFs call, and,
+as the loop did, an AH splice or strip stores the IPv4 checksum at once
+(the plan stores it once, at the end of the merge).
 
 It favours being obviously the old behaviour over speed, and is what
 ``tests/property/test_merge_plan_differential.py`` holds the plan to:
@@ -19,17 +21,11 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional
 
 from repro.core.graph import MergeOp, MergeOpKind, ORIGINAL_VERSION
-from repro.dataplane.merging import (
-    MergeError,
-    _require,
-    _splice_ah,
-    _splice_vlan,
-    _splice_vxlan,
-    _strip_ah,
-    _strip_vlan,
-    _strip_vxlan,
-)
+from repro.dataplane.merging import MergeError, _require
 from repro.net import fields as _f
+from repro.net.ah import splice_ah, strip_ah
+from repro.net.encap import splice_vlan, strip_vlan
+from repro.net.headers import VLAN_TAG_LEN, AhView
 from repro.net.fields import FIELD_BYTES, Field, _l4
 from repro.net.packet import Packet
 
@@ -96,11 +92,17 @@ def apply_merge_ops_reference(
 def _splice_header(base: Packet, source: Packet, field) -> None:
     """Copy a header unit from ``source`` into ``base``."""
     if field is _f.Field.AH_HEADER:
-        _splice_ah(base, source)
+        if not source.has_ah:
+            raise MergeError("source version carries no AH to splice")
+        ip = source.ipv4
+        start = ip.offset + ip.header_len
+        splice_ah(base, bytes(source.buf[start : start + AhView.HEADER_LEN]),
+                  base.ipv4.offset)
+        base.ipv4.update_checksum()
     elif field is _f.Field.VLAN_HEADER:
-        _splice_vlan(base, source)
-    elif field is _f.Field.VXLAN_HEADER:
-        _splice_vxlan(base, source)
+        if not source.has_vlan:
+            raise MergeError("source version carries no VLAN tag to splice")
+        splice_vlan(base, bytes(source.buf[12 : 12 + VLAN_TAG_LEN]))
     else:
         raise MergeError(f"cannot splice header unit {field}")
 
@@ -108,11 +110,13 @@ def _splice_header(base: Packet, source: Packet, field) -> None:
 def _strip_header(base: Packet, field) -> None:
     """Remove a header unit from ``base``."""
     if field is _f.Field.AH_HEADER:
-        _strip_ah(base)
+        if not base.has_ah:
+            raise MergeError("base carries no AH to remove")
+        strip_ah(base, base.ipv4.offset)
+        base.ipv4.update_checksum()
     elif field is _f.Field.VLAN_HEADER:
-        _strip_vlan(base)
-    elif field is _f.Field.VXLAN_HEADER:
-        _strip_vxlan(base)
+        if base.has_vlan:
+            strip_vlan(base)
     else:
         raise MergeError(f"cannot strip header unit {field}")
 

@@ -138,3 +138,19 @@ def test_vxlan_encapsulation_never_parallelizes():
     assert graph.equivalent_length == 2, graph.describe()
     graph = _compile_free(["monitor", "vxlan-decap"])
     assert graph.equivalent_length == 2, graph.describe()
+
+
+@pytest.mark.parametrize("high, low", [("nat", "vxlan-encap"),
+                                       ("vxlan-encap", "nat")])
+def test_a_priority_rule_sequences_an_encapsulating_nf(high, low):
+    # Priority declares a pair parallel, but no merge reconciles a new
+    # outer stack with the other NF's view of the inner packet: the low
+    # NF runs first, so the high one's effect wins, and the operator is
+    # told.
+    policy = Policy(name="priority")
+    policy.declare(NFSpec("nat", "nat")).declare(NFSpec("vxlan-encap", "vxlan-encap"))
+    result = Orchestrator().compile(policy.priority(high, low))
+    assert [[entry.node.name for entry in stage]
+            for stage in result.graph.stages] == [[low], [high]]
+    assert not result.graph.merge_ops
+    assert any("encapsulating" in warning for warning in result.warnings)
