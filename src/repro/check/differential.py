@@ -46,11 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.action_table import ActionTable
-from ..core.dependency import (
-    DEFAULT_DEPENDENCY_TABLE,
-    DependencyTable,
-    identify_parallelism,
-)
+from ..core.dependency import identify_parallelism
 from ..core.graph import ORIGINAL_VERSION
 from ..core.orchestrator import Orchestrator
 from ..core.policy import Policy, Position
@@ -138,11 +134,7 @@ def _reaches(edges: Set[Tuple[str, str]], start: str, goal: str) -> bool:
     return False
 
 
-def reference_order(
-    policy: Policy,
-    action_table: ActionTable,
-    dependency_table: DependencyTable = DEFAULT_DEPENDENCY_TABLE,
-) -> List[str]:
+def reference_order(policy: Policy, action_table: ActionTable) -> List[str]:
     """The sequential linearization the compiled graph must match."""
     names = list(policy.instances)
     decl = {name: i for i, name in enumerate(names)}
@@ -173,11 +165,11 @@ def reference_order(
         for b in names[i + 1:]:
             if (a, b) in related or a in pins or b in pins:
                 continue
-            forward = identify_parallelism(profiles[a], profiles[b], dependency_table)
+            forward = identify_parallelism(profiles[a], profiles[b])
             if forward.parallelizable:
                 soft.append((a, b))
                 continue
-            backward = identify_parallelism(profiles[b], profiles[a], dependency_table)
+            backward = identify_parallelism(profiles[b], profiles[a])
             if backward.parallelizable:
                 soft.append((b, a))
             else:

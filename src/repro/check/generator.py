@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.dependency import DEFAULT_DEPENDENCY_TABLE, identify_parallelism
+from ..core.dependency import identify_parallelism
 from ..core.orchestrator import Orchestrator
 from ..net.fields import Field
 from ..net.headers import PROTO_TCP, PROTO_UDP, int_to_ip
@@ -206,7 +206,6 @@ class CaseGenerator:
                     verdict = identify_parallelism(
                         table.fetch(dict(instances)[low]),
                         table.fetch(dict(instances)[high]),
-                        DEFAULT_DEPENDENCY_TABLE,
                     )
                     if verdict.parallelizable:
                         candidates.append((high, low))

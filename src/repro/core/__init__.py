@@ -5,7 +5,7 @@ Public surface:
 * Policy language: :class:`Policy`, rule classes, :func:`parse_policy`.
 * Action model: :class:`Action`, :class:`ActionProfile`,
   :class:`ActionTable` (Table 2), :func:`inspect_nf` (§5.4 tool).
-* Dependency analysis: :class:`DependencyTable` (Table 3),
+* Dependency analysis: :data:`TABLE3` (Table 3),
   :func:`identify_parallelism` (Algorithm 1).
 * Compilation: :class:`NFPCompiler`, :class:`ServiceGraph`,
   :func:`build_tables`, :class:`Orchestrator`.
@@ -16,8 +16,7 @@ Public surface:
 from .actions import Action, ActionProfile, Verb
 from .action_table import ActionTable, TABLE2_ROWS, default_action_table
 from .dependency import (
-    DEFAULT_DEPENDENCY_TABLE,
-    DependencyTable,
+    TABLE3,
     Parallelism,
     ParallelismResult,
     can_share_buffer,
@@ -59,8 +58,7 @@ __all__ = [
     "ActionTable",
     "TABLE2_ROWS",
     "default_action_table",
-    "DependencyTable",
-    "DEFAULT_DEPENDENCY_TABLE",
+    "TABLE3",
     "Parallelism",
     "ParallelismResult",
     "identify_parallelism",

@@ -35,10 +35,9 @@ from .action_table import ActionTable, default_action_table
 from .actions import ActionProfile
 from .conflicts import check_policy
 from .dependency import (
-    DEFAULT_DEPENDENCY_TABLE,
-    DependencyTable,
     ParallelismResult,
     can_share_buffer,
+    encapsulates,
     identify_parallelism,
 )
 from .graph import (
@@ -87,13 +86,8 @@ class CompilationResult:
 class NFPCompiler:
     """Compiles NFP policies into service graphs."""
 
-    def __init__(
-        self,
-        action_table: Optional[ActionTable] = None,
-        dependency_table: DependencyTable = DEFAULT_DEPENDENCY_TABLE,
-    ):
+    def __init__(self, action_table: Optional[ActionTable] = None):
         self.action_table = action_table or default_action_table()
-        self.dependency_table = dependency_table
 
     # ------------------------------------------------------------ pipeline
     def compile(self, policy: Policy) -> CompilationResult:
@@ -184,7 +178,7 @@ class NFPCompiler:
         prioritised: Set[Tuple[str, str]] = set()
         sequenced: Set[Tuple[str, str]] = set()
         for high, low in priority_pairs:
-            if not (_encapsulates(profiles[high]) or _encapsulates(profiles[low])):
+            if not (encapsulates(profiles[high]) or encapsulates(profiles[low])):
                 prioritised |= {(high, low), (low, high)}
             elif ((high, low) not in closure and (low, high) not in closure
                   and high not in pins and low not in pins):
@@ -198,9 +192,7 @@ class NFPCompiler:
         for before, after in closure:
             if (before, after) in prioritised:
                 continue
-            verdict = identify_parallelism(
-                profiles[before], profiles[after], self.dependency_table
-            )
+            verdict = identify_parallelism(profiles[before], profiles[after])
             decisions[(before, after)] = verdict
             if not verdict.parallelizable:
                 hard.add((before, after))
@@ -222,15 +214,11 @@ class NFPCompiler:
             for b in names[i + 1 :]:
                 if (a, b) in related or a in pins or b in pins:
                     continue
-                forward = identify_parallelism(
-                    profiles[a], profiles[b], self.dependency_table
-                )
+                forward = identify_parallelism(profiles[a], profiles[b])
                 decisions.setdefault((a, b), forward)
                 if forward.parallelizable:
                     continue
-                backward = identify_parallelism(
-                    profiles[b], profiles[a], self.dependency_table
-                )
+                backward = identify_parallelism(profiles[b], profiles[a])
                 decisions.setdefault((b, a), backward)
                 if backward.parallelizable:
                     continue
@@ -331,9 +319,7 @@ class NFPCompiler:
             )
             for i, first in enumerate(members):
                 for second in members[i + 1:]:
-                    if not can_share_buffer(
-                        profiles[first], profiles[second], self.dependency_table
-                    ):
+                    if not can_share_buffer(profiles[first], profiles[second]):
                         hard_edges.add((first, second))
                         return True
         return False
@@ -371,8 +357,7 @@ class NFPCompiler:
             for name in members:
                 profile = nodes[name].profile
                 if all(
-                    can_share_buffer(profile, nodes[m].profile, self.dependency_table)
-                    for m in trunk
+                    can_share_buffer(profile, nodes[m].profile) for m in trunk
                 ):
                     trunk.append(name)
                     continue
@@ -385,12 +370,8 @@ class NFPCompiler:
                     )
                 placed = False
                 for version, group in groups:
-                    if all(
-                        can_share_buffer(
-                            profile, nodes[m].profile, self.dependency_table
-                        )
-                        for m in group
-                    ):
+                    if all(can_share_buffer(profile, nodes[m].profile)
+                           for m in group):
                         group.append(name)
                         placed = True
                         break
@@ -464,14 +445,8 @@ class NFPCompiler:
         return ops
 
 
-def _encapsulates(profile: ActionProfile) -> bool:
-    return any(field.is_encapsulating for field in (*profile.adds, *profile.removes))
-
-
 def compile_policy(
-    policy: Policy,
-    action_table: Optional[ActionTable] = None,
-    dependency_table: DependencyTable = DEFAULT_DEPENDENCY_TABLE,
+    policy: Policy, action_table: Optional[ActionTable] = None
 ) -> CompilationResult:
     """Convenience wrapper around :class:`NFPCompiler`."""
-    return NFPCompiler(action_table, dependency_table).compile(policy)
+    return NFPCompiler(action_table).compile(policy)

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Union
 from .action_table import ActionTable, default_action_table
 from .actions import ActionProfile
 from .compiler import CompilationResult, NFPCompiler
-from .dependency import DEFAULT_DEPENDENCY_TABLE, DependencyTable
 from .inspector import inspect_nf
 from .policy import Policy
 from .policy_dsl import parse_policy
@@ -76,13 +75,9 @@ class DeployedGraph:
 class Orchestrator:
     """Compiles policies and manages deployed service graphs."""
 
-    def __init__(
-        self,
-        action_table: Optional[ActionTable] = None,
-        dependency_table: DependencyTable = DEFAULT_DEPENDENCY_TABLE,
-    ):
+    def __init__(self, action_table: Optional[ActionTable] = None):
         self.action_table = action_table or default_action_table()
-        self.compiler = NFPCompiler(self.action_table, dependency_table)
+        self.compiler = NFPCompiler(self.action_table)
         self._deployed: Dict[int, DeployedGraph] = {}
         self._next_mid = 1
 

@@ -9,24 +9,21 @@ resource overhead."  (So 12.3% parallelize with copying, §6.3.)
 We rerun Algorithm 1 over every *ordered* pair of Table 2 profiles
 (including same-type pairs).  With uniform pair weighting this
 reproduction lands within ~2 points of every paper number (54.5 / 39.7
-/ 14.9 / 45.5), which also validates the Table 3 reconstruction in
-:mod:`repro.core.dependency`.  A deployment-share-weighted variant
-(pair weight = product of the Table 2 percentages) is available via
-``weighting="deployment"``.
+/ 14.9 / 45.5); this is the only published check of Table 3's cells,
+which the paper prints as coloured blocks (which of them the
+correctness principle forces is labelled in
+``tests/support/table3_semantics.py``).  A deployment-share-weighted
+variant (pair weight = product of the Table 2 percentages) is
+available via ``weighting="deployment"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from ..core.action_table import ActionTable, default_action_table
-from ..core.dependency import (
-    DEFAULT_DEPENDENCY_TABLE,
-    DependencyTable,
-    Parallelism,
-    identify_parallelism,
-)
+from ..core.action_table import default_action_table
+from ..core.dependency import Parallelism, identify_parallelism
 
 __all__ = ["PairStatistics", "compute_pair_statistics", "TABLE2_NF_SET"]
 
@@ -79,41 +76,31 @@ class PairStatistics:
         ]
 
 
-def compute_pair_statistics(
-    table: Optional[ActionTable] = None,
-    nf_names: Sequence[str] = TABLE2_NF_SET,
-    dependency_table: DependencyTable = DEFAULT_DEPENDENCY_TABLE,
-    weighting: str = "uniform",
-) -> PairStatistics:
-    """Run Algorithm 1 over all ordered pairs.
+def compute_pair_statistics(weighting: str = "uniform") -> PairStatistics:
+    """Run Algorithm 1 over all ordered pairs of :data:`TABLE2_NF_SET`.
 
     ``weighting`` is ``"uniform"`` (the paper-matching default) or
     ``"deployment"`` (pair weight = product of deployment shares, with
     unlisted NFs splitting the residual mass).
     """
-    table = table or default_action_table()
+    table = default_action_table()
     if weighting == "uniform":
-        weights = {name: 1.0 for name in nf_names}
+        weights = {name: 1.0 for name in TABLE2_NF_SET}
     elif weighting == "deployment":
         weights = {
             profile.name: weight
             for profile, weight in table.weighted_profiles()
-            if profile.name in set(nf_names)
+            if profile.name in TABLE2_NF_SET
         }
     else:
         raise ValueError(f"unknown weighting: {weighting!r}")
-    missing = set(nf_names) - set(weights)
-    if missing:
-        raise KeyError(f"no profiles for: {sorted(missing)}")
     total_weight = sum(weights.values())
 
     shares = {outcome: 0.0 for outcome in Parallelism}
     per_pair: Dict[Tuple[str, str], Parallelism] = {}
-    for first in nf_names:
-        for second in nf_names:
-            verdict = identify_parallelism(
-                table.fetch(first), table.fetch(second), dependency_table
-            )
+    for first in TABLE2_NF_SET:
+        for second in TABLE2_NF_SET:
+            verdict = identify_parallelism(table.fetch(first), table.fetch(second))
             outcome = verdict.classification
             per_pair[(first, second)] = outcome
             weight = (weights[first] / total_weight) * (

@@ -21,11 +21,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from ..core.dependency import (
-    DEFAULT_DEPENDENCY_TABLE,
-    DependencyTable,
-    can_share_buffer,
-)
+from ..core.dependency import can_share_buffer
 from .blocks import Block
 
 __all__ = ["BlockPipeline", "openbox_merge", "nfp_parallelize", "StagedPipeline"]
@@ -105,10 +101,7 @@ def openbox_merge(first: BlockPipeline, second: BlockPipeline) -> BlockPipeline:
     return BlockPipeline(f"{first.name}+{second.name}", merged)
 
 
-def nfp_parallelize(
-    pipeline: BlockPipeline,
-    table: DependencyTable = DEFAULT_DEPENDENCY_TABLE,
-) -> StagedPipeline:
+def nfp_parallelize(pipeline: BlockPipeline) -> StagedPipeline:
     """Apply NFP's parallelism analysis at block granularity.
 
     Greedy left-to-right stage packing: a block joins the current stage
@@ -129,7 +122,7 @@ def nfp_parallelize(
         for index in range(min_stage, len(stages)):
             current = stages[index]
             compatible = all(
-                can_share_buffer(member.profile, block.profile, table)
+                can_share_buffer(member.profile, block.profile)
                 and block.base_name not in member.depends_on
                 for member in current
             )

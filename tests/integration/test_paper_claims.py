@@ -14,9 +14,6 @@ and take milliseconds.  EXPERIMENTS.md has the paper-vs-measured notes.
 
 import pytest
 
-from repro.core import Parallelism
-from repro.core.actions import Verb
-from repro.core.dependency import DependencyTable
 from repro.eval import (
     LoadPoint,
     WEST_EAST_CHAIN,
@@ -34,6 +31,7 @@ from tests.support.pinned_tables import (
     pinned_scenario,
     pinned_table,
 )
+from tests.support.table3_semantics import shares_without_op1
 
 
 # ---------------------------------------------------------------- §4.3
@@ -262,19 +260,15 @@ def test_claim_copy_merge_penalty_small():
 # -------------------------------------------------------------- ablations
 def test_ablation_dirty_memory_reusing():
     """OP#1 off: R/W and W/W always copy, regardless of fields."""
-    no_op1 = DependencyTable(overrides={
-        (Verb.READ, Verb.WRITE): Parallelism.WITH_COPY,
-        (Verb.WRITE, Verb.WRITE): Parallelism.WITH_COPY,
-    })
     baseline = compute_pair_statistics()
-    ablated = compute_pair_statistics(dependency_table=no_op1)
+    assert [round(100 * share, 2) for share in (
+        baseline.parallelizable, baseline.no_copy, baseline.with_copy)] == [
+        54.55, 39.67, 14.88]
     # Total parallelizable share is unchanged; the copy-free share drops
-    # (only pairs whose writes are disjoint from the peer's reads rely
-    # on OP#1 -- a small but strictly positive slice of Table 2).
-    assert ablated.parallelizable == pytest.approx(baseline.parallelizable,
-                                                   abs=1e-9)
-    assert ablated.no_copy < baseline.no_copy - 0.01
-    assert ablated.with_copy > baseline.with_copy + 0.01
+    # by the two Table 2 pairs whose writes are disjoint from the peer's
+    # reads and writes -- the only pairs that rely on OP#1.
+    parallelizable, no_copy, with_copy, _ = shares_without_op1()
+    assert (parallelizable, no_copy, with_copy) == (54.55, 38.02, 16.53)
 
 
 def test_ablation_header_only_copying():

@@ -1,7 +1,5 @@
 """Unit tests for Table 3 (dependency table) and Algorithm 1."""
 
-import pytest
-
 from repro.core import (
     Action,
     ActionProfile,
@@ -11,7 +9,6 @@ from repro.core import (
     default_action_table,
     identify_parallelism,
 )
-from repro.core.dependency import DependencyTable
 from repro.net import Field
 
 
@@ -148,28 +145,6 @@ def test_not_parallelizable_short_circuits_conflicts():
 def test_empty_profiles_trivially_parallel():
     result = identify_parallelism(profile("a"), profile("b"))
     assert result.classification is Parallelism.NO_COPY
-
-
-# -------------------------------------------------------- table mechanics
-def test_field_sensitive_cells_not_directly_fetchable():
-    table = DependencyTable()
-    with pytest.raises(ValueError):
-        table.fetch(R(Field.SIP), W(Field.SIP))
-    assert table.is_field_sensitive(R(Field.SIP), W(Field.SIP))
-    assert table.is_field_sensitive(W(Field.SIP), W(Field.SIP))
-    assert not table.is_field_sensitive(R(Field.SIP), R(Field.SIP))
-
-
-def test_table_overrides():
-    table = DependencyTable(
-        overrides={(Verb.DROP, Verb.WRITE): Parallelism.WITH_COPY}
-    )
-    result = identify_parallelism(
-        profile("fw", DROP), profile("lb", W(Field.DIP)), table
-    )
-    assert result.classification is Parallelism.WITH_COPY
-    with pytest.raises(KeyError):
-        DependencyTable(overrides={("bogus", "cell"): Parallelism.NO_COPY})
 
 
 # ------------------------------------------------------ buffer sharing
