@@ -84,11 +84,11 @@ from ..sim import DEFAULT_PARAMS, VM_PARAMS, Environment, SimParams
 from ..sim.stats import summarize
 from ..telemetry import (
     Sampler,
-    SpanKind,
     StageRollup,
     TelemetryHub,
     Tracer,
     Watcher,
+    critical_path,
     stage_rollup,
 )
 from ..traffic import FlowGenerator, TrafficSource
@@ -277,7 +277,8 @@ def _replay_corpus(packets: int, seed: int) -> SpecOutcome:
     """Replay the named cases of the fuzz corpus through all three planes.
 
     The corpus fixes its own packets and seeds.  Latency percentiles
-    come from the DES plane's span timestamps (simulated time); each
+    come from the DES plane's span timestamps (simulated time): each
+    delivered packet's critical-path total, classify to output; each
     case gets a fresh tracer so packet keys never collide across cases.
     """
     from ..check import FuzzCase, run_case
@@ -298,15 +299,9 @@ def _replay_corpus(packets: int, seed: int) -> SpecOutcome:
         copies_header += hub.registry.counter_value("copy.header")
         rollup.merge(stage_rollup(tracer.events))
         for trace in tracer.traces().values():
-            classify = next(
-                (e for e in trace.events if e.kind is SpanKind.CLASSIFY), None)
-            terminal = trace.terminal
-            if classify is None or terminal is None:
-                continue
-            if terminal.kind is not SpanKind.OUTPUT:
-                continue
-            ingress = (classify.args or {}).get("ingress_us", classify.ts_us)
-            latencies.append(terminal.ts_us - float(ingress))
+            path = critical_path(trace)
+            if path is not None and not path.dropped:
+                latencies.append(path.total_us)
     if latencies:
         summary = summarize(latencies)
         mean, p50, p99 = summary.mean, summary.p50, summary.p99

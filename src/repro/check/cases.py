@@ -314,8 +314,8 @@ class FuzzCase:
             packets=[PacketSpec.from_dict(p) for p in data.get("packets", [])],
         )
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FuzzCase":

@@ -53,6 +53,10 @@ _READ_FIELDS = (Field.SIP, Field.DIP, Field.SPORT, Field.DPORT,
 _PROTO_ICMP = 1
 
 
+#: Share of cases that get sound profile tweaks.
+_SOUND_TWEAK_RATE = 0.25
+
+
 class CaseGenerator:
     """Deterministic, seeded generator of valid :class:`FuzzCase`s."""
 
@@ -62,15 +66,11 @@ class CaseGenerator:
         max_nfs: int = 5,
         packets_per_case: int = 16,
         tweaks: Sequence[ProfileTweak] = (),
-        pool: Sequence[str] = NF_POOL,
-        sound_tweak_rate: float = 0.25,
     ):
         self.seed = seed
         self.max_nfs = max(2, max_nfs)
         self.packets_per_case = max(1, packets_per_case)
         self.extra_tweaks = list(tweaks)
-        self.pool = list(pool)
-        self.sound_tweak_rate = sound_tweak_rate
         # Shared adversarial-traffic material (deterministic builders).
         self._acl = [rule for rule in build_acl() if not rule.permit]
         self._signatures = build_signatures()
@@ -109,7 +109,7 @@ class CaseGenerator:
     # -------------------------------------------------------------- policy
     def _draw_instances(self, rng: random.Random) -> List[Tuple[str, str]]:
         count = rng.randint(2, self.max_nfs)
-        kinds = [rng.choice(self.pool) for _ in range(count)]
+        kinds = [rng.choice(NF_POOL) for _ in range(count)]
         # vpn-decrypt without a vpn upstream drops everything -- valid but
         # boring; usually pair it with an encryptor.
         if "vpn-decrypt" in kinds and "vpn" not in kinds and rng.random() < 0.75:
@@ -214,7 +214,7 @@ class CaseGenerator:
     def _draw_tweaks(
         self, rng: random.Random, instances: List[Tuple[str, str]]
     ) -> List[ProfileTweak]:
-        if rng.random() >= self.sound_tweak_rate:
+        if rng.random() >= _SOUND_TWEAK_RATE:
             return []
         kinds = sorted({kind for _, kind in instances})
         tweaks = []

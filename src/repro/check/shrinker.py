@@ -53,10 +53,13 @@ class ShrinkResult:
                 f"in {self.steps} runs ({self.outcome.kind})")
 
 
+#: Probe runs one shrink may spend.
+_MAX_SHRINK_RUNS = 400
+
+
 def shrink_case(
     case: FuzzCase,
     include_des: bool = True,
-    max_runs: int = 400,
     telemetry: TelemetryHub = NULL_HUB,
     instances: int = 1,
     audit_profiles: bool = False,
@@ -80,7 +83,7 @@ def shrink_case(
     state = {"runs": 0, "best": case, "best_outcome": baseline}
 
     def still_fails(candidate: FuzzCase) -> bool:
-        if state["runs"] >= max_runs:
+        if state["runs"] >= _MAX_SHRINK_RUNS:
             return False
         state["runs"] += 1
         telemetry.inc("fuzz.shrink_steps")

@@ -191,24 +191,6 @@ class ActionTable:
     def names(self) -> List[str]:
         return sorted(self._profiles)
 
-    def weighted_profiles(self) -> List[Tuple[ActionProfile, float]]:
-        """Profiles with normalised deployment weights.
-
-        NFs without a Table 2 percentage share the residual probability
-        mass equally, so the pair statistics cover the whole table.
-        """
-        with_share = [p for p in self if p.deployment_share is not None]
-        without = [p for p in self if p.deployment_share is None]
-        assigned = sum(p.deployment_share for p in with_share)
-        if assigned > 1.0 + 1e-9:
-            raise ValueError("deployment shares sum to more than 1")
-        residual = max(0.0, 1.0 - assigned)
-        each = residual / len(without) if without else 0.0
-        weighted = [(p, p.deployment_share) for p in with_share]
-        weighted += [(p, each) for p in without]
-        total = sum(w for _, w in weighted)
-        return [(p, w / total) for p, w in weighted if total > 0]
-
 
 def default_action_table() -> ActionTable:
     """A fresh :class:`ActionTable` pre-loaded with Table 2."""

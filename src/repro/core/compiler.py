@@ -445,8 +445,6 @@ class NFPCompiler:
         return ops
 
 
-def compile_policy(
-    policy: Policy, action_table: Optional[ActionTable] = None
-) -> CompilationResult:
-    """Convenience wrapper around :class:`NFPCompiler`."""
-    return NFPCompiler(action_table).compile(policy)
+def compile_policy(policy: Policy) -> CompilationResult:
+    """Convenience wrapper around :class:`NFPCompiler` over Table 2."""
+    return NFPCompiler().compile(policy)

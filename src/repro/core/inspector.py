@@ -150,11 +150,7 @@ class _ActionCollector(ast.NodeVisitor):
         return ""
 
 
-def inspect_nf_source(
-    source: str,
-    name: str,
-    deployment_share: Optional[float] = None,
-) -> ActionProfile:
+def inspect_nf_source(source: str, name: str) -> ActionProfile:
     """Analyse NF source text and return its action profile."""
     try:
         tree = ast.parse(textwrap.dedent(source))
@@ -162,13 +158,12 @@ def inspect_nf_source(
         raise InspectionError(f"cannot parse NF source for {name!r}: {exc}") from exc
     collector = _ActionCollector()
     collector.visit(tree)
-    return ActionProfile(name, collector.actions, deployment_share=deployment_share)
+    return ActionProfile(name, collector.actions)
 
 
 def inspect_nf(
     nf: Union[type, object, callable],
     name: Optional[str] = None,
-    deployment_share: Optional[float] = None,
 ) -> ActionProfile:
     """Analyse a live NF class/instance/function.
 
@@ -181,4 +176,4 @@ def inspect_nf(
     except (OSError, TypeError) as exc:
         raise InspectionError(f"cannot fetch source of {target!r}: {exc}") from exc
     profile_name = name or getattr(target, "KIND", None) or target.__name__.lower()
-    return inspect_nf_source(source, profile_name, deployment_share)
+    return inspect_nf_source(source, profile_name)

@@ -83,11 +83,12 @@ class Orchestrator:
 
     # -------------------------------------------------------- NF lifecycle
     def register_nf(
-        self, nf: Union[type, object], name: Optional[str] = None, replace: bool = False
+        self, nf: Union[type, object], name: Optional[str] = None
     ) -> ActionProfile:
-        """Register an NF by inspecting its code (§5.4)."""
+        """Register an NF by inspecting its code (§5.4); a name already
+        registered raises ``ValueError``."""
         profile = inspect_nf(nf, name=name)
-        self.action_table.register(profile, replace=replace)
+        self.action_table.register(profile)
         return profile
 
     # ----------------------------------------------------------- compiling

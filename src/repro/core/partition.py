@@ -32,6 +32,9 @@ __all__ = [
 #: Cores a server must reserve beyond NFs: classifier + merger (§6).
 _OVERHEAD_CORES = 2
 
+#: Most servers one graph may be split over.
+MAX_SERVERS = 64
+
 
 class PartitionError(ValueError):
     """Raised when a graph cannot fit the given servers."""
@@ -86,14 +89,13 @@ def partition_at(graph: ServiceGraph, cuts: Sequence[int]) -> List[ServerSlice]:
     ]
 
 
-def partition_graph(
-    graph: ServiceGraph, cores_per_server: int, max_servers: int = 64
-) -> List[ServerSlice]:
+def partition_graph(graph: ServiceGraph, cores_per_server: int) -> List[ServerSlice]:
     """Split ``graph`` across servers at stage boundaries.
 
     Greedy first-fit over consecutive stages.  Raises
     :class:`PartitionError` when a single stage needs more NF cores than
-    one server offers, or when ``max_servers`` is exceeded.
+    one server offers, or when the graph needs more than
+    :data:`MAX_SERVERS` servers.
 
     The returned slices satisfy the paper's bandwidth constraint by
     construction: only version 1 crosses a slice boundary.
@@ -111,9 +113,9 @@ def partition_graph(
                 f"offering {budget} NF cores"
             )
     cuts = first_fit_cuts(graph, budget)
-    if len(cuts) + 1 > max_servers:
+    if len(cuts) + 1 > MAX_SERVERS:
         raise PartitionError(
-            f"graph needs {len(cuts) + 1} servers, more than max_servers={max_servers}"
+            f"graph needs {len(cuts) + 1} servers, more than {MAX_SERVERS}"
         )
     return partition_at(graph, cuts)
 

@@ -18,7 +18,7 @@ able to automatically transfer it to NFP policies", §3).
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
 
 __all__ = [
     "Position",
@@ -158,19 +158,10 @@ class Policy:
     implicitly by mentioning a type name in a rule.
     """
 
-    def __init__(
-        self,
-        rules: Iterable[Rule] = (),
-        instances: Iterable[NFSpec] = (),
-        name: str = "policy",
-    ):
+    def __init__(self, name: str = "policy"):
         self.name = name
         self.rules: List[Rule] = []
         self._instances: Dict[str, NFSpec] = {}
-        for spec in instances:
-            self.declare(spec)
-        for rule in rules:
-            self.add(rule)
 
     # ------------------------------------------------------------ building
     def declare(self, spec: NFSpec) -> "Policy":
@@ -224,7 +215,9 @@ class Policy:
         specs = [nf if isinstance(nf, NFSpec) else NFSpec(nf) for nf in chain]
         if len({s.name for s in specs}) != len(specs):
             raise ValueError("chain contains duplicate instance names")
-        policy = cls(instances=specs, name=name)
+        policy = cls(name=name)
+        for spec in specs:
+            policy.declare(spec)
         for left, right in zip(specs, specs[1:]):
             policy.order(left.name, right.name)
         return policy

@@ -43,10 +43,6 @@ class ScalePlan:
         return self.limiting is None
 
     @property
-    def total_nf_cores(self) -> int:
-        return sum(self.instances.values())
-
-    @property
     def merger_count(self) -> int:
         """How many merger instances the plan sized (>= 1)."""
         return max(1, self.instances.get("merger", 1))
@@ -74,25 +70,19 @@ def plan_scale_out(
     graph: ServiceGraph,
     params: SimParams,
     target_mpps: float,
-    packet_size: int = 64,
-    available_cores: Optional[int] = None,
-    num_mergers: int = 1,
 ) -> ScalePlan:
-    """Compute the instance counts needed to sustain ``target_mpps``.
+    """Compute the instance counts needed to sustain ``target_mpps`` of
+    64-byte packets.
 
     Components (classifier, every NF, the merger pool) are replicated
-    independently; the NIC line rate is the only hard ceiling.  When
-    ``available_cores`` is given, the plan is truncated to what fits
-    and ``achievable_mpps`` reports the resulting best rate.
+    independently; the NIC line rate is the only hard ceiling.
     """
     if target_mpps <= 0:
         raise ValueError("target rate must be positive")
     from ..eval.model import nfp_capacity
 
-    line_rate = params.line_rate_mpps(packet_size)
-    capacity = nfp_capacity(
-        graph, params, num_mergers=num_mergers, packet_size=packet_size
-    )
+    line_rate = params.line_rate_mpps(64)
+    capacity = nfp_capacity(graph, params)
 
     if target_mpps > line_rate:
         return ScalePlan(
@@ -106,7 +96,7 @@ def plan_scale_out(
     for name, demand in capacity.demands.items():
         instances[name] = max(1, math.ceil(target_mpps * demand - 1e-9))
 
-    plan = ScalePlan(
+    return ScalePlan(
         target_mpps=target_mpps,
         achievable_mpps=min(
             line_rate,
@@ -117,29 +107,6 @@ def plan_scale_out(
         ),
         instances=instances,
     )
-
-    if available_cores is not None and plan.total_nf_cores > available_cores:
-        # Greedily strip instances from the least-pressured components
-        # until the plan fits, then report the degraded rate.
-        while plan.total_nf_cores > available_cores:
-            candidates = [n for n, c in plan.instances.items() if c > 1]
-            if not candidates:
-                break
-            # Remove where the per-instance headroom is largest.
-            slack = {
-                n: plan.instances[n] / capacity.demands[n] - target_mpps
-                for n in candidates
-            }
-            victim = max(slack, key=slack.get)
-            plan.instances[victim] -= 1
-        plan.achievable_mpps = min(
-            line_rate,
-            min(
-                plan.instances[name] / demand if demand > 0 else float("inf")
-                for name, demand in capacity.demands.items()
-            ),
-        )
-    return plan
 
 
 class ScaledGraph:

@@ -23,12 +23,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.graph import ServiceGraph
 from ..core.policy import Policy
-from ..dataplane.server import NFPServer
-from ..sim import DEFAULT_PARAMS, Environment, SimParams
 from ..telemetry import PacketTrace, SpanKind, TelemetryHub, Tracer
-from ..traffic.generator import FIXED_64B, FlowGenerator, PacketSizeDistribution, TrafficSource
-from .harness import as_graph, deployed_from_graph
-from .model import nfp_capacity
+from ..traffic.generator import FIXED_64B, PacketSizeDistribution
+from .harness import as_graph, measure_nfp
 
 __all__ = ["LatencyBreakdown", "latency_breakdown"]
 
@@ -116,29 +113,15 @@ def _segment_trace(
 
 def latency_breakdown(
     target: Union[ServiceGraph, Policy, Sequence[str]],
-    params: SimParams = DEFAULT_PARAMS,
     packets: int = 1500,
     sizes: PacketSizeDistribution = FIXED_64B,
-    load_fraction: Optional[float] = None,
-    num_mergers: int = 1,
     seed: int = 1,
 ) -> LatencyBreakdown:
     """Measure a graph with span tracing enabled and aggregate."""
     graph = as_graph(target)
-    size = int(sizes.mean())
-    capacity = nfp_capacity(graph, params, num_mergers=num_mergers,
-                            packet_size=size).mpps
-    fraction = params.latency_load_fraction if load_fraction is None else load_fraction
-
-    env = Environment(track_stats=True)
     tracer = Tracer()
-    server = NFPServer(env, params, num_mergers=num_mergers,
-                       telemetry=TelemetryHub(tracer=tracer))
-    server.deploy(deployed_from_graph(graph))
-    flows = FlowGenerator(num_flows=64, sizes=sizes, seed=seed)
-    TrafficSource(env, server.inject, capacity * fraction, packets,
-                  flows=flows, seed=seed)
-    env.run()
+    measure_nfp(graph, packets=packets, sizes=sizes, seed=seed,
+                telemetry=TelemetryHub(tracer=tracer))
 
     sums: Dict[str, float] = {}
     count = 0

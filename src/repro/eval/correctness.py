@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.orchestrator import Orchestrator
 from ..core.policy import Policy
@@ -82,22 +82,21 @@ def _tagged_flow_generator(sizes: PacketSizeDistribution, seed: int) -> FlowGene
 
 def replay_chain(
     chain: Sequence[str],
-    packets: int = 200,
     sizes: PacketSizeDistribution = FIXED_64B,
-    seed: int = 7,
-    orchestrator: Optional[Orchestrator] = None,
 ) -> ReplayReport:
-    """Replay a tagged stream through parallel and sequential execution."""
-    orch = orchestrator or Orchestrator()
-    graph = orch.compile(Policy.from_chain(list(chain), name="replay")).graph
+    """Replay a tagged stream of 200 packets (seed 7) through parallel
+    and sequential execution."""
+    packets = 200
+    graph = Orchestrator().compile(
+        Policy.from_chain(list(chain), name="replay")).graph
 
     parallel = FunctionalDataplane(graph)
     sequential = SequentialReference(
         [create_nf(kind, name=f"seq-{kind}-{i}") for i, kind in enumerate(chain)]
     )
 
-    gen_a = _tagged_flow_generator(sizes, seed)
-    gen_b = _tagged_flow_generator(sizes, seed)
+    gen_a = _tagged_flow_generator(sizes, 7)
+    gen_b = _tagged_flow_generator(sizes, 7)
 
     matches = 0
     drops_parallel: List[int] = []

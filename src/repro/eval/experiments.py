@@ -16,8 +16,8 @@ from typing import List, Sequence
 
 from ..core.orchestrator import Orchestrator
 from ..core.policy import Policy
-from ..sim import DEFAULT_PARAMS, SimParams
-from ..traffic.generator import DATACENTER_MIX, PacketSizeDistribution
+from ..sim import DEFAULT_PARAMS
+from ..traffic.generator import DATACENTER_MIX
 from .forced import forced_parallel, forced_sequential, forced_structure
 from .harness import measure_bess, measure_nfp, measure_onvm
 from .model import nfp_capacity, onvm_capacity
@@ -43,6 +43,12 @@ WEST_EAST_CHAIN = ("ids", "monitor", "loadbalancer")
 #: The six §6.1 prototype NFs, in Fig. 8's order.
 PROTOTYPE_NFS = ("forwarder", "loadbalancer", "firewall", "monitor", "vpn", "ids")
 
+#: Fig. 7(b)'s packet sizes, in bytes.
+FIG7_SIZES = (64, 128, 256, 512, 1024, 1500)
+
+#: The firewall busy loop of Figs. 11 and 12, in cycles.
+BUSY_CYCLES = 300
+
 
 @dataclass
 class ExperimentTable:
@@ -64,12 +70,7 @@ class ExperimentTable:
 
 
 # ---------------------------------------------------------------- Fig. 7
-def fig7_sequential_chains(
-    params: SimParams = DEFAULT_PARAMS,
-    packets: int = 3000,
-    max_len: int = 5,
-    sizes: Sequence[int] = (64, 128, 256, 512, 1024, 1500),
-) -> ExperimentTable:
+def fig7_sequential_chains(packets: int = 3000) -> ExperimentTable:
     """Fig. 7: L3-forwarder chains of length 1-5, NFP vs OpenNetVM.
 
     (a) latency at 64 B; (b) processing rate vs packet size -- NFP
@@ -81,13 +82,14 @@ def fig7_sequential_chains(
          "pkt_size", "onvm_mpps", "nfp_mpps", "line_rate_mpps"],
         notes="NFP sequential chains bypass copy/merge entirely (§6.2.1)",
     )
-    for length in range(1, max_len + 1):
+    params = DEFAULT_PARAMS
+    for length in range(1, 6):
         chain = ["forwarder"] * length
-        onvm = measure_onvm(chain, params, packets=packets, load_fraction=0.3)
+        onvm = measure_onvm(chain, packets=packets, load_fraction=0.3)
         nfp = measure_nfp(
-            forced_sequential(chain), params, packets=packets, load_fraction=0.3
+            forced_sequential(chain), packets=packets, load_fraction=0.3
         )
-        for size in sizes:
+        for size in FIG7_SIZES:
             onvm_rate = min(
                 onvm_capacity(chain, params, packet_size=size).mpps,
                 params.line_rate_mpps(size),
@@ -105,11 +107,7 @@ def fig7_sequential_chains(
 
 
 # ---------------------------------------------------------------- Fig. 8
-def fig8_nf_complexity(
-    params: SimParams = DEFAULT_PARAMS,
-    packets: int = 3000,
-    nfs: Sequence[str] = PROTOTYPE_NFS,
-) -> ExperimentTable:
+def fig8_nf_complexity(packets: int = 3000) -> ExperimentTable:
     """Fig. 8: two instances of each prototype NF -- sequential vs
     parallel (no copy / with copy), the Fig. 10 forced setups."""
     table = ExperimentTable(
@@ -118,12 +116,12 @@ def fig8_nf_complexity(
          "onvm_seq_mpps", "nfp_seq_mpps", "par_nocopy_mpps", "par_copy_mpps"],
         notes="latency benefit grows with NF complexity (§6.2.2)",
     )
-    for kind in nfs:
+    for kind in PROTOTYPE_NFS:
         pair = [kind, kind]
-        onvm = measure_onvm(pair, params, packets=packets)
-        seq = measure_nfp(forced_sequential(pair), params, packets=packets)
-        par = measure_nfp(forced_parallel(pair, with_copy=False), params, packets=packets)
-        parc = measure_nfp(forced_parallel(pair, with_copy=True), params, packets=packets)
+        onvm = measure_onvm(pair, packets=packets)
+        seq = measure_nfp(forced_sequential(pair), packets=packets)
+        par = measure_nfp(forced_parallel(pair, with_copy=False), packets=packets)
+        parc = measure_nfp(forced_parallel(pair, with_copy=True), packets=packets)
         table.rows.append(
             [kind, onvm.latency_mean_us, seq.latency_mean_us,
              par.latency_mean_us, parc.latency_mean_us,
@@ -135,7 +133,6 @@ def fig8_nf_complexity(
 
 # ---------------------------------------------------------------- Fig. 9
 def fig9_cycles_sweep(
-    params: SimParams = DEFAULT_PARAMS,
     packets: int = 3000,
     cycles: Sequence[int] = (1, 300, 600, 900, 1200, 1500, 1800, 2100, 2400, 2700, 3000),
 ) -> ExperimentTable:
@@ -148,16 +145,16 @@ def fig9_cycles_sweep(
     )
     pair = ["firewall", "firewall"]
     for cyc in cycles:
-        onvm = measure_onvm(pair, params, packets=packets, extra_cycles=cyc)
+        onvm = measure_onvm(pair, packets=packets, extra_cycles=cyc)
         seq = measure_nfp(
-            forced_sequential(pair), params, packets=packets, extra_cycles=cyc
+            forced_sequential(pair), packets=packets, extra_cycles=cyc
         )
         par = measure_nfp(
-            forced_parallel(pair, with_copy=False), params,
+            forced_parallel(pair, with_copy=False),
             packets=packets, extra_cycles=cyc,
         )
         parc = measure_nfp(
-            forced_parallel(pair, with_copy=True), params,
+            forced_parallel(pair, with_copy=True),
             packets=packets, extra_cycles=cyc,
         )
         reduction = (1 - par.latency_mean_us / seq.latency_mean_us) * 100
@@ -170,12 +167,7 @@ def fig9_cycles_sweep(
 
 
 # --------------------------------------------------------------- Fig. 11
-def fig11_parallelism_degree(
-    params: SimParams = DEFAULT_PARAMS,
-    packets: int = 3000,
-    degrees: Sequence[int] = (2, 3, 4, 5),
-    busy_cycles: int = 300,
-) -> ExperimentTable:
+def fig11_parallelism_degree(packets: int = 3000) -> ExperimentTable:
     """Fig. 11: 2-5 firewall instances (300 cycles), seq vs parallel."""
     table = ExperimentTable(
         "Figure 11: parallelism degree (firewall, 300 cycles)",
@@ -184,20 +176,20 @@ def fig11_parallelism_degree(
          "par_nocopy_mpps", "par_copy_mpps"],
         notes="paper: no-copy 33%->52%, copy up to 32%",
     )
-    for degree in degrees:
+    for degree in (2, 3, 4, 5):
         chain = ["firewall"] * degree
-        onvm = measure_onvm(chain, params, packets=packets, extra_cycles=busy_cycles)
+        onvm = measure_onvm(chain, packets=packets, extra_cycles=BUSY_CYCLES)
         seq = measure_nfp(
-            forced_sequential(chain), params, packets=packets,
-            extra_cycles=busy_cycles,
+            forced_sequential(chain), packets=packets,
+            extra_cycles=BUSY_CYCLES,
         )
         par = measure_nfp(
-            forced_parallel(chain, with_copy=False), params,
-            packets=packets, extra_cycles=busy_cycles,
+            forced_parallel(chain, with_copy=False),
+            packets=packets, extra_cycles=BUSY_CYCLES,
         )
         parc = measure_nfp(
-            forced_parallel(chain, with_copy=True), params,
-            packets=packets, extra_cycles=busy_cycles,
+            forced_parallel(chain, with_copy=True),
+            packets=packets, extra_cycles=BUSY_CYCLES,
         )
         table.rows.append(
             [degree, onvm.latency_mean_us, seq.latency_mean_us,
@@ -221,11 +213,7 @@ FIG14_STRUCTURES = {
 }
 
 
-def fig12_graph_structures(
-    params: SimParams = DEFAULT_PARAMS,
-    packets: int = 3000,
-    busy_cycles: int = 300,
-) -> ExperimentTable:
+def fig12_graph_structures(packets: int = 3000) -> ExperimentTable:
     """Fig. 12: the possible 4-NF graph shapes of Fig. 14.
 
     Shorter equivalent chain length -> bigger latency benefit.
@@ -239,12 +227,12 @@ def fig12_graph_structures(
     for label, widths in FIG14_STRUCTURES.items():
         chain = ["firewall"] * 4
         nocopy = measure_nfp(
-            forced_structure(chain, widths, with_copy=False), params,
-            packets=packets, extra_cycles=busy_cycles,
+            forced_structure(chain, widths, with_copy=False),
+            packets=packets, extra_cycles=BUSY_CYCLES,
         )
         copy = measure_nfp(
-            forced_structure(chain, widths, with_copy=True), params,
-            packets=packets, extra_cycles=busy_cycles,
+            forced_structure(chain, widths, with_copy=True),
+            packets=packets, extra_cycles=BUSY_CYCLES,
         )
         table.rows.append(
             [label, len(widths), nocopy.latency_mean_us, copy.latency_mean_us,
@@ -254,11 +242,7 @@ def fig12_graph_structures(
 
 
 # --------------------------------------------------------------- Fig. 13
-def fig13_real_world_chains(
-    params: SimParams = DEFAULT_PARAMS,
-    packets: int = 3000,
-    sizes: PacketSizeDistribution = DATACENTER_MIX,
-) -> ExperimentTable:
+def fig13_real_world_chains(packets: int = 3000) -> ExperimentTable:
     """Fig. 13: the north-south and west-east data-center chains.
 
     Policies are Order rules over adjacent NFs, exactly as the paper
@@ -275,9 +259,9 @@ def fig13_real_world_chains(
         ("north-south", NORTH_SOUTH_CHAIN),
         ("west-east", WEST_EAST_CHAIN),
     ):
-        onvm = measure_onvm(list(chain), params, packets=packets, sizes=sizes)
+        onvm = measure_onvm(list(chain), packets=packets, sizes=DATACENTER_MIX)
         graph = orch.compile(Policy.from_chain(list(chain), name=name)).graph
-        nfp = measure_nfp(graph, params, packets=packets, sizes=sizes)
+        nfp = measure_nfp(graph, packets=packets, sizes=DATACENTER_MIX)
         reduction = (1 - nfp.latency_mean_us / onvm.latency_mean_us) * 100
         table.rows.append(
             [name, graph.describe(), onvm.latency_mean_us, nfp.latency_mean_us,
@@ -288,11 +272,7 @@ def fig13_real_world_chains(
 
 
 # --------------------------------------------------------------- Table 4
-def table4_rtc_comparison(
-    params: SimParams = DEFAULT_PARAMS,
-    packets: int = 3000,
-    lengths: Sequence[int] = (1, 2, 3),
-) -> ExperimentTable:
+def table4_rtc_comparison(packets: int = 3000) -> ExperimentTable:
     """Table 4: OpenNetVM vs NFP vs BESS, firewall chains, n+2 cores.
 
     NFP runs all NFs in parallel (the paper's highest-performance
@@ -304,16 +284,15 @@ def table4_rtc_comparison(
          "onvm_lat", "nfp_lat", "bess_lat",
          "onvm_mpps", "nfp_mpps", "bess_mpps"],
     )
-    for length in lengths:
+    for length in (1, 2, 3):
         chain = ["firewall"] * length
-        onvm = measure_onvm(chain, params, packets=packets, load_fraction=0.9)
+        onvm = measure_onvm(chain, packets=packets, load_fraction=0.9)
         nfp = measure_nfp(
-            forced_parallel(chain, with_copy=False), params,
+            forced_parallel(chain, with_copy=False),
             packets=packets, load_fraction=0.9,
         )
         bess = measure_bess(
-            chain, params, num_cores=length + 2, packets=packets,
-            load_fraction=0.9,
+            chain, num_cores=length + 2, packets=packets, load_fraction=0.9,
         )
         table.rows.append(
             [length, length + 2,

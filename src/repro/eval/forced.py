@@ -13,7 +13,7 @@ compiler, for Figs. 8, 9, 11 and 12.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..core.action_table import default_action_table
 from ..core.compiler import NFPCompiler
@@ -33,24 +33,20 @@ __all__ = [
 ]
 
 
-def _nodes(kinds: Sequence[str], names: Optional[Sequence[str]] = None) -> List[NFNode]:
+def _nodes(kinds: Sequence[str]) -> List[NFNode]:
     table = default_action_table()
-    nodes = []
-    for index, kind in enumerate(kinds):
-        name = names[index] if names else f"{kind}{index}"
-        nodes.append(NFNode(name, kind, table.fetch(kind), priority=index))
-    return nodes
+    return [NFNode(f"{kind}{index}", kind, table.fetch(kind), priority=index)
+            for index, kind in enumerate(kinds)]
 
 
-def forced_sequential(kinds: Sequence[str], name: str = "forced-seq") -> ServiceGraph:
+def forced_sequential(kinds: Sequence[str]) -> ServiceGraph:
     """Setup (1): a plain sequential chain."""
-    return ServiceGraph.sequential(_nodes(kinds), name=name)
+    return ServiceGraph.sequential(_nodes(kinds), name="forced-seq")
 
 
 def forced_parallel(
     kinds: Sequence[str],
     with_copy: bool,
-    name: str = "forced-par",
     header_only: bool = True,
 ) -> ServiceGraph:
     """Setups (2)/(3): all NFs in one parallel stage.
@@ -77,7 +73,7 @@ def forced_parallel(
             entries.append(StageEntry(node, ORIGINAL_VERSION))
     stages = [Stage(entries)]
     merge_ops = _value_merge_ops(stages)
-    return ServiceGraph(stages, copies, merge_ops, name=name)
+    return ServiceGraph(stages, copies, merge_ops, name="forced-par")
 
 
 def _value_merge_ops(stages):
@@ -101,7 +97,6 @@ def forced_structure(
     kinds: Sequence[str],
     structure: Sequence[int],
     with_copy: bool = False,
-    name: str = "forced-structure",
 ) -> ServiceGraph:
     """Build one of Fig. 14's graph shapes.
 
@@ -131,4 +126,4 @@ def forced_structure(
                 entries.append(StageEntry(node, ORIGINAL_VERSION))
         stages.append(Stage(entries))
     merge_ops = _value_merge_ops(stages)
-    return ServiceGraph(stages, copies, merge_ops, name=name)
+    return ServiceGraph(stages, copies, merge_ops, name="forced-structure")

@@ -21,6 +21,7 @@ from ..core.compiler import CompilationResult
 from ..core.graph import ServiceGraph
 from ..core.orchestrator import DeployedGraph, Orchestrator
 from ..core.policy import Policy
+from ..core.scaling import scale_graph
 from ..core.tables import build_tables
 from ..baselines.bess import BessServer
 from ..baselines.opennetvm import OpenNetVMServer
@@ -139,17 +140,6 @@ def _result(
     )
 
 
-def _scale_map(
-    graph: ServiceGraph, instances: Union[int, Mapping[str, int], None]
-) -> Optional[Dict[str, int]]:
-    """``instances`` (uniform count or name -> count) as a per-NF map."""
-    if instances is None:
-        return None
-    if isinstance(instances, int):
-        return {name: instances for name in graph.nf_names()}
-    return {name: int(instances.get(name, 1)) for name in graph.nf_names()}
-
-
 def _nfp_rig(
     deployed: DeployedGraph,
     params: SimParams,
@@ -197,8 +187,10 @@ def measure_nfp(
     returning.
 
     ``instances`` replicates NFs (§7): a uniform count or a name ->
-    count mapping; flows are RSS-split, the capacity model divides each
-    replicated NF's demand accordingly, and the offered rate follows.
+    count mapping, normalised by :func:`repro.core.scaling.scale_graph`
+    (a name not in the graph raises ``ValueError``); flows are
+    RSS-split, the capacity model divides each replicated NF's demand
+    accordingly, and the offered rate follows.
 
     ``faults`` (a :class:`repro.faults.FaultPlan` spec string or list,
     e.g. ``"crash:firewall:pkt=500"``) injects failures mid-run and
@@ -215,7 +207,7 @@ def measure_nfp(
     window is flushed before returning.
     """
     graph = as_graph(target)
-    scale = _scale_map(graph, instances)
+    scale = None if instances is None else scale_graph(graph, instances).counts
     size = int(sizes.mean())
     capacity = nfp_capacity(
         graph, params, num_mergers=num_mergers, packet_size=size,
@@ -288,14 +280,11 @@ def measure_autoscale(
     params: SimParams = DEFAULT_PARAMS,
     packets: int = 3000,
     sizes: PacketSizeDistribution = FIXED_64B,
-    num_mergers: int = 1,
-    extra_cycles: int = 0,
     num_flows: int = 256,
     popularity: str = "uniform",
     label: str = "",
     seed: int = 1,
     telemetry: Optional[TelemetryHub] = None,
-    instances: Union[int, Mapping[str, int], None] = None,
     window_us: float = 100.0,
     orchestrator: Optional[Orchestrator] = None,
 ) -> AutoscaleResult:
@@ -304,7 +293,7 @@ def measure_autoscale(
     ``policy`` is a :class:`repro.autoscale.ScalePolicy` naming the NF
     to scale; ``shape`` is a :class:`repro.traffic.LoadShape` driving
     the offered rate.  The scaled NF starts at ``policy.min_instances``
-    (other NFs follow ``instances``), a windowed
+    (every other NF runs one instance), a windowed
     :class:`~repro.telemetry.timeseries.Sampler` streams the server's
     live probes, and a :class:`~repro.autoscale.Autoscaler` reacts to
     the policy's watch rules by changing membership live -- classifier
@@ -321,8 +310,7 @@ def measure_autoscale(
     from ..telemetry.timeseries import Sampler
 
     graph = as_graph(target)
-    scale = (_scale_map(graph, instances)
-             or {name: 1 for name in graph.nf_names()})
+    scale = {name: 1 for name in graph.nf_names()}
     if policy.name not in scale:
         raise ValueError(f"policy names {policy.name!r}, not an NF of the graph")
     scale[policy.name] = policy.min_instances
@@ -333,8 +321,8 @@ def measure_autoscale(
         deployed = orchestrator.deploy(
             Policy.from_chain(list(graph.nf_names())), scale=scale)
         mid = deployed.mid
-    env, server = _nfp_rig(
-        deployed, params, scale, num_mergers, extra_cycles, hub)
+    env, server = _nfp_rig(deployed, params, scale, num_mergers=1,
+                           extra_cycles=0, telemetry=hub)
 
     sampler = Sampler(hub, window_us=window_us)
     server.arm_sampler(sampler)
@@ -371,10 +359,7 @@ def measure_autoscale(
         max((e["to"] for e in server.scale_events if not e["aborted"]),
             default=policy.min_instances),
     )
-    capacity = nfp_capacity(
-        graph, params, num_mergers=num_mergers, packet_size=size,
-        extra_cycles=extra_cycles, scale=peak_scale,
-    )
+    capacity = nfp_capacity(graph, params, packet_size=size, scale=peak_scale)
 
     measurement = _result(
         "NFP-auto", label or f"{graph.describe()} autoscale[{policy.name}]",
@@ -431,11 +416,8 @@ def _publish_multiserver(hub: TelemetryHub, placement, links, rate: float,
 
 def measure_placed(
     placement,
-    params: SimParams = DEFAULT_PARAMS,
     packets: int = 3000,
     sizes: PacketSizeDistribution = FIXED_64B,
-    load_fraction: Optional[float] = None,
-    num_flows: int = 64,
     label: str = "",
     seed: int = 1,
     telemetry: Optional[TelemetryHub] = None,
@@ -448,7 +430,8 @@ def measure_placed(
     :class:`repro.placement.ChainPlacement` -- the placement's own
     slices, each hop serialising at its link's bandwidth and paying its
     propagation delay -- with Poisson arrivals at the chain's committed
-    worst-case rate (``slo.max_mpps``, scaled by ``load_fraction``).
+    worst-case rate (``slo.max_mpps``, scaled by the default
+    ``latency_load_fraction``).
     The resulting p99 is the number the delay SLO is validated against:
     the plan promised ``delay <= slo.max_delay_us`` from the zero-load
     model, the DES shows what queueing at the committed rate adds.
@@ -462,19 +445,16 @@ def measure_placed(
     """
     from ..placement.runtime import _Failover, build_timed  # avoids a cycle
 
+    params = DEFAULT_PARAMS
     request = placement.request
-    fraction = (
-        params.latency_load_fraction if load_fraction is None
-        else load_fraction
-    )
-    rate = max(1e-6, request.slo.max_mpps * fraction)
+    rate = max(1e-6, request.slo.max_mpps * params.latency_load_fraction)
 
     env = Environment(track_stats=telemetry is not None and telemetry.enabled)
     plane = build_timed(
         placement, env, params, telemetry=telemetry
     ) if faults is None else _Failover(
         placement, env, params, faults, telemetry)
-    flows = FlowGenerator(num_flows=num_flows, sizes=sizes, seed=seed)
+    flows = FlowGenerator(num_flows=64, sizes=sizes, seed=seed)
     TrafficSource(env, plane.inject, rate, packets, flows=flows, seed=seed)
     _drain(env)
     for server in plane.servers:
@@ -505,9 +485,6 @@ def measure_onvm(
     sizes: PacketSizeDistribution = FIXED_64B,
     load_fraction: Optional[float] = None,
     extra_cycles: int = 0,
-    num_flows: int = 64,
-    label: str = "",
-    seed: int = 1,
 ) -> MeasurementResult:
     """Measure a sequential chain under OpenNetVM."""
     size = int(sizes.mean())
@@ -517,11 +494,11 @@ def measure_onvm(
 
     env = Environment()
     server = OpenNetVMServer(env, params, chain, extra_cycles=extra_cycles)
-    flows = FlowGenerator(num_flows=num_flows, sizes=sizes, seed=seed)
-    TrafficSource(env, server.inject, rate, packets, flows=flows, seed=seed)
+    flows = FlowGenerator(num_flows=64, sizes=sizes, seed=1)
+    TrafficSource(env, server.inject, rate, packets, flows=flows, seed=1)
     _drain(env)
 
-    return _result("OpenNetVM", label or "->".join(chain), server,
+    return _result("OpenNetVM", "->".join(chain), server,
                    capacity.mpps, capacity.bottleneck, rate)
 
 
@@ -530,27 +507,18 @@ def measure_bess(
     params: SimParams = DEFAULT_PARAMS,
     num_cores: int = 1,
     packets: int = 3000,
-    sizes: PacketSizeDistribution = FIXED_64B,
     load_fraction: Optional[float] = None,
-    extra_cycles: int = 0,
-    num_flows: int = 64,
-    label: str = "",
-    seed: int = 1,
 ) -> MeasurementResult:
-    """Measure a run-to-completion chain under BESS."""
-    size = int(sizes.mean())
-    capacity = bess_capacity(
-        chain, params, num_cores=num_cores, packet_size=size,
-        extra_cycles=extra_cycles,
-    )
+    """Measure a run-to-completion chain of 64-byte packets under BESS."""
+    capacity = bess_capacity(params)
     fraction = params.latency_load_fraction if load_fraction is None else load_fraction
     rate = max(1e-6, capacity.mpps * fraction)
 
     env = Environment()
-    server = BessServer(env, params, chain, num_cores=num_cores, extra_cycles=extra_cycles)
-    flows = FlowGenerator(num_flows=num_flows, sizes=sizes, seed=seed)
-    TrafficSource(env, server.inject, rate, packets, flows=flows, seed=seed)
+    server = BessServer(env, params, chain, num_cores=num_cores)
+    flows = FlowGenerator(num_flows=64, sizes=FIXED_64B, seed=1)
+    TrafficSource(env, server.inject, rate, packets, flows=flows, seed=1)
     _drain(env)
 
-    return _result("BESS", label or "->".join(chain), server,
+    return _result("BESS", "->".join(chain), server,
                    capacity.mpps, capacity.bottleneck, rate)

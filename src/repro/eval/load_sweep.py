@@ -16,8 +16,8 @@ from typing import List, Sequence, Union
 from ..core.graph import ServiceGraph
 from ..core.policy import Policy
 from ..dataplane.server import NFPServer
-from ..sim import DEFAULT_PARAMS, Environment, SimParams
-from ..traffic.generator import FIXED_64B, FlowGenerator, PacketSizeDistribution, TrafficSource
+from ..sim import DEFAULT_PARAMS, Environment
+from ..traffic.generator import FIXED_64B, FlowGenerator, TrafficSource
 from .harness import as_graph, deployed_from_graph
 from .model import nfp_capacity
 
@@ -41,27 +41,23 @@ class LoadPoint:
 
 def load_sweep(
     target: Union[ServiceGraph, Policy, Sequence[str]],
-    params: SimParams = DEFAULT_PARAMS,
     fractions: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 0.9, 1.1, 1.5),
     packets: int = 2500,
-    sizes: PacketSizeDistribution = FIXED_64B,
-    num_mergers: int = 1,
     seed: int = 1,
 ) -> List[LoadPoint]:
-    """Measure the system at each fraction of its analytic capacity."""
+    """Measure the system at each fraction of its analytic capacity,
+    with 64-byte packets."""
     graph = as_graph(target)
-    size = int(sizes.mean())
-    capacity = nfp_capacity(
-        graph, params, num_mergers=num_mergers, packet_size=size
-    ).mpps
+    params = DEFAULT_PARAMS
+    capacity = nfp_capacity(graph, params).mpps
 
     points: List[LoadPoint] = []
     for fraction in fractions:
         rate = capacity * fraction
         env = Environment()
-        server = NFPServer(env, params, num_mergers=num_mergers)
+        server = NFPServer(env, params)
         server.deploy(deployed_from_graph(graph))
-        flows = FlowGenerator(num_flows=64, sizes=sizes, seed=seed)
+        flows = FlowGenerator(num_flows=64, sizes=FIXED_64B, seed=seed)
         TrafficSource(env, server.inject, rate, packets, flows=flows, seed=seed)
         env.run()
 

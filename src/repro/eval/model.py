@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Optional, Sequence
 from ..core.graph import ORIGINAL_VERSION, ServiceGraph
 from ..core.partition import slice_subgraph
 from ..net.packet import HEADER_COPY_BYTES
-from ..sim.params import CPU_FREQ_MHZ, SimParams
+from ..sim.params import SimParams
 
 __all__ = [
     "CapacityReport",
@@ -128,9 +128,7 @@ def placed_capacity(
     graph: ServiceGraph,
     slices: Sequence,
     params: SimParams,
-    num_mergers: int = 1,
     packet_size: int = 64,
-    scale: Optional[Mapping[str, int]] = None,
 ) -> CapacityReport:
     """Max lossless rate of a chain placed over several servers.
 
@@ -142,10 +140,7 @@ def placed_capacity(
     demands: Dict[str, float] = {}
     for server_slice in slices:
         sub = slice_subgraph(graph, server_slice)
-        report = nfp_capacity(
-            sub, params, num_mergers=num_mergers, packet_size=packet_size,
-            scale=scale,
-        )
+        report = nfp_capacity(sub, params, packet_size=packet_size)
         for name, demand in report.demands.items():
             demands[f"server{server_slice.server_index}:{name}"] = demand
     return _finish(demands, params.line_rate_mpps(packet_size))
@@ -168,24 +163,20 @@ def onvm_capacity(
     return _finish(demands, params.line_rate_mpps(packet_size))
 
 
-def bess_capacity(
-    chain: Sequence[str],
-    params: SimParams,
-    num_cores: int = 1,
-    packet_size: int = 64,
-    extra_cycles: int = 0,
-) -> CapacityReport:
-    """Throughput under BESS RTC with duplicated chains on k cores."""
-    per_chain = len(chain) * extra_cycles / CPU_FREQ_MHZ
-    demands = {"rtc": per_chain / num_cores}
-    return _finish(demands, params.line_rate_mpps(packet_size))
+def bess_capacity(params: SimParams) -> CapacityReport:
+    """Throughput under BESS RTC with the chain duplicated on k cores.
+
+    An RTC core is charged only its NFs' busy loops (Fig. 9's extra
+    cycles), and no BESS run sets one, so the cores demand nothing and
+    the NIC's 64-byte line rate is the bound.
+    """
+    return _finish({"rtc": 0.0}, params.line_rate_mpps(64))
 
 
 def nfp_latency_floor(
     graph: ServiceGraph,
     params: SimParams,
     packet_size: int = 64,
-    extra_cycles: int = 0,
 ) -> float:
     """Zero-load latency through an NFP graph (no queueing).
 
@@ -200,7 +191,7 @@ def nfp_latency_floor(
     for stage in graph.stages:
         latency += params.batch_wait_us
         latency += max(
-            params.nf_runtime_us + params.nf_service(e.node.kind, extra_cycles)
+            params.nf_runtime_us + params.nf_service(e.node.kind)
             for e in stage
         )
     if graph.needs_merger:

@@ -16,10 +16,10 @@ Three experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..net.packet import HEADER_COPY_BYTES
-from ..sim import DEFAULT_PARAMS, SimParams
+from ..sim import DEFAULT_PARAMS
 from ..traffic.generator import DATACENTER_MIX, PacketSizeDistribution
 from .forced import forced_parallel
 from .harness import measure_nfp
@@ -46,41 +46,34 @@ def expected_overhead(
     return HEADER_COPY_BYTES * (degree - 1) / sizes.mean()
 
 
-def resource_overhead_curve(
-    degrees: Sequence[int] = (2, 3, 4, 5),
-    sizes: PacketSizeDistribution = DATACENTER_MIX,
-    params: SimParams = DEFAULT_PARAMS,
-    packets: int = 1500,
-) -> List[Tuple[int, float, float]]:
-    """(degree, theoretical ro, simulated pool ro) rows.
+def resource_overhead_curve(packets: int = 1500) -> List[Tuple[int, float, float]]:
+    """(degree, theoretical ro, simulated pool ro) rows, degrees 2-5.
 
     The simulated value comes from the packet pool's byte accounting
-    while running the forced copy-parallel graph over the size mix.
+    while running the forced copy-parallel graph over the data-center
+    size mix.
     """
     rows = []
-    for degree in degrees:
-        theory = expected_overhead(degree, sizes)
+    for degree in (2, 3, 4, 5):
+        theory = expected_overhead(degree)
         result = measure_nfp(
             forced_parallel(["firewall"] * degree, with_copy=True),
-            params, packets=packets, sizes=sizes,
+            packets=packets, sizes=DATACENTER_MIX,
         )
         rows.append((degree, theory, result.resource_overhead))
     return rows
 
 
-def copy_merge_penalty(
-    params: SimParams = DEFAULT_PARAMS,
-    packets: int = 3000,
-    extra_cycles: int = 300,
-) -> Tuple[float, float, float]:
-    """§6.3.2: (no-copy latency, copy latency, penalty) for firewall d=2."""
+def copy_merge_penalty(packets: int = 3000) -> Tuple[float, float, float]:
+    """§6.3.2: (no-copy latency, copy latency, penalty) for firewall d=2
+    with a 300-cycle busy loop."""
     nocopy = measure_nfp(
         forced_parallel(["firewall", "firewall"], with_copy=False),
-        params, packets=packets, extra_cycles=extra_cycles,
+        packets=packets, extra_cycles=300,
     )
     copy = measure_nfp(
         forced_parallel(["firewall", "firewall"], with_copy=True),
-        params, packets=packets, extra_cycles=extra_cycles,
+        packets=packets, extra_cycles=300,
     )
     return (
         nocopy.latency_mean_us,
@@ -113,11 +106,10 @@ class MergerScalingResult:
 def merger_scaling(
     degree: int = 2,
     num_mergers: int = 1,
-    params: SimParams = DEFAULT_PARAMS,
     packets: int = 3000,
-    load_fraction: float = 0.95,
 ) -> MergerScalingResult:
-    """Run the forced-parallel firewall graph and inspect the mergers.
+    """Run the forced-parallel firewall graph at 95% of its capacity and
+    inspect the mergers.
 
     With one instance and degree 2 the capacity should land at the
     paper's ~10.7 Mpps; with two instances, the NIC/classifier becomes
@@ -129,13 +121,13 @@ def merger_scaling(
     from .harness import deployed_from_graph
 
     graph = forced_parallel(["firewall"] * degree, with_copy=False)
-    capacity = nfp_capacity(graph, params, num_mergers=num_mergers)
+    capacity = nfp_capacity(graph, DEFAULT_PARAMS, num_mergers=num_mergers)
 
     env = Environment()
-    server = NFPServer(env, params, num_mergers=num_mergers)
+    server = NFPServer(env, DEFAULT_PARAMS, num_mergers=num_mergers)
     server.deploy(deployed_from_graph(graph))
     TrafficSource(
-        env, server.inject, capacity.mpps * load_fraction, packets,
+        env, server.inject, capacity.mpps * 0.95, packets,
         flows=FlowGenerator(num_flows=128),
     )
     env.run()

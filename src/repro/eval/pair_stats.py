@@ -12,9 +12,7 @@ reproduction lands within ~2 points of every paper number (54.5 / 39.7
 / 14.9 / 45.5); this is the only published check of Table 3's cells,
 which the paper prints as coloured blocks (which of them the
 correctness principle forces is labelled in
-``tests/support/table3_semantics.py``).  A deployment-share-weighted
-variant (pair weight = product of the Table 2 percentages) is
-available via ``weighting="deployment"``.
+``tests/support/table3_semantics.py``).
 """
 
 from __future__ import annotations
@@ -76,26 +74,11 @@ class PairStatistics:
         ]
 
 
-def compute_pair_statistics(weighting: str = "uniform") -> PairStatistics:
-    """Run Algorithm 1 over all ordered pairs of :data:`TABLE2_NF_SET`.
-
-    ``weighting`` is ``"uniform"`` (the paper-matching default) or
-    ``"deployment"`` (pair weight = product of deployment shares, with
-    unlisted NFs splitting the residual mass).
-    """
+def compute_pair_statistics() -> PairStatistics:
+    """Run Algorithm 1 over all ordered pairs of :data:`TABLE2_NF_SET`,
+    every ordered pair weighing the same."""
     table = default_action_table()
-    if weighting == "uniform":
-        weights = {name: 1.0 for name in TABLE2_NF_SET}
-    elif weighting == "deployment":
-        weights = {
-            profile.name: weight
-            for profile, weight in table.weighted_profiles()
-            if profile.name in TABLE2_NF_SET
-        }
-    else:
-        raise ValueError(f"unknown weighting: {weighting!r}")
-    total_weight = sum(weights.values())
-
+    weight = 1.0 / len(TABLE2_NF_SET) ** 2
     shares = {outcome: 0.0 for outcome in Parallelism}
     per_pair: Dict[Tuple[str, str], Parallelism] = {}
     for first in TABLE2_NF_SET:
@@ -103,9 +86,6 @@ def compute_pair_statistics(weighting: str = "uniform") -> PairStatistics:
             verdict = identify_parallelism(table.fetch(first), table.fetch(second))
             outcome = verdict.classification
             per_pair[(first, second)] = outcome
-            weight = (weights[first] / total_weight) * (
-                weights[second] / total_weight
-            )
             shares[outcome] += weight
 
     return PairStatistics(

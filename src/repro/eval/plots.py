@@ -14,24 +14,25 @@ __all__ = ["ascii_plot"]
 
 _MARKERS = "*o+x#@%&"
 
+#: Canvas size in characters.
+WIDTH, HEIGHT = 64, 16
+
 
 def ascii_plot(
     series: Dict[str, Sequence[Tuple[float, float]]],
-    width: int = 64,
-    height: int = 16,
     title: str = "",
     x_label: str = "",
     y_label: str = "",
 ) -> str:
-    """Render named (x, y) series onto a character canvas.
+    """Render named (x, y) series onto a :data:`WIDTH` x :data:`HEIGHT`
+    character canvas.
 
-    >>> print(ascii_plot({"linear": [(0, 0), (1, 1)]}, width=8, height=4))
+    >>> print(ascii_plot({"linear": [(0, 0), (1, 1)]}))
     ... # doctest: +SKIP
     """
     if not series or all(not points for points in series.values()):
         raise ValueError("nothing to plot")
-    if width < 8 or height < 4:
-        raise ValueError("canvas too small")
+    width, height = WIDTH, HEIGHT
 
     xs = [x for points in series.values() for x, _ in points]
     ys = [y for points in series.values() for _, y in points]

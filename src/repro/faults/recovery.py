@@ -97,7 +97,7 @@ class HealthBoard:
         return partial or None
 
 
-def linearize(graph: ServiceGraph, name: str = "") -> ServiceGraph:
+def linearize(graph: ServiceGraph) -> ServiceGraph:
     """The sequential fallback chain of a (parallel) service graph.
 
     Stage-major order: every hard dependency the compiler encoded lives
@@ -107,6 +107,4 @@ def linearize(graph: ServiceGraph, name: str = "") -> ServiceGraph:
     to back on one buffer is the paper's traditional chaining -- the
     safe, merger-free mode degraded traffic falls back to.
     """
-    return ServiceGraph.sequential(
-        graph.nodes(), name=name or f"{graph.name}-degraded"
-    )
+    return ServiceGraph.sequential(graph.nodes(), name=f"{graph.name}-degraded")

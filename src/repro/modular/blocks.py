@@ -74,41 +74,41 @@ class Block:
         return f"Block({self.name})"
 
 
-def read_packets(cost_us: float = 0.5) -> Block:
+def read_packets() -> Block:
     """Pull the packet in; no field semantics."""
-    return Block("read_packets", [], cost_us)
+    return Block("read_packets", [], 0.5)
 
 
-def header_classifier(cost_us: float = 1.5) -> Block:
+def header_classifier() -> Block:
     """Match the 5-tuple against rules (read-only header access)."""
     return Block(
         "header_classifier",
         [Action(Verb.READ, f) for f in (Field.SIP, Field.DIP, Field.SPORT, Field.DPORT)],
-        cost_us,
+        1.5,
         depends_on=("read_packets",),
     )
 
 
-def dpi(cost_us: float = 12.0) -> Block:
+def dpi() -> Block:
     """Deep packet inspection: reads the payload."""
     return Block(
         "dpi",
         [Action(Verb.READ, Field.PAYLOAD)],
-        cost_us,
+        12.0,
         depends_on=("header_classifier",),
     )
 
 
-def alert(owner: str, cost_us: float = 1.0, depends_on: Iterable[str] = ()) -> Block:
+def alert(owner: str, depends_on: Iterable[str] = ()) -> Block:
     """Raise an alert on a verdict; tagged with the owning NF."""
-    return Block(f"alert#{owner}", [], cost_us, depends_on=depends_on)
+    return Block(f"alert#{owner}", [], 1.0, depends_on=depends_on)
 
 
-def drop(cost_us: float = 0.3, depends_on: Iterable[str] = ("header_classifier",)) -> Block:
+def drop(depends_on: Iterable[str] = ("header_classifier",)) -> Block:
     """Drop the packet on a classifier/DPI verdict."""
-    return Block("drop", [Action(Verb.DROP)], cost_us, depends_on=depends_on)
+    return Block("drop", [Action(Verb.DROP)], 0.3, depends_on=depends_on)
 
 
-def output(cost_us: float = 0.5) -> Block:
+def output() -> Block:
     """Emit the packet."""
-    return Block("output", [], cost_us, depends_on=("drop",))
+    return Block("output", [], 0.5, depends_on=("drop",))

@@ -62,6 +62,8 @@ __all__ = [
 
 VXLAN_PORT = 4789
 VXLAN_HEADER_LEN = 8
+#: The outer Ethernet destination and source: the tunnel endpoints.
+_VTEP_MACS = mac_to_bytes("02:00:00:00:10:02") + mac_to_bytes("02:00:00:00:10:01")
 #: Outer Ethernet + IPv4 + UDP + VXLAN prepended by an encap.
 VXLAN_OUTER_LEN = ETH_HEADER_LEN + Ipv4View.HEADER_LEN + UdpView.HEADER_LEN + VXLAN_HEADER_LEN
 
@@ -138,12 +140,9 @@ def vxlan_encap(
     vni: int,
     src_ip: str,
     dst_ip: str,
-    src_mac: str = "02:00:00:00:10:01",
-    dst_mac: str = "02:00:00:00:10:02",
-    src_port: int = 49152,
-    ttl: int = 64,
 ) -> None:
-    """Prepend a 50-byte VXLAN outer stack around the whole frame."""
+    """Prepend a 50-byte VXLAN outer stack around the whole frame: the
+    tunnel endpoints' fixed MACs, UDP source port 49152 and TTL 64."""
     if not 0 <= vni < (1 << 24):
         raise ValueError("VNI is 24 bits")
     rec = pkt.recorder
@@ -157,9 +156,7 @@ def vxlan_encap(
     inner_id = (pkt.buf[l3 + 4] << 8) | pkt.buf[l3 + 5] if len(
         pkt.buf) >= l3 + 6 else 0
 
-    eth = mac_to_bytes(dst_mac) + mac_to_bytes(src_mac) + struct.pack(
-        "!H", ETHERTYPE_IPV4
-    )
+    eth = _VTEP_MACS + struct.pack("!H", ETHERTYPE_IPV4)
     ip_total = Ipv4View.HEADER_LEN + UdpView.HEADER_LEN + VXLAN_HEADER_LEN + inner_len
     ip = bytearray(
         struct.pack(
@@ -169,7 +166,7 @@ def vxlan_encap(
             ip_total,
             inner_id,  # identification
             0,  # flags/fragment offset
-            ttl,
+            64,  # TTL
             PROTO_UDP,
             0,  # checksum placeholder
             ip_to_int(src_ip),
@@ -179,7 +176,7 @@ def vxlan_encap(
     struct.pack_into("!H", ip, 10, internet_checksum(bytes(ip)))
     udp = struct.pack(
         "!HHHH",
-        src_port,
+        49152,  # source port
         VXLAN_PORT,
         UdpView.HEADER_LEN + VXLAN_HEADER_LEN + inner_len,
         0,  # UDP checksum optional over IPv4

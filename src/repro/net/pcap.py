@@ -33,9 +33,9 @@ class PcapError(ValueError):
 def write_pcap(
     path: Union[str, Path, BinaryIO],
     packets: Iterable[Packet],
-    snaplen: int = 65535,
 ) -> int:
-    """Write packets (with their ``ingress_us`` timestamps) to a pcap file.
+    """Write packets (with their ``ingress_us`` timestamps) to a pcap
+    file, every frame whole under a snap length of 65,535 bytes.
 
     Returns the number of records written.
     """
@@ -44,12 +44,12 @@ def write_pcap(
     count = 0
     try:
         handle.write(
-            _GLOBAL.pack(_MAGIC_US, 2, 4, 0, 0, snaplen, _LINKTYPE_ETHERNET)
+            _GLOBAL.pack(_MAGIC_US, 2, 4, 0, 0, 65535, _LINKTYPE_ETHERNET)
         )
         for pkt in packets:
             if pkt.nil:
                 continue
-            data = bytes(pkt.buf[:snaplen])
+            data = bytes(pkt.buf)
             ts = max(0.0, pkt.ingress_us)
             seconds = int(ts // 1_000_000)
             micros = int(ts % 1_000_000)

@@ -64,12 +64,13 @@ class AclRule:
         )
 
 
-def build_acl(rules: int = DEFAULT_ACL_SIZE, seed: int = 11) -> List[AclRule]:
-    """A deterministic ACL of ``rules`` deny rules over the 192.168/16
-    test range, so ordinary benchmark traffic (10/8) always passes."""
-    rng = random.Random(seed)
+def build_acl() -> List[AclRule]:
+    """A deterministic ACL (seed 11) of :data:`DEFAULT_ACL_SIZE` deny
+    rules over the 192.168/16 test range, so ordinary benchmark traffic
+    (10/8) always passes."""
+    rng = random.Random(11)
     acl: List[AclRule] = []
-    for _ in range(rules):
+    for _ in range(DEFAULT_ACL_SIZE):
         octet3 = rng.randrange(256)
         low = rng.randrange(0, 60000)
         acl.append(
@@ -92,13 +93,11 @@ class Firewall(NetworkFunction):
         self,
         name: Optional[str] = None,
         acl: Optional[Sequence[AclRule]] = None,
-        extra_cycles: int = 0,
     ):
         super().__init__(name)
         #: A tuple: the index below is compiled from it once.
         self.acl: Tuple[AclRule, ...] = tuple(
             acl if acl is not None else build_acl())
-        self.extra_cycles = extra_cycles
         self.permitted = 0
         self.denied = 0
         buckets: Dict[int, Dict[int, list]] = {}

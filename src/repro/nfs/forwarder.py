@@ -21,17 +21,16 @@ __all__ = ["L3Forwarder", "build_routing_table"]
 DEFAULT_ROUTE_COUNT = 1000
 
 
-def build_routing_table(
-    entries: int = DEFAULT_ROUTE_COUNT, seed: int = 7
-) -> LpmTable:
-    """A deterministic LPM table with ``entries`` random prefixes.
+def build_routing_table() -> LpmTable:
+    """A deterministic LPM table of :data:`DEFAULT_ROUTE_COUNT` random
+    prefixes (seed 7).
 
     Always includes a default route so every packet resolves.
     """
-    rng = random.Random(seed)
+    rng = random.Random(7)
     table = LpmTable()
     table.insert("0.0.0.0", 0, "next-hop-default")
-    while len(table) < entries:
+    while len(table) < DEFAULT_ROUTE_COUNT:
         prefix_len = rng.choice((8, 12, 16, 20, 24, 28))
         address = rng.getrandbits(32) & (0xFFFFFFFF << (32 - prefix_len))
         table.insert(int_to_ip(address), prefix_len, f"next-hop-{len(table)}")

@@ -77,16 +77,17 @@ class Signature:
         return f"Signature(sid={self.sid}, {self.msg})"
 
 
-def build_signatures(count: int = DEFAULT_SIGNATURE_COUNT, seed: int = 23) -> List[bytes]:
-    """Deterministic signature corpus: ``count`` printable byte strings.
+def build_signatures() -> List[bytes]:
+    """Deterministic signature corpus (seed 23):
+    :data:`DEFAULT_SIGNATURE_COUNT` printable byte strings.
 
     Signatures are 6-12 bytes, long enough that random payload bytes do
     not alert spuriously.
     """
-    rng = random.Random(seed)
+    rng = random.Random(23)
     alphabet = string.ascii_lowercase + string.digits
     signatures = set()
-    while len(signatures) < count:
+    while len(signatures) < DEFAULT_SIGNATURE_COUNT:
         length = rng.randrange(6, 13)
         signatures.add("".join(rng.choice(alphabet) for _ in range(length)).encode())
     return sorted(signatures)

@@ -6,7 +6,7 @@ are searched exactly -- chain A may take a worse personal spot so chain
 B fits at all.  Exponential by construction, which is fine at the scale
 it is meant for (Mehraghdam et al. solve the same formulation as a
 MIQCP at similar sizes); :func:`brute_force_place` refuses topologies
-beyond ``max_servers`` (default 4) so nobody leans on it in anger.
+beyond :data:`MAX_BRUTE_SERVERS` (4) so nobody leans on it in anger.
 
 The heuristic solver is gated against this baseline in
 ``tests/integration/test_placement_agreement.py``: feasible whenever
@@ -83,22 +83,25 @@ def _diagnose(
     return "no candidate placements at all"
 
 
+#: Largest topology the exhaustive search takes.
+MAX_BRUTE_SERVERS = 4
+
+
 def brute_force_place(
     topology: Topology,
     requests: Sequence[ChainRequest],
     params: SimParams = DEFAULT_PARAMS,
-    max_servers: int = 4,
 ) -> PlacementPlan:
     """Jointly optimal placement of ``requests`` by exhaustive search.
 
     Minimises the total predicted delay over *placed* chains while
     maximising the number of chains placed (a chain is only reported
     infeasible when no joint assignment fits it).  Raises
-    :class:`BruteForceError` past ``max_servers`` servers.
+    :class:`BruteForceError` past :data:`MAX_BRUTE_SERVERS` servers.
     """
-    if topology.num_servers > max_servers:
+    if topology.num_servers > MAX_BRUTE_SERVERS:
         raise BruteForceError(
-            f"brute force is capped at {max_servers} servers "
+            f"brute force is capped at {MAX_BRUTE_SERVERS} servers "
             f"(got {topology.num_servers}); use the heuristic solver"
         )
 

@@ -15,7 +15,7 @@ heuristic of parallel-SFC placement):
 2. **Local search** -- repeatedly try to improve one chain at a time:
    release its placement, re-run its candidate scan against the
    relaxed ledger, and keep the best result (which may be the original).
-   Stops at a fixed point or after ``max_rounds``.
+   Stops at a fixed point or after three rounds.
 
 Also provides :func:`round_robin_place`, the naive baseline the bench
 scenario compares both real solvers against: greedy stage slicing
@@ -43,6 +43,9 @@ __all__ = ["heuristic_place", "round_robin_place"]
 #: After the first feasible cut count, explore this many extra cut
 #: counts before giving up on finding something better.
 _EXTRA_CUT_LEVELS = 1
+
+#: Local-search passes after the greedy one.
+_LOCAL_SEARCH_ROUNDS = 3
 
 
 def _best_candidate(
@@ -89,7 +92,6 @@ def heuristic_place(
     topology: Topology,
     requests: Sequence[ChainRequest],
     params: SimParams = DEFAULT_PARAMS,
-    max_rounds: int = 3,
 ) -> PlacementPlan:
     """Greedy + local-search placement that scales past brute force."""
     ledger = ResourceLedger(topology)
@@ -107,7 +109,7 @@ def heuristic_place(
 
     # Local search: re-seat one chain at a time against the relaxed
     # ledger; also retry chains the greedy pass could not fit.
-    for _ in range(max_rounds):
+    for _ in range(_LOCAL_SEARCH_ROUNDS):
         improved = False
         for index, current in enumerate(placed):
             ledger.release(current)
@@ -141,9 +143,7 @@ def heuristic_place(
 
 
 def round_robin_place(
-    topology: Topology,
-    requests: Sequence[ChainRequest],
-    params: SimParams = DEFAULT_PARAMS,
+    topology: Topology, requests: Sequence[ChainRequest]
 ) -> PlacementPlan:
     """The naive baseline: greedy slicing, servers dealt in index order.
 
@@ -158,6 +158,7 @@ def round_robin_place(
     shows what the naive plan actually costs; candidates that are not
     even wirable (non-adjacent servers) land in ``infeasible``.
     """
+    params = DEFAULT_PARAMS
     names = sorted(topology.servers)
     ledger = ResourceLedger(topology)
     plan = PlacementPlan(topology=topology, ledger=ledger,

@@ -106,10 +106,11 @@ class ResourceLedger:
             for name, server in self.topology.servers.items()
         }
 
-    def link_utilisation(self, packet_size: int = 64) -> Dict[str, float]:
+    def link_utilisation(self) -> Dict[str, float]:
+        """Link name -> share of its 64-byte packet rate in use."""
         report = {}
         for link in self.topology.links:
-            cap = link.capacity_mpps(packet_size)
+            cap = link.capacity_mpps(64)
             report[f"{link.a}-{link.b}"] = self.link_mpps[link.key] / cap
         return report
 

@@ -101,9 +101,7 @@ def audit_catalog(
     cases: int = 200,
     seed: int = 0,
     packets_per_case: int = 8,
-    max_nfs: int = 5,
     table: Optional[ActionTable] = None,
-    pool: Optional[Sequence[str]] = None,
 ) -> AuditReport:
     """Run NFs over generated adversarial traffic and audit footprints.
 
@@ -115,12 +113,7 @@ def audit_catalog(
     from ..check.generator import CaseGenerator  # late: check imports profiles
 
     table = table if table is not None else default_action_table()
-    generator = CaseGenerator(
-        seed=seed,
-        max_nfs=max_nfs,
-        packets_per_case=packets_per_case,
-        pool=list(pool) if pool is not None else _default_pool(),
-    )
+    generator = CaseGenerator(seed=seed, packets_per_case=packets_per_case)
     recorder = AccessRecorder()
     packet_count = 0
     for index in range(cases):
@@ -145,9 +138,3 @@ def audit_catalog(
         packets=packet_count,
         table=table,
     )
-
-
-def _default_pool() -> List[str]:
-    from ..check.generator import NF_POOL
-
-    return list(NF_POOL)

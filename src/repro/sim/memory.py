@@ -21,22 +21,24 @@ class PoolExhaustedError(Exception):
     """Raised when the pool has no free buffer slot."""
 
 
+#: Bytes per buffer slot: the common mbuf data-room size.
+SLOT_BYTES = 2048
+
+
 class PacketPool:
-    """Accounting model of a huge-page packet-buffer pool.
+    """Accounting model of a huge-page packet-buffer pool of
+    :data:`SLOT_BYTES`-byte slots.
 
     Parameters
     ----------
     capacity:
         Number of buffer slots (DPDK mempools default to thousands).
-    slot_bytes:
-        Size of each slot; 2048 matches the common mbuf data-room size.
     """
 
-    def __init__(self, capacity: int = 8192, slot_bytes: int = 2048):
-        if capacity <= 0 or slot_bytes <= 0:
-            raise ValueError("pool capacity and slot size must be positive")
+    def __init__(self, capacity: int = 8192):
+        if capacity <= 0:
+            raise ValueError("pool capacity must be positive")
         self.capacity = capacity
-        self.slot_bytes = slot_bytes
         self.in_use = 0
         self.peak_in_use = 0
         # Byte-level accounting distinguishes original packet bytes from
@@ -52,9 +54,9 @@ class PacketPool:
         """Claim one slot holding ``nbytes`` of packet data."""
         if nbytes < 0:
             raise ValueError("negative allocation size")
-        if nbytes > self.slot_bytes:
+        if nbytes > SLOT_BYTES:
             raise ValueError(
-                f"packet of {nbytes} B exceeds slot size {self.slot_bytes} B"
+                f"packet of {nbytes} B exceeds slot size {SLOT_BYTES} B"
             )
         if self.in_use >= self.capacity:
             raise PoolExhaustedError(

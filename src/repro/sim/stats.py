@@ -70,24 +70,22 @@ def summarize(values: Iterable[float]) -> LatencySummary:
     )
 
 
+#: Share of the first samples a statistic leaves out as warm-up.
+WARMUP_FRACTION = 0.1
+
+
 class LatencyStats:
     """Accumulates end-to-end packet latencies (microseconds).
 
-    The first ``warmup_fraction`` of samples is excluded from every
+    The first :data:`WARMUP_FRACTION` of samples is excluded from every
     statistic (the paper measures steady state).  With *fewer than*
-    ``1 / warmup_fraction`` samples the computed skip is zero, so no
-    warm-up trimming actually happens; by default that condition emits
-    a ``UserWarning`` once.  Pass ``allow_partial_warmup=True`` to
-    declare short runs intentional and silence the warning.
+    ``1 / WARMUP_FRACTION`` samples the computed skip is zero, so no
+    warm-up trimming actually happens; that condition emits a
+    ``UserWarning`` once.
     """
 
-    def __init__(self, warmup_fraction: float = 0.1,
-                 allow_partial_warmup: bool = False):
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError("warmup fraction must be in [0, 1)")
+    def __init__(self):
         self._samples: List[float] = []
-        self._warmup_fraction = warmup_fraction
-        self._allow_partial_warmup = allow_partial_warmup
         self._warned = False
 
     def record(self, latency_us: float) -> None:
@@ -101,30 +99,22 @@ class LatencyStats:
     @property
     def warmup_skipped(self) -> int:
         """How many leading samples the statistics currently exclude."""
-        return int(len(self._samples) * self._warmup_fraction)
+        return int(len(self._samples) * WARMUP_FRACTION)
 
     def _steady(self) -> List[float]:
         """Samples with the warm-up prefix removed.
 
         Explicit edge case: when the warm-up skip rounds down to zero
         (too few samples), the *full* sample set is returned and a
-        ``UserWarning`` is emitted once, unless the instance was
-        created with ``allow_partial_warmup=True``.
+        ``UserWarning`` is emitted once.
         """
         skip = self.warmup_skipped
-        if (
-            skip == 0
-            and self._samples
-            and self._warmup_fraction > 0.0
-            and not self._allow_partial_warmup
-            and not self._warned
-        ):
+        if skip == 0 and self._samples and not self._warned:
             self._warned = True
             warnings.warn(
                 f"LatencyStats has only {len(self._samples)} samples; the "
-                f"{self._warmup_fraction:.0%} warm-up skip is empty and "
-                "statistics include warm-up packets "
-                "(pass allow_partial_warmup=True to silence)",
+                f"{WARMUP_FRACTION:.0%} warm-up skip is empty and "
+                "statistics include warm-up packets",
                 UserWarning,
                 stacklevel=3,
             )

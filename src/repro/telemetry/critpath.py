@@ -227,13 +227,14 @@ class CritPathReport:
                 )
         return counts
 
-    def to_dict(self, pct: float = 99.0) -> Dict:
+    def to_dict(self) -> Dict:
+        """The report at its p99 tail."""
         return {
             "packets": self.count,
             "mean_us": self.mean_segments(),
-            f"p{pct:g}_us": self.tail_segments(pct),
-            "tail_delta_us": self.tail_delta(pct),
-            "dominant_tail_segment": self.dominant_tail_segment(pct),
+            "p99_us": self.tail_segments(99.0),
+            "tail_delta_us": self.tail_delta(99.0),
+            "dominant_tail_segment": self.dominant_tail_segment(99.0),
             "gating_branches": self.gating_branches(),
         }
 
@@ -258,16 +259,12 @@ class CritPathReport:
         return render_table(header, rows)
 
 
-def critpath_report(
-    traces: Iterable[PacketTrace], include_drops: bool = False
-) -> CritPathReport:
-    """Aggregate critical paths over a scenario's traces."""
+def critpath_report(traces: Iterable[PacketTrace]) -> CritPathReport:
+    """Aggregate the critical paths of a scenario's delivered packets."""
     report = CritPathReport()
     for trace in traces:
         path = critical_path(trace)
-        if path is None:
-            continue
-        if path.dropped and not include_drops:
+        if path is None or path.dropped:
             continue
         report.paths.append(path)
     return report

@@ -225,9 +225,10 @@ class MetricsRegistry:
     def histograms(self) -> Dict[str, Histogram]:
         return self._histograms
 
-    def counter_value(self, name: str, default: int = 0) -> int:
+    def counter_value(self, name: str) -> int:
+        """A counter's value; 0 for one never incremented."""
         metric = self._counters.get(name)
-        return metric.value if metric is not None else default
+        return metric.value if metric is not None else 0
 
     # ------------------------------------------------------------ combine
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":

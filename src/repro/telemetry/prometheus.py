@@ -58,9 +58,9 @@ def _format_value(value: float) -> str:
 def to_prometheus(
     registry: MetricsRegistry,
     prefix: str = "repro_",
-    help_text: bool = True,
 ) -> str:
-    """Render a registry in Prometheus text exposition format."""
+    """Render a registry in Prometheus text exposition format, a
+    ``# HELP`` line before each metric."""
     lines: List[str] = []
 
     for name in sorted(registry.counters):
@@ -68,24 +68,21 @@ def to_prometheus(
         metric = sanitize_metric_name(name, prefix)
         if not metric.endswith("_total"):
             metric += "_total"
-        if help_text:
-            lines.append(f"# HELP {metric} Counter {name!r}.")
+        lines.append(f"# HELP {metric} Counter {name!r}.")
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {counter.value}")
 
     for name in sorted(registry.gauges):
         gauge = registry.gauges[name]
         metric = sanitize_metric_name(name, prefix)
-        if help_text:
-            lines.append(f"# HELP {metric} Gauge {name!r}.")
+        lines.append(f"# HELP {metric} Gauge {name!r}.")
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(gauge.value)}")
 
     for name in sorted(registry.histograms):
         histogram = registry.histograms[name]
         metric = sanitize_metric_name(name, prefix)
-        if help_text:
-            lines.append(f"# HELP {metric} Histogram {name!r}.")
+        lines.append(f"# HELP {metric} Histogram {name!r}.")
         lines.append(f"# TYPE {metric} histogram")
         cumulative = 0
         for bound, count in zip(histogram.bounds, histogram.buckets):
@@ -104,10 +101,9 @@ def write_prometheus(
     registry: MetricsRegistry,
     path: str,
     prefix: str = "repro_",
-    help_text: bool = True,
 ) -> Optional[str]:
     """Write the exposition to ``path``; returns the rendered text."""
-    text = to_prometheus(registry, prefix=prefix, help_text=help_text)
+    text = to_prometheus(registry, prefix=prefix)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
     return text

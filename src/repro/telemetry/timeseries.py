@@ -44,11 +44,16 @@ __all__ = ["Window", "TimeSeries", "Sampler", "sparkline"]
 #: Unicode block ramp used by the ASCII dashboards.
 _SPARK_CHARS = " .:-=+*#%@"
 
+#: Most characters a sparkline takes.
+SPARK_WIDTH = 60
 
-def sparkline(values: List[float], width: int = 60) -> str:
-    """Render a series as a one-line ASCII sparkline (empty -> '')."""
+
+def sparkline(values: List[float]) -> str:
+    """Render a series as a one-line ASCII sparkline of at most
+    :data:`SPARK_WIDTH` characters (empty -> '')."""
     if not values:
         return ""
+    width = SPARK_WIDTH
     if len(values) > width:
         # Downsample by taking the max of each chunk: peaks must survive.
         chunk = len(values) / width
@@ -243,14 +248,13 @@ class Sampler:
         hub: TelemetryHub,
         window_us: float = 100.0,
         capacity: int = 512,
-        probes: Optional[Dict[str, Callable[[], float]]] = None,
     ):
         if window_us <= 0:
             raise ValueError("window_us must be positive")
         self.hub = hub
         self.window_us = float(window_us)
         self.series = TimeSeries(capacity=capacity)
-        self.probes: Dict[str, Callable[[], float]] = dict(probes or {})
+        self.probes: Dict[str, Callable[[], float]] = {}
         self._subscribers: List[Callable[[Window], None]] = []
         self._last_counters: Dict[str, int] = {}
         self._last_buckets: Dict[str, List[int]] = {}

@@ -217,6 +217,12 @@ class FlowGenerator:
         return [self.next_packet() for _ in range(count)]
 
 
+#: Packets per source burst: DPDK pktgen transmits in bursts; packets
+#: inside a burst arrive back to back and the inter-burst gap restores
+#: the mean rate.
+SOURCE_BURST = 32
+
+
 class TrafficSource:
     """Open-loop packet source driving a simulated server.
 
@@ -240,7 +246,6 @@ class TrafficSource:
         count: int,
         flows: Optional[FlowGenerator] = None,
         poisson: bool = True,
-        burst: int = 32,
         seed: int = 1,
         shape: Optional["LoadShape"] = None,
     ):
@@ -248,17 +253,12 @@ class TrafficSource:
             raise ValueError("rate must be positive")
         if count <= 0:
             raise ValueError("count must be positive")
-        if burst <= 0:
-            raise ValueError("burst must be positive")
         self.env = env
         self.inject = inject
         self.gap_us = 1.0 / rate_mpps
         self.count = count
         self.flows = flows or FlowGenerator()
         self.poisson = poisson
-        #: DPDK pktgen transmits in bursts; packets inside a burst arrive
-        #: back to back and the inter-burst gap restores the mean rate.
-        self.burst = burst
         self.shape = shape
         self.offered = 0
         self._rng = random.Random(seed)
@@ -282,7 +282,7 @@ class TrafficSource:
         if remaining <= 0:
             return
         env = self.env
-        burst = min(self.burst, remaining)
+        burst = min(SOURCE_BURST, remaining)
         for _ in range(burst):
             pkt = self.flows.next_packet()
             pkt.ingress_us = env.now

@@ -70,18 +70,10 @@ class ConstantShape(LoadShape):
 
 
 class DiurnalShape(LoadShape):
-    """A day/night sinusoid between ``base_mpps`` and ``peak_mpps``.
+    """A day/night sinusoid between ``base_mpps`` and ``peak_mpps``,
+    starting at its trough at t=0."""
 
-    ``phase`` in [0, 1) shifts where in the cycle t=0 lands (0 = trough).
-    """
-
-    def __init__(
-        self,
-        base_mpps: float,
-        peak_mpps: float,
-        period_us: float,
-        phase: float = 0.0,
-    ):
+    def __init__(self, base_mpps: float, peak_mpps: float, period_us: float):
         if base_mpps <= 0 or peak_mpps < base_mpps:
             raise ValueError("need 0 < base <= peak")
         if period_us <= 0:
@@ -89,11 +81,10 @@ class DiurnalShape(LoadShape):
         self.base = base_mpps
         self.peak = peak_mpps
         self.period = period_us
-        self.phase = phase % 1.0
 
     def rate_mpps(self, t_us: float) -> float:
-        # Cosine from trough: rate(0) == base when phase == 0.
-        cycle = (t_us / self.period + self.phase) * 2.0 * math.pi
+        # Cosine from trough: rate(0) == base.
+        cycle = t_us / self.period * 2.0 * math.pi
         mid = (self.base + self.peak) / 2.0
         swing = (self.peak - self.base) / 2.0
         return mid - swing * math.cos(cycle)

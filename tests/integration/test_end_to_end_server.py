@@ -80,6 +80,16 @@ def test_measure_nfp_returns_consistent_result():
     assert result.cores_used == 2 + 2  # 2 NFs + classifier + merger
 
 
+def test_measure_nfp_rejects_an_instance_map_naming_no_nf():
+    # A mistyped NF name must fail, not measure the unscaled graph.
+    with pytest.raises(ValueError, match="scale names not in graph"):
+        measure_nfp(["firewall", "monitor"], packets=100,
+                    instances={"firwall": 2})
+    scaled = measure_nfp(["firewall", "monitor"], packets=100,
+                         instances={"firewall": 2})
+    assert scaled.cores_used == 2 + 3  # classifier + merger, 3 NF cores
+
+
 def test_measure_accepts_policy_graph_or_chain():
     from repro.eval import as_graph
 

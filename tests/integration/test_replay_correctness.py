@@ -92,24 +92,23 @@ DATACENTER_REPLAYS = [
 
 
 def test_replay_helper_reports_ok():
-    cases = [(("vpn", "monitor", "firewall", "loadbalancer"), 100, FIXED_64B)]
-    cases += [(chain, 200, DATACENTER_MIX) for chain in DATACENTER_REPLAYS]
-    for chain, packets, sizes in cases:
-        report = replay_chain(chain, packets=packets, sizes=sizes)
+    cases = [(("vpn", "monitor", "firewall", "loadbalancer"), FIXED_64B)]
+    cases += [(chain, DATACENTER_MIX) for chain in DATACENTER_REPLAYS]
+    for chain, sizes in cases:
+        report = replay_chain(chain, sizes=sizes)
         assert report.ok, report
-        assert report.matches + report.drop_agreements == packets
+        assert report.matches + report.drop_agreements == report.packets == 200
 
 
 def test_replay_with_datacenter_sizes():
     sizes = PacketSizeDistribution([(128, 0.5), (1024, 0.5)])
-    report = replay_chain(("ids", "monitor", "loadbalancer"),
-                          packets=100, sizes=sizes)
+    report = replay_chain(("ids", "monitor", "loadbalancer"), sizes=sizes)
     assert report.ok
 
 
 def test_replay_detects_drop_agreement():
     # An IPS chain drops signature traffic identically in both worlds.
-    report = replay_chain(("ips", "monitor"), packets=150)
+    report = replay_chain(("ips", "monitor"))
     assert report.ok
     assert report.drops_parallel == report.drops_sequential
     assert report.matches + report.drop_agreements == report.packets

@@ -65,8 +65,12 @@ def test_compile_fails_exactly_on_check_policy_errors(policy):
     # The compiler's only policy gate is check_policy: a policy it
     # accepts compiles, one it rejects raises its errors, never a bare
     # ValueError from a later pass.
-    policy = Policy(policy.rules, [NFSpec(name, "firewall")
-                                   for name in sorted(policy.nf_names())])
+    rebuilt = Policy()
+    for name in sorted(policy.nf_names()):
+        rebuilt.declare(NFSpec(name, "firewall"))
+    for rule in policy.rules:
+        rebuilt.add(rule)
+    policy = rebuilt
     report = check_policy(policy)
     if report.ok:
         compile_policy(policy)

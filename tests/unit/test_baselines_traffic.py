@@ -196,13 +196,13 @@ def test_traffic_source_rate_and_count():
     arrivals = []
     source = TrafficSource(
         env, lambda pkt: arrivals.append(env.now), rate_mpps=1.0,
-        count=64, burst=8, poisson=False,
+        count=64, poisson=False,
     )
     env.run()
     assert source.offered == 64
     assert len(arrivals) == 64
-    # 8 bursts of 8, spaced 8 us: total span 56 us.
-    assert arrivals[-1] == pytest.approx(56.0)
+    # 2 bursts of 32, spaced 32 us: total span 32 us.
+    assert arrivals[-1] == pytest.approx(32.0)
 
 
 def test_traffic_source_validation():
@@ -211,5 +211,3 @@ def test_traffic_source_validation():
         TrafficSource(env, lambda p: None, rate_mpps=0, count=1)
     with pytest.raises(ValueError):
         TrafficSource(env, lambda p: None, rate_mpps=1, count=0)
-    with pytest.raises(ValueError):
-        TrafficSource(env, lambda p: None, rate_mpps=1, count=1, burst=0)

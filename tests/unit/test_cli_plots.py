@@ -3,25 +3,25 @@
 import pytest
 
 from repro.cli import main
-from repro.eval.plots import ascii_plot
+from repro.eval.plots import HEIGHT, WIDTH, ascii_plot
 
 
 # ------------------------------------------------------------------ plots
 def test_ascii_plot_renders_series_and_legend():
     chart = ascii_plot(
         {"up": [(0, 0), (10, 10)], "down": [(0, 10), (10, 0)]},
-        width=20, height=8, title="t", x_label="x", y_label="y",
+        title="t", x_label="x", y_label="y",
     )
     assert "t" in chart
     assert "*=up" in chart and "o=down" in chart
     assert "10.0" in chart and "0.0" in chart
     # Every canvas row is prefixed and the axis line is present.
-    assert chart.count("|") >= 8
-    assert "+--------------------" in chart
+    assert chart.count("|") >= HEIGHT
+    assert "+" + "-" * WIDTH in chart
 
 
 def test_ascii_plot_flat_series():
-    chart = ascii_plot({"flat": [(0, 5), (10, 5)]}, width=16, height=5)
+    chart = ascii_plot({"flat": [(0, 5), (10, 5)]})
     assert "*" in chart
 
 
@@ -29,7 +29,7 @@ def test_ascii_plot_validation():
     with pytest.raises(ValueError):
         ascii_plot({})
     with pytest.raises(ValueError):
-        ascii_plot({"x": [(0, 0)]}, width=2, height=2)
+        ascii_plot({"x": []})
 
 
 # -------------------------------------------------------------------- CLI

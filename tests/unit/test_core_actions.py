@@ -139,15 +139,3 @@ def test_register_case_insensitive_lookup():
     table.register(ActionProfile("MyNF", [Action(Verb.DROP)]))
     assert "mynf" in table
     assert table.fetch("MYNF").may_drop
-
-
-def test_weighted_profiles_normalised():
-    table = default_action_table()
-    weighted = table.weighted_profiles()
-    total = sum(w for _, w in weighted)
-    assert total == pytest.approx(1.0)
-    shares = {p.name: w for p, w in weighted}
-    # Listed NFs keep their published share (up to normalisation).
-    assert shares["firewall"] > shares["vpn"]
-    # Unlisted NFs split the residual equally.
-    assert shares["nat"] == pytest.approx(shares["monitor"])

@@ -123,8 +123,8 @@ def test_priority_pair_runs_parallel():
 def test_priority_orders_merge_wins():
     # Two writers of the same field in a Priority rule: the high-priority
     # NF's version must win the merge.
-    policy = Policy(instances=[NFSpec("lb1", "loadbalancer"),
-                               NFSpec("lb2", "loadbalancer")])
+    policy = Policy().declare(NFSpec("lb1", "loadbalancer")).declare(
+        NFSpec("lb2", "loadbalancer"))
     policy.priority("lb1", "lb2")
     graph = compile_policy(policy).graph
     entry = {e.node.name: e for s in graph.stages for e in s}
@@ -150,7 +150,7 @@ def test_free_nf_joins_parallel_stage():
 
 
 def test_unparallelizable_free_pair_warns_and_sequences():
-    policy = Policy(instances=[NFSpec("nat"), NFSpec("vpn")])
+    policy = Policy().declare(NFSpec("nat")).declare(NFSpec("vpn"))
     policy._touch("nat")
     policy._touch("vpn")
     result = compile_policy(policy)
@@ -160,7 +160,8 @@ def test_unparallelizable_free_pair_warns_and_sequences():
 
 # ----------------------------------------------------------------- errors
 def test_conflicting_policy_rejected():
-    policy = Policy(instances=[NFSpec("a", "firewall"), NFSpec("b", "monitor")])
+    policy = Policy().declare(NFSpec("a", "firewall")).declare(
+        NFSpec("b", "monitor"))
     policy.order("a", "b").order("b", "a")
     with pytest.raises(PolicyConflictError):
         compile_policy(policy)

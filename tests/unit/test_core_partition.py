@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import Policy, PartitionError, compile_policy, partition_graph
 from repro.core.graph import ORIGINAL_VERSION
+from repro.core.partition import MAX_SERVERS
+from repro.eval.forced import forced_sequential
 
 
 def graph_for(chain):
@@ -60,6 +62,11 @@ def test_too_few_cores_rejected():
 
 
 def test_max_servers_enforced():
-    graph = graph_for(["nat", "proxy", "vpn"])  # sequentialised stages
+    # One NF core per server: a chain one longer than the bound needs
+    # one server too many; a chain at the bound fits.
     with pytest.raises(PartitionError):
-        partition_graph(graph, cores_per_server=3, max_servers=1)
+        partition_graph(forced_sequential(["firewall"] * (MAX_SERVERS + 1)),
+                        cores_per_server=3)
+    slices = partition_graph(forced_sequential(["firewall"] * MAX_SERVERS),
+                             cores_per_server=3)
+    assert len(slices) == MAX_SERVERS

@@ -54,14 +54,15 @@ def test_policy_builder_api():
 
 
 def test_policy_explicit_instance_types():
-    policy = Policy(instances=[NFSpec("fw1", "firewall"), NFSpec("fw2", "firewall")])
+    policy = Policy().declare(NFSpec("fw1", "firewall")).declare(
+        NFSpec("fw2", "firewall"))
     policy.order("fw1", "fw2")
     assert policy.kind_of("fw1") == "firewall"
     assert policy.kind_of("fw2") == "firewall"
 
 
 def test_policy_redeclare_conflicting_kind():
-    policy = Policy(instances=[NFSpec("x", "firewall")])
+    policy = Policy().declare(NFSpec("x", "firewall"))
     with pytest.raises(ValueError):
         policy.declare(NFSpec("x", "monitor"))
 
@@ -196,7 +197,9 @@ def test_priority_contradiction():
 
 def test_priority_three_cycle_is_a_policy_conflict():
     # No two rules contradict each other; the cycle only closes at three.
-    policy = Policy(instances=[NFSpec(n, "firewall") for n in "abc"])
+    policy = Policy()
+    for name in "abc":
+        policy.declare(NFSpec(name, "firewall"))
     policy.priority("a", "b").priority("b", "c").priority("c", "a")
     with pytest.raises(PolicyConflictError) as caught:
         compile_policy(policy)

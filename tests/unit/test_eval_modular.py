@@ -16,6 +16,7 @@ from repro.eval import (
     render_table,
 )
 from repro.modular import (
+    Block,
     BlockPipeline,
     alert,
     build_firewall_pipeline,
@@ -103,10 +104,11 @@ def test_onvm_capacity_manager_bound():
 
 
 def test_bess_capacity_scales_with_cores_to_line_rate():
-    one = bess_capacity(["firewall"], DEFAULT_PARAMS, num_cores=1)
-    three = bess_capacity(["firewall"], DEFAULT_PARAMS, num_cores=3)
-    assert three.mpps >= one.mpps
-    assert three.bottleneck == "nic"
+    # No BESS run sets a busy loop, so its RTC cores demand nothing and
+    # the NIC's 64-byte line rate bounds any core count.
+    report = bess_capacity(DEFAULT_PARAMS)
+    assert report.bottleneck == "nic"
+    assert report.mpps == DEFAULT_PARAMS.line_rate_mpps(64)
 
 
 def test_latency_floor_orders_structures():
@@ -134,14 +136,6 @@ def test_pair_statistics_per_pair_entries():
     assert stats.per_pair[("firewall", "monitor")] is Parallelism.NO_COPY
     assert stats.per_pair[("monitor", "loadbalancer")] is Parallelism.WITH_COPY
     assert stats.per_pair[("nat", "caching")] is Parallelism.NOT_PARALLELIZABLE
-
-
-def test_pair_statistics_weighting_variants():
-    uniform = compute_pair_statistics(weighting="uniform")
-    weighted = compute_pair_statistics(weighting="deployment")
-    assert weighted.parallelizable != uniform.parallelizable
-    with pytest.raises(ValueError):
-        compute_pair_statistics(weighting="bogus")
 
 
 # ---------------------------------------------------------------- overhead
@@ -217,4 +211,4 @@ def test_block_validation():
     with pytest.raises(ValueError):
         BlockPipeline("empty", [])
     with pytest.raises(ValueError):
-        alert("x", cost_us=-1)
+        Block("x", [], -1)

@@ -11,19 +11,18 @@ from repro.core import NFSpec, Parallelism, Policy, compile_policy
 def fig2_like_policy():
     """The Fig. 2 input shape: Position + Order tree + Priority trio +
     a free NF, over concrete Table 2 kinds."""
-    policy = Policy(
-        instances=[
-            NFSpec("nf1", "vpn"),          # pinned first
-            NFSpec("nf2", "nat"),          # order: nf2 before nf3, nf4
-            NFSpec("nf3", "firewall"),
-            NFSpec("nf4", "monitor"),
-            NFSpec("nf5", "ips"),          # priority: nf5 > nf6 > nf7
-            NFSpec("nf6", "firewall"),
-            NFSpec("nf7", "monitor"),
-            NFSpec("nf8", "gateway"),      # free
-        ],
-        name="fig2",
-    )
+    policy = Policy(name="fig2")
+    for spec in [
+        NFSpec("nf1", "vpn"),          # pinned first
+        NFSpec("nf2", "nat"),          # order: nf2 before nf3, nf4
+        NFSpec("nf3", "firewall"),
+        NFSpec("nf4", "monitor"),
+        NFSpec("nf5", "ips"),          # priority: nf5 > nf6 > nf7
+        NFSpec("nf6", "firewall"),
+        NFSpec("nf7", "monitor"),
+        NFSpec("nf8", "gateway"),      # free
+    ]:
+        policy.declare(spec)
     policy.position("nf1", "first")
     policy.order("nf2", "nf3")
     policy.order("nf2", "nf4")

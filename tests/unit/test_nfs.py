@@ -29,6 +29,8 @@ from repro.nfs import (
     registered_kinds,
 )
 from repro.nfs.base import NetworkFunction, register_nf_class
+from repro.nfs.forwarder import DEFAULT_ROUTE_COUNT
+from repro.nfs.ids import DEFAULT_SIGNATURE_COUNT
 from tests.support.aho_corasick_textbook import findall, match_count
 
 
@@ -98,8 +100,8 @@ def test_forwarder_drops_unroutable_without_default():
 
 
 def test_routing_table_has_requested_entries_and_default():
-    table = build_routing_table(entries=200)
-    assert len(table) == 200
+    table = build_routing_table()
+    assert len(table) == DEFAULT_ROUTE_COUNT
     assert table.lookup("203.0.113.200") is not None  # default route
 
 
@@ -361,8 +363,8 @@ def test_nids_is_detection_only():
 
 
 def test_signature_corpus_deterministic():
-    assert build_signatures(50) == build_signatures(50)
-    assert len(build_signatures(100)) == 100
+    assert build_signatures() == build_signatures()
+    assert len(build_signatures()) == DEFAULT_SIGNATURE_COUNT
 
 
 # -------------------------------------------------------------------- NAT

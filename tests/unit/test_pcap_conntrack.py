@@ -41,10 +41,17 @@ def test_pcap_global_header_is_standard(tmp_path):
 def test_pcap_skips_nil_and_respects_snaplen(tmp_path):
     pkt = build_packet(size=1500)
     path = tmp_path / "snap.pcap"
-    write_pcap(path, [pkt, pkt.make_nil()], snaplen=100)
+    write_pcap(path, [pkt, pkt.make_nil()])
     records = read_pcap(path)
     assert len(records) == 1
-    _, out = records[0]
+    assert bytes(records[0][1].buf) == bytes(pkt.buf)
+    # A capture cut at a 100-byte snap length keeps the wire length.
+    buf = io.BytesIO()
+    buf.write(struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 100, 1))
+    buf.write(struct.pack("<IIII", 0, 0, 100, 1500))
+    buf.write(bytes(pkt.buf[:100]))
+    buf.seek(0)
+    _, out = read_pcap(buf)[0]
     assert len(out.buf) == 100
     assert out.wire_len == 1500  # original length preserved
 

@@ -157,7 +157,7 @@ class TestSolvers:
     def test_round_robin_ignores_slos(self):
         topo = Topology.full_mesh(2, 16)
         req = request(delay=1.0)  # violated, but round-robin still places
-        plan = round_robin_place(topo, [req], DEFAULT_PARAMS)
+        plan = round_robin_place(topo, [req])
         assert len(plan.placements) == 1
         assert plan.placements[0].delay_us > 1.0  # true cost reported
 

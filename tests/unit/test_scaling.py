@@ -40,17 +40,6 @@ def test_line_rate_is_a_hard_ceiling():
     )
 
 
-def test_core_budget_degrades_plan():
-    graph = forced_sequential(["ids"])
-    unconstrained = plan_scale_out(graph, DEFAULT_PARAMS, target_mpps=5.0)
-    constrained = plan_scale_out(
-        graph, DEFAULT_PARAMS, target_mpps=5.0,
-        available_cores=unconstrained.total_nf_cores - 1,
-    )
-    assert constrained.total_nf_cores < unconstrained.total_nf_cores
-    assert constrained.achievable_mpps < unconstrained.achievable_mpps
-
-
 def test_mergers_count_toward_scaling():
     graph = graph_for(["firewall", "monitor"])  # parallel -> merger present
     plan = plan_scale_out(graph, DEFAULT_PARAMS, target_mpps=12.0)

@@ -15,6 +15,7 @@ from repro.sim import (
     nic_line_rate_mpps,
     percentile,
 )
+from repro.sim.memory import SLOT_BYTES
 
 
 # ------------------------------------------------------------------- Ring
@@ -132,7 +133,7 @@ def test_nic_rejects_nonpositive_size():
 
 # ------------------------------------------------------------------- Pool
 def test_pool_accounting_and_overhead():
-    pool = PacketPool(capacity=10, slot_bytes=2048)
+    pool = PacketPool(capacity=10)
     pool.alloc(1000)
     pool.alloc(64, is_copy=True)
     assert pool.bytes_in_use == 1064
@@ -151,9 +152,10 @@ def test_pool_exhaustion():
 
 
 def test_pool_rejects_oversized_packet():
-    pool = PacketPool(capacity=4, slot_bytes=128)
+    pool = PacketPool(capacity=4)
+    pool.alloc(SLOT_BYTES)
     with pytest.raises(ValueError):
-        pool.alloc(500)
+        pool.alloc(SLOT_BYTES + 1)
 
 
 def test_pool_free_without_alloc():
@@ -163,18 +165,18 @@ def test_pool_free_without_alloc():
 
 # ------------------------------------------------------------------ Stats
 def test_latency_stats_mean_and_percentiles():
-    stats = LatencyStats(warmup_fraction=0.0)
-    for value in (1.0, 2.0, 3.0, 4.0, 5.0):
-        stats.record(value)
-    assert stats.mean == pytest.approx(3.0)
-    assert stats.median == pytest.approx(3.0)
-    assert stats.pct(100.0) == 5.0
-    assert stats.max == 5.0
+    stats = LatencyStats()
+    for value in (100.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0):
+        stats.record(value)  # the first tenth is warm-up
+    assert stats.mean == pytest.approx(5.0)
+    assert stats.median == pytest.approx(5.0)
+    assert stats.pct(100.0) == 9.0
+    assert stats.max == 9.0
 
 
 def test_latency_stats_warmup_skips_prefix():
-    stats = LatencyStats(warmup_fraction=0.5)
-    for value in (100.0, 100.0, 1.0, 1.0):
+    stats = LatencyStats()
+    for value in (100.0,) + (1.0,) * 9:
         stats.record(value)
     assert stats.mean == pytest.approx(1.0)
 

@@ -25,18 +25,18 @@ def test_summarize_empty_raises():
 
 
 def test_latency_stats_summary_uses_steady_state():
-    stats = LatencyStats(warmup_fraction=0.5)
-    for value in (1000.0, 1.0, 2.0, 3.0):
+    stats = LatencyStats()
+    for value in (1000.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0):
         stats.record(value)
     summary = stats.summary()
-    # The warm-up half (1000.0, 1.0) is trimmed.
-    assert summary.count == 2
-    assert summary.mean == pytest.approx(2.5)
-    assert stats.warmup_skipped == 2
+    # The warm-up tenth (1000.0) is trimmed.
+    assert summary.count == 9
+    assert summary.mean == pytest.approx(5.0)
+    assert stats.warmup_skipped == 1
 
 
 def test_short_run_warns_once_about_ineffective_warmup():
-    stats = LatencyStats(warmup_fraction=0.1)
+    stats = LatencyStats()
     for value in (1.0, 2.0, 3.0):  # 3 samples -> skip = int(0.3) = 0
         stats.record(value)
     assert stats.warmup_skipped == 0
@@ -48,22 +48,11 @@ def test_short_run_warns_once_about_ineffective_warmup():
         assert stats.p99 > 0
 
 
-def test_allow_partial_warmup_silences_the_warning():
-    stats = LatencyStats(warmup_fraction=0.1, allow_partial_warmup=True)
-    stats.record(5.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert stats.mean == 5.0
-
-
 def test_no_warning_when_warmup_disabled_or_effective():
+    # The warm-up share is fixed at 10%: from 10 samples on it skips.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        disabled = LatencyStats(warmup_fraction=0.0)
-        disabled.record(1.0)
-        assert disabled.mean == 1.0
-
-        effective = LatencyStats(warmup_fraction=0.1)
+        effective = LatencyStats()
         for value in range(20):
             effective.record(float(value))
         assert effective.warmup_skipped == 2

@@ -78,8 +78,7 @@ def test_critpath_report_skips_drops_by_default():
     tracer = Tracer()
     _forked_trace(tracer, pid=1, terminal=SpanKind.DROP)
     assert critpath_report(tracer.traces().values()).count == 0
-    included = critpath_report(tracer.traces().values(), include_drops=True)
-    assert included.count == 1 and included.paths[0].dropped
+    assert critical_path(tracer.traces()[(1, 1)]).dropped
 
 
 def test_segment_names_partition_every_path():

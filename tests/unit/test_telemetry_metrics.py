@@ -118,7 +118,6 @@ def test_registry_get_or_create_identity():
     assert registry.gauge("g") is registry.gauge("g")
     assert registry.histogram("h") is registry.histogram("h")
     assert registry.counter_value("missing") == 0
-    assert registry.counter_value("missing", default=7) == 7
 
 
 def test_registry_merge_semantics():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.engine import Environment
 from repro.telemetry import Sampler, TelemetryHub, TimeSeries, Tracer, sparkline
-from repro.telemetry.timeseries import Window
+from repro.telemetry.timeseries import SPARK_WIDTH, Window
 
 
 # --------------------------------------------------------------- sparkline
@@ -21,10 +21,10 @@ def test_sparkline_scales_to_peak():
 
 
 def test_sparkline_downsamples_preserving_peaks():
-    values = [0.0] * 100
+    values = [0.0] * (10 * SPARK_WIDTH)
     values[37] = 100.0
-    line = sparkline(values, width=10)
-    assert len(line) == 10
+    line = sparkline(values)
+    assert len(line) == SPARK_WIDTH
     assert "@" in line  # the lone peak survives max-downsampling
 
 
@@ -109,8 +109,8 @@ def test_sampler_windows_without_histogram_activity_stay_empty():
 def test_sampler_probes_and_subscribers():
     hub = TelemetryHub()
     depth = {"value": 3.0}
-    sampler = Sampler(hub, window_us=10.0,
-                      probes={"ring.depth": lambda: depth["value"]})
+    sampler = Sampler(hub, window_us=10.0)
+    sampler.add_probes({"ring.depth": lambda: depth["value"]})
     seen = []
     sampler.subscribe(seen.append)
     window = sampler.sample(10.0)
